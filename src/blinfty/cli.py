@@ -2,7 +2,6 @@
 
 Reports are machine readable `key: value` lines.  Exit codes: 0 computed,
 1 structural check failed, 2 parse error, 3 inconclusive within bounds.
-The environment variable BLINFTY_THREADS caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -277,6 +276,17 @@ def cmd_order_multi(args, rep):
     return _exit_for_kind(kind)
 
 
+def _sd_level(args, bounds, alg, augs, pmaps):
+    """The semi-dilation order of the first augmentation and pointed map
+    under the --umap endomorphism."""
+    eps, (_, pmap) = augs[0], pmaps[0]
+    lin = linearize(alg, eps, bounds)
+    lpt = linearize_pointed(pmap, alg, eps, bounds)
+    umod = bio.umodule_from_document(_load(args.umap), alg.space)
+    return sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
+                    lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
+
+
 def cmd_sd(args, rep):
     got = _prepare_order_inputs(args, rep)
     if got is None:
@@ -286,15 +296,8 @@ def cmd_sd(args, rep):
         rep.add("sd", "inconclusive")
         rep.add("reason", "need --aug, --pointed and --umap")
         return 3
-    eps, (pdoc, pmap) = augs[0], pmaps[0]
-    lin = linearize(alg, eps, bounds)
-    lpt = linearize_pointed(pmap, alg, eps, bounds)
-    ell1 = lin.sub_table(lambda k, l: (k, l) == (1, 1))
-    ell_point = lpt.sub_table(lambda k, l: (k, l) == (1, 0))
-    udoc = _load(args.umap)
-    umod = bio.umodule_from_document(udoc, alg.space)
     try:
-        k = sd_order(ell1, umod, ell_point)
+        k = _sd_level(args, bounds, alg, augs, pmaps)
     except PlanarityNotOneError:
         rep.add("sd", "inconclusive")
         rep.add("reason", "no class with functional value 1")
@@ -350,14 +353,8 @@ def cmd_hierarchy(args, rep):
             pl = None
     if pl is not None and pl.found() and pl.level == 1 and args.umap \
             and augs and pmaps:
-        eps, (pdoc, pmap) = augs[0], pmaps[0]
-        lin = linearize(alg, eps, bounds)
-        lpt = linearize_pointed(pmap, alg, eps, bounds)
-        umod = bio.umodule_from_document(_load(args.umap), alg.space)
         try:
-            sd_level = sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)),
-                                umod,
-                                lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
+            sd_level = _sd_level(args, bounds, alg, augs, pmaps)
             rep.add("sd", "exact %d" % sd_level)
         except (PlanarityNotOneError, NotNilpotentError):
             sd_level = None

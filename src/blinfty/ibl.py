@@ -4,11 +4,9 @@ chain map."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import assembly
 from .errors import IncompleteTableError, StructureError
-from .linalg import solve_linear
+from .invariants import _columns, _solve
 from .structures import (BLAlgebra, OperationTable, VerifyStatus,
                          word_to_singletons)
 from .words import (EElement, EWord, Element, UNIT_WORD,
@@ -153,34 +151,16 @@ def torsion_grid(ialg, n, m, trunc, bounds):
     trunc.  For n > trunc the class is already zero in the quotient."""
     if n > trunc:
         return True, None
-    target = EWord((UNIT_WORD,), hbar=n)
-    basis = []
-    for h in range(0, trunc + 1):
-        for ew in enumerate_basis(ialg.space, bounds.max_letters,
-                                  bounds.max_action, outer_components=m + 1,
-                                  allow_units=True):
-            basis.append(EWord(ew.clusters, hbar=h))
-    keys = {target: 0}
-    cols = []
-    for ew in basis:
-        out = apply_hat_p_ibl(ialg, EElement.monomial(ew), trunc)
-        col = {}
-        for ew2, c in out.terms.items():
-            if ew2 not in keys:
-                keys[ew2] = len(keys)
-            col[keys[ew2]] = c
-        cols.append(col)
-    A = [[Fraction(0)] * len(basis) for _ in range(len(keys))]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            A[i][j] = c
-    b = [Fraction(0)] * len(keys)
-    b[0] = Fraction(1)
-    sol, _ = solve_linear(A, b)
+    ewords = enumerate_basis(ialg.space, bounds.max_letters, bounds.max_action,
+                             outer_components=m + 1, allow_units=True)
+    basis = [EWord(ew.clusters, hbar=h)
+             for h in range(trunc + 1) for ew in ewords]
+    columns = _columns(basis, lambda ew: apply_hat_p_ibl(
+        ialg, EElement.monomial(ew), trunc))
+    sol = _solve(basis, columns, EWord((UNIT_WORD,), hbar=n))
     if sol is None:
         return False, None
-    cert = EElement({basis[j]: sol[j] for j in range(len(basis)) if sol[j]})
-    return True, cert
+    return True, EElement(sol)
 
 
 def verify_grid_certificate(ialg, cert, n, m, trunc):

@@ -15,7 +15,7 @@ from .structures import (Augmentation, OperationTable, PointedMap,
                          apply_hat_p, apply_hat_phi, apply_table_coderivation,
                          check_structure, compose, ell_table, f_eps,
                          is_augmentation, linearize, linearize_pointed,
-                         pi_single_cluster, word_to_singletons)
+                         pi_single_cluster, status_at, word_to_singletons)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity, normalize_word)
@@ -90,7 +90,65 @@ class UModule:
 
 
 # ---------------------------------------------------------------------------
+# bounded solves: sparse columns over a basis window, one exact solve
+
+def _columns(basis, image, window=None):
+    """The sparse column {row: coeff} of image(b) for each basis element b,
+    rows keyed by output term.  Given a closed window (term -> row index),
+    a term outside it raises WindowLeakError."""
+    columns = []
+    for b in basis:
+        terms = image(b).terms
+        if window is not None:
+            for key in terms:
+                if key not in window:
+                    raise WindowLeakError(
+                        "image %r of %r outside the basis window" % (key, b))
+            terms = {window[key]: c for key, c in terms.items()}
+        columns.append(terms)
+    return columns
+
+
+def _solve(basis, columns, target):
+    """Solve sum_j x_j columns[j] = target over the basis span.
+
+    Returns {basis element: coeff} with free variables zero, or None.
+    """
+    rows = {target: 0}
+    for col in columns:
+        for key in col:
+            rows.setdefault(key, len(rows))
+    A = [[Fraction(0)] * len(basis) for _ in range(len(rows))]
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            A[rows[key]][j] = c
+    b = [Fraction(0)] * len(rows)
+    b[0] = Fraction(1)
+    sol, _ = solve_linear(A, b)
+    if sol is None:
+        return None
+    return {basis[j]: sol[j] for j in range(len(basis)) if sol[j]}
+
+
+def _closed_complex(basis, image, parity):
+    """The ChainComplex of image on a window that must contain it."""
+    window = {b: i for i, b in enumerate(basis)}
+    columns = _columns(basis, image, window)
+    return ChainComplex(basis, dict(enumerate(columns)),
+                        [parity(b) for b in basis])
+
+
+# ---------------------------------------------------------------------------
 # bar complexes and the torsion search
+
+def _EkV_basis(alg, k, bounds):
+    return enumerate_basis(alg.space, bounds.max_letters, bounds.max_action,
+                           outer_components=k, allow_units=True)
+
+
+def _hat_p_image(alg):
+    return lambda ew: apply_hat_p(alg, EElement.monomial(ew))
+
 
 def build_EkV(alg, k, bounds):
     """The outer bar complex with at most k clusters (units allowed).
@@ -98,48 +156,8 @@ def build_EkV(alg, k, bounds):
     Raises WindowLeakError when the differential leaves the enumerated
     window; enlarge max_letters or supply an action bound with action_drop.
     """
-    basis = enumerate_basis(alg.space, bounds.max_letters, bounds.max_action,
-                            outer_components=k, allow_units=True)
-    index = {ew: i for i, ew in enumerate(basis)}
-    columns = {}
-    for j, ew in enumerate(basis):
-        out = apply_hat_p(alg, EElement.monomial(ew))
-        col = {}
-        for ew2, c in out.terms.items():
-            if ew2 not in index:
-                raise WindowLeakError(
-                    "image %r of %r outside the basis window" % (ew2, ew))
-            col[index[ew2]] = c
-        columns[j] = col
-    parities = [eword_parity(alg.space, ew) for ew in basis]
-    return ChainComplex(basis, columns, parities)
-
-
-def _solve_hat_p_equals(alg, basis, target_key):
-    """Solve p-hat(x) = target over the span of basis; image keys may fall
-    outside the window and become extra zero rows."""
-    keys = {target_key: 0}
-    cols = []
-    for ew in basis:
-        out = apply_hat_p(alg, EElement.monomial(ew))
-        col = {}
-        for ew2, c in out.terms.items():
-            if ew2 not in keys:
-                keys[ew2] = len(keys)
-            col[keys[ew2]] = c
-        cols.append(col)
-    nrows = len(keys)
-    A = [[Fraction(0)] * len(basis) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            A[i][j] = c
-    b = [Fraction(0)] * nrows
-    b[0] = Fraction(1)
-    sol, _ = solve_linear(A, b)
-    if sol is None:
-        return None
-    cert = EElement({basis[j]: sol[j] for j in range(len(basis)) if sol[j]})
-    return cert
+    return _closed_complex(_EkV_basis(alg, k, bounds), _hat_p_image(alg),
+                           lambda ew: eword_parity(alg.space, ew))
 
 
 def _level_structurally_closed(table, level):
@@ -172,21 +190,18 @@ def torsion(alg, schedule):
     constant cells reach it) or by the action-filtration argument, and
     'at-most' otherwise.
     """
-    if alg.verified is None or not alg.verified.ok:
-        status = check_structure(alg, schedule[-1][1])
-        if not status.ok:
-            raise StructureError("structure fails: witness %r" % (status.witness,))
+    status = status_at(alg, schedule[-1][1], check_structure)
+    if not status.ok:
+        raise StructureError("structure fails: witness %r" % (status.witness,))
     certified = {}
     for (k, bounds) in schedule:
-        basis = enumerate_basis(alg.space, bounds.max_letters,
-                                bounds.max_action, outer_components=k,
-                                allow_units=True)
-        cert = _solve_hat_p_equals(alg, basis, UNIT_EWORD)
-        if cert is not None:
+        basis = _EkV_basis(alg, k, bounds)
+        sol = _solve(basis, _columns(basis, _hat_p_image(alg)), UNIT_EWORD)
+        if sol is not None:
             exact = all(certified.get(j, _level_structurally_closed(
                 alg.table, j)) for j in range(1, k))
             return TorsionAnswer("exact" if exact else "at-most",
-                                 k - 1, cert, bounds)
+                                 k - 1, EElement(sol), bounds)
         certified[k] = (_level_structurally_closed(alg.table, k)
                         or _level_action_closed(alg, k, bounds))
     return TorsionAnswer("not-found", bounds=schedule[-1][1])
@@ -231,19 +246,11 @@ def bar_B_k(ell, k, bounds):
     bar differential."""
     basis = [w for w in enumerate_basis(ell.space, min(k, bounds.max_letters),
                                         bounds.max_action) if len(w) >= 1]
-    index = {w: i for i, w in enumerate(basis)}
-    columns = {}
-    for j, w in enumerate(basis):
-        out = assembly.apply_inner_coderivation(ell.space, ell,
-                                                Element.monomial(w))
-        col = {}
-        for w2, c in out.terms.items():
-            if w2 not in index:
-                raise WindowLeakError("image %r outside window" % (w2,))
-            col[index[w2]] = c
-        columns[j] = col
-    parities = [ell.space.word_parity(w.letters) for w in basis]
-    return ChainComplex(basis, columns, parities)
+    return _closed_complex(
+        basis,
+        lambda w: assembly.apply_inner_coderivation(ell.space, ell,
+                                                    Element.monomial(w)),
+        lambda w: ell.space.word_parity(w.letters))
 
 
 def _functional_from_constants(lin_pointed, word):
@@ -251,30 +258,38 @@ def _functional_from_constants(lin_pointed, word):
     return elem.terms.get(UNIT_WORD, Fraction(0))
 
 
-def _solve_cycle_functional(basis, d_cols, f_vals):
-    """Feasibility of d x = 0 and f(x) = 1 over the basis span."""
-    keys = {}
-    cols = []
-    for col in d_cols:
-        cc = {}
-        for key, c in col.items():
-            if key not in keys:
-                keys[key] = len(keys)
-            cc[keys[key]] = c
-        cols.append(cc)
-    nrows = len(keys) + 1
-    A = [[Fraction(0)] * len(basis) for _ in range(nrows)]
-    for j, cc in enumerate(cols):
-        for i, c in cc.items():
-            A[i][j] = c
-    for j, fv in enumerate(f_vals):
-        A[-1][j] = fv
-    b = [Fraction(0)] * nrows
-    b[-1] = Fraction(1)
-    sol, _ = solve_linear(A, b)
-    if sol is None:
-        return None
-    return {basis[j]: sol[j] for j in range(len(basis)) if sol[j]}
+# the row of the functional in an order search's linear system
+_FUNCTIONAL = object()
+
+
+def _order_search(bounds, level, functional, kind, wrap):
+    """The least level k <= bounds.outer() with a cycle of functional
+    value 1: level(k) gives the basis and differential columns,
+    functional(b) the value on a basis element, kind(k) the answer kind,
+    and wrap turns the solution into a certificate."""
+    for k in range(1, bounds.outer() + 1):
+        basis, columns = level(k)
+        columns = [{**col, _FUNCTIONAL: functional(b)}
+                   for b, col in zip(basis, columns)]
+        sol = _solve(basis, columns, _FUNCTIONAL)
+        if sol is not None:
+            return OrderAnswer(kind(k), k, wrap(sol), bounds)
+    return OrderAnswer("not-found", bounds=bounds)
+
+
+def _outer_level(sp, lin, bounds, cap=None):
+    """Outer words of at most k nonempty clusters, each of at most cap
+    letters, under the linearized coderivation projected to that cap."""
+    def d(ew):
+        out = apply_table_coderivation(sp, lin, EElement.monomial(ew))
+        return out if cap is None else project_width(out, cap)
+
+    def level(k):
+        basis = enumerate_basis(sp, bounds.max_letters, bounds.max_action,
+                                outer_components=k, allow_units=False,
+                                max_cluster_letters=cap)
+        return basis, _columns(basis, d)
+    return level
 
 
 def _order_kind(lin_pointed, found_k):
@@ -287,56 +302,46 @@ def _order_kind(lin_pointed, found_k):
     return "at-most"
 
 
-def order_O(alg, eps, pmap, bounds, lin=None, lpt=None):
-    """Least word length whose linearized bar homology hits the constant
-    functional value 1."""
+def _linearized_pair(alg, eps, pmap, bounds, lin, lpt):
     if eps is None:
         raise PlanarityZeroError("order requires an augmentation")
     lin = lin if lin is not None else linearize(alg, eps, bounds)
     lpt = lpt if lpt is not None else linearize_pointed(pmap, alg, eps, bounds)
+    return lin, lpt
+
+
+def order_O(alg, eps, pmap, bounds, lin=None, lpt=None):
+    """Least word length whose linearized bar homology hits the constant
+    functional value 1."""
+    lin, lpt = _linearized_pair(alg, eps, pmap, bounds, lin, lpt)
     ell = ell_table(lin)
-    top = bounds.outer()
-    for k in range(1, top + 1):
+
+    def level(k):
         cx = bar_B_k(ell, k, bounds)
-        d_cols = [{cx.basis[i]: c for i, c in cx.columns[j].items()}
-                  for j in range(len(cx.basis))]
-        f_vals = [_functional_from_constants(lpt, w) for w in cx.basis]
-        sol = _solve_cycle_functional(cx.basis, d_cols, f_vals)
-        if sol is not None:
-            cert = Element(sol)
-            # the length-j complexes are finite, so an unrestricted
-            # enumeration makes the failed smaller levels conclusive
-            exhaustive = (bounds.max_action is None
-                          and bounds.max_letters >= k)
-            kind = "exact" if exhaustive else _order_kind(lpt, k)
-            return OrderAnswer(kind, k, cert, bounds)
-    return OrderAnswer("not-found", bounds=bounds)
+        return cx.basis, cx.columns
+
+    def kind(k):
+        # the length-j complexes are finite, so an unrestricted
+        # enumeration makes the failed smaller levels conclusive
+        if bounds.max_action is None and bounds.max_letters >= k:
+            return "exact"
+        return _order_kind(lpt, k)
+
+    return _order_search(bounds, level,
+                         lambda w: _functional_from_constants(lpt, w),
+                         kind, Element)
 
 
 def order_O_tilde(alg, eps, pmap, bounds, lin=None, lpt=None):
     """The unreduced variant: outer words of nonempty clusters, with the
     unit-coefficient functional of the linearized pointed operator."""
-    if eps is None:
-        raise PlanarityZeroError("order requires an augmentation")
-    lin = lin if lin is not None else linearize(alg, eps, bounds)
-    lpt = lpt if lpt is not None else linearize_pointed(pmap, alg, eps, bounds)
+    lin, lpt = _linearized_pair(alg, eps, pmap, bounds, lin, lpt)
     sp = alg.space
-    top = bounds.outer()
-    for k in range(1, top + 1):
-        basis = enumerate_basis(sp, bounds.max_letters, bounds.max_action,
-                                outer_components=k, allow_units=False)
-        d_cols = []
-        f_vals = []
-        for ew in basis:
-            x = EElement.monomial(ew)
-            out = apply_table_coderivation(sp, lin, x)
-            d_cols.append(dict(out.terms))
-            fv = apply_table_coderivation(sp, lpt, x).unit_coefficient()
-            f_vals.append(fv)
-        sol = _solve_cycle_functional(basis, d_cols, f_vals)
-        if sol is not None:
-            return OrderAnswer(_order_kind(lpt, k), k, EElement(sol), bounds)
-    return OrderAnswer("not-found", bounds=bounds)
+    return _order_search(
+        bounds, _outer_level(sp, lin, bounds),
+        lambda ew: apply_table_coderivation(
+            sp, lpt, EElement.monomial(ew)).unit_coefficient(),
+        lambda k: _order_kind(lpt, k), EElement)
 
 
 def width(eword):
@@ -380,6 +385,19 @@ def apply_multi_pointed_linearized(space, lin_family, m, x):
     return total
 
 
+def _order_multi(alg, eps, family, m, bounds, cap):
+    if eps is None:
+        raise PlanarityZeroError("order requires an augmentation")
+    lin = linearize(alg, eps, bounds)
+    lin_family = _multi_linearized(family, alg, eps, bounds)
+    sp = alg.space
+    return _order_search(
+        bounds, _outer_level(sp, lin, bounds, cap),
+        lambda ew: apply_multi_pointed_linearized(
+            sp, lin_family, m, EElement.monomial(ew)).unit_coefficient(),
+        lambda k: "exact" if k == 1 else "at-most", EElement)
+
+
 def order_multi(alg, eps, family, m, bounds):
     """Multi-point order on the width-truncated double bar complex.
 
@@ -387,59 +405,12 @@ def order_multi(alg, eps, family, m, bounds):
     complex caps every cluster at m letters, and the functional is the unit
     coefficient of the multi-point operator.
     """
-    if eps is None:
-        raise PlanarityZeroError("order requires an augmentation")
-    lin = linearize(alg, eps, bounds)
-    lin_family = _multi_linearized(
-        {frozenset(S): t for S, t in family.items()}, alg, eps, bounds)
-    sp = alg.space
-    top = bounds.outer()
-    for k in range(1, top + 1):
-        basis = enumerate_basis(sp, bounds.max_letters, bounds.max_action,
-                                outer_components=k, allow_units=False,
-                                max_cluster_letters=m)
-        d_cols = []
-        f_vals = []
-        for ew in basis:
-            x = EElement.monomial(ew)
-            out = project_width(apply_table_coderivation(sp, lin, x), m)
-            d_cols.append(dict(out.terms))
-            fv = apply_multi_pointed_linearized(sp, lin_family, m, x) \
-                .unit_coefficient()
-            f_vals.append(fv)
-        sol = _solve_cycle_functional(basis, d_cols, f_vals)
-        if sol is not None:
-            kind = "exact" if k == 1 else "at-most"
-            return OrderAnswer(kind, k, EElement(sol), bounds)
-    return OrderAnswer("not-found", bounds=bounds)
+    return _order_multi(alg, eps, family, m, bounds, cap=m)
 
 
 def order_multi_tilde(alg, eps, family, m, bounds):
     """The untruncated multi-point variant on outer words."""
-    if eps is None:
-        raise PlanarityZeroError("order requires an augmentation")
-    lin = linearize(alg, eps, bounds)
-    lin_family = _multi_linearized(
-        {frozenset(S): t for S, t in family.items()}, alg, eps, bounds)
-    sp = alg.space
-    top = bounds.outer()
-    for k in range(1, top + 1):
-        basis = enumerate_basis(sp, bounds.max_letters, bounds.max_action,
-                                outer_components=k, allow_units=False)
-        d_cols = []
-        f_vals = []
-        for ew in basis:
-            x = EElement.monomial(ew)
-            out = apply_table_coderivation(sp, lin, x)
-            d_cols.append(dict(out.terms))
-            fv = apply_multi_pointed_linearized(sp, lin_family, m, x) \
-                .unit_coefficient()
-            f_vals.append(fv)
-        sol = _solve_cycle_functional(basis, d_cols, f_vals)
-        if sol is not None:
-            kind = "exact" if k == 1 else "at-most"
-            return OrderAnswer(kind, k, EElement(sol), bounds)
-    return OrderAnswer("not-found", bounds=bounds)
+    return _order_multi(alg, eps, family, m, bounds, cap=None)
 
 
 def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds,
@@ -646,9 +617,9 @@ def planarity(alg, augmentations, pmap, bounds, torsion_schedule=None):
     shows the order does not depend on the augmentation at all.
     """
     for eps in augmentations:
-        if eps.verified is None:
-            is_augmentation(eps, alg, bounds)
-        if not eps.verified.ok:
+        status = status_at(eps, bounds,
+                           lambda e, b: is_augmentation(e, alg, b))
+        if not status.ok:
             raise StructureError("supplied augmentation fails to verify")
     if not augmentations:
         schedule = torsion_schedule or default_schedule(bounds.outer(), bounds)

@@ -4,8 +4,6 @@ augmentations, linearization and pointed maps."""
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import assembly
@@ -28,6 +26,16 @@ class Bounds:
 
     def outer(self):
         return self.word_bound if self.word_bound is not None else self.max_letters
+
+    def _key(self):
+        return (self.max_letters, self.max_action, self.word_bound,
+                self.hbar_max, self.action_drop)
+
+    def __eq__(self, other):
+        return isinstance(other, Bounds) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         parts = ["max_letters=%d" % self.max_letters]
@@ -268,44 +276,32 @@ def _two_level_all(alg, word):
     return pi_single_cluster(z)
 
 
-def _thread_count():
-    raw = os.environ.get("BLINFTY_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def check_structure(alg, bounds):
     """Verify every two-level cell within bounds vanishes.
 
-    On failure returns the first witness cell (k, l, word); on success the
-    algebra records verified-to-bounds.
+    On failure returns the first witness cell (k, l, word) in word order;
+    the result is also recorded on the algebra.
     """
     words = [w for w in enumerate_basis(alg.space, bounds.max_letters,
                                         bounds.max_action) if len(w) >= 1]
     words.sort(key=lambda w: w.key())
-
-    def cell(word):
+    status = VerifyStatus(True, bounds)
+    for word in words:
         res = _two_level_all(alg, word)
         if res:
-            l = min(res)
-            return (len(word), l, word, res[l])
-        return None
-
-    nthreads = _thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(cell, words))
-    else:
-        results = [cell(w) for w in words]
-    for res in results:
-        if res is not None:
-            status = VerifyStatus(False, bounds, witness=res[:3])
-            alg.verified = status
-            return status
-    status = VerifyStatus(True, bounds)
+            status = VerifyStatus(False, bounds,
+                                  witness=(len(word), min(res), word))
+            break
     alg.verified = status
+    return status
+
+
+def status_at(obj, bounds, check):
+    """The check result recorded on obj when it was computed at these
+    bounds, otherwise a fresh check(obj, bounds)."""
+    status = obj.verified
+    if status is None or status.bounds != bounds:
+        status = check(obj, bounds)
     return status
 
 
@@ -316,11 +312,18 @@ def _basis_ewords(space, bounds, allow_units=True):
 
 
 def check_morphism(mor, bounds):
-    """Verify phi-hat o p-hat = p'-hat o phi-hat on basis outer words."""
-    if mor.source.verified is None:
-        check_structure(mor.source, bounds)
-    if mor.target.verified is None and mor.target is not TRIVIAL_ALGEBRA:
-        check_structure(mor.target, bounds)
+    """Verify phi-hat o p-hat = p'-hat o phi-hat on basis outer words.
+
+    Source and target must be structures within the same bounds; a failing
+    one raises StructureError.
+    """
+    for end, alg in (("source", mor.source), ("target", mor.target)):
+        if alg is TRIVIAL_ALGEBRA:
+            continue
+        status = status_at(alg, bounds, check_structure)
+        if not status.ok:
+            raise StructureError("%s structure fails: witness %r"
+                                 % (end, status.witness))
     for ew in _basis_ewords(mor.source.space, bounds):
         x = EElement.monomial(ew)
         lhs = apply_hat_phi(mor, apply_hat_p(mor.source, x))

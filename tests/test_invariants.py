@@ -20,12 +20,12 @@ from blinfty.linalg import homology
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
                                 apply_table_coderivation, check_structure,
-                                ell_table, linearize, linearize_pointed,
-                                identity_table, zero_table)
+                                ell_table, is_augmentation, linearize,
+                                linearize_pointed, identity_table, zero_table)
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis)
 
-from util import algebra, eword, space, table, word
+from util import algebra, eword, one_letter_structure, space, table, word
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -80,6 +80,16 @@ def test_EkV_window_leak_reported():
     alg = fixtures.linearizable()
     with pytest.raises(WindowLeakError):
         build_EkV(alg, 2, Bounds(3))
+
+
+def test_BBk_window_leak_reported():
+    from blinfty.errors import WindowLeakError
+    # d x = q raises action from 1 to 3, past the max_action=2 window
+    sp = space(("x", 0, 1), ("q", 1, 3))
+    ell = table(sp, 1, [(1, 1, ("x",), [(1, ("q",))])])
+    with pytest.raises(WindowLeakError):
+        bar_B_k(ell, 1, Bounds(2, max_action=2))
+    assert bar_B_k(ell, 1, Bounds(2)).dim() == 2
 
 
 # ---- torsion ----------------------------------------------------------------
@@ -137,6 +147,13 @@ def test_torsion_transport_nontrivial_morphism():
     ans = torsion(alg, default_schedule(2, Bounds(2)))
     report = torsion_monotone_check(phi, ans, Bounds(2))
     assert report["transported"] and report["monotone"]
+
+
+def test_torsion_rechecks_structure_checked_at_other_bounds():
+    alg = one_letter_structure()
+    assert check_structure(alg, Bounds(1)).ok
+    with pytest.raises(StructureError):
+        torsion(alg, default_schedule(3, Bounds(3)))
 
 
 # ---- orders -----------------------------------------------------------------
@@ -399,6 +416,18 @@ def test_planarity_empty_with_torsion_certificate():
     ans = planarity(alg, [], pmap, Bounds(2, max_action=2, action_drop=True,
                                           word_bound=2))
     assert ans.found() and ans.level == 0
+
+
+def test_planarity_rechecks_augmentation_checked_at_other_bounds():
+    # eps(y) = 1 kills p(q*x) = y only outside the one-letter window
+    sp = space(("q", 1), ("x", 0), ("y", 0))
+    alg = algebra(sp, [(2, 1, ("q", "x"), [(1, ("y",))])])
+    eps = Augmentation(alg, table(sp, 0, [(1, 0, ("y",), [(1, ())])],
+                                  target=GradedSpace(())))
+    assert is_augmentation(eps, alg, Bounds(1)).ok
+    pmap = PointedMap(alg, zero_table(sp, parity=0))
+    with pytest.raises(StructureError):
+        planarity(alg, [eps], pmap, Bounds(2))
 
 
 def test_planarity_empty_without_certificate_inconclusive():

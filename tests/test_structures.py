@@ -19,8 +19,8 @@ from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            Word, enumerate_basis)
 from blinfty import assembly
 
-from util import (algebra, eword, oracle_hat_phi, random_space, random_table,
-                  space, table, word)
+from util import (eword, one_letter_structure, oracle_hat_phi, random_space,
+                  random_table, space, table, word)
 
 B3 = Bounds(3)
 B4 = Bounds(4)
@@ -93,6 +93,27 @@ def test_quadratic_aug_family_verifies():
     alg, mk = fixtures.quadratic_aug_family()
     for s in (0, 1, Fraction(5, 7)):
         assert is_augmentation(mk(s), alg, B4).ok
+
+
+def test_bounds_compare_by_value():
+    assert Bounds(3, max_action=2) == Bounds(3, max_action=Fraction(2))
+    assert hash(Bounds(2, word_bound=2)) == hash(Bounds(2, word_bound=2))
+    assert Bounds(3) != Bounds(3, word_bound=2)
+    assert Bounds(1) != Bounds(3)
+
+
+def test_check_morphism_reads_structure_status_at_its_bounds():
+    # the identity commutes with any table, so only the structure check
+    # can reject these morphisms
+    fresh = one_letter_structure()
+    with pytest.raises(StructureError):
+        check_morphism(BLMorphism(fresh, fresh, identity_table(fresh.space)),
+                       B3)
+    checked_small = one_letter_structure()
+    assert check_structure(checked_small, Bounds(1)).ok
+    with pytest.raises(StructureError):
+        check_morphism(BLMorphism(checked_small, checked_small,
+                                  identity_table(checked_small.space)), B3)
 
 
 # ---- composition ------------------------------------------------------------
@@ -397,20 +418,3 @@ def test_composition_coherence_on_outer_words():
             x = EElement.monomial(ew)
             assert apply_hat_phi(comp, x) == \
                 apply_hat_phi(psi, apply_hat_phi(phi, x)), (ew,)
-
-
-def test_threads_env_gives_identical_results():
-    import os
-    alg = fixtures.planar_torsion_one()
-    base = check_structure(alg, B4).ok
-    os.environ["BLINFTY_THREADS"] = "4"
-    try:
-        alg2 = fixtures.planar_torsion_one()
-        assert check_structure(alg2, B4).ok == base
-        sp = space(("x", 0), ("y", 1), ("z", 0))
-        bad = algebra(sp, [(1, 1, ("x",), [(1, ("y",))]),
-                           (1, 1, ("y",), [(1, ("z",))])])
-        status = check_structure(bad, B3)
-        assert not status.ok and status.witness[2] == word(sp, "x")
-    finally:
-        del os.environ["BLINFTY_THREADS"]

@@ -58,6 +58,15 @@ def algebra(sp, entries, **kw):
     return BLAlgebra(sp, table(sp, 1, entries, **kw))
 
 
+def one_letter_structure():
+    """A table whose two-level cells vanish on one-letter words only: it
+    passes check_structure at Bounds(1) and fails at Bounds(3) on q*r."""
+    sp = space(("q", 1), ("r", 1), ("x", 0))
+    return algebra(sp, [(1, 2, ("q",), [(3, ("x", "x"))]),
+                        (2, 0, ("q", "x"), [(1, ())]),
+                        (1, 1, ("r",), [(2, ("x",))])])
+
+
 # ---------------------------------------------------------------------------
 # Arrangement calculus: ordered letter lists with brute-force Koszul signs.
 
