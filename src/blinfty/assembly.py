@@ -189,12 +189,13 @@ def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
     passing the letters that precede it.
     """
     tgt = target_space if target_space is not None else space
-    out = EElement()
+    acc = {}
     for eword, coeff in x.terms.items():
         res = _morphism_on_eword(space, tgt, table, eword, bullet_table,
                                  bullet_parity)
-        out = out + coeff * res
-    return out
+        for ew, c in res.items():
+            acc[ew] = acc.get(ew, 0) + coeff * c
+    return EElement(acc)
 
 
 def _morphism_on_eword(space, tgt, table, eword, bullet_table, bullet_parity):
@@ -218,14 +219,12 @@ def _morphism_on_eword(space, tgt, table, eword, bullet_table, bullet_parity):
             continue
         bullet_slots = range(len(blocks)) if bullet_table is not None else (None,)
         for bullet_at in bullet_slots:
-            if bullet_table is not None and bullet_at is None:
-                continue
             term = _evaluate_blocks(space, tgt, table, eword, blocks, comps,
                                     letters, pars, owner, bullet_table,
                                     bullet_at, bullet_parity)
             for ew, c in term.items():
                 acc[ew] = acc.get(ew, 0) + c
-    return EElement(acc)
+    return acc
 
 
 def _evaluate_blocks(space, tgt, table, eword, blocks, comps, letters, pars,

@@ -396,10 +396,11 @@ def cmd_ibl_torsion(args, rep):
     bounds = _bounds_from(args, doc)
     ialg = bio.ibl_from_document(doc)
     cap = bounds.hbar_max if bounds.hbar_max is not None else max(2, args.n)
-    if not check_ibl(ialg, cap, bounds).ok:
+    try:
+        found, cert = torsion_grid(ialg, args.n, args.m, cap, bounds)
+    except StructureError:
         rep.add("ibl-torsion", "structure-failed")
         return 1
-    found, cert = torsion_grid(ialg, args.n, args.m, cap, bounds)
     if not found:
         rep.add("ibl-torsion", "not-found-within-bounds")
         return 3

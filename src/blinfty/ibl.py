@@ -82,7 +82,6 @@ class IBLAlgebra:
     def __init__(self, space, table):
         self.space = space
         self.table = table
-        self.verified = None  # (status, hbar truncation level)
 
     def __repr__(self):
         return "IBLAlgebra(%d generators, %d cells)" % (
@@ -129,12 +128,8 @@ def check_ibl(ialg, hbar_cap, bounds):
         bad = two_level_ibl(ialg, w, hbar_cap)
         if bad:
             (l, g) = min(bad)
-            status = VerifyStatus(False, bounds, witness=(len(w), l, g, w))
-            ialg.verified = (status, hbar_cap)
-            return status
-    status = VerifyStatus(True, bounds)
-    ialg.verified = (status, hbar_cap)
-    return status
+            return VerifyStatus(False, bounds, witness=(len(w), l, g, w))
+    return VerifyStatus(True, bounds)
 
 
 def genus0(ialg):
@@ -148,7 +143,13 @@ def hbar_width(eword):
 
 def torsion_grid(ialg, n, m, trunc, bounds):
     """Solve p-hat(x) = hbar^n with at most m+1 clusters, exponents <=
-    trunc.  For n > trunc the class is already zero in the quotient."""
+    trunc.  For n > trunc the class is already zero in the quotient.
+
+    The structure is checked first; a failing one raises StructureError.
+    """
+    status = check_ibl(ialg, trunc, bounds)
+    if not status.ok:
+        raise StructureError("structure fails: witness %r" % (status.witness,))
     if n > trunc:
         return True, None
     ewords = enumerate_basis(ialg.space, bounds.max_letters, bounds.max_action,

@@ -3,19 +3,18 @@ multi-point orders, and semi-dilation from a supplied endomorphism."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import assembly
-from .errors import (InconclusiveError, InternalInconsistencyError,
-                     NotNilpotentError, PlanarityNotOneError,
-                     PlanarityZeroError, StructureError, WindowLeakError)
+from .errors import (InconclusiveError, NotNilpotentError,
+                     PlanarityNotOneError, PlanarityZeroError, StructureError,
+                     WindowLeakError)
 from .linalg import ChainComplex, kernel_basis, rank, solve_linear
 from .structures import (Augmentation, OperationTable, PointedMap,
-                         apply_hat_p, apply_hat_phi, apply_table_coderivation,
-                         check_structure, compose, ell_table, f_eps,
-                         is_augmentation, linearize, linearize_pointed,
-                         pi_single_cluster, status_at, word_to_singletons)
+                         _split_word_table, apply_hat_p, apply_hat_phi,
+                         apply_table_coderivation, check_structure, compose,
+                         ell_table, f_eps, is_augmentation, linearize,
+                         linearize_pointed, status_at, word_to_singletons)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity, normalize_word)
@@ -362,15 +361,11 @@ def _multi_linearized(family, alg, eps, bounds):
             for S, tab in family.items()}
 
 
-def _set_partitions_of(labels):
-    return assembly._set_partitions(sorted(labels))
-
-
 def apply_multi_pointed_linearized(space, lin_family, m, x):
     """Sum over set partitions of the constraint labels, gluing the
     partition's linearized operators simultaneously."""
     total = EElement()
-    for part in _set_partitions_of(range(1, m + 1)):
+    for part in assembly._set_partitions(list(range(1, m + 1))):
         tables = []
         missing = False
         for block in sorted(part, key=min):
@@ -433,22 +428,11 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds,
     f_minus_src = f_eps(eps_src, -1)
     f_plus_tgt = f_eps(eps_target, +1)
     sp_src, sp_tgt = phi.source.space, phi.target.space
-    phi_eps_entries = {}
-    for w in enumerate_basis(sp_src, bounds.max_letters, bounds.max_action):
-        if len(w) < 1:
-            continue
-        x = EElement.monomial(word_to_singletons(w))
-        y = apply_hat_phi(f_plus_tgt,
-                          apply_hat_phi(phi, apply_hat_phi(f_minus_src, x)))
-        for l, elem in pi_single_cluster(y).items():
-            if l == 0:
-                raise InternalInconsistencyError(
-                    "linearized morphism has a constant term at %r" % (w,))
-            phi_eps_entries[(len(w), l, w)] = elem
-    rows = [(k, l, w, e) for (k, l, w), e in phi_eps_entries.items() if l == 1]
-    phi1_eps = OperationTable(sp_src, 0, rows, complete=False,
-                              max_k=bounds.max_letters, target=sp_tgt)
-    transported = _apply_inner_morphism(sp_src, sp_tgt, phi1_eps,
+    phi_eps = _split_word_table(
+        sp_src, lambda x: apply_hat_phi(
+            f_plus_tgt, apply_hat_phi(phi, apply_hat_phi(f_minus_src, x))),
+        0, bounds, target=sp_tgt, constants=False)
+    transported = _apply_inner_morphism(sp_src, sp_tgt, ell_table(phi_eps),
                                         src_answer.certificate)
     lin_tgt = linearize(phi.target, eps_target, bounds)
     lpt_tgt = linearize_pointed(q_bullet, phi.target, eps_target, bounds)
@@ -470,43 +454,17 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds,
 
 def _apply_inner_morphism(src, tgt, table_k1, element):
     """The bar-complex morphism assembled from single-output components:
-    sum over letter partitions, one component per block."""
+    the assembled morphism on split words, each image term flattened into
+    one normalized word."""
+    split = EElement({word_to_singletons(w): c
+                      for w, c in element.terms.items()})
     acc = {}
-    for word, coeff in element.terms.items():
-        letters = word.letters
-        pars = [src.parities[i] for i in letters]
-        for part in assembly._set_partitions(list(range(len(letters)))):
-            blocks = [sorted(b) for b in part]
-            blocks.sort(key=lambda b: b[0])
-            flat = [p for b in blocks for p in b]
-            sign = assembly._permutation_sign(pars, flat)
-            if sign == 0:
-                continue
-            factors = []
-            ok = True
-            for b in blocks:
-                w_in, s = normalize_word(src, [letters[p] for p in b])
-                if s == 0:
-                    ok = False
-                    break
-                ent = table_k1.query(len(b), w_in)
-                if not ent:
-                    ok = False
-                    break
-                factors.append((s, ent))
-            if not ok:
-                continue
-            for combo in itertools.product(
-                    *[list(e.terms.items()) for _, e in factors]):
-                c = coeff * sign
-                letters_out = []
-                for (s, _), (w_out, c_out) in zip(factors, combo):
-                    c = c * s * c_out
-                    letters_out.extend(w_out.letters)
-                w_new, s2 = normalize_word(tgt, letters_out)
-                if s2 == 0 or not c:
-                    continue
-                acc[w_new] = acc.get(w_new, 0) + c * s2
+    for ew, c in assembly.apply_morphism(src, table_k1, split,
+                                         target_space=tgt).terms.items():
+        w, sign = normalize_word(
+            tgt, [l for cluster in ew.clusters for l in cluster.letters])
+        if sign:
+            acc[w] = acc.get(w, 0) + c * sign
     return Element(acc)
 
 

@@ -3,14 +3,13 @@ augmentations, linearization and pointed maps."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import assembly
 from .errors import (IncompleteTableError, InternalInconsistencyError,
                      StructureError)
 from .words import (EElement, Element, EWord, GradedSpace, UNIT_WORD, Word,
-                    enumerate_basis, normalize_clusters, normalize_word)
+                    enumerate_basis, normalize_word)
 
 
 class Bounds:
@@ -218,7 +217,7 @@ def word_to_singletons(word):
     return EWord(tuple(Word((i,)) for i in word.letters))
 
 
-def apply_hat_p(alg, x, bounds=None):
+def apply_hat_p(alg, x):
     """Evaluate the assembled coderivation on an outer element."""
     return apply_table_coderivation(alg.space, alg.table, x)
 
@@ -231,7 +230,7 @@ def apply_table_coderivation(space, table, x):
     return assembly.apply_coderivation(space, table, x)
 
 
-def apply_hat_phi(mor, x, bounds=None):
+def apply_hat_phi(mor, x):
     """Evaluate the assembled morphism on an outer element."""
     for ew in x.terms:
         if not mor.table.complete and ew.letter_count() > mor.table.max_k:
@@ -260,7 +259,7 @@ def pi_single_cluster(x):
     return {l: e for l, e in out.items() if e}
 
 
-def two_level(alg, k, l, word, bounds=None):
+def two_level(alg, k, l, word):
     """Sum of all connected two-level gluings: pi_{1,l} of p-hat squared."""
     if len(word) != k:
         raise ValueError("input word has length %d, expected k=%d" % (len(word), k))
@@ -337,71 +336,44 @@ def check_morphism(mor, bounds):
     return status
 
 
-def compose(psi, phi, bounds):
-    """The composed morphism table, by the unordered-partition formula.
+def _split_word_table(space, image, parity, bounds, target=None,
+                      constants=True):
+    """The table of pi_{1,l} o image on split words: for each basis word,
+    the single-cluster parts of image on its letters taken one per
+    cluster.  With constants=False a nonzero l = 0 part raises
+    InternalInconsistencyError."""
+    entries = []
+    for word in enumerate_basis(space, bounds.max_letters, bounds.max_action):
+        if len(word) < 1:
+            continue
+        x = EElement.monomial(word_to_singletons(word))
+        for l, elem in sorted(pi_single_cluster(image(x)).items()):
+            if l == 0 and not constants:
+                raise InternalInconsistencyError(
+                    "nonzero constant term at input %r: %r" % (word, elem))
+            entries.append((len(word), l, word, elem))
+    return OperationTable(space, parity, entries, complete=False,
+                          max_k=bounds.max_letters, target=target)
 
-    For each input word, letters are partitioned into blocks mapped by the
-    inner morphism, the blocks' outputs become clusters, and the connected
-    part of the outer morphism is applied; summing over unordered
-    partitions realizes the 1/a! factor without denominators.
+
+def compose(psi, phi, bounds):
+    """The composed morphism table: pi_{1,l} of psi-hat o phi-hat on split
+    words, constant parts (l = 0) included.
+
+    phi-hat sums over unordered partitions of the letters, which realizes
+    the 1/a! factor without denominators.
     """
     if phi.target is not psi.source:
         raise StructureError("composition type mismatch")
-    src = phi.source.space
     mid = phi.target.space
-    tgt = psi.target.space
-    entries = []
-    for word in enumerate_basis(src, bounds.max_letters, bounds.max_action):
-        if len(word) < 1:
-            continue
-        letters = word.letters
-        pars = [src.parities[i] for i in letters]
-        total = {}
-        for part in assembly._set_partitions(list(range(len(letters)))):
-            blocks = [sorted(b) for b in part]
-            blocks.sort(key=lambda b: b[0])
-            flat = [p for b in blocks for p in b]
-            sign = assembly._permutation_sign(pars, flat)
-            if sign == 0:
-                continue
-            factors = []
-            ok = True
-            for b in blocks:
-                w_in, n_sign = normalize_word(src, [letters[p] for p in b])
-                if n_sign == 0:
-                    ok = False
-                    break
-                if not phi.table.covers(len(b)):
-                    raise IncompleteTableError(len(b), w_in)
-                ent = phi.table.query(len(b), w_in)
-                if not ent:
-                    ok = False
-                    break
-                factors.append((n_sign, ent))
-            if not ok:
-                continue
-            for combo in itertools.product(
-                    *[list(e.terms.items()) for _, e in factors]):
-                coeff = Fraction(1) * sign
-                for (n_sign, _), (_, c_out) in zip(factors, combo):
-                    coeff = coeff * n_sign * c_out
-                clusters = tuple(w for (w, _) in combo)
-                ew, c_sign = normalize_clusters(mid, clusters)
-                if c_sign == 0 or not coeff:
-                    continue
-                mid_x = EElement.monomial(ew, coeff * c_sign)
-                res = assembly.apply_morphism(mid, psi.table, mid_x,
-                                              target_space=tgt)
-                for out_ew, c in res.terms.items():
-                    if len(out_ew.clusters) == 1:
-                        w_out = out_ew.clusters[0]
-                        total[w_out] = total.get(w_out, 0) + c
-        elem = Element(total)
-        for l in sorted({len(w) for w in elem.terms}):
-            part_l = Element({w: c for w, c in elem.terms.items() if len(w) == l})
-            entries.append((len(word), l, word, part_l))
-    table = OperationTable(src, 0, entries, complete=False,
-                           max_k=bounds.max_letters, target=tgt)
+
+    def image(x):
+        y = assembly.apply_morphism(phi.source.space, phi.table, x,
+                                    target_space=mid)
+        return assembly.apply_morphism(mid, psi.table, y,
+                                       target_space=psi.target.space)
+    table = _split_word_table(phi.source.space, image, 0, bounds,
+                              target=psi.target.space)
     return BLMorphism(phi.source, psi.target, table)
 
 
@@ -444,9 +416,13 @@ def f_eps(eps, sign=+1):
     return BLMorphism(eps.source, eps.source, table)
 
 
-def _f_hat(alg, eps, sign, x):
-    mor = f_eps(eps, sign)
-    return apply_hat_phi(mor, x)
+def _linearize_table(space, optable, eps, bounds, parity, constants):
+    """pi_{1,l} o F_eps-hat o (the coderivation of optable) on split words."""
+    f_mor = f_eps(eps, +1)
+    return _split_word_table(
+        space, lambda x: apply_hat_phi(
+            f_mor, assembly.apply_coderivation(space, optable, x)),
+        parity, bounds, constants=constants)
 
 
 def linearize(alg, eps, bounds):
@@ -456,34 +432,14 @@ def linearize(alg, eps, bounds):
     the l=0 components vanish; a nonzero constant term signals a bad
     augmentation or a bounds leak.
     """
-    table = _linearize_table(alg.space, alg.table, eps, bounds, parity=1,
-                             forbid_constants=True)
-    return table
-
-
-def _linearize_table(space, optable, eps, bounds, parity, forbid_constants):
-    f_mor = f_eps(eps, +1)
-    entries = []
-    for word in enumerate_basis(space, bounds.max_letters, bounds.max_action):
-        if len(word) < 1:
-            continue
-        x = EElement.monomial(word_to_singletons(word))
-        y = assembly.apply_coderivation(space, optable, x)
-        z = apply_hat_phi(f_mor, y)
-        parts = pi_single_cluster(z)
-        for l, elem in sorted(parts.items()):
-            if l == 0 and forbid_constants:
-                raise InternalInconsistencyError(
-                    "nonzero constant term at input %r: %r" % (word, elem))
-            entries.append((len(word), l, word, elem))
-    return OperationTable(space, parity, entries, complete=False,
-                          max_k=bounds.max_letters)
+    return _linearize_table(alg.space, alg.table, eps, bounds, parity=1,
+                            constants=False)
 
 
 def linearize_pointed(pmap, alg, eps, bounds):
     """Linearize a pointed family; constant terms survive by design."""
     return _linearize_table(alg.space, pmap.table, eps, bounds,
-                            parity=pmap.parity, forbid_constants=False)
+                            parity=pmap.parity, constants=True)
 
 
 def ell_table(lin_table):
@@ -491,7 +447,7 @@ def ell_table(lin_table):
     return lin_table.sub_table(lambda k, l: l == 1)
 
 
-def apply_hat_pointed(pmap, alg, x, bounds=None):
+def apply_hat_pointed(pmap, alg, x):
     return apply_table_coderivation(alg.space, pmap.table, x)
 
 

@@ -205,6 +205,22 @@ def test_phi_hat_matches_bipartite_oracle():
             assert got == want, (ew, tab.cells)
 
 
+def test_phi_hat_regroups_blocks_by_component():
+    # blocks {a,d}, {b}, {c,e} on clusters a | b | c | d.e: the union-find
+    # roots put the {b} component first, so the odd outputs of the first
+    # two blocks cross, which the random sweeps above never reach
+    sp = space(("a", 1), ("b", 1), ("c", 0), ("d", 0), ("e", 1),
+               ("u", 1), ("v", 1), ("w", 1))
+    tab = table(sp, 0, [(2, 1, ("a", "d"), [(1, ("u",))]),
+                        (1, 1, ("b",), [(1, ("v",))]),
+                        (2, 1, ("c", "e"), [(1, ("w",))])])
+    alg = algebra(sp, [])
+    ew = eword(sp, ("a",), ("b",), ("c",), ("d", "e"))
+    got = apply_hat_phi(BLMorphism(alg, alg, tab), EElement.monomial(ew))
+    assert got == oracle_hat_phi(sp, sp, tab, ew)
+    assert got == EElement.monomial(eword(sp, ("v",), ("u", "w")), -1)
+
+
 def test_phi_hat_preserves_outer_length():
     rng = random.Random(71)
     for _ in range(10):

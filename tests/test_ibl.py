@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from blinfty import fixtures
+from blinfty.errors import StructureError
 from blinfty.ibl import (IBLAlgebra, IBLTable, apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion, from_bl, genus0,
                          hbar_width, torsion_grid, two_level_ibl,
@@ -245,6 +246,19 @@ def test_grid_zero_structure_not_found():
     for trunc in (0, 1):
         found, _ = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
         assert not found
+
+
+def test_grid_rejects_a_non_structure():
+    # a random lift that fails check_ibl has a "solution" to p-hat(x) = 1,
+    # which the grid must not report as torsion
+    rng = random.Random(99)
+    for _ in range(4):
+        sp = random_space(rng)
+        tab = random_table(rng, sp)
+    ialg = from_bl(BLAlgebra(sp, tab))
+    assert not check_ibl(ialg, 2, B3).ok
+    with pytest.raises(StructureError, match="witness"):
+        torsion_grid(ialg, 0, 1, 2, B3)
 
 
 def test_grid_genus_one_flat_torsion():

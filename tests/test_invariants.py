@@ -15,17 +15,20 @@ from blinfty.invariants import (OrderAnswer, TorsionAnswer, UModule, bar_B_k,
                                 torsion_monotone_check,
                                 verify_torsion_certificate, width,
                                 apply_multi_pointed_linearized,
-                                _multi_linearized)
+                                _apply_inner_morphism, _multi_linearized)
 from blinfty.linalg import homology
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
                                 apply_table_coderivation, check_structure,
                                 ell_table, is_augmentation, linearize,
-                                linearize_pointed, identity_table, zero_table)
+                                linearize_pointed, identity_table, zero_table,
+                                word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis)
 
-from util import algebra, eword, one_letter_structure, space, table, word
+from util import (algebra, bubble_normalize, eword, one_letter_structure,
+                  oracle_hat_phi, random_space, random_table, space, table,
+                  word)
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -336,6 +339,35 @@ def test_order_functoriality_rescaled_morphism():
     eps = fixtures.zero_aug(alg)
     report = order_functoriality_check(phi, p, q, eps, B3)
     assert report["holds"]
+
+
+def test_inner_morphism_matches_flattened_oracle():
+    # the bar-complex morphism is the morphism oracle on split words with
+    # every output term flattened into one word
+    rng = random.Random(41)
+    tables = 0
+    while tables < 40:
+        sp = random_space(rng, n=rng.choice((2, 3)))
+        if not any(sp.parities):
+            continue
+        tab = random_table(rng, sp, parity=0, n_entries=4, max_k=3, max_l=2)
+        words = [w for w in enumerate_basis(sp, 4) if len(w) >= 1]
+        total = Element()
+        for w in words:
+            want = {}
+            for ew, c in oracle_hat_phi(sp, sp, tab,
+                                        word_to_singletons(w)).terms.items():
+                letters, sign = bubble_normalize(
+                    sp, [l for cl in ew.clusters for l in cl.letters])
+                if sign:
+                    key = Word(tuple(letters))
+                    want[key] = want.get(key, 0) + c * sign
+            got = _apply_inner_morphism(sp, sp, tab, Element.monomial(w))
+            assert got == Element(want), (sp.parities, w)
+            total = total + got
+        assert _apply_inner_morphism(
+            sp, sp, tab, Element({w: 1 for w in words})) == total
+        tables += 1
 
 
 # ---- semi-dilation ------------------------------------------------------------

@@ -7,6 +7,7 @@ from blinfty import fixtures
 from blinfty import io as bio
 from blinfty.cli import main as cli_main
 from blinfty.errors import ParseError
+from blinfty.ibl import IBLAlgebra, IBLTable
 from blinfty.structures import Bounds, OperationTable
 from blinfty.words import (Element, EWord, Generator, GradedSpace, UNIT_WORD,
                            Word, enumerate_basis, normalize_word)
@@ -314,6 +315,19 @@ def test_cli_ibl_torsion(corpus_dir, tmp_path):
     assert code == 0
     assert report_value(out, "ibl-torsion") == "exact (0,1)_2"
     assert report_value(out, "flat-transport") == "ok"
+
+
+def test_cli_ibl_torsion_structure_failed(tmp_path):
+    sp = GradedSpace([Generator("x", 0), Generator("y", 1), Generator("z", 0)])
+    x, y, z = (Word((i,)) for i in range(3))
+    ialg = IBLAlgebra(sp, IBLTable(sp, [(1, 1, 0, x, Element.monomial(y)),
+                                        (1, 1, 0, y, Element.monomial(z))]))
+    path = tmp_path / "bad.blf"
+    path.write_text(bio.serialize(bio.document_of_ibl(ialg)))
+    code, out = run_cli(tmp_path, "ibl-torsion", str(path), "0", "1",
+                        "--max-letters", "3")
+    assert code == 1
+    assert report_value(out, "ibl-torsion") == "structure-failed"
 
 
 def test_cli_subprocess_smoke(corpus_dir, tmp_path):

@@ -135,32 +135,46 @@ def test_compose_with_identity():
             assert comp.table.query(k, w) == phi.table.query(k, w)
 
 
+def _oracle_morphism(sp, tab, x):
+    out = EElement()
+    for ew, c in x.terms.items():
+        out = out + c * oracle_hat_phi(sp, sp, tab, ew)
+    return out
+
+
 def test_compose_matches_evaluation_oracle():
+    # every composed entry is pi_1 of the oracle morphism applied twice
     rng = random.Random(97)
-    for _ in range(10):
-        sp = random_space(rng, n=2)
+    pairs = 0
+    while pairs < 200:
+        sp = random_space(rng, n=rng.choice((2, 3)))
+        if not any(sp.parities):
+            continue
         alg = BLAlgebra(sp, zero_table(sp))
-        t1 = random_table(rng, sp, parity=0, n_entries=3, max_k=2, max_l=2)
-        t2 = random_table(rng, sp, parity=0, n_entries=3, max_k=2, max_l=2)
-        phi = BLMorphism(alg, alg, t1)
-        psi = BLMorphism(alg, alg, t2)
-        comp = compose(psi, phi, B3)
+        t1 = random_table(rng, sp, parity=0, n_entries=3, max_k=3, max_l=2)
+        t2 = random_table(rng, sp, parity=0, n_entries=3, max_k=3, max_l=2)
+        comp = compose(BLMorphism(alg, alg, t2), BLMorphism(alg, alg, t1), B3)
         for w in enumerate_basis(sp, 3):
             if len(w) < 1:
                 continue
             x = EElement.monomial(word_to_singletons(w))
-            direct = apply_hat_phi(psi, apply_hat_phi(phi, x))
-            parts = pi_single_cluster(direct)
-            got = {}
-            for l in range(0, 7):
-                e = comp.table.query(len(w), w)
-                for ww, c in e.terms.items():
-                    got[ww] = c
-            want = {}
-            for l, e in parts.items():
-                for ww, c in e.terms.items():
-                    want[ww] = c
-            assert Element(got) == Element(want), (w,)
+            parts = pi_single_cluster(
+                _oracle_morphism(sp, t2, _oracle_morphism(sp, t1, x)))
+            assert comp.table.query(len(w), w) == \
+                sum(parts.values(), Element()), (sp.parities, w)
+        pairs += 1
+
+
+def test_compose_raises_when_phi_misses_the_longest_word():
+    alg = fixtures.acyclic_pair()
+    sp = alg.space
+    phi = BLMorphism(alg, alg, table(sp, 0, [(1, 1, ("a",), [(1, ("a",))]),
+                                             (1, 1, ("b",), [(1, ("b",))])],
+                                     complete=False, max_k=2))
+    ident = fixtures.identity_morphism(alg)
+    assert compose(ident, phi, Bounds(2)).table.max_k == 2
+    with pytest.raises(IncompleteTableError):
+        compose(ident, phi, B3)
 
 
 def test_composed_augmentation_verifies():
