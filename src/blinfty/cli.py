@@ -44,10 +44,16 @@ def _bounds_from(args, doc):
     if max_letters is None:
         raise StructureError(
             "no bounds: give --max-letters or a bounds block")
+    max_action = base.max_action if base else None
+    if args.max_action:
+        try:
+            max_action = Fraction(args.max_action)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in --max-action %s"
+                             % args.max_action) from None
     return Bounds(
         max_letters,
-        max_action=(Fraction(args.max_action) if args.max_action
-                    else (base.max_action if base else None)),
+        max_action=max_action,
         word_bound=args.word_bound,
         hbar_max=(args.hbar_max if args.hbar_max is not None
                   else (base.hbar_max if base else None)),

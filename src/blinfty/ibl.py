@@ -49,6 +49,9 @@ class IBLTable:
         self.max_k = top_k if max_k is None else max(int(max_k), top_k)
         self.max_genus = max((g for (_, _, g) in self.cells), default=0)
 
+    def input_sizes(self):
+        return sorted(self._by_kg)
+
     def covers(self, k):
         return self.complete or k <= self.max_k
 
@@ -113,10 +116,9 @@ def two_level_ibl(ialg, word, hbar_cap):
     out = {}
     for ew, c in z.terms.items():
         if len(ew.clusters) == 1:
-            key = (len(ew.clusters[0]), ew.hbar)
-            out.setdefault(key, Element())
-            out[key] = out[key] + Element.monomial(ew.clusters[0], c)
-    return {k: e for k, e in out.items() if e}
+            out.setdefault((len(ew.clusters[0]), ew.hbar), {})[
+                ew.clusters[0]] = c
+    return {key: Element(terms) for key, terms in out.items()}
 
 
 def check_ibl(ialg, hbar_cap, bounds):

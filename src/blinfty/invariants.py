@@ -14,10 +14,10 @@ from .structures import (Augmentation, OperationTable, PointedMap,
                          _split_word_table, apply_hat_p, apply_hat_phi,
                          apply_table_coderivation, check_structure, compose,
                          ell_table, f_eps, is_augmentation, linearize,
-                         linearize_pointed, status_at, word_to_singletons)
+                         linearize_pointed, status_at)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
-                    enumerate_basis, eword_parity, normalize_word)
+                    enumerate_basis, eword_parity)
 
 
 class TorsionAnswer:
@@ -364,20 +364,15 @@ def _multi_linearized(family, alg, eps, bounds):
 def apply_multi_pointed_linearized(space, lin_family, m, x):
     """Sum over set partitions of the constraint labels, gluing the
     partition's linearized operators simultaneously."""
-    total = EElement()
+    acc = {}
     for part in assembly._set_partitions(list(range(1, m + 1))):
-        tables = []
-        missing = False
-        for block in sorted(part, key=min):
-            key = frozenset(block)
-            if key not in lin_family:
-                missing = True
-                break
-            tables.append((lin_family[key], lin_family[key].parity))
-        if missing:
+        keys = [frozenset(block) for block in sorted(part, key=min)]
+        if any(key not in lin_family for key in keys):
             continue
-        total = total + assembly.apply_multi_pointed(space, tables, x)
-    return total
+        tables = [(lin_family[key], lin_family[key].parity) for key in keys]
+        for ew, c in assembly.apply_multi_pointed(space, tables, x).terms.items():
+            acc[ew] = acc.get(ew, 0) + c
+    return EElement(acc)
 
 
 def _order_multi(alg, eps, family, m, bounds, cap):
@@ -456,16 +451,8 @@ def _apply_inner_morphism(src, tgt, table_k1, element):
     """The bar-complex morphism assembled from single-output components:
     the assembled morphism on split words, each image term flattened into
     one normalized word."""
-    split = EElement({word_to_singletons(w): c
-                      for w, c in element.terms.items()})
-    acc = {}
-    for ew, c in assembly.apply_morphism(src, table_k1, split,
-                                         target_space=tgt).terms.items():
-        w, sign = normalize_word(
-            tgt, [l for cluster in ew.clusters for l in cluster.letters])
-        if sign:
-            acc[w] = acc.get(w, 0) + c * sign
-    return Element(acc)
+    return assembly._flatten(tgt, assembly.apply_morphism(
+        src, table_k1, assembly._split(element), target_space=tgt))
 
 
 # ---------------------------------------------------------------------------

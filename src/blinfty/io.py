@@ -301,6 +301,8 @@ def _parse_op(sp, block, toks, line, line_no):
         raise ParseError(line_no, "expected: op K L [genus G] : IN -> TERMS")
     head, rest = line.split(":", 1)
     htoks = head.split()
+    if len(htoks) not in (3, 5):
+        raise ParseError(line_no, "bad op header")
     k = _parse_int(htoks[1], line_no)
     l = _parse_int(htoks[2], line_no)
     g = 0

@@ -8,8 +8,8 @@ from fractions import Fraction
 from . import assembly
 from .errors import (IncompleteTableError, InternalInconsistencyError,
                      StructureError)
-from .words import (EElement, Element, EWord, GradedSpace, UNIT_WORD, Word,
-                    enumerate_basis, normalize_word)
+from .words import (EElement, Element, GradedSpace, UNIT_WORD, Word,
+                    enumerate_basis, normalize_word, word_to_singletons)
 
 
 class Bounds:
@@ -114,6 +114,11 @@ class OperationTable:
             raise IncompleteTableError(k, word)
         return self._by_k.get(k, {}).get(word, Element())
 
+    def query_by_genus(self, k, word):
+        """(genus, Element) pairs for the input word: genus 0 only."""
+        elem = self.query(k, word)
+        return [(0, elem)] if elem else []
+
     def is_zero(self):
         return not self._by_k
 
@@ -212,11 +217,6 @@ class PointedMap:
         self.verified = None
 
 
-def word_to_singletons(word):
-    """The inclusion S^kV -> odot^k V: one letter per cluster."""
-    return EWord(tuple(Word((i,)) for i in word.letters))
-
-
 def apply_hat_p(alg, x):
     """Evaluate the assembled coderivation on an outer element."""
     return apply_table_coderivation(alg.space, alg.table, x)
@@ -241,11 +241,9 @@ def apply_hat_phi(mor, x):
 
 def pi_1l(x, l):
     """Project an outer element to its single-cluster length-l part."""
-    out = Element()
-    for ew, c in x.terms.items():
-        if len(ew.clusters) == 1 and len(ew.clusters[0]) == l and ew.hbar == 0:
-            out = out + Element.monomial(ew.clusters[0], c)
-    return out
+    return Element({ew.clusters[0]: c for ew, c in x.terms.items()
+                    if len(ew.clusters) == 1 and len(ew.clusters[0]) == l
+                    and ew.hbar == 0})
 
 
 def pi_single_cluster(x):
@@ -253,10 +251,8 @@ def pi_single_cluster(x):
     out = {}
     for ew, c in x.terms.items():
         if len(ew.clusters) == 1 and ew.hbar == 0:
-            out.setdefault(len(ew.clusters[0]), Element())
-            out[len(ew.clusters[0])] = \
-                out[len(ew.clusters[0])] + Element.monomial(ew.clusters[0], c)
-    return {l: e for l, e in out.items() if e}
+            out.setdefault(len(ew.clusters[0]), {})[ew.clusters[0]] = c
+    return {l: Element(terms) for l, terms in out.items()}
 
 
 def two_level(alg, k, l, word):

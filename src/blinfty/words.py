@@ -172,24 +172,6 @@ def sort_with_sign(items, parities, keys=None):
     return [items[t] for t in order], sign
 
 
-def selection_sign(parities, selected):
-    """Koszul sign for moving the selected positions to the front.
-
-    Both the selected and the unselected items keep their relative order;
-    the sign counts odd-odd crossings of (unselected, selected) pairs.
-    """
-    sign = 1
-    odd_unselected_seen = 0
-    sel = set(selected)
-    for pos, par in enumerate(parities):
-        if pos in sel:
-            if par and odd_unselected_seen % 2:
-                sign = -sign
-        elif par:
-            odd_unselected_seen += 1
-    return sign
-
-
 def koszul_pass_sign(operator_parity, prefix_parities):
     """Sign for moving an operator of the given parity past a graded prefix."""
     if operator_parity % 2 == 0:
@@ -393,6 +375,12 @@ def enumerate_basis(space, max_letters, max_action=None, outer_components=None,
             if sign != 0:
                 results[ew] = None
     return sorted(results, key=lambda e: e.key())
+
+
+def word_to_singletons(word):
+    """The inclusion S^kV -> odot^k V: one letter per cluster; the empty
+    word goes to the unit."""
+    return EWord(tuple(Word((i,)) for i in word.letters) or (UNIT_WORD,))
 
 
 def eword_parity(space, eword):

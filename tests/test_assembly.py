@@ -400,3 +400,55 @@ def test_phi_bullet_matches_oracle():
             assert got == want, (ew, tab.cells, fb.cells)
             checked += 1
     assert checked > 100
+
+
+def test_gluing_step_matches_oracles_seeded_sweep():
+    # every assembly against its independent oracle over seeded random
+    # tables on spaces with an odd generator
+    from blinfty.ibl import IBLTable
+    from util import oracle_ibl, oracle_inner, oracle_multi
+    rng = random.Random(4040)
+    nonzero = dict.fromkeys(
+        ["coderivation", "multi", "morphism", "bullet", "ibl", "inner"], 0)
+
+    def agree(name, got, want):
+        assert got == want, (name, got, want)
+        nonzero[name] += bool(got)
+
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(n)])
+        tab = random_table(rng, sp, parity=rng.randrange(2), n_entries=3,
+                           max_k=2, max_l=2)
+        tab2 = random_table(rng, sp, parity=rng.randrange(2), n_entries=2,
+                            max_k=2, max_l=1)
+        mor = random_table(rng, sp, parity=0, n_entries=3, max_k=2, max_l=2)
+        bullet = random_table(rng, sp, parity=1, n_entries=2, max_k=2,
+                              max_l=1)
+        itab = IBLTable(sp, [(k, l, rng.randrange(3), w, e) for (k, l, w, e)
+                             in random_table(rng, sp, n_entries=3, max_k=3,
+                                             max_l=2).sorted_entries()])
+        tabs = [(tab, tab.parity), (tab2, tab2.parity)]
+        ewords = enumerate_basis(sp, 3, outer_components=2)
+        for ew in rng.sample(ewords, 3):
+            x = EElement.monomial(ew)
+            agree("coderivation", assembly.apply_coderivation(sp, tab, x),
+                  oracle_hat_p(sp, tab, ew))
+            agree("multi", assembly.apply_multi_pointed(sp, tabs, x),
+                  oracle_multi(sp, tabs, ew))
+            agree("morphism", assembly.apply_morphism(sp, mor, x),
+                  oracle_hat_phi(sp, sp, mor, ew))
+            agree("bullet", assembly.apply_morphism(
+                sp, mor, x, bullet_table=bullet, bullet_parity=1),
+                oracle_hat_phi(sp, sp, mor, ew, bullet_table=bullet,
+                               bullet_parity=1))
+            ew_h = EWord(ew.clusters, hbar=rng.randrange(2))
+            agree("ibl", assembly.apply_ibl(sp, itab, EElement.monomial(ew_h),
+                                            2),
+                  oracle_ibl(sp, itab, ew_h, 2))
+        words = enumerate_basis(sp, 3)[1:]
+        for w in [UNIT_WORD] + rng.sample(words, min(3, len(words))):
+            agree("inner", assembly.apply_inner_coderivation(
+                sp, tab, Element.monomial(w)), oracle_inner(sp, tab, w))
+    assert min(nonzero.values()) >= 100, nonzero

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,9 +12,10 @@ from blinfty.ibl import (IBLAlgebra, IBLTable, apply_hat_p_ibl, c_map,
 from blinfty.structures import (BLAlgebra, Bounds, apply_hat_p,
                                 check_structure)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
-                           Word, enumerate_basis, normalize_word)
+                           enumerate_basis, normalize_word)
 
-from util import eword, random_space, random_table, space, word
+from util import (eword, oracle_ibl, random_space, random_table, space,
+                  word)
 
 B3 = Bounds(3)
 
@@ -101,53 +101,6 @@ def test_ibl_oracle_random_tables():
             got = apply_hat_p_ibl(ialg, x, 5)
             want = oracle_ibl(sp, tab, ew, 5)
             assert got == want, (ew, tab.cells)
-
-
-def oracle_ibl(sp, tab, ew, cap):
-    """Brute force: all multisets of letters per cluster, global permutation
-    signs, exponent by the graph formula edges - vertices + components."""
-    from util import inversion_sign, bubble_normalize, add_term
-    clusters = ew.clusters
-    n = len(clusters)
-    flat, owner = [], []
-    for ci, c in enumerate(clusters):
-        for l in c.letters:
-            flat.append(l)
-            owner.append(ci)
-    pars = [sp.parities[i] for i in flat]
-    acc = {}
-    for selected in _all_subsets(range(len(flat))):
-        if not selected:
-            continue
-        rs = sorted({owner[p] for p in selected})
-        j_total = len(selected)
-        leftover_touched = [p for p in range(len(flat))
-                            if p not in selected and owner[p] in rs]
-        untouched = [p for p in range(len(flat)) if owner[p] not in rs]
-        perm = list(selected) + leftover_touched + untouched
-        sign = inversion_sign(pars, perm)
-        srt, s1 = bubble_normalize(sp, [flat[p] for p in selected])
-        if s1 == 0:
-            continue
-        w_in = Word(tuple(srt))
-        gain = j_total - len(rs)  # edges - vertices + one component
-        for g, elem in tab.query_by_genus(j_total, w_in):
-            new_h = ew.hbar + g + gain
-            if new_h > cap:
-                continue
-            leftover = [flat[p] for p in range(len(flat)) if p not in selected
-                        and owner[p] in rs]
-            rest = [list(clusters[i].letters) for i in range(n) if i not in rs]
-            for w_out, c_out in elem.terms.items():
-                add_term(acc, sp, [list(w_out.letters) + leftover] + rest,
-                         Fraction(1) * sign * s1 * c_out, hbar=new_h)
-    return EElement(acc)
-
-
-def _all_subsets(it):
-    items = list(it)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 def test_check_ibl_fixture_a_lift():

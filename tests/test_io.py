@@ -216,6 +216,25 @@ def test_cli_parse_error_exit_two(tmp_path):
     assert "error" in out
 
 
+def test_cli_short_op_header_exit_two(tmp_path):
+    f = tmp_path / "short.blf"
+    f.write_text("format blinfty 1\ngen a parity 1\n"
+                 "table structure p parity 1\nop 1 : a -> 1 1\n",
+                 encoding="utf-8")
+    code, out = run_cli(tmp_path, "verify", str(f), "--max-letters", "1")
+    assert code == 2
+    assert report_value(out, "error") == "parse: line 4: bad op header"
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_cli_bad_max_action_exit_two(corpus_dir, tmp_path, value):
+    code, out = run_cli(tmp_path, "verify",
+                        str(corpus_dir / "planar-torsion-one.blf"),
+                        "--max-action", value)
+    assert code == 2
+    assert report_value(out, "error").startswith("value: ")
+
+
 def test_cli_torsion_planar(corpus_dir, tmp_path):
     cert = tmp_path / "cert.blf"
     code, out = run_cli(tmp_path, "torsion",

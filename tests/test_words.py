@@ -7,7 +7,7 @@ import pytest
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            EElement, UNIT_WORD, UNIT_EWORD, normalize_word,
                            normalize_clusters, koszul_pass_sign,
-                           enumerate_basis, selection_sign)
+                           enumerate_basis)
 
 
 def space(*spec):
@@ -133,13 +133,6 @@ def test_koszul_pass_sign():
     assert koszul_pass_sign(1, [1]) == -1
     assert koszul_pass_sign(0, [1, 1, 0]) == 1
     assert koszul_pass_sign(1, [1, 0, 1]) == 1
-
-
-def test_selection_sign_front_move():
-    # moving an odd item past one odd item costs a sign
-    assert selection_sign([1, 1], [1]) == -1
-    assert selection_sign([0, 1], [1]) == 1
-    assert selection_sign([1, 1, 1], [2]) == 1
 
 
 def test_ewords_normalize_and_vanish():

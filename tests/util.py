@@ -184,6 +184,78 @@ def oracle_hat_p(sp, optable, ew):
     return EElement(acc)
 
 
+def oracle_ibl(sp, tab, ew, cap):
+    """Brute force: all multisets of letters per cluster, global permutation
+    signs, exponent by the graph formula edges - vertices + components."""
+    clusters = ew.clusters
+    n = len(clusters)
+    flat, owner = [], []
+    for ci, c in enumerate(clusters):
+        for l in c.letters:
+            flat.append(l)
+            owner.append(ci)
+    pars = [sp.parities[i] for i in flat]
+    acc = {}
+    for selected in _all_subsets(range(len(flat))):
+        if not selected:
+            continue
+        rs = sorted({owner[p] for p in selected})
+        j_total = len(selected)
+        leftover_touched = [p for p in range(len(flat))
+                            if p not in selected and owner[p] in rs]
+        untouched = [p for p in range(len(flat)) if owner[p] not in rs]
+        perm = list(selected) + leftover_touched + untouched
+        sign = inversion_sign(pars, perm)
+        srt, s1 = bubble_normalize(sp, [flat[p] for p in selected])
+        if s1 == 0:
+            continue
+        w_in = Word(tuple(srt))
+        gain = j_total - len(rs)  # edges - vertices + one component
+        for g, elem in tab.query_by_genus(j_total, w_in):
+            new_h = ew.hbar + g + gain
+            if new_h > cap:
+                continue
+            leftover = [flat[p] for p in range(len(flat)) if p not in selected
+                        and owner[p] in rs]
+            rest = [list(clusters[i].letters) for i in range(n) if i not in rs]
+            for w_out, c_out in elem.terms.items():
+                add_term(acc, sp, [list(w_out.letters) + leftover] + rest,
+                         Fraction(1) * sign * s1 * c_out, hbar=new_h)
+    return EElement(acc)
+
+
+def _all_subsets(it):
+    items = list(it)
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
+
+
+def oracle_inner(sp, optable, w):
+    """Inner bar differential oracle: every subset of letter positions
+    feeds the operation, whose output multiplies into the leftovers; the
+    sign is one global inversion count of (selected, leftovers)."""
+    letters = list(w.letters)
+    pars = [sp.parities[i] for i in letters]
+    acc = {}
+    for selected in _all_subsets(range(len(letters))):
+        if not selected:
+            continue
+        rest = [p for p in range(len(letters)) if p not in selected]
+        sign = inversion_sign(pars, list(selected) + rest)
+        srt, s1 = bubble_normalize(sp, [letters[p] for p in selected])
+        if s1 == 0:
+            continue
+        entry = optable.query(len(selected), Word(tuple(srt)))
+        for w_out, c_out in entry.terms.items():
+            final, s2 = bubble_normalize(
+                sp, list(w_out.letters) + [letters[p] for p in rest])
+            if s2 == 0:
+                continue
+            key = Word(tuple(final))
+            acc[key] = acc.get(key, 0) + Fraction(1) * sign * s1 * s2 * c_out
+    return Element(acc)
+
+
 def oracle_two_level(sp, optable, w_in):
     """Two-vertex gluing oracle: ordered entry pairs sharing one edge."""
     letters = list(w_in.letters)
