@@ -20,7 +20,7 @@ from .invariants import (TorsionAnswer, OrderAnswer, UModule, build_EkV,
                          width)
 from .hierarchy import (HierarchyValue, hierarchy_classify, hierarchy_compare,
                         hierarchy_combine)
-from .ibl import (IBLTable, IBLAlgebra, apply_hat_p_ibl, check_ibl, genus0,
+from .ibl import (IBLAlgebra, apply_hat_p_ibl, check_ibl, genus0,
                   torsion_grid, c_map, derive_flat_torsion)
 from .io import parse, serialize, Document
 

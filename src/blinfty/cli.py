@@ -187,8 +187,8 @@ def cmd_linearize(args, rep):
     ell = ell_table(lin)
     rep.add("ell-cells", str(len(ell.cells)))
     if args.certificate:
-        ops = [(k, l, 0, w, e) for (k, l, w, e) in lin.sorted_entries()]
-        block = bio.TableBlock("structure", "p_eps", 1, False, ops)
+        block = bio.TableBlock("structure", "p_eps", 1, False,
+                               lin.sorted_entries())
         out = bio.Document(alg.space, [block], (), bounds)
         with open(args.certificate, "w", encoding="utf-8") as fh:
             fh.write(bio.serialize(out))

@@ -169,10 +169,10 @@ def ibl_lift_planar():
 
 
 def ibl_genus_one():
-    from .ibl import IBLAlgebra, IBLTable
+    from .ibl import IBLAlgebra
     sp = GradedSpace([Generator("q", 1)])
     w, _ = normalize_word(sp, ("q",))
-    tab = IBLTable(sp, [(1, 0, 1, w, Element.monomial(UNIT_WORD))])
+    tab = OperationTable(sp, 1, [(1, 0, 1, w, Element.monomial(UNIT_WORD))])
     return IBLAlgebra(sp, tab)
 
 
@@ -215,15 +215,13 @@ def document_corpus():
         docs[name] = bio.serialize(
             bio.document_of_algebra(alg, bounds=bounds))
         for i, eps in enumerate(augs):
-            ops = [(k, l, 0, w, e) for (k, l, w, e) in
-                   eps.table.sorted_entries()]
-            block = bio.TableBlock("augmentation", "eps%d" % i, 0, False, ops)
+            block = bio.TableBlock("augmentation", "eps%d" % i, 0, False,
+                                   eps.table.sorted_entries())
             docs["%s.aug%d" % (name, i)] = bio.serialize(
                 bio.Document(alg.space, [block], (), None))
         if pmap is not None:
-            ops = [(k, l, 0, w, e) for (k, l, w, e) in
-                   pmap.table.sorted_entries()]
-            block = bio.TableBlock("pointed", "S1", pmap.parity, False, ops)
+            block = bio.TableBlock("pointed", "S1", pmap.parity, False,
+                                   pmap.table.sorted_entries())
             docs["%s.pointed" % name] = bio.serialize(
                 bio.Document(alg.space, [block], (), None))
     alg, utab, pmap = sd_example()
@@ -232,12 +230,12 @@ def document_corpus():
     docs["sd-example.aug0"] = bio.serialize(bio.Document(
         alg.space, [bio.TableBlock("augmentation", "eps0", 0, False, [])],
         (), None))
-    ops = [(k, l, 0, w, e) for (k, l, w, e) in utab.sorted_entries()]
     docs["sd-example.umap"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("umodule", "U", 0, False, ops)], (), None))
-    ops = [(k, l, 0, w, e) for (k, l, w, e) in pmap.table.sorted_entries()]
+        alg.space, [bio.TableBlock("umodule", "U", 0, False,
+                                   utab.sorted_entries())], (), None))
     docs["sd-example.pointed"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("pointed", "S1", 0, False, ops)], (), None))
+        alg.space, [bio.TableBlock("pointed", "S1", 0, False,
+                                   pmap.table.sorted_entries())], (), None))
     p0alg, _ = pointed_one()
     docs["pointed-one.umap"] = bio.serialize(bio.Document(
         p0alg.space, [bio.TableBlock("umodule", "U", 0, False, [])], (), None))

@@ -111,12 +111,6 @@ def hierarchy_compare(h1, h2):
     return 0
 
 
-def _combine_levels(a, b, rule):
-    if rule == "min":
-        return min(a, b)
-    return max(a, b)
-
-
 def hierarchy_combine(h1, h2):
     """The value of a disjoint union from its components.
 

@@ -13,91 +13,24 @@ from .words import (EElement, EWord, Element, UNIT_WORD,
                     enumerate_basis, normalize_word)
 
 
-class IBLTable:
-    """Sparse maps indexed by (k >= 1, l >= 0, genus g >= 0), parity 1."""
-
-    def __init__(self, space, entries=(), complete=True, max_k=None):
-        self.space = space
-        self.parity = 1
-        self.complete = bool(complete)
-        self.cells = {}
-        by_kg = {}
-        top_k = 0
-        for (k, l, g, w_in, elem) in entries:
-            if k < 1 or l < 0 or g < 0:
-                raise StructureError("bad cell (%d,%d,%d)" % (k, l, g))
-            chk, sgn = normalize_word(space, w_in.letters)
-            if sgn != 1 or chk != w_in:
-                raise StructureError("input %r is not normalized" % (w_in,))
-            if not elem:
-                continue
-            in_par = space.word_parity(w_in.letters)
-            for w_out, c in elem.terms.items():
-                if len(w_out) != l:
-                    raise StructureError("output length != l in %r" % (w_in,))
-                if space.word_parity(w_out.letters) != (in_par + 1) % 2:
-                    raise StructureError(
-                        "cell (%d,%d,%d) %r violates parity" % (k, l, g, w_in))
-            if (k, l, g) in self.cells and w_in in self.cells[(k, l, g)]:
-                raise StructureError("duplicate cell (%d,%d,%d) %r"
-                                     % (k, l, g, w_in))
-            self.cells.setdefault((k, l, g), {})[w_in] = elem
-            cur = by_kg.setdefault(k, {}).setdefault(g, {}).get(w_in, Element())
-            by_kg[k][g][w_in] = cur + elem
-            top_k = max(top_k, k)
-        self._by_kg = by_kg
-        self.max_k = top_k if max_k is None else max(int(max_k), top_k)
-        self.max_genus = max((g for (_, _, g) in self.cells), default=0)
-
-    def input_sizes(self):
-        return sorted(self._by_kg)
-
-    def covers(self, k):
-        return self.complete or k <= self.max_k
-
-    def query_by_genus(self, k, word):
-        """Yield (g, Element) pairs for the input word."""
-        if not self.covers(k):
-            raise IncompleteTableError(k, word)
-        for g, cell in sorted(self._by_kg.get(k, {}).items()):
-            elem = cell.get(word)
-            if elem:
-                yield g, elem
-
-    def genus_slice(self, genus):
-        entries = []
-        for (k, l, g), cell in self.cells.items():
-            if g == genus:
-                for w, e in cell.items():
-                    entries.append((k, l, w, e))
-        return OperationTable(self.space, 1, entries, complete=self.complete,
-                              max_k=self.max_k)
-
-    def sorted_entries(self):
-        out = []
-        for (k, l, g) in sorted(self.cells):
-            for w in sorted(self.cells[(k, l, g)], key=lambda w: w.key()):
-                out.append((k, l, g, w, self.cells[(k, l, g)][w]))
-        return out
-
-
 class IBLAlgebra:
+    """A space with a parity-1 table whose cells carry a genus."""
+
     def __init__(self, space, table):
         self.space = space
         self.table = table
 
     def __repr__(self):
-        return "IBLAlgebra(%d generators, %d cells)" % (
-            len(self.space), len(self.table.cells))
+        return "IBLAlgebra(%d generators, %d entries)" % (
+            len(self.space), len(self.table.sorted_entries()))
 
 
 def from_bl(alg, extra_entries=()):
     """Lift a genus-zero structure, optionally adding higher-genus cells."""
-    entries = [(k, l, 0, w, e) for (k, l, w, e) in alg.table.sorted_entries()]
-    entries += list(extra_entries)
-    return IBLAlgebra(alg.space, IBLTable(alg.space, entries,
-                                          complete=alg.table.complete,
-                                          max_k=alg.table.max_k))
+    entries = alg.table.sorted_entries() + list(extra_entries)
+    return IBLAlgebra(alg.space, OperationTable(
+        alg.space, 1, entries, complete=alg.table.complete,
+        max_k=alg.table.max_k))
 
 
 def apply_hat_p_ibl(ialg, x, hbar_cap):
@@ -136,7 +69,7 @@ def check_ibl(ialg, hbar_cap, bounds):
 
 def genus0(ialg):
     """The genus-zero sub-table as a plain structure."""
-    return BLAlgebra(ialg.space, ialg.table.genus_slice(0))
+    return BLAlgebra(ialg.space, ialg.table.sub_table(lambda k, l: True))
 
 
 def hbar_width(eword):
@@ -148,7 +81,11 @@ def torsion_grid(ialg, n, m, trunc, bounds):
     trunc.  For n > trunc the class is already zero in the quotient.
 
     The structure is checked first; a failing one raises StructureError.
+    A negative n or m raises ValueError.
     """
+    if n < 0 or m < 0:
+        raise ValueError("torsion grid needs n, m >= 0, got (%d, %d)"
+                         % (n, m))
     status = check_ibl(ialg, trunc, bounds)
     if not status.ok:
         raise StructureError("structure fails: witness %r" % (status.witness,))

@@ -21,7 +21,10 @@ from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
 
 
 class TorsionAnswer:
-    """value kind: 'exact' | 'at-most' | 'not-found'; level when found."""
+    """The answer of a torsion or order search.
+
+    value kind: 'exact' | 'at-most' | 'not-found'; level when found.
+    """
 
     def __init__(self, kind, level=None, certificate=None, bounds=None):
         self.kind = kind
@@ -38,20 +41,7 @@ class TorsionAnswer:
         return "TorsionAnswer(not-found-within %r)" % (self.bounds,)
 
 
-class OrderAnswer:
-    def __init__(self, kind, level=None, certificate=None, bounds=None):
-        self.kind = kind
-        self.level = level
-        self.certificate = certificate
-        self.bounds = bounds
-
-    def found(self):
-        return self.kind in ("exact", "at-most")
-
-    def __repr__(self):
-        if self.found():
-            return "OrderAnswer(%s %d)" % (self.kind, self.level)
-        return "OrderAnswer(not-found-within %r)" % (self.bounds,)
+OrderAnswer = TorsionAnswer
 
 
 class UModule:
@@ -187,8 +177,10 @@ def torsion(alg, schedule):
     The first solvable level k yields value k-1; the answer is 'exact' when
     every smaller level is certified unsolvable, either structurally (no
     constant cells reach it) or by the action-filtration argument, and
-    'at-most' otherwise.
+    'at-most' otherwise.  An empty schedule raises ValueError.
     """
+    if not schedule:
+        raise ValueError("empty torsion schedule: no cluster bound >= 1")
     status = status_at(alg, schedule[-1][1], check_structure)
     if not status.ok:
         raise StructureError("structure fails: witness %r" % (status.witness,))

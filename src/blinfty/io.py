@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, StructureError
-from .ibl import IBLAlgebra, IBLTable
+from .ibl import IBLAlgebra
 from .invariants import UModule
 from .structures import (Augmentation, BLAlgebra, Bounds, OperationTable,
                          PointedMap)
@@ -47,7 +47,7 @@ class TableBlock:
 class ChainBlock:
     def __init__(self, name, element):
         self.name = name
-        self.element = element  # EElement
+        self.element = element  # Element of outer words
 
 
 class Document:
@@ -231,6 +231,8 @@ def parse(text):
                 raise ParseError(line_no, "trailing junk")
             if kind == "ibl" and not is_hbar:
                 raise ParseError(line_no, "ibl tables must declare hbar")
+            if is_hbar and kind != "ibl":
+                raise ParseError(line_no, "only ibl tables declare hbar")
             current = TableBlock(kind, name, parity, is_hbar, [])
             tables.append(current)
         elif head == "op":
@@ -362,20 +364,18 @@ def _parse_chain_body(sp, body, line_no):
 
 def document_of_algebra(alg, kind="structure", name="p", bounds=None,
                         chains=()):
-    ops = [(k, l, 0, w, e) for (k, l, w, e) in alg.table.sorted_entries()]
-    block = TableBlock(kind, name, alg.table.parity, False, ops)
+    block = TableBlock(kind, name, alg.table.parity, False,
+                       alg.table.sorted_entries())
     return Document(alg.space, [block], chains, bounds)
 
 
 def document_of_ibl(ialg, name="p", bounds=None):
-    ops = list(ialg.table.sorted_entries())
-    block = TableBlock("ibl", name, 1, True, ops)
+    block = TableBlock("ibl", name, 1, True, ialg.table.sorted_entries())
     return Document(ialg.space, [block], (), bounds)
 
 
 def table_from_block(space, block, action_drop=False, target=None):
-    entries = [(k, l, w, e) for (k, l, g, w, e) in block.ops]
-    return OperationTable(space, block.parity, entries, complete=True,
+    return OperationTable(space, block.parity, block.ops, complete=True,
                           target=target, action_drop=action_drop)
 
 
@@ -392,15 +392,14 @@ def ibl_from_document(doc, name=None):
     block = doc.table("ibl", name)
     if block is None:
         raise StructureError("document has no ibl table")
-    return IBLAlgebra(doc.space, IBLTable(doc.space, block.ops))
+    return IBLAlgebra(doc.space, OperationTable(doc.space, 1, block.ops))
 
 
 def augmentation_from_document(doc, alg, name=None):
     block = doc.table("augmentation", name)
     if block is None:
         raise StructureError("document has no augmentation table")
-    entries = [(k, l, w, e) for (k, l, g, w, e) in block.ops]
-    tab = OperationTable(alg.space, block.parity, entries, complete=True,
+    tab = OperationTable(alg.space, block.parity, block.ops, complete=True,
                          target=GradedSpace(()))
     return Augmentation(alg, tab)
 

@@ -50,12 +50,14 @@ class Bounds:
 
 
 class OperationTable:
-    """A sparse family of maps S^k(source) -> S^l(target), fixed parity.
+    """A sparse family of maps S^k(source) -> S^l(target), fixed parity,
+    with a genus axis.
 
     entries: iterable of (k, l, input Word, output Element supported in
-    length l).  complete=True means absent cells are zero everywhere;
-    otherwise cells with k <= max_k are zero when absent and queries beyond
-    max_k raise IncompleteTableError.
+    length l) at genus 0, or (k, l, genus, input Word, output Element).
+    cells holds the genus-0 cells keyed (k, l).  complete=True means absent
+    cells are zero everywhere; otherwise cells with k <= max_k are zero when
+    absent and queries beyond max_k raise IncompleteTableError.
     """
 
     def __init__(self, space, parity, entries=(), complete=True, max_k=None,
@@ -65,12 +67,15 @@ class OperationTable:
         self.parity = parity % 2
         self.complete = bool(complete)
         self.action_drop = bool(action_drop)
-        self.cells = {}
-        by_k = {}
-        top_k = 0
-        for (k, l, w_in, elem) in entries:
+        self._cells = {}  # (k, l, genus) -> {input Word: Element}
+        by_k = {}  # k -> input Word -> {genus: Element summed over l}
+        for entry in entries:
+            k, l, g, w_in, elem = (entry if len(entry) == 5
+                                   else (*entry[:2], 0, *entry[2:]))
             if k < 1:
                 raise StructureError("operation arity k must be >= 1")
+            if l < 0 or g < 0:
+                raise StructureError("bad cell (%d,%d,%d)" % (k, l, g))
             if not isinstance(elem, Element):
                 raise StructureError("entry output must be an Element")
             if len(w_in) != k:
@@ -82,6 +87,10 @@ class OperationTable:
                 continue
             in_par = space.word_parity(w_in.letters)
             for w_out, c in elem.terms.items():
+                if not isinstance(w_out, Word):
+                    raise StructureError(
+                        "entry (%d,%d) %r: output %r is not an inner word"
+                        % (k, l, w_in, w_out))
                 if len(w_out) != l:
                     raise StructureError(
                         "output %r not of declared length l=%d" % (w_out, l))
@@ -93,15 +102,20 @@ class OperationTable:
                             space.word_action(w_in.letters):
                         raise StructureError(
                             "entry (%d,%d) %r raises action" % (k, l, w_in))
-            if (k, l) in self.cells and w_in in self.cells[(k, l)]:
-                raise StructureError("duplicate entry (%d,%d) %r" % (k, l, w_in))
-            self.cells.setdefault((k, l), {})[w_in] = elem
-            cur = by_k.setdefault(k, {}).get(w_in, Element())
-            by_k[k][w_in] = cur + elem
-            top_k = max(top_k, k)
-        self._by_k = by_k
+            cell = self._cells.setdefault((k, l, g), {})
+            if w_in in cell:
+                raise StructureError("duplicate entry (%d,%d,%d) %r"
+                                     % (k, l, g, w_in))
+            cell[w_in] = elem
+            by_genus = by_k.setdefault(k, {}).setdefault(w_in, {})
+            by_genus[g] = by_genus[g] + elem if g in by_genus else elem
+        self.cells = {(k, l): cell for (k, l, g), cell in self._cells.items()
+                      if g == 0}
+        self._by_k = {k: {w: sorted(by_genus.items())
+                          for w, by_genus in words.items()}
+                      for k, words in by_k.items()}
+        top_k = max(by_k, default=0)
         self.max_k = top_k if max_k is None else max(int(max_k), top_k)
-        self.max_l = max((l for (_, l) in self.cells), default=0)
 
     def input_sizes(self):
         return sorted(self._by_k)
@@ -109,21 +123,23 @@ class OperationTable:
     def covers(self, k):
         return self.complete or k <= self.max_k
 
-    def query(self, k, word):
+    def query_by_genus(self, k, word):
+        """(genus, Element) pairs for the input word, in genus order."""
         if not self.covers(k):
             raise IncompleteTableError(k, word)
-        return self._by_k.get(k, {}).get(word, Element())
+        return self._by_k.get(k, {}).get(word, ())
 
-    def query_by_genus(self, k, word):
-        """(genus, Element) pairs for the input word: genus 0 only."""
-        elem = self.query(k, word)
-        return [(0, elem)] if elem else []
+    def query(self, k, word):
+        """The genus-0 output on the input word, summed over l."""
+        pairs = self.query_by_genus(k, word)
+        return pairs[0][1] if pairs and pairs[0][0] == 0 else Element()
 
     def is_zero(self):
         return not self._by_k
 
     def sub_table(self, keep):
-        """A new table from the cells (k,l) selected by the predicate."""
+        """A new table from the genus-0 cells (k,l) selected by the
+        predicate."""
         entries = [(k, l, w, e) for (k, l), cell in self.cells.items()
                    if keep(k, l) for w, e in cell.items()]
         return OperationTable(self.space, self.parity, entries,
@@ -131,15 +147,15 @@ class OperationTable:
                               target=self.target, action_drop=self.action_drop)
 
     def sorted_entries(self):
-        out = []
-        for (k, l) in sorted(self.cells):
-            for w in sorted(self.cells[(k, l)], key=lambda w: w.key()):
-                out.append((k, l, w, self.cells[(k, l)][w]))
-        return out
+        """Every entry as (k, l, genus, input Word, Element), sorted by
+        (k, l, genus, input)."""
+        return [(k, l, g, w, self._cells[k, l, g][w])
+                for (k, l, g) in sorted(self._cells)
+                for w in sorted(self._cells[k, l, g], key=lambda w: w.key())]
 
     def __eq__(self, other):
         return (isinstance(other, OperationTable) and self.parity == other.parity
-                and self.cells == other.cells)
+                and self._cells == other._cells)
 
 
 def identity_table(space):
@@ -214,7 +230,6 @@ class PointedMap:
         self.algebra = algebra
         self.table = table
         self.parity = table.parity
-        self.verified = None
 
 
 def apply_hat_p(alg, x):
@@ -404,7 +419,7 @@ def f_eps(eps, sign=+1):
     space = eps.source.space
     entries = [(1, 1, Word((i,)), Element.monomial(Word((i,))))
                for i in range(len(space))]
-    for (k, l, w, e) in eps.table.sorted_entries():
+    for (k, _, _, w, e) in eps.table.sorted_entries():
         coeff = sum(e.terms.values())  # supported on the empty word
         entries.append((k, 0, w, Element.monomial(UNIT_WORD, sign * coeff)))
     table = OperationTable(space, 0, entries, complete=eps.table.complete,
@@ -455,12 +470,8 @@ def check_pointed(pmap, alg, bounds):
         lhs = apply_hat_pointed(pmap, alg, apply_hat_p(alg, x))
         rhs = apply_hat_p(alg, apply_hat_pointed(pmap, alg, x))
         if lhs != sgn * rhs:
-            status = VerifyStatus(False, bounds, witness=ew)
-            pmap.verified = status
-            return status
-    status = VerifyStatus(True, bounds)
-    pmap.verified = status
-    return status
+            return VerifyStatus(False, bounds, witness=ew)
+    return VerifyStatus(True, bounds)
 
 
 def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):

@@ -207,7 +207,8 @@ def normalize_clusters(space, clusters, hbar=0):
 
 
 class Element:
-    """A finite Q-linear combination of Words; zero coefficients are dropped."""
+    """A finite Q-linear combination of Words, or of EWords; zero
+    coefficients are dropped."""
 
     __slots__ = ("terms",)
 
@@ -252,61 +253,15 @@ class Element:
     def __iter__(self):
         return iter(sorted(self.terms.items(), key=lambda t: t[0].key()))
 
+    def unit_coefficient(self):
+        """The coefficient of the unit outer word."""
+        return self.terms.get(UNIT_EWORD, Fraction(0))
+
     def __repr__(self):
         return "Element(%r)" % (self.terms,)
 
 
-class EElement:
-    """A finite Q-linear combination of EWords."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        data = {}
-        for w, c in (terms.items() if isinstance(terms, dict) else terms):
-            if c:
-                data[w] = data.get(w, 0) + c
-                if not data[w]:
-                    del data[w]
-        self.terms = data
-
-    @classmethod
-    def monomial(cls, eword, coeff=Fraction(1)):
-        e = cls()
-        if coeff:
-            e.terms[eword] = coeff
-        return e
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, EElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-            if not out[w]:
-                del out[w]
-        return EElement(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if not scalar:
-            return EElement()
-        return EElement({w: scalar * c for w, c in self.terms.items()})
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda t: t[0].key()))
-
-    def unit_coefficient(self):
-        return self.terms.get(UNIT_EWORD, Fraction(0))
-
-    def __repr__(self):
-        return "EElement(%r)" % (self.terms,)
+EElement = Element  # the name used where the terms are outer words
 
 
 def _words_upto(space, max_letters, max_action, max_len=None):

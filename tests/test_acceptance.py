@@ -19,7 +19,7 @@ from blinfty.assembly import apply_inner_coderivation
 from blinfty.cli import main as cli_main
 from blinfty.hierarchy import (HierarchyValue, combine_components_oracle,
                                hierarchy_combine, hierarchy_compare)
-from blinfty.ibl import (IBLAlgebra, IBLTable, apply_hat_p_ibl, c_map,
+from blinfty.ibl import (IBLAlgebra, apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion, from_bl,
                          torsion_grid, verify_grid_certificate)
 from blinfty.invariants import (default_schedule, order_O, order_O_tilde,
@@ -195,7 +195,7 @@ def _compatible_triples():
 def _commutator_corrected(alg, ptab, fb):
     sp = alg.space
     entries = {}
-    for (k, l, w, e) in ptab.sorted_entries():
+    for (k, l, _, w, e) in ptab.sorted_entries():
         entries[(k, l, w)] = e
     for w in enumerate_basis(sp, 3):
         if len(w) < 1:
@@ -265,8 +265,8 @@ def test_criterion_6_width_monotonicity():
         sp = random_space(rng, n=2)
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
-                   for (k, l, w, e) in base.sorted_entries()]
-        ialgs.append(IBLAlgebra(sp, IBLTable(sp, entries)))
+                   for (k, l, _, w, e) in base.sorted_entries()]
+        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, entries)))
     hchecked = 0
     for ialg in ialgs:
         for ew in enumerate_basis(ialg.space, 3, outer_components=2):
@@ -306,8 +306,8 @@ def test_criterion_7_grid_transport_and_chain_map():
         sp = random_space(rng, n=2)
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
-                   for (k, l, w, e) in base.sorted_entries()]
-        ialgs.append(IBLAlgebra(sp, IBLTable(sp, entries)))
+                   for (k, l, _, w, e) in base.sorted_entries()]
+        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, entries)))
     n_chain = 0
     for ialg in ialgs:
         sp = ialg.space

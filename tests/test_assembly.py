@@ -405,7 +405,7 @@ def test_phi_bullet_matches_oracle():
 def test_gluing_step_matches_oracles_seeded_sweep():
     # every assembly against its independent oracle over seeded random
     # tables on spaces with an odd generator
-    from blinfty.ibl import IBLTable
+    from blinfty.structures import OperationTable
     from util import oracle_ibl, oracle_inner, oracle_multi
     rng = random.Random(4040)
     nonzero = dict.fromkeys(
@@ -426,9 +426,10 @@ def test_gluing_step_matches_oracles_seeded_sweep():
         mor = random_table(rng, sp, parity=0, n_entries=3, max_k=2, max_l=2)
         bullet = random_table(rng, sp, parity=1, n_entries=2, max_k=2,
                               max_l=1)
-        itab = IBLTable(sp, [(k, l, rng.randrange(3), w, e) for (k, l, w, e)
-                             in random_table(rng, sp, n_entries=3, max_k=3,
-                                             max_l=2).sorted_entries()])
+        itab = OperationTable(sp, 1, [
+            (k, l, rng.randrange(3), w, e) for (k, l, _, w, e)
+            in random_table(rng, sp, n_entries=3, max_k=3,
+                            max_l=2).sorted_entries()])
         tabs = [(tab, tab.parity), (tab2, tab2.parity)]
         ewords = enumerate_basis(sp, 3, outer_components=2)
         for ew in rng.sample(ewords, 3):

@@ -5,12 +5,12 @@ import pytest
 
 from blinfty import fixtures
 from blinfty.errors import StructureError
-from blinfty.ibl import (IBLAlgebra, IBLTable, apply_hat_p_ibl, c_map,
+from blinfty.ibl import (IBLAlgebra, apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion, from_bl, genus0,
                          hbar_width, torsion_grid, two_level_ibl,
                          verify_grid_certificate)
-from blinfty.structures import (BLAlgebra, Bounds, apply_hat_p,
-                                check_structure)
+from blinfty.structures import (BLAlgebra, Bounds, OperationTable,
+                                apply_hat_p, check_structure)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            enumerate_basis, normalize_word)
 
@@ -28,7 +28,7 @@ def genus_one_loop():
     """One odd generator with a genus-one constant cell: p(q) = hbar."""
     sp = space(("q", 1),)
     w = word(sp, "q")
-    tab = IBLTable(sp, [(1, 0, 1, w, Element.monomial(UNIT_WORD))])
+    tab = OperationTable(sp, 1, [(1, 0, 1, w, Element.monomial(UNIT_WORD))])
     return IBLAlgebra(sp, tab)
 
 
@@ -92,9 +92,9 @@ def test_ibl_oracle_random_tables():
         sp = random_space(rng, n=2)
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         extra = []
-        for (k, l, w, e) in base.sorted_entries():
+        for (k, l, _, w, e) in base.sorted_entries():
             extra.append((k, l, rng.randrange(2), w, e))
-        tab = IBLTable(sp, extra)
+        tab = OperationTable(sp, 1, extra)
         ialg = IBLAlgebra(sp, tab)
         for ew in enumerate_basis(sp, 3, outer_components=2):
             x = EElement.monomial(ew)
@@ -110,7 +110,7 @@ def test_check_ibl_fixture_a_lift():
 
 def test_check_ibl_fails_on_bad_differential():
     sp = space(("x", 0), ("y", 1), ("z", 0))
-    tab = IBLTable(sp, [
+    tab = OperationTable(sp, 1, [
         (1, 1, 0, word(sp, "x"), Element.monomial(word(sp, "y"))),
         (1, 1, 0, word(sp, "y"), Element.monomial(word(sp, "z"))),
     ])
@@ -124,8 +124,8 @@ def test_check_ibl_agrees_with_hat_squared():
         sp = random_space(rng, n=2)
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
-                   for (k, l, w, e) in base.sorted_entries()]
-        ialg = IBLAlgebra(sp, IBLTable(sp, entries))
+                   for (k, l, _, w, e) in base.sorted_entries()]
+        ialg = IBLAlgebra(sp, OperationTable(sp, 1, entries))
         verdict = check_ibl(ialg, 2, Bounds(2)).ok
         direct = True
         for ew in enumerate_basis(sp, 2, outer_components=2):
@@ -152,8 +152,8 @@ def test_genus0_verifies_for_random_ibl():
         sp = random_space(rng)
         base = random_table(rng, sp, max_l=0, n_entries=2)
         entries = [(k, l, rng.randrange(3), w, e)
-                   for (k, l, w, e) in base.sorted_entries()]
-        ialg = IBLAlgebra(sp, IBLTable(sp, entries))
+                   for (k, l, _, w, e) in base.sorted_entries()]
+        ialg = IBLAlgebra(sp, OperationTable(sp, 1, entries))
         if check_ibl(ialg, 2, Bounds(3)).ok:
             assert check_structure(genus0(ialg), Bounds(3)).ok
 
@@ -195,7 +195,7 @@ def test_grid_trivial_above_truncation():
 
 def test_grid_zero_structure_not_found():
     sp = space(("q", 1),)
-    ialg = IBLAlgebra(sp, IBLTable(sp, []))
+    ialg = IBLAlgebra(sp, OperationTable(sp, 1, []))
     for trunc in (0, 1):
         found, _ = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
         assert not found
@@ -274,8 +274,8 @@ def test_c_map_chain_property():
         sp = random_space(rng, n=2)
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
-                   for (k, l, w, e) in base.sorted_entries()]
-        ialgs.append(IBLAlgebra(sp, IBLTable(sp, entries)))
+                   for (k, l, _, w, e) in base.sorted_entries()]
+        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, entries)))
     for ialg in ialgs:
         sp = ialg.space
         m = 2

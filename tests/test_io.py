@@ -7,7 +7,7 @@ from blinfty import fixtures
 from blinfty import io as bio
 from blinfty.cli import main as cli_main
 from blinfty.errors import ParseError
-from blinfty.ibl import IBLAlgebra, IBLTable
+from blinfty.ibl import IBLAlgebra
 from blinfty.structures import Bounds, OperationTable
 from blinfty.words import (Element, EWord, Generator, GradedSpace, UNIT_WORD,
                            Word, enumerate_basis, normalize_word)
@@ -81,6 +81,14 @@ def test_duplicate_cell_rejected():
     bad = PLANAR_DOC.replace(
         "op 2 0 : q1·q2 -> 1 1",
         "op 2 0 : q1·q2 -> 1 1\nop 2 0 : q1·q2 -> 2 1")
+    with pytest.raises(ParseError):
+        bio.parse(bad)
+
+
+def test_hbar_outside_ibl_table_rejected():
+    # a structure table has no genus axis to read hbar ops into
+    bad = PLANAR_DOC.replace("parity 1\n", "parity 1 hbar\n", 1)
+    assert bad != PLANAR_DOC
     with pytest.raises(ParseError):
         bio.parse(bad)
 
@@ -339,14 +347,34 @@ def test_cli_ibl_torsion(corpus_dir, tmp_path):
 def test_cli_ibl_torsion_structure_failed(tmp_path):
     sp = GradedSpace([Generator("x", 0), Generator("y", 1), Generator("z", 0)])
     x, y, z = (Word((i,)) for i in range(3))
-    ialg = IBLAlgebra(sp, IBLTable(sp, [(1, 1, 0, x, Element.monomial(y)),
-                                        (1, 1, 0, y, Element.monomial(z))]))
+    ialg = IBLAlgebra(sp, OperationTable(sp, 1, [
+        (1, 1, 0, x, Element.monomial(y)), (1, 1, 0, y, Element.monomial(z))]))
     path = tmp_path / "bad.blf"
     path.write_text(bio.serialize(bio.document_of_ibl(ialg)))
     code, out = run_cli(tmp_path, "ibl-torsion", str(path), "0", "1",
                         "--max-letters", "3")
     assert code == 1
     assert report_value(out, "ibl-torsion") == "structure-failed"
+
+
+@pytest.mark.parametrize("argv", [
+    ("torsion", "--word-bound", "0"),
+    ("torsion", "--max-letters", "0"),
+    ("hierarchy", "--word-bound", "0"),
+])
+def test_cli_empty_torsion_schedule_exit_two(corpus_dir, tmp_path, argv):
+    code, out = run_cli(tmp_path, argv[0],
+                        str(corpus_dir / "planar-torsion-one.blf"), *argv[1:])
+    assert code == 2
+    assert report_value(out, "error").startswith("value: ")
+
+
+@pytest.mark.parametrize("n, m", [("0", "-1"), ("-1", "1")])
+def test_cli_ibl_torsion_negative_exit_two(corpus_dir, tmp_path, n, m):
+    code, out = run_cli(tmp_path, "ibl-torsion",
+                        str(corpus_dir / "ibl-planar.blf"), n, m)
+    assert code == 2
+    assert report_value(out, "error").startswith("value: ")
 
 
 def test_cli_subprocess_smoke(corpus_dir, tmp_path):

@@ -42,6 +42,28 @@ def test_table_rejects_duplicate_cell():
         OperationTable(sp, 1, [(1, 1, w, e), (1, 1, w, e)])
 
 
+def test_table_rejects_outer_output():
+    # outer and inner combinations share one class; the word type decides
+    sp = space(("a", 0), ("b", 1))
+    out = EElement.monomial(EWord((word(sp, "a"),)))
+    with pytest.raises(StructureError):
+        OperationTable(sp, 1, [(1, 1, word(sp, "b"), out)])
+
+
+def test_table_genus_axis():
+    sp = space(("q", 1),)
+    q = word(sp, "q")
+    e0 = Element.monomial(UNIT_WORD)
+    e2 = Element.monomial(UNIT_WORD, Fraction(3))
+    tab = OperationTable(sp, 1, [(1, 0, 2, q, e2), (1, 0, q, e0)])
+    assert list(tab.query_by_genus(1, q)) == [(0, e0), (2, e2)]
+    assert tab.query(1, q) == e0
+    assert tab.cells == {(1, 0): {q: e0}}
+    assert tab.sorted_entries() == [(1, 0, 0, q, e0), (1, 0, 2, q, e2)]
+    with pytest.raises(StructureError):
+        OperationTable(sp, 1, [(1, 0, 2, q, e2), (1, 0, 2, q, e0)])
+
+
 def test_table_rejects_unnormalized_input():
     sp = space(("a", 0), ("b", 0))
     with pytest.raises(StructureError):
@@ -402,9 +424,9 @@ def test_compat_commutator_construction():
         fb = random_table(rng, sp, parity=1, n_entries=2, max_k=2, max_l=1)
         qtab_corr = commutator_pointed(alg, fb, 1)
         merged = {}
-        for (k, l, w, e) in ptab.sorted_entries():
+        for (k, l, _, w, e) in ptab.sorted_entries():
             merged[(k, l, w)] = e
-        for (k, l, w, e) in qtab_corr.sorted_entries():
+        for (k, l, _, w, e) in qtab_corr.sorted_entries():
             merged[(k, l, w)] = merged.get((k, l, w), Element()) + e
         qtab = OperationTable(sp, 0,
                               [(k, l, w, e) for (k, l, w), e in merged.items()

@@ -39,3 +39,46 @@ def test_bench_tracer_entry_points_exist():
         if not callable(getattr(mod, name, None)):
             missing.append("%s.%s" % (module, name))
     assert not missing, missing
+
+
+def _attribute_chain(node):
+    """['a', 'b', 'c'] for the expression a.b.c, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    names.append(node.id)
+    return names[::-1]
+
+
+def test_bench_workload_names_exist():
+    # the benchmark reaches the library as lib.<module>.<name>, and as
+    # S.<name> after S = lib.structures; a renamed or deleted name breaks
+    # its runs
+    path = SRC.parent.parent / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(), str(path))
+    chains = [_attribute_chain(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)]
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            chain = _attribute_chain(node.value)
+            if chain and chain[-2:-1] == ["lib"]:
+                aliases[node.targets[0].id] = chain[-1]
+    wanted = set()
+    for chain in filter(None, chains):
+        if chain[0] == "self":
+            chain = chain[1:]
+        if chain[0] == "lib" and len(chain) >= 3:
+            wanted.add((chain[1], chain[2]))
+        elif chain[0] in aliases and len(chain) >= 2:
+            wanted.add((aliases[chain[0]], chain[1]))
+    assert ("structures", "compose") in wanted
+    assert ("words", "EElement") in wanted
+    missing = ["%s.%s" % (module, name) for module, name in sorted(wanted)
+               if not hasattr(importlib.import_module("blinfty." + module),
+                              name)]
+    assert not missing, missing
