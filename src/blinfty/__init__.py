@@ -4,7 +4,7 @@ associated torsion, planarity-order and semi-dilation invariants."""
 from .words import (Generator, GradedSpace, Word, EWord, Element, EElement,
                     UNIT_WORD, UNIT_EWORD, normalize_word, normalize_clusters,
                     koszul_pass_sign, enumerate_basis)
-from .linalg import solve_linear, ChainComplex, homology
+from .linalg import solve_linear, ChainComplex
 from .structures import (Bounds, OperationTable, BLAlgebra, BLMorphism,
                          Augmentation, PointedMap, TRIVIAL_ALGEBRA,
                          apply_hat_p, apply_hat_phi, two_level,
@@ -12,7 +12,7 @@ from .structures import (Bounds, OperationTable, BLAlgebra, BLMorphism,
                          is_augmentation, f_eps, linearize, linearize_pointed,
                          ell_table, apply_hat_pointed, check_pointed,
                          check_compatibility, identity_table, zero_table)
-from .invariants import (TorsionAnswer, OrderAnswer, UModule, build_EkV,
+from .invariants import (TorsionAnswer, UModule, build_EkV,
                          torsion, default_schedule, torsion_monotone_check,
                          verify_torsion_certificate, bar_B_k, order_O,
                          order_O_tilde, order_functoriality_check,

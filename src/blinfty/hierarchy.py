@@ -79,7 +79,7 @@ def hierarchy_classify(pt, has_aug, pl=None, sd=None):
     """Place computed invariants into the ordered set.
 
     pt: a TorsionAnswer; has_aug: whether a verified augmentation exists;
-    pl: an OrderAnswer for planarity (required when has_aug); sd: the
+    pl: a TorsionAnswer for planarity (required when has_aug); sd: the
     semi-dilation level (required when planarity is 1).
     """
     if pt.found():

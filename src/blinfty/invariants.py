@@ -41,9 +41,6 @@ class TorsionAnswer:
         return "TorsionAnswer(not-found-within %r)" % (self.bounds,)
 
 
-OrderAnswer = TorsionAnswer
-
-
 class UModule:
     """A parity-0 endomorphism of the generator space, nilpotent on the
     linearized homology; grade -2 when integer grades are present."""
@@ -264,8 +261,8 @@ def _order_search(bounds, level, functional, kind, wrap):
                    for b, col in zip(basis, columns)]
         sol = _solve(basis, columns, _FUNCTIONAL)
         if sol is not None:
-            return OrderAnswer(kind(k), k, wrap(sol), bounds)
-    return OrderAnswer("not-found", bounds=bounds)
+            return TorsionAnswer(kind(k), k, wrap(sol), bounds)
+    return TorsionAnswer("not-found", bounds=bounds)
 
 
 def _outer_level(sp, lin, bounds, cap=None):
@@ -562,7 +559,7 @@ def planarity(alg, augmentations, pmap, bounds, torsion_schedule=None):
         schedule = torsion_schedule or default_schedule(bounds.outer(), bounds)
         t = torsion(alg, schedule)
         if t.found():
-            return OrderAnswer("exact", 0, None, bounds)
+            return TorsionAnswer("exact", 0, None, bounds)
         if alg.space.all_even():
             return _planarity_generic_even(alg, pmap, bounds)
         raise InconclusiveError(
@@ -571,7 +568,7 @@ def planarity(alg, augmentations, pmap, bounds, torsion_schedule=None):
     for eps in augmentations:
         ans = order_O(alg, eps, pmap, bounds)
         if not ans.found():
-            return OrderAnswer("not-found", bounds=bounds)
+            return TorsionAnswer("not-found", bounds=bounds)
         if best is None or ans.level > best.level:
             best = ans
     return best

@@ -307,11 +307,15 @@ def _parse_op(sp, block, toks, line, line_no):
         raise ParseError(line_no, "bad op header")
     k = _parse_int(htoks[1], line_no)
     l = _parse_int(htoks[2], line_no)
+    if k < 1:
+        raise ParseError(line_no, "op arity k must be >= 1")
     g = 0
     if len(htoks) == 5 and htoks[3] == "genus":
         g = _parse_int(htoks[4], line_no)
         if not block.is_hbar:
             raise ParseError(line_no, "genus outside an hbar table")
+        if g < 0:
+            raise ParseError(line_no, "genus must be >= 0")
     elif len(htoks) != 3:
         raise ParseError(line_no, "bad op header")
     in_text, out_text = rest.split("->", 1)

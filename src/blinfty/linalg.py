@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: RREF, solving, and chain-complex homology."""
+"""Exact rational linear algebra: one sparse elimination behind rank,
+kernels and solving, and the based chain complexes of the bar windows."""
 
 from __future__ import annotations
 
@@ -7,90 +8,93 @@ from fractions import Fraction
 from .errors import StructureError
 
 
-def rref(rows):
-    """Reduced row echelon form with lexicographically earliest pivots.
+def _eliminate(rows):
+    """The reduced row echelon form of sparse rows {column: coeff}.
 
-    Mutates nothing; returns (new_rows, pivot_columns).
+    Each row is reduced against the pivot rows found so far, leading column
+    first; a nonzero remainder, scaled to lead with 1, becomes the pivot row
+    of its leading column.  Back-substitution, last pivot first, then clears
+    every pivot column from the other pivot rows.  Returns {pivot column:
+    reduced row}.  The pivot columns are the leftmost independent columns
+    and the reduced rows do not depend on the row order.  The input rows
+    are used up as scratch space.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = 1 / Fraction(row[lead])
+                pivots[lead] = {c: x * inv for c, x in row.items()}
                 break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+            _subtract(row, row[lead], pivots[lead])
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, row[c], pivots[c])
+    return pivots
+
+
+def _subtract(row, f, other):
+    """row -= f * other, dropping the entries that cancel."""
+    for c, x in other.items():
+        v = row.get(c, 0) - f * x
+        if v:
+            row[c] = v
+        else:
+            row.pop(c, None)
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _kernel(reduced, ncols):
+    """One null-space vector per free column: 1 there, minus the free
+    column's entries of the reduced rows at their pivots, 0 elsewhere."""
+    basis = {}
+    for fc in range(ncols):
+        if fc not in reduced:
+            basis[fc] = [Fraction(0)] * ncols
+            basis[fc][fc] = Fraction(1)
+    for pc, row in reduced.items():
+        for c, x in row.items():
+            if c in basis:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_eliminate(_sparse(rows)))
 
 
 def kernel_basis(rows, ncols):
     """A basis of {x : A x = 0}, one vector per free column."""
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return _kernel(_eliminate(_sparse(rows)), ncols)
 
 
 def solve_linear(A, b):
-    """Solve A x = b exactly by Gaussian elimination.
+    """Solve A x = b exactly.
 
     Returns (solution, kernel) where solution sets all free variables to
     zero (the lexicographically minimal pivot choice) or None when the
     system is inconsistent; kernel is a basis of the null space either way.
     """
     nrows = len(A)
-    ncols = len(A[0]) if nrows else len(b) * 0
+    ncols = len(A[0]) if nrows else 0
     if nrows != len(b):
         raise ValueError("dimension mismatch")
-    aug = [list(A[i]) + [b[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
+    rows = _sparse(A)
+    for row, rhs in zip(rows, b):
+        if rhs:
+            row[ncols] = rhs
+    reduced = _eliminate(rows)
     solution = None
-    if ncols not in pivots:
+    if ncols not in reduced:
         solution = [Fraction(0)] * ncols
-        for r, pc in enumerate(pivots):
-            solution[pc] = red[r][-1]
-    kern = kernel_basis([row[:ncols] for row in red], ncols)
-    return solution, kern
-
-
-def _reduce_mod_span(rref_rows, vec):
-    """Remainder of vec after elimination against rows already in RREF."""
-    v = list(vec)
-    for row in rref_rows:
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None and v[lead]:
-            f = v[lead] / row[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
+        for pc, row in reduced.items():
+            solution[pc] = row.get(ncols, Fraction(0))
+    return solution, _kernel(reduced, ncols)
 
 
 class ChainComplex:
@@ -120,68 +124,3 @@ class ChainComplex:
 
     def dim(self):
         return len(self.basis)
-
-    def matrix(self):
-        n = len(self.basis)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for j, col in enumerate(self.columns):
-            for i, c in col.items():
-                rows[i][j] = c
-        return rows
-
-    def apply(self, vec):
-        out = {}
-        for j, c in enumerate(vec):
-            if not c:
-                continue
-            for i, c2 in self.columns[j].items():
-                out[i] = out.get(i, 0) + c * c2
-        n = len(self.basis)
-        return [out.get(i, Fraction(0)) for i in range(n)]
-
-
-class HomologyData:
-    """Homology of a ChainComplex: dimensions, representatives, membership."""
-
-    def __init__(self, complex_):
-        self.complex = complex_
-        d = complex_.matrix()
-        n = complex_.dim()
-        self._d = d
-        self._rank = rank(d) if n else 0
-        cycles = kernel_basis(d, n)
-        self.cycle_basis = cycles
-        # boundaries = column space of d; keep its RREF and reduce cycles
-        brows = [[d[i][j] for i in range(n)] for j in range(n)]
-        red, pivots = rref(brows)
-        span = [red[r] for r in range(len(pivots))]
-        reps = []
-        for z in cycles:
-            rem = _reduce_mod_span(span, z)
-            if any(rem):
-                reps.append(z)
-                span = [row for row in rref(span + [rem])[0] if any(row)]
-        self.representatives = reps
-        self.dim_total = len(cycles) - self._rank
-        self.dim_by_parity = {0: 0, 1: 0}
-        for z in self.representatives:
-            par = self._vector_parity(z)
-            if par is not None:
-                self.dim_by_parity[par] += 1
-
-    def _vector_parity(self, vec):
-        pars = {self.complex.parities[i] for i, c in enumerate(vec) if c}
-        return pars.pop() if len(pars) == 1 else None
-
-    def is_boundary(self, vec):
-        sol, _ = solve_linear(self._d, list(vec))
-        return sol is not None
-
-    def boundary_preimage(self, vec):
-        sol, _ = solve_linear(self._d, list(vec))
-        return sol
-
-
-def homology(complex_):
-    """dim H = dim ker d - rank d, with representatives and membership test."""
-    return HomologyData(complex_)

@@ -86,15 +86,6 @@ class SymPoly:
     def is_constant(self):
         return all(m == () for m in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((), Fraction(0))
-
-    def variables(self):
-        out = set()
-        for m in self.terms:
-            out.update(m)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "SymPoly(0)"

@@ -59,9 +59,6 @@ class GradedSpace:
         except KeyError:
             raise KeyError("unknown generator %r" % (name,)) from None
 
-    def parity_of(self, idx):
-        return self.parities[idx]
-
     def word_parity(self, letters):
         return sum(self.parities[i] for i in letters) % 2
 

@@ -7,7 +7,7 @@ from blinfty.errors import InconclusiveError, InconsistentInputsError
 from blinfty.hierarchy import (HierarchyValue, combine_components_oracle,
                                hierarchy_classify, hierarchy_combine,
                                hierarchy_compare)
-from blinfty.invariants import OrderAnswer, TorsionAnswer
+from blinfty.invariants import TorsionAnswer
 
 INF = math.inf
 
@@ -87,11 +87,11 @@ def test_classify_consistency_checks():
 
 def test_classify_sd_and_pl():
     nf = TorsionAnswer("not-found")
-    assert hierarchy_classify(nf, True, OrderAnswer("exact", 1), sd=2) == \
+    assert hierarchy_classify(nf, True, TorsionAnswer("exact", 1), sd=2) == \
         HierarchyValue("SD", 2)
-    assert hierarchy_classify(nf, True, OrderAnswer("exact", 3)) == \
+    assert hierarchy_classify(nf, True, TorsionAnswer("exact", 3)) == \
         HierarchyValue("Pl", 3)
     with pytest.raises(InconclusiveError):
-        hierarchy_classify(nf, True, OrderAnswer("exact", 1))
+        hierarchy_classify(nf, True, TorsionAnswer("exact", 1))
     with pytest.raises(InconclusiveError):
-        hierarchy_classify(nf, True, OrderAnswer("not-found"))
+        hierarchy_classify(nf, True, TorsionAnswer("not-found"))

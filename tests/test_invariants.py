@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from blinfty import fixtures
+from blinfty import fixtures, invariants
 from blinfty.errors import (InconclusiveError, NotNilpotentError,
                             PlanarityNotOneError, StructureError)
-from blinfty.invariants import (OrderAnswer, TorsionAnswer, UModule, bar_B_k,
+from blinfty.ibl import IBLAlgebra, torsion_grid
+from blinfty.invariants import (TorsionAnswer, UModule, bar_B_k,
                                 build_EkV, default_schedule, order_O,
                                 order_O_tilde, order_functoriality_check,
                                 order_multi, order_multi_tilde, planarity,
@@ -16,7 +17,6 @@ from blinfty.invariants import (OrderAnswer, TorsionAnswer, UModule, bar_B_k,
                                 verify_torsion_certificate, width,
                                 apply_multi_pointed_linearized,
                                 _apply_inner_morphism, _multi_linearized)
-from blinfty.linalg import homology
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
                                 apply_table_coderivation, check_structure,
@@ -26,7 +26,8 @@ from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis)
 
-from util import (algebra, bubble_normalize, eword, one_letter_structure,
+from util import (algebra, bubble_normalize, dense_kernel_basis, dense_rank,
+                  dense_solve_linear, eword, one_letter_structure,
                   oracle_hat_phi, random_space, random_table, space, table,
                   word)
 
@@ -639,3 +640,118 @@ def test_generic_probe_detects_dependence_through_letter_raising():
     pmap = PointedMap(alg, ptab)
     with pytest.raises(InconclusiveError):
         planarity(alg, [], pmap, Bounds(2, word_bound=2))
+
+
+# ---- the sparse elimination against the dense oracle ------------------------
+
+def _engine_cases(rng):
+    """Seeded calls of every engine that solves: torsion on the
+    benchmark's exhausting family and on random structures, the two orders on random pointed maps, the torsion grid on
+    random hbar tables and sd_order on random commuting (d, U) pairs."""
+    cases = [lambda sign=sign: torsion(fixtures.mixed_no_aug(sign),
+                                       default_schedule(4, Bounds(4)))
+             for sign in (1, -1)]
+    while len(cases) < 14:
+        sp = random_space(rng, n=rng.randint(1, 3))
+        tab = random_table(rng, sp, max_k=3, max_l=rng.choice((0, 1, 2)),
+                           n_entries=rng.randint(1, 4))
+        alg = BLAlgebra(sp, tab)
+        if check_structure(alg, Bounds(3)).ok:
+            cases.append(lambda alg=alg: torsion(
+                alg, default_schedule(3, Bounds(3))))
+    for _ in range(6):
+        sp = random_space(rng, n=2)
+        odd = [i for i in range(2) if sp.parities[i]]
+        even = [i for i in range(2) if not sp.parities[i]]
+        rows = []
+        if odd and even:
+            rows.append((1, 1, Word((odd[0],)), Element.monomial(
+                Word((even[0],)), Fraction(rng.randint(1, 3)))))
+        alg = BLAlgebra(sp, OperationTable(sp, 1, rows))
+        pmap = PointedMap(alg, random_table(rng, sp, parity=0, n_entries=3,
+                                            max_k=2, max_l=1))
+        for order in (order_O, order_O_tilde):
+            cases.append(lambda alg=alg, pmap=pmap, order=order: order(
+                alg, fixtures.zero_aug(alg), pmap, Bounds(3)))
+    ialgs = [fixtures.ibl_lift_planar(), fixtures.ibl_genus_one()]
+    for _ in range(4):
+        sp = random_space(rng, n=2)
+        base = random_table(rng, sp, n_entries=2, max_k=2, max_l=1)
+        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, [
+            (k, l, rng.randrange(2), w, e)
+            for (k, l, _, w, e) in base.sorted_entries()])))
+    for ialg in ialgs:
+        for n, m in ((0, 0), (0, 1), (1, 0)):
+            cases.append(lambda ialg=ialg, n=n, m=m: torsion_grid(
+                ialg, n, m, 2, Bounds(3)))
+    for _ in range(20):
+        cases.append(_random_sd_case(rng))
+    return cases
+
+
+def _random_sd_case(rng):
+    """Acyclic pairs d(o_i) = e_i, cycles b_j with d = 0, and U acting by
+    one strictly triangular matrix on the e's and on the o's, strictly
+    triangularly on the b's with boundary terms in the e's, so dU = Ud."""
+    na, nb = rng.randint(0, 2), rng.randint(1, 4)
+    e, o = list(range(na)), list(range(na, 2 * na))
+    b = list(range(2 * na, 2 * na + nb))
+    sp = GradedSpace([fixtures.Generator("v%d" % i, 1 if i in o else 0)
+                      for i in range(2 * na + nb)])
+
+    def entry(j, i, c):
+        return (1, 1, Word((j,)), Element.monomial(Word((i,)), Fraction(c)))
+
+    d = [entry(o[i], e[i], 1) for i in range(na)]
+    u = []
+    for i, j in itertools.combinations(range(na), 2):
+        c = rng.randint(-2, 2)
+        u += [entry(e[j], e[i], c), entry(o[j], o[i], c)]
+    for i, j in itertools.combinations(b, 2):
+        u.append(entry(j, i, rng.randint(-2, 2)))
+    u += [entry(j, i, rng.randint(0, 2)) for j in b for i in e]
+    cells = {}
+    for (_, _, w_in, elem) in u:
+        cells[w_in] = cells.get(w_in, Element()) + elem
+    utab = OperationTable(sp, 0, [(1, 1, w, x) for w, x in cells.items() if x],
+                          complete=True)
+    ftab = OperationTable(sp, 0, [(1, 0, Word((b[-1],)), Element.monomial(
+        UNIT_WORD, Fraction(rng.randint(-2, 2))))], complete=True,
+        target=GradedSpace(()))
+    dtab = OperationTable(sp, 1, d, complete=True)
+    return lambda: sd_order(dtab, UModule(sp, utab), ftab)
+
+
+def _outcome(case):
+    """An engine call's answer with its certificate terms, or its error."""
+    try:
+        out = case()
+    except (StructureError, NotNilpotentError, PlanarityNotOneError,
+            InconclusiveError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(out, TorsionAnswer):
+        return (out.kind, out.level, repr(out.bounds), type(out.certificate),
+                _terms(out.certificate))
+    if isinstance(out, tuple):
+        return out[0], _terms(out[1])
+    return out
+
+
+def _terms(cert):
+    return None if cert is None else sorted(
+        (repr(key), c) for key, c in cert.terms.items())
+
+
+def test_engines_match_dense_oracle(monkeypatch):
+    sparse = [_outcome(case) for case in _engine_cases(random.Random(606))]
+    monkeypatch.setattr(invariants, "solve_linear", dense_solve_linear)
+    monkeypatch.setattr(invariants, "rank", dense_rank)
+    monkeypatch.setattr(invariants, "kernel_basis", dense_kernel_basis)
+    dense = [_outcome(case) for case in _engine_cases(random.Random(606))]
+    assert sparse == dense
+    kinds = [out[0] for out in sparse if isinstance(out, tuple)]
+    assert kinds.count("exact") + kinds.count("at-most") >= 5
+    assert kinds.count("not-found") >= 3
+    assert kinds.count(True) >= 3 and kinds.count(False) >= 3
+    sd = [out for out in sparse if isinstance(out, int)]
+    assert len(set(sd)) >= 2

@@ -234,6 +234,21 @@ def test_cli_short_op_header_exit_two(tmp_path):
     assert report_value(out, "error") == "parse: line 4: bad op header"
 
 
+@pytest.mark.parametrize("command, table, op, error", [
+    ("verify", "structure p parity 1", "op 0 1 : 1 -> 1 q",
+     "parse: line 4: op arity k must be >= 1"),
+    ("ibl-check", "ibl p parity 1 hbar", "op 1 0 genus -1 : q -> 1 1",
+     "parse: line 4: genus must be >= 0"),
+])
+def test_cli_bad_op_cell_exit_two(tmp_path, command, table, op, error):
+    f = tmp_path / "cell.blf"
+    f.write_text("format blinfty 1\ngen q parity 1\ntable %s\n%s\n"
+                 % (table, op), encoding="utf-8")
+    code, out = run_cli(tmp_path, command, str(f), "--max-letters", "1")
+    assert code == 2
+    assert report_value(out, "error") == error
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_cli_bad_max_action_exit_two(corpus_dir, tmp_path, value):
     code, out = run_cli(tmp_path, "verify",

@@ -4,7 +4,10 @@ import ast
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from blinfty import linalg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blinfty"
 
@@ -25,12 +28,17 @@ def test_package_imports_only_the_standard_library():
     assert not outside, outside
 
 
-def test_bench_tracer_entry_points_exist():
-    # the tracer wraps these by name; a missing one reads as zero calls
+def _bench_tracer():
     path = SRC.parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_bench_tracer_entry_points_exist():
+    # the tracer wraps these by name; a missing one reads as zero calls
+    tracer = _bench_tracer()
     wanted = [entry for entries in tracer.LAYERS.values() for entry in entries]
     wanted.append(("assembly", "_set_partitions"))
     missing = []
@@ -39,6 +47,34 @@ def test_bench_tracer_entry_points_exist():
         if not callable(getattr(mod, name, None)):
             missing.append("%s.%s" % (module, name))
     assert not missing, missing
+
+
+class _CounterStub:
+    def __init__(self):
+        self.counts = {}
+        self.bits = 0
+
+    def add(self, key, n):
+        self.counts[key] = self.counts.get(key, 0) + n
+
+
+def test_bench_tracer_counts_linalg_results():
+    # the tracer's counters unpack the arguments and results of the wrapped
+    # linalg entry points; a changed shape must fail here, not in a traced
+    # benchmark run
+    counters = _bench_tracer().COUNTERS
+    A = [[Fraction(0), Fraction(2), Fraction(4)],
+         [Fraction(0), Fraction(1), Fraction(2)]]
+    calls = [("solve_linear", (A, [Fraction(2), Fraction(1)])),
+             ("rank", (A,)),
+             ("kernel_basis", (A, 3))]
+    for name, args in calls:
+        stub = _CounterStub()
+        counters[name](stub, args, getattr(linalg, name)(*args))
+        assert stub.counts["linalg.solve.rows"] == 2
+        assert stub.counts["linalg.solve.cols"] == 3
+        assert stub.counts["linalg.solve.nnz"] == 4
+        assert stub.bits == 3
 
 
 def _attribute_chain(node):

@@ -1,8 +1,9 @@
-"""Shared builders and independent sign oracles for the test suite.
+"""Shared builders and independent oracles for the test suite.
 
-The oracles recompute assembled operators through flat letter arrangements
-with bubble-sort Koszul signs, a code path disjoint from the package's
-selection-sign engine.
+The sign oracles recompute assembled operators through flat letter
+arrangements with bubble-sort Koszul signs, a code path disjoint from the
+package's selection-sign engine.  The linear-algebra oracle is a dense
+Gauss-Jordan elimination, disjoint from the package's sparse one.
 """
 
 import itertools
@@ -584,3 +585,77 @@ def oracle_multi(sp, tables, ew):
 
     assign(0, frozenset(), [])
     return EElement(acc)
+
+
+# ---------------------------------------------------------------------------
+# dense exact linear algebra: the oracle for blinfty.linalg
+
+def dense_rref(rows):
+    """Reduced row echelon form with lexicographically earliest pivots.
+
+    Mutates nothing; returns (new_rows, pivot_columns).
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def dense_rank(rows):
+    return len(dense_rref(rows)[1])
+
+
+def dense_kernel_basis(rows, ncols):
+    """A basis of {x : A x = 0}, one vector per free column."""
+    red, pivots = dense_rref(rows)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_solve_linear(A, b):
+    """Solve A x = b by Gauss-Jordan elimination: (solution with free
+    variables zero, or None when inconsistent; null-space basis)."""
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    if nrows != len(b):
+        raise ValueError("dimension mismatch")
+    aug = [list(A[i]) + [b[i]] for i in range(nrows)]
+    red, pivots = dense_rref(aug)
+    solution = None
+    if ncols not in pivots:
+        solution = [Fraction(0)] * ncols
+        for r, pc in enumerate(pivots):
+            solution[pc] = red[r][-1]
+    kern = dense_kernel_basis([row[:ncols] for row in red], ncols)
+    return solution, kern
