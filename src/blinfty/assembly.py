@@ -13,7 +13,13 @@ quotient by hbar^(cap+1)).
 Two enumerations feed the step.  Coderivation type: one block per listed
 operation, each taking one of its arities from the letters still free, at
 most one letter per cluster unless there is a cap.  Morphism type: the set
-partitions of all letters, optionally with one marked (bullet) block.
+partitions of all letters, optionally with one marked (bullet) block, built
+block by block so that only block lists that can contribute are made: each
+block joins letters of distinct components of the blocks before it (no
+cap, so a cycle kills the term) and has a nonzero entry in its table.  A
+block of a size its table does not cover skips that entry test, and so do
+the blocks after it, so the step raises IncompleteTableError wherever the
+sum over all set partitions would.
 
 Signs are handled in the step only.  The consumed letters are moved to the
 front block by block (Koszul crossings of odd letters), an operation of
@@ -26,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 
-from .words import (EElement, Element, koszul_pass_sign, normalize_clusters,
-                    normalize_word, word_to_singletons)
+from .words import (EElement, Element, _normalize_indices, koszul_pass_sign,
+                    normalize_clusters, word_to_singletons)
 
 
 def apply_coderivation(space, table, x):
@@ -69,38 +75,89 @@ def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
     be a forest.  When bullet_table is given, exactly one block is
     evaluated in it instead (the pointed-morphism assembly), with the
     block's declared parity passing the letters that precede it.
+
+    Only admissible block lists are enumerated (_set_partitions): a block
+    takes letters from distinct components of the blocks before it, and
+    its table has a nonzero entry on its normalized word.  A block whose
+    size its table does not cover is admitted untested, and so is every
+    block after it, so the gluing step raises IncompleteTableError exactly
+    where the sum over all set partitions would.
     """
     tgt = target_space if target_space is not None else space
+    tables = [(table, 0)]
+    if bullet_table is not None:
+        tables.append((bullet_table, bullet_parity))
+    # the entry test of each (table, block letters), kept for this call only
+    tested = {}
 
-    def blocks_of(owner):
-        for part in _set_partitions(list(range(len(owner)))):
-            blocks = sorted(part)
-            if bullet_table is None:
-                yield [(b, table, 0) for b in blocks]
+    def has_entry(t, word):
+        if (t, word) not in tested:
+            w, sign = _normalize_indices(space, list(word))
+            tested[t, word] = bool(sign) and any(
+                elem.terms
+                for _, elem in tables[t][0].query_by_genus(len(w), w))
+        return tested[t, word]
+
+    return _glue(space, tgt, x, lambda owner, letters: _set_partitions(
+        (owner, letters, tables, has_entry)))
+
+
+def _set_partitions(search):
+    """The admissible block lists of one outer word for apply_morphism.
+
+    search is (owner, letters, tables, has_entry): owner[p] and letters[p]
+    are the cluster and generator of letter p; tables lists the (table,
+    parity) a block may use, a second one being the bullet, which exactly
+    one block uses; has_entry(t, block letters) is the entry test in
+    tables[t].  Blocks come in ascending order of their first letter.
+    """
+    owner, letters, tables, has_entry = search
+    sizes = [set(tab.input_sizes()) for tab, _ in tables]
+
+    def extend(free, comp, chosen, bullet_left, untested):
+        if not free:
+            if not bullet_left:
+                yield chosen
+            return
+        first, rest = free[0], free[1:]
+        for k in range(1, len(free) + 1):
+            options = []  # (table index, admitted without the entry test)
+            for t, (tab, _) in enumerate(tables):
+                if t and not bullet_left:
+                    continue
+                if untested or not tab.covers(k):
+                    options.append((t, True))
+                elif k in sizes[t]:
+                    options.append((t, False))
+            if not options:
                 continue
-            for at in range(len(blocks)):
-                yield [(b, bullet_table, bullet_parity) if i == at
-                       else (b, table, 0) for i, b in enumerate(blocks)]
-    return _glue(space, tgt, x, blocks_of)
+            for others in itertools.combinations(rest, k - 1):
+                block = (first,) + others
+                labels = {comp[owner[p]] for p in block}
+                if len(labels) < k:
+                    continue  # two of its letters are joined already
+                word = tuple([letters[p] for p in block])
+                admitted = [(t, skip) for t, skip in options
+                            if skip or has_entry(t, word)]
+                if not admitted:
+                    continue
+                merged = [min(labels) if c in labels else c for c in comp]
+                remaining = tuple(p for p in rest if p not in others)
+                for t, skip in admitted:
+                    yield from extend(remaining, merged,
+                                      chosen + [(block, *tables[t])],
+                                      bullet_left and not t, skip)
 
-
-def _set_partitions(items):
-    """All partitions of a list into unordered nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+    yield from extend(tuple(range(len(owner))),
+                      list(range(max(owner, default=0) + 1)), [],
+                      len(tables) == 2, False)
 
 
 def _operation_blocks(tables, one_per_cluster=True):
     """Coderivation-type block lists: one block per (table, parity) in
     order, each taking one of the table's input sizes from the letters the
     blocks before it left free."""
-    def blocks_of(owner):
+    def blocks_of(owner, letters):
         partial = [([], list(range(len(owner))))]
         for table, parity in tables:
             partial = [(chosen + [(pick, table, parity)],
@@ -131,9 +188,9 @@ def _root(parent, a):
 
 def _glue(space, tgt, x, blocks_of, hbar_cap=None):
     """The gluing step on every term of x and every block list that
-    blocks_of(owner) yields; owner[p] is the cluster of letter p, and a
-    block is (ascending letter positions, table, parity).  Outputs are
-    normalized in tgt."""
+    blocks_of(owner, letters) yields; owner[p] is the cluster of letter p
+    and letters[p] its generator, and a block is (ascending letter
+    positions, table, parity).  Outputs are normalized in tgt."""
     acc = {}
     for eword, coeff in x.terms.items():
         clusters = eword.clusters
@@ -142,7 +199,7 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
         owner = [ci for ci, c in enumerate(clusters) for _ in c.letters]
         pars = [space.parities[l] for l in letters]
         top = eword.hbar if hbar_cap is None else hbar_cap
-        for blocks in blocks_of(owner):
+        for blocks in blocks_of(owner, letters):
             m = len(blocks)
             # clusters are nodes 0..n-1, blocks n..n+m-1; joining two nodes
             # that are already connected closes a cycle
@@ -159,7 +216,7 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
                 continue
             factors = []
             for positions, table, _ in blocks:
-                w_in, n_sign = normalize_word(
+                w_in, n_sign = _normalize_indices(
                     space, [letters[p] for p in positions])
                 terms = n_sign and [
                     (g, n_sign * c, w)
@@ -207,7 +264,7 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
                     val *= c
                 words, s = [], sign
                 for bis, lefts in merges:
-                    w, w_sign = normalize_word(
+                    w, w_sign = _normalize_indices(
                         tgt, [l for bi in bis for l in combo[bi][2].letters]
                         + lefts)
                     s *= w_sign
@@ -239,7 +296,7 @@ def _flatten(space, x):
     """Each outer term's clusters concatenated into one normalized word."""
     acc = {}
     for ew, c in x.terms.items():
-        w, sign = normalize_word(
+        w, sign = _normalize_indices(
             space, [l for cluster in ew.clusters for l in cluster.letters])
         if sign:
             acc[w] = acc.get(w, 0) + c * sign

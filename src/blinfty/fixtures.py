@@ -30,6 +30,21 @@ def _table(space, parity, rows, **kw):
     return OperationTable(space, parity, entries, **kw)
 
 
+def torsion_ladder(n):
+    """The rung of torsion exactly n - 1: generators q1..qn of action 1,
+    q1 odd and the rest even, with the single n-input constant operation
+    q1*...*qn -> 1.  Rung 1 is torsion_zero up to the generator's name,
+    rung 2 is planar_torsion_one.
+    """
+    if n < 1:
+        raise ValueError("torsion_ladder needs n >= 1, got %r" % (n,))
+    names = ["q%d" % i for i in range(1, n + 1)]
+    sp = GradedSpace([Generator(q, 1 if i == 0 else 0, action=Fraction(1))
+                      for i, q in enumerate(names)])
+    tab = _table(sp, 1, [(n, 0, names, [(1, ())])], action_drop=True)
+    return BLAlgebra(sp, tab)
+
+
 def planar_torsion_one():
     """Two generators with a single two-input constant operation.
 
@@ -37,10 +52,7 @@ def planar_torsion_one():
     is exactly 1 and no augmentation exists.  The parity-1 constraint
     forces the generators to carry opposite parities.
     """
-    sp = GradedSpace([Generator("q1", 1, action=Fraction(1)),
-                      Generator("q2", 0, action=Fraction(1))])
-    tab = _table(sp, 1, [(2, 0, ("q1", "q2"), [(1, ())])], action_drop=True)
-    return BLAlgebra(sp, tab)
+    return torsion_ladder(2)
 
 
 def torsion_zero():

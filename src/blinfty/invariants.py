@@ -3,6 +3,7 @@ multi-point orders, and semi-dilation from a supplied endomorphism."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import assembly
@@ -354,14 +355,27 @@ def apply_multi_pointed_linearized(space, lin_family, m, x):
     """Sum over set partitions of the constraint labels, gluing the
     partition's linearized operators simultaneously."""
     acc = {}
-    for part in assembly._set_partitions(list(range(1, m + 1))):
-        keys = [frozenset(block) for block in sorted(part, key=min)]
-        if any(key not in lin_family for key in keys):
-            continue
+    for keys in _label_partitions(tuple(range(1, m + 1)), lin_family):
         tables = [(lin_family[key], lin_family[key].parity) for key in keys]
         for ew, c in assembly.apply_multi_pointed(space, tables, x).terms.items():
             acc[ew] = acc.get(ew, 0) + c
     return EElement(acc)
+
+
+def _label_partitions(labels, family):
+    """The set partitions of labels whose blocks are all keys of family,
+    blocks in ascending order of their smallest label."""
+    if not labels:
+        yield []
+        return
+    first, rest = labels[0], labels[1:]
+    for r in range(len(rest) + 1):
+        for others in itertools.combinations(rest, r):
+            key = frozenset((first,) + others)
+            if key in family:
+                for tail in _label_partitions(
+                        tuple(l for l in rest if l not in others), family):
+                    yield [key] + tail
 
 
 def _order_multi(alg, eps, family, m, bounds, cap):

@@ -182,15 +182,20 @@ def normalize_word(space, letters):
     Letters may be generator names or indices.  Returns (word, sign) where
     sign is 0 when a repeated odd generator makes the monomial vanish.
     """
-    idx = tuple(space.index(l) if isinstance(l, str) else int(l) for l in letters)
+    idx = [space.index(l) if isinstance(l, str) else int(l) for l in letters]
     for i in idx:
         if not 0 <= i < len(space):
             raise KeyError("generator index %d out of range" % i)
-    pars = [space.parities[i] for i in idx]
-    srt, sign = sort_with_sign(list(idx), pars)
+    return _normalize_indices(space, idx)
+
+
+def _normalize_indices(space, idx):
+    """normalize_word on a list of generator indices known to be in range,
+    the form every letter takes inside the engine."""
+    srt, sign = sort_with_sign(idx, [space.parities[i] for i in idx])
     if sign == 0:
-        return Word(tuple(sorted(idx))), 0
-    return Word(tuple(srt)), sign
+        return Word(sorted(idx)), 0
+    return Word(srt), sign
 
 
 def normalize_clusters(space, clusters, hbar=0):
@@ -267,7 +272,7 @@ def _words_upto(space, max_letters, max_action, max_len=None):
     n = len(space)
     for k in range(1, limit + 1):
         for combo in itertools.combinations_with_replacement(range(n), k):
-            w, sign = normalize_word(space, combo)
+            w, sign = _normalize_indices(space, list(combo))
             if sign == 0:
                 continue
             if max_action is not None and space.word_action(combo) > max_action:

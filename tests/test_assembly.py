@@ -7,14 +7,17 @@ from blinfty.errors import IncompleteTableError
 from blinfty.structures import (Bounds, apply_hat_p, apply_hat_phi,
                                 apply_hat_pointed, check_structure,
                                 two_level, BLAlgebra, BLMorphism,
-                                PointedMap, identity_table, word_to_singletons)
+                                OperationTable, PointedMap, identity_table,
+                                word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
-                           Word, enumerate_basis, eword_parity, eword_action)
+                           Word, enumerate_basis, eword_parity, eword_action,
+                           normalize_clusters, normalize_word)
 from blinfty import assembly
 
-from util import (algebra, eword, oracle_hat_p, oracle_hat_phi,
-                  oracle_two_level, random_space, random_table, space, table,
-                  word)
+from util import (algebra, bubble_normalize, eword, forest_check,
+                  oracle_hat_p, oracle_hat_phi, oracle_two_level,
+                  random_space, random_table, space, table,
+                  unpruned_morphism_blocks, word)
 
 
 def fixture_a():
@@ -453,3 +456,103 @@ def test_gluing_step_matches_oracles_seeded_sweep():
             agree("inner", assembly.apply_inner_coderivation(
                 sp, tab, Element.monomial(w)), oracle_inner(sp, tab, w))
     assert min(nonzero.values()) >= 100, nonzero
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except IncompleteTableError:
+        return "incomplete"
+
+
+def _random_outer_word(rng, sp):
+    """At most 6 letters over 1-3 clusters, unit clusters allowed."""
+    while True:
+        sizes = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        if sum(sizes) > 6:
+            continue
+        clusters = [normalize_word(sp, [rng.randrange(len(sp))
+                                        for _ in range(size)])
+                    for size in sizes]
+        if all(s for _, s in clusters):
+            ew, s = normalize_clusters(sp, tuple(w for w, _ in clusters))
+            if s:
+                return ew
+
+
+def _owner_and_letters(ew):
+    return ([ci for ci, c in enumerate(ew.clusters) for _ in c.letters],
+            [l for c in ew.clusters for l in c.letters])
+
+
+def _can_contribute(sp, ew, blocks):
+    """Acyclic, and every block before the first one of a size its table
+    does not cover has a nonzero entry (the unpruned sum's own filter)."""
+    owner, letters = _owner_and_letters(ew)
+    edges = [(owner[p], bi) for bi, (b, _, _) in enumerate(blocks) for p in b]
+    if not forest_check(len(ew.clusters), len(blocks), edges):
+        return False
+    for positions, tab, _ in blocks:
+        if not tab.covers(len(positions)):
+            return True
+        srt, s = bubble_normalize(sp, [letters[p] for p in positions])
+        if not s or not any(e.terms for _, e in tab.query_by_genus(
+                len(positions), Word(tuple(srt)))):
+            return False
+    return True
+
+
+def _block_key(blocks):
+    return tuple((tuple(b), id(tab), parity) for b, tab, parity in blocks)
+
+
+def test_morphism_enumeration_matches_unpruned_sweep(monkeypatch):
+    # apply_morphism against the gluing step fed every set partition of the
+    # letters: equal outputs, IncompleteTableError in the same cases, and
+    # the step receives exactly the block lists that can contribute
+    made = []
+    enumerate_blocks = assembly._set_partitions
+
+    def recording(search):
+        for blocks in enumerate_blocks(search):
+            made.append(_block_key(blocks))
+            yield blocks
+    monkeypatch.setattr(assembly, "_set_partitions", recording)
+    rng = random.Random(7070)
+    seen = dict.fromkeys(["plain", "bullet", "incomplete", "raised"], 0)
+    for _ in range(100):
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(rng.randint(2, 3))])
+        mor = random_table(rng, sp, parity=0, n_entries=5, max_k=3, max_l=2)
+        bullet = random_table(rng, sp, parity=1, n_entries=3, max_k=3,
+                              max_l=1)
+        inc = OperationTable(sp, 0, [(k, l, w, e) for (k, l, _, w, e)
+                                     in mor.sorted_entries() if k <= 2],
+                             complete=False, max_k=2)
+        cases = [("plain", mor, None), ("bullet", mor, bullet),
+                 ("incomplete", inc, None), ("incomplete", inc, bullet)]
+        inputs = [EElement.monomial(_random_outer_word(rng, sp))
+                  for _ in range(3)]
+        inputs.append(EElement({_random_outer_word(rng, sp):
+                                Fraction(rng.choice([-2, -1, 1, 3]))
+                                for _ in range(3)}))
+        for name, tab, btab in cases:
+            for x in inputs:
+                want = _outcome(lambda: assembly._glue(
+                    sp, sp, x, unpruned_morphism_blocks(tab, btab, 1)))
+                made.clear()
+                got = _outcome(lambda: assembly.apply_morphism(
+                    sp, tab, x, bullet_table=btab, bullet_parity=1))
+                assert got == want, (name, x, got, want)
+                if got == "incomplete":
+                    seen["raised"] += 1
+                    continue
+                seen[name] += bool(got)
+                admissible = [
+                    _block_key(blocks) for ew in x.terms
+                    for blocks in unpruned_morphism_blocks(tab, btab, 1)(
+                        *_owner_and_letters(ew))
+                    if _can_contribute(sp, ew, blocks)]
+                assert sorted(made) == sorted(admissible), (name, x)
+    assert min(seen.values()) >= 40, seen
+

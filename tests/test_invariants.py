@@ -115,6 +115,21 @@ def test_torsion_zero_fixture():
     assert verify_torsion_certificate(alg, ans)
 
 
+def test_torsion_ladder_rungs_are_exact():
+    # rung n: one n-input constant on n generators, torsion exactly n - 1
+    rung, t0 = fixtures.torsion_ladder(1), fixtures.torsion_zero()
+    assert rung.table == t0.table and rung.table.action_drop
+    assert [(g.parity, g.action) for g in rung.space.generators] == \
+        [(g.parity, g.action) for g in t0.space.generators]
+    for n in range(1, 5):
+        alg = fixtures.torsion_ladder(n)
+        ans = torsion(alg, default_schedule(n + 1, Bounds(n + 1)))
+        assert (ans.kind, ans.level) == ("exact", n - 1)
+        assert verify_torsion_certificate(alg, ans)
+    with pytest.raises(ValueError):
+        fixtures.torsion_ladder(0)
+
+
 def test_torsion_zero_structure_not_found():
     alg = fixtures.zero_structure()
     for k in (1, 2, 3):

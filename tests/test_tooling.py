@@ -4,10 +4,14 @@ import ast
 import importlib
 import importlib.util
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
-from blinfty import linalg
+from blinfty import assembly, linalg
+from blinfty.words import EElement
+
+from util import eword, space, table
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blinfty"
 
@@ -47,6 +51,45 @@ def test_bench_tracer_entry_points_exist():
         if not callable(getattr(mod, name, None)):
             missing.append("%s.%s" % (module, name))
     assert not missing, missing
+
+
+def test_bench_tracer_counts_block_lists_reaching_the_gluing_step(
+        monkeypatch):
+    # the tracer wraps assembly._set_partitions as a one-argument generator
+    # and counts what it yields; a changed signature must fail here, not in
+    # a traced benchmark run
+    tracer_mod = _bench_tracer()
+    received = []
+    glue = assembly._glue
+
+    def counting_glue(space_, tgt, x, blocks_of, hbar_cap=None):
+        def counted(owner, letters):
+            for blocks in blocks_of(owner, letters):
+                received.append(blocks)
+                yield blocks
+        return glue(space_, tgt, x, counted, hbar_cap)
+    monkeypatch.setattr(assembly, "_glue", counting_glue)
+    modules = {module for entries in tracer_mod.LAYERS.values()
+               for module, _ in entries} | {"assembly"}
+    lib = types.SimpleNamespace(**{
+        m: importlib.import_module("blinfty." + m) for m in modules})
+    sp = space(("a", 0), ("b", 1))
+    mor = table(sp, 0, [(1, 1, ("a",), [(1, ("a",))]),
+                        (1, 1, ("b",), [(1, ("b",))]),
+                        (2, 1, ("a", "b"), [(2, ("b",))])])
+    x = EElement({eword(sp, ("a",), ("b",)): 1, eword(sp, ("a", "b")): 1})
+    tracer = tracer_mod.Tracer()
+    tracer.install(lib)
+    try:
+        tracer.begin_op(0)
+        out = lib.assembly.apply_morphism(sp, mor, x)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert len(received) == 3
+    assert tracer.counts["assembly.partitions.generated"] == len(received)
+    assert tracer.counts["assembly.morphism.terms_out"] == len(out.terms)
 
 
 class _CounterStub:

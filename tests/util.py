@@ -379,6 +379,22 @@ def set_partitions_list(items):
     return out
 
 
+def unpruned_morphism_blocks(table_, bullet_table=None, bullet_parity=0):
+    """The morphism enumeration before pruning, as a block source for
+    assembly._glue: every set partition of the letters, blocks sorted, and
+    with a bullet table each block in turn evaluated in it."""
+    def blocks_of(owner, letters):
+        for part in set_partitions_list(list(range(len(owner)))):
+            blocks = sorted(part)
+            if bullet_table is None:
+                yield [(b, table_, 0) for b in blocks]
+                continue
+            for at in range(len(blocks)):
+                yield [(b, bullet_table, bullet_parity) if i == at
+                       else (b, table_, 0) for i, b in enumerate(blocks)]
+    return blocks_of
+
+
 def forest_check(n_clusters, n_blocks, edges):
     """Acyclic iff every component satisfies V = E + 1 (counted by DFS)."""
     adj = {}
