@@ -85,14 +85,23 @@ def _write_certificate(path, space, name, element):
         fh.write(bio.serialize(doc))
 
 
-def _answer_kind(ans):
-    if ans.kind == "not-found":
-        return "not-found-within-bounds"
-    return ans.kind
+def _report_answer(rep, key, ans):
+    """Report a search answer as '<kind> <level>', or as not found within
+    bounds; the exit code for it (0 found, 3 not found)."""
+    if ans.found():
+        rep.add(key, "%s %d" % (ans.kind, ans.level))
+        return 0
+    rep.add(key, "not-found-within-bounds")
+    return 3
 
 
-def _exit_for_kind(kind):
-    return 0 if kind in ("exact", "at-most") else 3
+def _hbar_cap(bounds):
+    return bounds.hbar_max if bounds.hbar_max is not None else 2
+
+
+def _ibl_witness(space, witness):
+    k, l, g, w = witness
+    return "(%d,%d,%d) %s" % (k, l, g, bio._format_word(space, w))
 
 
 def cmd_verify(args, rep):
@@ -101,13 +110,10 @@ def cmd_verify(args, rep):
     code = 0
     if doc.table("ibl") is not None:
         ialg = bio.ibl_from_document(doc)
-        cap = bounds.hbar_max if bounds.hbar_max is not None else 2
-        status = check_ibl(ialg, cap, bounds)
+        status = check_ibl(ialg, _hbar_cap(bounds), bounds)
         rep.add("verify", "ok" if status.ok else "failed")
         if not status.ok:
-            rep.add("witness", "(%d,%d,%d) %s" % (
-                status.witness[0], status.witness[1], status.witness[2],
-                bio._format_word(ialg.space, status.witness[3])))
+            rep.add("witness", _ibl_witness(ialg.space, status.witness))
             return 1
         alg = genus0(ialg)
     else:
@@ -152,18 +158,13 @@ def cmd_torsion(args, rep):
     if not status.ok:
         rep.add("torsion", "structure-failed")
         return 1
-    levels = bounds.outer()
-    ans = torsion(alg, default_schedule(levels, bounds))
-    kind = _answer_kind(ans)
-    if ans.found():
-        rep.add("torsion", "%s %d" % (ans.kind, ans.level))
-    else:
-        rep.add("torsion", kind)
+    ans = torsion(alg, default_schedule(bounds.outer(), bounds))
+    code = _report_answer(rep, "torsion", ans)
     if ans.found() and args.certificate:
         _write_certificate(args.certificate, alg.space,
                            "torsion-%d" % ans.level, ans.certificate)
         rep.add("certificate", args.certificate)
-    return _exit_for_kind(kind)
+    return code
 
 
 def cmd_linearize(args, rep):
@@ -233,18 +234,14 @@ def cmd_order(args, rep):
         rep.add("reason", "no pointed map supplied")
         return 3
     ans = order_O(alg, augs[0], pmaps[0][1], bounds)
-    kind = _answer_kind(ans)
-    if ans.found():
-        rep.add("order", "%s %d" % (ans.kind, ans.level))
-        if args.certificate:
-            chain = EElement({EWord((w,)): c
-                              for w, c in ans.certificate.terms.items()})
-            _write_certificate(args.certificate, alg.space,
-                               "order-%d" % ans.level, chain)
-            rep.add("certificate", args.certificate)
-    else:
-        rep.add("order", kind)
-    return _exit_for_kind(kind)
+    code = _report_answer(rep, "order", ans)
+    if ans.found() and args.certificate:
+        chain = EElement({EWord((w,)): c
+                          for w, c in ans.certificate.terms.items()})
+        _write_certificate(args.certificate, alg.space,
+                           "order-%d" % ans.level, chain)
+        rep.add("certificate", args.certificate)
+    return code
 
 
 def _subset_of_name(name):
@@ -272,14 +269,10 @@ def cmd_order_multi(args, rep):
         family[_subset_of_name(block.name)] = pmap.table
     if m is None:
         m = max(max(s) for s in family)
-    ans = order_multi(alg, augs[0], family, m, bounds)
-    kind = _answer_kind(ans)
-    if ans.found():
-        rep.add("order-multi", "%s %d" % (ans.kind, ans.level))
-    else:
-        rep.add("order-multi", kind)
+    code = _report_answer(rep, "order-multi",
+                          order_multi(alg, augs[0], family, m, bounds))
     rep.add("points", str(m))
-    return _exit_for_kind(kind)
+    return code
 
 
 def _sd_level(args, bounds, alg, augs, pmaps):
@@ -331,13 +324,9 @@ def cmd_planarity(args, rep):
         rep.add("planarity", "inconclusive")
         rep.add("reason", str(e))
         return 3
-    kind = _answer_kind(ans)
-    if ans.found():
-        rep.add("planarity", "%s %d" % (ans.kind, ans.level))
-    else:
-        rep.add("planarity", kind)
+    code = _report_answer(rep, "planarity", ans)
     rep.add("augmentations", str(len(augs)))
-    return _exit_for_kind(kind)
+    return code
 
 
 def cmd_hierarchy(args, rep):
@@ -346,13 +335,12 @@ def cmd_hierarchy(args, rep):
         return 1
     doc, bounds, alg, augs, pmaps = got
     t = torsion(alg, default_schedule(bounds.outer(), bounds))
-    rep.add("torsion", ("%s %d" % (t.kind, t.level)) if t.found()
-            else "not-found-within-bounds")
+    _report_answer(rep, "torsion", t)
     pl = None
     sd_level = None
     if pmaps and (augs or t.found() or alg.space.all_even()):
         try:
-            pl = planarity(alg, augs, pmaps[0][1], bounds)
+            pl = planarity(alg, augs, pmaps[0][1], bounds, t)
             if pl.found():
                 rep.add("planarity", "%s %d" % (pl.kind, pl.level))
         except InconclusiveError:
@@ -385,14 +373,12 @@ def cmd_ibl_check(args, rep):
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
     ialg = bio.ibl_from_document(doc)
-    cap = bounds.hbar_max if bounds.hbar_max is not None else 2
+    cap = _hbar_cap(bounds)
     status = check_ibl(ialg, cap, bounds)
     rep.add("ibl-check", "ok" if status.ok else "failed")
     rep.add("hbar-max", str(cap))
     if not status.ok:
-        rep.add("witness", "(%d,%d,%d) %s" % (
-            status.witness[0], status.witness[1], status.witness[2],
-            bio._format_word(ialg.space, status.witness[3])))
+        rep.add("witness", _ibl_witness(ialg.space, status.witness))
         return 1
     return 0
 

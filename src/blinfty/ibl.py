@@ -7,8 +7,8 @@ from __future__ import annotations
 from . import assembly
 from .errors import IncompleteTableError, StructureError
 from .invariants import _columns, _solve
-from .structures import (BLAlgebra, OperationTable, VerifyStatus,
-                         word_to_singletons)
+from .structures import (BLAlgebra, OperationTable, _first_failure,
+                         _split_words, word_to_singletons)
 from .words import (EElement, EWord, Element, UNIT_WORD,
                     enumerate_basis, normalize_word)
 
@@ -57,14 +57,9 @@ def two_level_ibl(ialg, word, hbar_cap):
 def check_ibl(ialg, hbar_cap, bounds):
     """All two-level sums vanish up to the truncation; cross-checked by the
     caller against p-hat squared on outer words."""
-    for w in enumerate_basis(ialg.space, bounds.max_letters, bounds.max_action):
-        if len(w) < 1:
-            continue
-        bad = two_level_ibl(ialg, w, hbar_cap)
-        if bad:
-            (l, g) = min(bad)
-            return VerifyStatus(False, bounds, witness=(len(w), l, g, w))
-    return VerifyStatus(True, bounds)
+    return _first_failure(_split_words(ialg.space, bounds), bounds,
+                          lambda w: two_level_ibl(ialg, w, hbar_cap),
+                          lambda w, bad: (len(w), *min(bad), w))
 
 
 def genus0(ialg):

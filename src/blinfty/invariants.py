@@ -15,7 +15,7 @@ from .structures import (Augmentation, OperationTable, PointedMap,
                          _split_word_table, apply_hat_p, apply_hat_phi,
                          apply_table_coderivation, check_structure, compose,
                          ell_table, f_eps, is_augmentation, linearize,
-                         linearize_pointed, status_at)
+                         linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity)
@@ -46,7 +46,7 @@ class UModule:
     """A parity-0 endomorphism of the generator space, nilpotent on the
     linearized homology; grade -2 when integer grades are present."""
 
-    def __init__(self, space, table, power_bound=None):
+    def __init__(self, space, table):
         if table.parity != 0:
             raise StructureError("U must have parity 0")
         for (k, l) in table.cells:
@@ -63,7 +63,6 @@ class UModule:
                                 "U entry %r does not have degree -2" % (w_in,))
         self.space = space
         self.table = table
-        self.power_bound = power_bound
 
     def matrix(self):
         n = len(self.space)
@@ -179,7 +178,7 @@ def torsion(alg, schedule):
     """
     if not schedule:
         raise ValueError("empty torsion schedule: no cluster bound >= 1")
-    status = status_at(alg, schedule[-1][1], check_structure)
+    status = check_structure(alg, schedule[-1][1])
     if not status.ok:
         raise StructureError("structure fails: witness %r" % (status.witness,))
     certified = {}
@@ -291,19 +290,17 @@ def _order_kind(lin_pointed, found_k):
     return "at-most"
 
 
-def _linearized_pair(alg, eps, pmap, bounds, lin, lpt):
+def _linearized(alg, eps, bounds):
     if eps is None:
         raise PlanarityZeroError("order requires an augmentation")
-    lin = lin if lin is not None else linearize(alg, eps, bounds)
-    lpt = lpt if lpt is not None else linearize_pointed(pmap, alg, eps, bounds)
-    return lin, lpt
+    return linearize(alg, eps, bounds)
 
 
-def order_O(alg, eps, pmap, bounds, lin=None, lpt=None):
+def order_O(alg, eps, pmap, bounds):
     """Least word length whose linearized bar homology hits the constant
     functional value 1."""
-    lin, lpt = _linearized_pair(alg, eps, pmap, bounds, lin, lpt)
-    ell = ell_table(lin)
+    ell = ell_table(_linearized(alg, eps, bounds))
+    lpt = linearize_pointed(pmap, alg, eps, bounds)
 
     def level(k):
         cx = bar_B_k(ell, k, bounds)
@@ -321,10 +318,11 @@ def order_O(alg, eps, pmap, bounds, lin=None, lpt=None):
                          kind, Element)
 
 
-def order_O_tilde(alg, eps, pmap, bounds, lin=None, lpt=None):
+def order_O_tilde(alg, eps, pmap, bounds):
     """The unreduced variant: outer words of nonempty clusters, with the
     unit-coefficient functional of the linearized pointed operator."""
-    lin, lpt = _linearized_pair(alg, eps, pmap, bounds, lin, lpt)
+    lin = _linearized(alg, eps, bounds)
+    lpt = linearize_pointed(pmap, alg, eps, bounds)
     sp = alg.space
     return _order_search(
         bounds, _outer_level(sp, lin, bounds),
@@ -379,9 +377,7 @@ def _label_partitions(labels, family):
 
 
 def _order_multi(alg, eps, family, m, bounds, cap):
-    if eps is None:
-        raise PlanarityZeroError("order requires an augmentation")
-    lin = linearize(alg, eps, bounds)
+    lin = _linearized(alg, eps, bounds)
     lin_family = _multi_linearized(family, alg, eps, bounds)
     sp = alg.space
     return _order_search(
@@ -406,8 +402,7 @@ def order_multi_tilde(alg, eps, family, m, bounds):
     return _order_multi(alg, eps, family, m, bounds, cap=None)
 
 
-def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds,
-                              src_answer=None):
+def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
     """Transport a source order certificate through the linearized morphism
     and confirm it certifies the target order at the same level.
 
@@ -418,8 +413,7 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds,
     eps_src = Augmentation(phi.source, eps_src_mor.table)
     if not is_augmentation(eps_src, phi.source, bounds).ok:
         raise StructureError("pulled-back augmentation fails to verify")
-    if src_answer is None:
-        src_answer = order_O(phi.source, eps_src, p_bullet, bounds)
+    src_answer = order_O(phi.source, eps_src, p_bullet, bounds)
     if not src_answer.found():
         return {"source": src_answer, "transported": None, "holds": True}
     # phi_eps^{k,l} = pi_{1,l} o F_eps o phi-hat o F_{-eps o phi}
@@ -461,7 +455,7 @@ def _apply_inner_morphism(src, tgt, table_k1, element):
 # ---------------------------------------------------------------------------
 # semi-dilation
 
-def sd_order(ell1, umod, ell_point, bounds=None):
+def sd_order(ell1, umod, ell_point):
     """Least k with a linearized homology class of functional value 1
     annihilated by U^(k+1).
 
@@ -490,10 +484,8 @@ def sd_order(ell1, umod, ell_point, bounds=None):
     if any(x != 0 for x in _vec_mat(f, D)):
         raise StructureError("the functional is not a chain map")
     cycles = kernel_basis(D, n)
-    nz = len(cycles)
     # nilpotence of the induced map within dim H steps
-    power_bound = umod.power_bound if umod.power_bound is not None else \
-        max(1, nz - rank(D))
+    power_bound = max(1, len(cycles) - rank(D))
     Upow = _mat_power(U, power_bound)
     for z in cycles:
         v = _mat_vec(Upow, z)
@@ -556,22 +548,23 @@ def _vec_mat(v, A):
 # ---------------------------------------------------------------------------
 # planarity over a supplied augmentation set
 
-def planarity(alg, augmentations, pmap, bounds, torsion_schedule=None):
+def planarity(alg, augmentations, pmap, bounds, torsion_answer=None):
     """Max of the order over the supplied augmentations.
 
     An empty augmentation set is only conclusive when finite torsion
     certifies that no augmentation exists (the empty maximum is zero), or
     when the space is all-even and the symbolic generic-augmentation probe
-    shows the order does not depend on the augmentation at all.
+    shows the order does not depend on the augmentation at all.  A caller
+    that holds torsion(alg, default_schedule(bounds.outer(), bounds))
+    passes it as torsion_answer; otherwise the search runs here.
     """
     for eps in augmentations:
-        status = status_at(eps, bounds,
-                           lambda e, b: is_augmentation(e, alg, b))
-        if not status.ok:
+        if not is_augmentation(eps, alg, bounds).ok:
             raise StructureError("supplied augmentation fails to verify")
     if not augmentations:
-        schedule = torsion_schedule or default_schedule(bounds.outer(), bounds)
-        t = torsion(alg, schedule)
+        t = torsion_answer
+        if t is None:
+            t = torsion(alg, default_schedule(bounds.outer(), bounds))
         if t.found():
             return TorsionAnswer("exact", 0, None, bounds)
         if alg.space.all_even():

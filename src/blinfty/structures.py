@@ -172,7 +172,8 @@ def zero_table(space, parity=1, target=None):
 
 
 class VerifyStatus:
-    """unchecked / verified-to-bounds / failed(witness)."""
+    """The value a check returns: verified to its bounds, or failed with a
+    witness.  Nothing records it on the checked object."""
 
     def __init__(self, ok, bounds=None, witness=None):
         self.ok = ok
@@ -196,7 +197,6 @@ class BLAlgebra:
             raise StructureError("structure table must have parity 1")
         self.space = space
         self.table = table
-        self.verified = None  # cache of the last check_structure result
 
     def __repr__(self):
         return "BLAlgebra(%d generators, %d cells)" % (
@@ -213,7 +213,6 @@ class BLMorphism:
         self.source = source
         self.target = target
         self.table = table
-        self.verified = None
 
 
 class Augmentation(BLMorphism):
@@ -286,33 +285,30 @@ def _two_level_all(alg, word):
     return pi_single_cluster(z)
 
 
+def _first_failure(items, bounds, defect, witness=lambda item, bad: item):
+    """The one loop of every check: failed at the first item, in order,
+    whose defect is nonzero, with witness(item, defect); else verified."""
+    for item in items:
+        bad = defect(item)
+        if bad:
+            return VerifyStatus(False, bounds, witness(item, bad))
+    return VerifyStatus(True, bounds)
+
+
+def _split_words(space, bounds):
+    """The nonempty basis words within bounds, in word order."""
+    return [w for w in enumerate_basis(space, bounds.max_letters,
+                                       bounds.max_action) if len(w) >= 1]
+
+
 def check_structure(alg, bounds):
     """Verify every two-level cell within bounds vanishes.
 
-    On failure returns the first witness cell (k, l, word) in word order;
-    the result is also recorded on the algebra.
+    On failure returns the first witness cell (k, l, word) in word order.
     """
-    words = [w for w in enumerate_basis(alg.space, bounds.max_letters,
-                                        bounds.max_action) if len(w) >= 1]
-    words.sort(key=lambda w: w.key())
-    status = VerifyStatus(True, bounds)
-    for word in words:
-        res = _two_level_all(alg, word)
-        if res:
-            status = VerifyStatus(False, bounds,
-                                  witness=(len(word), min(res), word))
-            break
-    alg.verified = status
-    return status
-
-
-def status_at(obj, bounds, check):
-    """The check result recorded on obj when it was computed at these
-    bounds, otherwise a fresh check(obj, bounds)."""
-    status = obj.verified
-    if status is None or status.bounds != bounds:
-        status = check(obj, bounds)
-    return status
+    return _first_failure(_split_words(alg.space, bounds), bounds,
+                          lambda word: _two_level_all(alg, word),
+                          lambda word, bad: (len(word), min(bad), word))
 
 
 def _basis_ewords(space, bounds, allow_units=True):
@@ -330,21 +326,17 @@ def check_morphism(mor, bounds):
     for end, alg in (("source", mor.source), ("target", mor.target)):
         if alg is TRIVIAL_ALGEBRA:
             continue
-        status = status_at(alg, bounds, check_structure)
+        status = check_structure(alg, bounds)
         if not status.ok:
             raise StructureError("%s structure fails: witness %r"
                                  % (end, status.witness))
-    for ew in _basis_ewords(mor.source.space, bounds):
+
+    def defect(ew):
         x = EElement.monomial(ew)
-        lhs = apply_hat_phi(mor, apply_hat_p(mor.source, x))
-        rhs = apply_hat_p(mor.target, apply_hat_phi(mor, x))
-        if lhs != rhs:
-            status = VerifyStatus(False, bounds, witness=ew)
-            mor.verified = status
-            return status
-    status = VerifyStatus(True, bounds)
-    mor.verified = status
-    return status
+        return (apply_hat_phi(mor, apply_hat_p(mor.source, x))
+                != apply_hat_p(mor.target, apply_hat_phi(mor, x)))
+    return _first_failure(_basis_ewords(mor.source.space, bounds), bounds,
+                          defect)
 
 
 def _split_word_table(space, image, parity, bounds, target=None,
@@ -354,9 +346,7 @@ def _split_word_table(space, image, parity, bounds, target=None,
     cluster.  With constants=False a nonzero l = 0 part raises
     InternalInconsistencyError."""
     entries = []
-    for word in enumerate_basis(space, bounds.max_letters, bounds.max_action):
-        if len(word) < 1:
-            continue
+    for word in _split_words(space, bounds):
         x = EElement.monomial(word_to_singletons(word))
         for l, elem in sorted(pi_single_cluster(image(x)).items()):
             if l == 0 and not constants:
@@ -395,21 +385,12 @@ def is_augmentation(eps, alg, bounds):
     so every functional family verifies.
     """
     if alg.space.all_even():
-        status = VerifyStatus(True, bounds)
-        eps.verified = status
-        return status
-    for ew in _basis_ewords(alg.space, bounds):
-        x = EElement.monomial(ew)
-        y = apply_hat_p(alg, x)
-        z = assembly.apply_morphism(alg.space, eps.table, y,
-                                    target_space=TRIVIAL_SPACE)
-        if z:
-            status = VerifyStatus(False, bounds, witness=ew)
-            eps.verified = status
-            return status
-    status = VerifyStatus(True, bounds)
-    eps.verified = status
-    return status
+        return VerifyStatus(True, bounds)
+    return _first_failure(
+        _basis_ewords(alg.space, bounds), bounds,
+        lambda ew: assembly.apply_morphism(
+            alg.space, eps.table, apply_hat_p(alg, EElement.monomial(ew)),
+            target_space=TRIVIAL_SPACE))
 
 
 def f_eps(eps, sign=+1):
@@ -465,13 +446,12 @@ def apply_hat_pointed(pmap, alg, x):
 def check_pointed(pmap, alg, bounds):
     """Verify the graded commutation of the pointed map with the structure."""
     sgn = -1 if pmap.parity % 2 else 1
-    for ew in _basis_ewords(alg.space, bounds):
+
+    def defect(ew):
         x = EElement.monomial(ew)
-        lhs = apply_hat_pointed(pmap, alg, apply_hat_p(alg, x))
-        rhs = apply_hat_p(alg, apply_hat_pointed(pmap, alg, x))
-        if lhs != sgn * rhs:
-            return VerifyStatus(False, bounds, witness=ew)
-    return VerifyStatus(True, bounds)
+        return (apply_hat_pointed(pmap, alg, apply_hat_p(alg, x))
+                != sgn * apply_hat_p(alg, apply_hat_pointed(pmap, alg, x)))
+    return _first_failure(_basis_ewords(alg.space, bounds), bounds, defect)
 
 
 def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
@@ -495,7 +475,8 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
     sq = -1 if d % 2 else 1
     sphi = -1 if bp % 2 else 1
     src, tgt = phi.source, phi.target
-    for ew in _basis_ewords(src.space, bounds):
+
+    def defect(ew):
         x = EElement.monomial(ew)
         phix = apply_hat_phi(phi, x)
         lhs = (apply_hat_pointed(q_bullet, tgt, phix)
@@ -503,7 +484,5 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
         bx = apply_hat_phi_bullet(phi, phi_bullet_table, x, bp)
         bpx = apply_hat_phi_bullet(phi, phi_bullet_table,
                                    apply_hat_p(src, x), bp)
-        rhs = apply_hat_p(tgt, bx) - sphi * bpx
-        if lhs != rhs:
-            return VerifyStatus(False, bounds, witness=ew)
-    return VerifyStatus(True, bounds)
+        return lhs != apply_hat_p(tgt, bx) - sphi * bpx
+    return _first_failure(_basis_ewords(src.space, bounds), bounds, defect)

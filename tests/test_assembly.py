@@ -117,7 +117,6 @@ def test_check_structure_fixture_a_verified():
     alg = fixture_a()
     status = check_structure(alg, Bounds(4))
     assert status.ok
-    assert alg.verified is status
 
 
 def test_check_structure_failure_witness():

@@ -478,6 +478,19 @@ def test_planarity_rechecks_augmentation_checked_at_other_bounds():
         planarity(alg, [eps], pmap, Bounds(2))
 
 
+def test_planarity_rechecks_augmentation_checked_against_another_algebra():
+    # eps(y) = 1 is an augmentation of the zero structure, not of p(q*x) = y
+    sp = space(("q", 1), ("x", 0), ("y", 0))
+    alg_bad = algebra(sp, [(2, 1, ("q", "x"), [(1, ("y",))])])
+    eps = Augmentation(alg_bad, table(sp, 0, [(1, 0, ("y",), [(1, ())])],
+                                      target=GradedSpace(())))
+    alg_ok = BLAlgebra(sp, zero_table(sp))
+    assert is_augmentation(eps, alg_ok, Bounds(2)).ok
+    pmap = PointedMap(alg_bad, zero_table(sp, parity=0))
+    with pytest.raises(StructureError):
+        planarity(alg_bad, [eps], pmap, Bounds(2))
+
+
 def test_planarity_empty_without_certificate_inconclusive():
     alg = fixtures.zero_structure((1, 0))
     pmap = PointedMap(alg, zero_table(alg.space, parity=0))

@@ -462,3 +462,84 @@ table augmentation eps parity 0
                         "--aug", str(f))
     assert code == 1
     assert report_value(out, "augmentation") == "failed"
+
+
+NON_STRUCTURE_DOC = """\
+format blinfty 1
+gen x parity 0
+gen y parity 1
+gen z parity 0
+table structure p parity 1
+op 1 1 : x -> 1 y
+op 1 1 : y -> 1 z
+bounds max_letters 2
+"""
+
+PLANAR_SPACE_HEAD = """\
+format blinfty 1
+gen q1 parity 1 action 1
+gen q2 parity 0 action 1
+"""
+
+
+@pytest.mark.parametrize("command, inputs, key, value", [
+    ("torsion", "non-structure", "torsion", "structure-failed"),
+    ("linearize", "non-structure", "linearize", "structure-failed"),
+    ("order", "non-structure", "structure", "failed"),
+    ("sd", "non-structure", "structure", "failed"),
+    ("planarity", "non-structure", "structure", "failed"),
+    ("hierarchy", "non-structure", "structure", "failed"),
+    ("linearize", "bad-aug", "linearize", "augmentation-failed"),
+    ("order", "bad-aug", "augmentation", "failed"),
+    ("sd", "bad-aug", "augmentation", "failed"),
+    ("planarity", "bad-aug", "augmentation", "failed"),
+    ("hierarchy", "bad-aug", "augmentation", "failed"),
+    ("order", "bad-pointed", "pointed", "failed"),
+    ("sd", "bad-pointed", "pointed", "failed"),
+    ("planarity", "bad-pointed", "pointed", "failed"),
+    ("hierarchy", "bad-pointed", "pointed", "failed"),
+])
+def test_cli_failed_check_lines_exit_one(corpus_dir, tmp_path, command,
+                                         inputs, key, value):
+    if inputs == "non-structure":
+        path = tmp_path / "bad.blf"
+        path.write_text(NON_STRUCTURE_DOC, encoding="utf-8")
+        argv = [str(path)]
+    else:
+        # the zero functional family is no augmentation of p(q1 q2) = 1,
+        # and P(q1) = q1 does not commute with it
+        path = tmp_path / "extra.blf"
+        path.write_text(PLANAR_SPACE_HEAD + (
+            "table augmentation eps parity 0\n" if inputs == "bad-aug" else
+            "table pointed S1 parity 0\nop 1 1 : q1 -> 1 q1\n"),
+            encoding="utf-8")
+        flag = "--aug" if inputs == "bad-aug" else "--pointed"
+        argv = [str(corpus_dir / "planar-torsion-one.blf"), flag, str(path)]
+    code, out = run_cli(tmp_path, command, *argv)
+    assert code == 1
+    assert out.splitlines() == ["command: %s" % command,
+                                "%s: %s" % (key, value)]
+
+
+def test_cli_hierarchy_pointed_without_aug_searches_torsion_once(
+        corpus_dir, tmp_path, monkeypatch):
+    from blinfty import cli, invariants
+    calls = []
+    search = invariants.torsion
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+    monkeypatch.setattr(invariants, "torsion", counted)
+    monkeypatch.setattr(cli, "torsion", counted)
+    pointed = tmp_path / "zero.pointed.blf"
+    pointed.write_text(PLANAR_SPACE_HEAD + "table pointed S1 parity 0\n",
+                       encoding="utf-8")
+    code, out = run_cli(tmp_path, "hierarchy",
+                        str(corpus_dir / "planar-torsion-one.blf"),
+                        "--pointed", str(pointed))
+    assert code == 0
+    assert len(calls) == 1
+    assert report_value(out, "torsion") == "exact 1"
+    assert report_value(out, "planarity") == "exact 0"
+    assert report_value(out, "hierarchy") == "1^PT"

@@ -138,6 +138,37 @@ def test_check_morphism_reads_structure_status_at_its_bounds():
                                   identity_table(checked_small.space)), B3)
 
 
+def _six_checks():
+    """(name, the objects a check is given, the call) for each check."""
+    from blinfty.ibl import check_ibl
+    alg = fixtures.linearizable()
+    eps = fixtures.linearizable_aug(alg, 1)
+    mor = fixtures.identity_morphism(alg)
+    alg2, pmap = fixtures.pointed_two()
+    mor2 = fixtures.identity_morphism(alg2)
+    ialg = fixtures.ibl_lift_planar()
+    bullet = zero_table(alg2.space, parity=1)
+    return [
+        ("check_structure", [alg], lambda: check_structure(alg, B3)),
+        ("check_morphism", [mor, alg], lambda: check_morphism(mor, B3)),
+        ("is_augmentation", [eps, alg],
+         lambda: is_augmentation(eps, alg, B3)),
+        ("check_pointed", [pmap, alg2],
+         lambda: check_pointed(pmap, alg2, B3)),
+        ("check_compatibility", [mor2, pmap, alg2],
+         lambda: check_compatibility(mor2, pmap, pmap, bullet, B3)),
+        ("check_ibl", [ialg], lambda: check_ibl(ialg, 2, B3)),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in _six_checks()])
+def test_checks_do_not_change_their_arguments(name):
+    _, objects, call = next(c for c in _six_checks() if c[0] == name)
+    before = [dict(vars(obj)) for obj in objects]
+    assert call().ok
+    assert [vars(obj) for obj in objects] == before
+
+
 # ---- composition ------------------------------------------------------------
 
 def test_compose_with_identity():
