@@ -154,11 +154,13 @@ def cmd_torsion(args, rep):
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
     alg = bio.algebra_from_document(doc)
-    status = check_structure(alg, bounds)
-    if not status.ok:
+    try:
+        # the search checks the structure at these bounds first; that
+        # check is its only StructureError
+        ans = torsion(alg, default_schedule(bounds.outer(), bounds))
+    except StructureError:
         rep.add("torsion", "structure-failed")
         return 1
-    ans = torsion(alg, default_schedule(bounds.outer(), bounds))
     code = _report_answer(rep, "torsion", ans)
     if ans.found() and args.certificate:
         _write_certificate(args.certificate, alg.space,
@@ -456,10 +458,18 @@ def build_parser():
     return ap
 
 
+# The parser depends on no input and parse_args never changes it (each call
+# gets a fresh Namespace, and the append actions copy their [] default), so
+# it is built on the first main() call and reused; not at import.
+_parser = None
+
+
 def main(argv=None, stream=None):
+    global _parser
     stream = stream if stream is not None else sys.stdout
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     rep = Report(args.command)
     try:
         code = args.func(args, rep)

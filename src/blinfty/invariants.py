@@ -95,6 +95,25 @@ def _columns(basis, image, window=None):
     return columns
 
 
+def _once(image):
+    """image, evaluated at most once per basis element.
+
+    The memo is local to one search: it lives as long as the returned
+    function, which one torsion or order search makes and drops.  Columns
+    built from it may share the memoized Element.terms dicts, so no column
+    is ever mutated: _solve copies them into a dense matrix and
+    _order_search copies them with {**col, ...}.
+    """
+    memo = {}
+
+    def image_once(b):
+        out = memo.get(b)
+        if out is None:
+            out = memo[b] = image(b)
+        return out
+    return image_once
+
+
 def _solve(basis, columns, target):
     """Solve sum_j x_j columns[j] = target over the basis span.
 
@@ -182,9 +201,11 @@ def torsion(alg, schedule):
     if not status.ok:
         raise StructureError("structure fails: witness %r" % (status.witness,))
     certified = {}
+    # the levels' bases are nested: each word's image is computed once
+    image = _once(_hat_p_image(alg))
     for (k, bounds) in schedule:
         basis = _EkV_basis(alg, k, bounds)
-        sol = _solve(basis, _columns(basis, _hat_p_image(alg)), UNIT_EWORD)
+        sol = _solve(basis, _columns(basis, image), UNIT_EWORD)
         if sol is not None:
             exact = all(certified.get(j, _level_structurally_closed(
                 alg.table, j)) for j in range(1, k))
@@ -255,6 +276,7 @@ def _order_search(bounds, level, functional, kind, wrap):
     value 1: level(k) gives the basis and differential columns,
     functional(b) the value on a basis element, kind(k) the answer kind,
     and wrap turns the solution into a certificate."""
+    functional = _once(functional)
     for k in range(1, bounds.outer() + 1):
         basis, columns = level(k)
         columns = [{**col, _FUNCTIONAL: functional(b)}
@@ -267,7 +289,9 @@ def _order_search(bounds, level, functional, kind, wrap):
 
 def _outer_level(sp, lin, bounds, cap=None):
     """Outer words of at most k nonempty clusters, each of at most cap
-    letters, under the linearized coderivation projected to that cap."""
+    letters, under the linearized coderivation projected to that cap.  The
+    levels' bases are nested, so d is computed once per word per search."""
+    @_once
     def d(ew):
         out = apply_table_coderivation(sp, lin, EElement.monomial(ew))
         return out if cap is None else project_width(out, cap)

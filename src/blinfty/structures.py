@@ -323,7 +323,10 @@ def check_morphism(mor, bounds):
     Source and target must be structures within the same bounds; a failing
     one raises StructureError.
     """
-    for end, alg in (("source", mor.source), ("target", mor.target)):
+    ends = [("source", mor.source)]
+    if mor.target is not mor.source:
+        ends.append(("target", mor.target))
+    for end, alg in ends:
         if alg is TRIVIAL_ALGEBRA:
             continue
         status = check_structure(alg, bounds)

@@ -152,21 +152,24 @@ def sort_with_sign(items, parities, keys=None):
     """Stable-sort graded items, returning (sorted, koszul sign).
 
     sign is +1/-1 from odd-odd crossings, or 0 when two equal odd items
-    occur (the monomial vanishes in the graded symmetric algebra).
+    occur (the monomial vanishes in the graded symmetric algebra).  Only
+    odd items carry a sign, so only inversions among them are counted.
     """
-    n = len(items)
     if keys is None:
         keys = items
+    odd = [k for k, p in zip(keys, parities) if p]
     sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if keys[i] > keys[j]:
-                if parities[i] and parities[j]:
-                    sign = -sign
-            elif keys[i] == keys[j] and parities[i] and parities[j]:
+    for i in range(len(odd) - 1):
+        a = odd[i]
+        for b in odd[i + 1:]:
+            if a > b:
+                sign = -sign
+            elif a == b:
                 return None, 0
-    order = sorted(range(n), key=lambda t: (keys[t], t))
-    return [items[t] for t in order], sign
+    if keys is items:
+        return sorted(items), sign
+    return [items[t] for t in sorted(range(len(items)),
+                                      key=keys.__getitem__)], sign
 
 
 def koszul_pass_sign(operator_parity, prefix_parities):

@@ -783,3 +783,69 @@ def test_engines_match_dense_oracle(monkeypatch):
     assert kinds.count(True) >= 3 and kinds.count(False) >= 3
     sd = [out for out in sparse if isinstance(out, int)]
     assert len(set(sd)) >= 2
+
+
+# ---- one image per basis word per search --------------------------------------
+
+def _count_hat_p(monkeypatch):
+    """Record the outer word of every p-hat image the searches evaluate."""
+    seen = []
+    hat_p = invariants.apply_hat_p
+
+    def counted(alg, x):
+        seen.extend(x.terms)
+        return hat_p(alg, x)
+    monkeypatch.setattr(invariants, "apply_hat_p", counted)
+    return seen
+
+
+def test_torsion_evaluates_each_image_once(monkeypatch):
+    alg, L = fixtures.mixed_no_aug(), 5
+    seen = _count_hat_p(monkeypatch)
+    ans = torsion(alg, default_schedule(L, Bounds(L)))
+    assert ans.kind == "not-found"
+    words = enumerate_basis(alg.space, L, None, outer_components=L,
+                            allow_units=True)
+    assert sorted(seen, key=repr) == sorted(words, key=repr)
+    # without the memo the nested levels evaluate the smaller bases again
+    seen.clear()
+    monkeypatch.setattr(invariants, "_once", lambda image: image)
+    torsion(alg, default_schedule(L, Bounds(L)))
+    assert len(seen) > len(set(seen)) == len(words)
+
+
+def _memo_cases(rng):
+    """Every search that memoizes images: the solving engines on seeded
+    random tables, the torsion ladder, and torsion, both orders, both
+    multi-point orders and planarity on the fixtures."""
+    cases = _engine_cases(rng)
+    for n in range(1, 5):
+        cases.append(lambda n=n: torsion(fixtures.torsion_ladder(n),
+                                         default_schedule(n + 1,
+                                                          Bounds(n + 1))))
+    for name, (alg, augs, pmap) in sorted(fixtures.corpus().items()):
+        cases.append(lambda alg=alg: torsion(alg, default_schedule(3, B3)))
+        if pmap is None:
+            continue
+        fam = {frozenset({1}): pmap.table, frozenset({2}): pmap.table,
+               frozenset({1, 2}): zero_table(alg.space, parity=0)}
+        for eps in augs:
+            for order in (order_O, order_O_tilde):
+                cases.append(lambda alg=alg, eps=eps, pmap=pmap, order=order:
+                             order(alg, eps, pmap, B3))
+            for multi in (order_multi, order_multi_tilde):
+                cases.append(lambda alg=alg, eps=eps, fam=fam, multi=multi:
+                             multi(alg, eps, fam, 2, B3))
+        cases.append(lambda alg=alg, augs=augs, pmap=pmap:
+                     planarity(alg, augs, pmap, B3))
+    return cases
+
+
+def test_image_memo_keeps_answers_and_certificates(monkeypatch):
+    memo = [_outcome(case) for case in _memo_cases(random.Random(909))]
+    monkeypatch.setattr(invariants, "_once", lambda image: image)
+    plain = [_outcome(case) for case in _memo_cases(random.Random(909))]
+    assert memo == plain
+    kinds = [out[0] for out in memo if isinstance(out, tuple)]
+    assert kinds.count("exact") + kinds.count("at-most") >= 10
+    assert kinds.count("not-found") >= 5

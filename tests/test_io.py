@@ -411,6 +411,52 @@ def test_cli_subprocess_smoke(corpus_dir, tmp_path):
 
 
 
+def _fresh_process_cli(argv):
+    """(exit code, stdout) of one CLI call in a new interpreter."""
+    import os
+    import subprocess
+    import sys
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-m", "blinfty", *argv],
+                          capture_output=True, text=True, env=env,
+                          cwd=str(root))
+    return proc.returncode, proc.stdout
+
+
+def test_cli_builds_parser_once_and_reuses_it(corpus_dir, tmp_path,
+                                              monkeypatch):
+    from blinfty import cli
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    two_augs = ["hierarchy", str(corpus_dir / "linearizable.blf"),
+                "--aug", str(corpus_dir / "linearizable.aug0.blf"),
+                "--aug", str(corpus_dir / "linearizable.aug1.blf")]
+    no_aug = ["hierarchy", str(corpus_dir / "pointed-two.blf"),
+              "--pointed", str(corpus_dir / "pointed-two.pointed.blf")]
+    calls = [two_augs, no_aug, two_augs, ["combine", "1^PT", "2^Pl"]]
+    reports = [run_cli(tmp_path, *argv) for argv in calls]
+    assert len(builds) == 1
+    assert reports[0] == reports[2]
+    for argv, report in zip(calls[:2], reports[:2]):
+        assert report == _fresh_process_cli(argv)
+    # the append actions' [] defaults are shared by every call without the
+    # flag, so no command may have appended to them
+    for command in ("verify", "torsion", "linearize", "order", "sd",
+                    "planarity", "hierarchy", "ibl-check", "order-multi"):
+        args = cli._parser.parse_args([command, "x"])
+        assert args.aug == [] and args.pointed == []
+    assert len(builds) == 1
+
+
 def test_cli_hierarchy_sd_zero(corpus_dir, tmp_path):
     code, out = run_cli(tmp_path, "hierarchy",
                         str(corpus_dir / "pointed-one.blf"),

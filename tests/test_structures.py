@@ -485,3 +485,23 @@ def test_composition_coherence_on_outer_words():
             x = EElement.monomial(ew)
             assert apply_hat_phi(comp, x) == \
                 apply_hat_phi(psi, apply_hat_phi(phi, x)), (ew,)
+
+
+def test_check_morphism_checks_an_endomorphisms_algebra_once(monkeypatch):
+    from blinfty import structures
+    calls = []
+    check = structures.check_structure
+
+    def counted(alg, bounds):
+        calls.append(alg)
+        return check(alg, bounds)
+    monkeypatch.setattr(structures, "check_structure", counted)
+    alg = fixtures.planar_torsion_one()
+    assert check_morphism(fixtures.identity_morphism(alg), B3).ok
+    assert len(calls) == 1 and calls[0] is alg
+    # two equal algebras are still two algebras
+    twin = fixtures.planar_torsion_one()
+    calls.clear()
+    assert check_morphism(BLMorphism(alg, twin, identity_table(alg.space)),
+                          B3).ok
+    assert [a is b for a, b in zip(calls, (alg, twin))] == [True, True]

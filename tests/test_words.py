@@ -7,7 +7,9 @@ import pytest
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            EElement, UNIT_WORD, UNIT_EWORD, normalize_word,
                            normalize_clusters, koszul_pass_sign,
-                           enumerate_basis)
+                           enumerate_basis, sort_with_sign)
+
+from util import bubble_normalize, random_space
 
 
 def space(*spec):
@@ -231,3 +233,35 @@ def test_element_arithmetic_drops_zeros():
     assert (2 * a).terms[UNIT_WORD] == 1
     x = EElement.monomial(UNIT_EWORD, Fraction(3))
     assert (x - x) == EElement()
+
+
+def test_sort_with_sign_matches_bubble_oracle_seeded():
+    rng = random.Random(4242)
+    signs = []
+    for _ in range(1500):
+        sp = random_space(rng, n=rng.randint(1, 4))
+        # plain letters, repeats of odd and even generators included
+        idx = [rng.randrange(len(sp)) for _ in range(rng.randint(0, 7))]
+        got = sort_with_sign(idx, [sp.parities[i] for i in idx])
+        want = bubble_normalize(sp, idx)
+        assert got[1] == want[1]
+        if want[1]:
+            assert got[0] == want[0]
+        signs.append(want[1])
+        # cluster keys as normalize_clusters passes them: the oracle sorts
+        # the clusters' ranks in a space of one generator per cluster
+        clusters = [Word(tuple(sorted(rng.randrange(len(sp))
+                                      for _ in range(rng.randint(0, 3)))))
+                    for _ in range(rng.randint(0, 5))]
+        distinct = sorted(set(clusters), key=lambda c: c.key())
+        csp = GradedSpace([Generator("c%d" % r, sp.word_parity(c.letters))
+                           for r, c in enumerate(distinct)])
+        ranks = [distinct.index(c) for c in clusters]
+        got = sort_with_sign(clusters, [csp.parities[r] for r in ranks],
+                             keys=[c.key() for c in clusters])
+        want = bubble_normalize(csp, ranks)
+        assert got[1] == want[1]
+        if want[1]:
+            assert got[0] == [distinct[r] for r in want[0]]
+        signs.append(want[1])
+    assert min(signs.count(s) for s in (-1, 0, 1)) >= 100
