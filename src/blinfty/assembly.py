@@ -10,16 +10,21 @@ hbar.  Without an hbar cap only forests of genus zero survive (the
 BL-infinity gluing); with a cap, terms above it are dropped (the hard
 quotient by hbar^(cap+1)).
 
-Two enumerations feed the step.  Coderivation type: one block per listed
-operation, each taking one of its arities from the letters still free, at
-most one letter per cluster unless there is a cap.  Morphism type: the set
-partitions of all letters, optionally with one marked (bullet) block, built
-block by block so that only block lists that can contribute are made: each
-block joins letters of distinct components of the blocks before it (no
-cap, so a cycle kills the term) and has a nonzero entry in its table.  A
-block of a size its table does not cover skips that entry test, and so do
-the blocks after it, so the step raises IncompleteTableError wherever the
-sum over all set partitions would.
+Two enumerations feed the step, and they alone decide whether a partial
+table (complete=False, entries up to max_k) determines the operator.
+Coderivation type: one block per listed operation, each taking one of its
+arities from the letters still free, at most one letter per cluster unless
+there is a cap.  Only entered arities are enumerated, so a listed table
+that does not cover the number of letters a block could reach (the
+clusters among them, or with a cap the letters) raises
+IncompleteTableError.  Morphism type: the set partitions of all letters,
+optionally with one marked (bullet) block, built block by block so that
+only block lists that can contribute are made: each block joins letters of
+distinct components of the blocks before it (no cap, so a cycle kills the
+term) and has a nonzero entry in its table.  A block of a size its table
+does not cover skips that entry test, and so do the blocks after it, so
+the step raises IncompleteTableError wherever the sum over all set
+partitions would.
 
 Signs are handled in the step only.  The consumed letters are moved to the
 front block by block (Koszul crossings of odd letters), an operation of
@@ -32,8 +37,9 @@ from __future__ import annotations
 
 import itertools
 
-from .words import (EElement, Element, _normalize_indices, koszul_pass_sign,
-                    normalize_clusters, word_to_singletons)
+from .errors import IncompleteTableError
+from .words import (EElement, Element, _normalize_indices, _odd_inversion_sign,
+                    koszul_pass_sign, normalize_clusters, word_to_singletons)
 
 
 def apply_coderivation(space, table, x):
@@ -156,8 +162,17 @@ def _set_partitions(search):
 def _operation_blocks(tables, one_per_cluster=True):
     """Coderivation-type block lists: one block per (table, parity) in
     order, each taking one of the table's input sizes from the letters the
-    blocks before it left free."""
+    blocks before it left free.
+
+    A block can reach as many letters as there are clusters among them
+    (letters, when not one per cluster); a listed table that does not
+    cover that many raises IncompleteTableError, since only its entered
+    input sizes are enumerated."""
     def blocks_of(owner, letters):
+        reach = len(set(owner)) if one_per_cluster else len(owner)
+        for table, _ in tables:
+            if not table.covers(reach):
+                raise IncompleteTableError(reach)
         partial = [([], list(range(len(owner))))]
         for table, parity in tables:
             partial = [(chosen + [(pick, table, parity)],
@@ -231,7 +246,8 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
             # passes the blocks before it
             consumed = [p for positions, _, _ in blocks for p in positions]
             free = [p for p in range(len(letters)) if p not in consumed]
-            sign = _permutation_sign(pars, consumed + free)
+            order = consumed + free
+            sign = _odd_inversion_sign(order, [pars[p] for p in order])
             prefix, item_pars = [], []
             for positions, table, parity in blocks:
                 sign *= koszul_pass_sign(parity, prefix)
@@ -248,9 +264,9 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
             for i, p in enumerate(free, m):
                 comp = comps.get(_root(parent, owner[p]))
                 (untouched if comp is None else comp[1]).append(i)
-            sign *= _permutation_sign(
-                item_pars, [i for bis, lefts in comps.values()
-                            for i in bis + lefts] + untouched)
+            order = [i for bis, lefts in comps.values()
+                     for i in bis + lefts] + untouched
+            sign *= _odd_inversion_sign(order, [item_pars[i] for i in order])
             merges = [(bis, [letters[free[i - m]] for i in lefts])
                       for bis, lefts in comps.values()]
             rest = tuple(c for ci, c in enumerate(clusters)
@@ -274,16 +290,6 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
                 if s and ew_sign:
                     acc[ew] = acc.get(ew, 0) + val * (s * ew_sign)
     return EElement(acc)
-
-
-def _permutation_sign(parities, order):
-    """Koszul sign of reordering graded items into the given position order."""
-    sign = 1
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b] and parities[order[a]] and parities[order[b]]:
-                sign = -sign
-    return sign
 
 
 def _split(element):

@@ -17,12 +17,12 @@ from .errors import (InconclusiveError, IncompleteTableError,
                      WindowLeakError)
 from .hierarchy import HierarchyValue, hierarchy_classify, hierarchy_combine
 from .ibl import check_ibl, derive_flat_torsion, torsion_grid, genus0
-from .invariants import (default_schedule, order_O, order_multi,
-                         planarity, sd_order, torsion)
-from .structures import (Bounds, apply_hat_p, check_pointed,
-                         check_structure, ell_table, is_augmentation,
-                         linearize, linearize_pointed)
-from .words import EElement, EWord, UNIT_EWORD
+from .invariants import (TorsionAnswer, default_schedule, order_O,
+                         order_multi, planarity, sd_order, torsion,
+                         verify_torsion_certificate)
+from .structures import (Bounds, check_pointed, check_structure, ell_table,
+                         is_augmentation, linearize, linearize_pointed)
+from .words import EElement, EWord
 
 
 class Report:
@@ -128,10 +128,8 @@ def cmd_verify(args, rep):
     for ch in doc.chains:
         if ch.name.startswith("torsion-"):
             level = int(ch.name.split("-", 1)[1])
-            out = apply_hat_p(alg, ch.element)
-            ok = (out == EElement.monomial(UNIT_EWORD) and
-                  all(len(ew.clusters) <= level + 1
-                      for ew in ch.element.terms))
+            ok = verify_torsion_certificate(
+                alg, TorsionAnswer("exact", level, ch.element))
             rep.add("certificate-%s" % ch.name, "ok" if ok else "failed")
             if not ok:
                 code = 1
@@ -199,7 +197,7 @@ def cmd_linearize(args, rep):
     return 0
 
 
-def _prepare_order_inputs(args, rep, need_pointed=True):
+def _prepare_order_inputs(args, rep):
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
     alg = bio.algebra_from_document(doc)
@@ -212,13 +210,12 @@ def _prepare_order_inputs(args, rep, need_pointed=True):
             rep.add("augmentation", "failed")
             return None
     pmaps = []
-    if need_pointed:
-        for p in (args.pointed or []):
-            pdoc, pmap = _load_pointed(p, alg)
-            if not check_pointed(pmap, alg, bounds).ok:
-                rep.add("pointed", "failed")
-                return None
-            pmaps.append((pdoc, pmap))
+    for p in (args.pointed or []):
+        pdoc, pmap = _load_pointed(p, alg)
+        if not check_pointed(pmap, alg, bounds).ok:
+            rep.add("pointed", "failed")
+            return None
+        pmaps.append((pdoc, pmap))
     return doc, bounds, alg, augs, pmaps
 
 

@@ -268,9 +268,10 @@ def main(argv=None):
         return 2
     out = pathlib.Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in document_corpus().items():
+    corpus = document_corpus()
+    for name, text in corpus.items():
         (out / ("%s.blf" % name)).write_text(text, encoding="utf-8")
-    print("wrote %d fixture documents to %s" % (len(document_corpus()), out))
+    print("wrote %d fixture documents to %s" % (len(corpus), out))
     return 0
 
 

@@ -5,7 +5,7 @@ chain map."""
 from __future__ import annotations
 
 from . import assembly
-from .errors import IncompleteTableError, StructureError
+from .errors import StructureError
 from .invariants import _columns, _solve
 from .structures import (BLAlgebra, OperationTable, _first_failure,
                          _split_words, word_to_singletons)
@@ -25,19 +25,15 @@ class IBLAlgebra:
             len(self.space), len(self.table.sorted_entries()))
 
 
-def from_bl(alg, extra_entries=()):
-    """Lift a genus-zero structure, optionally adding higher-genus cells."""
-    entries = alg.table.sorted_entries() + list(extra_entries)
+def from_bl(alg):
+    """Lift a genus-zero structure."""
     return IBLAlgebra(alg.space, OperationTable(
-        alg.space, 1, entries, complete=alg.table.complete,
+        alg.space, 1, alg.table.sorted_entries(), complete=alg.table.complete,
         max_k=alg.table.max_k))
 
 
 def apply_hat_p_ibl(ialg, x, hbar_cap):
     """The cycle-permitting coderivation, truncated above hbar_cap."""
-    for ew in x.terms:
-        if not ialg.table.complete and ew.letter_count() > ialg.table.max_k:
-            raise IncompleteTableError(ew.letter_count())
     return assembly.apply_ibl(ialg.space, ialg.table, x, hbar_cap)
 
 

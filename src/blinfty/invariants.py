@@ -13,9 +13,8 @@ from .errors import (InconclusiveError, NotNilpotentError,
 from .linalg import ChainComplex, kernel_basis, rank, solve_linear
 from .structures import (Augmentation, OperationTable, PointedMap,
                          _split_word_table, apply_hat_p, apply_hat_phi,
-                         apply_table_coderivation, check_structure, compose,
-                         ell_table, f_eps, is_augmentation, linearize,
-                         linearize_pointed)
+                         check_structure, compose, ell_table, f_eps,
+                         is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity)
@@ -293,7 +292,7 @@ def _outer_level(sp, lin, bounds, cap=None):
     levels' bases are nested, so d is computed once per word per search."""
     @_once
     def d(ew):
-        out = apply_table_coderivation(sp, lin, EElement.monomial(ew))
+        out = assembly.apply_coderivation(sp, lin, EElement.monomial(ew))
         return out if cap is None else project_width(out, cap)
 
     def level(k):
@@ -350,7 +349,7 @@ def order_O_tilde(alg, eps, pmap, bounds):
     sp = alg.space
     return _order_search(
         bounds, _outer_level(sp, lin, bounds),
-        lambda ew: apply_table_coderivation(
+        lambda ew: assembly.apply_coderivation(
             sp, lpt, EElement.monomial(ew)).unit_coefficient(),
         lambda k: _order_kind(lpt, k), EElement)
 
@@ -517,14 +516,12 @@ def sd_order(ell1, umod, ell_point):
         if sol is None:
             raise NotNilpotentError(
                 "U^%d is nonzero on homology" % power_bound)
-    # feasibility of the functional alone
-    if _sd_feasible(D, U, f, cycles, power_bound, n) is None:
-        raise PlanarityNotOneError("no class with functional value 1")
+    # feasibility only grows with the power (U commutes with D), so the
+    # last step decides whether any class has functional value 1
     for k in range(0, power_bound):
-        sol = _sd_feasible(D, U, f, cycles, k + 1, n)
-        if sol is not None:
+        if _sd_feasible(D, U, f, cycles, k + 1, n) is not None:
             return k
-    raise NotNilpotentError("exhausted the declared power bound")
+    raise PlanarityNotOneError("no class with functional value 1")
 
 
 def _sd_feasible(D, U, f, cycles, upower, n):

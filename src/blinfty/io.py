@@ -366,25 +366,24 @@ def _parse_chain_body(sp, body, line_no):
 # ---------------------------------------------------------------------------
 # documents <-> typed objects
 
-def document_of_algebra(alg, kind="structure", name="p", bounds=None,
-                        chains=()):
-    block = TableBlock(kind, name, alg.table.parity, False,
+def document_of_algebra(alg, bounds=None):
+    block = TableBlock("structure", "p", alg.table.parity, False,
                        alg.table.sorted_entries())
-    return Document(alg.space, [block], chains, bounds)
+    return Document(alg.space, [block], (), bounds)
 
 
-def document_of_ibl(ialg, name="p", bounds=None):
-    block = TableBlock("ibl", name, 1, True, ialg.table.sorted_entries())
+def document_of_ibl(ialg, bounds=None):
+    block = TableBlock("ibl", "p", 1, True, ialg.table.sorted_entries())
     return Document(ialg.space, [block], (), bounds)
 
 
-def table_from_block(space, block, action_drop=False, target=None):
+def table_from_block(space, block, action_drop=False):
     return OperationTable(space, block.parity, block.ops, complete=True,
-                          target=target, action_drop=action_drop)
+                          action_drop=action_drop)
 
 
-def algebra_from_document(doc, name=None):
-    block = doc.table("structure", name)
+def algebra_from_document(doc):
+    block = doc.table("structure")
     if block is None:
         raise StructureError("document has no structure table")
     drop = doc.bounds.action_drop if doc.bounds else False
@@ -392,15 +391,15 @@ def algebra_from_document(doc, name=None):
                                                  action_drop=drop))
 
 
-def ibl_from_document(doc, name=None):
-    block = doc.table("ibl", name)
+def ibl_from_document(doc):
+    block = doc.table("ibl")
     if block is None:
         raise StructureError("document has no ibl table")
     return IBLAlgebra(doc.space, OperationTable(doc.space, 1, block.ops))
 
 
-def augmentation_from_document(doc, alg, name=None):
-    block = doc.table("augmentation", name)
+def augmentation_from_document(doc, alg):
+    block = doc.table("augmentation")
     if block is None:
         raise StructureError("document has no augmentation table")
     tab = OperationTable(alg.space, block.parity, block.ops, complete=True,
@@ -408,15 +407,15 @@ def augmentation_from_document(doc, alg, name=None):
     return Augmentation(alg, tab)
 
 
-def pointed_from_document(doc, alg, name=None):
-    block = doc.table("pointed", name)
+def pointed_from_document(doc, alg):
+    block = doc.table("pointed")
     if block is None:
         raise StructureError("document has no pointed table")
     return PointedMap(alg, table_from_block(alg.space, block))
 
 
-def umodule_from_document(doc, space, name=None):
-    block = doc.table("umodule", name)
+def umodule_from_document(doc, space):
+    block = doc.table("umodule")
     if block is None:
         raise StructureError("document has no umodule table")
     return UModule(space, table_from_block(space, block))

@@ -57,7 +57,9 @@ class OperationTable:
     length l) at genus 0, or (k, l, genus, input Word, output Element).
     cells holds the genus-0 cells keyed (k, l).  complete=True means absent
     cells are zero everywhere; otherwise cells with k <= max_k are zero when
-    absent and queries beyond max_k raise IncompleteTableError.
+    absent and queries beyond max_k raise IncompleteTableError.  Whether
+    such a partial table determines an assembled operator on a given input
+    is decided in assembly's enumerations only.
     """
 
     def __init__(self, space, parity, entries=(), complete=True, max_k=None,
@@ -167,8 +169,8 @@ def identity_table(space):
 TRIVIAL_SPACE = GradedSpace(())
 
 
-def zero_table(space, parity=1, target=None):
-    return OperationTable(space, parity, (), complete=True, target=target)
+def zero_table(space, parity=1):
+    return OperationTable(space, parity, (), complete=True)
 
 
 class VerifyStatus:
@@ -233,31 +235,13 @@ class PointedMap:
 
 def apply_hat_p(alg, x):
     """Evaluate the assembled coderivation on an outer element."""
-    return apply_table_coderivation(alg.space, alg.table, x)
-
-
-def apply_table_coderivation(space, table, x):
-    for ew in x.terms:
-        nonempty = sum(1 for c in ew.clusters if len(c) > 0)
-        if not table.complete and nonempty > table.max_k:
-            raise IncompleteTableError(nonempty)
-    return assembly.apply_coderivation(space, table, x)
+    return assembly.apply_coderivation(alg.space, alg.table, x)
 
 
 def apply_hat_phi(mor, x):
     """Evaluate the assembled morphism on an outer element."""
-    for ew in x.terms:
-        if not mor.table.complete and ew.letter_count() > mor.table.max_k:
-            raise IncompleteTableError(ew.letter_count())
     return assembly.apply_morphism(mor.source.space, mor.table, x,
                                    target_space=mor.target.space)
-
-
-def pi_1l(x, l):
-    """Project an outer element to its single-cluster length-l part."""
-    return Element({ew.clusters[0]: c for ew, c in x.terms.items()
-                    if len(ew.clusters) == 1 and len(ew.clusters[0]) == l
-                    and ew.hbar == 0})
 
 
 def pi_single_cluster(x):
@@ -273,10 +257,7 @@ def two_level(alg, k, l, word):
     """Sum of all connected two-level gluings: pi_{1,l} of p-hat squared."""
     if len(word) != k:
         raise ValueError("input word has length %d, expected k=%d" % (len(word), k))
-    x = EElement.monomial(word_to_singletons(word))
-    y = apply_hat_p(alg, x)
-    z = apply_hat_p(alg, y)
-    return pi_1l(z, l)
+    return _two_level_all(alg, word).get(l, Element())
 
 
 def _two_level_all(alg, word):
@@ -311,10 +292,9 @@ def check_structure(alg, bounds):
                           lambda word, bad: (len(word), min(bad), word))
 
 
-def _basis_ewords(space, bounds, allow_units=True):
+def _basis_ewords(space, bounds):
     return enumerate_basis(space, bounds.max_letters, bounds.max_action,
-                           outer_components=bounds.outer(),
-                           allow_units=allow_units)
+                           outer_components=bounds.outer())
 
 
 def check_morphism(mor, bounds):
@@ -443,7 +423,7 @@ def ell_table(lin_table):
 
 
 def apply_hat_pointed(pmap, alg, x):
-    return apply_table_coderivation(alg.space, pmap.table, x)
+    return assembly.apply_coderivation(alg.space, pmap.table, x)
 
 
 def check_pointed(pmap, alg, bounds):

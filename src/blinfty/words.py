@@ -157,6 +157,19 @@ def sort_with_sign(items, parities, keys=None):
     """
     if keys is None:
         keys = items
+    sign = _odd_inversion_sign(keys, parities)
+    if not sign:
+        return None, 0
+    if keys is items:
+        return sorted(items), sign
+    return [items[t] for t in sorted(range(len(items)),
+                                      key=keys.__getitem__)], sign
+
+
+def _odd_inversion_sign(keys, parities):
+    """(-1) to the number of inversions among the keys of odd parity, or 0
+    when two of those keys are equal: the Koszul sign of sorting graded
+    items by key."""
     odd = [k for k, p in zip(keys, parities) if p]
     sign = 1
     for i in range(len(odd) - 1):
@@ -165,11 +178,8 @@ def sort_with_sign(items, parities, keys=None):
             if a > b:
                 sign = -sign
             elif a == b:
-                return None, 0
-    if keys is items:
-        return sorted(items), sign
-    return [items[t] for t in sorted(range(len(items)),
-                                      key=keys.__getitem__)], sign
+                return 0
+    return sign
 
 
 def koszul_pass_sign(operator_parity, prefix_parities):

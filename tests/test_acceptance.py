@@ -15,7 +15,7 @@ import pytest
 
 from blinfty import fixtures
 from blinfty import io as bio
-from blinfty.assembly import apply_inner_coderivation
+from blinfty.assembly import apply_coderivation, apply_inner_coderivation
 from blinfty.cli import main as cli_main
 from blinfty.hierarchy import (HierarchyValue, combine_components_oracle,
                                hierarchy_combine, hierarchy_compare)
@@ -27,12 +27,12 @@ from blinfty.invariants import (default_schedule, order_O, order_O_tilde,
                                 order_multi_tilde, torsion, width)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
-                                apply_hat_phi, apply_table_coderivation,
-                                check_compatibility, check_pointed,
-                                check_structure, ell_table, f_eps,
-                                identity_table, is_augmentation, linearize,
-                                linearize_pointed, pi_single_cluster,
-                                word_to_singletons, zero_table)
+                                apply_hat_phi, check_compatibility,
+                                check_pointed, check_structure, ell_table,
+                                f_eps, identity_table, is_augmentation,
+                                linearize, linearize_pointed,
+                                pi_single_cluster, word_to_singletons,
+                                zero_table)
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis, normalize_word)
 
@@ -201,8 +201,8 @@ def _commutator_corrected(alg, ptab, fb):
         if len(w) < 1:
             continue
         x = EElement.monomial(word_to_singletons(w))
-        com = (apply_hat_p(alg, apply_table_coderivation(sp, fb, x))
-               + apply_table_coderivation(sp, fb, apply_hat_p(alg, x)))
+        com = (apply_hat_p(alg, apply_coderivation(sp, fb, x))
+               + apply_coderivation(sp, fb, apply_hat_p(alg, x)))
         for l, e in pi_single_cluster(com).items():
             key = (len(w), l, w)
             entries[key] = entries.get(key, Element()) + e
@@ -254,8 +254,8 @@ def test_criterion_6_width_monotonicity():
         lin = linearize(alg, eps, bounds)
         for ew in enumerate_basis(alg.space, 3, outer_components=3,
                                   allow_units=False):
-            out = apply_table_coderivation(alg.space, lin,
-                                           EElement.monomial(ew))
+            out = apply_coderivation(alg.space, lin,
+                                     EElement.monomial(ew))
             for ew2 in out.terms:
                 assert width(ew2) >= width(ew), (name, ew, ew2)
                 checked += 1

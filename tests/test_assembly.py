@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from blinfty.errors import IncompleteTableError
-from blinfty.structures import (Bounds, apply_hat_p, apply_hat_phi,
-                                apply_hat_pointed, check_structure,
-                                two_level, BLAlgebra, BLMorphism,
-                                OperationTable, PointedMap, identity_table,
+from blinfty.errors import IncompleteTableError, InternalInconsistencyError
+from blinfty.ibl import IBLAlgebra, apply_hat_p_ibl
+from blinfty.structures import (Augmentation, Bounds, apply_hat_p,
+                                apply_hat_phi, apply_hat_pointed,
+                                check_structure, linearize,
+                                linearize_pointed, two_level,
+                                BLAlgebra, BLMorphism, OperationTable,
+                                PointedMap, identity_table,
                                 word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            Word, enumerate_basis, eword_parity, eword_action,
@@ -161,6 +164,17 @@ def test_incomplete_table_reports():
     x = EElement.monomial(eword(sp, ("q1",), ("q2",), ("q1", "q2")))
     with pytest.raises(IncompleteTableError):
         apply_hat_p(alg, x)
+
+
+def test_partial_morphism_evaluates_one_cluster_of_two_letters():
+    # a block takes at most one letter of a cluster, so a max_k = 1 table
+    # determines the morphism on (a.b): only the blocks {a}, {b} glue
+    sp = space(("a", 0), ("b", 1))
+    ident = OperationTable(sp, 0, identity_table(sp).sorted_entries(),
+                           complete=False, max_k=1)
+    alg = algebra(sp, [])
+    x = EElement.monomial(eword(sp, ("a", "b")))
+    assert apply_hat_phi(BLMorphism(alg, alg, ident), x) == x
 
 
 def test_action_drop_propagates():
@@ -555,3 +569,92 @@ def test_morphism_enumeration_matches_unpruned_sweep(monkeypatch):
                 assert sorted(made) == sorted(admissible), (name, x)
     assert min(seen.values()) >= 40, seen
 
+
+
+def _partial(rng, sp, parity, max_k, genus=False, min_l=0, max_l=2):
+    """A random table with entries of arity at most max_k, declared
+    incomplete above it, and a function that makes a random completion of
+    it: entries of arity max_k+1..max_k+2 added, complete=True."""
+    def entries(top, n):
+        return [(k, l, rng.randrange(2) if genus else 0, w, e)
+                for (k, l, _, w, e) in random_table(
+                    rng, sp, parity=parity, max_k=top, max_l=max_l,
+                    n_entries=n).sorted_entries() if l >= min_l]
+    base = entries(max_k, 3)
+
+    def completion():
+        extra = [e for e in entries(max_k + 2, 8) if e[0] > max_k]
+        return OperationTable(sp, parity, base + extra)
+    return (OperationTable(sp, parity, base, complete=False, max_k=max_k),
+            completion)
+
+
+def test_partial_tables_never_read_a_missing_arity_as_zero():
+    # every entry point on random incomplete tables either raises
+    # IncompleteTableError or equals its value under random completions
+    rng = random.Random(9191)
+    seen = {}  # entry point -> [raised, returned nonzero]
+
+    def check(name, evaluate, tables):
+        got = _outcome(lambda: evaluate(*[t for t, _ in tables]))
+        counts = seen.setdefault(name, [0, 0])
+        if got == "incomplete":
+            counts[0] += 1
+            return
+        counts[1] += bool(got) and not isinstance(got, str)
+        for _ in range(2):
+            want = _outcome(lambda: evaluate(*[complete()
+                                               for _, complete in tables]))
+            assert got == want, (name, got, want)
+
+    def linearized(t, u, bounds):
+        # the entries, or the constant term that linearize rejects
+        alg = BLAlgebra(sp, t)
+        try:
+            return linearize(alg, Augmentation(alg, u),
+                             bounds).sorted_entries()
+        except InternalInconsistencyError as e:
+            return str(e)
+
+    def linearized_pointed(t, u, bounds):
+        alg = algebra(sp, [])
+        return linearize_pointed(PointedMap(alg, t), alg, Augmentation(alg, u),
+                                 bounds).sorted_entries()
+
+    for _ in range(100):
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(rng.randint(2, 3))])
+        p = _partial(rng, sp, 1, rng.choice((1, 2)))
+        q = _partial(rng, sp, rng.randrange(2), rng.choice((1, 2)))
+        m = _partial(rng, sp, 0, rng.choice((1, 2)))
+        b = _partial(rng, sp, 1, rng.choice((1, 2)), max_l=1)
+        g = _partial(rng, sp, 1, rng.choice((1, 2)), genus=True)
+        e = _partial(rng, sp, 0, rng.choice((1, 2)), max_l=0)
+        alg = algebra(sp, [])
+        x = EElement.monomial(_random_outer_word(rng, sp))
+        xh = EElement.monomial(EWord(_random_outer_word(rng, sp).clusters,
+                                     hbar=rng.randrange(2)))
+        w = Element.monomial(normalize_word(sp, [
+            rng.randrange(len(sp)) for _ in range(rng.randint(1, 3))])[0])
+        check("coderivation",
+              lambda t: assembly.apply_coderivation(sp, t, x), [p])
+        check("inner",
+              lambda t: assembly.apply_inner_coderivation(sp, t, w), [p])
+        check("multi", lambda t, u: assembly.apply_multi_pointed(
+            sp, [(t, t.parity), (u, u.parity)], x), [p, q])
+        check("ibl", lambda t: assembly.apply_ibl(sp, t, xh, 2), [g])
+        check("morphism", lambda t: assembly.apply_morphism(sp, t, x), [m])
+        check("bullet", lambda t, u: assembly.apply_morphism(
+            sp, t, x, bullet_table=u, bullet_parity=1), [m, b])
+        check("hat_p", lambda t: apply_hat_p(BLAlgebra(sp, t), x), [p])
+        check("hat_phi",
+              lambda t: apply_hat_phi(BLMorphism(alg, alg, t), x), [m])
+        check("hat_p_ibl",
+              lambda t: apply_hat_p_ibl(IBLAlgebra(sp, t), xh, 2), [g])
+        bounds = Bounds(rng.randint(1, 3))
+        check("linearize", lambda t, u: linearized(t, u, bounds),
+              [_partial(rng, sp, 1, rng.choice((1, 2)), min_l=1), e])
+        check("linearize_pointed",
+              lambda t, u: linearized_pointed(t, u, bounds), [q, e])
+    assert all(raised >= 5 and nonzero >= 5
+               for raised, nonzero in seen.values()), seen

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from blinfty import fixtures, invariants
+from blinfty.assembly import apply_coderivation
 from blinfty.errors import (InconclusiveError, NotNilpotentError,
                             PlanarityNotOneError, StructureError)
 from blinfty.ibl import IBLAlgebra, torsion_grid
@@ -19,10 +20,9 @@ from blinfty.invariants import (TorsionAnswer, UModule, bar_B_k,
                                 _apply_inner_morphism, _multi_linearized)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
-                                apply_table_coderivation, check_structure,
-                                ell_table, is_augmentation, linearize,
-                                linearize_pointed, identity_table, zero_table,
-                                word_to_singletons)
+                                check_structure, ell_table, is_augmentation,
+                                linearize, linearize_pointed, identity_table,
+                                zero_table, word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis)
 
@@ -282,8 +282,8 @@ def test_width_monotonicity_on_fixtures():
             lin = linearize(alg, eps, B3)
             for ew in enumerate_basis(alg.space, 3, outer_components=2,
                                       allow_units=False):
-                out = apply_table_coderivation(alg.space, lin,
-                                               EElement.monomial(ew))
+                out = apply_coderivation(alg.space, lin,
+                                         EElement.monomial(ew))
                 for ew2 in out.terms:
                     assert width(ew2) >= width(ew), (name, ew, ew2)
 
@@ -298,8 +298,8 @@ def test_width_projection_idempotent_rule():
                               allow_units=False):
         x = EElement.monomial(ew)
         lhs = project_width(
-            apply_table_coderivation(alg.space, lin, project_width(x, m)), m)
-        rhs = project_width(apply_table_coderivation(alg.space, lin, x), m)
+            apply_coderivation(alg.space, lin, project_width(x, m)), m)
+        rhs = project_width(apply_coderivation(alg.space, lin, x), m)
         assert (not project_width(x, m)) or lhs == rhs
 
 
@@ -310,11 +310,11 @@ def test_pointed_eps_respects_unit_splitting():
     lpt = linearize_pointed(pmap, alg, eps, B3)
     sp = alg.space
     units = EElement.monomial(EWord((UNIT_WORD, UNIT_WORD)))
-    assert not apply_table_coderivation(sp, lpt, units)
+    assert not apply_coderivation(sp, lpt, units)
     a = EElement.monomial(eword(sp, ("g",)))
     a1 = EElement.monomial(eword(sp, ("g",), ()))
-    lhs = apply_table_coderivation(sp, lpt, a1)
-    rhs = apply_table_coderivation(sp, lpt, a)
+    lhs = apply_coderivation(sp, lpt, a1)
+    rhs = apply_coderivation(sp, lpt, a)
     # appending a unit cluster to the result matches acting before appending
     appended = EElement({EWord(tuple(sorted(ew.clusters + (UNIT_WORD,),
                                             key=lambda c: c.key())),
@@ -622,9 +622,9 @@ def test_inner_coderivation_matches_projected_outer():
                 inner = apply_inner_coderivation(alg.space, lt,
                                                  Element.monomial(w))
                 outer = project_width(
-                    apply_table_coderivation(alg.space, lin,
-                                             EElement.monomial(
-                                                 word_to_singletons(w))), 1)
+                    apply_coderivation(alg.space, lin,
+                                       EElement.monomial(
+                                           word_to_singletons(w))), 1)
                 flattened = {}
                 for ew, c in outer.terms.items():
                     letters = tuple(sorted(l for cl in ew.clusters
@@ -666,7 +666,8 @@ def test_generic_probe_detects_dependence_through_letter_raising():
     ptab = table(sp, 0, [(1, 3, ("a",), [(1, ("b", "b", "b"))]),
                          (1, 0, ("b",), [(1, ())])])
     pmap = PointedMap(alg, ptab)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError,
+                       match="depends on the augmentation at cell"):
         planarity(alg, [], pmap, Bounds(2, word_bound=2))
 
 

@@ -14,7 +14,7 @@ from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 compose, ell_table, f_eps, identity_table,
                                 is_augmentation, linearize, linearize_pointed,
                                 word_to_singletons, zero_table,
-                                apply_table_coderivation, pi_single_cluster)
+                                pi_single_cluster)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            Word, enumerate_basis)
 from blinfty import assembly
@@ -423,8 +423,8 @@ def commutator_pointed(alg, phi_bullet, parity_bullet):
         if len(w) < 1:
             continue
         x = EElement.monomial(word_to_singletons(w))
-        com = (apply_hat_p(alg, apply_table_coderivation(sp, phi_bullet, x))
-               - sgn * apply_table_coderivation(
+        com = (apply_hat_p(alg, assembly.apply_coderivation(sp, phi_bullet, x))
+               - sgn * assembly.apply_coderivation(
                    sp, phi_bullet, apply_hat_p(alg, x)))
         for l, e in pi_single_cluster(com).items():
             entries[(len(w), l, w)] = e
