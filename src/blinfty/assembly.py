@@ -26,6 +26,20 @@ does not cover skips that entry test, and so do the blocks after it, so
 the step raises IncompleteTableError wherever the sum over all set
 partitions would.
 
+A caller that keeps only the single-cluster part (pi_1) passes
+single_cluster=True to apply_coderivation or apply_morphism, and the
+enumerations then make only block lists whose glued graph is connected:
+the one arity that reaches every lettered cluster, or the forests of
+exactly letters - clusters + 1 blocks.  Unit clusters beside the others
+still pass through, so the caller's projection stays.  The block lists
+are a subset of the full ones, so a partial table raises on a subset of
+the inputs where the full evaluation raises.  Without a bullet table the
+two sets are equal: both evaluations raise exactly when the lettered
+clusters outnumber the covered arities (the coverage check on the reach,
+or the connected block that takes one letter of every cluster).  With a
+bullet table, the full evaluation may raise where the single-cluster one
+does not.
+
 Signs are handled in the step only.  The consumed letters are moved to the
 front block by block (Koszul crossings of odd letters), an operation of
 odd parity passes the letters of the blocks before it, and the outputs and
@@ -42,11 +56,13 @@ from .words import (EElement, Element, _normalize_indices, _odd_inversion_sign,
                     koszul_pass_sign, normalize_clusters, word_to_singletons)
 
 
-def apply_coderivation(space, table, x):
+def apply_coderivation(space, table, x, *, single_cluster=False):
     """Apply the coderivation assembled from a (k,l) operation table: one
     letter from each of k distinct clusters, those clusters merging into
-    (output letters) * (leftovers)."""
-    return _glue(space, space, x, _operation_blocks([(table, table.parity)]))
+    (output letters) * (leftovers).  With single_cluster, only the arity
+    that merges every lettered cluster is glued."""
+    return _glue(space, space, x, _operation_blocks(
+        [(table, table.parity)], single_cluster=single_cluster))
 
 
 def apply_inner_coderivation(space, table, element):
@@ -74,7 +90,7 @@ def apply_ibl(space, table, x, hbar_cap):
 
 
 def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
-                   target_space=None):
+                   target_space=None, *, single_cluster=False):
     """Apply the assembled morphism of a (k,l) table to an outer element.
 
     Every letter is consumed by exactly one block and the glued graph must
@@ -87,7 +103,8 @@ def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
     its table has a nonzero entry on its normalized word.  A block whose
     size its table does not cover is admitted untested, and so is every
     block after it, so the gluing step raises IncompleteTableError exactly
-    where the sum over all set partitions would.
+    where the sum over all set partitions would.  With single_cluster,
+    only the block lists whose glued graph is connected are made.
     """
     tgt = target_space if target_space is not None else space
     tables = [(table, 0)]
@@ -105,28 +122,34 @@ def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
         return tested[t, word]
 
     return _glue(space, tgt, x, lambda owner, letters: _set_partitions(
-        (owner, letters, tables, has_entry)))
+        (owner, letters, tables, has_entry, single_cluster)))
 
 
 def _set_partitions(search):
     """The admissible block lists of one outer word for apply_morphism.
 
-    search is (owner, letters, tables, has_entry): owner[p] and letters[p]
-    are the cluster and generator of letter p; tables lists the (table,
-    parity) a block may use, a second one being the bullet, which exactly
-    one block uses; has_entry(t, block letters) is the entry test in
-    tables[t].  Blocks come in ascending order of their first letter.
+    search is (owner, letters, tables, has_entry, single_cluster):
+    owner[p] and letters[p] are the cluster and generator of letter p;
+    tables lists the (table, parity) a block may use, a second one being
+    the bullet, which exactly one block uses; has_entry(t, block letters)
+    is the entry test in tables[t].  Blocks come in ascending order of
+    their first letter.  A forest over the lettered clusters is connected
+    exactly when it has letters - clusters + 1 blocks, so single_cluster
+    fixes the number of blocks still needed (need; None when free).
     """
-    owner, letters, tables, has_entry = search
+    owner, letters, tables, has_entry, single_cluster = search
     sizes = [set(tab.input_sizes()) for tab, _ in tables]
 
-    def extend(free, comp, chosen, bullet_left, untested):
+    def extend(free, comp, chosen, bullet_left, untested, need):
         if not free:
             if not bullet_left:
                 yield chosen
             return
         first, rest = free[0], free[1:]
-        for k in range(1, len(free) + 1):
+        # the blocks after this one take at least one letter each, and the
+        # last one takes every letter left
+        top = len(free) if need is None else len(free) - need + 1
+        for k in range(top if need == 1 else 1, top + 1):
             options = []  # (table index, admitted without the entry test)
             for t, (tab, _) in enumerate(tables):
                 if t and not bullet_left:
@@ -152,14 +175,18 @@ def _set_partitions(search):
                 for t, skip in admitted:
                     yield from extend(remaining, merged,
                                       chosen + [(block, *tables[t])],
-                                      bullet_left and not t, skip)
+                                      bullet_left and not t, skip,
+                                      None if need is None else need - 1)
 
+    need = None
+    if single_cluster and owner:
+        need = len(owner) - len(set(owner)) + 1
     yield from extend(tuple(range(len(owner))),
                       list(range(max(owner, default=0) + 1)), [],
-                      len(tables) == 2, False)
+                      len(tables) == 2, False, need)
 
 
-def _operation_blocks(tables, one_per_cluster=True):
+def _operation_blocks(tables, one_per_cluster=True, single_cluster=False):
     """Coderivation-type block lists: one block per (table, parity) in
     order, each taking one of the table's input sizes from the letters the
     blocks before it left free.
@@ -167,7 +194,8 @@ def _operation_blocks(tables, one_per_cluster=True):
     A block can reach as many letters as there are clusters among them
     (letters, when not one per cluster); a listed table that does not
     cover that many raises IncompleteTableError, since only its entered
-    input sizes are enumerated."""
+    input sizes are enumerated.  With single_cluster (one table, one per
+    cluster), only the arity equal to that reach is enumerated."""
     def blocks_of(owner, letters):
         reach = len(set(owner)) if one_per_cluster else len(owner)
         for table, _ in tables:
@@ -179,6 +207,7 @@ def _operation_blocks(tables, one_per_cluster=True):
                         [p for p in free if p not in pick])
                        for chosen, free in partial
                        for k in table.input_sizes()
+                       if not single_cluster or k == reach
                        for pick in _picks(free, owner, k, one_per_cluster)]
         return [chosen for chosen, _ in partial]
     return blocks_of

@@ -444,8 +444,10 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
     f_plus_tgt = f_eps(eps_target, +1)
     sp_src, sp_tgt = phi.source.space, phi.target.space
     phi_eps = _split_word_table(
-        sp_src, lambda x: apply_hat_phi(
-            f_plus_tgt, apply_hat_phi(phi, apply_hat_phi(f_minus_src, x))),
+        sp_src, lambda x: assembly.apply_morphism(
+            f_plus_tgt.source.space, f_plus_tgt.table,
+            apply_hat_phi(phi, apply_hat_phi(f_minus_src, x)),
+            single_cluster=True),
         0, bounds, target=sp_tgt, constants=False)
     transported = _apply_inner_morphism(sp_src, sp_tgt, ell_table(phi_eps),
                                         src_answer.certificate)

@@ -4,14 +4,15 @@ Grammar (line oriented, '#' comments):
 
     format blinfty 1
     gen <name> parity <0|1> [zdeg <int>] [action <p>/<q>]
-    table <kind> <name> parity <0|1> [hbar]
+    table <kind> <name> parity <0|1> [hbar] [max_k <n>]
     op <k> <l> [genus <g>] : <word> -> <coef> <word> [+ <coef> <word> ...]
     chain <name> : <coef> [h<n>] <eword> [+ ...]
     bounds max_letters <n> [max_action <p>/<q>] [hbar_max <n>] [action_drop]
 
 Words are middle-dot-joined generator names or 1; outer words join clusters
 with a circled dot.  Canonical serialization sorts ops by (k, l, g, input)
-and round-trips byte-identically.
+and round-trips byte-identically.  A table line with max_k declares a
+partial table: its absent cells are zero up to arity max_k only.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 
 
 class TableBlock:
-    def __init__(self, kind, name, parity, is_hbar, ops):
+    def __init__(self, kind, name, parity, is_hbar, ops, max_k=None):
         self.kind = kind
         self.name = name
         self.parity = parity
         self.is_hbar = is_hbar
         self.ops = ops  # list of (k, l, g, input Word, Element)
+        self.max_k = max_k  # None for a complete table
 
 
 class ChainBlock:
@@ -129,6 +131,8 @@ def serialize(doc):
         head = ["table", t.kind, t.name, "parity", str(t.parity)]
         if t.is_hbar:
             head.append("hbar")
+        if t.max_k is not None:
+            head += ["max_k", str(t.max_k)]
         lines.append(" ".join(head))
         for (k, l, g, w_in, elem) in sorted(
                 t.ops, key=lambda op: (op[0], op[1], op[2], op[3].key())):
@@ -216,24 +220,26 @@ def parse(text):
         elif head == "table":
             sp = close_space(line_no)
             if len(toks) < 5 or toks[3] != "parity":
-                raise ParseError(line_no,
-                                 "expected: table KIND NAME parity P [hbar]")
+                raise ParseError(line_no, "expected: table KIND NAME parity P"
+                                 " [hbar] [max_k N]")
             kind, name = toks[1], toks[2]
             if kind not in KINDS:
                 raise ParseError(line_no, "unknown table kind %r" % kind)
             parity = _parse_int(toks[4], line_no)
-            is_hbar = False
-            if len(toks) == 6:
-                if toks[5] != "hbar":
-                    raise ParseError(line_no, "trailing junk %r" % toks[5])
-                is_hbar = True
-            elif len(toks) > 6:
-                raise ParseError(line_no, "trailing junk")
+            opts = _keyed(toks[5:], line_no, {"max_k"}, flags={"hbar"})
+            if any(toks[5:].count(t) > 1 for t in ("hbar", "max_k")):
+                raise ParseError(line_no, "repeated table option")
+            is_hbar = "hbar" in opts
+            max_k = None
+            if "max_k" in opts:
+                max_k = _parse_int(opts["max_k"], line_no)
+                if max_k < 0:
+                    raise ParseError(line_no, "max_k must be >= 0")
             if kind == "ibl" and not is_hbar:
                 raise ParseError(line_no, "ibl tables must declare hbar")
             if is_hbar and kind != "ibl":
                 raise ParseError(line_no, "only ibl tables declare hbar")
-            current = TableBlock(kind, name, parity, is_hbar, [])
+            current = TableBlock(kind, name, parity, is_hbar, [], max_k)
             tables.append(current)
         elif head == "op":
             if current is None:
@@ -366,20 +372,26 @@ def _parse_chain_body(sp, body, line_no):
 # ---------------------------------------------------------------------------
 # documents <-> typed objects
 
+def _declared_max_k(table):
+    return None if table.complete else table.max_k
+
+
 def document_of_algebra(alg, bounds=None):
     block = TableBlock("structure", "p", alg.table.parity, False,
-                       alg.table.sorted_entries())
+                       alg.table.sorted_entries(), _declared_max_k(alg.table))
     return Document(alg.space, [block], (), bounds)
 
 
 def document_of_ibl(ialg, bounds=None):
-    block = TableBlock("ibl", "p", 1, True, ialg.table.sorted_entries())
+    block = TableBlock("ibl", "p", 1, True, ialg.table.sorted_entries(),
+                       _declared_max_k(ialg.table))
     return Document(ialg.space, [block], (), bounds)
 
 
-def table_from_block(space, block, action_drop=False):
-    return OperationTable(space, block.parity, block.ops, complete=True,
-                          action_drop=action_drop)
+def table_from_block(space, block, action_drop=False, target=None):
+    return OperationTable(space, block.parity, block.ops,
+                          complete=block.max_k is None, max_k=block.max_k,
+                          target=target, action_drop=action_drop)
 
 
 def algebra_from_document(doc):
@@ -395,16 +407,17 @@ def ibl_from_document(doc):
     block = doc.table("ibl")
     if block is None:
         raise StructureError("document has no ibl table")
-    return IBLAlgebra(doc.space, OperationTable(doc.space, 1, block.ops))
+    return IBLAlgebra(doc.space, OperationTable(
+        doc.space, 1, block.ops, complete=block.max_k is None,
+        max_k=block.max_k))
 
 
 def augmentation_from_document(doc, alg):
     block = doc.table("augmentation")
     if block is None:
         raise StructureError("document has no augmentation table")
-    tab = OperationTable(alg.space, block.parity, block.ops, complete=True,
-                         target=GradedSpace(()))
-    return Augmentation(alg, tab)
+    return Augmentation(alg, table_from_block(alg.space, block,
+                                              target=GradedSpace(())))
 
 
 def pointed_from_document(doc, alg):

@@ -155,8 +155,14 @@ class OperationTable:
                 for (k, l, g) in sorted(self._cells)
                 for w in sorted(self._cells[k, l, g], key=lambda w: w.key())]
 
+    def _coverage(self):
+        """What the table says about arities it has no entry for: max_k
+        bounds the zero cells of a partial table only."""
+        return (self.complete, None if self.complete else self.max_k)
+
     def __eq__(self, other):
         return (isinstance(other, OperationTable) and self.parity == other.parity
+                and self._coverage() == other._coverage()
                 and self._cells == other._cells)
 
 
@@ -261,8 +267,16 @@ def two_level(alg, k, l, word):
 
 
 def _two_level_all(alg, word):
+    """pi_{1,l} of p-hat squared on the split word, for every l.
+
+    The second p-hat glues only the arity that merges every cluster
+    (single_cluster), so no term is made only to be projected away.  A
+    partial table raises exactly where the full square does: the
+    coderivation's coverage check looks at the clusters, not at the
+    arities it enumerates."""
     x = EElement.monomial(word_to_singletons(word))
-    z = apply_hat_p(alg, apply_hat_p(alg, x))
+    z = assembly.apply_coderivation(alg.space, alg.table,
+                                    apply_hat_p(alg, x), single_cluster=True)
     return pi_single_cluster(z)
 
 
@@ -327,7 +341,15 @@ def _split_word_table(space, image, parity, bounds, target=None,
     """The table of pi_{1,l} o image on split words: for each basis word,
     the single-cluster parts of image on its letters taken one per
     cluster.  With constants=False a nonzero l = 0 part raises
-    InternalInconsistencyError."""
+    InternalInconsistencyError.
+
+    Every caller's image ends in apply_morphism(..., single_cluster=True),
+    which makes only the connected block lists of its last stage.  That is
+    a subset of the full block lists, so a partial table raises
+    IncompleteTableError on at most the inputs where the full image
+    raises; with no bullet table, as here, on exactly those (see
+    assembly).  The image is still projected here, since unit clusters
+    beside the others pass through."""
     entries = []
     for word in _split_words(space, bounds):
         x = EElement.monomial(word_to_singletons(word))
@@ -355,7 +377,8 @@ def compose(psi, phi, bounds):
         y = assembly.apply_morphism(phi.source.space, phi.table, x,
                                     target_space=mid)
         return assembly.apply_morphism(mid, psi.table, y,
-                                       target_space=psi.target.space)
+                                       target_space=psi.target.space,
+                                       single_cluster=True)
     table = _split_word_table(phi.source.space, image, 0, bounds,
                               target=psi.target.space)
     return BLMorphism(phi.source, psi.target, table)
@@ -395,8 +418,10 @@ def _linearize_table(space, optable, eps, bounds, parity, constants):
     """pi_{1,l} o F_eps-hat o (the coderivation of optable) on split words."""
     f_mor = f_eps(eps, +1)
     return _split_word_table(
-        space, lambda x: apply_hat_phi(
-            f_mor, assembly.apply_coderivation(space, optable, x)),
+        space, lambda x: assembly.apply_morphism(
+            f_mor.source.space, f_mor.table,
+            assembly.apply_coderivation(space, optable, x),
+            single_cluster=True),
         parity, bounds, constants=constants)
 
 

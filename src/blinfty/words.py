@@ -324,7 +324,7 @@ def enumerate_basis(space, max_letters, max_action=None, outer_components=None,
         for i in range(start, len(nonunit)):
             w = nonunit[i]
             if len(w) > letters_left:
-                continue
+                break  # nonunit comes in ascending length
             act = space.word_action(w.letters) if max_action is not None else None
             if act is not None and act > action_left:
                 continue

@@ -7,10 +7,10 @@ from blinfty.errors import IncompleteTableError, InternalInconsistencyError
 from blinfty.ibl import IBLAlgebra, apply_hat_p_ibl
 from blinfty.structures import (Augmentation, Bounds, apply_hat_p,
                                 apply_hat_phi, apply_hat_pointed,
-                                check_structure, linearize,
-                                linearize_pointed, two_level,
-                                BLAlgebra, BLMorphism, OperationTable,
-                                PointedMap, identity_table,
+                                check_structure, compose, linearize,
+                                linearize_pointed, pi_single_cluster,
+                                two_level, BLAlgebra, BLMorphism,
+                                OperationTable, PointedMap, identity_table,
                                 word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            Word, enumerate_basis, eword_parity, eword_action,
@@ -493,6 +493,15 @@ def _random_outer_word(rng, sp):
                 return ew
 
 
+def _nonzero_word(rng, sp, top=3):
+    """A random nonzero normalized word of 1..top letters."""
+    while True:
+        w, sign = normalize_word(sp, [rng.randrange(len(sp))
+                                      for _ in range(rng.randint(1, top))])
+        if sign:
+            return w
+
+
 def _owner_and_letters(ew):
     return ([ci for ci, c in enumerate(ew.clusters) for _ in c.letters],
             [l for c in ew.clusters for l in c.letters])
@@ -656,5 +665,108 @@ def test_partial_tables_never_read_a_missing_arity_as_zero():
               [_partial(rng, sp, 1, rng.choice((1, 2)), min_l=1), e])
         check("linearize_pointed",
               lambda t, u: linearized_pointed(t, u, bounds), [q, e])
+        check("compose", lambda t, u: compose(
+            BLMorphism(alg, alg, t), BLMorphism(alg, alg, u),
+            bounds).table.sorted_entries(),
+              [m, _partial(rng, sp, 0, rng.choice((1, 2)))])
+        w_in = _nonzero_word(rng, sp)
+        check("two_level", lambda t: [
+            (l, cell) for l in range(5)
+            for cell in [two_level(BLAlgebra(sp, t), len(w_in), l, w_in)]
+            if cell], [p])
     assert all(raised >= 5 and nonzero >= 5
                for raised, nonzero in seen.values()), seen
+
+
+def test_single_cluster_enumeration_matches_projected_full_sweep():
+    # with single_cluster the enumerations make only connected block lists:
+    # the single-cluster part must equal that of the full evaluation and of
+    # the oracles.  On partial tables the coderivation and the morphism
+    # raise exactly where the full ones do (both raise when the lettered
+    # clusters outnumber the covered arities); with a bullet table the
+    # morphism raises on a subset
+    rng = random.Random(6161)
+    seen = dict.fromkeys(["coderivation", "morphism", "bullet",
+                          "coderivation raised", "morphism raised",
+                          "bullet raised"], 0)
+
+    def projected(evaluate):
+        got = _outcome(evaluate)
+        return got if got == "incomplete" else pi_single_cluster(got)
+
+    for _ in range(150):
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(rng.randint(2, 3))])
+        p = random_table(rng, sp, parity=1, n_entries=4, max_k=3, max_l=2)
+        m = random_table(rng, sp, parity=0, n_entries=5, max_k=3, max_l=2)
+        bullet = random_table(rng, sp, parity=1, n_entries=3, max_k=3,
+                              max_l=1)
+        p_inc, _ = _partial(rng, sp, 1, rng.choice((1, 2)))
+        m_inc, _ = _partial(rng, sp, 0, rng.choice((1, 2)))
+        b_inc, _ = _partial(rng, sp, 1, rng.choice((1, 2)), max_l=1)
+        ews = [_random_outer_word(rng, sp) for _ in range(3)]
+        if rng.randrange(2):  # a split word, as the callers feed
+            ews[0] = word_to_singletons(_nonzero_word(rng, sp, 4))
+        for ew in ews:
+            x = EElement.monomial(ew)
+            sc = pi_single_cluster(assembly.apply_coderivation(
+                sp, p, x, single_cluster=True))
+            assert sc == pi_single_cluster(
+                assembly.apply_coderivation(sp, p, x)), ew
+            assert sc == pi_single_cluster(oracle_hat_p(sp, p, ew)), ew
+            seen["coderivation"] += bool(sc)
+            sc = pi_single_cluster(assembly.apply_morphism(
+                sp, m, x, single_cluster=True))
+            assert sc == pi_single_cluster(assembly.apply_morphism(sp, m, x))
+            assert sc == pi_single_cluster(oracle_hat_phi(sp, sp, m, ew)), ew
+            seen["morphism"] += bool(sc)
+            sc = pi_single_cluster(assembly.apply_morphism(
+                sp, m, x, bullet_table=bullet, bullet_parity=1,
+                single_cluster=True))
+            assert sc == pi_single_cluster(oracle_hat_phi(
+                sp, sp, m, ew, bullet_table=bullet, bullet_parity=1)), ew
+            seen["bullet"] += bool(sc)
+
+            for name, evaluate in [
+                    ("coderivation", lambda **kw: assembly.apply_coderivation(
+                        sp, p_inc, x, **kw)),
+                    ("morphism", lambda **kw: assembly.apply_morphism(
+                        sp, m_inc, x, **kw))]:
+                sc = projected(lambda: evaluate(single_cluster=True))
+                assert sc == projected(evaluate), (name, ew)
+                seen[name + " raised"] += sc == "incomplete"
+            sc = projected(lambda: assembly.apply_morphism(
+                sp, m_inc, x, bullet_table=b_inc, bullet_parity=1,
+                single_cluster=True))
+            full = projected(lambda: assembly.apply_morphism(
+                sp, m_inc, x, bullet_table=b_inc, bullet_parity=1))
+            if sc == "incomplete":
+                assert full == "incomplete", ew
+                seen["bullet raised"] += 1
+            elif full != "incomplete":
+                assert sc == full, ew
+    assert min(seen.values()) >= 10, seen
+
+
+def test_single_cluster_bullet_morphism_need_not_raise():
+    # on (a)(b)(c) the full pointed morphism makes the list bullet{a},
+    # main{b, c}, whose main block is beyond max_k = 1, and raises; the one
+    # connected list is a single bullet block, which has no entry.  Every
+    # completion adds only arities 2-3 to main, so its single-cluster part
+    # is 0, which the single-cluster evaluation returns
+    sp = space(("a", 1), ("b", 0), ("c", 0))
+    main = table(sp, 0, [(1, 1, (g,), [(1, (g,))]) for g in "abc"],
+                 complete=False, max_k=1)
+    bullet = table(sp, 1, [(1, 1, ("a",), [(1, ("b",))])],
+                   complete=False, max_k=3)
+    x = EElement.monomial(eword(sp, ("a",), ("b",), ("c",)))
+    with pytest.raises(IncompleteTableError):
+        assembly.apply_morphism(sp, main, x, bullet_table=bullet,
+                                bullet_parity=1)
+    got = assembly.apply_morphism(sp, main, x, bullet_table=bullet,
+                                  bullet_parity=1, single_cluster=True)
+    assert pi_single_cluster(got) == {}
+    full = table(sp, 0, [(1, 1, (g,), [(1, (g,))]) for g in "abc"]
+                 + [(2, 1, ("b", "c"), [(1, ("b",))])])
+    assert pi_single_cluster(assembly.apply_morphism(
+        sp, full, x, bullet_table=bullet, bullet_parity=1)) == {}

@@ -8,7 +8,7 @@ from blinfty import io as bio
 from blinfty.cli import main as cli_main
 from blinfty.errors import ParseError
 from blinfty.ibl import IBLAlgebra
-from blinfty.structures import Bounds, OperationTable
+from blinfty.structures import BLAlgebra, Bounds, OperationTable
 from blinfty.words import (Element, EWord, Generator, GradedSpace, UNIT_WORD,
                            Word, enumerate_basis, normalize_word)
 
@@ -101,6 +101,36 @@ def test_malformed_rational_rejected():
 
 def test_noncanonical_word_rejected():
     bad = PLANAR_DOC.replace("q1·q2", "q2·q1")
+    with pytest.raises(ParseError):
+        bio.parse(bad)
+
+
+def test_partial_table_round_trip_keeps_completeness():
+    # a partial table's max_k goes on its table line and comes back; a
+    # complete table's line is unchanged
+    doc = bio.parse(PLANAR_DOC)
+    alg = bio.algebra_from_document(doc)
+    partial = BLAlgebra(alg.space, OperationTable(
+        alg.space, 1, alg.table.sorted_entries(), complete=False, max_k=3))
+    text = bio.serialize(bio.document_of_algebra(partial, doc.bounds))
+    assert "\ntable structure p parity 1 max_k 3\n" in text
+    assert bio.serialize(bio.parse(text)) == text
+    again = bio.algebra_from_document(bio.parse(text))
+    assert (again.table.complete, again.table.max_k) == (False, 3)
+    assert again.table == partial.table != alg.table
+    assert bio.serialize(bio.document_of_algebra(alg, doc.bounds)) == \
+        PLANAR_DOC.split("\n", 1)[1]
+    ialg = IBLAlgebra(alg.space, partial.table)
+    text = bio.serialize(bio.document_of_ibl(ialg))
+    assert "\ntable ibl p parity 1 hbar max_k 3\n" in text
+    assert bio.ibl_from_document(bio.parse(text)).table == partial.table
+
+
+@pytest.mark.parametrize("head", ["max_k -1", "max_k", "max_k 2 junk",
+                                  "max_k 2 max_k 3"])
+def test_bad_table_max_k_rejected(head):
+    bad = PLANAR_DOC.replace("table structure p parity 1",
+                             "table structure p parity 1 " + head)
     with pytest.raises(ParseError):
         bio.parse(bad)
 

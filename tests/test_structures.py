@@ -64,6 +64,22 @@ def test_table_genus_axis():
         OperationTable(sp, 1, [(1, 0, 2, q, e2), (1, 0, 2, q, e0)])
 
 
+def test_table_equality_compares_coverage():
+    # a partial table reads arities above max_k as unknown, so it differs
+    # from the complete table with the same cells; a complete table's max_k
+    # bounds nothing
+    sp = space(("a", 0), ("b", 1))
+    partial = OperationTable(sp, 1, (), complete=False, max_k=1)
+    assert partial != zero_table(sp)
+    assert partial != OperationTable(sp, 1, (), complete=False, max_k=2)
+    assert partial == OperationTable(sp, 1, (), complete=False, max_k=1)
+    assert OperationTable(sp, 1, (), max_k=3) == zero_table(sp)
+    x = EElement.monomial(eword(sp, ("a",), ("b",)))
+    assert not assembly.apply_coderivation(sp, zero_table(sp), x)
+    with pytest.raises(IncompleteTableError):
+        assembly.apply_coderivation(sp, partial, x)
+
+
 def test_table_rejects_unnormalized_input():
     sp = space(("a", 0), ("b", 0))
     with pytest.raises(StructureError):

@@ -265,3 +265,48 @@ def test_sort_with_sign_matches_bubble_oracle_seeded():
             assert got[0] == [distinct[r] for r in want[0]]
         signs.append(want[1])
     assert min(signs.count(s) for s in (-1, 0, 1)) >= 100
+
+
+def _brute_force_ewords(sp, max_letters, max_action, outer_components,
+                        allow_units, max_cluster_letters):
+    """Every nonzero multiset of 1..outer_components words within the
+    letter, action and cluster-size bounds, normalized and sorted."""
+    words = enumerate_basis(sp, max_letters, max_action)
+    if max_cluster_letters is not None:
+        words = [w for w in words if len(w) <= max_cluster_letters]
+    if not allow_units:
+        words = [w for w in words if len(w)]
+    out = set()
+    for r in range(1, outer_components + 1):
+        for combo in itertools.combinations_with_replacement(words, r):
+            if sum(len(w) for w in combo) > max_letters:
+                continue
+            if max_action is not None and sum(
+                    sp.word_action(w.letters) for w in combo) > max_action:
+                continue
+            ew, sign = normalize_clusters(sp, combo)
+            if sign:
+                out.add(ew)
+    return sorted(out, key=lambda e: e.key())
+
+
+def test_enumerate_ewords_matches_brute_force_seeded():
+    # the outer-word enumeration stops at the first word longer than the
+    # letters left; the output must be every admissible multiset, in order
+    rng = random.Random(3131)
+    for trial in range(80):
+        n = rng.randint(1, 3)
+        with_action = trial % 2 == 0
+        sp = space(*[("g%d" % i, rng.randrange(2))
+                     + ((rng.randint(1, 3),) if with_action else ())
+                     for i in range(n)])
+        ml = rng.randint(0, 4) if trial < 8 else rng.randint(2, 4)
+        ma = Fraction(rng.randint(2, 8), rng.choice((1, 2))) \
+            if with_action else None
+        oc = rng.randint(1, 3)
+        units = rng.random() < 0.7
+        mcl = rng.choice((None, 1, 2))
+        got = enumerate_basis(sp, ml, ma, outer_components=oc,
+                              allow_units=units, max_cluster_letters=mcl)
+        assert got == _brute_force_ewords(sp, ml, ma, oc, units, mcl), (
+            sp.parities, ml, ma, oc, units, mcl)
