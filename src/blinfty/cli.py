@@ -189,7 +189,7 @@ def cmd_linearize(args, rep):
     rep.add("ell-cells", str(len(ell.cells)))
     if args.certificate:
         block = bio.TableBlock("structure", "p_eps", 1, False,
-                               lin.sorted_entries())
+                               lin.sorted_entries(), max_k=lin.max_k)
         out = bio.Document(alg.space, [block], (), bounds)
         with open(args.certificate, "w", encoding="utf-8") as fh:
             fh.write(bio.serialize(out))

@@ -154,6 +154,19 @@ def pointed_two():
     return alg, PointedMap(alg, tab)
 
 
+def order_ladder(n):
+    """The rung of order exactly n: even generators g1..gn, structure zero,
+    the n-letter functional g1*...*gn -> 1 as the pointed map.  Rungs 1
+    and 2 are pointed_one and pointed_two up to the generators' names.
+    """
+    if n < 1:
+        raise ValueError("order_ladder needs n >= 1, got %r" % (n,))
+    names = ["g%d" % i for i in range(1, n + 1)]
+    sp = GradedSpace([Generator(g, 0) for g in names])
+    alg = BLAlgebra(sp, zero_table(sp))
+    return alg, PointedMap(alg, _table(sp, 0, [(n, 0, names, [(1, ())])]))
+
+
 def zero_aug(alg):
     return Augmentation(alg, OperationTable(alg.space, 0, (),
                                             target=GradedSpace(())))

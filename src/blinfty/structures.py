@@ -1,5 +1,18 @@
 """Operation tables, algebras with a squared-zero coderivation, morphisms,
-augmentations, linearization and pointed maps."""
+augmentations, linearization and pointed maps.
+
+The structure, augmentation, pointed-map and morphism checks test their
+identity by its connected part: pi_1 of the composite on split words (one
+letter per cluster), in word order, the last gluing stage made with
+single_cluster.  The assembled maps are exponentials of their connected
+parts, as in the exponential form of morphisms in Cieliebak-Fukaya-Latschev
+(arXiv:1508.02741), so the identity holds on the outer words of at most c
+clusters exactly when its connected part vanishes on the split words of at
+most c letters.  The augmentation, pointed-map and morphism checks take
+c = bounds.outer(); the structure check takes every split word within
+max_letters.  The compatibility check still evaluates every outer word of
+the window.
+"""
 
 from __future__ import annotations
 
@@ -263,21 +276,25 @@ def two_level(alg, k, l, word):
     """Sum of all connected two-level gluings: pi_{1,l} of p-hat squared."""
     if len(word) != k:
         raise ValueError("input word has length %d, expected k=%d" % (len(word), k))
-    return _two_level_all(alg, word).get(l, Element())
+    return _connected_part(_p_squared(alg), word).get(l, Element())
 
 
-def _two_level_all(alg, word):
-    """pi_{1,l} of p-hat squared on the split word, for every l.
+def _p_squared(alg):
+    """p-hat squared, the second p-hat gluing only the arity that merges
+    every cluster (single_cluster), so no term is made only to be
+    projected away.  A partial table raises exactly where the full square
+    does: the coderivation's coverage check looks at the clusters, not at
+    the arities it enumerates."""
+    return lambda x: assembly.apply_coderivation(
+        alg.space, alg.table, apply_hat_p(alg, x), single_cluster=True)
 
-    The second p-hat glues only the arity that merges every cluster
-    (single_cluster), so no term is made only to be projected away.  A
-    partial table raises exactly where the full square does: the
-    coderivation's coverage check looks at the clusters, not at the
-    arities it enumerates."""
+
+def _connected_part(image, word):
+    """pi_{1,l} of image on the word split one letter per cluster, for
+    every l: the part of image that glues all of the word's letters into
+    one connected graph."""
     x = EElement.monomial(word_to_singletons(word))
-    z = assembly.apply_coderivation(alg.space, alg.table,
-                                    apply_hat_p(alg, x), single_cluster=True)
-    return pi_single_cluster(z)
+    return pi_single_cluster(image(x))
 
 
 def _first_failure(items, bounds, defect, witness=lambda item, bad: item):
@@ -290,10 +307,30 @@ def _first_failure(items, bounds, defect, witness=lambda item, bad: item):
     return VerifyStatus(True, bounds)
 
 
-def _split_words(space, bounds):
-    """The nonempty basis words within bounds, in word order."""
-    return [w for w in enumerate_basis(space, bounds.max_letters,
-                                       bounds.max_action) if len(w) >= 1]
+def _split_words(space, bounds, max_letters=None):
+    """The nonempty basis words within bounds, in word order, with at most
+    max_letters letters when it is given."""
+    top = bounds.max_letters
+    if max_letters is not None:
+        top = min(top, max_letters)
+    return [w for w in enumerate_basis(space, top, bounds.max_action)
+            if len(w) >= 1]
+
+
+def _check_split_words(space, bounds, image, max_letters=None,
+                       witness=lambda word, bad: word):
+    """The check of a coalgebra-map identity by its connected part: failed
+    at the first split word whose connected part of image (the defect of
+    the identity) is nonzero, else verified.
+
+    The defect of each identity checked here is built from its connected
+    part (see the module docstring): on an outer word it is a sum of
+    products of connected parts on split words, each taking at most one
+    letter of every cluster.  So it vanishes on the outer words of at most
+    c clusters exactly when its connected part vanishes on the split words
+    of at most c letters.  The max_letters argument is that c."""
+    return _first_failure(_split_words(space, bounds, max_letters), bounds,
+                          lambda word: _connected_part(image, word), witness)
 
 
 def check_structure(alg, bounds):
@@ -301,18 +338,15 @@ def check_structure(alg, bounds):
 
     On failure returns the first witness cell (k, l, word) in word order.
     """
-    return _first_failure(_split_words(alg.space, bounds), bounds,
-                          lambda word: _two_level_all(alg, word),
-                          lambda word, bad: (len(word), min(bad), word))
-
-
-def _basis_ewords(space, bounds):
-    return enumerate_basis(space, bounds.max_letters, bounds.max_action,
-                           outer_components=bounds.outer())
+    return _check_split_words(alg.space, bounds, _p_squared(alg),
+                              witness=lambda word, bad: (len(word), min(bad),
+                                                         word))
 
 
 def check_morphism(mor, bounds):
-    """Verify phi-hat o p-hat = p'-hat o phi-hat on basis outer words.
+    """Verify phi-hat o p-hat = p'-hat o phi-hat by its connected part on
+    the split words of at most bounds.outer() letters; on failure the
+    witness is the first failing split Word.
 
     Source and target must be structures within the same bounds; a failing
     one raises StructureError.
@@ -327,13 +361,16 @@ def check_morphism(mor, bounds):
         if not status.ok:
             raise StructureError("%s structure fails: witness %r"
                                  % (end, status.witness))
+    src, tgt = mor.source, mor.target
 
-    def defect(ew):
-        x = EElement.monomial(ew)
-        return (apply_hat_phi(mor, apply_hat_p(mor.source, x))
-                != apply_hat_p(mor.target, apply_hat_phi(mor, x)))
-    return _first_failure(_basis_ewords(mor.source.space, bounds), bounds,
-                          defect)
+    def defect(x):
+        return (assembly.apply_morphism(
+                    src.space, mor.table, apply_hat_p(src, x),
+                    target_space=tgt.space, single_cluster=True)
+                - assembly.apply_coderivation(
+                    tgt.space, tgt.table, apply_hat_phi(mor, x),
+                    single_cluster=True))
+    return _check_split_words(src.space, bounds, defect, bounds.outer())
 
 
 def _split_word_table(space, image, parity, bounds, target=None,
@@ -352,8 +389,7 @@ def _split_word_table(space, image, parity, bounds, target=None,
     beside the others pass through."""
     entries = []
     for word in _split_words(space, bounds):
-        x = EElement.monomial(word_to_singletons(word))
-        for l, elem in sorted(pi_single_cluster(image(x)).items()):
+        for l, elem in sorted(_connected_part(image, word).items()):
             if l == 0 and not constants:
                 raise InternalInconsistencyError(
                     "nonzero constant term at input %r: %r" % (word, elem))
@@ -385,18 +421,21 @@ def compose(psi, phi, bounds):
 
 
 def is_augmentation(eps, alg, bounds):
-    """Check the morphism condition into the trivial algebra.
+    """Check the morphism condition into the trivial algebra, eps-hat o
+    p-hat = 0, by its connected part on the split words of at most
+    bounds.outer() letters; on failure the witness is the first failing
+    split Word.
 
     Parity shortcut: over an all-even space any parity-1 table vanishes,
     so every functional family verifies.
     """
     if alg.space.all_even():
         return VerifyStatus(True, bounds)
-    return _first_failure(
-        _basis_ewords(alg.space, bounds), bounds,
-        lambda ew: assembly.apply_morphism(
-            alg.space, eps.table, apply_hat_p(alg, EElement.monomial(ew)),
-            target_space=TRIVIAL_SPACE))
+    return _check_split_words(
+        alg.space, bounds, lambda x: assembly.apply_morphism(
+            alg.space, eps.table, apply_hat_p(alg, x),
+            target_space=TRIVIAL_SPACE, single_cluster=True),
+        bounds.outer())
 
 
 def f_eps(eps, sign=+1):
@@ -452,14 +491,20 @@ def apply_hat_pointed(pmap, alg, x):
 
 
 def check_pointed(pmap, alg, bounds):
-    """Verify the graded commutation of the pointed map with the structure."""
+    """Verify the graded commutation of the pointed map with the structure,
+    P-hat o p-hat = +-p-hat o P-hat, by its connected part on the split
+    words of at most bounds.outer() letters; on failure the witness is the
+    first failing split Word."""
     sgn = -1 if pmap.parity % 2 else 1
 
-    def defect(ew):
-        x = EElement.monomial(ew)
-        return (apply_hat_pointed(pmap, alg, apply_hat_p(alg, x))
-                != sgn * apply_hat_p(alg, apply_hat_pointed(pmap, alg, x)))
-    return _first_failure(_basis_ewords(alg.space, bounds), bounds, defect)
+    def defect(x):
+        return (assembly.apply_coderivation(
+                    alg.space, pmap.table, apply_hat_p(alg, x),
+                    single_cluster=True)
+                - sgn * assembly.apply_coderivation(
+                    alg.space, alg.table, apply_hat_pointed(pmap, alg, x),
+                    single_cluster=True))
+    return _check_split_words(alg.space, bounds, defect, bounds.outer())
 
 
 def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
@@ -468,6 +513,11 @@ def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
                                    bullet_table=phi_bullet_table,
                                    bullet_parity=bullet_parity,
                                    target_space=mor.target.space)
+
+
+def _basis_ewords(space, bounds):
+    return enumerate_basis(space, bounds.max_letters, bounds.max_action,
+                           outer_components=bounds.outer())
 
 
 def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):

@@ -20,16 +20,18 @@ from blinfty.invariants import (TorsionAnswer, UModule, bar_B_k,
                                 _apply_inner_morphism, _multi_linearized)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
-                                check_structure, ell_table, is_augmentation,
-                                linearize, linearize_pointed, identity_table,
-                                zero_table, word_to_singletons)
+                                check_pointed, check_structure, ell_table,
+                                is_augmentation, linearize, linearize_pointed,
+                                identity_table, zero_table,
+                                word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis)
 
 from util import (algebra, bubble_normalize, dense_kernel_basis, dense_rank,
                   dense_solve_linear, eword, one_letter_structure,
-                  oracle_hat_phi, random_space, random_table, space, table,
-                  word)
+                  oracle_check_pointed, oracle_hat_phi,
+                  oracle_is_augmentation, random_space, random_table, space,
+                  table, word)
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -195,6 +197,27 @@ def test_order_pointed_two_is_two():
     for w in enumerate_basis(alg.space, 1):
         if len(w) == 1:
             assert not lpt.query(1, w)
+
+
+def test_order_ladder_rungs_are_exact():
+    # rung n: the n-letter functional on n even generators over the zero
+    # structure, order exactly n.  Its augmentation and pointed map verify
+    # by the split-word checks and by the full-window oracles alike
+    for n, (_, pmap) in ((1, fixtures.pointed_one()),
+                         (2, fixtures.pointed_two())):
+        assert fixtures.order_ladder(n)[1].table == pmap.table
+    for n in range(1, 5):
+        alg, pmap = fixtures.order_ladder(n)
+        eps = fixtures.zero_aug(alg)
+        bounds = Bounds(n, word_bound=n)
+        assert is_augmentation(eps, alg, bounds).ok
+        assert oracle_is_augmentation(eps, alg, bounds)
+        assert check_pointed(pmap, alg, bounds).ok
+        assert oracle_check_pointed(pmap, alg, bounds)
+        ans = order_O(alg, eps, pmap, bounds)
+        assert (ans.kind, ans.level) == ("exact", n)
+    with pytest.raises(ValueError):
+        fixtures.order_ladder(0)
 
 
 def test_order_zero_functional_not_found():

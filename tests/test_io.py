@@ -321,6 +321,43 @@ def test_cli_order(corpus_dir, tmp_path):
     assert report_value(out, "order") == "exact 2"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cli_order_ladder(tmp_path, n):
+    alg, pmap = fixtures.order_ladder(n)
+    docs = {
+        "rung": bio.document_of_algebra(alg, bounds=Bounds(n)),
+        "aug": bio.Document(alg.space, [bio.TableBlock(
+            "augmentation", "eps0", 0, False, [])], (), None),
+        "pointed": bio.Document(alg.space, [bio.TableBlock(
+            "pointed", "S1", 0, False, pmap.table.sorted_entries())], (),
+            None)}
+    for name, doc in docs.items():
+        (tmp_path / (name + ".blf")).write_text(bio.serialize(doc),
+                                                encoding="utf-8")
+    code, out = run_cli(tmp_path, "order", str(tmp_path / "rung.blf"),
+                        "--aug", str(tmp_path / "aug.blf"),
+                        "--pointed", str(tmp_path / "pointed.blf"))
+    assert code == 0
+    assert report_value(out, "order") == "exact %d" % n
+
+
+def test_cli_linearize_certificate_keeps_partial_table(corpus_dir, tmp_path):
+    # the linearized table is computed on split words of at most
+    # max_letters letters, so the certificate says where it stops
+    cert = tmp_path / "lin.blf"
+    code, out = run_cli(tmp_path, "linearize",
+                        str(corpus_dir / "linearizable.blf"),
+                        "--aug", str(corpus_dir / "linearizable.aug1.blf"),
+                        "--certificate", str(cert))
+    assert code == 0
+    text = cert.read_text(encoding="utf-8")
+    assert "\ntable structure p_eps parity 1 max_k 3\n" in text
+    table = bio.algebra_from_document(bio.parse(text)).table
+    assert (table.complete, table.max_k) == (False, 3)
+    code, out = run_cli(tmp_path, "verify", str(cert))
+    assert (code, report_value(out, "verify")) == (0, "ok")
+
+
 def test_cli_order_multi(corpus_dir, tmp_path):
     # two copies of the one-point functional: S1 and S2, empty pair table
     base = (corpus_dir / "pointed-one.pointed.blf").read_text()

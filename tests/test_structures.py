@@ -8,6 +8,7 @@ from blinfty.errors import (IncompleteTableError, InternalInconsistencyError,
                             StructureError)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, TRIVIAL_ALGEBRA,
+                                TRIVIAL_SPACE,
                                 apply_hat_p, apply_hat_phi, apply_hat_pointed,
                                 apply_hat_phi_bullet, check_compatibility,
                                 check_morphism, check_pointed, check_structure,
@@ -15,11 +16,13 @@ from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 is_augmentation, linearize, linearize_pointed,
                                 word_to_singletons, zero_table,
                                 pi_single_cluster)
-from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
-                           Word, enumerate_basis)
-from blinfty import assembly
+from blinfty.words import (EElement, EWord, Element, Generator, GradedSpace,
+                           UNIT_EWORD, UNIT_WORD, Word, enumerate_basis)
+from blinfty import assembly, structures
 
-from util import (eword, one_letter_structure, oracle_hat_phi, random_space,
+from util import (eword, one_letter_structure,
+                  oracle_check_morphism, oracle_check_pointed,
+                  oracle_hat_phi, oracle_is_augmentation, random_space,
                   random_table, space, table, word)
 
 B3 = Bounds(3)
@@ -112,6 +115,8 @@ def test_zero_aug_fails_on_planar_torsion():
     eps = fixtures.zero_aug(alg)
     status = is_augmentation(eps, alg, B3)
     assert not status.ok
+    # q1*q2 -> 1 is the connected part on the split word (q1)(q2)
+    assert status.witness == word(alg.space, "q1", "q2")
 
 
 def test_all_even_shortcut():
@@ -383,18 +388,148 @@ def test_random_pointed_check_matches_direct_evaluation():
                                          max_l=2))
         pmap = PointedMap(alg, ptab)
         verdict = check_pointed(pmap, alg, Bounds(2)).ok
-        sgn = -1 if pmap.parity else 1
-        direct = True
-        for ew in enumerate_basis(sp, 2, outer_components=2):
-            x = EElement.monomial(ew)
-            lhs = apply_hat_pointed(pmap, alg, apply_hat_p(alg, x))
-            rhs = apply_hat_p(alg, apply_hat_pointed(pmap, alg, x))
-            if lhs != sgn * rhs:
-                direct = False
-                break
-        assert verdict == direct
+        assert verdict == oracle_check_pointed(pmap, alg, Bounds(2))
         hits += verdict
     assert hits < 20  # generic tables do fail
+
+
+# ---- split-word checks against the full-window oracles ----------------------
+
+def _partial_of(tab, max_k):
+    """tab's entries of arity at most max_k, declared incomplete above it."""
+    return OperationTable(tab.space, tab.parity,
+                          [e for e in tab.sorted_entries() if e[0] <= max_k],
+                          complete=False, max_k=max_k, target=tab.target)
+
+
+def _verdict(ok):
+    try:
+        return ok()
+    except IncompleteTableError:
+        return "incomplete"
+
+
+def _random_window(rng):
+    """A space and a window: max_letters 2-4, word_bound None or 1-3, and
+    in one round of three a max_action over generators of action 1 or 2."""
+    n = rng.randint(2, 3)
+    acted = rng.randrange(3) == 0
+    sp = GradedSpace([Generator("g%d" % i, 1 if i == 0 else rng.randrange(2),
+                                action=rng.randint(1, 2) if acted else None)
+                      for i in range(n)])
+    return sp, Bounds(rng.randint(2, 4),
+                      word_bound=rng.choice([None, 1, 2, 3]),
+                      max_action=rng.randint(2, 4) if acted else None)
+
+
+def _longest_split_word(sp, bounds):
+    return max(len(w) for w in enumerate_basis(
+        sp, min(bounds.max_letters, bounds.outer()), bounds.max_action))
+
+
+def test_split_word_checks_match_full_window_oracles():
+    # is_augmentation, check_pointed and check_morphism test the connected
+    # part of their identity on the split words of at most bounds.outer()
+    # letters; the oracles test the identity on every outer word of the
+    # window.  They must give the same ok.  With partial tables the split
+    # check must answer, and alike, wherever the oracle answers.  Where only
+    # the split check answers, the split words are cut short by odd
+    # letters, which a split word cannot repeat, while the window's outer
+    # words may repeat an even cluster such as (g0 g1) and so have more
+    # lettered clusters than the tables cover
+    rng = random.Random(1212)
+    seen = {}  # (check, oracle verdict, split verdict) -> count
+    acted = 0
+
+    def compare(name, oracle, check, sp, bounds):
+        want = _verdict(oracle)
+        got = _verdict(lambda: check().ok)
+        key = (name, want, got)
+        seen[key] = seen.get(key, 0) + 1
+        if want == "incomplete" and got != "incomplete":
+            assert _longest_split_word(sp, bounds) < min(
+                bounds.max_letters, bounds.outer()), key
+        else:
+            assert got == want, key
+
+    for _ in range(70):
+        sp, bounds = _random_window(rng)
+        acted += bounds.max_action is not None
+        p = random_table(rng, sp, max_k=3, max_l=2,
+                         n_entries=rng.randint(1, 3))
+        e = random_table(rng, sp, max_k=3, max_l=0, parity=0,
+                         n_entries=rng.randint(1, 3))
+        q = random_table(rng, sp, max_k=3, max_l=2, parity=rng.randrange(2),
+                         n_entries=rng.randint(1, 3))
+        for pk in (None, 1, 2):
+            alg = BLAlgebra(sp, p if pk is None else _partial_of(p, pk))
+            for ek in (None, 1, 2):
+                eps = Augmentation(alg,
+                                   e if ek is None else _partial_of(e, ek))
+                compare("augmentation",
+                        lambda: oracle_is_augmentation(eps, alg, bounds),
+                        lambda: is_augmentation(eps, alg, bounds), sp, bounds)
+            for qk in (None, 1, 2):
+                pmap = PointedMap(alg, q if qk is None else _partial_of(q, qk))
+                compare("pointed",
+                        lambda: oracle_check_pointed(pmap, alg, bounds),
+                        lambda: check_pointed(pmap, alg, bounds), sp, bounds)
+    morphisms = 0
+    while morphisms < 40:
+        # random structures that pass check_structure, and a morphism that
+        # is the identity on most generators plus a few random entries
+        sp, bounds = _random_window(rng)
+        src, tgt = [BLAlgebra(sp, random_table(rng, sp, max_k=3, max_l=2,
+                                               n_entries=rng.randint(1, 3)))
+                    for _ in range(2)]
+        if rng.randrange(2):
+            tgt = src
+        if not (check_structure(src, bounds).ok
+                and check_structure(tgt, bounds).ok):
+            continue
+        morphisms += 1
+        acted += bounds.max_action is not None
+        cells = {(k, l, w): elem for (k, l, _, w, elem) in random_table(
+            rng, sp, max_k=3, max_l=2, parity=0,
+            n_entries=rng.randint(0, 2)).sorted_entries()}
+        for i in range(len(sp)):
+            if rng.randrange(5):
+                w = Word((i,))
+                cells[1, 1, w] = (cells.get((1, 1, w), Element())
+                                  + Element.monomial(w))
+        phi = OperationTable(sp, 0, [(k, l, w, elem) for (k, l, w), elem
+                                     in cells.items() if elem])
+        for fk in (None, 1, 2):
+            mor = BLMorphism(src, tgt,
+                             phi if fk is None else _partial_of(phi, fk))
+            compare("morphism", lambda: oracle_check_morphism(mor, bounds),
+                    lambda: check_morphism(mor, bounds), sp, bounds)
+    for name in ("augmentation", "pointed", "morphism"):
+        counts = {(want, got): n for (check, want, got), n in seen.items()
+                  if check == name}
+        assert counts.get((True, True), 0) >= 20, (name, counts)
+        assert counts.get((False, False), 0) >= 20, (name, counts)
+        assert counts.get(("incomplete", "incomplete"), 0) >= 5, (name, counts)
+    assert acted >= 20
+
+
+def test_outer_cap_keeps_word_bounded_windows():
+    # with word_bound 1 only one-cluster outer words are in the window, and
+    # on a one-cluster word p-hat applies only one-input operations, so the
+    # zero augmentation of the q1*q2 -> 1 structure passes.  The split
+    # words of at most outer() = 1 letter agree; the split word (q1)(q2),
+    # outside that cap, would fail
+    alg = fixtures.planar_torsion_one()
+    eps = fixtures.zero_aug(alg)
+    bounds = Bounds(3, word_bound=1)
+    assert oracle_is_augmentation(eps, alg, bounds)
+    assert is_augmentation(eps, alg, bounds).ok
+    assert not oracle_is_augmentation(eps, alg, Bounds(3, word_bound=2))
+    uncapped = structures._check_split_words(
+        alg.space, bounds, lambda x: assembly.apply_morphism(
+            alg.space, eps.table, apply_hat_p(alg, x),
+            target_space=TRIVIAL_SPACE, single_cluster=True))
+    assert uncapped.witness == word(alg.space, "q1", "q2")
 
 
 # ---- pointed morphism assembly / compatibility ------------------------------

@@ -3,7 +3,10 @@
 The sign oracles recompute assembled operators through flat letter
 arrangements with bubble-sort Koszul signs, a code path disjoint from the
 package's selection-sign engine.  The linear-algebra oracle is a dense
-Gauss-Jordan elimination, disjoint from the package's sparse one.
+Gauss-Jordan elimination, disjoint from the package's sparse one.  The
+check oracles test the identities of augmentations, pointed maps and
+morphisms in full on every basis outer word of the window, where the
+package tests their connected part on split words.
 """
 
 import itertools
@@ -11,9 +14,12 @@ import random
 from fractions import Fraction
 
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
-                           EElement, UNIT_WORD, normalize_word,
-                           normalize_clusters)
-from blinfty.structures import OperationTable, BLAlgebra, Bounds
+                           EElement, UNIT_WORD, enumerate_basis,
+                           normalize_word, normalize_clusters)
+from blinfty.structures import (OperationTable, BLAlgebra, Bounds,
+                                TRIVIAL_SPACE, apply_hat_p, apply_hat_phi,
+                                apply_hat_pointed)
+from blinfty import assembly
 
 
 def space(*spec):
@@ -601,6 +607,44 @@ def oracle_multi(sp, tables, ew):
 
     assign(0, frozenset(), [])
     return EElement(acc)
+
+
+# ---------------------------------------------------------------------------
+# full-window checks: the oracles for is_augmentation, check_pointed and
+# check_morphism
+
+def full_window_failure(space, bounds, defect):
+    """The first basis outer word of the window (at most bounds.outer()
+    clusters) on which defect is nonzero, or None."""
+    for ew in enumerate_basis(space, bounds.max_letters, bounds.max_action,
+                              outer_components=bounds.outer()):
+        if defect(EElement.monomial(ew)):
+            return ew
+    return None
+
+
+def oracle_is_augmentation(eps, alg, bounds):
+    """eps-hat o p-hat vanishes on every outer word of the window."""
+    return full_window_failure(alg.space, bounds, lambda x: (
+        assembly.apply_morphism(alg.space, eps.table, apply_hat_p(alg, x),
+                                target_space=TRIVIAL_SPACE))) is None
+
+
+def oracle_check_pointed(pmap, alg, bounds):
+    """P-hat o p-hat = +-p-hat o P-hat on every outer word of the window;
+    the structure itself is not checked."""
+    sgn = -1 if pmap.parity % 2 else 1
+    return full_window_failure(alg.space, bounds, lambda x: (
+        apply_hat_pointed(pmap, alg, apply_hat_p(alg, x))
+        != sgn * apply_hat_p(alg, apply_hat_pointed(pmap, alg, x)))) is None
+
+
+def oracle_check_morphism(mor, bounds):
+    """phi-hat o p-hat = p'-hat o phi-hat on every outer word of the
+    window; the two structures are not checked."""
+    return full_window_failure(mor.source.space, bounds, lambda x: (
+        apply_hat_phi(mor, apply_hat_p(mor.source, x))
+        != apply_hat_p(mor.target, apply_hat_phi(mor, x)))) is None
 
 
 # ---------------------------------------------------------------------------
