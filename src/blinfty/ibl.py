@@ -17,6 +17,8 @@ class IBLAlgebra:
     """A space with a parity-1 table whose cells carry a genus."""
 
     def __init__(self, space, table):
+        if table.parity != 1:
+            raise StructureError("ibl table must have parity 1")
         self.space = space
         self.table = table
 

@@ -1,5 +1,6 @@
 """Hierarchy invariants: bar complexes, torsion, planarity orders, widths,
-multi-point orders, and semi-dilation from a supplied endomorphism."""
+multi-point orders, and semi-dilation from a supplied endomorphism.  The
+least solvable level of each is found by one loop, _search."""
 
 from __future__ import annotations
 
@@ -64,18 +65,22 @@ class UModule:
         self.table = table
 
     def matrix(self):
-        n = len(self.space)
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (k, l), cell in self.table.cells.items():
-            for w_in, elem in cell.items():
-                j = w_in.letters[0]
-                for w_out, c in elem.terms.items():
-                    m[w_out.letters[0]][j] = c
-        return m
+        return _matrix(self.space, self.table)
+
+
+def _matrix(space, table):
+    """The matrix of a linear table: entry [output letter][input letter]."""
+    n = len(space)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for cell in table.cells.values():
+        for w_in, elem in cell.items():
+            for w_out, c in elem.terms.items():
+                m[w_out.letters[0]][w_in.letters[0]] = c
+    return m
 
 
 # ---------------------------------------------------------------------------
-# bounded solves: sparse columns over a basis window, one exact solve
+# the bounded search: one level builder, one level loop
 
 def _columns(basis, image, window=None):
     """The sparse column {row: coeff} of image(b) for each basis element b,
@@ -95,14 +100,9 @@ def _columns(basis, image, window=None):
 
 
 def _once(image):
-    """image, evaluated at most once per basis element.
-
-    The memo is local to one search: it lives as long as the returned
-    function, which one torsion or order search makes and drops.  Columns
-    built from it may share the memoized Element.terms dicts, so no column
-    is ever mutated: _solve copies them into a dense matrix and
-    _order_search copies them with {**col, ...}.
-    """
+    """image, evaluated at most once per basis element, with a memo that
+    lives as long as one search.  Columns may share the memoized terms
+    dicts, so no column is mutated: _search and _solve copy them."""
     memo = {}
 
     def image_once(b):
@@ -136,23 +136,63 @@ def _solve(basis, columns, target):
 
 def _closed_complex(basis, image, parity):
     """The ChainComplex of image on a window that must contain it."""
-    window = {b: i for i, b in enumerate(basis)}
-    columns = _columns(basis, image, window)
+    columns = _columns(basis, image, {b: i for i, b in enumerate(basis)})
     return ChainComplex(basis, dict(enumerate(columns)),
                         [parity(b) for b in basis])
 
 
+def _level(window, image, parity=None):
+    """A search's level function: at (k, bounds), the basis window(k,
+    bounds) and the columns of image, evaluated once per word per search.
+    Given parity, each level is a closed window checked as a ChainComplex
+    (parity-odd, d*d = 0), its columns keyed by basis index."""
+    image = _once(image)
+
+    def level(key):
+        basis = window(*key)
+        if parity is None:
+            return basis, _columns(basis, image)
+        cx = _closed_complex(basis, image, parity)
+        return cx.basis, cx.columns
+    return level
+
+
+# the row of the functional in an order or sd search's linear system
+_FUNCTIONAL = object()
+
+
+def _search(levels, level, answer, target=_FUNCTIONAL, functional=None):
+    """The first level, in order, at which some combination of the columns
+    of level(key) is 1 in the target row and 0 in every other; functional,
+    if given, fills the target row.  Returns answer(key, solution, failed),
+    failed being the keys before it, or None.  No levels: ValueError."""
+    if not levels:
+        raise ValueError("empty search: no level >= 1 within the bounds")
+    if functional is not None:
+        functional = _once(functional)
+    failed = []
+    for key in levels:
+        basis, columns = level(key)
+        if functional is not None:
+            columns = [{**col, target: functional(b)}
+                       for b, col in zip(basis, columns)]
+        sol = _solve(basis, columns, target)
+        if sol is not None:
+            return answer(key, sol, failed)
+        failed.append(key)
+    return None
+
+
+def _outer_window(sp, units, cap=None):
+    """(k, bounds) -> the outer words of at most k clusters within bounds,
+    unit clusters only when units, each of at most cap letters."""
+    return lambda k, bounds: enumerate_basis(
+        sp, bounds.max_letters, bounds.max_action, outer_components=k,
+        allow_units=units, max_cluster_letters=cap)
+
+
 # ---------------------------------------------------------------------------
 # bar complexes and the torsion search
-
-def _EkV_basis(alg, k, bounds):
-    return enumerate_basis(alg.space, bounds.max_letters, bounds.max_action,
-                           outer_components=k, allow_units=True)
-
-
-def _hat_p_image(alg):
-    return lambda ew: apply_hat_p(alg, EElement.monomial(ew))
-
 
 def build_EkV(alg, k, bounds):
     """The outer bar complex with at most k clusters (units allowed).
@@ -160,7 +200,8 @@ def build_EkV(alg, k, bounds):
     Raises WindowLeakError when the differential leaves the enumerated
     window; enlarge max_letters or supply an action bound with action_drop.
     """
-    return _closed_complex(_EkV_basis(alg, k, bounds), _hat_p_image(alg),
+    return _closed_complex(_outer_window(alg.space, True)(k, bounds),
+                           lambda ew: apply_hat_p(alg, EElement.monomial(ew)),
                            lambda ew: eword_parity(alg.space, ew))
 
 
@@ -194,25 +235,26 @@ def torsion(alg, schedule):
     constant cells reach it) or by the action-filtration argument, and
     'at-most' otherwise.  An empty schedule raises ValueError.
     """
-    if not schedule:
-        raise ValueError("empty torsion schedule: no cluster bound >= 1")
-    status = check_structure(alg, schedule[-1][1])
-    if not status.ok:
-        raise StructureError("structure fails: witness %r" % (status.witness,))
-    certified = {}
-    # the levels' bases are nested: each word's image is computed once
-    image = _once(_hat_p_image(alg))
-    for (k, bounds) in schedule:
-        basis = _EkV_basis(alg, k, bounds)
-        sol = _solve(basis, _columns(basis, image), UNIT_EWORD)
-        if sol is not None:
-            exact = all(certified.get(j, _level_structurally_closed(
-                alg.table, j)) for j in range(1, k))
-            return TorsionAnswer("exact" if exact else "at-most",
-                                 k - 1, EElement(sol), bounds)
-        certified[k] = (_level_structurally_closed(alg.table, k)
-                        or _level_action_closed(alg, k, bounds))
-    return TorsionAnswer("not-found", bounds=schedule[-1][1])
+    if schedule:  # an empty one is _search's ValueError
+        status = check_structure(alg, schedule[-1][1])
+        if not status.ok:
+            raise StructureError("structure fails: witness %r"
+                                 % (status.witness,))
+
+    def answer(key, sol, failed):
+        k, bounds = key
+        # a level the schedule skipped is certified only structurally
+        searched = dict(failed)
+        exact = all(_level_structurally_closed(alg.table, j) or (
+            j in searched and _level_action_closed(alg, j, searched[j]))
+            for j in range(1, k))
+        return TorsionAnswer("exact" if exact else "at-most", k - 1,
+                             EElement(sol), bounds)
+
+    level = _level(_outer_window(alg.space, True),
+                   lambda ew: apply_hat_p(alg, EElement.monomial(ew)))
+    return (_search(schedule, level, answer, UNIT_EWORD)
+            or TorsionAnswer("not-found", bounds=schedule[-1][1]))
 
 
 def default_schedule(max_level, bounds):
@@ -249,16 +291,23 @@ def torsion_monotone_check(phi, src_answer, bounds):
 # ---------------------------------------------------------------------------
 # planarity orders
 
+def _bar(ell):
+    """The inner bar complex as (window, differential, parity): words of
+    length 1..k within bounds under the linearized bar differential."""
+    sp = ell.space
+    return (lambda k, bounds: [w for w in enumerate_basis(
+                sp, min(k, bounds.max_letters), bounds.max_action)
+                if len(w) >= 1],
+            lambda w: assembly.apply_inner_coderivation(sp, ell,
+                                                        Element.monomial(w)),
+            lambda w: sp.word_parity(w.letters))
+
+
 def bar_B_k(ell, k, bounds):
     """The inner bar complex on words of length 1..k with the linearized
     bar differential."""
-    basis = [w for w in enumerate_basis(ell.space, min(k, bounds.max_letters),
-                                        bounds.max_action) if len(w) >= 1]
-    return _closed_complex(
-        basis,
-        lambda w: assembly.apply_inner_coderivation(ell.space, ell,
-                                                    Element.monomial(w)),
-        lambda w: ell.space.word_parity(w.letters))
+    window, d, parity = _bar(ell)
+    return _closed_complex(window(k, bounds), d, parity)
 
 
 def _functional_from_constants(lin_pointed, word):
@@ -266,51 +315,21 @@ def _functional_from_constants(lin_pointed, word):
     return elem.terms.get(UNIT_WORD, Fraction(0))
 
 
-# the row of the functional in an order search's linear system
-_FUNCTIONAL = object()
-
-
-def _order_search(bounds, level, functional, kind, wrap):
-    """The least level k <= bounds.outer() with a cycle of functional
-    value 1: level(k) gives the basis and differential columns,
-    functional(b) the value on a basis element, kind(k) the answer kind,
-    and wrap turns the solution into a certificate."""
-    functional = _once(functional)
-    for k in range(1, bounds.outer() + 1):
-        basis, columns = level(k)
-        columns = [{**col, _FUNCTIONAL: functional(b)}
-                   for b, col in zip(basis, columns)]
-        sol = _solve(basis, columns, _FUNCTIONAL)
-        if sol is not None:
-            return TorsionAnswer(kind(k), k, wrap(sol), bounds)
-    return TorsionAnswer("not-found", bounds=bounds)
-
-
-def _outer_level(sp, lin, bounds, cap=None):
-    """Outer words of at most k nonempty clusters, each of at most cap
-    letters, under the linearized coderivation projected to that cap.  The
-    levels' bases are nested, so d is computed once per word per search."""
-    @_once
-    def d(ew):
-        out = assembly.apply_coderivation(sp, lin, EElement.monomial(ew))
-        return out if cap is None else project_width(out, cap)
-
-    def level(k):
-        basis = enumerate_basis(sp, bounds.max_letters, bounds.max_action,
-                                outer_components=k, allow_units=False,
-                                max_cluster_letters=cap)
-        return basis, _columns(basis, d)
-    return level
+def _order(bounds, level, functional, kind, wrap):
+    """An order: the least level k <= bounds.outer() with a cycle of
+    functional value 1, of kind(k), its solution wrapped as certificate."""
+    return (_search(default_schedule(bounds.outer(), bounds), level,
+                    lambda key, sol, failed: TorsionAnswer(
+                        kind(key[0]), key[0], wrap(sol), bounds),
+                    functional=functional)
+            or TorsionAnswer("not-found", bounds=bounds))
 
 
 def _order_kind(lin_pointed, found_k):
     """'exact' when every level below the found one is structurally closed:
     constant cells with at most that many inputs all vanish."""
-    if found_k == 1:
-        return "exact"
-    if _level_structurally_closed(lin_pointed, found_k - 1):
-        return "exact"
-    return "at-most"
+    return "exact" if found_k == 1 or _level_structurally_closed(
+        lin_pointed, found_k - 1) else "at-most"
 
 
 def _linearized(alg, eps, bounds):
@@ -325,10 +344,6 @@ def order_O(alg, eps, pmap, bounds):
     ell = ell_table(_linearized(alg, eps, bounds))
     lpt = linearize_pointed(pmap, alg, eps, bounds)
 
-    def level(k):
-        cx = bar_B_k(ell, k, bounds)
-        return cx.basis, cx.columns
-
     def kind(k):
         # the length-j complexes are finite, so an unrestricted
         # enumeration makes the failed smaller levels conclusive
@@ -336,9 +351,8 @@ def order_O(alg, eps, pmap, bounds):
             return "exact"
         return _order_kind(lpt, k)
 
-    return _order_search(bounds, level,
-                         lambda w: _functional_from_constants(lpt, w),
-                         kind, Element)
+    return _order(bounds, _level(*_bar(ell)),
+                  lambda w: _functional_from_constants(lpt, w), kind, Element)
 
 
 def order_O_tilde(alg, eps, pmap, bounds):
@@ -347,8 +361,9 @@ def order_O_tilde(alg, eps, pmap, bounds):
     lin = _linearized(alg, eps, bounds)
     lpt = linearize_pointed(pmap, alg, eps, bounds)
     sp = alg.space
-    return _order_search(
-        bounds, _outer_level(sp, lin, bounds),
+    return _order(
+        bounds, _level(_outer_window(sp, False), lambda ew: (
+            assembly.apply_coderivation(sp, lin, EElement.monomial(ew)))),
         lambda ew: assembly.apply_coderivation(
             sp, lpt, EElement.monomial(ew)).unit_coefficient(),
         lambda k: _order_kind(lpt, k), EElement)
@@ -400,11 +415,19 @@ def _label_partitions(labels, family):
 
 
 def _order_multi(alg, eps, family, m, bounds, cap):
+    if m < 1:
+        raise ValueError("a multi-point order needs m >= 1 points, got %d"
+                         % m)
     lin = _linearized(alg, eps, bounds)
     lin_family = _multi_linearized(family, alg, eps, bounds)
     sp = alg.space
-    return _order_search(
-        bounds, _outer_level(sp, lin, bounds, cap),
+
+    def d(ew):
+        out = assembly.apply_coderivation(sp, lin, EElement.monomial(ew))
+        return out if cap is None else project_width(out, cap)
+
+    return _order(
+        bounds, _level(_outer_window(sp, False, cap), d),
         lambda ew: apply_multi_pointed_linearized(
             sp, lin_family, m, EElement.monomial(ew)).unit_coefficient(),
         lambda k: "exact" if k == 1 else "at-most", EElement)
@@ -490,13 +513,9 @@ def sd_order(ell1, umod, ell_point):
     """
     sp = umod.space
     n = len(sp)
-    D = [[Fraction(0)] * n for _ in range(n)]
-    for (k, l), cell in ell1.cells.items():
-        if (k, l) != (1, 1):
-            raise StructureError("ell1 must be a linear differential")
-        for w_in, elem in cell.items():
-            for w_out, c in elem.terms.items():
-                D[w_out.letters[0]][w_in.letters[0]] = c
+    if any(kl != (1, 1) for kl in ell1.cells):
+        raise StructureError("ell1 must be a linear differential")
+    D = _matrix(sp, ell1)
     U = umod.matrix()
     f = [Fraction(0)] * n
     for (k, l), cell in ell_point.cells.items():
@@ -506,43 +525,34 @@ def sd_order(ell1, umod, ell_point):
             f[w_in.letters[0]] = elem.terms.get(UNIT_WORD, Fraction(0))
     if _mat_mul(U, D) != _mat_mul(D, U):
         raise StructureError("U does not commute with the differential")
-    if any(x != 0 for x in _vec_mat(f, D)):
+    if any(sum(f[i] * D[i][j] for i in range(n)) for j in range(n)):
         raise StructureError("the functional is not a chain map")
     cycles = kernel_basis(D, n)
     # nilpotence of the induced map within dim H steps
     power_bound = max(1, len(cycles) - rank(D))
-    Upow = _mat_power(U, power_bound)
-    for z in cycles:
-        v = _mat_vec(Upow, z)
+    powers = [cycles]  # powers[j]: U^j z for each cycle z
+    for _ in range(power_bound):
+        powers.append([_mat_vec(U, z) for z in powers[-1]])
+    for v in powers[-1]:
         sol, _ = solve_linear(D, v)
         if sol is None:
             raise NotNilpotentError(
                 "U^%d is nonzero on homology" % power_bound)
+
+    def level(k):
+        # unknowns: z in span(cycles), then y; rows: U^(k+1) z - D y = 0
+        return range(len(cycles) + n), (
+            [dict(enumerate(v)) for v in powers[k + 1]]
+            + [{i: -D[i][j] for i in range(n)} for j in range(n)])
+
     # feasibility only grows with the power (U commutes with D), so the
-    # last step decides whether any class has functional value 1
-    for k in range(0, power_bound):
-        if _sd_feasible(D, U, f, cycles, k + 1, n) is not None:
-            return k
-    raise PlanarityNotOneError("no class with functional value 1")
-
-
-def _sd_feasible(D, U, f, cycles, upower, n):
-    """Exists z in span(cycles), y with f(z) = 1 and U^upower z = D y."""
-    ncols = len(cycles) + n
-    Upow = _mat_power(U, upower)
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = [sum(Upow[i][t] * cycles[j][t] for t in range(n))
-               for j in range(len(cycles))]
-        row += [-D[i][j] for j in range(n)]
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([sum(f[t] * cycles[j][t] for t in range(n))
-                 for j in range(len(cycles))] + [Fraction(0)] * n)
-    rhs.append(Fraction(1))
-    sol, _ = solve_linear(rows, rhs)
-    return sol
+    # last level decides whether any class has functional value 1
+    k = _search(range(power_bound), level, lambda k, sol, failed: k,
+                functional=lambda j: sum(x * y for x, y in zip(
+                    f, cycles[j])) if j < len(cycles) else 0)
+    if k is None:
+        raise PlanarityNotOneError("no class with functional value 1")
+    return k
 
 
 def _mat_mul(A, B):
@@ -551,21 +561,8 @@ def _mat_mul(A, B):
             for i in range(n)]
 
 
-def _mat_power(A, p):
-    n = len(A)
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for _ in range(p):
-        out = _mat_mul(out, A)
-    return out
-
-
 def _mat_vec(A, v):
     return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
-
-
-def _vec_mat(v, A):
-    return [sum(v[i] * A[i][j] for i in range(len(A))) for j in range(len(A))]
 
 
 # ---------------------------------------------------------------------------

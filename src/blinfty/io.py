@@ -407,9 +407,7 @@ def ibl_from_document(doc):
     block = doc.table("ibl")
     if block is None:
         raise StructureError("document has no ibl table")
-    return IBLAlgebra(doc.space, OperationTable(
-        doc.space, 1, block.ops, complete=block.max_k is None,
-        max_k=block.max_k))
+    return IBLAlgebra(doc.space, table_from_block(doc.space, block))
 
 
 def augmentation_from_document(doc, alg):

@@ -30,8 +30,8 @@ from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
 from util import (algebra, bubble_normalize, dense_kernel_basis, dense_rank,
                   dense_solve_linear, eword, one_letter_structure,
                   oracle_check_pointed, oracle_hat_phi,
-                  oracle_is_augmentation, random_space, random_table, space,
-                  table, word)
+                  oracle_is_augmentation, oracle_sd_order, oracle_torsion,
+                  random_space, random_table, space, table, word)
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -742,6 +742,11 @@ def _engine_cases(rng):
 
 
 def _random_sd_case(rng):
+    inputs = _random_sd_inputs(rng)
+    return lambda: sd_order(*inputs)
+
+
+def _random_sd_inputs(rng):
     """Acyclic pairs d(o_i) = e_i, cycles b_j with d = 0, and U acting by
     one strictly triangular matrix on the e's and on the o's, strictly
     triangularly on the b's with boundary terms in the e's, so dU = Ud."""
@@ -771,7 +776,7 @@ def _random_sd_case(rng):
         UNIT_WORD, Fraction(rng.randint(-2, 2))))], complete=True,
         target=GradedSpace(()))
     dtab = OperationTable(sp, 1, d, complete=True)
-    return lambda: sd_order(dtab, UModule(sp, utab), ftab)
+    return dtab, UModule(sp, utab), ftab
 
 
 def _outcome(case):
@@ -807,6 +812,111 @@ def test_engines_match_dense_oracle(monkeypatch):
     assert kinds.count(True) >= 3 and kinds.count(False) >= 3
     sd = [out for out in sparse if isinstance(out, int)]
     assert len(set(sd)) >= 2
+
+
+# ---- the level search against its definition -------------------------------
+
+def _spectator_union():
+    """mixed_no_aug, with actions, beside torsion_ladder(3): a two-input
+    constant reaches level 2, which fails, and level 3 solves, so the
+    answer is exact only where level 2 is action-closed."""
+    sp = space(("a", 0, 1), ("b", 1, 2), ("q1", 1, 1), ("q2", 0, 1),
+               ("q3", 0, 1))
+    return algebra(sp, [(1, 1, ("b",), [(1, ("a",))]),
+                        (2, 0, ("a", "b"), [(1, ())]),
+                        (3, 0, ("q1", "q2", "q3"), [(1, ())])],
+                   action_drop=True)
+
+
+def _random_torsion_case(rng):
+    """A random structure and a random schedule: levels skipped, each
+    level with its own Bounds, and in half the cases generators with
+    actions under an action-dropping table."""
+    with_action = rng.random() < 0.5
+    sp = space(*[("g%d" % i, rng.randrange(2))
+                 + ((rng.randint(1, 2),) if with_action else ())
+                 for i in range(rng.randint(1, 3))])
+    base = random_table(rng, sp, max_k=3, max_l=rng.choice((0, 1, 2)),
+                        n_entries=rng.randint(1, 4))
+    try:
+        tab = OperationTable(sp, 1, base.sorted_entries(),
+                             action_drop=with_action)
+    except StructureError:
+        return None
+    levels = sorted(rng.sample(range(1, 4), rng.randint(1, 3)))
+    schedule = [(k, Bounds(rng.randint(max(1, k - 1), 3),
+                           max_action=(rng.randint(1, 4) if with_action
+                                       else None)))
+                for k in levels]
+    alg = BLAlgebra(sp, tab)
+    if not check_structure(alg, schedule[-1][1]).ok:
+        return None
+    return alg, schedule
+
+
+def _torsion_oracle_cases(rng):
+    union = _spectator_union()
+
+    def B(letters, action):
+        return Bounds(letters, max_action=action)
+
+    cases = [(union, [(1, B(3, a)), (2, B(m, b)), (3, B(3, 3))])
+             for m, a, b in ((3, 3, 3), (2, 3, 3), (3, 3, 2), (4, 1, 4))]
+    cases += [(union, [(1, B(1, 3)), (3, B(3, 3))]),
+              (union, [(2, B(3, 3)), (3, B(3, 3))])]
+    # a level searched twice is certified by its last entry's bounds
+    cases += [(union, [(2, B(m, 3)), (2, B(n, 3)), (3, B(3, 3))])
+              for m, n in ((3, 2), (2, 3))]
+    for n in (1, 2, 3):
+        rung = fixtures.torsion_ladder(n)
+        cases += [(rung, default_schedule(n + 1, Bounds(n + 1))),
+                  (rung, [(k, B(k, k)) for k in range(1, n + 2)]),
+                  (rung, [(n, Bounds(n)), (n + 1, B(n + 1, n))]),
+                  (rung, [(n + 1, B(n + 1, n - 1))])]
+    cases += [(fixtures.mixed_no_aug(sign), default_schedule(3, Bounds(3)))
+              for sign in (1, -1)]
+    while len(cases) < 60:
+        case = _random_torsion_case(rng)
+        if case is not None:
+            cases.append(case)
+    return cases
+
+
+def test_torsion_matches_level_search_oracle():
+    # kind, level, certificate and bounds of the engine's one level loop
+    # against the search written out from its definition
+    outcomes = []
+    for alg, schedule in _torsion_oracle_cases(random.Random(1313)):
+        ans = torsion(alg, schedule)
+        want = oracle_torsion(alg, schedule)
+        assert (ans.kind, ans.level, ans.certificate, ans.bounds) == want, (
+            alg.table.sorted_entries(), schedule)
+        outcomes.append(ans.kind)
+    assert outcomes[:8] == ["exact", "at-most", "at-most", "exact",
+                            "at-most", "exact", "at-most", "exact"]
+    assert min(outcomes.count(kind)
+               for kind in ("exact", "at-most", "not-found")) >= 5
+
+
+def _sd_outcome(order, inputs):
+    try:
+        return order(*inputs)
+    except (StructureError, NotNilpotentError, PlanarityNotOneError) as err:
+        return type(err)
+
+
+def test_sd_order_matches_dense_oracle():
+    # sd_order's levels, solved through the one level loop, against the
+    # oracle's dense system per power of U: the same k or the same error
+    rng = random.Random(1414)
+    outcomes = []
+    for _ in range(400):
+        inputs = _random_sd_inputs(rng)
+        got = _sd_outcome(sd_order, inputs)
+        assert got == _sd_outcome(oracle_sd_order, inputs)
+        outcomes.append(got)
+    assert outcomes.count(PlanarityNotOneError) >= 20
+    assert {0, 1, 2} <= set(outcomes)
 
 
 # ---- one image per basis word per search --------------------------------------

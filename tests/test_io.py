@@ -439,16 +439,60 @@ def test_cli_ibl_torsion_structure_failed(tmp_path):
     assert report_value(out, "ibl-torsion") == "structure-failed"
 
 
+def _with_pointed(doc):
+    # an augmentation and a pointed map for doc, in argv form
+    return ("--aug", "@%s.aug0" % doc, "--pointed", "@%s.pointed" % doc)
+
+
 @pytest.mark.parametrize("argv", [
-    ("torsion", "--word-bound", "0"),
-    ("torsion", "--max-letters", "0"),
-    ("hierarchy", "--word-bound", "0"),
+    ("torsion", "planar-torsion-one", "--word-bound", "0"),
+    ("torsion", "planar-torsion-one", "--max-letters", "0"),
+    ("hierarchy", "planar-torsion-one", "--word-bound", "0"),
+    # the order searches have no level at word bound 0 either
+    ("order", "pointed-one", "--word-bound", "0") + _with_pointed(
+        "pointed-one"),
+    ("order-multi", "pointed-two", "--word-bound", "0") + _with_pointed(
+        "pointed-two"),
+    ("planarity", "pointed-one", "--word-bound", "0") + _with_pointed(
+        "pointed-one"),
 ])
 def test_cli_empty_torsion_schedule_exit_two(corpus_dir, tmp_path, argv):
+    args = [str(corpus_dir / (a[1:] + ".blf")) if a.startswith("@") else a
+            for a in argv[2:]]
     code, out = run_cli(tmp_path, argv[0],
-                        str(corpus_dir / "planar-torsion-one.blf"), *argv[1:])
+                        str(corpus_dir / (argv[1] + ".blf")), *args)
     assert code == 2
     assert report_value(out, "error").startswith("value: ")
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_cli_order_multi_needs_a_point_exit_two(corpus_dir, tmp_path,
+                                                points):
+    code, out = run_cli(tmp_path, "order-multi",
+                        str(corpus_dir / "pointed-one.blf"),
+                        "--aug", str(corpus_dir / "pointed-one.aug0.blf"),
+                        "--pointed", str(corpus_dir / "pointed-one.pointed.blf"),
+                        "--points", points)
+    assert code == 2
+    assert report_value(out, "error") == (
+        "value: a multi-point order needs m >= 1 points, got %s" % points)
+    assert report_value(out, "order-multi") is None
+
+
+@pytest.mark.parametrize("command", ["verify", "ibl-check", "ibl-torsion"])
+def test_cli_ibl_table_of_parity_zero_exit_one(tmp_path, command):
+    # the declared parity is read, with and without an op, and refused
+    head = "format blinfty 1\ngen q parity 1\ntable ibl p parity 0 hbar\n"
+    extra = ("0", "0") if command == "ibl-torsion" else ()
+    for name, text in (("empty", head),
+                       ("one-op", head + "op 1 1 genus 0 : q -> 1 q\n")):
+        f = tmp_path / (name + ".blf")
+        f.write_text(text, encoding="utf-8")
+        code, out = run_cli(tmp_path, command, str(f), *extra,
+                            "--max-letters", "2")
+        assert code == 1, name
+        assert report_value(out, "error") == (
+            "structure: ibl table must have parity 1"), name
 
 
 @pytest.mark.parametrize("n, m", [("0", "-1"), ("-1", "1")])

@@ -8,7 +8,9 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
-from blinfty import assembly, linalg
+from blinfty import assembly, fixtures, linalg
+from blinfty.invariants import default_schedule
+from blinfty.structures import Bounds, PointedMap, zero_table
 from blinfty.words import EElement
 
 from util import eword, space, table
@@ -90,6 +92,49 @@ def test_bench_tracer_counts_block_lists_reaching_the_gluing_step(
     assert len(received) == 3
     assert tracer.counts["assembly.partitions.generated"] == len(received)
     assert tracer.counts["assembly.morphism.terms_out"] == len(out.terms)
+
+
+def _searches(inv):
+    """(search, levels it solved) for torsion and both orders, found and
+    not found, through the module namespace inv."""
+    B3 = Bounds(3, word_bound=3)
+    alg, pmap = fixtures.pointed_two()
+    out = []
+    for t_alg in (fixtures.planar_torsion_one(), fixtures.mixed_no_aug()):
+        out.append((lambda t_alg=t_alg: inv.torsion(
+            t_alg, default_schedule(3, B3)),
+            lambda ans: ans.level + 1 if ans.found() else 3))
+    for order in (inv.order_O, inv.order_O_tilde):
+        for p in (pmap, PointedMap(alg, zero_table(alg.space, parity=0))):
+            out.append((lambda order=order, p=p: order(
+                alg, fixtures.zero_aug(alg), p, B3),
+                lambda ans: ans.level if ans.found() else B3.outer()))
+    return out
+
+
+def test_bench_tracer_counts_one_solve_per_searched_level():
+    # every level of a search is solved by linalg.solve_linear, which the
+    # tracer wraps by name; a search that bypasses it would read as zero
+    # linalg.solve calls in a traced benchmark run
+    tracer_mod = _bench_tracer()
+    modules = {module for entries in tracer_mod.LAYERS.values()
+               for module, _ in entries}
+    lib = types.SimpleNamespace(**{
+        m: importlib.import_module("blinfty." + m) for m in modules})
+    found = []
+    for search, levels in _searches(lib.invariants):
+        tracer = tracer_mod.Tracer()
+        tracer.install(lib)
+        try:
+            tracer.begin_op(0)
+            ans = search()
+            tracer.end_op()
+        finally:
+            tracer.uninstall()
+        assert tracer.missing == []
+        assert tracer.span_times()["linalg.solve"][0] == levels(ans) > 0
+        found.append(ans.found())
+    assert found.count(True) >= 3 and found.count(False) >= 3
 
 
 class _CounterStub:

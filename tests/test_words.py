@@ -9,7 +9,7 @@ from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            normalize_clusters, koszul_pass_sign,
                            enumerate_basis, sort_with_sign)
 
-from util import bubble_normalize, random_space
+from util import bubble_normalize, oracle_window, random_space
 
 
 def space(*spec):
@@ -267,29 +267,6 @@ def test_sort_with_sign_matches_bubble_oracle_seeded():
     assert min(signs.count(s) for s in (-1, 0, 1)) >= 100
 
 
-def _brute_force_ewords(sp, max_letters, max_action, outer_components,
-                        allow_units, max_cluster_letters):
-    """Every nonzero multiset of 1..outer_components words within the
-    letter, action and cluster-size bounds, normalized and sorted."""
-    words = enumerate_basis(sp, max_letters, max_action)
-    if max_cluster_letters is not None:
-        words = [w for w in words if len(w) <= max_cluster_letters]
-    if not allow_units:
-        words = [w for w in words if len(w)]
-    out = set()
-    for r in range(1, outer_components + 1):
-        for combo in itertools.combinations_with_replacement(words, r):
-            if sum(len(w) for w in combo) > max_letters:
-                continue
-            if max_action is not None and sum(
-                    sp.word_action(w.letters) for w in combo) > max_action:
-                continue
-            ew, sign = normalize_clusters(sp, combo)
-            if sign:
-                out.add(ew)
-    return sorted(out, key=lambda e: e.key())
-
-
 def test_enumerate_ewords_matches_brute_force_seeded():
     # the outer-word enumeration stops at the first word longer than the
     # letters left; the output must be every admissible multiset, in order
@@ -308,5 +285,5 @@ def test_enumerate_ewords_matches_brute_force_seeded():
         mcl = rng.choice((None, 1, 2))
         got = enumerate_basis(sp, ml, ma, outer_components=oc,
                               allow_units=units, max_cluster_letters=mcl)
-        assert got == _brute_force_ewords(sp, ml, ma, oc, units, mcl), (
+        assert got == oracle_window(sp, ml, ma, oc, units, mcl), (
             sp.parities, ml, ma, oc, units, mcl)

@@ -13,8 +13,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from blinfty.errors import (NotNilpotentError, PlanarityNotOneError,
+                            StructureError)
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
-                           EElement, UNIT_WORD, enumerate_basis,
+                           EElement, UNIT_EWORD, UNIT_WORD, enumerate_basis,
                            normalize_word, normalize_clusters)
 from blinfty.structures import (OperationTable, BLAlgebra, Bounds,
                                 TRIVIAL_SPACE, apply_hat_p, apply_hat_phi,
@@ -719,3 +721,159 @@ def dense_solve_linear(A, b):
             solution[pc] = red[r][-1]
     kern = dense_kernel_basis([row[:ncols] for row in red], ncols)
     return solution, kern
+
+
+# ---------------------------------------------------------------------------
+# level searches: the oracles for invariants.torsion and sd_order
+
+def oracle_window(sp, max_letters, max_action, outer_components,
+                  allow_units=True, max_cluster_letters=None):
+    """Every nonzero multiset of 1..outer_components words within the
+    letter, action and cluster-size bounds, normalized and sorted."""
+    words = enumerate_basis(sp, max_letters, max_action)
+    if max_cluster_letters is not None:
+        words = [w for w in words if len(w) <= max_cluster_letters]
+    if not allow_units:
+        words = [w for w in words if len(w)]
+    out = set()
+    for r in range(1, outer_components + 1):
+        for combo in itertools.combinations_with_replacement(words, r):
+            if sum(len(w) for w in combo) > max_letters:
+                continue
+            if max_action is not None and sum(
+                    sp.word_action(w.letters) for w in combo) > max_action:
+                continue
+            ew, sign = normalize_clusters(sp, combo)
+            if sign:
+                out.add(ew)
+    return sorted(out, key=lambda e: e.key())
+
+
+def oracle_torsion(alg, schedule):
+    """The torsion search from its definition, as (kind, level,
+    certificate, bounds).
+
+    Level k, with bounds b, solves when p-hat x = 1 has a solution x on
+    every outer word of at most k clusters within b, units allowed: images
+    by oracle_hat_p, dense elimination, free variables zero.  The first
+    scheduled level k that solves gives level k - 1.  A level j < k is
+    certified unsolvable when no constant cell (i, 0) has i <= j, or when
+    j was searched, with bounds b_j (its last schedule entry), and all of
+    these hold: the table drops action, b_j has an action bound A, every
+    generator has an action and the least one, delta, is positive, A is
+    at least the action of every constant cell's input, and
+    b_j.max_letters >= A / delta.  The answer is exact when every j in
+    1..k-1 is certified, at-most otherwise; not-found carries the bounds
+    of the last entry.
+    """
+    sp, tab = alg.space, alg.table
+    constants = [(i, w) for (i, l), cell in tab.cells.items() if l == 0
+                 for w in cell]
+    actions = [g.action for g in sp.generators]
+
+    def action_closed(b):
+        if not tab.action_drop or b.max_action is None or None in actions \
+                or min(actions) <= 0:
+            return False
+        if any(sp.word_action(w.letters) > b.max_action
+               for _, w in constants):
+            return False
+        return b.max_letters >= b.max_action / min(actions)
+
+    searched = {}
+    for k, b in schedule:
+        window = oracle_window(sp, b.max_letters, b.max_action, k)
+        images = [oracle_hat_p(sp, tab, ew) for ew in window]
+        rows = sorted({UNIT_EWORD} | {key for im in images for key in im.terms},
+                      key=repr)
+        A = [[im.terms.get(r, Fraction(0)) for im in images] for r in rows]
+        sol, _ = dense_solve_linear(
+            A, [Fraction(int(r == UNIT_EWORD)) for r in rows])
+        if sol is not None:
+            exact = all(
+                not any(i <= j for i, _ in constants)
+                or (j in searched and action_closed(searched[j]))
+                for j in range(1, k))
+            return ("exact" if exact else "at-most", k - 1,
+                    EElement({ew: c for ew, c in zip(window, sol) if c}), b)
+        searched[k] = b
+    return ("not-found", None, None, schedule[-1][1])
+
+
+def oracle_sd_order(ell1, umod, ell_point):
+    """sd_order with one dense system per power of U, each solved by the
+    dense elimination."""
+    sp = umod.space
+    n = len(sp)
+    D = [[Fraction(0)] * n for _ in range(n)]
+    for (k, l), cell in ell1.cells.items():
+        if (k, l) != (1, 1):
+            raise StructureError("ell1 must be a linear differential")
+        for w_in, elem in cell.items():
+            for w_out, c in elem.terms.items():
+                D[w_out.letters[0]][w_in.letters[0]] = c
+    U = [[Fraction(0)] * n for _ in range(n)]
+    for cell in umod.table.cells.values():
+        for w_in, elem in cell.items():
+            for w_out, c in elem.terms.items():
+                U[w_out.letters[0]][w_in.letters[0]] = c
+    f = [Fraction(0)] * n
+    for (k, l), cell in ell_point.cells.items():
+        if (k, l) != (1, 0):
+            raise StructureError("ell_point must be a linear functional")
+        for w_in, elem in cell.items():
+            f[w_in.letters[0]] = elem.terms.get(UNIT_WORD, Fraction(0))
+    if _mat_mul(U, D) != _mat_mul(D, U):
+        raise StructureError("U does not commute with the differential")
+    if any(sum(f[i] * D[i][j] for i in range(n)) != 0 for j in range(n)):
+        raise StructureError("the functional is not a chain map")
+    cycles = dense_kernel_basis(D, n)
+    # nilpotence of the induced map within dim H steps
+    power_bound = max(1, len(cycles) - dense_rank(D))
+    Upow = _mat_power(U, power_bound)
+    for z in cycles:
+        v = [sum(Upow[i][j] * z[j] for j in range(n)) for i in range(n)]
+        sol, _ = dense_solve_linear(D, v)
+        if sol is None:
+            raise NotNilpotentError(
+                "U^%d is nonzero on homology" % power_bound)
+    # feasibility only grows with the power (U commutes with D), so the
+    # last step decides whether any class has functional value 1
+    for k in range(0, power_bound):
+        if _sd_feasible(D, U, f, cycles, k + 1, n) is not None:
+            return k
+    raise PlanarityNotOneError("no class with functional value 1")
+
+
+def _sd_feasible(D, U, f, cycles, upower, n):
+    """Exists z in span(cycles), y with f(z) = 1 and U^upower z = D y."""
+    ncols = len(cycles) + n
+    Upow = _mat_power(U, upower)
+    rows = []
+    rhs = []
+    for i in range(n):
+        row = [sum(Upow[i][t] * cycles[j][t] for t in range(n))
+               for j in range(len(cycles))]
+        row += [-D[i][j] for j in range(n)]
+        rows.append(row)
+        rhs.append(Fraction(0))
+    rows.append([sum(f[t] * cycles[j][t] for t in range(n))
+                 for j in range(len(cycles))] + [Fraction(0)] * n)
+    rhs.append(Fraction(1))
+    sol, _ = dense_solve_linear(rows, rhs)
+    return sol
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _mat_power(A, p):
+    n = len(A)
+    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i in range(n)]
+    for _ in range(p):
+        out = _mat_mul(out, A)
+    return out
