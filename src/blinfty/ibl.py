@@ -6,11 +6,10 @@ from __future__ import annotations
 
 from . import assembly
 from .errors import StructureError
-from .invariants import _columns, _solve
+from .invariants import _level, _outer_window, _search
 from .structures import (BLAlgebra, OperationTable, _first_failure,
-                         _split_words, word_to_singletons)
-from .words import (EElement, EWord, Element, UNIT_WORD,
-                    enumerate_basis, normalize_word)
+                         _require, _split_words, word_to_singletons)
+from .words import EElement, EWord, Element, UNIT_WORD, normalize_word
 
 
 class IBLAlgebra:
@@ -79,21 +78,18 @@ def torsion_grid(ialg, n, m, trunc, bounds):
     if n < 0 or m < 0:
         raise ValueError("torsion grid needs n, m >= 0, got (%d, %d)"
                          % (n, m))
-    status = check_ibl(ialg, trunc, bounds)
-    if not status.ok:
-        raise StructureError("structure fails: witness %r" % (status.witness,))
+    _require(check_ibl(ialg, trunc, bounds), "structure")
     if n > trunc:
         return True, None
-    ewords = enumerate_basis(ialg.space, bounds.max_letters, bounds.max_action,
-                             outer_components=m + 1, allow_units=True)
-    basis = [EWord(ew.clusters, hbar=h)
-             for h in range(trunc + 1) for ew in ewords]
-    columns = _columns(basis, lambda ew: apply_hat_p_ibl(
-        ialg, EElement.monomial(ew), trunc))
-    sol = _solve(basis, columns, EWord((UNIT_WORD,), hbar=n))
-    if sol is None:
-        return False, None
-    return True, EElement(sol)
+
+    def window(k, bounds):
+        ewords = _outer_window(ialg.space, True)(k, bounds)
+        return [EWord(ew.clusters, hbar=h)
+                for h in range(trunc + 1) for ew in ewords]
+    return _search([(m + 1, bounds)], _level(window, lambda ew: (
+        apply_hat_p_ibl(ialg, EElement.monomial(ew), trunc))),
+        lambda key, sol, failed: (True, EElement(sol)),
+        EWord((UNIT_WORD,), hbar=n)) or (False, None)
 
 
 def verify_grid_certificate(ialg, cert, n, m, trunc):

@@ -1,6 +1,7 @@
 """Hierarchy invariants: bar complexes, torsion, planarity orders, widths,
 multi-point orders, and semi-dilation from a supplied endomorphism.  The
-least solvable level of each is found by one loop, _search."""
+least solvable level of each, and ibl.torsion_grid's one level, is found by
+one loop, _search."""
 
 from __future__ import annotations
 
@@ -8,14 +9,14 @@ import itertools
 from fractions import Fraction
 
 from . import assembly
-from .errors import (InconclusiveError, NotNilpotentError,
-                     PlanarityNotOneError, PlanarityZeroError, StructureError,
-                     WindowLeakError)
+from .errors import (IncompleteTableError, InconclusiveError,
+                     NotNilpotentError, PlanarityNotOneError,
+                     PlanarityZeroError, StructureError, WindowLeakError)
 from .linalg import ChainComplex, kernel_basis, rank, solve_linear
-from .structures import (Augmentation, OperationTable, PointedMap,
-                         _split_word_table, apply_hat_p, apply_hat_phi,
-                         check_structure, compose, ell_table, f_eps,
-                         is_augmentation, linearize, linearize_pointed)
+from .structures import (Augmentation, OperationTable, PointedMap, _require,
+                         _split_word_table, _split_words, apply_hat_p,
+                         apply_hat_phi, check_structure, compose, ell_table,
+                         f_eps, is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity)
@@ -236,10 +237,7 @@ def torsion(alg, schedule):
     'at-most' otherwise.  An empty schedule raises ValueError.
     """
     if schedule:  # an empty one is _search's ValueError
-        status = check_structure(alg, schedule[-1][1])
-        if not status.ok:
-            raise StructureError("structure fails: witness %r"
-                                 % (status.witness,))
+        _require(check_structure(alg, schedule[-1][1]), "structure")
 
     def answer(key, sol, failed):
         k, bounds = key
@@ -295,9 +293,7 @@ def _bar(ell):
     """The inner bar complex as (window, differential, parity): words of
     length 1..k within bounds under the linearized bar differential."""
     sp = ell.space
-    return (lambda k, bounds: [w for w in enumerate_basis(
-                sp, min(k, bounds.max_letters), bounds.max_action)
-                if len(w) >= 1],
+    return (lambda k, bounds: _split_words(sp, bounds, k),
             lambda w: assembly.apply_inner_coderivation(sp, ell,
                                                         Element.monomial(w)),
             lambda w: sp.word_parity(w.letters))
@@ -418,6 +414,10 @@ def _order_multi(alg, eps, family, m, bounds, cap):
     if m < 1:
         raise ValueError("a multi-point order needs m >= 1 points, got %d"
                          % m)
+    if next(_label_partitions(tuple(range(1, m + 1)),
+                              set(map(frozenset, family))), None) is None:
+        raise ValueError("no set partition of the points 1..%d has all its "
+                         "blocks in the family" % m)
     lin = _linearized(alg, eps, bounds)
     lin_family = _multi_linearized(family, alg, eps, bounds)
     sp = alg.space
@@ -438,7 +438,8 @@ def order_multi(alg, eps, family, m, bounds):
 
     family maps each nonempty subset of {1..m} to its operation table; the
     complex caps every cluster at m letters, and the functional is the unit
-    coefficient of the multi-point operator.
+    coefficient of the multi-point operator.  A family with no set
+    partition of {1..m} into its subsets raises ValueError, as does m < 1.
     """
     return _order_multi(alg, eps, family, m, bounds, cap=m)
 
@@ -602,15 +603,11 @@ def planarity(alg, augmentations, pmap, bounds, torsion_answer=None):
 
 
 def _symbolic_generic_aug(alg, bounds):
-    entries = []
-    counter = [0]
-    for w in enumerate_basis(alg.space, bounds.max_letters, bounds.max_action):
-        if len(w) < 1 or alg.space.word_parity(w.letters) != 0:
-            continue
-        var = SymPoly.var("e%d" % counter[0])
-        counter[0] += 1
-        entries.append((len(w), 0, w,
-                        Element.monomial(UNIT_WORD, var)))
+    even = [w for w in _split_words(alg.space, bounds)
+            if alg.space.word_parity(w.letters) == 0]
+    entries = [(len(w), 0, w,
+                Element.monomial(UNIT_WORD, SymPoly.var("e%d" % i)))
+               for i, w in enumerate(even)]
     tab = OperationTable(alg.space, 0, entries, complete=False,
                          max_k=bounds.max_letters, target=GradedSpace(()))
     return Augmentation(alg, tab)
@@ -620,7 +617,6 @@ def _planarity_generic_even(alg, pmap, bounds):
     """All-even shortcut: every functional family is an augmentation, so
     probe with symbolic values; if no assembled coefficient depends on
     them, the zero-augmentation answer is the answer for all of them."""
-    from .errors import IncompleteTableError
     eps_sym = _symbolic_generic_aug(alg, bounds)
     try:
         lin = linearize(alg, eps_sym, bounds)

@@ -1,17 +1,16 @@
 """Operation tables, algebras with a squared-zero coderivation, morphisms,
 augmentations, linearization and pointed maps.
 
-The structure, augmentation, pointed-map and morphism checks test their
-identity by its connected part: pi_1 of the composite on split words (one
-letter per cluster), in word order, the last gluing stage made with
-single_cluster.  The assembled maps are exponentials of their connected
-parts, as in the exponential form of morphisms in Cieliebak-Fukaya-Latschev
-(arXiv:1508.02741), so the identity holds on the outer words of at most c
-clusters exactly when its connected part vanishes on the split words of at
-most c letters.  The augmentation, pointed-map and morphism checks take
-c = bounds.outer(); the structure check takes every split word within
-max_letters.  The compatibility check still evaluates every outer word of
-the window.
+The structure, augmentation, pointed-map, morphism and compatibility
+checks test their identity by its connected part: pi_1 of the composite on
+split words (one letter per cluster), in word order, the last gluing stage
+made with single_cluster.  The assembled maps are exponentials of their
+connected parts, as in the exponential form of morphisms in
+Cieliebak-Fukaya-Latschev (arXiv:1508.02741), so the identity holds on the
+outer words of at most c clusters exactly when its connected part vanishes
+on the split words of at most c letters.  The augmentation, pointed-map,
+morphism and compatibility checks take c = bounds.outer(); the structure
+check takes every split word within max_letters.
 """
 
 from __future__ import annotations
@@ -297,6 +296,13 @@ def _connected_part(image, word):
     return pi_single_cluster(image(x))
 
 
+def _require(status, what):
+    """Raise StructureError, naming what failed and its witness, when the
+    status of a check that must pass is a failure."""
+    if not status.ok:
+        raise StructureError("%s fails: witness %r" % (what, status.witness))
+
+
 def _first_failure(items, bounds, defect, witness=lambda item, bad: item):
     """The one loop of every check: failed at the first item, in order,
     whose defect is nonzero, with witness(item, defect); else verified."""
@@ -355,12 +361,8 @@ def check_morphism(mor, bounds):
     if mor.target is not mor.source:
         ends.append(("target", mor.target))
     for end, alg in ends:
-        if alg is TRIVIAL_ALGEBRA:
-            continue
-        status = check_structure(alg, bounds)
-        if not status.ok:
-            raise StructureError("%s structure fails: witness %r"
-                                 % (end, status.witness))
+        if alg is not TRIVIAL_ALGEBRA:
+            _require(check_structure(alg, bounds), "%s structure" % end)
     src, tgt = mor.source, mor.target
 
     def defect(x):
@@ -515,32 +517,38 @@ def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
                                    target_space=mor.target.space)
 
 
-def _basis_ewords(space, bounds):
-    return enumerate_basis(space, bounds.max_letters, bounds.max_action,
-                           outer_components=bounds.outer())
-
-
 def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
-    """Verify the four-term homotopy identity on basis outer words.
+    """Verify q-hat o phi-hat - s phi-hat o p-hat = p'-hat o phi-bullet-hat
+    - s' phi-bullet-hat o p-hat by its connected part on the split words of
+    at most bounds.outer() letters; on failure the witness is the first
+    failing split Word.
 
     phi: morphism between the two algebras; p_bullet / q_bullet pointed
-    maps on source / target of equal parity d; phi_bullet has parity d+1.
+    maps on source / target of equal parity d, s = (-1)^d; phi_bullet has
+    parity d+1, s' = -s.  The defect is made of connected parts only when
+    phi-hat o p-hat = p'-hat o phi-hat, so phi must pass check_morphism
+    within the same bounds; otherwise StructureError.
     """
     d = p_bullet.parity
     if q_bullet.parity != d:
         raise StructureError("pointed maps must share parity")
-    bp = (d + 1) % 2
-    sq = -1 if d % 2 else 1
-    sphi = -1 if bp % 2 else 1
+    _require(check_morphism(phi, bounds), "morphism")
+    bp, sq = 1 - d, (-1) ** d
     src, tgt = phi.source, phi.target
 
-    def defect(ew):
-        x = EElement.monomial(ew)
-        phix = apply_hat_phi(phi, x)
-        lhs = (apply_hat_pointed(q_bullet, tgt, phix)
-               - sq * apply_hat_phi(phi, apply_hat_pointed(p_bullet, src, x)))
-        bx = apply_hat_phi_bullet(phi, phi_bullet_table, x, bp)
-        bpx = apply_hat_phi_bullet(phi, phi_bullet_table,
-                                   apply_hat_p(src, x), bp)
-        return lhs != apply_hat_p(tgt, bx) - sphi * bpx
-    return _first_failure(_basis_ewords(src.space, bounds), bounds, defect)
+    def defect(x):
+        return (assembly.apply_coderivation(
+                    tgt.space, q_bullet.table, apply_hat_phi(phi, x),
+                    single_cluster=True)
+                - sq * assembly.apply_morphism(
+                    src.space, phi.table, apply_hat_pointed(p_bullet, src, x),
+                    target_space=tgt.space, single_cluster=True)
+                - assembly.apply_coderivation(
+                    tgt.space, tgt.table,
+                    apply_hat_phi_bullet(phi, phi_bullet_table, x, bp),
+                    single_cluster=True)
+                - sq * assembly.apply_morphism(
+                    src.space, phi.table, apply_hat_p(src, x),
+                    bullet_table=phi_bullet_table, bullet_parity=bp,
+                    target_space=tgt.space, single_cluster=True))
+    return _check_split_words(src.space, bounds, defect, bounds.outer())

@@ -128,9 +128,6 @@ class EWord:
         return (self.hbar, len(self.clusters),
                 tuple(c.key() for c in self.clusters))
 
-    def letter_count(self):
-        return sum(len(c) for c in self.clusters)
-
     def __eq__(self, other):
         return (isinstance(other, EWord) and self.clusters == other.clusters
                 and self.hbar == other.hbar)

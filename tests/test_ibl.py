@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from blinfty import fixtures
+from blinfty import fixtures, invariants
 from blinfty.errors import StructureError
 from blinfty.ibl import (IBLAlgebra, apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion, from_bl, genus0,
@@ -185,6 +185,21 @@ def test_grid_fixture_a_01():
         assert found
         assert verify_grid_certificate(ialg, cert, 0, 1, trunc)
         assert cert == EElement.monomial(eword(ialg.space, ("q1",), ("q2",)))
+
+
+def test_grid_enumerates_its_window_once(monkeypatch):
+    # the window tags one enumeration of outer words with every exponent
+    # up to the truncation, rather than enumerating once per exponent
+    calls = []
+    enumerate_basis_ = invariants.enumerate_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_basis_(*args, **kwargs)
+    monkeypatch.setattr(invariants, "enumerate_basis", counted)
+    found, cert = torsion_grid(ibl_fixture_a(), 0, 1, 2, Bounds(2))
+    assert found and len(calls) == 1
+    assert {ew.hbar for ew in cert.terms} == {0}
 
 
 def test_grid_trivial_above_truncation():

@@ -358,24 +358,43 @@ def test_cli_linearize_certificate_keeps_partial_table(corpus_dir, tmp_path):
     assert (code, report_value(out, "verify")) == (0, "ok")
 
 
-def test_cli_order_multi(corpus_dir, tmp_path):
-    # two copies of the one-point functional: S1 and S2, empty pair table
-    base = (corpus_dir / "pointed-one.pointed.blf").read_text()
+def _order_multi_family(corpus_dir, tmp_path, doc):
+    """order-multi's arguments after the command for doc, with the family
+    S1, S2, S12: two copies of doc's one-point functional and an empty pair
+    table."""
+    base = (corpus_dir / ("%s.pointed.blf" % doc)).read_text()
     s2 = base.replace("table pointed S1", "table pointed S2")
     (tmp_path / "s2.blf").write_text(s2, encoding="utf-8")
     s12 = "\n".join(line for line in base.splitlines()
                     if not line.startswith("op")) \
         .replace("table pointed S1", "table pointed S12") + "\n"
     (tmp_path / "s12.blf").write_text(s12, encoding="utf-8")
-    code, out = run_cli(tmp_path, "order-multi",
-                        str(corpus_dir / "pointed-one.blf"),
-                        "--aug", str(corpus_dir / "pointed-one.aug0.blf"),
-                        "--pointed", str(corpus_dir / "pointed-one.pointed.blf"),
-                        "--pointed", str(tmp_path / "s2.blf"),
-                        "--pointed", str(tmp_path / "s12.blf"),
-                        "--points", "2")
+    return (str(corpus_dir / ("%s.blf" % doc)),
+            "--aug", str(corpus_dir / ("%s.aug0.blf" % doc)),
+            "--pointed", str(corpus_dir / ("%s.pointed.blf" % doc)),
+            "--pointed", str(tmp_path / "s2.blf"),
+            "--pointed", str(tmp_path / "s12.blf"))
+
+
+def test_cli_order_multi(corpus_dir, tmp_path):
+    code, out = run_cli(tmp_path, "order-multi", *_order_multi_family(
+        corpus_dir, tmp_path, "pointed-one"), "--points", "2")
     assert code == 0
     assert report_value(out, "order-multi") == "exact 1"
+
+
+@pytest.mark.parametrize("doc", ["pointed-one", "pointed-two"])
+def test_cli_order_multi_family_must_cover_the_points_exit_two(
+        corpus_dir, tmp_path, doc):
+    # no set partition of {1, 2, 3} has all its blocks among S1, S2, S12,
+    # so the functional would vanish on every level
+    code, out = run_cli(tmp_path, "order-multi", *_order_multi_family(
+        corpus_dir, tmp_path, doc), "--points", "3")
+    assert code == 2
+    assert report_value(out, "error") == (
+        "value: no set partition of the points 1..3 has all its blocks in "
+        "the family")
+    assert report_value(out, "order-multi") is None
 
 
 def test_cli_sd(corpus_dir, tmp_path):

@@ -20,7 +20,7 @@ from blinfty.words import (EElement, EWord, Element, Generator, GradedSpace,
                            UNIT_EWORD, UNIT_WORD, Word, enumerate_basis)
 from blinfty import assembly, structures
 
-from util import (eword, one_letter_structure,
+from util import (eword, one_letter_structure, oracle_check_compatibility,
                   oracle_check_morphism, oracle_check_pointed,
                   oracle_hat_phi, oracle_is_augmentation, random_space,
                   random_table, space, table, word)
@@ -619,6 +619,143 @@ def test_compat_commutator_construction():
         assert status.ok, (sp.parities, ptab.cells, fb.cells)
         built += 1
     assert built >= 5
+
+
+def _scaled(tab, lam):
+    """The table transported along the scaling g_i -> lam[i] g_i: each
+    entry w -> c u becomes w -> c lam^u / lam^w."""
+    def weight(word):
+        out = Fraction(1)
+        for i in word.letters:
+            out *= lam[i]
+        return out
+    return OperationTable(tab.space, tab.parity, [
+        (k, l, g, w, Element({u: c * weight(u) / weight(w)
+                              for u, c in e.terms.items()}))
+        for (k, l, g, w, e) in tab.sorted_entries()])
+
+
+def _diagonal(sp, lam):
+    return OperationTable(sp, 0, [(1, 1, Word((i,)),
+                                   Element.monomial(Word((i,)), lam[i]))
+                                  for i in range(len(sp))])
+
+
+def _random_compatibility_case(rng):
+    """(phi, p_bullet, q_bullet, phi_bullet table, bounds, kind), or None
+    when a drawn structure fails its check.
+
+    phi starts from a random structure p on 2-3 generators.  In kinds
+    'solved' and 'perturbed' it is the scaling by random nonzero rationals
+    onto the transported structure, q_bullet is solved from the identity
+    by evaluation on split words through the inverse scaling, and
+    'perturbed' adds one random entry of arity at most 3 to it.  In kind 'unrelated' the
+    target is another random structure, so the scaling is seldom a
+    morphism, with q_bullet solved the same way.  In kind 'random', phi is
+    the identity plus a random entry and q_bullet is random."""
+    sp = random_space(rng, n=rng.randint(2, 3))
+    bounds = rng.choice([Bounds(2), Bounds(3), Bounds(3, word_bound=2)])
+    src = BLAlgebra(sp, random_table(rng, sp, max_k=2, max_l=2,
+                                     n_entries=rng.randint(1, 2)))
+    if not check_structure(src, bounds).ok:
+        return None
+    d = rng.randrange(2)
+    bp = (d + 1) % 2
+    kind = rng.choice(["solved", "solved", "perturbed", "perturbed",
+                       "unrelated", "random"])
+    p_bullet = PointedMap(src, random_table(rng, sp, max_k=2, max_l=1,
+                                            parity=d,
+                                            n_entries=rng.randint(1, 2)))
+    fb = random_table(rng, sp, max_k=2, max_l=1, parity=bp,
+                      n_entries=rng.randint(0, 2))
+    lam = [Fraction(rng.choice([1, 2, -1, 3, Fraction(1, 2)]))
+           for _ in range(len(sp))]
+    tgt = BLAlgebra(sp, _scaled(src.table, lam))
+    if kind == "unrelated":
+        tgt = BLAlgebra(sp, random_table(rng, sp, max_k=2, max_l=2,
+                                         n_entries=rng.randint(1, 2)))
+        if not check_structure(tgt, bounds).ok:
+            return None
+    phi = BLMorphism(src, tgt, _diagonal(sp, lam))
+    if kind == "random":
+        cells = {(k, l, w): e for (k, l, _, w, e) in random_table(
+            rng, sp, max_k=2, max_l=2, parity=0,
+            n_entries=rng.randint(1, 2)).sorted_entries()}
+        for i in range(len(sp)):
+            w = Word((i,))
+            cells[1, 1, w] = cells.get((1, 1, w), Element()) + \
+                Element.monomial(w)
+        phi = BLMorphism(src, tgt, OperationTable(
+            sp, 0, [(k, l, w, e) for (k, l, w), e in cells.items() if e]))
+        q_table = random_table(rng, sp, max_k=2, max_l=1, parity=d,
+                               n_entries=rng.randint(1, 2))
+    else:
+        inverse = _diagonal(sp, [1 / c for c in lam])
+
+        def solved(x):
+            y = assembly.apply_morphism(sp, inverse, x)
+            return ((-1) ** d * apply_hat_phi(
+                        phi, apply_hat_pointed(p_bullet, src, y))
+                    + apply_hat_p(tgt, apply_hat_phi_bullet(phi, fb, y, bp))
+                    - (-1) ** bp * apply_hat_phi_bullet(
+                        phi, fb, apply_hat_p(src, y), bp))
+        q_table = structures._split_word_table(sp, solved, d, bounds)
+        if kind == "perturbed":
+            cells = {(k, l, w): e
+                     for (k, l, _, w, e) in q_table.sorted_entries()}
+            for (k, l, _, w, e) in random_table(
+                    rng, sp, max_k=3, max_l=1, parity=d,
+                    n_entries=1).sorted_entries():
+                cells[k, l, w] = cells.get((k, l, w), Element()) + e
+            q_table = OperationTable(
+                sp, d, [(k, l, w, e) for (k, l, w), e in cells.items() if e],
+                complete=False, max_k=bounds.max_letters)
+    return (phi, p_bullet, PointedMap(tgt, q_table), fb, bounds, kind)
+
+
+def test_compatibility_check_matches_full_window_oracle():
+    # check_compatibility tests the connected part of the four-term
+    # identity on the split words of at most bounds.outer() letters; the
+    # oracle tests the identity on every outer word of the window.  The
+    # connected part decides only when phi is a morphism: with 'unrelated'
+    # targets the solved q_bullet makes it vanish while the identity
+    # fails, so the check must refuse such a phi
+    rng = random.Random(1414)
+    seen = {}  # (verdict, kind, parity d, phi the identity) -> count
+    compared = 0
+    while compared < 300:
+        case = _random_compatibility_case(rng)
+        if case is None:
+            continue
+        phi, p_bullet, q_bullet, fb, bounds, kind = case
+        if check_morphism(phi, bounds).ok:
+            compared += 1
+            want = oracle_check_compatibility(phi, p_bullet, q_bullet, fb,
+                                              bounds)
+            assert check_compatibility(phi, p_bullet, q_bullet, fb,
+                                       bounds).ok == want, (kind, bounds)
+        else:
+            want = "refused"
+            with pytest.raises(StructureError, match="^morphism fails"):
+                check_compatibility(phi, p_bullet, q_bullet, fb, bounds)
+            if kind == "unrelated" and not oracle_check_compatibility(
+                    phi, p_bullet, q_bullet, fb, bounds):
+                want = "refused, identity fails"
+        key = (want, kind, p_bullet.parity,
+               phi.table == identity_table(phi.source.space))
+        seen[key] = seen.get(key, 0) + 1
+
+    def count(**where):
+        names = ("want", "kind", "d", "identity")
+        return sum(n for key, n in seen.items()
+                   if all(dict(zip(names, key))[k] == v
+                          for k, v in where.items()))
+    assert count(want=True) >= 100 and count(want=False) >= 100, seen
+    for want in (True, False):
+        for d in (0, 1):
+            assert count(want=want, d=d, identity=False) >= 20, seen
+    assert count(want="refused, identity fails") >= 10, seen
+    assert count(kind="solved", want=False) == 0, seen
 
 
 def test_composition_coherence_on_outer_words():

@@ -94,21 +94,31 @@ def test_bench_tracer_counts_block_lists_reaching_the_gluing_step(
     assert tracer.counts["assembly.morphism.terms_out"] == len(out.terms)
 
 
-def _searches(inv):
-    """(search, levels it solved) for torsion and both orders, found and
-    not found, through the module namespace inv."""
+def _searches(lib):
+    """(search, levels it solved, whether it found) for torsion, both
+    orders and the torsion grid, found and not found, through the module
+    namespaces of lib."""
+    inv = lib.invariants
     B3 = Bounds(3, word_bound=3)
     alg, pmap = fixtures.pointed_two()
     out = []
     for t_alg in (fixtures.planar_torsion_one(), fixtures.mixed_no_aug()):
         out.append((lambda t_alg=t_alg: inv.torsion(
             t_alg, default_schedule(3, B3)),
-            lambda ans: ans.level + 1 if ans.found() else 3))
+            lambda ans: ans.level + 1 if ans.found() else 3,
+            lambda ans: ans.found()))
     for order in (inv.order_O, inv.order_O_tilde):
         for p in (pmap, PointedMap(alg, zero_table(alg.space, parity=0))):
             out.append((lambda order=order, p=p: order(
                 alg, fixtures.zero_aug(alg), p, B3),
-                lambda ans: ans.level if ans.found() else B3.outer()))
+                lambda ans: ans.level if ans.found() else B3.outer(),
+                lambda ans: ans.found()))
+    # the grid solves its one level: (0, 1) is found on the planar lift,
+    # (0, 0) is not
+    for n, m in ((0, 1), (0, 0)):
+        out.append((lambda n=n, m=m: lib.ibl.torsion_grid(
+            fixtures.ibl_lift_planar(), n, m, 2, Bounds(2)),
+            lambda ans: 1, lambda ans: ans[0]))
     return out
 
 
@@ -122,7 +132,7 @@ def test_bench_tracer_counts_one_solve_per_searched_level():
     lib = types.SimpleNamespace(**{
         m: importlib.import_module("blinfty." + m) for m in modules})
     found = []
-    for search, levels in _searches(lib.invariants):
+    for search, levels, was_found in _searches(lib):
         tracer = tracer_mod.Tracer()
         tracer.install(lib)
         try:
@@ -133,8 +143,8 @@ def test_bench_tracer_counts_one_solve_per_searched_level():
             tracer.uninstall()
         assert tracer.missing == []
         assert tracer.span_times()["linalg.solve"][0] == levels(ans) > 0
-        found.append(ans.found())
-    assert found.count(True) >= 3 and found.count(False) >= 3
+        found.append(was_found(ans))
+    assert found.count(True) >= 4 and found.count(False) >= 4
 
 
 class _CounterStub:

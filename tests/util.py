@@ -4,9 +4,9 @@ The sign oracles recompute assembled operators through flat letter
 arrangements with bubble-sort Koszul signs, a code path disjoint from the
 package's selection-sign engine.  The linear-algebra oracle is a dense
 Gauss-Jordan elimination, disjoint from the package's sparse one.  The
-check oracles test the identities of augmentations, pointed maps and
-morphisms in full on every basis outer word of the window, where the
-package tests their connected part on split words.
+check oracles test the identities of augmentations, pointed maps,
+morphisms and compatible pointed maps in full on every basis outer word of
+the window, where the package tests their connected part on split words.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            normalize_word, normalize_clusters)
 from blinfty.structures import (OperationTable, BLAlgebra, Bounds,
                                 TRIVIAL_SPACE, apply_hat_p, apply_hat_phi,
-                                apply_hat_pointed)
+                                apply_hat_phi_bullet, apply_hat_pointed)
 from blinfty import assembly
 
 
@@ -612,8 +612,8 @@ def oracle_multi(sp, tables, ew):
 
 
 # ---------------------------------------------------------------------------
-# full-window checks: the oracles for is_augmentation, check_pointed and
-# check_morphism
+# full-window checks: the oracles for is_augmentation, check_pointed,
+# check_morphism and check_compatibility
 
 def full_window_failure(space, bounds, defect):
     """The first basis outer word of the window (at most bounds.outer()
@@ -647,6 +647,30 @@ def oracle_check_morphism(mor, bounds):
     return full_window_failure(mor.source.space, bounds, lambda x: (
         apply_hat_phi(mor, apply_hat_p(mor.source, x))
         != apply_hat_p(mor.target, apply_hat_phi(mor, x)))) is None
+
+
+def oracle_check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table,
+                               bounds):
+    """q-hat o phi-hat - s phi-hat o p-hat = p'-hat o phi-bullet-hat
+    - s' phi-bullet-hat o p-hat on every outer word of the window; the two
+    structures and phi are not checked."""
+    d = p_bullet.parity
+    if q_bullet.parity != d:
+        raise StructureError("pointed maps must share parity")
+    bp = (d + 1) % 2
+    sq = -1 if d % 2 else 1
+    sphi = -1 if bp % 2 else 1
+    src, tgt = phi.source, phi.target
+
+    def defect(x):
+        phix = apply_hat_phi(phi, x)
+        lhs = (apply_hat_pointed(q_bullet, tgt, phix)
+               - sq * apply_hat_phi(phi, apply_hat_pointed(p_bullet, src, x)))
+        bx = apply_hat_phi_bullet(phi, phi_bullet_table, x, bp)
+        bpx = apply_hat_phi_bullet(phi, phi_bullet_table,
+                                   apply_hat_p(src, x), bp)
+        return lhs != apply_hat_p(tgt, bx) - sphi * bpx
+    return full_window_failure(src.space, bounds, defect) is None
 
 
 # ---------------------------------------------------------------------------
