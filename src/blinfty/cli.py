@@ -16,7 +16,8 @@ from .errors import (InconclusiveError, IncompleteTableError,
                      PlanarityNotOneError, PlanarityZeroError, StructureError,
                      WindowLeakError)
 from .hierarchy import HierarchyValue, hierarchy_classify, hierarchy_combine
-from .ibl import check_ibl, derive_flat_torsion, torsion_grid, genus0
+from .ibl import (check_ibl, derive_flat_torsion, genus0, torsion_grid,
+                  verify_grid_certificate)
 from .invariants import (TorsionAnswer, default_schedule, order_O,
                          order_multi, planarity, sd_order, torsion,
                          verify_torsion_certificate)
@@ -38,7 +39,9 @@ class Report:
 
 
 def _bounds_from(args, doc):
-    base = doc.bounds if doc is not None else None
+    """The document's bounds block under the flags given; a flag the
+    command does not take counts as not given."""
+    base = doc.bounds
     max_letters = args.max_letters if args.max_letters is not None else \
         (base.max_letters if base else None)
     if max_letters is None:
@@ -51,13 +54,13 @@ def _bounds_from(args, doc):
         except ZeroDivisionError:
             raise ValueError("zero denominator in --max-action %s"
                              % args.max_action) from None
-    return Bounds(
-        max_letters,
-        max_action=max_action,
-        word_bound=args.word_bound,
-        hbar_max=(args.hbar_max if args.hbar_max is not None
-                  else (base.hbar_max if base else None)),
-        action_drop=(base.action_drop if base else False))
+    hbar_max = getattr(args, "hbar_max", None)
+    if hbar_max is None and base:
+        hbar_max = base.hbar_max
+    return Bounds(max_letters, max_action=max_action,
+                  word_bound=getattr(args, "word_bound", None),
+                  hbar_max=hbar_max,
+                  action_drop=(base.action_drop if base else False))
 
 
 def _load(path):
@@ -65,24 +68,29 @@ def _load(path):
         return bio.parse(fh.read())
 
 
-def _load_aug(path, alg):
+# side document kind -> what it defines over an algebra; a pointed map
+# comes with its document, whose table name order-multi reads
+_SIDE_READERS = {
+    "augmentation": bio.augmentation_from_document,
+    "pointed-map": lambda doc, alg: (doc, bio.pointed_from_document(doc, alg)),
+    "umodule": lambda doc, alg: bio.umodule_from_document(doc, alg.space)}
+
+
+def _load_side(path, alg, kind):
+    """The side document at path read over alg.  Its words are read by
+    generator index, so it must declare alg's generators in order, or none."""
     doc = _load(path)
     if len(doc.space) and not bio.spaces_compatible(doc.space, alg.space):
-        raise StructureError("augmentation space mismatch in %s" % path)
-    return bio.augmentation_from_document(doc, alg)
+        raise StructureError("%s space mismatch in %s" % (kind, path))
+    return _SIDE_READERS[kind](doc, alg)
 
 
-def _load_pointed(path, alg):
-    doc = _load(path)
-    if len(doc.space) and not bio.spaces_compatible(doc.space, alg.space):
-        raise StructureError("pointed-map space mismatch in %s" % path)
-    return doc, bio.pointed_from_document(doc, alg)
-
-
-def _write_certificate(path, space, name, element):
-    doc = bio.Document(space, [], [bio.ChainBlock(name, element)], None)
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_certificate(args, rep, doc):
+    """Write doc to the --certificate path and name the file in the
+    report."""
+    with open(args.certificate, "w", encoding="utf-8") as fh:
         fh.write(bio.serialize(doc))
+    rep.add("certificate", args.certificate)
 
 
 def _report_answer(rep, key, ans):
@@ -92,6 +100,19 @@ def _report_answer(rep, key, ans):
         rep.add(key, "%s %d" % (ans.kind, ans.level))
         return 0
     rep.add(key, "not-found-within-bounds")
+    return 3
+
+
+def _report_check(rep, key, ok):
+    """Report a check as ok or failed; the exit code for it (0 or 1)."""
+    rep.add(key, "ok" if ok else "failed")
+    return 0 if ok else 1
+
+
+def _inconclusive(rep, key, reason):
+    """Report key as inconclusive for reason; the exit code for it (3)."""
+    rep.add(key, "inconclusive")
+    rep.add("reason", reason)
     return 3
 
 
@@ -107,7 +128,7 @@ def _ibl_witness(space, witness):
 def cmd_verify(args, rep):
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
-    code = 0
+    ialg = None
     if doc.table("ibl") is not None:
         ialg = bio.ibl_from_document(doc)
         status = check_ibl(ialg, _hbar_cap(bounds), bounds)
@@ -125,26 +146,26 @@ def cmd_verify(args, rep):
             rep.add("witness", "(%d,%d) %s" % (
                 k, l, bio._format_word(alg.space, w)))
             return 1
+    code = 0
     for ch in doc.chains:
         if ch.name.startswith("torsion-"):
             level = int(ch.name.split("-", 1)[1])
             ok = verify_torsion_certificate(
                 alg, TorsionAnswer("exact", level, ch.element))
-            rep.add("certificate-%s" % ch.name, "ok" if ok else "failed")
-            if not ok:
-                code = 1
-    for path in (args.aug or []):
-        eps = _load_aug(path, alg)
-        ok = is_augmentation(eps, alg, bounds).ok
-        rep.add("augmentation", "ok" if ok else "failed")
-        if not ok:
-            code = 1
-    for path in (args.pointed or []):
-        _, pmap = _load_pointed(path, alg)
-        ok = check_pointed(pmap, alg, bounds).ok
-        rep.add("pointed", "ok" if ok else "failed")
-        if not ok:
-            code = 1
+        elif ialg is not None and ch.name.startswith("grid-"):
+            n, m, trunc = map(int, ch.name.split("-")[1:])
+            ok = verify_grid_certificate(ialg, ch.element, n, m, trunc)
+        else:
+            continue
+        code |= _report_check(rep, "certificate-%s" % ch.name, ok)
+    for path in args.aug:
+        eps = _load_side(path, alg, "augmentation")
+        code |= _report_check(rep, "augmentation",
+                              is_augmentation(eps, alg, bounds).ok)
+    for path in args.pointed:
+        _, pmap = _load_side(path, alg, "pointed-map")
+        code |= _report_check(rep, "pointed",
+                              check_pointed(pmap, alg, bounds).ok)
     return code
 
 
@@ -161,9 +182,8 @@ def cmd_torsion(args, rep):
         return 1
     code = _report_answer(rep, "torsion", ans)
     if ans.found() and args.certificate:
-        _write_certificate(args.certificate, alg.space,
-                           "torsion-%d" % ans.level, ans.certificate)
-        rep.add("certificate", args.certificate)
+        _write_certificate(args, rep, bio.Document(alg.space, chains=[
+            bio.ChainBlock("torsion-%d" % ans.level, ans.certificate)]))
     return code
 
 
@@ -175,10 +195,8 @@ def cmd_linearize(args, rep):
         rep.add("linearize", "structure-failed")
         return 1
     if not args.aug:
-        rep.add("linearize", "inconclusive")
-        rep.add("reason", "no augmentation supplied")
-        return 3
-    eps = _load_aug(args.aug[0], alg)
+        return _inconclusive(rep, "linearize", "no augmentation supplied")
+    eps = _load_side(args.aug[0], alg, "augmentation")
     if not is_augmentation(eps, alg, bounds).ok:
         rep.add("linearize", "augmentation-failed")
         return 1
@@ -190,56 +208,53 @@ def cmd_linearize(args, rep):
     if args.certificate:
         block = bio.TableBlock("structure", "p_eps", 1, False,
                                lin.sorted_entries(), max_k=lin.max_k)
-        out = bio.Document(alg.space, [block], (), bounds)
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            fh.write(bio.serialize(out))
-        rep.add("certificate", args.certificate)
+        _write_certificate(args, rep,
+                           bio.Document(alg.space, [block], (), bounds))
     return 0
 
 
-def _prepare_order_inputs(args, rep):
+class _InputFailed(Exception):
+    """An input failed its check; main exits 1 with the report so far."""
+
+
+def _checked_inputs(args, rep):
+    """(bounds, algebra, augmentations, [(document, pointed map)]), each
+    checked at the bounds; the first that fails is reported and raises
+    _InputFailed."""
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
     alg = bio.algebra_from_document(doc)
     if not check_structure(alg, bounds).ok:
         rep.add("structure", "failed")
-        return None
-    augs = [_load_aug(p, alg) for p in (args.aug or [])]
+        raise _InputFailed
+    augs = [_load_side(p, alg, "augmentation") for p in args.aug]
     for eps in augs:
         if not is_augmentation(eps, alg, bounds).ok:
             rep.add("augmentation", "failed")
-            return None
+            raise _InputFailed
     pmaps = []
-    for p in (args.pointed or []):
-        pdoc, pmap = _load_pointed(p, alg)
+    for p in args.pointed:
+        pdoc, pmap = _load_side(p, alg, "pointed-map")
         if not check_pointed(pmap, alg, bounds).ok:
             rep.add("pointed", "failed")
-            return None
+            raise _InputFailed
         pmaps.append((pdoc, pmap))
-    return doc, bounds, alg, augs, pmaps
+    return bounds, alg, augs, pmaps
 
 
 def cmd_order(args, rep):
-    got = _prepare_order_inputs(args, rep)
-    if got is None:
-        return 1
-    doc, bounds, alg, augs, pmaps = got
+    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
     if not augs:
-        rep.add("order", "inconclusive")
-        rep.add("reason", "no augmentation supplied")
-        return 3
+        return _inconclusive(rep, "order", "no augmentation supplied")
     if not pmaps:
-        rep.add("order", "inconclusive")
-        rep.add("reason", "no pointed map supplied")
-        return 3
+        return _inconclusive(rep, "order", "no pointed map supplied")
     ans = order_O(alg, augs[0], pmaps[0][1], bounds)
     code = _report_answer(rep, "order", ans)
     if ans.found() and args.certificate:
         chain = EElement({EWord((w,)): c
                           for w, c in ans.certificate.terms.items()})
-        _write_certificate(args.certificate, alg.space,
-                           "order-%d" % ans.level, chain)
-        rep.add("certificate", args.certificate)
+        _write_certificate(args, rep, bio.Document(alg.space, chains=[
+            bio.ChainBlock("order-%d" % ans.level, chain)]))
     return code
 
 
@@ -253,14 +268,10 @@ def _subset_of_name(name):
 
 
 def cmd_order_multi(args, rep):
-    got = _prepare_order_inputs(args, rep)
-    if got is None:
-        return 1
-    doc, bounds, alg, augs, pmaps = got
+    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
     if not augs or not pmaps:
-        rep.add("order-multi", "inconclusive")
-        rep.add("reason", "need an augmentation and pointed maps")
-        return 3
+        return _inconclusive(rep, "order-multi",
+                             "need an augmentation and pointed maps")
     family = {}
     m = args.points
     for pdoc, pmap in pmaps:
@@ -280,26 +291,19 @@ def _sd_level(args, bounds, alg, augs, pmaps):
     eps, (_, pmap) = augs[0], pmaps[0]
     lin = linearize(alg, eps, bounds)
     lpt = linearize_pointed(pmap, alg, eps, bounds)
-    umod = bio.umodule_from_document(_load(args.umap), alg.space)
+    umod = _load_side(args.umap, alg, "umodule")
     return sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
                     lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
 
 
 def cmd_sd(args, rep):
-    got = _prepare_order_inputs(args, rep)
-    if got is None:
-        return 1
-    doc, bounds, alg, augs, pmaps = got
+    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
     if not augs or not pmaps or not args.umap:
-        rep.add("sd", "inconclusive")
-        rep.add("reason", "need --aug, --pointed and --umap")
-        return 3
+        return _inconclusive(rep, "sd", "need --aug, --pointed and --umap")
     try:
         k = _sd_level(args, bounds, alg, augs, pmaps)
     except PlanarityNotOneError:
-        rep.add("sd", "inconclusive")
-        rep.add("reason", "no class with functional value 1")
-        return 3
+        return _inconclusive(rep, "sd", "no class with functional value 1")
     except NotNilpotentError as e:
         rep.add("sd", "failed")
         rep.add("reason", str(e))
@@ -309,30 +313,20 @@ def cmd_sd(args, rep):
 
 
 def cmd_planarity(args, rep):
-    got = _prepare_order_inputs(args, rep)
-    if got is None:
-        return 1
-    doc, bounds, alg, augs, pmaps = got
+    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
     if not pmaps:
-        rep.add("planarity", "inconclusive")
-        rep.add("reason", "no pointed map supplied")
-        return 3
+        return _inconclusive(rep, "planarity", "no pointed map supplied")
     try:
         ans = planarity(alg, augs, pmaps[0][1], bounds)
     except InconclusiveError as e:
-        rep.add("planarity", "inconclusive")
-        rep.add("reason", str(e))
-        return 3
+        return _inconclusive(rep, "planarity", str(e))
     code = _report_answer(rep, "planarity", ans)
     rep.add("augmentations", str(len(augs)))
     return code
 
 
 def cmd_hierarchy(args, rep):
-    got = _prepare_order_inputs(args, rep)
-    if got is None:
-        return 1
-    doc, bounds, alg, augs, pmaps = got
+    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
     t = torsion(alg, default_schedule(bounds.outer(), bounds))
     _report_answer(rep, "torsion", t)
     pl = None
@@ -345,7 +339,7 @@ def cmd_hierarchy(args, rep):
         except InconclusiveError:
             pl = None
     if pl is not None and pl.found() and pl.level == 1 and args.umap \
-            and augs and pmaps:
+            and augs:
         try:
             sd_level = _sd_level(args, bounds, alg, augs, pmaps)
             rep.add("sd", "exact %d" % sd_level)
@@ -354,9 +348,7 @@ def cmd_hierarchy(args, rep):
     try:
         value = hierarchy_classify(t, bool(augs), pl, sd_level)
     except (InconclusiveError, InconsistentInputsError) as e:
-        rep.add("hierarchy", "inconclusive")
-        rep.add("reason", str(e))
-        return 3
+        return _inconclusive(rep, "hierarchy", str(e))
     rep.add("hierarchy", repr(value))
     return 0
 
@@ -396,16 +388,48 @@ def cmd_ibl_torsion(args, rep):
         rep.add("ibl-torsion", "not-found-within-bounds")
         return 3
     rep.add("ibl-torsion", "exact (%d,%d)_%d" % (args.n, args.m, cap))
-    if cert is not None:
-        moved, ok = derive_flat_torsion(ialg, cert, args.n, args.m, cap)
-        rep.add("flat-transport", "ok" if ok else "failed")
-        if args.certificate:
-            _write_certificate(args.certificate, ialg.space,
-                               "grid-%d-%d-%d" % (args.n, args.m, cap), cert)
-            rep.add("certificate", args.certificate)
-        if not ok:
-            return 1
-    return 0
+    if cert is None:
+        return 0
+    _, ok = derive_flat_torsion(ialg, cert, args.n, args.m, cap)
+    rep.add("flat-transport", "ok" if ok else "failed")
+    if args.certificate:
+        _write_certificate(args, rep, bio.Document(ialg.space, chains=[
+            bio.ChainBlock("grid-%d-%d-%d" % (args.n, args.m, cap), cert)]))
+    return 0 if ok else 1
+
+
+# Every argument a command may take, with its add_argument keywords.
+_ARGUMENTS = {
+    "file": {}, "n": {"type": int}, "m": {"type": int}, "value1": {},
+    "value2": {}, "--max-letters": {"type": int}, "--max-action": {},
+    "--word-bound": {"type": int}, "--hbar-max": {"type": int},
+    "--aug": {"action": "append", "default": []},
+    "--pointed": {"action": "append", "default": []},
+    "--umap": {}, "--certificate": {}, "--points": {"type": int}}
+
+_BOUNDS = ("--max-letters", "--max-action", "--word-bound")
+# torsion_grid and check_ibl never read Bounds.outer(), so no --word-bound
+_IBL_BOUNDS = ("--max-letters", "--max-action", "--hbar-max")
+_SIDE = ("--aug", "--pointed")
+
+# The input contract: each command's handler and the arguments it reads,
+# positionals first.  A flag not listed for a command is a usage error.
+COMMANDS = {
+    "verify": (cmd_verify, ("file",) + _BOUNDS + ("--hbar-max",) + _SIDE),
+    "torsion": (cmd_torsion, ("file",) + _BOUNDS + ("--certificate",)),
+    "linearize": (cmd_linearize,
+                  ("file",) + _BOUNDS + ("--aug", "--certificate")),
+    "order": (cmd_order, ("file",) + _BOUNDS + _SIDE + ("--certificate",)),
+    "sd": (cmd_sd, ("file",) + _BOUNDS + _SIDE + ("--umap",)),
+    "planarity": (cmd_planarity, ("file",) + _BOUNDS + _SIDE),
+    "hierarchy": (cmd_hierarchy, ("file",) + _BOUNDS + _SIDE + ("--umap",)),
+    "ibl-check": (cmd_ibl_check, ("file",) + _IBL_BOUNDS),
+    "order-multi": (cmd_order_multi,
+                    ("file",) + _BOUNDS + _SIDE + ("--points",)),
+    "ibl-torsion": (cmd_ibl_torsion,
+                    ("file", "n", "m") + _IBL_BOUNDS + ("--certificate",)),
+    "combine": (cmd_combine, ("value1", "value2")),
+}
 
 
 def build_parser():
@@ -414,44 +438,11 @@ def build_parser():
         description="exact verification and invariants for graded bi-Lie "
                     "structures")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file")
-        p.add_argument("--max-letters", type=int, default=None)
-        p.add_argument("--max-action", default=None)
-        p.add_argument("--word-bound", type=int, default=None)
-        p.add_argument("--hbar-max", type=int, default=None)
-        p.add_argument("--aug", action="append", default=[])
-        p.add_argument("--pointed", action="append", default=[])
-        p.add_argument("--umap", default=None)
-        p.add_argument("--certificate", default=None)
-
-    for name, fn in (("verify", cmd_verify), ("torsion", cmd_torsion),
-                     ("linearize", cmd_linearize), ("order", cmd_order),
-                     ("sd", cmd_sd), ("planarity", cmd_planarity),
-                     ("hierarchy", cmd_hierarchy),
-                     ("ibl-check", cmd_ibl_check)):
+    for name, (fn, arguments) in COMMANDS.items():
         p = sub.add_parser(name)
-        common(p)
+        for arg in arguments:
+            p.add_argument(arg, **_ARGUMENTS[arg])
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("order-multi")
-    common(p)
-    p.add_argument("--points", type=int, default=None)
-    p.set_defaults(func=cmd_order_multi)
-
-    p = sub.add_parser("ibl-torsion")
-    p.add_argument("file")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    common(p, with_file=False)
-    p.set_defaults(func=cmd_ibl_torsion)
-
-    p = sub.add_parser("combine")
-    p.add_argument("value1")
-    p.add_argument("value2")
-    p.set_defaults(func=cmd_combine)
     return ap
 
 
@@ -473,7 +464,9 @@ def main(argv=None, stream=None):
     except ParseError as e:
         rep.add("error", "parse: %s" % e)
         code = 2
-    except (OSError,) as e:
+    except _InputFailed:
+        code = 1
+    except OSError as e:
         rep.add("error", "io: %s" % e)
         code = 2
     except (StructureError, WindowLeakError, IncompleteTableError) as e:

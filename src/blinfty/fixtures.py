@@ -188,6 +188,23 @@ def sd_example():
     return alg, utab, PointedMap(alg, ptab)
 
 
+def sd_ladder(n):
+    """The rung of semi-dilation exactly n - 1: even generators x1..xn,
+    structure zero, U(xi) = x(i+1) (an n-step nilpotent Jordan block) and
+    the functional x1 -> 1.  Rungs 1 and 2 are pointed_one (with U = 0)
+    and sd_example up to the generators' names.
+    """
+    if n < 1:
+        raise ValueError("sd_ladder needs n >= 1, got %r" % (n,))
+    names = ["x%d" % i for i in range(1, n + 1)]
+    sp = GradedSpace([Generator(x, 0) for x in names])
+    alg = BLAlgebra(sp, zero_table(sp))
+    utab = _table(sp, 0, [(1, 1, (a,), [(1, (b,))])
+                          for a, b in zip(names, names[1:])])
+    ptab = _table(sp, 0, [(1, 0, ("x1",), [(1, ())])])
+    return alg, utab, PointedMap(alg, ptab)
+
+
 def ibl_lift_planar():
     from .ibl import from_bl
     return from_bl(planar_torsion_one())

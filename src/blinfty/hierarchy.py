@@ -124,16 +124,3 @@ def hierarchy_combine(h1, h2):
         return HierarchyValue("PT", min(pt1, pt2))
     return max(h1, h2)
 
-
-def combine_components_oracle(h1, h2):
-    """The componentwise rule, spelled out zone by zone, for cross-checks."""
-    t1, p1, s1 = h1.components()
-    t2, p2, s2 = h2.components()
-    t = min(t1, t2)
-    p = 0 if (p1 == 0 or p2 == 0) else max(p1, p2)
-    if p == 0:
-        return HierarchyValue("PT", t)
-    if p == 1:
-        s = max(s1 if s1 is not None else 0, s2 if s2 is not None else 0)
-        return HierarchyValue("SD", s)
-    return HierarchyValue("Pl", p)

@@ -17,8 +17,8 @@ from blinfty import fixtures
 from blinfty import io as bio
 from blinfty.assembly import apply_coderivation, apply_inner_coderivation
 from blinfty.cli import main as cli_main
-from blinfty.hierarchy import (HierarchyValue, combine_components_oracle,
-                               hierarchy_combine, hierarchy_compare)
+from blinfty.hierarchy import (HierarchyValue, hierarchy_combine,
+                               hierarchy_compare)
 from blinfty.ibl import (IBLAlgebra, apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion, from_bl,
                          torsion_grid, verify_grid_certificate)
@@ -36,7 +36,8 @@ from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis, normalize_word)
 
-from util import random_space, random_table, space, table, word
+from util import (combine_components_oracle, random_space, random_table,
+                  space, table, word)
 
 
 def report(criterion, detail):

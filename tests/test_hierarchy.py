@@ -4,10 +4,11 @@ import math
 import pytest
 
 from blinfty.errors import InconclusiveError, InconsistentInputsError
-from blinfty.hierarchy import (HierarchyValue, combine_components_oracle,
-                               hierarchy_classify, hierarchy_combine,
-                               hierarchy_compare)
+from blinfty.hierarchy import (HierarchyValue, hierarchy_classify,
+                               hierarchy_combine, hierarchy_compare)
 from blinfty.invariants import TorsionAnswer
+
+from util import combine_components_oracle
 
 INF = math.inf
 

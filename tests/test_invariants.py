@@ -469,6 +469,28 @@ def test_sd_on_homology_with_differential():
     assert sd_order(d, u, f) == 1
 
 
+def test_sd_ladder_rungs_are_exact():
+    # rung n: U an n-step nilpotent Jordan block on n even generators over
+    # the zero structure, x1 -> 1: semi-dilation exactly n - 1.  Rungs 1
+    # and 2 are the one-point fixture (U = 0) and sd_example
+    a1, p1 = fixtures.pointed_one()
+    _, u2, p2 = fixtures.sd_example()
+    assert fixtures.sd_ladder(1)[1] == zero_table(a1.space, parity=0)
+    assert fixtures.sd_ladder(1)[2].table == p1.table
+    assert fixtures.sd_ladder(2)[1] == u2
+    assert fixtures.sd_ladder(2)[2].table == p2.table
+    for n in range(1, 5):
+        alg, utab, pmap = fixtures.sd_ladder(n)
+        eps = fixtures.zero_aug(alg)
+        lin = linearize(alg, eps, B3)
+        lpt = linearize_pointed(pmap, alg, eps, B3)
+        assert sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)),
+                        UModule(alg.space, utab),
+                        lpt.sub_table(lambda k, l: (k, l) == (1, 0))) == n - 1
+    with pytest.raises(ValueError):
+        fixtures.sd_ladder(0)
+
+
 def test_umodule_grade_check():
     sp = GradedSpace([fixtures.Generator("a", 0, zgrade=2),
                       fixtures.Generator("b", 0, zgrade=2)])

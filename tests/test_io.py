@@ -406,6 +406,103 @@ def test_cli_sd(corpus_dir, tmp_path):
     assert report_value(out, "sd") == "exact 1"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("command, key, value", [
+    ("sd", "sd", "exact %d"), ("hierarchy", "hierarchy", "%d^SD")])
+def test_cli_sd_ladder(tmp_path, n, command, key, value):
+    alg, utab, pmap = fixtures.sd_ladder(n)
+    docs = {
+        "rung": bio.document_of_algebra(alg, bounds=Bounds(2, word_bound=2)),
+        "aug": bio.Document(alg.space, [bio.TableBlock(
+            "augmentation", "eps0", 0, False, [])]),
+        "pointed": bio.Document(alg.space, [bio.TableBlock(
+            "pointed", "S1", 0, False, pmap.table.sorted_entries())]),
+        "umap": bio.Document(alg.space, [bio.TableBlock(
+            "umodule", "U", 0, False, utab.sorted_entries())])}
+    for name, doc in docs.items():
+        (tmp_path / (name + ".blf")).write_text(bio.serialize(doc),
+                                                encoding="utf-8")
+    argv = [command, str(tmp_path / "rung.blf")]
+    for name in ("aug", "pointed", "umap"):
+        argv += ["--" + name, str(tmp_path / (name + ".blf"))]
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 0
+    assert report_value(out, key) == value % (n - 1)
+
+
+SD_SPACE_SWAPPED = "format blinfty 1\ngen y parity 0\ngen x parity 0\n"
+SD_SPACE_FOREIGN = "format blinfty 1\ngen p parity 0\ngen r parity 0\n"
+
+
+@pytest.mark.parametrize("command", ["sd", "hierarchy"])
+@pytest.mark.parametrize("flag, kind, text", [
+    ("--aug", "augmentation",
+     SD_SPACE_SWAPPED + "table augmentation eps0 parity 0\n"),
+    ("--pointed", "pointed-map",
+     SD_SPACE_SWAPPED + "table pointed S1 parity 0\nop 1 0 : x -> 1 1\n"),
+    # read by generator index, this U would be x -> y, as in sd-example
+    ("--umap", "umodule",
+     SD_SPACE_SWAPPED + "table umodule U parity 0\nop 1 1 : y -> 1 x\n"),
+    ("--umap", "umodule",
+     SD_SPACE_FOREIGN + "table umodule U parity 0\nop 1 1 : p -> 1 r\n"),
+], ids=["aug", "pointed", "umap-swapped", "umap-foreign"])
+def test_cli_side_document_space_mismatch_exit_one(
+        corpus_dir, tmp_path, command, flag, kind, text):
+    side = tmp_path / "side.blf"
+    side.write_text(text, encoding="utf-8")
+    inputs = {"--aug": "sd-example.aug0", "--pointed": "sd-example.pointed",
+              "--umap": "sd-example.umap"}
+    argv = [command, str(corpus_dir / "sd-example.blf")]
+    for f, name in inputs.items():
+        argv += [f, str(side) if f == flag else
+                 str(corpus_dir / (name + ".blf"))]
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 1
+    assert report_value(out, "error") == \
+        "structure: %s space mismatch in %s" % (kind, side)
+
+
+@pytest.mark.parametrize("argv", [
+    ["planarity", "@pointed-two", "--certificate", "out.blf"],
+    ["order-multi", "@pointed-two", "--certificate", "out.blf"],
+    ["torsion", "@planar-torsion-one", "--aug", "@pointed-two.aug0"],
+    ["ibl-torsion", "@ibl-planar", "0", "1", "--word-bound", "2"],
+    ["ibl-check", "@ibl-planar", "--pointed", "@pointed-two.pointed"],
+], ids=lambda argv: "%s%s" % (argv[0], argv[-2]))
+def test_cli_flag_the_command_does_not_read_exit_two(corpus_dir, tmp_path,
+                                                    capsys, argv):
+    argv = [str(corpus_dir / (a[1:] + ".blf")) if a.startswith("@") else a
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coefficient, code, status", [
+    ("1", 0, "ok"), ("7", 1, "failed")])
+def test_cli_verify_rechecks_grid_certificates(corpus_dir, tmp_path,
+                                               coefficient, code, status):
+    # the (0,1)_2 certificate of the planar lift, its coefficient kept or
+    # changed, appended to its structure
+    cert = tmp_path / "grid.blf"
+    got, _ = run_cli(tmp_path, "ibl-torsion",
+                     str(corpus_dir / "ibl-planar.blf"), "0", "1",
+                     "--certificate", str(cert))
+    assert got == 0
+    chains = [line for line in cert.read_text("utf-8").splitlines()
+              if line.startswith("chain ")]
+    assert chains == ["chain grid-0-1-2 : 1 q1⊙q2"]
+    merged = tmp_path / "merged.blf"
+    merged.write_text(
+        (corpus_dir / "ibl-planar.blf").read_text("utf-8")
+        + "chain grid-0-1-2 : %s q1⊙q2\n" % coefficient, encoding="utf-8")
+    got, out = run_cli(tmp_path, "verify", str(merged))
+    assert got == code
+    assert report_value(out, "verify") == "ok"
+    assert report_value(out, "certificate-grid-0-1-2") == status
+
+
 def test_cli_planarity(corpus_dir, tmp_path):
     code, out = run_cli(tmp_path, "planarity",
                         str(corpus_dir / "pointed-two.blf"),
@@ -579,11 +676,16 @@ def test_cli_builds_parser_once_and_reuses_it(corpus_dir, tmp_path,
     for argv, report in zip(calls[:2], reports[:2]):
         assert report == _fresh_process_cli(argv)
     # the append actions' [] defaults are shared by every call without the
-    # flag, so no command may have appended to them
-    for command in ("verify", "torsion", "linearize", "order", "sd",
-                    "planarity", "hierarchy", "ibl-check", "order-multi"):
-        args = cli._parser.parse_args([command, "x"])
-        assert args.aug == [] and args.pointed == []
+    # flag, so no command that takes --aug or --pointed may have appended
+    # to them
+    appending = 0
+    for command, (_, arguments) in cli.COMMANDS.items():
+        flags = [f for f in ("--aug", "--pointed") if f in arguments]
+        if flags:
+            args = cli._parser.parse_args([command, "x"])
+            assert all(getattr(args, f[2:]) == [] for f in flags)
+            appending += 1
+    assert appending == 7
     assert len(builds) == 1
 
 

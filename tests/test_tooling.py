@@ -8,7 +8,7 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
-from blinfty import assembly, fixtures, linalg
+from blinfty import assembly, cli, fixtures, linalg
 from blinfty.invariants import default_schedule
 from blinfty.structures import Bounds, PointedMap, zero_table
 from blinfty.words import EElement
@@ -216,3 +216,24 @@ def test_bench_workload_names_exist():
                if not hasattr(importlib.import_module("blinfty." + module),
                               name)]
     assert not missing, missing
+
+
+def test_cli_accepts_every_benchmark_invocation(tmp_path, monkeypatch):
+    # the cli-corpus workload calls the CLI with these argv; a flag the
+    # command table drops must fail here, not in a benchmark run
+    bench = SRC.parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lib = types.SimpleNamespace(**{
+        m: importlib.import_module("blinfty." + m) for m in workloads.MODULES})
+    corpus = workloads.CliCorpus(lib, 1, tmp_path, tiny=True)
+    labels = [op.label for op in corpus.ops]
+    assert {label for label, _ in workloads.EXPECTED} <= set(labels)
+    assert sum("--certificate" in label for label in labels) >= 3
+    parser = cli.build_parser()
+    for label in labels:
+        args = parser.parse_args(corpus.argv(label))
+        assert args.command == label.split()[0]

@@ -7,6 +7,8 @@ Gauss-Jordan elimination, disjoint from the package's sparse one.  The
 check oracles test the identities of augmentations, pointed maps,
 morphisms and compatible pointed maps in full on every basis outer word of
 the window, where the package tests their connected part on split words.
+The hierarchy oracle spells out the componentwise combination rule that
+the package applies as a min/max shortcut on the total order.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from blinfty.errors import (NotNilpotentError, PlanarityNotOneError,
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            EElement, UNIT_EWORD, UNIT_WORD, enumerate_basis,
                            normalize_word, normalize_clusters)
+from blinfty.hierarchy import HierarchyValue
 from blinfty.structures import (OperationTable, BLAlgebra, Bounds,
                                 TRIVIAL_SPACE, apply_hat_p, apply_hat_phi,
                                 apply_hat_phi_bullet, apply_hat_pointed)
@@ -901,3 +904,20 @@ def _mat_power(A, p):
     for _ in range(p):
         out = _mat_mul(out, A)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the hierarchy: the componentwise combination rule
+
+def combine_components_oracle(h1, h2):
+    """The componentwise rule, spelled out zone by zone, for cross-checks."""
+    t1, p1, s1 = h1.components()
+    t2, p2, s2 = h2.components()
+    t = min(t1, t2)
+    p = 0 if (p1 == 0 or p2 == 0) else max(p1, p2)
+    if p == 0:
+        return HierarchyValue("PT", t)
+    if p == 1:
+        s = max(s1 if s1 is not None else 0, s2 if s2 is not None else 0)
+        return HierarchyValue("SD", s)
+    return HierarchyValue("Pl", p)
