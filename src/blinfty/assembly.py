@@ -45,11 +45,19 @@ front block by block (Koszul crossings of odd letters), an operation of
 odd parity passes the letters of the blocks before it, and the outputs and
 leftover letters are regrouped by component and normalized back into
 canonical order.
+
+Coefficients are exact rationals throughout.  Inside the step, integral
+ones (table terms and input coefficients) are multiplied as ints, each
+term's product formed only once its sign is known to be nonzero, and the
+signs enter by negation.  Every output coefficient is a Fraction, or a
+SymPoly (the generic-augmentation probe's indeterminates) passed through
+unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import IncompleteTableError
 from .words import (EElement, Element, _normalize_indices, _odd_inversion_sign,
@@ -110,35 +118,27 @@ def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
     tables = [(table, 0)]
     if bullet_table is not None:
         tables.append((bullet_table, bullet_parity))
-    # the entry test of each (table, block letters), kept for this call only
-    tested = {}
-
-    def has_entry(t, word):
-        if (t, word) not in tested:
-            w, sign = _normalize_indices(space, list(word))
-            tested[t, word] = bool(sign) and any(
-                elem.terms
-                for _, elem in tables[t][0].query_by_genus(len(w), w))
-        return tested[t, word]
-
+    factors = _factors(space)
     return _glue(space, tgt, x, lambda owner, letters: _set_partitions(
-        (owner, letters, tables, has_entry, single_cluster)))
+        (owner, letters, tables, factors, single_cluster)),
+        factors=factors)
 
 
 def _set_partitions(search):
     """The admissible block lists of one outer word for apply_morphism.
 
-    search is (owner, letters, tables, has_entry, single_cluster):
+    search is (owner, letters, tables, factors, single_cluster):
     owner[p] and letters[p] are the cluster and generator of letter p;
     tables lists the (table, parity) a block may use, a second one being
-    the bullet, which exactly one block uses; has_entry(t, block letters)
-    is the entry test in tables[t].  Blocks come in ascending order of
+    the bullet, which exactly one block uses; factors is the call's
+    _factors, whose nonempty list on (table, block letters) is the entry
+    test.  Blocks come in ascending order of
     their first letter.  A forest over the lettered clusters is connected
     exactly when it has letters - clusters + 1 blocks, so single_cluster
     fixes the number of blocks still needed (need; None when free).
     """
-    owner, letters, tables, has_entry, single_cluster = search
-    sizes = [set(tab.input_sizes()) for tab, _ in tables]
+    owner, letters, tables, factors, single_cluster = search
+    sizes = [tab.input_sizes() for tab, _ in tables]
 
     def extend(free, comp, chosen, bullet_left, untested, need):
         if not free:
@@ -167,7 +167,7 @@ def _set_partitions(search):
                     continue  # two of its letters are joined already
                 word = tuple([letters[p] for p in block])
                 admitted = [(t, skip) for t, skip in options
-                            if skip or has_entry(t, word)]
+                            if skip or factors(tables[t][0], word)]
                 if not admitted:
                     continue
                 merged = [min(labels) if c in labels else c for c in comp]
@@ -230,13 +230,46 @@ def _root(parent, a):
     return a
 
 
-def _glue(space, tgt, x, blocks_of, hbar_cap=None):
+def _exact(c):
+    """An integral Fraction as an int, any other coefficient unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _factors(space):
+    """factors(table, letters): the signed output terms (genus, coefficient,
+    output word) of a table on a block's letters, [] when the normalized
+    block vanishes or has no entry.  Each (table, letters) is normalized
+    and looked up once per call; tables are keyed by id, since an
+    OperationTable is unhashable."""
+    memo = {}
+
+    def factors(table, letters):
+        key = (id(table), letters)
+        terms = memo.get(key)
+        if terms is None:
+            w_in, sign = _normalize_indices(space, list(letters))
+            terms = []
+            if sign:
+                for g, elem in table.query_by_genus(len(letters), w_in):
+                    for w, c in elem.terms.items():
+                        c = _exact(c)
+                        terms.append((g, c if sign > 0 else -c, w))
+            memo[key] = terms
+        return terms
+    return factors
+
+
+def _glue(space, tgt, x, blocks_of, hbar_cap=None, *, factors=None):
     """The gluing step on every term of x and every block list that
     blocks_of(owner, letters) yields; owner[p] is the cluster of letter p
     and letters[p] its generator, and a block is (ascending letter
-    positions, table, parity).  Outputs are normalized in tgt."""
+    positions, table, parity).  Outputs are normalized in tgt.  factors
+    is a _factors(space) the caller shares, a fresh one when None."""
+    if factors is None:
+        factors = _factors(space)
     acc = {}
     for eword, coeff in x.terms.items():
+        coeff = _exact(coeff)
         clusters = eword.clusters
         n = len(clusters)
         letters = [l for c in clusters for l in c.letters]
@@ -258,18 +291,13 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
                         parent[r] = s
             if eword.hbar + cycles > top:
                 continue
-            factors = []
+            terms_of = []
             for positions, table, _ in blocks:
-                w_in, n_sign = _normalize_indices(
-                    space, [letters[p] for p in positions])
-                terms = n_sign and [
-                    (g, n_sign * c, w)
-                    for g, elem in table.query_by_genus(len(positions), w_in)
-                    for w, c in elem.terms.items()]
+                terms = factors(table, tuple([letters[p] for p in positions]))
                 if not terms:
                     break
-                factors.append(terms)
-            if len(factors) < m:
+                terms_of.append(terms)
+            if len(terms_of) < m:
                 continue
             # consumed letters to the front, block by block; each operation
             # passes the blocks before it
@@ -300,25 +328,30 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
                       for bis, lefts in comps.values()]
             rest = tuple(c for ci, c in enumerate(clusters)
                          if _root(parent, ci) not in comps)
-            for combo in itertools.product(*factors):
+            for combo in itertools.product(*terms_of):
                 hbar = eword.hbar + cycles + sum(g for g, _, _ in combo)
                 if hbar > top:
                     continue
-                val = coeff
-                for _, c, _ in combo:
-                    val *= c
                 words, s = [], sign
                 for bis, lefts in merges:
                     w, w_sign = _normalize_indices(
                         tgt, [l for bi in bis for l in combo[bi][2].letters]
                         + lefts)
+                    if not w_sign:
+                        break
                     s *= w_sign
                     words.append(w)
-                ew, ew_sign = normalize_clusters(tgt, tuple(words) + rest,
-                                                 hbar=hbar)
-                if s and ew_sign:
-                    acc[ew] = acc.get(ew, 0) + val * (s * ew_sign)
-    return EElement(acc)
+                else:
+                    ew, ew_sign = normalize_clusters(
+                        tgt, tuple(words) + rest, hbar=hbar)
+                    if ew_sign:
+                        val = coeff
+                        for _, c, _ in combo:
+                            val *= c
+                        acc[ew] = acc.get(ew, 0) + (
+                            val if s * ew_sign > 0 else -val)
+    return EElement({ew: Fraction(c) if type(c) is int else c
+                     for ew, c in acc.items()})
 
 
 def _split(element):

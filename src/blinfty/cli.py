@@ -125,6 +125,17 @@ def _ibl_witness(space, witness):
     return "(%d,%d,%d) %s" % (k, l, g, bio._format_word(space, w))
 
 
+def _chain_numbers(name, count):
+    """The count numbers of a certificate chain name; a malformed name is a
+    ValueError that names the chain and the two accepted forms."""
+    fields = name.split("-")[1:]
+    if len(fields) != count or not all(
+            f.isascii() and f.isdigit() for f in fields):
+        raise ValueError("chain %s: a certificate chain is named "
+                         "torsion-<k> or grid-<n>-<m>-<t>" % name)
+    return [int(f) for f in fields]
+
+
 def cmd_verify(args, rep):
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
@@ -149,11 +160,11 @@ def cmd_verify(args, rep):
     code = 0
     for ch in doc.chains:
         if ch.name.startswith("torsion-"):
-            level = int(ch.name.split("-", 1)[1])
+            level, = _chain_numbers(ch.name, 1)
             ok = verify_torsion_certificate(
                 alg, TorsionAnswer("exact", level, ch.element))
         elif ialg is not None and ch.name.startswith("grid-"):
-            n, m, trunc = map(int, ch.name.split("-")[1:])
+            n, m, trunc = _chain_numbers(ch.name, 3)
             ok = verify_grid_certificate(ialg, ch.element, n, m, trunc)
         else:
             continue

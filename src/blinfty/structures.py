@@ -128,11 +128,12 @@ class OperationTable:
         self._by_k = {k: {w: sorted(by_genus.items())
                           for w, by_genus in words.items()}
                       for k, words in by_k.items()}
+        self._input_sizes = tuple(sorted(by_k))
         top_k = max(by_k, default=0)
         self.max_k = top_k if max_k is None else max(int(max_k), top_k)
 
     def input_sizes(self):
-        return sorted(self._by_k)
+        return self._input_sizes
 
     def covers(self, k):
         return self.complete or k <= self.max_k

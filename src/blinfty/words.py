@@ -82,12 +82,14 @@ class GradedSpace:
 
 
 class Word:
-    """An inner symmetric word: a sorted tuple of generator indices."""
+    """An inner symmetric word: a sorted tuple of generator indices.  The
+    hash is stored at construction; nothing reassigns letters."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters):
         self.letters = tuple(letters)
+        self._hash = hash(("W", self.letters))
 
     def key(self):
         return (len(self.letters), self.letters)
@@ -99,7 +101,7 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self):
-        return hash(("W", self.letters))
+        return self._hash
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -112,9 +114,10 @@ UNIT_WORD = Word(())
 
 
 class EWord:
-    """An outer word: a sorted tuple of clusters (Words) and an hbar exponent."""
+    """An outer word: a sorted tuple of clusters (Words) and an hbar
+    exponent, its hash stored as Word's is."""
 
-    __slots__ = ("clusters", "hbar")
+    __slots__ = ("clusters", "hbar", "_hash")
 
     def __init__(self, clusters, hbar=0):
         if not clusters:
@@ -123,6 +126,7 @@ class EWord:
             raise ValueError("negative hbar exponent")
         self.clusters = tuple(clusters)
         self.hbar = hbar
+        self._hash = hash(("E", self.clusters, hbar))
 
     def key(self):
         return (self.hbar, len(self.clusters),
@@ -133,7 +137,7 @@ class EWord:
                 and self.hbar == other.hbar)
 
     def __hash__(self):
-        return hash(("E", self.clusters, self.hbar))
+        return self._hash
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -202,6 +206,8 @@ def normalize_word(space, letters):
 def _normalize_indices(space, idx):
     """normalize_word on a list of generator indices known to be in range,
     the form every letter takes inside the engine."""
+    if len(idx) < 2:
+        return Word(idx), 1
     srt, sign = sort_with_sign(idx, [space.parities[i] for i in idx])
     if sign == 0:
         return Word(sorted(idx)), 0
@@ -353,6 +359,3 @@ def word_to_singletons(word):
 def eword_parity(space, eword):
     return sum(space.word_parity(c.letters) for c in eword.clusters) % 2
 
-
-def eword_action(space, eword):
-    return sum((space.word_action(c.letters) for c in eword.clusters), Fraction(0))

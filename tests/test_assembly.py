@@ -13,12 +13,12 @@ from blinfty.structures import (Augmentation, Bounds, apply_hat_p,
                                 OperationTable, PointedMap, identity_table,
                                 word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
-                           Word, enumerate_basis, eword_parity, eword_action,
+                           Word, enumerate_basis, eword_parity,
                            normalize_clusters, normalize_word)
 from blinfty import assembly
 
-from util import (algebra, bubble_normalize, eword, forest_check,
-                  oracle_hat_p, oracle_hat_phi, oracle_two_level,
+from util import (algebra, bubble_normalize, eword, eword_action,
+                  forest_check, oracle_hat_p, oracle_hat_phi, oracle_two_level,
                   random_space, random_table, space, table,
                   unpruned_morphism_blocks, word)
 
@@ -469,6 +469,125 @@ def test_gluing_step_matches_oracles_seeded_sweep():
             agree("inner", assembly.apply_inner_coderivation(
                 sp, tab, Element.monomial(w)), oracle_inner(sp, tab, w))
     assert min(nonzero.values()) >= 100, nonzero
+
+
+_DENOMINATORS = {"integral": None, "non-integral": (2, 3, 7),
+                 "mixed": (1, 2, 3, 7)}
+
+
+def _coefficient(rng, kind):
+    """A nonzero input coefficient: an int or an integral Fraction, a
+    non-integral Fraction, or either."""
+    num = rng.choice([-3, -2, -1, 1, 2, 3])
+    if kind == "mixed":
+        kind = rng.choice(["integral", "non-integral"])
+    if kind == "integral":
+        return rng.choice([num, Fraction(num)])
+    return Fraction(num, rng.choice([2, 7]))
+
+
+def _summed(x, oracle):
+    """The oracle of one outer word, extended linearly to x."""
+    total = Element()
+    for ew, c in x.terms.items():
+        total = total + c * oracle(ew)
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(_DENOMINATORS))
+def test_gluing_step_coefficient_types_match_oracles_seeded_sweep(kind):
+    # integral coefficients are multiplied as ints inside the gluing step;
+    # on integral, non-integral and mixed tables and inputs every assembly
+    # still agrees with its oracle and returns only Fraction coefficients
+    from util import oracle_ibl
+    rng = random.Random("coefficients:" + kind)
+    dens = _DENOMINATORS[kind]
+    nonzero = dict.fromkeys(["coderivation", "morphism", "bullet", "ibl"], 0)
+    fractional = 0
+
+    def agree(name, got, want):
+        nonlocal fractional
+        assert got == want, (name, got, want)
+        assert all(type(c) is Fraction for c in got.terms.values()), got
+        nonzero[name] += bool(got)
+        fractional += any(c.denominator != 1 for c in got.terms.values())
+
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(n)])
+        tab = random_table(rng, sp, parity=rng.randrange(2), n_entries=3,
+                           max_k=2, max_l=2, denominators=dens)
+        mor = random_table(rng, sp, parity=0, n_entries=3, max_k=2, max_l=2,
+                           denominators=dens)
+        bullet = random_table(rng, sp, parity=1, n_entries=2, max_k=2,
+                              max_l=1, denominators=dens)
+        itab = OperationTable(sp, 1, [
+            (k, l, rng.randrange(3), w, e) for (k, l, _, w, e)
+            in random_table(rng, sp, n_entries=3, max_k=3, max_l=2,
+                            denominators=dens).sorted_entries()])
+        ewords = rng.sample(enumerate_basis(sp, 3, outer_components=2), 3)
+        x = EElement({ew: _coefficient(rng, kind) for ew in ewords})
+        agree("coderivation", assembly.apply_coderivation(sp, tab, x),
+              _summed(x, lambda ew: oracle_hat_p(sp, tab, ew)))
+        agree("morphism", assembly.apply_morphism(sp, mor, x),
+              _summed(x, lambda ew: oracle_hat_phi(sp, sp, mor, ew)))
+        agree("bullet", assembly.apply_morphism(
+            sp, mor, x, bullet_table=bullet, bullet_parity=1),
+            _summed(x, lambda ew: oracle_hat_phi(
+                sp, sp, mor, ew, bullet_table=bullet, bullet_parity=1)))
+        x_h = EElement({EWord(ew.clusters, hbar=rng.randrange(2)): c
+                        for ew, c in x.terms.items()})
+        agree("ibl", assembly.apply_ibl(sp, itab, x_h, 2),
+              _summed(x_h, lambda ew: oracle_ibl(sp, itab, ew, 2)))
+    assert min(nonzero.values()) >= 15, nonzero
+    assert (fractional > 0) == (kind != "integral"), fractional
+
+
+def test_symbolic_coefficients_pass_through_the_gluing_step():
+    # the generic-augmentation probe's SymPoly coefficients pass through
+    # the step unchanged: the symbolic linearization, evaluated at random
+    # values, is the linearization at the augmentation with those values
+    from blinfty.invariants import _symbolic_generic_aug
+    from blinfty.symbolic import SymPoly
+    sp = space(("a", 0), ("b", 0))
+    alg = algebra(sp, [])
+    pmap = PointedMap(alg, table(sp, 0, [(1, 1, ("a",), [(1, ("b",))]),
+                                         (2, 0, ("a", "b"), [(1, ())])]))
+    bounds = Bounds(3)
+    eps_sym = _symbolic_generic_aug(alg, bounds)
+    rng = random.Random(1508)
+    values, entries = {}, []
+    for k, l, g, w, elem in eps_sym.table.sorted_entries():
+        ((name,),) = elem.terms[UNIT_WORD].terms  # one variable each
+        values[name] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        entries.append((k, l, g, w, Element.monomial(UNIT_WORD,
+                                                     values[name])))
+    eps = Augmentation(alg, OperationTable(
+        sp, 0, entries, complete=False, max_k=bounds.max_letters,
+        target=eps_sym.table.target))
+
+    def evaluated(c):
+        if not isinstance(c, SymPoly):
+            return c
+        total = Fraction(0)
+        for mono, coeff in c.terms.items():
+            for v in mono:
+                coeff *= values[v]
+            total += coeff
+        return total
+
+    sym = linearize_pointed(pmap, alg, eps_sym, bounds)
+    coeffs = [c for *_, elem in sym.sorted_entries()
+              for c in elem.terms.values()]
+    assert any(isinstance(c, SymPoly) and not c.is_constant() for c in coeffs)
+    assert all(type(c) in (Fraction, SymPoly) for c in coeffs), coeffs
+    got = {(k, l, g, w): Element({o: evaluated(c)
+                                  for o, c in elem.terms.items()})
+           for k, l, g, w, elem in sym.sorted_entries()}
+    want = {(k, l, g, w): elem for k, l, g, w, elem
+            in linearize_pointed(pmap, alg, eps, bounds).sorted_entries()}
+    assert {key: e for key, e in got.items() if e} == want
 
 
 def _outcome(evaluate):

@@ -503,6 +503,19 @@ def test_cli_verify_rechecks_grid_certificates(corpus_dir, tmp_path,
     assert report_value(out, "certificate-grid-0-1-2") == status
 
 
+@pytest.mark.parametrize("name", ["grid-0-1", "grid-a-1-2", "torsion-x"])
+def test_cli_verify_names_a_malformed_chain(corpus_dir, tmp_path, name):
+    merged = tmp_path / "merged.blf"
+    merged.write_text(
+        (corpus_dir / "ibl-planar.blf").read_text("utf-8")
+        + "chain %s : 1 q1⊙q2\n" % name, encoding="utf-8")
+    got, out = run_cli(tmp_path, "verify", str(merged))
+    assert got == 2
+    assert report_value(out, "error") == (
+        "value: chain %s: a certificate chain is named torsion-<k> or "
+        "grid-<n>-<m>-<t>" % name)
+
+
 def test_cli_planarity(corpus_dir, tmp_path):
     code, out = run_cli(tmp_path, "planarity",
                         str(corpus_dir / "pointed-two.blf"),

@@ -64,12 +64,12 @@ def test_bench_tracer_counts_block_lists_reaching_the_gluing_step(
     received = []
     glue = assembly._glue
 
-    def counting_glue(space_, tgt, x, blocks_of, hbar_cap=None):
+    def counting_glue(space_, tgt, x, blocks_of, hbar_cap=None, **kw):
         def counted(owner, letters):
             for blocks in blocks_of(owner, letters):
                 received.append(blocks)
                 yield blocks
-        return glue(space_, tgt, x, counted, hbar_cap)
+        return glue(space_, tgt, x, counted, hbar_cap, **kw)
     monkeypatch.setattr(assembly, "_glue", counting_glue)
     modules = {module for entries in tracer_mod.LAYERS.values()
                for module, _ in entries} | {"assembly"}
@@ -218,9 +218,8 @@ def test_bench_workload_names_exist():
     assert not missing, missing
 
 
-def test_cli_accepts_every_benchmark_invocation(tmp_path, monkeypatch):
-    # the cli-corpus workload calls the CLI with these argv; a flag the
-    # command table drops must fail here, not in a benchmark run
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py and the library namespace its workloads take."""
     bench = SRC.parent.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location(
@@ -229,6 +228,13 @@ def test_cli_accepts_every_benchmark_invocation(tmp_path, monkeypatch):
     spec.loader.exec_module(workloads)
     lib = types.SimpleNamespace(**{
         m: importlib.import_module("blinfty." + m) for m in workloads.MODULES})
+    return workloads, lib
+
+
+def test_cli_accepts_every_benchmark_invocation(tmp_path, monkeypatch):
+    # the cli-corpus workload calls the CLI with these argv; a flag the
+    # command table drops must fail here, not in a benchmark run
+    workloads, lib = _bench_workloads(monkeypatch)
     corpus = workloads.CliCorpus(lib, 1, tmp_path, tiny=True)
     labels = [op.label for op in corpus.ops]
     assert {label for label, _ in workloads.EXPECTED} <= set(labels)
@@ -237,3 +243,17 @@ def test_cli_accepts_every_benchmark_invocation(tmp_path, monkeypatch):
     for label in labels:
         args = parser.parse_args(corpus.argv(label))
         assert args.command == label.split()[0]
+
+
+def test_compose_coherence_workload_passes_its_checks(tmp_path, monkeypatch):
+    # each compose-coherence op checks compose(psi, phi) against applying
+    # phi, then psi, through the gluing step; a kernel change that breaks
+    # that coherence must fail here, not only in a benchmark run.  One full
+    # pass (24 ops, well under a second): the tiny one misses a dropped
+    # Koszul sign of the consumed letters that the full pass catches
+    workloads, lib = _bench_workloads(monkeypatch)
+    work = workloads.ComposeCoherence(lib, 1, tmp_path)
+    assert work.ops
+    for op in work.ops:
+        ok, answer = op.check(op.run(op.prepare()))
+        assert ok, (op.label, answer)

@@ -148,6 +148,26 @@ def test_ewords_normalize_and_vanish():
     assert sign == 1 and ew.clusters == (gw, gw)
 
 
+def test_equal_words_built_apart_hash_equal():
+    # Word and EWord store their hash at construction, so equal words built
+    # separately (from a list, a tuple, a normalization) must still agree;
+    # an hbar exponent alone tells outer words apart
+    sp = space(("q", 1), ("x", 0))
+    w, sign = normalize_word(sp, ["x", "q"])
+    assert sign == 1
+    for other in (Word([0, 1]), Word((0, 1)), Word(iter([0, 1]))):
+        assert other == w and hash(other) == hash(w)
+    assert Word((1, 0)) != w
+    ew, _ = normalize_clusters(sp, (Word((1,)), w))
+    twin = EWord([Word([1]), Word([0, 1])])
+    assert twin == ew and hash(twin) == hash(ew)
+    assert {ew: 1}[twin] == 1
+    lifted = EWord(ew.clusters, hbar=1)
+    assert lifted != ew and lifted == EWord(list(ew.clusters), 1)
+    assert hash(lifted) == hash(EWord(list(ew.clusters), 1))
+    assert ew not in {lifted: 1}
+
+
 def multiset_count_oracle(n_gens, parities, max_letters, outer):
     """Brute-force enumeration of outer words by raw multiset counting."""
     words = set()

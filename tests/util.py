@@ -50,6 +50,11 @@ def eword(sp, *cluster_names, hbar=0):
     return ew
 
 
+def eword_action(sp, ew):
+    """The total action of an outer word's letters."""
+    return sum((sp.word_action(c.letters) for c in ew.clusters), Fraction(0))
+
+
 def table(sp, parity, entries, complete=True, target=None, **kw):
     """entries: list of (k, l, input names, [(coeff, output names), ...])."""
     rows = []
@@ -457,9 +462,11 @@ def components(n_clusters, n_blocks, edges):
 
 
 def random_table(rng, sp, max_k=3, max_l=3, n_entries=4, parity=1,
-                 max_letters=4):
+                 max_letters=4, denominators=None):
     """A sparse random operation table respecting parity (not a valid
-    structure in general; used for two-path agreement tests)."""
+    structure in general; used for two-path agreement tests).  Coefficients
+    are integers in [-3, 3]; with denominators, each is divided by one
+    drawn from it, e.g. (2, 3, 7) for mostly non-integral coefficients."""
     rows = {}
     tries = 0
     while len(rows) < n_entries and tries < 60:
@@ -479,7 +486,9 @@ def random_table(rng, sp, max_k=3, max_l=3, n_entries=4, parity=1,
                 continue
             if sp.word_parity(w_out.letters) != (in_par + parity) % 2:
                 continue
-            out_terms[w_out] = Fraction(rng.randint(-3, 3))
+            num = rng.randint(-3, 3)
+            out_terms[w_out] = Fraction(
+                num, rng.choice(denominators) if denominators else 1)
         elem = Element(out_terms)
         if not elem:
             continue
