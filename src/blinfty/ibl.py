@@ -9,7 +9,7 @@ from .errors import StructureError
 from .invariants import _level, _outer_window, _search
 from .structures import (BLAlgebra, OperationTable, _first_failure,
                          _require, _split_words, word_to_singletons)
-from .words import EElement, EWord, Element, UNIT_WORD, normalize_word
+from .words import EElement, EWord, Element, UNIT_WORD, _normalize_indices
 
 
 class IBLAlgebra:
@@ -115,7 +115,7 @@ def c_map(space, x, m):
         if i > m + 1:
             raise ValueError("term %r has more than m+1 clusters" % (ew,))
         letters = [l for cl in ew.clusters for l in cl.letters]
-        w, sgn = normalize_word(space, letters)
+        w, sgn = _normalize_indices(space, letters)
         if sgn == 0:
             continue
         key = EWord((w,), hbar=ew.hbar + m + 1 - i)

@@ -394,41 +394,39 @@ def table_from_block(space, block, action_drop=False, target=None):
                           target=target, action_drop=action_drop)
 
 
-def algebra_from_document(doc):
-    block = doc.table("structure")
+def _block(doc, kind):
+    """The document's first table of the given kind; raises when it has none."""
+    block = doc.table(kind)
     if block is None:
-        raise StructureError("document has no structure table")
+        raise StructureError("document has no %s table" % kind)
+    return block
+
+
+def algebra_from_document(doc):
+    block = _block(doc, "structure")
     drop = doc.bounds.action_drop if doc.bounds else False
     return BLAlgebra(doc.space, table_from_block(doc.space, block,
                                                  action_drop=drop))
 
 
 def ibl_from_document(doc):
-    block = doc.table("ibl")
-    if block is None:
-        raise StructureError("document has no ibl table")
+    block = _block(doc, "ibl")
     return IBLAlgebra(doc.space, table_from_block(doc.space, block))
 
 
 def augmentation_from_document(doc, alg):
-    block = doc.table("augmentation")
-    if block is None:
-        raise StructureError("document has no augmentation table")
+    block = _block(doc, "augmentation")
     return Augmentation(alg, table_from_block(alg.space, block,
                                               target=GradedSpace(())))
 
 
 def pointed_from_document(doc, alg):
-    block = doc.table("pointed")
-    if block is None:
-        raise StructureError("document has no pointed table")
+    block = _block(doc, "pointed")
     return PointedMap(alg, table_from_block(alg.space, block))
 
 
 def umodule_from_document(doc, space):
-    block = doc.table("umodule")
-    if block is None:
-        raise StructureError("document has no umodule table")
+    block = _block(doc, "umodule")
     return UModule(space, table_from_block(space, block))
 
 

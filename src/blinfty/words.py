@@ -282,31 +282,23 @@ class Element:
 EElement = Element  # the name used where the terms are outer words
 
 
-def _words_upto(space, max_letters, max_action, max_len=None):
-    limit = max_letters if max_len is None else min(max_letters, max_len)
-    out = [UNIT_WORD]
-    n = len(space)
-    for k in range(1, limit + 1):
-        for combo in itertools.combinations_with_replacement(range(n), k):
-            w, sign = _normalize_indices(space, list(combo))
-            if sign == 0:
-                continue
-            if max_action is not None and space.word_action(combo) > max_action:
-                continue
-            out.append(w)
-    return out
-
-
 def enumerate_basis(space, max_letters, max_action=None, outer_components=None,
                     allow_units=True, max_cluster_letters=None):
-    """All normalized Words, or EWords when outer_components is given.
+    """All nonzero Words, or EWords when outer_components is given, sorted
+    by key.
 
     Words: every multiset of generators with at most max_letters letters and
     total action at most max_action (the empty word included).  EWords: at
     most outer_components clusters, unit clusters permitted unless
     allow_units is false, optionally capping each cluster's letter count.
     Zero monomials (repeated odd letters or repeated odd clusters) are
-    skipped.  Output order is deterministic.
+    skipped.  The order is part of the contract: the solve pivots on the
+    leftmost independent columns, so certificates depend on it.
+
+    Every word is generated in normal form with sign +1: letters come from
+    combinations_with_replacement in Word.key order, and clusters are taken
+    at non-decreasing positions of the key-sorted non-unit words, after the
+    even unit clusters.  An odd letter or cluster is never taken twice.
     """
     if max_letters < 0:
         raise ValueError("max_letters must be nonnegative")
@@ -316,38 +308,46 @@ def enumerate_basis(space, max_letters, max_action=None, outer_components=None,
             if g.action is None:
                 raise ValueError("max_action given but generator %s has no action"
                                  % g.name)
-    words = _words_upto(space, max_letters, max_action, max_cluster_letters)
+    limit = max_letters if max_cluster_letters is None \
+        else min(max_letters, max_cluster_letters)
+    par = space.parities
+    words = [UNIT_WORD]
+    for k in range(1, limit + 1):
+        for combo in itertools.combinations_with_replacement(range(len(space)), k):
+            if any(a == b and par[a] for a, b in zip(combo, combo[1:])):
+                continue
+            if max_action is not None and space.word_action(combo) > max_action:
+                continue
+            words.append(Word(combo))
     if outer_components is None:
-        return sorted(words, key=lambda w: w.key())
+        return words
 
-    nonunit = [w for w in words if len(w) > 0]
-    multisets = [[]]
+    # (word, parity, action) per non-unit word; action 0 with no action bound
+    nonunit = [(w, space.word_parity(w.letters),
+                space.word_action(w.letters) if max_action is not None else 0)
+               for w in words[1:]]
+    multisets = [()]
 
     def extend(prefix, start, letters_left, action_left):
         for i in range(start, len(nonunit)):
-            w = nonunit[i]
+            w, odd, act = nonunit[i]
             if len(w) > letters_left:
                 break  # nonunit comes in ascending length
-            act = space.word_action(w.letters) if max_action is not None else None
-            if act is not None and act > action_left:
+            if act > action_left:
                 continue
             prefix.append(w)
-            multisets.append(list(prefix))
+            multisets.append(tuple(prefix))
             if len(prefix) < outer_components:
-                extend(prefix, i, letters_left - len(w),
-                       action_left - act if act is not None else action_left)
+                extend(prefix, i + odd, letters_left - len(w), action_left - act)
             prefix.pop()
 
-    extend([], 0, max_letters, max_action)
-    results = {}
+    extend([], 0, max_letters, max_action or 0)
+    out = []
     for ms in multisets:
         max_units = (outer_components - len(ms)) if allow_units else 0
-        lo_units = 0 if ms else 1
-        for n_units in range(lo_units, max_units + 1):
-            ew, sign = normalize_clusters(space, tuple(ms) + (UNIT_WORD,) * n_units)
-            if sign != 0:
-                results[ew] = None
-    return sorted(results, key=lambda e: e.key())
+        for n_units in range(0 if ms else 1, max_units + 1):
+            out.append(EWord((UNIT_WORD,) * n_units + ms))
+    return sorted(out, key=EWord.key)
 
 
 def word_to_singletons(word):

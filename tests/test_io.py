@@ -6,7 +6,7 @@ import pytest
 from blinfty import fixtures
 from blinfty import io as bio
 from blinfty.cli import main as cli_main
-from blinfty.errors import ParseError
+from blinfty.errors import ParseError, StructureError
 from blinfty.ibl import IBLAlgebra
 from blinfty.structures import BLAlgebra, Bounds, OperationTable
 from blinfty.words import (Element, EWord, Generator, GradedSpace, UNIT_WORD,
@@ -133,6 +133,23 @@ def test_bad_table_max_k_rejected(head):
                              "table structure p parity 1 " + head)
     with pytest.raises(ParseError):
         bio.parse(bad)
+
+
+@pytest.mark.parametrize("kind, read", [
+    ("structure", lambda doc, alg: bio.algebra_from_document(doc)),
+    ("ibl", lambda doc, alg: bio.ibl_from_document(doc)),
+    ("augmentation", bio.augmentation_from_document),
+    ("pointed", bio.pointed_from_document),
+    ("umodule", lambda doc, alg: bio.umodule_from_document(doc, alg.space)),
+])
+def test_reader_without_its_table_names_the_kind(kind, read):
+    doc = bio.parse(PLANAR_DOC)
+    alg = bio.algebra_from_document(doc)
+    others = bio.Document(doc.space, [t for t in doc.tables if t.kind != kind],
+                          (), doc.bounds)
+    with pytest.raises(StructureError) as err:
+        read(others, alg)
+    assert str(err.value) == "document has no %s table" % kind
 
 
 def random_document(rng):

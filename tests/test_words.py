@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from blinfty.fixtures import torsion_ladder
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            EElement, UNIT_WORD, UNIT_EWORD, normalize_word,
                            normalize_clusters, koszul_pass_sign,
                            enumerate_basis, sort_with_sign)
 
-from util import bubble_normalize, oracle_window, random_space
+from util import bubble_normalize, oracle_window, oracle_words, random_space
 
 
 def space(*spec):
@@ -307,3 +308,31 @@ def test_enumerate_ewords_matches_brute_force_seeded():
                               allow_units=units, max_cluster_letters=mcl)
         assert got == oracle_window(sp, ml, ma, oc, units, mcl), (
             sp.parities, ml, ma, oc, units, mcl)
+
+
+def test_enumerate_words_matches_brute_force_seeded():
+    # inner words are generated in normal form; the output must be every
+    # nonzero multiset within the bounds, in key order
+    rng = random.Random(1717)
+    for trial in range(120):
+        n = rng.randint(1, 4)
+        with_action = trial % 2 == 0
+        sp = space(*[("g%d" % i, rng.randrange(2))
+                     + ((rng.randint(1, 3),) if with_action else ())
+                     for i in range(n)])
+        ml = rng.randint(0, 5)
+        ma = Fraction(rng.randint(0, 8), rng.choice((1, 2))) \
+            if with_action else None
+        mcl = rng.choice((None, 0, 1, 2, 3))
+        got = enumerate_basis(sp, ml, ma, max_cluster_letters=mcl)
+        assert got == oracle_words(sp, ml, ma, mcl), (
+            sp.parities, ml, ma, mcl)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_torsion_ladder_windows_strictly_increasing(n):
+    # no outer word is generated twice, so the windows need no de-duplication
+    sp = torsion_ladder(n).space
+    for k in range(1, 7):
+        keys = [ew.key() for ew in enumerate_basis(sp, 6, outer_components=k)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (n, k)

@@ -762,13 +762,25 @@ def dense_solve_linear(A, b):
 # ---------------------------------------------------------------------------
 # level searches: the oracles for invariants.torsion and sd_order
 
+def oracle_words(sp, max_letters, max_action, max_cluster_letters=None):
+    """Every nonzero word of at most max_letters (and max_cluster_letters)
+    letters within the action bound, the empty word included, sorted; the
+    zero test is bubble_normalize's."""
+    top = max_letters if max_cluster_letters is None \
+        else min(max_letters, max_cluster_letters)
+    words = [Word(combo) for k in range(top + 1)
+             for combo in itertools.combinations_with_replacement(
+                 range(len(sp)), k)
+             if bubble_normalize(sp, combo)[1]
+             and (max_action is None or sp.word_action(combo) <= max_action)]
+    return sorted(words, key=lambda w: w.key())
+
+
 def oracle_window(sp, max_letters, max_action, outer_components,
                   allow_units=True, max_cluster_letters=None):
     """Every nonzero multiset of 1..outer_components words within the
     letter, action and cluster-size bounds, normalized and sorted."""
-    words = enumerate_basis(sp, max_letters, max_action)
-    if max_cluster_letters is not None:
-        words = [w for w in words if len(w) <= max_cluster_letters]
+    words = oracle_words(sp, max_letters, max_action, max_cluster_letters)
     if not allow_units:
         words = [w for w in words if len(w)]
     out = set()
