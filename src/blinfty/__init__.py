@@ -6,13 +6,13 @@ from .words import (Generator, GradedSpace, Word, EWord, Element, EElement,
                     koszul_pass_sign, enumerate_basis)
 from .linalg import solve_linear, ChainComplex
 from .structures import (Bounds, OperationTable, BLAlgebra, BLMorphism,
-                         Augmentation, PointedMap, TRIVIAL_ALGEBRA,
+                         Augmentation, PointedMap, UModule, TRIVIAL_ALGEBRA,
                          apply_hat_p, apply_hat_phi, two_level,
                          check_structure, check_morphism, compose,
                          is_augmentation, f_eps, linearize, linearize_pointed,
                          ell_table, apply_hat_pointed, check_pointed,
                          check_compatibility, identity_table, zero_table)
-from .invariants import (TorsionAnswer, UModule, build_EkV,
+from .invariants import (TorsionAnswer, build_EkV,
                          torsion, default_schedule, torsion_monotone_check,
                          verify_torsion_certificate, bar_B_k, order_O,
                          order_O_tilde, order_functoriality_check,
@@ -20,7 +20,7 @@ from .invariants import (TorsionAnswer, UModule, build_EkV,
                          width)
 from .hierarchy import (HierarchyValue, hierarchy_classify, hierarchy_compare,
                         hierarchy_combine)
-from .ibl import (IBLAlgebra, apply_hat_p_ibl, check_ibl, genus0,
+from .ibl import (apply_hat_p_ibl, check_ibl, genus0,
                   torsion_grid, c_map, derive_flat_torsion)
 from .io import parse, serialize, Document
 

@@ -16,7 +16,7 @@ from .errors import (InconclusiveError, IncompleteTableError,
                      PlanarityNotOneError, PlanarityZeroError, StructureError,
                      WindowLeakError)
 from .hierarchy import HierarchyValue, hierarchy_classify, hierarchy_combine
-from .ibl import (check_ibl, derive_flat_torsion, genus0, torsion_grid,
+from .ibl import (check_ibl, derive_flat_torsion, torsion_grid,
                   verify_grid_certificate)
 from .invariants import (TorsionAnswer, default_schedule, order_O,
                          order_multi, planarity, sd_order, torsion,
@@ -139,15 +139,15 @@ def _chain_numbers(name, count):
 def cmd_verify(args, rep):
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
-    ialg = None
-    if doc.table("ibl") is not None:
-        ialg = bio.ibl_from_document(doc)
-        status = check_ibl(ialg, _hbar_cap(bounds), bounds)
+    # the flat checks below read only the genus-0 part of an ibl table
+    ibl = doc.table("ibl") is not None
+    if ibl:
+        alg = bio.ibl_from_document(doc)
+        status = check_ibl(alg, _hbar_cap(bounds), bounds)
         rep.add("verify", "ok" if status.ok else "failed")
         if not status.ok:
-            rep.add("witness", _ibl_witness(ialg.space, status.witness))
+            rep.add("witness", _ibl_witness(alg.space, status.witness))
             return 1
-        alg = genus0(ialg)
     else:
         alg = bio.algebra_from_document(doc)
         status = check_structure(alg, bounds)
@@ -163,9 +163,9 @@ def cmd_verify(args, rep):
             level, = _chain_numbers(ch.name, 1)
             ok = verify_torsion_certificate(
                 alg, TorsionAnswer("exact", level, ch.element))
-        elif ialg is not None and ch.name.startswith("grid-"):
+        elif ibl and ch.name.startswith("grid-"):
             n, m, trunc = _chain_numbers(ch.name, 3)
-            ok = verify_grid_certificate(ialg, ch.element, n, m, trunc)
+            ok = verify_grid_certificate(alg, ch.element, n, m, trunc)
         else:
             continue
         code |= _report_check(rep, "certificate-%s" % ch.name, ok)
@@ -217,8 +217,8 @@ def cmd_linearize(args, rep):
     ell = ell_table(lin)
     rep.add("ell-cells", str(len(ell.cells)))
     if args.certificate:
-        block = bio.TableBlock("structure", "p_eps", 1, False,
-                               lin.sorted_entries(), max_k=lin.max_k)
+        block = bio.TableBlock("structure", "p_eps", 1, lin.sorted_entries(),
+                               max_k=lin.max_k)
         _write_certificate(args, rep,
                            bio.Document(alg.space, [block], (), bounds))
     return 0
@@ -342,7 +342,7 @@ def cmd_hierarchy(args, rep):
     _report_answer(rep, "torsion", t)
     pl = None
     sd_level = None
-    if pmaps and (augs or t.found() or alg.space.all_even()):
+    if pmaps:
         try:
             pl = planarity(alg, augs, pmaps[0][1], bounds, t)
             if pl.found():

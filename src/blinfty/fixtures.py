@@ -205,17 +205,11 @@ def sd_ladder(n):
     return alg, utab, PointedMap(alg, ptab)
 
 
-def ibl_lift_planar():
-    from .ibl import from_bl
-    return from_bl(planar_torsion_one())
-
-
 def ibl_genus_one():
-    from .ibl import IBLAlgebra
     sp = GradedSpace([Generator("q", 1)])
     w, _ = normalize_word(sp, ("q",))
     tab = OperationTable(sp, 1, [(1, 0, 1, w, Element.monomial(UNIT_WORD))])
-    return IBLAlgebra(sp, tab)
+    return BLAlgebra(sp, tab)
 
 
 def corpus():
@@ -257,12 +251,12 @@ def document_corpus():
         docs[name] = bio.serialize(
             bio.document_of_algebra(alg, bounds=bounds))
         for i, eps in enumerate(augs):
-            block = bio.TableBlock("augmentation", "eps%d" % i, 0, False,
+            block = bio.TableBlock("augmentation", "eps%d" % i, 0,
                                    eps.table.sorted_entries())
             docs["%s.aug%d" % (name, i)] = bio.serialize(
                 bio.Document(alg.space, [block], (), None))
         if pmap is not None:
-            block = bio.TableBlock("pointed", "S1", pmap.parity, False,
+            block = bio.TableBlock("pointed", "S1", pmap.parity,
                                    pmap.table.sorted_entries())
             docs["%s.pointed" % name] = bio.serialize(
                 bio.Document(alg.space, [block], (), None))
@@ -270,20 +264,19 @@ def document_corpus():
     docs["sd-example"] = bio.serialize(bio.document_of_algebra(
         alg, bounds=Bounds(2, word_bound=2)))
     docs["sd-example.aug0"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("augmentation", "eps0", 0, False, [])],
-        (), None))
+        alg.space, [bio.TableBlock("augmentation", "eps0", 0, [])], (), None))
     docs["sd-example.umap"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("umodule", "U", 0, False,
+        alg.space, [bio.TableBlock("umodule", "U", 0,
                                    utab.sorted_entries())], (), None))
     docs["sd-example.pointed"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("pointed", "S1", 0, False,
+        alg.space, [bio.TableBlock("pointed", "S1", 0,
                                    pmap.table.sorted_entries())], (), None))
     p0alg, _ = pointed_one()
     docs["pointed-one.umap"] = bio.serialize(bio.Document(
-        p0alg.space, [bio.TableBlock("umodule", "U", 0, False, [])], (), None))
-    ialg = ibl_lift_planar()
+        p0alg.space, [bio.TableBlock("umodule", "U", 0, [])], (), None))
+    # a flat algebra is its own hbar-graded lift
     docs["ibl-planar"] = bio.serialize(bio.document_of_ibl(
-        ialg, bounds=Bounds(3, hbar_max=2)))
+        planar_torsion_one(), bounds=Bounds(3, hbar_max=2)))
     docs["ibl-genus-one"] = bio.serialize(bio.document_of_ibl(
         ibl_genus_one(), bounds=Bounds(2, hbar_max=2)))
     return docs

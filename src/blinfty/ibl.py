@@ -1,36 +1,19 @@
 """Curved hbar-graded structures: cycle-permitting gluing, relation checks,
 the genus-zero truncation, the torsion grid, and the cluster-connecting
-chain map."""
+chain map.
+
+An hbar-graded structure is a BLAlgebra whose table carries genera.  The
+flat operators (structures, invariants) glue only genus-zero forests, so on
+such an algebra they equal those on its genus0 truncation, and a flat
+algebra is its own hbar-graded lift."""
 
 from __future__ import annotations
 
 from . import assembly
-from .errors import StructureError
 from .invariants import _level, _outer_window, _search
-from .structures import (BLAlgebra, OperationTable, _first_failure,
-                         _require, _split_words, word_to_singletons)
+from .structures import (BLAlgebra, _first_failure, _require, _split_words,
+                         word_to_singletons)
 from .words import EElement, EWord, Element, UNIT_WORD, _normalize_indices
-
-
-class IBLAlgebra:
-    """A space with a parity-1 table whose cells carry a genus."""
-
-    def __init__(self, space, table):
-        if table.parity != 1:
-            raise StructureError("ibl table must have parity 1")
-        self.space = space
-        self.table = table
-
-    def __repr__(self):
-        return "IBLAlgebra(%d generators, %d entries)" % (
-            len(self.space), len(self.table.sorted_entries()))
-
-
-def from_bl(alg):
-    """Lift a genus-zero structure."""
-    return IBLAlgebra(alg.space, OperationTable(
-        alg.space, 1, alg.table.sorted_entries(), complete=alg.table.complete,
-        max_k=alg.table.max_k))
 
 
 def apply_hat_p_ibl(ialg, x, hbar_cap):

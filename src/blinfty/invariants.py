@@ -43,32 +43,6 @@ class TorsionAnswer:
         return "TorsionAnswer(not-found-within %r)" % (self.bounds,)
 
 
-class UModule:
-    """A parity-0 endomorphism of the generator space, nilpotent on the
-    linearized homology; grade -2 when integer grades are present."""
-
-    def __init__(self, space, table):
-        if table.parity != 0:
-            raise StructureError("U must have parity 0")
-        for (k, l) in table.cells:
-            if (k, l) != (1, 1):
-                raise StructureError("U must be a linear endomorphism")
-        if all(g.zgrade is not None for g in space.generators):
-            for (_, _), cell in table.cells.items():
-                for w_in, elem in cell.items():
-                    zin = space.generators[w_in.letters[0]].zgrade
-                    for w_out in elem.terms:
-                        zout = space.generators[w_out.letters[0]].zgrade
-                        if zout != zin - 2:
-                            raise StructureError(
-                                "U entry %r does not have degree -2" % (w_in,))
-        self.space = space
-        self.table = table
-
-    def matrix(self):
-        return _matrix(self.space, self.table)
-
-
 def _matrix(space, table):
     """The matrix of a linear table: entry [output letter][input letter]."""
     n = len(space)
@@ -117,22 +91,25 @@ def _once(image):
 def _solve(basis, columns, target):
     """Solve sum_j x_j columns[j] = target over the basis span.
 
-    Returns {basis element: coeff} with free variables zero, or None.
+    Returns {basis element: coeff} with free variables zero, or None.  Only
+    the columns with a nonzero entry reach the elimination: a zero column
+    is never a pivot, so its variable is free and zero either way.
     """
+    live = [j for j, col in enumerate(columns) if any(col.values())]
     rows = {target: 0}
-    for col in columns:
-        for key in col:
+    for j in live:
+        for key in columns[j]:
             rows.setdefault(key, len(rows))
-    A = [[Fraction(0)] * len(basis) for _ in range(len(rows))]
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            A[rows[key]][j] = c
+    A = [[Fraction(0)] * len(live) for _ in range(len(rows))]
+    for i, j in enumerate(live):
+        for key, c in columns[j].items():
+            A[rows[key]][i] = c
     b = [Fraction(0)] * len(rows)
     b[0] = Fraction(1)
     sol, _ = solve_linear(A, b)
     if sol is None:
         return None
-    return {basis[j]: sol[j] for j in range(len(basis)) if sol[j]}
+    return {basis[j]: x for j, x in zip(live, sol) if x}
 
 
 def _closed_complex(basis, image, parity):
@@ -517,7 +494,7 @@ def sd_order(ell1, umod, ell_point):
     if any(kl != (1, 1) for kl in ell1.cells):
         raise StructureError("ell1 must be a linear differential")
     D = _matrix(sp, ell1)
-    U = umod.matrix()
+    U = _matrix(sp, umod.table)
     f = [Fraction(0)] * n
     for (k, l), cell in ell_point.cells.items():
         if (k, l) != (1, 0):

@@ -21,10 +21,8 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, StructureError
-from .ibl import IBLAlgebra
-from .invariants import UModule
 from .structures import (Augmentation, BLAlgebra, Bounds, OperationTable,
-                         PointedMap)
+                         PointedMap, UModule)
 from .words import (EElement, Element, EWord, Generator, GradedSpace,
                     UNIT_WORD, normalize_clusters, normalize_word)
 
@@ -37,11 +35,10 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 
 
 class TableBlock:
-    def __init__(self, kind, name, parity, is_hbar, ops, max_k=None):
-        self.kind = kind
+    def __init__(self, kind, name, parity, ops, max_k=None):
+        self.kind = kind  # an "ibl" table declares hbar and genera
         self.name = name
         self.parity = parity
-        self.is_hbar = is_hbar
         self.ops = ops  # list of (k, l, g, input Word, Element)
         self.max_k = max_k  # None for a complete table
 
@@ -129,7 +126,7 @@ def serialize(doc):
         lines.append(" ".join(bits))
     for t in doc.tables:
         head = ["table", t.kind, t.name, "parity", str(t.parity)]
-        if t.is_hbar:
+        if t.kind == "ibl":
             head.append("hbar")
         if t.max_k is not None:
             head += ["max_k", str(t.max_k)]
@@ -137,7 +134,7 @@ def serialize(doc):
         for (k, l, g, w_in, elem) in sorted(
                 t.ops, key=lambda op: (op[0], op[1], op[2], op[3].key())):
             head = ["op", str(k), str(l)]
-            if t.is_hbar:
+            if t.kind == "ibl":
                 head += ["genus", str(g)]
             terms = []
             for w_out, c in sorted(elem.terms.items(),
@@ -229,17 +226,16 @@ def parse(text):
             opts = _keyed(toks[5:], line_no, {"max_k"}, flags={"hbar"})
             if any(toks[5:].count(t) > 1 for t in ("hbar", "max_k")):
                 raise ParseError(line_no, "repeated table option")
-            is_hbar = "hbar" in opts
             max_k = None
             if "max_k" in opts:
                 max_k = _parse_int(opts["max_k"], line_no)
                 if max_k < 0:
                     raise ParseError(line_no, "max_k must be >= 0")
-            if kind == "ibl" and not is_hbar:
+            if kind == "ibl" and "hbar" not in opts:
                 raise ParseError(line_no, "ibl tables must declare hbar")
-            if is_hbar and kind != "ibl":
+            if "hbar" in opts and kind != "ibl":
                 raise ParseError(line_no, "only ibl tables declare hbar")
-            current = TableBlock(kind, name, parity, is_hbar, [], max_k)
+            current = TableBlock(kind, name, parity, [], max_k)
             tables.append(current)
         elif head == "op":
             if current is None:
@@ -318,7 +314,7 @@ def _parse_op(sp, block, toks, line, line_no):
     g = 0
     if len(htoks) == 5 and htoks[3] == "genus":
         g = _parse_int(htoks[4], line_no)
-        if not block.is_hbar:
+        if block.kind != "ibl":
             raise ParseError(line_no, "genus outside an hbar table")
         if g < 0:
             raise ParseError(line_no, "genus must be >= 0")
@@ -377,15 +373,15 @@ def _declared_max_k(table):
 
 
 def document_of_algebra(alg, bounds=None):
-    block = TableBlock("structure", "p", alg.table.parity, False,
+    block = TableBlock("structure", "p", alg.table.parity,
                        alg.table.sorted_entries(), _declared_max_k(alg.table))
     return Document(alg.space, [block], (), bounds)
 
 
-def document_of_ibl(ialg, bounds=None):
-    block = TableBlock("ibl", "p", 1, True, ialg.table.sorted_entries(),
-                       _declared_max_k(ialg.table))
-    return Document(ialg.space, [block], (), bounds)
+def document_of_ibl(alg, bounds=None):
+    block = TableBlock("ibl", "p", 1, alg.table.sorted_entries(),
+                       _declared_max_k(alg.table))
+    return Document(alg.space, [block], (), bounds)
 
 
 def table_from_block(space, block, action_drop=False, target=None):
@@ -410,8 +406,11 @@ def algebra_from_document(doc):
 
 
 def ibl_from_document(doc):
+    """The algebra of the document's ibl table, genera included."""
     block = _block(doc, "ibl")
-    return IBLAlgebra(doc.space, table_from_block(doc.space, block))
+    if block.parity != 1:
+        raise StructureError("ibl table must have parity 1")
+    return BLAlgebra(doc.space, table_from_block(doc.space, block))
 
 
 def augmentation_from_document(doc, alg):

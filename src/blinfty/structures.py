@@ -1,5 +1,5 @@
 """Operation tables, algebras with a squared-zero coderivation, morphisms,
-augmentations, linearization and pointed maps.
+augmentations, linearization, pointed maps and U-module endomorphisms.
 
 The structure, augmentation, pointed-map, morphism and compatibility
 checks test their identity by its connected part: pi_1 of the composite on
@@ -211,7 +211,8 @@ class VerifyStatus:
 
 
 class BLAlgebra:
-    """A space with a parity-1 operation table assembling to a coderivation."""
+    """A space with a parity-1 operation table assembling to a coderivation;
+    an hbar-graded structure is one whose table carries genera (see ibl)."""
 
     def __init__(self, space, table):
         if table.parity != 1:
@@ -250,6 +251,29 @@ class PointedMap:
         self.algebra = algebra
         self.table = table
         self.parity = table.parity
+
+
+class UModule:
+    """A parity-0 endomorphism of the generator space, nilpotent on the
+    linearized homology; grade -2 when integer grades are present."""
+
+    def __init__(self, space, table):
+        if table.parity != 0:
+            raise StructureError("U must have parity 0")
+        for (k, l) in table.cells:
+            if (k, l) != (1, 1):
+                raise StructureError("U must be a linear endomorphism")
+        if all(g.zgrade is not None for g in space.generators):
+            for (_, _), cell in table.cells.items():
+                for w_in, elem in cell.items():
+                    zin = space.generators[w_in.letters[0]].zgrade
+                    for w_out in elem.terms:
+                        zout = space.generators[w_out.letters[0]].zgrade
+                        if zout != zin - 2:
+                            raise StructureError(
+                                "U entry %r does not have degree -2" % (w_in,))
+        self.space = space
+        self.table = table
 
 
 def apply_hat_p(alg, x):

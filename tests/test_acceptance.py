@@ -19,8 +19,8 @@ from blinfty.assembly import apply_coderivation, apply_inner_coderivation
 from blinfty.cli import main as cli_main
 from blinfty.hierarchy import (HierarchyValue, hierarchy_combine,
                                hierarchy_compare)
-from blinfty.ibl import (IBLAlgebra, apply_hat_p_ibl, c_map,
-                         check_ibl, derive_flat_torsion, from_bl,
+from blinfty.ibl import (apply_hat_p_ibl, c_map,
+                         check_ibl, derive_flat_torsion,
                          torsion_grid, verify_grid_certificate)
 from blinfty.invariants import (default_schedule, order_O, order_O_tilde,
                                 order_functoriality_check, order_multi,
@@ -260,14 +260,14 @@ def test_criterion_6_width_monotonicity():
             for ew2 in out.terms:
                 assert width(ew2) >= width(ew), (name, ew, ew2)
                 checked += 1
-    ialgs = [fixtures.ibl_lift_planar(), fixtures.ibl_genus_one()]
+    ialgs = [fixtures.planar_torsion_one(), fixtures.ibl_genus_one()]
     rng = random.Random(99)
     for _ in range(6):
         sp = random_space(rng, n=2)
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
                    for (k, l, _, w, e) in base.sorted_entries()]
-        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, entries)))
+        ialgs.append(BLAlgebra(sp, OperationTable(sp, 1, entries)))
     hchecked = 0
     for ialg in ialgs:
         for ew in enumerate_basis(ialg.space, 3, outer_components=2):
@@ -284,7 +284,7 @@ def test_criterion_6_width_monotonicity():
 def test_criterion_7_grid_transport_and_chain_map():
     t0 = time.monotonic()
     grid_cases = []
-    ia = fixtures.ibl_lift_planar()
+    ia = fixtures.planar_torsion_one()
     for trunc in (1, 2, 3):
         grid_cases.append((ia, 0, 1, trunc))
     ig = fixtures.ibl_genus_one()
@@ -308,7 +308,7 @@ def test_criterion_7_grid_transport_and_chain_map():
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
                    for (k, l, _, w, e) in base.sorted_entries()]
-        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, entries)))
+        ialgs.append(BLAlgebra(sp, OperationTable(sp, 1, entries)))
     n_chain = 0
     for ialg in ialgs:
         sp = ialg.space

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blinfty.errors import IncompleteTableError, InternalInconsistencyError
-from blinfty.ibl import IBLAlgebra, apply_hat_p_ibl
+from blinfty.ibl import apply_hat_p_ibl
 from blinfty.structures import (Augmentation, Bounds, apply_hat_p,
                                 apply_hat_phi, apply_hat_pointed,
                                 check_structure, compose, linearize,
@@ -778,7 +778,7 @@ def test_partial_tables_never_read_a_missing_arity_as_zero():
         check("hat_phi",
               lambda t: apply_hat_phi(BLMorphism(alg, alg, t), x), [m])
         check("hat_p_ibl",
-              lambda t: apply_hat_p_ibl(IBLAlgebra(sp, t), xh, 2), [g])
+              lambda t: apply_hat_p_ibl(BLAlgebra(sp, t), xh, 2), [g])
         bounds = Bounds(rng.randint(1, 3))
         check("linearize", lambda t, u: linearized(t, u, bounds),
               [_partial(rng, sp, 1, rng.choice((1, 2)), min_l=1), e])

@@ -4,13 +4,15 @@ import random
 import pytest
 
 from blinfty import fixtures, invariants
-from blinfty.errors import StructureError
-from blinfty.ibl import (IBLAlgebra, apply_hat_p_ibl, c_map,
-                         check_ibl, derive_flat_torsion, from_bl, genus0,
+from blinfty.errors import IncompleteTableError, StructureError
+from blinfty.ibl import (apply_hat_p_ibl, c_map,
+                         check_ibl, derive_flat_torsion, genus0,
                          hbar_width, torsion_grid, two_level_ibl,
                          verify_grid_certificate)
-from blinfty.structures import (BLAlgebra, Bounds, OperationTable,
-                                apply_hat_p, check_structure)
+from blinfty.structures import (Augmentation, BLAlgebra, Bounds,
+                                OperationTable, PointedMap, VerifyStatus,
+                                apply_hat_p, check_pointed, check_structure,
+                                is_augmentation)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            enumerate_basis, normalize_word)
 
@@ -21,7 +23,7 @@ B3 = Bounds(3)
 
 
 def ibl_fixture_a():
-    return from_bl(fixtures.planar_torsion_one())
+    return fixtures.planar_torsion_one()
 
 
 def genus_one_loop():
@@ -29,7 +31,7 @@ def genus_one_loop():
     sp = space(("q", 1),)
     w = word(sp, "q")
     tab = OperationTable(sp, 1, [(1, 0, 1, w, Element.monomial(UNIT_WORD))])
-    return IBLAlgebra(sp, tab)
+    return BLAlgebra(sp, tab)
 
 
 def test_genus0_only_matches_plain_assembly_at_exponent_zero():
@@ -40,7 +42,7 @@ def test_genus0_only_matches_plain_assembly_at_exponent_zero():
         sp = random_space(rng)
         tab = random_table(rng, sp, n_entries=3)
         alg = BLAlgebra(sp, tab)
-        ialg = from_bl(alg)
+        ialg = alg
         for ew in enumerate_basis(sp, 3, outer_components=2):
             x = EElement.monomial(ew)
             got = apply_hat_p_ibl(ialg, x, 0)
@@ -95,7 +97,7 @@ def test_ibl_oracle_random_tables():
         for (k, l, _, w, e) in base.sorted_entries():
             extra.append((k, l, rng.randrange(2), w, e))
         tab = OperationTable(sp, 1, extra)
-        ialg = IBLAlgebra(sp, tab)
+        ialg = BLAlgebra(sp, tab)
         for ew in enumerate_basis(sp, 3, outer_components=2):
             x = EElement.monomial(ew)
             got = apply_hat_p_ibl(ialg, x, 5)
@@ -114,7 +116,7 @@ def test_check_ibl_fails_on_bad_differential():
         (1, 1, 0, word(sp, "x"), Element.monomial(word(sp, "y"))),
         (1, 1, 0, word(sp, "y"), Element.monomial(word(sp, "z"))),
     ])
-    ialg = IBLAlgebra(sp, tab)
+    ialg = BLAlgebra(sp, tab)
     assert not check_ibl(ialg, 1, B3).ok
 
 
@@ -125,7 +127,7 @@ def test_check_ibl_agrees_with_hat_squared():
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
                    for (k, l, _, w, e) in base.sorted_entries()]
-        ialg = IBLAlgebra(sp, OperationTable(sp, 1, entries))
+        ialg = BLAlgebra(sp, OperationTable(sp, 1, entries))
         verdict = check_ibl(ialg, 2, Bounds(2)).ok
         direct = True
         for ew in enumerate_basis(sp, 2, outer_components=2):
@@ -141,9 +143,47 @@ def test_check_ibl_agrees_with_hat_squared():
 
 def test_genus0_of_lift_recovers_algebra():
     alg = fixtures.planar_torsion_one()
-    ialg = from_bl(alg)
-    back = genus0(ialg)
-    assert back.table == alg.table
+    assert genus0(alg).table == alg.table
+
+
+def _outcome(call):
+    """A check's (ok, witness), an evaluation's value, or the error type."""
+    try:
+        out = call()
+    except IncompleteTableError as e:
+        return type(e)
+    return (out.ok, out.witness) if isinstance(out, VerifyStatus) else out
+
+
+def test_flat_operators_equal_on_genus0():
+    # the flat operators glue genus-zero forests only, so an algebra whose
+    # table carries genera and its genus0 truncation agree on each of them;
+    # verify reads an ibl document's flat checks this way
+    rng = random.Random(41)
+    for _ in range(40):
+        sp = random_space(rng)
+        base = random_table(rng, sp, n_entries=4)
+        entries = [(k, l, rng.choice((0, 0, 1, 2)), w, e)
+                   for (k, l, _, w, e) in base.sorted_entries()]
+        complete = rng.random() < 0.7
+        alg = BLAlgebra(sp, OperationTable(
+            sp, 1, entries, complete=complete,
+            max_k=None if complete else rng.randint(1, 3)))
+        flat = genus0(alg)
+        eps = Augmentation(alg, random_table(rng, sp, parity=0, max_l=0,
+                                             n_entries=3))
+        pmap = PointedMap(alg, random_table(rng, sp, parity=rng.randrange(2),
+                                            n_entries=2))
+        for ew in enumerate_basis(sp, 3, outer_components=3):
+            x = EElement.monomial(ew)
+            assert _outcome(lambda: apply_hat_p(alg, x)) == \
+                _outcome(lambda: apply_hat_p(flat, x)), ew
+        for b in (Bounds(2), B3, Bounds(3, word_bound=2)):
+            for check in (check_structure,
+                          lambda a, b: is_augmentation(eps, a, b),
+                          lambda a, b: check_pointed(pmap, a, b)):
+                assert _outcome(lambda: check(alg, b)) == \
+                    _outcome(lambda: check(flat, b))
 
 
 def test_genus0_verifies_for_random_ibl():
@@ -153,7 +193,7 @@ def test_genus0_verifies_for_random_ibl():
         base = random_table(rng, sp, max_l=0, n_entries=2)
         entries = [(k, l, rng.randrange(3), w, e)
                    for (k, l, _, w, e) in base.sorted_entries()]
-        ialg = IBLAlgebra(sp, OperationTable(sp, 1, entries))
+        ialg = BLAlgebra(sp, OperationTable(sp, 1, entries))
         if check_ibl(ialg, 2, Bounds(3)).ok:
             assert check_structure(genus0(ialg), Bounds(3)).ok
 
@@ -210,7 +250,7 @@ def test_grid_trivial_above_truncation():
 
 def test_grid_zero_structure_not_found():
     sp = space(("q", 1),)
-    ialg = IBLAlgebra(sp, OperationTable(sp, 1, []))
+    ialg = BLAlgebra(sp, OperationTable(sp, 1, []))
     for trunc in (0, 1):
         found, _ = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
         assert not found
@@ -223,7 +263,7 @@ def test_grid_rejects_a_non_structure():
     for _ in range(4):
         sp = random_space(rng)
         tab = random_table(rng, sp)
-    ialg = from_bl(BLAlgebra(sp, tab))
+    ialg = BLAlgebra(sp, tab)
     assert not check_ibl(ialg, 2, B3).ok
     with pytest.raises(StructureError, match="witness"):
         torsion_grid(ialg, 0, 1, 2, B3)
@@ -290,7 +330,7 @@ def test_c_map_chain_property():
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=2)
         entries = [(k, l, rng.randrange(2), w, e)
                    for (k, l, _, w, e) in base.sorted_entries()]
-        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, entries)))
+        ialgs.append(BLAlgebra(sp, OperationTable(sp, 1, entries)))
     for ialg in ialgs:
         sp = ialg.space
         m = 2

@@ -8,8 +8,8 @@ from blinfty import fixtures, invariants
 from blinfty.assembly import apply_coderivation
 from blinfty.errors import (InconclusiveError, NotNilpotentError,
                             PlanarityNotOneError, StructureError)
-from blinfty.ibl import IBLAlgebra, torsion_grid
-from blinfty.invariants import (TorsionAnswer, UModule, bar_B_k,
+from blinfty.ibl import torsion_grid
+from blinfty.invariants import (TorsionAnswer, bar_B_k,
                                 build_EkV, default_schedule, order_O,
                                 order_O_tilde, order_functoriality_check,
                                 order_multi, order_multi_tilde, planarity,
@@ -19,9 +19,10 @@ from blinfty.invariants import (TorsionAnswer, UModule, bar_B_k,
                                 apply_multi_pointed_linearized,
                                 _apply_inner_morphism, _multi_linearized)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
-                                OperationTable, PointedMap, apply_hat_p,
-                                check_pointed, check_structure, ell_table,
-                                is_augmentation, linearize, linearize_pointed,
+                                OperationTable, PointedMap, UModule,
+                                apply_hat_p, check_pointed, check_structure,
+                                ell_table, is_augmentation, linearize,
+                                linearize_pointed,
                                 identity_table, zero_table,
                                 word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
@@ -130,6 +131,32 @@ def test_torsion_ladder_rungs_are_exact():
         assert verify_torsion_certificate(alg, ans)
     with pytest.raises(ValueError):
         fixtures.torsion_ladder(0)
+
+
+def test_torsion_ladder_five_under_one_gib():
+    # the found level is 1 x 21,313 with few nonzero columns; solving over
+    # every column built a dense kernel that ran out of this address space
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(invariants.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from blinfty import fixtures\n"
+         "from blinfty.invariants import default_schedule, torsion\n"
+         "from blinfty.structures import Bounds\n"
+         "ans = torsion(fixtures.torsion_ladder(5),\n"
+         "              default_schedule(6, Bounds(6)))\n"
+         "print(ans.kind, ans.level)\n"],
+        capture_output=True, text=True, env=env, preexec_fn=cap,
+        timeout=300)
+    assert proc.stdout.split() == ["exact", "4"], proc.stderr[-500:]
 
 
 def test_torsion_zero_structure_not_found():
@@ -747,11 +774,11 @@ def _engine_cases(rng):
         for order in (order_O, order_O_tilde):
             cases.append(lambda alg=alg, pmap=pmap, order=order: order(
                 alg, fixtures.zero_aug(alg), pmap, Bounds(3)))
-    ialgs = [fixtures.ibl_lift_planar(), fixtures.ibl_genus_one()]
+    ialgs = [fixtures.planar_torsion_one(), fixtures.ibl_genus_one()]
     for _ in range(4):
         sp = random_space(rng, n=2)
         base = random_table(rng, sp, n_entries=2, max_k=2, max_l=1)
-        ialgs.append(IBLAlgebra(sp, OperationTable(sp, 1, [
+        ialgs.append(BLAlgebra(sp, OperationTable(sp, 1, [
             (k, l, rng.randrange(2), w, e)
             for (k, l, _, w, e) in base.sorted_entries()])))
     for ialg in ialgs:

@@ -7,7 +7,6 @@ from blinfty import fixtures
 from blinfty import io as bio
 from blinfty.cli import main as cli_main
 from blinfty.errors import ParseError, StructureError
-from blinfty.ibl import IBLAlgebra
 from blinfty.structures import BLAlgebra, Bounds, OperationTable
 from blinfty.words import (Element, EWord, Generator, GradedSpace, UNIT_WORD,
                            Word, enumerate_basis, normalize_word)
@@ -120,7 +119,7 @@ def test_partial_table_round_trip_keeps_completeness():
     assert again.table == partial.table != alg.table
     assert bio.serialize(bio.document_of_algebra(alg, doc.bounds)) == \
         PLANAR_DOC.split("\n", 1)[1]
-    ialg = IBLAlgebra(alg.space, partial.table)
+    ialg = BLAlgebra(alg.space, partial.table)
     text = bio.serialize(bio.document_of_ibl(ialg))
     assert "\ntable ibl p parity 1 hbar max_k 3\n" in text
     assert bio.ibl_from_document(bio.parse(text)).table == partial.table
@@ -205,7 +204,7 @@ def random_document(rng):
             continue
         seen.add((k, l, g, w_in))
         ops.append((k, l, g, w_in, elem))
-    blocks = [bio.TableBlock(kind, "t0", parity, is_hbar, ops)]
+    blocks = [bio.TableBlock(kind, "t0", parity, ops)]
     chains = []
     if rng.random() < 0.3 and n >= 1:
         ew = EWord((Word((0,)),), hbar=rng.randrange(2) if is_hbar else 0)
@@ -344,9 +343,9 @@ def test_cli_order_ladder(tmp_path, n):
     docs = {
         "rung": bio.document_of_algebra(alg, bounds=Bounds(n)),
         "aug": bio.Document(alg.space, [bio.TableBlock(
-            "augmentation", "eps0", 0, False, [])], (), None),
+            "augmentation", "eps0", 0, [])], (), None),
         "pointed": bio.Document(alg.space, [bio.TableBlock(
-            "pointed", "S1", 0, False, pmap.table.sorted_entries())], (),
+            "pointed", "S1", 0, pmap.table.sorted_entries())], (),
             None)}
     for name, doc in docs.items():
         (tmp_path / (name + ".blf")).write_text(bio.serialize(doc),
@@ -431,11 +430,11 @@ def test_cli_sd_ladder(tmp_path, n, command, key, value):
     docs = {
         "rung": bio.document_of_algebra(alg, bounds=Bounds(2, word_bound=2)),
         "aug": bio.Document(alg.space, [bio.TableBlock(
-            "augmentation", "eps0", 0, False, [])]),
+            "augmentation", "eps0", 0, [])]),
         "pointed": bio.Document(alg.space, [bio.TableBlock(
-            "pointed", "S1", 0, False, pmap.table.sorted_entries())]),
+            "pointed", "S1", 0, pmap.table.sorted_entries())]),
         "umap": bio.Document(alg.space, [bio.TableBlock(
-            "umodule", "U", 0, False, utab.sorted_entries())])}
+            "umodule", "U", 0, utab.sorted_entries())])}
     for name, doc in docs.items():
         (tmp_path / (name + ".blf")).write_text(bio.serialize(doc),
                                                 encoding="utf-8")
@@ -575,7 +574,7 @@ def test_cli_ibl_torsion(corpus_dir, tmp_path):
 def test_cli_ibl_torsion_structure_failed(tmp_path):
     sp = GradedSpace([Generator("x", 0), Generator("y", 1), Generator("z", 0)])
     x, y, z = (Word((i,)) for i in range(3))
-    ialg = IBLAlgebra(sp, OperationTable(sp, 1, [
+    ialg = BLAlgebra(sp, OperationTable(sp, 1, [
         (1, 1, 0, x, Element.monomial(y)), (1, 1, 0, y, Element.monomial(z))]))
     path = tmp_path / "bad.blf"
     path.write_text(bio.serialize(bio.document_of_ibl(ialg)))
@@ -743,6 +742,23 @@ def test_cli_hierarchy_inconclusive_exit_three(corpus_dir, tmp_path):
                         str(corpus_dir / "mixed-no-aug.blf"))
     assert code == 3
     assert report_value(out, "hierarchy") == "inconclusive"
+
+
+def test_cli_hierarchy_pointed_without_aug_exit_three(corpus_dir, tmp_path):
+    # no augmentation and no finite torsion: planarity is inconclusive, so
+    # the report carries no planarity line and the hierarchy is undecided
+    pointed = tmp_path / "zero.pointed.blf"
+    pointed.write_text("format blinfty 1\ntable pointed S1 parity 0\n",
+                       encoding="utf-8")
+    code, out = run_cli(tmp_path, "hierarchy",
+                        str(corpus_dir / "mixed-no-aug.blf"),
+                        "--pointed", str(pointed))
+    assert code == 3
+    assert out == (
+        "command: hierarchy\n"
+        "torsion: not-found-within-bounds\n"
+        "hierarchy: inconclusive\n"
+        "reason: torsion not found within bounds and no augmentation known\n")
 
 
 def test_cli_verify_aug_and_pointed(corpus_dir, tmp_path):

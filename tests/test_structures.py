@@ -167,7 +167,7 @@ def _six_checks():
     mor = fixtures.identity_morphism(alg)
     alg2, pmap = fixtures.pointed_two()
     mor2 = fixtures.identity_morphism(alg2)
-    ialg = fixtures.ibl_lift_planar()
+    ialg = fixtures.planar_torsion_one()
     bullet = zero_table(alg2.space, parity=1)
     return [
         ("check_structure", [alg], lambda: check_structure(alg, B3)),

@@ -34,6 +34,16 @@ def test_package_imports_only_the_standard_library():
     assert not outside, outside
 
 
+def test_io_imports_no_search_module():
+    # documents are read into structures; io sits below the searches
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "io.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.add(node.module)
+    assert imported, "no package import found in io.py"
+    assert not imported & {"ibl", "invariants", "cli"}, imported
+
+
 def _bench_tracer():
     path = SRC.parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -117,7 +127,7 @@ def _searches(lib):
     # (0, 0) is not
     for n, m in ((0, 1), (0, 0)):
         out.append((lambda n=n, m=m: lib.ibl.torsion_grid(
-            fixtures.ibl_lift_planar(), n, m, 2, Bounds(2)),
+            fixtures.planar_torsion_one(), n, m, 2, Bounds(2)),
             lambda ans: 1, lambda ans: ans[0]))
     return out
 
