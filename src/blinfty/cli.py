@@ -157,6 +157,8 @@ def cmd_verify(args, rep):
             rep.add("witness", "(%d,%d) %s" % (
                 k, l, bio._format_word(alg.space, w)))
             return 1
+    # the split-word images every check below reads and adds to
+    images = status.images
     code = 0
     for ch in doc.chains:
         if ch.name.startswith("torsion-"):
@@ -171,12 +173,14 @@ def cmd_verify(args, rep):
         code |= _report_check(rep, "certificate-%s" % ch.name, ok)
     for path in args.aug:
         eps = _load_side(path, alg, "augmentation")
-        code |= _report_check(rep, "augmentation",
-                              is_augmentation(eps, alg, bounds).ok)
+        status = is_augmentation(eps, alg, bounds, images)
+        images = status.images
+        code |= _report_check(rep, "augmentation", status.ok)
     for path in args.pointed:
         _, pmap = _load_side(path, alg, "pointed-map")
-        code |= _report_check(rep, "pointed",
-                              check_pointed(pmap, alg, bounds).ok)
+        status = check_pointed(pmap, alg, bounds, images)
+        images = status.images
+        code |= _report_check(rep, "pointed", status.ok)
     return code
 
 
@@ -202,16 +206,18 @@ def cmd_linearize(args, rep):
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
     alg = bio.algebra_from_document(doc)
-    if not check_structure(alg, bounds).ok:
+    status = check_structure(alg, bounds)
+    if not status.ok:
         rep.add("linearize", "structure-failed")
         return 1
     if not args.aug:
         return _inconclusive(rep, "linearize", "no augmentation supplied")
     eps = _load_side(args.aug[0], alg, "augmentation")
-    if not is_augmentation(eps, alg, bounds).ok:
+    status = is_augmentation(eps, alg, bounds, status.images)
+    if not status.ok:
         rep.add("linearize", "augmentation-failed")
         return 1
-    lin = linearize(alg, eps, bounds)
+    lin = linearize(alg, eps, bounds, status.images)
     rep.add("linearize", "ok")
     rep.add("cells", str(len(lin.cells)))
     ell = ell_table(lin)
@@ -229,37 +235,45 @@ class _InputFailed(Exception):
 
 
 def _checked_inputs(args, rep):
-    """(bounds, algebra, augmentations, [(document, pointed map)]), each
-    checked at the bounds; the first that fails is reported and raises
-    _InputFailed."""
+    """(bounds, algebra, augmentations, [(document, pointed map)], images),
+    each input checked at the bounds; the first that fails is reported and
+    raises _InputFailed.  images are the checks' split-word images
+    (structures.SplitImages), which the command hands to every later
+    step."""
     doc = _load(args.file)
     bounds = _bounds_from(args, doc)
     alg = bio.algebra_from_document(doc)
-    if not check_structure(alg, bounds).ok:
+    status = check_structure(alg, bounds)
+    if not status.ok:
         rep.add("structure", "failed")
         raise _InputFailed
+    images = status.images
     augs = [_load_side(p, alg, "augmentation") for p in args.aug]
     for eps in augs:
-        if not is_augmentation(eps, alg, bounds).ok:
+        status = is_augmentation(eps, alg, bounds, images)
+        if not status.ok:
             rep.add("augmentation", "failed")
             raise _InputFailed
+        images = status.images
     pmaps = []
     for p in args.pointed:
         pdoc, pmap = _load_side(p, alg, "pointed-map")
-        if not check_pointed(pmap, alg, bounds).ok:
+        status = check_pointed(pmap, alg, bounds, images)
+        if not status.ok:
             rep.add("pointed", "failed")
             raise _InputFailed
+        images = status.images
         pmaps.append((pdoc, pmap))
-    return bounds, alg, augs, pmaps
+    return bounds, alg, augs, pmaps, images
 
 
 def cmd_order(args, rep):
-    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
+    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
     if not augs:
         return _inconclusive(rep, "order", "no augmentation supplied")
     if not pmaps:
         return _inconclusive(rep, "order", "no pointed map supplied")
-    ans = order_O(alg, augs[0], pmaps[0][1], bounds)
+    ans = order_O(alg, augs[0], pmaps[0][1], bounds, images)
     code = _report_answer(rep, "order", ans)
     if ans.found() and args.certificate:
         chain = EElement({EWord((w,)): c
@@ -279,7 +293,7 @@ def _subset_of_name(name):
 
 
 def cmd_order_multi(args, rep):
-    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
+    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
     if not augs or not pmaps:
         return _inconclusive(rep, "order-multi",
                              "need an augmentation and pointed maps")
@@ -291,28 +305,29 @@ def cmd_order_multi(args, rep):
     if m is None:
         m = max(max(s) for s in family)
     code = _report_answer(rep, "order-multi",
-                          order_multi(alg, augs[0], family, m, bounds))
+                          order_multi(alg, augs[0], family, m, bounds,
+                                      images))
     rep.add("points", str(m))
     return code
 
 
-def _sd_level(args, bounds, alg, augs, pmaps):
+def _sd_level(args, bounds, alg, augs, pmaps, images):
     """The semi-dilation order of the first augmentation and pointed map
     under the --umap endomorphism."""
     eps, (_, pmap) = augs[0], pmaps[0]
-    lin = linearize(alg, eps, bounds)
-    lpt = linearize_pointed(pmap, alg, eps, bounds)
+    lin = linearize(alg, eps, bounds, images)
+    lpt = linearize_pointed(pmap, alg, eps, bounds, images)
     umod = _load_side(args.umap, alg, "umodule")
     return sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
                     lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
 
 
 def cmd_sd(args, rep):
-    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
+    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
     if not augs or not pmaps or not args.umap:
         return _inconclusive(rep, "sd", "need --aug, --pointed and --umap")
     try:
-        k = _sd_level(args, bounds, alg, augs, pmaps)
+        k = _sd_level(args, bounds, alg, augs, pmaps, images)
     except PlanarityNotOneError:
         return _inconclusive(rep, "sd", "no class with functional value 1")
     except NotNilpotentError as e:
@@ -324,11 +339,11 @@ def cmd_sd(args, rep):
 
 
 def cmd_planarity(args, rep):
-    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
+    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
     if not pmaps:
         return _inconclusive(rep, "planarity", "no pointed map supplied")
     try:
-        ans = planarity(alg, augs, pmaps[0][1], bounds)
+        ans = planarity(alg, augs, pmaps[0][1], bounds, images=images)
     except InconclusiveError as e:
         return _inconclusive(rep, "planarity", str(e))
     code = _report_answer(rep, "planarity", ans)
@@ -337,14 +352,14 @@ def cmd_planarity(args, rep):
 
 
 def cmd_hierarchy(args, rep):
-    bounds, alg, augs, pmaps = _checked_inputs(args, rep)
-    t = torsion(alg, default_schedule(bounds.outer(), bounds))
+    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
+    t = torsion(alg, default_schedule(bounds.outer(), bounds), images)
     _report_answer(rep, "torsion", t)
     pl = None
     sd_level = None
     if pmaps:
         try:
-            pl = planarity(alg, augs, pmaps[0][1], bounds, t)
+            pl = planarity(alg, augs, pmaps[0][1], bounds, t, images)
             if pl.found():
                 rep.add("planarity", "%s %d" % (pl.kind, pl.level))
         except InconclusiveError:
@@ -352,7 +367,7 @@ def cmd_hierarchy(args, rep):
     if pl is not None and pl.found() and pl.level == 1 and args.umap \
             and augs:
         try:
-            sd_level = _sd_level(args, bounds, alg, augs, pmaps)
+            sd_level = _sd_level(args, bounds, alg, augs, pmaps, images)
             rep.add("sd", "exact %d" % sd_level)
         except (PlanarityNotOneError, NotNilpotentError):
             sd_level = None

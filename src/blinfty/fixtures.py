@@ -12,7 +12,7 @@ from fractions import Fraction
 from .structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                          OperationTable, PointedMap, identity_table,
                          zero_table)
-from .words import (Element, Generator, GradedSpace, UNIT_WORD,
+from .words import (Element, Generator, GradedSpace, UNIT_WORD, Word,
                     normalize_word)
 
 
@@ -203,6 +203,35 @@ def sd_ladder(n):
                           for a, b in zip(names, names[1:])])
     ptab = _table(sp, 0, [(1, 0, ("x1",), [(1, ())])])
     return alg, utab, PointedMap(alg, ptab)
+
+
+def disjoint_union(a, b):
+    """The disjoint union of two algebras: a's generators then b's, named
+    with the prefixes a_ and b_, and the two tables side by side.  No
+    operation mixes the two components, since a connected curve lies in
+    one of them.  The union's table is complete when both are, and
+    otherwise covers the arities both cover.
+    """
+    def shifted(word, offset):
+        # letters keep their order, so a normal-form word stays one
+        return Word(tuple(i + offset for i in word.letters))
+
+    gens, entries = [], []
+    for prefix, alg in (("a_", a), ("b_", b)):
+        offset = len(gens)
+        gens += [Generator(prefix + g.name, g.parity, g.zgrade, g.action)
+                 for g in alg.space.generators]
+        entries += [(k, l, g, shifted(w, offset), Element(
+                         {shifted(out, offset): c
+                          for out, c in elem.terms.items()}))
+                    for k, l, g, w, elem in alg.table.sorted_entries()]
+    complete = a.table.complete and b.table.complete
+    max_k = None if complete else min(t.max_k for t in (a.table, b.table)
+                                      if not t.complete)
+    sp = GradedSpace(gens)
+    return BLAlgebra(sp, OperationTable(
+        sp, 1, entries, complete=complete, max_k=max_k,
+        action_drop=a.table.action_drop and b.table.action_drop))
 
 
 def ibl_genus_one():

@@ -13,10 +13,11 @@ from .errors import (IncompleteTableError, InconclusiveError,
                      NotNilpotentError, PlanarityNotOneError,
                      PlanarityZeroError, StructureError, WindowLeakError)
 from .linalg import ChainComplex, kernel_basis, rank, solve_linear
-from .structures import (Augmentation, OperationTable, PointedMap, _require,
-                         _split_word_table, _split_words, apply_hat_p,
-                         apply_hat_phi, check_structure, compose, ell_table,
-                         f_eps, is_augmentation, linearize, linearize_pointed)
+from .structures import (Augmentation, OperationTable, PointedMap,
+                         _images_for, _require, _split_word_table,
+                         _split_words, apply_hat_p, apply_hat_phi,
+                         check_structure, compose, ell_table, f_eps,
+                         is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity)
@@ -205,16 +206,20 @@ def _level_action_closed(alg, level, bounds):
     return bounds.max_letters >= bounds.max_action / delta
 
 
-def torsion(alg, schedule):
+def torsion(alg, schedule, images=None):
     """Search p-hat(x) = 1 through a schedule of (cluster bound, Bounds).
 
     The first solvable level k yields value k-1; the answer is 'exact' when
     every smaller level is certified unsolvable, either structurally (no
     constant cells reach it) or by the action-filtration argument, and
-    'at-most' otherwise.  An empty schedule raises ValueError.
+    'at-most' otherwise.  An empty schedule raises ValueError.  The
+    structure check at the last bounds reads p-hat from images (see
+    SplitImages), and the search starts from the check's images.
     """
     if schedule:  # an empty one is _search's ValueError
-        _require(check_structure(alg, schedule[-1][1]), "structure")
+        status = check_structure(alg, schedule[-1][1], images)
+        _require(status, "structure")
+        images = status.images
 
     def answer(key, sol, failed):
         k, bounds = key
@@ -226,8 +231,8 @@ def torsion(alg, schedule):
         return TorsionAnswer("exact" if exact else "at-most", k - 1,
                              EElement(sol), bounds)
 
-    level = _level(_outer_window(alg.space, True),
-                   lambda ew: apply_hat_p(alg, EElement.monomial(ew)))
+    level = _level(_outer_window(alg.space, True), lambda ew: images.image(
+        alg.table, EElement.monomial(ew)))
     return (_search(schedule, level, answer, UNIT_EWORD)
             or TorsionAnswer("not-found", bounds=schedule[-1][1]))
 
@@ -266,11 +271,12 @@ def torsion_monotone_check(phi, src_answer, bounds):
 # ---------------------------------------------------------------------------
 # planarity orders
 
-def _bar(ell):
+def _bar(ell, window):
     """The inner bar complex as (window, differential, parity): words of
-    length 1..k within bounds under the linearized bar differential."""
+    length 1..k within bounds, listed by window(bounds, k), under the
+    linearized bar differential."""
     sp = ell.space
-    return (lambda k, bounds: _split_words(sp, bounds, k),
+    return (lambda k, bounds: window(bounds, k),
             lambda w: assembly.apply_inner_coderivation(sp, ell,
                                                         Element.monomial(w)),
             lambda w: sp.word_parity(w.letters))
@@ -279,7 +285,8 @@ def _bar(ell):
 def bar_B_k(ell, k, bounds):
     """The inner bar complex on words of length 1..k with the linearized
     bar differential."""
-    window, d, parity = _bar(ell)
+    window, d, parity = _bar(
+        ell, lambda bounds, top: _split_words(ell.space, bounds, top))
     return _closed_complex(window(k, bounds), d, parity)
 
 
@@ -305,17 +312,19 @@ def _order_kind(lin_pointed, found_k):
         lin_pointed, found_k - 1) else "at-most"
 
 
-def _linearized(alg, eps, bounds):
+def _linearized(alg, eps, bounds, images):
     if eps is None:
         raise PlanarityZeroError("order requires an augmentation")
-    return linearize(alg, eps, bounds)
+    return linearize(alg, eps, bounds, images)
 
 
-def order_O(alg, eps, pmap, bounds):
+def order_O(alg, eps, pmap, bounds, images=None):
     """Least word length whose linearized bar homology hits the constant
-    functional value 1."""
-    ell = ell_table(_linearized(alg, eps, bounds))
-    lpt = linearize_pointed(pmap, alg, eps, bounds)
+    functional value 1.  p-hat and P-hat are read from images, alg's (see
+    SplitImages)."""
+    images = _images_for(alg, images)
+    ell = ell_table(_linearized(alg, eps, bounds, images))
+    lpt = linearize_pointed(pmap, alg, eps, bounds, images)
 
     def kind(k):
         # the length-j complexes are finite, so an unrestricted
@@ -324,15 +333,15 @@ def order_O(alg, eps, pmap, bounds):
             return "exact"
         return _order_kind(lpt, k)
 
-    return _order(bounds, _level(*_bar(ell)),
+    return _order(bounds, _level(*_bar(ell, images.window)),
                   lambda w: _functional_from_constants(lpt, w), kind, Element)
 
 
-def order_O_tilde(alg, eps, pmap, bounds):
+def order_O_tilde(alg, eps, pmap, bounds, images=None):
     """The unreduced variant: outer words of nonempty clusters, with the
     unit-coefficient functional of the linearized pointed operator."""
-    lin = _linearized(alg, eps, bounds)
-    lpt = linearize_pointed(pmap, alg, eps, bounds)
+    lin = _linearized(alg, eps, bounds, images)
+    lpt = linearize_pointed(pmap, alg, eps, bounds, images)
     sp = alg.space
     return _order(
         bounds, _level(_outer_window(sp, False), lambda ew: (
@@ -353,10 +362,10 @@ def project_width(x, m):
                      if all(len(cl) <= m for cl in ew.clusters)})
 
 
-def _multi_linearized(family, alg, eps, bounds):
+def _multi_linearized(family, alg, eps, bounds, images):
     """Linearize each constraint-subset table separately."""
     return {frozenset(S): linearize_pointed(PointedMap(alg, tab), alg, eps,
-                                            bounds)
+                                            bounds, images)
             for S, tab in family.items()}
 
 
@@ -387,7 +396,7 @@ def _label_partitions(labels, family):
                     yield [key] + tail
 
 
-def _order_multi(alg, eps, family, m, bounds, cap):
+def _order_multi(alg, eps, family, m, bounds, cap, images):
     if m < 1:
         raise ValueError("a multi-point order needs m >= 1 points, got %d"
                          % m)
@@ -395,8 +404,8 @@ def _order_multi(alg, eps, family, m, bounds, cap):
                               set(map(frozenset, family))), None) is None:
         raise ValueError("no set partition of the points 1..%d has all its "
                          "blocks in the family" % m)
-    lin = _linearized(alg, eps, bounds)
-    lin_family = _multi_linearized(family, alg, eps, bounds)
+    lin = _linearized(alg, eps, bounds, images)
+    lin_family = _multi_linearized(family, alg, eps, bounds, images)
     sp = alg.space
 
     def d(ew):
@@ -410,20 +419,22 @@ def _order_multi(alg, eps, family, m, bounds, cap):
         lambda k: "exact" if k == 1 else "at-most", EElement)
 
 
-def order_multi(alg, eps, family, m, bounds):
+def order_multi(alg, eps, family, m, bounds, images=None):
     """Multi-point order on the width-truncated double bar complex.
 
     family maps each nonempty subset of {1..m} to its operation table; the
     complex caps every cluster at m letters, and the functional is the unit
     coefficient of the multi-point operator.  A family with no set
     partition of {1..m} into its subsets raises ValueError, as does m < 1.
+    p-hat and each table's P-hat are read from images, alg's (see
+    SplitImages).
     """
-    return _order_multi(alg, eps, family, m, bounds, cap=m)
+    return _order_multi(alg, eps, family, m, bounds, m, images)
 
 
-def order_multi_tilde(alg, eps, family, m, bounds):
+def order_multi_tilde(alg, eps, family, m, bounds, images=None):
     """The untruncated multi-point variant on outer words."""
-    return _order_multi(alg, eps, family, m, bounds, cap=None)
+    return _order_multi(alg, eps, family, m, bounds, None, images)
 
 
 def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
@@ -435,9 +446,11 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
     """
     eps_src_mor = compose(eps_target, phi, bounds)
     eps_src = Augmentation(phi.source, eps_src_mor.table)
-    if not is_augmentation(eps_src, phi.source, bounds).ok:
+    status = is_augmentation(eps_src, phi.source, bounds)
+    if not status.ok:
         raise StructureError("pulled-back augmentation fails to verify")
-    src_answer = order_O(phi.source, eps_src, p_bullet, bounds)
+    src_answer = order_O(phi.source, eps_src, p_bullet, bounds,
+                         status.images)
     if not src_answer.found():
         return {"source": src_answer, "transported": None, "holds": True}
     # phi_eps^{k,l} = pi_{1,l} o F_eps o phi-hat o F_{-eps o phi}
@@ -546,7 +559,8 @@ def _mat_vec(A, v):
 # ---------------------------------------------------------------------------
 # planarity over a supplied augmentation set
 
-def planarity(alg, augmentations, pmap, bounds, torsion_answer=None):
+def planarity(alg, augmentations, pmap, bounds, torsion_answer=None,
+              images=None):
     """Max of the order over the supplied augmentations.
 
     An empty augmentation set is only conclusive when finite torsion
@@ -554,24 +568,28 @@ def planarity(alg, augmentations, pmap, bounds, torsion_answer=None):
     when the space is all-even and the symbolic generic-augmentation probe
     shows the order does not depend on the augmentation at all.  A caller
     that holds torsion(alg, default_schedule(bounds.outer(), bounds))
-    passes it as torsion_answer; otherwise the search runs here.
+    passes it as torsion_answer; otherwise the search runs here.  The
+    augmentation checks and the orders share images, alg's (see
+    SplitImages).
     """
     for eps in augmentations:
-        if not is_augmentation(eps, alg, bounds).ok:
+        status = is_augmentation(eps, alg, bounds, images)
+        if not status.ok:
             raise StructureError("supplied augmentation fails to verify")
+        images = status.images
     if not augmentations:
         t = torsion_answer
         if t is None:
-            t = torsion(alg, default_schedule(bounds.outer(), bounds))
+            t = torsion(alg, default_schedule(bounds.outer(), bounds), images)
         if t.found():
             return TorsionAnswer("exact", 0, None, bounds)
         if alg.space.all_even():
-            return _planarity_generic_even(alg, pmap, bounds)
+            return _planarity_generic_even(alg, pmap, bounds, images)
         raise InconclusiveError(
             "no augmentations supplied and torsion not certified finite")
     best = None
     for eps in augmentations:
-        ans = order_O(alg, eps, pmap, bounds)
+        ans = order_O(alg, eps, pmap, bounds, images)
         if not ans.found():
             return TorsionAnswer("not-found", bounds=bounds)
         if best is None or ans.level > best.level:
@@ -579,8 +597,8 @@ def planarity(alg, augmentations, pmap, bounds, torsion_answer=None):
     return best
 
 
-def _symbolic_generic_aug(alg, bounds):
-    even = [w for w in _split_words(alg.space, bounds)
+def _symbolic_generic_aug(alg, bounds, images=None):
+    even = [w for w in _images_for(alg, images).window(bounds)
             if alg.space.word_parity(w.letters) == 0]
     entries = [(len(w), 0, w,
                 Element.monomial(UNIT_WORD, SymPoly.var("e%d" % i)))
@@ -590,14 +608,14 @@ def _symbolic_generic_aug(alg, bounds):
     return Augmentation(alg, tab)
 
 
-def _planarity_generic_even(alg, pmap, bounds):
+def _planarity_generic_even(alg, pmap, bounds, images):
     """All-even shortcut: every functional family is an augmentation, so
     probe with symbolic values; if no assembled coefficient depends on
     them, the zero-augmentation answer is the answer for all of them."""
-    eps_sym = _symbolic_generic_aug(alg, bounds)
+    eps_sym = _symbolic_generic_aug(alg, bounds, images)
     try:
-        lin = linearize(alg, eps_sym, bounds)
-        lpt = linearize_pointed(pmap, alg, eps_sym, bounds)
+        lin = linearize(alg, eps_sym, bounds, images)
+        lpt = linearize_pointed(pmap, alg, eps_sym, bounds, images)
     except IncompleteTableError as e:
         raise InconclusiveError(
             "generic-augmentation probe exceeded the symbolic window: %s"
@@ -612,4 +630,4 @@ def _planarity_generic_even(alg, pmap, bounds):
                             "(%d,%d) %r" % (k, l, w))
     eps0 = Augmentation(alg, OperationTable(alg.space, 0, (),
                                             target=GradedSpace(())))
-    return order_O(alg, eps0, pmap, bounds)
+    return order_O(alg, eps0, pmap, bounds, images)

@@ -373,8 +373,16 @@ def _declared_max_k(table):
 
 
 def document_of_algebra(alg, bounds=None):
-    block = TableBlock("structure", "p", alg.table.parity,
-                       alg.table.sorted_entries(), _declared_max_k(alg.table))
+    """The algebra as a structure-table document.  A structure table has no
+    genus, so a table with a positive genus raises ValueError: written
+    here it would read back as another structure (document_of_ibl writes
+    it)."""
+    entries = alg.table.sorted_entries()
+    if any(g for _, _, g, _, _ in entries):
+        raise ValueError("the table carries genera, which a structure table "
+                         "cannot hold; write it with document_of_ibl")
+    block = TableBlock("structure", "p", alg.table.parity, entries,
+                       _declared_max_k(alg.table))
     return Document(alg.space, [block], (), bounds)
 
 

@@ -11,11 +11,18 @@ outer words of at most c clusters exactly when its connected part vanishes
 on the split words of at most c letters.  The augmentation, pointed-map,
 morphism and compatibility checks take c = bounds.outer(); the structure
 check takes every split word within max_letters.
+
+The first stage of each check, p-hat (or a pointed map's P-hat) on the
+split words, is what the later steps of the same computation evaluate
+again: linearization glues F_eps onto the same images, and the torsion
+search starts from them.  The checks return those images as a SplitImages
+value, which the caller hands down to the next step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import assembly
 from .errors import (IncompleteTableError, InternalInconsistencyError,
@@ -196,10 +203,11 @@ class VerifyStatus:
     """The value a check returns: verified to its bounds, or failed with a
     witness.  Nothing records it on the checked object."""
 
-    def __init__(self, ok, bounds=None, witness=None):
+    def __init__(self, ok, bounds=None, witness=None, images=None):
         self.ok = ok
         self.bounds = bounds
         self.witness = witness
+        self.images = images  # the check's SplitImages, where it makes one
 
     def __bool__(self):
         return bool(self.ok)
@@ -276,6 +284,88 @@ class UModule:
         self.table = table
 
 
+_NO_IMAGES = MappingProxyType({})
+
+
+class SplitImages:
+    """Assembled coderivations on split words, handed down one call chain.
+
+    For one algebra: the images of p-hat (alg.table), and of the P-hat of
+    any pointed map over it, on split words (one letter per cluster), keyed
+    by their EWord; and words, the split words within bounds in word order
+    (None unless check_structure made the value).  check_structure,
+    is_augmentation, check_pointed and check_morphism return one in their
+    VerifyStatus: the value they were given plus the images they
+    evaluated, check_structure's named for its own bounds and window.  The
+    caller hands it to the next step on the same algebra, and no step
+    changes it; nothing stores it on an algebra, a table or a module.  An
+    image does not depend on bounds, so a step evaluates the words of its
+    own window that the value lacks.  A value for another algebra raises
+    ValueError.
+    """
+
+    def __init__(self, alg, bounds=None, words=None, held=()):
+        self.algebra = alg
+        self.bounds = bounds
+        self.words = None if words is None else tuple(words)
+        self._held = tuple(held)  # (table, read-only {EWord: EElement})
+
+    def held(self, table):
+        """The images held for table, read only: {split EWord: image}."""
+        for t, images in self._held:
+            if t is table:
+                return images
+        return _NO_IMAGES
+
+    def window(self, bounds, max_letters=None):
+        """_split_words(space, bounds, max_letters), read off words when
+        they cover it: inner words come in ascending length, so a smaller
+        letter bound keeps a prefix."""
+        top = bounds.max_letters if max_letters is None \
+            else min(bounds.max_letters, max_letters)
+        if (self.words is None or top > self.bounds.max_letters
+                or bounds.max_action != self.bounds.max_action):
+            return _split_words(self.algebra.space, bounds, max_letters)
+        return [w for w in self.words if len(w) <= top]
+
+    def image(self, table, x, new=None):
+        """table's assembled coderivation on the outer element x: the held
+        image when x is one word with coefficient 1, else evaluated; such
+        a word's evaluated image goes into new when it is given."""
+        key = None
+        if len(x.terms) == 1:
+            (ew, c), = x.terms.items()
+            if c == 1:
+                key = ew
+        out = self.held(table).get(key)
+        if out is None:
+            out = assembly.apply_coderivation(self.algebra.space, table, x)
+            if new is not None and key is not None:
+                new[key] = out
+        return out
+
+    def _with(self, table, new, bounds=None, words=None):
+        """This value with new's images of table added and, given bounds,
+        named for bounds and their window words."""
+        if not new and bounds is None:
+            return self
+        held = [(t, m) for t, m in self._held if t is not table]
+        held.append((table, MappingProxyType({**self.held(table), **new})))
+        if bounds is None:
+            bounds, words = self.bounds, self.words
+        return SplitImages(self.algebra, bounds, words, held)
+
+
+def _images_for(alg, images):
+    """images, checked to be alg's; a new empty value for alg when None."""
+    if images is None:
+        return SplitImages(alg)
+    if images.algebra is not alg:
+        raise ValueError("split-word images of %r handed to %r"
+                         % (images.algebra, alg))
+    return images
+
+
 def apply_hat_p(alg, x):
     """Evaluate the assembled coderivation on an outer element."""
     return assembly.apply_coderivation(alg.space, alg.table, x)
@@ -300,17 +390,20 @@ def two_level(alg, k, l, word):
     """Sum of all connected two-level gluings: pi_{1,l} of p-hat squared."""
     if len(word) != k:
         raise ValueError("input word has length %d, expected k=%d" % (len(word), k))
-    return _connected_part(_p_squared(alg), word).get(l, Element())
+    return _connected_part(_p_squared(alg, SplitImages(alg)),
+                           word).get(l, Element())
 
 
-def _p_squared(alg):
-    """p-hat squared, the second p-hat gluing only the arity that merges
-    every cluster (single_cluster), so no term is made only to be
-    projected away.  A partial table raises exactly where the full square
-    does: the coderivation's coverage check looks at the clusters, not at
-    the arities it enumerates."""
+def _p_squared(alg, images, new=None):
+    """p-hat squared, the first p-hat from images (see SplitImages.image
+    for new), the second gluing only the arity that merges every cluster
+    (single_cluster), so no term is made only to be projected away.  A
+    partial table raises exactly where the full square does: the
+    coderivation's coverage check looks at the clusters, not at the
+    arities it enumerates."""
     return lambda x: assembly.apply_coderivation(
-        alg.space, alg.table, apply_hat_p(alg, x), single_cluster=True)
+        alg.space, alg.table, images.image(alg.table, x, new),
+        single_cluster=True)
 
 
 def _connected_part(image, word):
@@ -348,64 +441,77 @@ def _split_words(space, bounds, max_letters=None):
             if len(w) >= 1]
 
 
-def _check_split_words(space, bounds, image, max_letters=None,
+def _check_split_words(words, bounds, image,
                        witness=lambda word, bad: word):
     """The check of a coalgebra-map identity by its connected part: failed
-    at the first split word whose connected part of image (the defect of
-    the identity) is nonzero, else verified.
+    at the first of the split words whose connected part of image (the
+    defect of the identity) is nonzero, else verified.
 
     The defect of each identity checked here is built from its connected
     part (see the module docstring): on an outer word it is a sum of
     products of connected parts on split words, each taking at most one
     letter of every cluster.  So it vanishes on the outer words of at most
     c clusters exactly when its connected part vanishes on the split words
-    of at most c letters.  The max_letters argument is that c."""
-    return _first_failure(_split_words(space, bounds, max_letters), bounds,
+    of at most c letters; the words of a check with c = bounds.outer()
+    are those of at most c letters."""
+    return _first_failure(words, bounds,
                           lambda word: _connected_part(image, word), witness)
 
 
-def check_structure(alg, bounds):
+def check_structure(alg, bounds, images=None):
     """Verify every two-level cell within bounds vanishes.
 
     On failure returns the first witness cell (k, l, word) in word order.
+    The status's images hold p-hat on every split word it reached, named
+    for bounds (see SplitImages); images, if given, are used as held.
     """
-    return _check_split_words(alg.space, bounds, _p_squared(alg),
-                              witness=lambda word, bad: (len(word), min(bad),
-                                                         word))
+    images = _images_for(alg, images)
+    words, new = images.window(bounds), {}
+    status = _check_split_words(words, bounds, _p_squared(alg, images, new),
+                                witness=lambda word, bad: (len(word),
+                                                           min(bad), word))
+    status.images = images._with(alg.table, new, bounds, words)
+    return status
 
 
-def check_morphism(mor, bounds):
+def check_morphism(mor, bounds, images=None):
     """Verify phi-hat o p-hat = p'-hat o phi-hat by its connected part on
     the split words of at most bounds.outer() letters; on failure the
     witness is the first failing split Word.
 
     Source and target must be structures within the same bounds; a failing
-    one raises StructureError.
+    one raises StructureError.  images are the source's (see SplitImages),
+    and so are the status's.
     """
-    ends = [("source", mor.source)]
-    if mor.target is not mor.source:
-        ends.append(("target", mor.target))
-    for end, alg in ends:
-        if alg is not TRIVIAL_ALGEBRA:
-            _require(check_structure(alg, bounds), "%s structure" % end)
     src, tgt = mor.source, mor.target
+    images = _images_for(src, images)
+    if src is not TRIVIAL_ALGEBRA:
+        status = check_structure(src, bounds, images)
+        _require(status, "source structure")
+        images = status.images
+    if tgt is not src and tgt is not TRIVIAL_ALGEBRA:
+        _require(check_structure(tgt, bounds), "target structure")
+    new = {}
 
     def defect(x):
         return (assembly.apply_morphism(
-                    src.space, mor.table, apply_hat_p(src, x),
+                    src.space, mor.table, images.image(src.table, x, new),
                     target_space=tgt.space, single_cluster=True)
                 - assembly.apply_coderivation(
                     tgt.space, tgt.table, apply_hat_phi(mor, x),
                     single_cluster=True))
-    return _check_split_words(src.space, bounds, defect, bounds.outer())
+    status = _check_split_words(images.window(bounds, bounds.outer()),
+                                bounds, defect)
+    status.images = images._with(src.table, new)
+    return status
 
 
 def _split_word_table(space, image, parity, bounds, target=None,
-                      constants=True):
-    """The table of pi_{1,l} o image on split words: for each basis word,
-    the single-cluster parts of image on its letters taken one per
-    cluster.  With constants=False a nonzero l = 0 part raises
-    InternalInconsistencyError.
+                      constants=True, words=None):
+    """The table of pi_{1,l} o image on split words: for each basis word
+    within bounds (words, when given), the single-cluster parts of image
+    on its letters taken one per cluster.  With constants=False a nonzero
+    l = 0 part raises InternalInconsistencyError.
 
     Every caller's image ends in apply_morphism(..., single_cluster=True),
     which makes only the connected block lists of its last stage.  That is
@@ -415,7 +521,7 @@ def _split_word_table(space, image, parity, bounds, target=None,
     assembly).  The image is still projected here, since unit clusters
     beside the others pass through."""
     entries = []
-    for word in _split_words(space, bounds):
+    for word in _split_words(space, bounds) if words is None else words:
         for l, elem in sorted(_connected_part(image, word).items()):
             if l == 0 and not constants:
                 raise InternalInconsistencyError(
@@ -447,22 +553,27 @@ def compose(psi, phi, bounds):
     return BLMorphism(phi.source, psi.target, table)
 
 
-def is_augmentation(eps, alg, bounds):
+def is_augmentation(eps, alg, bounds, images=None):
     """Check the morphism condition into the trivial algebra, eps-hat o
     p-hat = 0, by its connected part on the split words of at most
     bounds.outer() letters; on failure the witness is the first failing
-    split Word.
+    split Word.  p-hat is read from images, and the status's images add
+    what was evaluated (see SplitImages).
 
     Parity shortcut: over an all-even space any parity-1 table vanishes,
     so every functional family verifies.
     """
+    images = _images_for(alg, images)
     if alg.space.all_even():
-        return VerifyStatus(True, bounds)
-    return _check_split_words(
-        alg.space, bounds, lambda x: assembly.apply_morphism(
-            alg.space, eps.table, apply_hat_p(alg, x),
-            target_space=TRIVIAL_SPACE, single_cluster=True),
-        bounds.outer())
+        return VerifyStatus(True, bounds, images=images)
+    new = {}
+    status = _check_split_words(
+        images.window(bounds, bounds.outer()), bounds,
+        lambda x: assembly.apply_morphism(
+            alg.space, eps.table, images.image(alg.table, x, new),
+            target_space=TRIVIAL_SPACE, single_cluster=True))
+    status.images = images._with(alg.table, new)
+    return status
 
 
 def f_eps(eps, sign=+1):
@@ -480,32 +591,33 @@ def f_eps(eps, sign=+1):
     return BLMorphism(eps.source, eps.source, table)
 
 
-def _linearize_table(space, optable, eps, bounds, parity, constants):
-    """pi_{1,l} o F_eps-hat o (the coderivation of optable) on split words."""
+def _linearize_table(images, optable, eps, bounds, parity, constants):
+    """pi_{1,l} o F_eps-hat o (the coderivation of optable) on split words,
+    the coderivation read from images."""
     f_mor = f_eps(eps, +1)
     return _split_word_table(
-        space, lambda x: assembly.apply_morphism(
-            f_mor.source.space, f_mor.table,
-            assembly.apply_coderivation(space, optable, x),
+        images.algebra.space, lambda x: assembly.apply_morphism(
+            f_mor.source.space, f_mor.table, images.image(optable, x),
             single_cluster=True),
-        parity, bounds, constants=constants)
+        parity, bounds, constants=constants, words=images.window(bounds))
 
 
-def linearize(alg, eps, bounds):
+def linearize(alg, eps, bounds, images=None):
     """The conjugated structure table with all constant terms killed.
 
-    Computes pi_{1,l} o F_eps-hat o p-hat on split words and asserts that
-    the l=0 components vanish; a nonzero constant term signals a bad
-    augmentation or a bounds leak.
+    Computes pi_{1,l} o F_eps-hat o p-hat on split words, p-hat read from
+    images (see SplitImages), and asserts that the l=0 components vanish;
+    a nonzero constant term signals a bad augmentation or a bounds leak.
     """
-    return _linearize_table(alg.space, alg.table, eps, bounds, parity=1,
-                            constants=False)
+    return _linearize_table(_images_for(alg, images), alg.table, eps, bounds,
+                            parity=1, constants=False)
 
 
-def linearize_pointed(pmap, alg, eps, bounds):
-    """Linearize a pointed family; constant terms survive by design."""
-    return _linearize_table(alg.space, pmap.table, eps, bounds,
-                            parity=pmap.parity, constants=True)
+def linearize_pointed(pmap, alg, eps, bounds, images=None):
+    """Linearize a pointed family; constant terms survive by design.
+    P-hat is read from images, alg's (see SplitImages)."""
+    return _linearize_table(_images_for(alg, images), pmap.table, eps,
+                            bounds, parity=pmap.parity, constants=True)
 
 
 def ell_table(lin_table):
@@ -517,21 +629,29 @@ def apply_hat_pointed(pmap, alg, x):
     return assembly.apply_coderivation(alg.space, pmap.table, x)
 
 
-def check_pointed(pmap, alg, bounds):
+def check_pointed(pmap, alg, bounds, images=None):
     """Verify the graded commutation of the pointed map with the structure,
     P-hat o p-hat = +-p-hat o P-hat, by its connected part on the split
     words of at most bounds.outer() letters; on failure the witness is the
-    first failing split Word."""
+    first failing split Word.  p-hat and P-hat are read from images, alg's,
+    and the status's images add the ones evaluated (see SplitImages)."""
     sgn = -1 if pmap.parity % 2 else 1
+    images = _images_for(alg, images)
+    new_p, new_pointed = {}, {}
 
     def defect(x):
         return (assembly.apply_coderivation(
-                    alg.space, pmap.table, apply_hat_p(alg, x),
-                    single_cluster=True)
+                    alg.space, pmap.table,
+                    images.image(alg.table, x, new_p), single_cluster=True)
                 - sgn * assembly.apply_coderivation(
-                    alg.space, alg.table, apply_hat_pointed(pmap, alg, x),
+                    alg.space, alg.table,
+                    images.image(pmap.table, x, new_pointed),
                     single_cluster=True))
-    return _check_split_words(alg.space, bounds, defect, bounds.outer())
+    status = _check_split_words(images.window(bounds, bounds.outer()),
+                                bounds, defect)
+    status.images = images._with(alg.table, new_p)._with(pmap.table,
+                                                         new_pointed)
+    return status
 
 
 def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
@@ -557,7 +677,9 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
     d = p_bullet.parity
     if q_bullet.parity != d:
         raise StructureError("pointed maps must share parity")
-    _require(check_morphism(phi, bounds), "morphism")
+    status = check_morphism(phi, bounds)
+    _require(status, "morphism")
+    images = status.images
     bp, sq = 1 - d, (-1) ** d
     src, tgt = phi.source, phi.target
 
@@ -573,7 +695,8 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
                     apply_hat_phi_bullet(phi, phi_bullet_table, x, bp),
                     single_cluster=True)
                 - sq * assembly.apply_morphism(
-                    src.space, phi.table, apply_hat_p(src, x),
+                    src.space, phi.table, images.image(src.table, x),
                     bullet_table=phi_bullet_table, bullet_parity=bp,
                     target_space=tgt.space, single_cluster=True))
-    return _check_split_words(src.space, bounds, defect, bounds.outer())
+    return _check_split_words(images.window(bounds, bounds.outer()), bounds,
+                              defect)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from blinfty import fixtures, invariants
+from blinfty import assembly, fixtures, invariants
 from blinfty.assembly import apply_coderivation
 from blinfty.errors import (InconclusiveError, NotNilpotentError,
                             PlanarityNotOneError, StructureError)
@@ -131,6 +131,36 @@ def test_torsion_ladder_rungs_are_exact():
         assert verify_torsion_certificate(alg, ans)
     with pytest.raises(ValueError):
         fixtures.torsion_ladder(0)
+
+
+def test_disjoint_union_keeps_both_components_apart():
+    a, b = fixtures.torsion_ladder(2), fixtures.mixed_no_aug()
+    union = fixtures.disjoint_union(a, b)
+    assert [g.name for g in union.space.generators] == [
+        "a_q1", "a_q2", "b_a", "b_b"]
+    assert [(g.parity, g.action) for g in union.space.generators] == [
+        (g.parity, g.action)
+        for g in a.space.generators + b.space.generators]
+    # every op reads and writes the letters of one component only
+    entries = union.table.sorted_entries()
+    assert len(entries) == len(a.table.sorted_entries()) + len(
+        b.table.sorted_entries())
+    for _, _, _, w, elem in entries:
+        letters = set(w.letters).union(*(o.letters for o in elem.terms))
+        assert letters <= {0, 1} or letters <= {2, 3}
+    assert check_structure(union, B3).ok
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 2), (2, 3), (1, 3), (3, 3)])
+def test_torsion_of_a_disjoint_union_is_the_min(i, j):
+    # the hierarchy functor takes a disjoint union to the min of torsions:
+    # rungs i and j side by side have torsion exactly min(i, j) - 1
+    L = max(i, j) + 1
+    union = fixtures.disjoint_union(fixtures.torsion_ladder(i),
+                                    fixtures.torsion_ladder(j))
+    ans = torsion(union, default_schedule(L, Bounds(L)))
+    assert (ans.kind, ans.level) == ("exact", min(i, j) - 1)
+    assert verify_torsion_certificate(union, ans)
 
 
 def test_torsion_ladder_five_under_one_gib():
@@ -970,25 +1000,29 @@ def test_sd_order_matches_dense_oracle():
 
 # ---- one image per basis word per search --------------------------------------
 
-def _count_hat_p(monkeypatch):
-    """Record the outer word of every p-hat image the searches evaluate."""
+def _count_hat_p(monkeypatch, alg):
+    """Record the outer word of every p-hat image evaluated, by the
+    structure check and by the search alike: the first-stage coderivation
+    calls on alg's table (the check's second stage is single_cluster)."""
     seen = []
-    hat_p = invariants.apply_hat_p
+    glue = assembly.apply_coderivation
 
-    def counted(alg, x):
-        seen.extend(x.terms)
-        return hat_p(alg, x)
-    monkeypatch.setattr(invariants, "apply_hat_p", counted)
+    def counted(space, table, x, *, single_cluster=False):
+        if table is alg.table and not single_cluster:
+            seen.extend(x.terms)
+        return glue(space, table, x, single_cluster=single_cluster)
+    monkeypatch.setattr(assembly, "apply_coderivation", counted)
     return seen
 
 
 def test_torsion_evaluates_each_image_once(monkeypatch):
     alg, L = fixtures.mixed_no_aug(), 5
-    seen = _count_hat_p(monkeypatch)
+    seen = _count_hat_p(monkeypatch, alg)
     ans = torsion(alg, default_schedule(L, Bounds(L)))
     assert ans.kind == "not-found"
     words = enumerate_basis(alg.space, L, None, outer_components=L,
                             allow_units=True)
+    # the check evaluates the split words, the search starts from them
     assert sorted(seen, key=repr) == sorted(words, key=repr)
     # without the memo the nested levels evaluate the smaller bases again
     seen.clear()

@@ -92,6 +92,18 @@ def test_hbar_outside_ibl_table_rejected():
         bio.parse(bad)
 
 
+def test_structure_writer_refuses_genera():
+    # the writer refuses what the parser refuses: a genus outside an hbar
+    # table.  Written as a structure table, ibl_genus_one's genus-1 op
+    # would read back as q -> 1 at genus 0, a structure of torsion exact 0
+    alg = fixtures.ibl_genus_one()
+    with pytest.raises(ValueError, match="document_of_ibl"):
+        bio.document_of_algebra(alg)
+    text = bio.serialize(bio.document_of_ibl(alg))
+    assert "op 1 0 genus 1 : q -> 1 1" in text
+    assert bio.ibl_from_document(bio.parse(text)).table == alg.table
+
+
 def test_malformed_rational_rejected():
     bad = PLANAR_DOC.replace("-> 1 1", "-> 1/0 1")
     with pytest.raises(ParseError):

@@ -526,7 +526,8 @@ def test_outer_cap_keeps_word_bounded_windows():
     assert is_augmentation(eps, alg, bounds).ok
     assert not oracle_is_augmentation(eps, alg, Bounds(3, word_bound=2))
     uncapped = structures._check_split_words(
-        alg.space, bounds, lambda x: assembly.apply_morphism(
+        structures._split_words(alg.space, bounds), bounds,
+        lambda x: assembly.apply_morphism(
             alg.space, eps.table, apply_hat_p(alg, x),
             target_space=TRIVIAL_SPACE, single_cluster=True))
     assert uncapped.witness == word(alg.space, "q1", "q2")
@@ -780,9 +781,9 @@ def test_check_morphism_checks_an_endomorphisms_algebra_once(monkeypatch):
     calls = []
     check = structures.check_structure
 
-    def counted(alg, bounds):
+    def counted(alg, bounds, images=None):
         calls.append(alg)
-        return check(alg, bounds)
+        return check(alg, bounds, images)
     monkeypatch.setattr(structures, "check_structure", counted)
     alg = fixtures.planar_torsion_one()
     assert check_morphism(fixtures.identity_morphism(alg), B3).ok

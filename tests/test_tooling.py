@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import io
+import pickle
 import sys
 import types
 from fractions import Fraction
@@ -267,3 +269,56 @@ def test_compose_coherence_workload_passes_its_checks(tmp_path, monkeypatch):
     for op in work.ops:
         ok, answer = op.check(op.run(op.prepare()))
         assert ok, (op.label, answer)
+
+
+def _state(obj):
+    """Every attribute of obj, pickled: a cache or memo added to it, or
+    filled in place, changes the bytes."""
+    return pickle.dumps(vars(obj), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def test_cli_commands_leave_their_inputs_as_read(tmp_path, monkeypatch):
+    # the north star's rule that no call relies on a cache filled by
+    # another call: a command hands its values down, and the algebra, its
+    # tables, the augmentations and the pointed maps it read are unchanged
+    # when it ends
+    for name, text in fixtures.document_corpus().items():
+        (tmp_path / ("%s.blf" % name)).write_text(text, encoding="utf-8")
+    read = []  # (object, its state when read)
+    load_algebra, load_side = cli.bio.algebra_from_document, cli._load_side
+
+    def record(*objs):
+        for obj in objs:
+            read.append((obj, _state(obj)))
+            if hasattr(obj, "table"):
+                read.append((obj.table, _state(obj.table)))
+
+    def algebra_from_document(doc):
+        alg = load_algebra(doc)
+        record(alg)
+        return alg
+
+    def side(path, alg, kind):
+        out = load_side(path, alg, kind)
+        record(out[1] if kind == "pointed-map" else out)
+        return out
+    monkeypatch.setattr(cli.bio, "algebra_from_document",
+                        algebra_from_document)
+    monkeypatch.setattr(cli, "_load_side", side)
+
+    def doc(name):
+        return str(tmp_path / ("%s.blf" % name))
+    kinds = set()
+    for argv in (["hierarchy", doc("sd-example"), "--aug",
+                  doc("sd-example.aug0"), "--pointed",
+                  doc("sd-example.pointed"), "--umap", doc("sd-example.umap")],
+                 ["hierarchy", doc("linearizable")]
+                 + [arg for i in range(3)
+                    for arg in ("--aug", doc("linearizable.aug%d" % i))],
+                 ["torsion", doc("mixed-no-aug")]):
+        del read[:]
+        assert cli.main(argv, stream=io.StringIO()) in (0, 3)
+        assert read and all(_state(obj) == state for obj, state in read), argv
+        kinds |= {type(obj).__name__ for obj, _ in read}
+    assert kinds == {"BLAlgebra", "OperationTable", "Augmentation",
+                     "PointedMap", "UModule"}
