@@ -13,11 +13,10 @@ from .errors import (IncompleteTableError, InconclusiveError,
                      NotNilpotentError, PlanarityNotOneError,
                      PlanarityZeroError, StructureError, WindowLeakError)
 from .linalg import ChainComplex, kernel_basis, rank, solve_linear
-from .structures import (Augmentation, OperationTable, PointedMap,
-                         _images_for, _require, _split_word_table,
-                         _split_words, apply_hat_p, apply_hat_phi,
-                         check_structure, compose, ell_table, f_eps,
-                         is_augmentation, linearize, linearize_pointed)
+from .structures import (Augmentation, OperationTable, PointedMap, _require,
+                         _split_word_table, _split_words, apply_hat_p,
+                         apply_hat_phi, check_structure, compose, ell_table,
+                         f_eps, is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity)
@@ -271,12 +270,11 @@ def torsion_monotone_check(phi, src_answer, bounds):
 # ---------------------------------------------------------------------------
 # planarity orders
 
-def _bar(ell, window):
+def _bar(ell):
     """The inner bar complex as (window, differential, parity): words of
-    length 1..k within bounds, listed by window(bounds, k), under the
-    linearized bar differential."""
+    length 1..k within bounds under the linearized bar differential."""
     sp = ell.space
-    return (lambda k, bounds: window(bounds, k),
+    return (lambda k, bounds: _split_words(sp, bounds, k),
             lambda w: assembly.apply_inner_coderivation(sp, ell,
                                                         Element.monomial(w)),
             lambda w: sp.word_parity(w.letters))
@@ -285,8 +283,7 @@ def _bar(ell, window):
 def bar_B_k(ell, k, bounds):
     """The inner bar complex on words of length 1..k with the linearized
     bar differential."""
-    window, d, parity = _bar(
-        ell, lambda bounds, top: _split_words(ell.space, bounds, top))
+    window, d, parity = _bar(ell)
     return _closed_complex(window(k, bounds), d, parity)
 
 
@@ -322,7 +319,6 @@ def order_O(alg, eps, pmap, bounds, images=None):
     """Least word length whose linearized bar homology hits the constant
     functional value 1.  p-hat and P-hat are read from images, alg's (see
     SplitImages)."""
-    images = _images_for(alg, images)
     ell = ell_table(_linearized(alg, eps, bounds, images))
     lpt = linearize_pointed(pmap, alg, eps, bounds, images)
 
@@ -333,15 +329,15 @@ def order_O(alg, eps, pmap, bounds, images=None):
             return "exact"
         return _order_kind(lpt, k)
 
-    return _order(bounds, _level(*_bar(ell, images.window)),
+    return _order(bounds, _level(*_bar(ell)),
                   lambda w: _functional_from_constants(lpt, w), kind, Element)
 
 
-def order_O_tilde(alg, eps, pmap, bounds, images=None):
+def order_O_tilde(alg, eps, pmap, bounds):
     """The unreduced variant: outer words of nonempty clusters, with the
     unit-coefficient functional of the linearized pointed operator."""
-    lin = _linearized(alg, eps, bounds, images)
-    lpt = linearize_pointed(pmap, alg, eps, bounds, images)
+    lin = _linearized(alg, eps, bounds, None)
+    lpt = linearize_pointed(pmap, alg, eps, bounds)
     sp = alg.space
     return _order(
         bounds, _level(_outer_window(sp, False), lambda ew: (
@@ -432,9 +428,9 @@ def order_multi(alg, eps, family, m, bounds, images=None):
     return _order_multi(alg, eps, family, m, bounds, m, images)
 
 
-def order_multi_tilde(alg, eps, family, m, bounds, images=None):
+def order_multi_tilde(alg, eps, family, m, bounds):
     """The untruncated multi-point variant on outer words."""
-    return _order_multi(alg, eps, family, m, bounds, None, images)
+    return _order_multi(alg, eps, family, m, bounds, None, None)
 
 
 def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
@@ -597,8 +593,8 @@ def planarity(alg, augmentations, pmap, bounds, torsion_answer=None,
     return best
 
 
-def _symbolic_generic_aug(alg, bounds, images=None):
-    even = [w for w in _images_for(alg, images).window(bounds)
+def _symbolic_generic_aug(alg, bounds):
+    even = [w for w in _split_words(alg.space, bounds)
             if alg.space.word_parity(w.letters) == 0]
     entries = [(len(w), 0, w,
                 Element.monomial(UNIT_WORD, SymPoly.var("e%d" % i)))
@@ -612,7 +608,7 @@ def _planarity_generic_even(alg, pmap, bounds, images):
     """All-even shortcut: every functional family is an augmentation, so
     probe with symbolic values; if no assembled coefficient depends on
     them, the zero-augmentation answer is the answer for all of them."""
-    eps_sym = _symbolic_generic_aug(alg, bounds, images)
+    eps_sym = _symbolic_generic_aug(alg, bounds)
     try:
         lin = linearize(alg, eps_sym, bounds, images)
         lpt = linearize_pointed(pmap, alg, eps_sym, bounds, images)

@@ -292,22 +292,17 @@ class SplitImages:
 
     For one algebra: the images of p-hat (alg.table), and of the P-hat of
     any pointed map over it, on split words (one letter per cluster), keyed
-    by their EWord; and words, the split words within bounds in word order
-    (None unless check_structure made the value).  check_structure,
-    is_augmentation, check_pointed and check_morphism return one in their
-    VerifyStatus: the value they were given plus the images they
-    evaluated, check_structure's named for its own bounds and window.  The
-    caller hands it to the next step on the same algebra, and no step
-    changes it; nothing stores it on an algebra, a table or a module.  An
-    image does not depend on bounds, so a step evaluates the words of its
-    own window that the value lacks.  A value for another algebra raises
-    ValueError.
+    by their EWord.  check_structure, is_augmentation, check_pointed and
+    check_morphism return one in their VerifyStatus: the value they were
+    given plus the images they evaluated.  The caller hands it to the next
+    step on the same algebra, and no step changes it; nothing stores it on
+    an algebra, a table or a module.  An image does not depend on bounds,
+    so a step evaluates the words of its own window that the value lacks.
+    A value for another algebra raises ValueError.
     """
 
-    def __init__(self, alg, bounds=None, words=None, held=()):
+    def __init__(self, alg, held=()):
         self.algebra = alg
-        self.bounds = bounds
-        self.words = None if words is None else tuple(words)
         self._held = tuple(held)  # (table, read-only {EWord: EElement})
 
     def held(self, table):
@@ -316,17 +311,6 @@ class SplitImages:
             if t is table:
                 return images
         return _NO_IMAGES
-
-    def window(self, bounds, max_letters=None):
-        """_split_words(space, bounds, max_letters), read off words when
-        they cover it: inner words come in ascending length, so a smaller
-        letter bound keeps a prefix."""
-        top = bounds.max_letters if max_letters is None \
-            else min(bounds.max_letters, max_letters)
-        if (self.words is None or top > self.bounds.max_letters
-                or bounds.max_action != self.bounds.max_action):
-            return _split_words(self.algebra.space, bounds, max_letters)
-        return [w for w in self.words if len(w) <= top]
 
     def image(self, table, x, new=None):
         """table's assembled coderivation on the outer element x: the held
@@ -344,16 +328,13 @@ class SplitImages:
                 new[key] = out
         return out
 
-    def _with(self, table, new, bounds=None, words=None):
-        """This value with new's images of table added and, given bounds,
-        named for bounds and their window words."""
-        if not new and bounds is None:
+    def _with(self, table, new):
+        """This value with new's images of table added."""
+        if not new:
             return self
         held = [(t, m) for t, m in self._held if t is not table]
         held.append((table, MappingProxyType({**self.held(table), **new})))
-        if bounds is None:
-            bounds, words = self.bounds, self.words
-        return SplitImages(self.algebra, bounds, words, held)
+        return SplitImages(self.algebra, held)
 
 
 def _images_for(alg, images):
@@ -441,20 +422,19 @@ def _split_words(space, bounds, max_letters=None):
             if len(w) >= 1]
 
 
-def _check_split_words(words, bounds, image,
+def _check_split_words(space, bounds, image, max_letters=None,
                        witness=lambda word, bad: word):
     """The check of a coalgebra-map identity by its connected part: failed
-    at the first of the split words whose connected part of image (the
-    defect of the identity) is nonzero, else verified.
+    at the first split word whose connected part of image (the defect of
+    the identity) is nonzero, else verified.
 
     The defect of each identity checked here is built from its connected
     part (see the module docstring): on an outer word it is a sum of
     products of connected parts on split words, each taking at most one
     letter of every cluster.  So it vanishes on the outer words of at most
     c clusters exactly when its connected part vanishes on the split words
-    of at most c letters; the words of a check with c = bounds.outer()
-    are those of at most c letters."""
-    return _first_failure(words, bounds,
+    of at most c letters.  The max_letters argument is that c."""
+    return _first_failure(_split_words(space, bounds, max_letters), bounds,
                           lambda word: _connected_part(image, word), witness)
 
 
@@ -462,15 +442,16 @@ def check_structure(alg, bounds, images=None):
     """Verify every two-level cell within bounds vanishes.
 
     On failure returns the first witness cell (k, l, word) in word order.
-    The status's images hold p-hat on every split word it reached, named
-    for bounds (see SplitImages); images, if given, are used as held.
+    The status's images hold p-hat on every split word it reached (see
+    SplitImages); images, if given, are used as held.
     """
     images = _images_for(alg, images)
-    words, new = images.window(bounds), {}
-    status = _check_split_words(words, bounds, _p_squared(alg, images, new),
+    new = {}
+    status = _check_split_words(alg.space, bounds,
+                                _p_squared(alg, images, new),
                                 witness=lambda word, bad: (len(word),
                                                            min(bad), word))
-    status.images = images._with(alg.table, new, bounds, words)
+    status.images = images._with(alg.table, new)
     return status
 
 
@@ -500,18 +481,17 @@ def check_morphism(mor, bounds, images=None):
                 - assembly.apply_coderivation(
                     tgt.space, tgt.table, apply_hat_phi(mor, x),
                     single_cluster=True))
-    status = _check_split_words(images.window(bounds, bounds.outer()),
-                                bounds, defect)
+    status = _check_split_words(src.space, bounds, defect, bounds.outer())
     status.images = images._with(src.table, new)
     return status
 
 
 def _split_word_table(space, image, parity, bounds, target=None,
-                      constants=True, words=None):
-    """The table of pi_{1,l} o image on split words: for each basis word
-    within bounds (words, when given), the single-cluster parts of image
-    on its letters taken one per cluster.  With constants=False a nonzero
-    l = 0 part raises InternalInconsistencyError.
+                      constants=True):
+    """The table of pi_{1,l} o image on split words: for each basis word,
+    the single-cluster parts of image on its letters taken one per
+    cluster.  With constants=False a nonzero l = 0 part raises
+    InternalInconsistencyError.
 
     Every caller's image ends in apply_morphism(..., single_cluster=True),
     which makes only the connected block lists of its last stage.  That is
@@ -521,7 +501,7 @@ def _split_word_table(space, image, parity, bounds, target=None,
     assembly).  The image is still projected here, since unit clusters
     beside the others pass through."""
     entries = []
-    for word in _split_words(space, bounds) if words is None else words:
+    for word in _split_words(space, bounds):
         for l, elem in sorted(_connected_part(image, word).items()):
             if l == 0 and not constants:
                 raise InternalInconsistencyError(
@@ -568,10 +548,10 @@ def is_augmentation(eps, alg, bounds, images=None):
         return VerifyStatus(True, bounds, images=images)
     new = {}
     status = _check_split_words(
-        images.window(bounds, bounds.outer()), bounds,
-        lambda x: assembly.apply_morphism(
+        alg.space, bounds, lambda x: assembly.apply_morphism(
             alg.space, eps.table, images.image(alg.table, x, new),
-            target_space=TRIVIAL_SPACE, single_cluster=True))
+            target_space=TRIVIAL_SPACE, single_cluster=True),
+        bounds.outer())
     status.images = images._with(alg.table, new)
     return status
 
@@ -599,7 +579,7 @@ def _linearize_table(images, optable, eps, bounds, parity, constants):
         images.algebra.space, lambda x: assembly.apply_morphism(
             f_mor.source.space, f_mor.table, images.image(optable, x),
             single_cluster=True),
-        parity, bounds, constants=constants, words=images.window(bounds))
+        parity, bounds, constants=constants)
 
 
 def linearize(alg, eps, bounds, images=None):
@@ -647,8 +627,7 @@ def check_pointed(pmap, alg, bounds, images=None):
                     alg.space, alg.table,
                     images.image(pmap.table, x, new_pointed),
                     single_cluster=True))
-    status = _check_split_words(images.window(bounds, bounds.outer()),
-                                bounds, defect)
+    status = _check_split_words(alg.space, bounds, defect, bounds.outer())
     status.images = images._with(alg.table, new_p)._with(pmap.table,
                                                          new_pointed)
     return status
@@ -698,5 +677,4 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
                     src.space, phi.table, images.image(src.table, x),
                     bullet_table=phi_bullet_table, bullet_parity=bp,
                     target_space=tgt.space, single_cluster=True))
-    return _check_split_words(images.window(bounds, bounds.outer()), bounds,
-                              defect)
+    return _check_split_words(src.space, bounds, defect, bounds.outer())
