@@ -157,8 +157,6 @@ def cmd_verify(args, rep):
             rep.add("witness", "(%d,%d) %s" % (
                 k, l, bio._format_word(alg.space, w)))
             return 1
-    # the split-word images every check below reads and adds to
-    images = status.images
     code = 0
     for ch in doc.chains:
         if ch.name.startswith("torsion-"):
@@ -171,15 +169,14 @@ def cmd_verify(args, rep):
         else:
             continue
         code |= _report_check(rep, "certificate-%s" % ch.name, ok)
+    # each check below reads and adds to the split-word images of the last
     for path in args.aug:
         eps = _load_side(path, alg, "augmentation")
-        status = is_augmentation(eps, alg, bounds, images)
-        images = status.images
+        status = is_augmentation(eps, alg, bounds, status.images)
         code |= _report_check(rep, "augmentation", status.ok)
     for path in args.pointed:
         _, pmap = _load_side(path, alg, "pointed-map")
-        status = check_pointed(pmap, alg, bounds, images)
-        images = status.images
+        status = check_pointed(pmap, alg, bounds, status.images)
         code |= _report_check(rep, "pointed", status.ok)
     return code
 
@@ -197,8 +194,8 @@ def cmd_torsion(args, rep):
         return 1
     code = _report_answer(rep, "torsion", ans)
     if ans.found() and args.certificate:
-        _write_certificate(args, rep, bio.Document(alg.space, chains=[
-            bio.ChainBlock("torsion-%d" % ans.level, ans.certificate)]))
+        _write_certificate(args, rep, bio.document_of_chain(
+            alg.space, "torsion-%d" % ans.level, ans.certificate))
     return code
 
 
@@ -223,10 +220,8 @@ def cmd_linearize(args, rep):
     ell = ell_table(lin)
     rep.add("ell-cells", str(len(ell.cells)))
     if args.certificate:
-        block = bio.TableBlock("structure", "p_eps", 1, lin.sorted_entries(),
-                               max_k=lin.max_k)
-        _write_certificate(args, rep,
-                           bio.Document(alg.space, [block], (), bounds))
+        _write_certificate(args, rep, bio.document_of_table(
+            alg.space, "structure", "p_eps", lin, bounds))
     return 0
 
 
@@ -247,24 +242,21 @@ def _checked_inputs(args, rep):
     if not status.ok:
         rep.add("structure", "failed")
         raise _InputFailed
-    images = status.images
     augs = [_load_side(p, alg, "augmentation") for p in args.aug]
     for eps in augs:
-        status = is_augmentation(eps, alg, bounds, images)
+        status = is_augmentation(eps, alg, bounds, status.images)
         if not status.ok:
             rep.add("augmentation", "failed")
             raise _InputFailed
-        images = status.images
     pmaps = []
     for p in args.pointed:
         pdoc, pmap = _load_side(p, alg, "pointed-map")
-        status = check_pointed(pmap, alg, bounds, images)
+        status = check_pointed(pmap, alg, bounds, status.images)
         if not status.ok:
             rep.add("pointed", "failed")
             raise _InputFailed
-        images = status.images
         pmaps.append((pdoc, pmap))
-    return bounds, alg, augs, pmaps, images
+    return bounds, alg, augs, pmaps, status.images
 
 
 def cmd_order(args, rep):
@@ -278,14 +270,16 @@ def cmd_order(args, rep):
     if ans.found() and args.certificate:
         chain = EElement({EWord((w,)): c
                           for w, c in ans.certificate.terms.items()})
-        _write_certificate(args, rep, bio.Document(alg.space, chains=[
-            bio.ChainBlock("order-%d" % ans.level, chain)]))
+        _write_certificate(args, rep, bio.document_of_chain(
+            alg.space, "order-%d" % ans.level, chain))
     return code
 
 
 def _subset_of_name(name):
-    digits = [ch for ch in name if ch.isdigit()]
-    if not digits:
+    """The constraint subset a pointed table's name encodes: its digits,
+    each a point from 1 to 9, named once."""
+    digits = [ch for ch in name if "0" <= ch <= "9"]
+    if not digits or "0" in digits or len(set(digits)) != len(digits):
         raise StructureError(
             "pointed table name %r does not encode a constraint subset"
             % name)
@@ -300,8 +294,11 @@ def cmd_order_multi(args, rep):
     family = {}
     m = args.points
     for pdoc, pmap in pmaps:
-        block = pdoc.table("pointed")
-        family[_subset_of_name(block.name)] = pmap.table
+        subset = _subset_of_name(pdoc.table("pointed").name)
+        if subset in family:
+            raise StructureError("two pointed tables name the constraint "
+                                 "subset %s" % sorted(subset))
+        family[subset] = pmap.table
     if m is None:
         m = max(max(s) for s in family)
     code = _report_answer(rep, "order-multi",
@@ -419,8 +416,8 @@ def cmd_ibl_torsion(args, rep):
     _, ok = derive_flat_torsion(ialg, cert, args.n, args.m, cap)
     rep.add("flat-transport", "ok" if ok else "failed")
     if args.certificate:
-        _write_certificate(args, rep, bio.Document(ialg.space, chains=[
-            bio.ChainBlock("grid-%d-%d-%d" % (args.n, args.m, cap), cert)]))
+        _write_certificate(args, rep, bio.document_of_chain(
+            ialg.space, "grid-%d-%d-%d" % (args.n, args.m, cap), cert))
     return 0 if ok else 1
 
 

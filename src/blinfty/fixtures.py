@@ -280,29 +280,24 @@ def document_corpus():
         docs[name] = bio.serialize(
             bio.document_of_algebra(alg, bounds=bounds))
         for i, eps in enumerate(augs):
-            block = bio.TableBlock("augmentation", "eps%d" % i, 0,
-                                   eps.table.sorted_entries())
             docs["%s.aug%d" % (name, i)] = bio.serialize(
-                bio.Document(alg.space, [block], (), None))
+                bio.document_of_table(alg.space, "augmentation",
+                                      "eps%d" % i, eps.table))
         if pmap is not None:
-            block = bio.TableBlock("pointed", "S1", pmap.parity,
-                                   pmap.table.sorted_entries())
-            docs["%s.pointed" % name] = bio.serialize(
-                bio.Document(alg.space, [block], (), None))
+            docs["%s.pointed" % name] = bio.serialize(bio.document_of_table(
+                alg.space, "pointed", "S1", pmap.table))
     alg, utab, pmap = sd_example()
     docs["sd-example"] = bio.serialize(bio.document_of_algebra(
         alg, bounds=Bounds(2, word_bound=2)))
-    docs["sd-example.aug0"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("augmentation", "eps0", 0, [])], (), None))
-    docs["sd-example.umap"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("umodule", "U", 0,
-                                   utab.sorted_entries())], (), None))
-    docs["sd-example.pointed"] = bio.serialize(bio.Document(
-        alg.space, [bio.TableBlock("pointed", "S1", 0,
-                                   pmap.table.sorted_entries())], (), None))
+    docs["sd-example.aug0"] = bio.serialize(bio.document_of_table(
+        alg.space, "augmentation", "eps0", zero_table(alg.space, 0)))
+    docs["sd-example.umap"] = bio.serialize(bio.document_of_table(
+        alg.space, "umodule", "U", utab))
+    docs["sd-example.pointed"] = bio.serialize(bio.document_of_table(
+        alg.space, "pointed", "S1", pmap.table))
     p0alg, _ = pointed_one()
-    docs["pointed-one.umap"] = bio.serialize(bio.Document(
-        p0alg.space, [bio.TableBlock("umodule", "U", 0, [])], (), None))
+    docs["pointed-one.umap"] = bio.serialize(bio.document_of_table(
+        p0alg.space, "umodule", "U", zero_table(p0alg.space, 0)))
     # a flat algebra is its own hbar-graded lift
     docs["ibl-planar"] = bio.serialize(bio.document_of_ibl(
         planar_torsion_one(), bounds=Bounds(3, hbar_max=2)))

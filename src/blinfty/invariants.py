@@ -189,7 +189,7 @@ def _level_structurally_closed(table, level):
     return not any(l == 0 and k <= level for (k, l) in table.cells)
 
 
-def _level_action_closed(alg, level, bounds):
+def _level_action_closed(alg, bounds):
     """The action-filtration closure of the spec's certified-answer rule:
     within the searched action range the level search was exhaustive."""
     if not (alg.table.action_drop and bounds.max_action is not None):
@@ -225,7 +225,7 @@ def torsion(alg, schedule, images=None):
         # a level the schedule skipped is certified only structurally
         searched = dict(failed)
         exact = all(_level_structurally_closed(alg.table, j) or (
-            j in searched and _level_action_closed(alg, j, searched[j]))
+            j in searched and _level_action_closed(alg, searched[j]))
             for j in range(1, k))
         return TorsionAnswer("exact" if exact else "at-most", k - 1,
                              EElement(sol), bounds)
@@ -292,12 +292,12 @@ def _functional_from_constants(lin_pointed, word):
     return elem.terms.get(UNIT_WORD, Fraction(0))
 
 
-def _order(bounds, level, functional, kind, wrap):
+def _order(bounds, level, functional, kind):
     """An order: the least level k <= bounds.outer() with a cycle of
-    functional value 1, of kind(k), its solution wrapped as certificate."""
+    functional value 1, of kind(k), its solution as certificate."""
     return (_search(default_schedule(bounds.outer(), bounds), level,
                     lambda key, sol, failed: TorsionAnswer(
-                        kind(key[0]), key[0], wrap(sol), bounds),
+                        kind(key[0]), key[0], Element(sol), bounds),
                     functional=functional)
             or TorsionAnswer("not-found", bounds=bounds))
 
@@ -330,7 +330,7 @@ def order_O(alg, eps, pmap, bounds, images=None):
         return _order_kind(lpt, k)
 
     return _order(bounds, _level(*_bar(ell)),
-                  lambda w: _functional_from_constants(lpt, w), kind, Element)
+                  lambda w: _functional_from_constants(lpt, w), kind)
 
 
 def order_O_tilde(alg, eps, pmap, bounds):
@@ -344,7 +344,7 @@ def order_O_tilde(alg, eps, pmap, bounds):
             assembly.apply_coderivation(sp, lin, EElement.monomial(ew)))),
         lambda ew: assembly.apply_coderivation(
             sp, lpt, EElement.monomial(ew)).unit_coefficient(),
-        lambda k: _order_kind(lpt, k), EElement)
+        lambda k: _order_kind(lpt, k))
 
 
 def width(eword):
@@ -412,7 +412,7 @@ def _order_multi(alg, eps, family, m, bounds, cap, images):
         bounds, _level(_outer_window(sp, False, cap), d),
         lambda ew: apply_multi_pointed_linearized(
             sp, lin_family, m, EElement.monomial(ew)).unit_coefficient(),
-        lambda k: "exact" if k == 1 else "at-most", EElement)
+        lambda k: "exact" if k == 1 else "at-most")
 
 
 def order_multi(alg, eps, family, m, bounds, images=None):
@@ -515,16 +515,16 @@ def sd_order(ell1, umod, ell_point):
     if any(sum(f[i] * D[i][j] for i in range(n)) for j in range(n)):
         raise StructureError("the functional is not a chain map")
     cycles = kernel_basis(D, n)
+    rank_D = n - len(cycles)  # rank-nullity: D is n x n
     # nilpotence of the induced map within dim H steps
-    power_bound = max(1, len(cycles) - rank(D))
+    power_bound = max(1, len(cycles) - rank_D)
     powers = [cycles]  # powers[j]: U^j z for each cycle z
     for _ in range(power_bound):
         powers.append([_mat_vec(U, z) for z in powers[-1]])
-    for v in powers[-1]:
-        sol, _ = solve_linear(D, v)
-        if sol is None:
-            raise NotNilpotentError(
-                "U^%d is nonzero on homology" % power_bound)
+    # every U^N z is a boundary: appended to D as columns, none adds rank
+    if rank([row + [v[i] for v in powers[-1]]
+             for i, row in enumerate(D)]) != rank_D:
+        raise NotNilpotentError("U^%d is nonzero on homology" % power_bound)
 
     def level(k):
         # unknowns: z in span(cycles), then y; rows: U^(k+1) z - D y = 0

@@ -241,7 +241,7 @@ def parse(text):
             if current is None:
                 raise ParseError(line_no, "op outside a table block")
             sp = close_space(line_no)
-            _parse_op(sp, current, toks, line, line_no)
+            _parse_op(sp, current, line, line_no)
         elif head == "chain":
             sp = close_space(line_no)
             if ":" not in toks:
@@ -300,7 +300,7 @@ def _keyed(toks, line_no, keys, flags):
     return out
 
 
-def _parse_op(sp, block, toks, line, line_no):
+def _parse_op(sp, block, line, line_no):
     if ":" not in line or "->" not in line:
         raise ParseError(line_no, "expected: op K L [genus G] : IN -> TERMS")
     head, rest = line.split(":", 1)
@@ -368,28 +368,33 @@ def _parse_chain_body(sp, body, line_no):
 # ---------------------------------------------------------------------------
 # documents <-> typed objects
 
-def _declared_max_k(table):
-    return None if table.complete else table.max_k
+def document_of_table(space, kind, name, table, bounds=None):
+    """A document of one table block of the given kind, declaring max_k
+    exactly when the table is partial.  Only an ibl table holds genera, so
+    a positive genus in another kind raises ValueError: written here it
+    would read back as another table (document_of_ibl writes it)."""
+    entries = table.sorted_entries()
+    if kind != "ibl" and any(g for _, _, g, _, _ in entries):
+        raise ValueError("the table carries genera, which a %s table "
+                         "cannot hold; write it with document_of_ibl" % kind)
+    block = TableBlock(kind, name, table.parity, entries,
+                       None if table.complete else table.max_k)
+    return Document(space, [block], (), bounds)
+
+
+def document_of_chain(space, name, element):
+    """A document of one chain: a certificate."""
+    return Document(space, chains=[ChainBlock(name, element)])
 
 
 def document_of_algebra(alg, bounds=None):
-    """The algebra as a structure-table document.  A structure table has no
-    genus, so a table with a positive genus raises ValueError: written
-    here it would read back as another structure (document_of_ibl writes
-    it)."""
-    entries = alg.table.sorted_entries()
-    if any(g for _, _, g, _, _ in entries):
-        raise ValueError("the table carries genera, which a structure table "
-                         "cannot hold; write it with document_of_ibl")
-    block = TableBlock("structure", "p", alg.table.parity, entries,
-                       _declared_max_k(alg.table))
-    return Document(alg.space, [block], (), bounds)
+    """The algebra as a structure-table document."""
+    return document_of_table(alg.space, "structure", "p", alg.table, bounds)
 
 
 def document_of_ibl(alg, bounds=None):
-    block = TableBlock("ibl", "p", 1, alg.table.sorted_entries(),
-                       _declared_max_k(alg.table))
-    return Document(alg.space, [block], (), bounds)
+    """The algebra as an ibl-table document, genera included."""
+    return document_of_table(alg.space, "ibl", "p", alg.table, bounds)
 
 
 def table_from_block(space, block, action_drop=False, target=None):

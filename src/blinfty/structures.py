@@ -15,7 +15,8 @@ check takes every split word within max_letters.
 The first stage of each check, p-hat (or a pointed map's P-hat) on the
 split words, is what the later steps of the same computation evaluate
 again: linearization glues F_eps onto the same images, and the torsion
-search starts from them.  The checks return those images as a SplitImages
+search starts from them.  The one check loop, _check_split_words, reads
+and records those images, and the checks return them as a SplitImages
 value, which the caller hands down to the next step.
 """
 
@@ -292,13 +293,13 @@ class SplitImages:
 
     For one algebra: the images of p-hat (alg.table), and of the P-hat of
     any pointed map over it, on split words (one letter per cluster), keyed
-    by their EWord.  check_structure, is_augmentation, check_pointed and
-    check_morphism return one in their VerifyStatus: the value they were
-    given plus the images they evaluated.  The caller hands it to the next
-    step on the same algebra, and no step changes it; nothing stores it on
-    an algebra, a table or a module.  An image does not depend on bounds,
-    so a step evaluates the words of its own window that the value lacks.
-    A value for another algebra raises ValueError.
+    by their EWord.  Every check that runs through _check_split_words
+    returns one in its VerifyStatus: the value it was given plus the images
+    it evaluated.  The caller hands it to the next step on the same
+    algebra, and no step changes it; nothing stores it on an algebra, a
+    table or a module.  An image does not depend on bounds, so a step
+    evaluates the words of its own window that the value lacks.  A value
+    for another algebra raises ValueError.
     """
 
     def __init__(self, alg, held=()):
@@ -371,20 +372,18 @@ def two_level(alg, k, l, word):
     """Sum of all connected two-level gluings: pi_{1,l} of p-hat squared."""
     if len(word) != k:
         raise ValueError("input word has length %d, expected k=%d" % (len(word), k))
-    return _connected_part(_p_squared(alg, SplitImages(alg)),
+    return _connected_part(lambda x: _p_squared(alg, apply_hat_p(alg, x)),
                            word).get(l, Element())
 
 
-def _p_squared(alg, images, new=None):
-    """p-hat squared, the first p-hat from images (see SplitImages.image
-    for new), the second gluing only the arity that merges every cluster
-    (single_cluster), so no term is made only to be projected away.  A
-    partial table raises exactly where the full square does: the
-    coderivation's coverage check looks at the clusters, not at the
-    arities it enumerates."""
-    return lambda x: assembly.apply_coderivation(
-        alg.space, alg.table, images.image(alg.table, x, new),
-        single_cluster=True)
+def _p_squared(alg, y):
+    """The second p-hat of p-hat squared on y, the first p-hat's image,
+    gluing only the arity that merges every cluster (single_cluster), so
+    no term is made only to be projected away.  A partial table raises
+    exactly where the full square does: the coderivation's coverage check
+    looks at the clusters, not at the arities it enumerates."""
+    return assembly.apply_coderivation(alg.space, alg.table, y,
+                                       single_cluster=True)
 
 
 def _connected_part(image, word):
@@ -422,11 +421,13 @@ def _split_words(space, bounds, max_letters=None):
             if len(w) >= 1]
 
 
-def _check_split_words(space, bounds, image, max_letters=None,
+def _check_split_words(alg, bounds, images, defect, max_letters=None,
                        witness=lambda word, bad: word):
-    """The check of a coalgebra-map identity by its connected part: failed
-    at the first split word whose connected part of image (the defect of
-    the identity) is nonzero, else verified.
+    """The check of a coalgebra-map identity on alg by its connected part:
+    failed at the first split word where the connected part of the defect,
+    defect(image, x), is nonzero, else verified.  Its first stage
+    image(table, x), table's coderivation on x, is read from images (alg's,
+    see SplitImages) where held; the status's images add those evaluated.
 
     The defect of each identity checked here is built from its connected
     part (see the module docstring): on an outer word it is a sum of
@@ -434,8 +435,23 @@ def _check_split_words(space, bounds, image, max_letters=None,
     letter of every cluster.  So it vanishes on the outer words of at most
     c clusters exactly when its connected part vanishes on the split words
     of at most c letters.  The max_letters argument is that c."""
-    return _first_failure(_split_words(space, bounds, max_letters), bounds,
-                          lambda word: _connected_part(image, word), witness)
+    images = _images_for(alg, images)
+    new = {}  # id(table) -> (table, {split EWord: image evaluated here})
+
+    def image(table, x):
+        entry = new.get(id(table))
+        if entry is None:
+            entry = new[id(table)] = (table, {})
+        return images.image(table, x, entry[1])
+
+    status = _first_failure(
+        _split_words(alg.space, bounds, max_letters), bounds,
+        lambda word: _connected_part(lambda x: defect(image, x), word),
+        witness)
+    for table, evaluated in new.values():
+        images = images._with(table, evaluated)
+    status.images = images
+    return status
 
 
 def check_structure(alg, bounds, images=None):
@@ -445,14 +461,10 @@ def check_structure(alg, bounds, images=None):
     The status's images hold p-hat on every split word it reached (see
     SplitImages); images, if given, are used as held.
     """
-    images = _images_for(alg, images)
-    new = {}
-    status = _check_split_words(alg.space, bounds,
-                                _p_squared(alg, images, new),
-                                witness=lambda word, bad: (len(word),
-                                                           min(bad), word))
-    status.images = images._with(alg.table, new)
-    return status
+    return _check_split_words(
+        alg, bounds, images,
+        lambda image, x: _p_squared(alg, image(alg.table, x)),
+        witness=lambda word, bad: (len(word), min(bad), word))
 
 
 def check_morphism(mor, bounds, images=None):
@@ -465,25 +477,21 @@ def check_morphism(mor, bounds, images=None):
     and so are the status's.
     """
     src, tgt = mor.source, mor.target
-    images = _images_for(src, images)
     if src is not TRIVIAL_ALGEBRA:
         status = check_structure(src, bounds, images)
         _require(status, "source structure")
         images = status.images
     if tgt is not src and tgt is not TRIVIAL_ALGEBRA:
         _require(check_structure(tgt, bounds), "target structure")
-    new = {}
 
-    def defect(x):
+    def defect(image, x):
         return (assembly.apply_morphism(
-                    src.space, mor.table, images.image(src.table, x, new),
+                    src.space, mor.table, image(src.table, x),
                     target_space=tgt.space, single_cluster=True)
                 - assembly.apply_coderivation(
                     tgt.space, tgt.table, apply_hat_phi(mor, x),
                     single_cluster=True))
-    status = _check_split_words(src.space, bounds, defect, bounds.outer())
-    status.images = images._with(src.table, new)
-    return status
+    return _check_split_words(src, bounds, images, defect, bounds.outer())
 
 
 def _split_word_table(space, image, parity, bounds, target=None,
@@ -543,17 +551,13 @@ def is_augmentation(eps, alg, bounds, images=None):
     Parity shortcut: over an all-even space any parity-1 table vanishes,
     so every functional family verifies.
     """
-    images = _images_for(alg, images)
     if alg.space.all_even():
-        return VerifyStatus(True, bounds, images=images)
-    new = {}
-    status = _check_split_words(
-        alg.space, bounds, lambda x: assembly.apply_morphism(
-            alg.space, eps.table, images.image(alg.table, x, new),
+        return VerifyStatus(True, bounds, images=_images_for(alg, images))
+    return _check_split_words(
+        alg, bounds, images, lambda image, x: assembly.apply_morphism(
+            alg.space, eps.table, image(alg.table, x),
             target_space=TRIVIAL_SPACE, single_cluster=True),
         bounds.outer())
-    status.images = images._with(alg.table, new)
-    return status
 
 
 def f_eps(eps, sign=+1):
@@ -616,21 +620,15 @@ def check_pointed(pmap, alg, bounds, images=None):
     first failing split Word.  p-hat and P-hat are read from images, alg's,
     and the status's images add the ones evaluated (see SplitImages)."""
     sgn = -1 if pmap.parity % 2 else 1
-    images = _images_for(alg, images)
-    new_p, new_pointed = {}, {}
 
-    def defect(x):
+    def defect(image, x):
         return (assembly.apply_coderivation(
-                    alg.space, pmap.table,
-                    images.image(alg.table, x, new_p), single_cluster=True)
+                    alg.space, pmap.table, image(alg.table, x),
+                    single_cluster=True)
                 - sgn * assembly.apply_coderivation(
-                    alg.space, alg.table,
-                    images.image(pmap.table, x, new_pointed),
+                    alg.space, alg.table, image(pmap.table, x),
                     single_cluster=True))
-    status = _check_split_words(alg.space, bounds, defect, bounds.outer())
-    status.images = images._with(alg.table, new_p)._with(pmap.table,
-                                                         new_pointed)
-    return status
+    return _check_split_words(alg, bounds, images, defect, bounds.outer())
 
 
 def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
@@ -658,11 +656,10 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
         raise StructureError("pointed maps must share parity")
     status = check_morphism(phi, bounds)
     _require(status, "morphism")
-    images = status.images
     bp, sq = 1 - d, (-1) ** d
     src, tgt = phi.source, phi.target
 
-    def defect(x):
+    def defect(image, x):
         return (assembly.apply_coderivation(
                     tgt.space, q_bullet.table, apply_hat_phi(phi, x),
                     single_cluster=True)
@@ -674,7 +671,8 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
                     apply_hat_phi_bullet(phi, phi_bullet_table, x, bp),
                     single_cluster=True)
                 - sq * assembly.apply_morphism(
-                    src.space, phi.table, images.image(src.table, x),
+                    src.space, phi.table, image(src.table, x),
                     bullet_table=phi_bullet_table, bullet_parity=bp,
                     target_space=tgt.space, single_cluster=True))
-    return _check_split_words(src.space, bounds, defect, bounds.outer())
+    return _check_split_words(src, bounds, status.images, defect,
+                              bounds.outer())

@@ -1,12 +1,16 @@
+import io as pyio
 import itertools
 import math
 
 import pytest
 
+from blinfty import cli, fixtures
+from blinfty import io as bio
 from blinfty.errors import InconclusiveError, InconsistentInputsError
 from blinfty.hierarchy import (HierarchyValue, hierarchy_classify,
                                hierarchy_combine, hierarchy_compare)
 from blinfty.invariants import TorsionAnswer
+from blinfty.structures import Bounds
 
 from util import combine_components_oracle
 
@@ -96,3 +100,33 @@ def test_classify_sd_and_pl():
         hierarchy_classify(nf, True, TorsionAnswer("exact", 1))
     with pytest.raises(InconclusiveError):
         hierarchy_classify(nf, True, TorsionAnswer("not-found"))
+
+
+def _cli_value(argv):
+    buf = pyio.StringIO()
+    assert cli.main(argv, stream=buf) == 0, buf.getvalue()
+    key, value = buf.getvalue().splitlines()[-1].split(": ")
+    assert key in ("hierarchy", "combine")
+    return value
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 2), (2, 3), (1, 3), (3, 3)])
+def test_cli_hierarchy_of_a_disjoint_union_combines_its_components(
+        tmp_path, i, j):
+    # the hierarchy functor takes a disjoint union to the combination of
+    # its components' values (torsion by min): the CLI's hierarchy of the
+    # serialized union of ladder rungs i and j equals combine of theirs
+    bounds = Bounds(max(i, j), action_drop=True)
+    values = []
+    for name, alg in (("a", fixtures.torsion_ladder(i)),
+                      ("b", fixtures.torsion_ladder(j)),
+                      ("union", fixtures.disjoint_union(
+                          fixtures.torsion_ladder(i),
+                          fixtures.torsion_ladder(j)))):
+        path = tmp_path / ("%s.blf" % name)
+        path.write_text(bio.serialize(bio.document_of_algebra(alg, bounds)),
+                        encoding="utf-8")
+        values.append(_cli_value(["hierarchy", str(path)]))
+    a, b, union = values
+    assert union == _cli_value(["combine", a, b])
+    assert union == repr(HierarchyValue("PT", min(i, j) - 1))

@@ -411,6 +411,28 @@ def test_cli_order_multi(corpus_dir, tmp_path):
     assert report_value(out, "order-multi") == "exact 1"
 
 
+@pytest.mark.parametrize("second", [None, "S11", "S10"])
+def test_cli_order_multi_refuses_a_malformed_family_exit_one(
+        corpus_dir, tmp_path, second):
+    # beside S1, a second S1 (the same file), S11 (point 1 named twice) or
+    # S10 (a point 0) would each drop a supplied table without a word
+    pointed = corpus_dir / "pointed-two.pointed.blf"
+    if second is not None:
+        text = pointed.read_text().replace("table pointed S1",
+                                           "table pointed " + second)
+        pointed = tmp_path / "second.blf"
+        pointed.write_text(text, encoding="utf-8")
+    code, out = run_cli(tmp_path, "order-multi",
+                        str(corpus_dir / "pointed-two.blf"),
+                        "--aug", str(corpus_dir / "pointed-two.aug0.blf"),
+                        "--pointed", str(corpus_dir / "pointed-two.pointed.blf"),
+                        "--pointed", str(pointed))
+    assert code == 1
+    error = report_value(out, "error")
+    assert error.startswith("structure: ") and "constraint subset" in error
+    assert report_value(out, "order-multi") is None
+
+
 @pytest.mark.parametrize("doc", ["pointed-one", "pointed-two"])
 def test_cli_order_multi_family_must_cover_the_points_exit_two(
         corpus_dir, tmp_path, doc):

@@ -526,8 +526,8 @@ def test_outer_cap_keeps_word_bounded_windows():
     assert is_augmentation(eps, alg, bounds).ok
     assert not oracle_is_augmentation(eps, alg, Bounds(3, word_bound=2))
     uncapped = structures._check_split_words(
-        alg.space, bounds, lambda x: assembly.apply_morphism(
-            alg.space, eps.table, apply_hat_p(alg, x),
+        alg, bounds, None, lambda image, x: assembly.apply_morphism(
+            alg.space, eps.table, image(alg.table, x),
             target_space=TRIVIAL_SPACE, single_cluster=True))
     assert uncapped.witness == word(alg.space, "q1", "q2")
 

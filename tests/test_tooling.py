@@ -46,6 +46,23 @@ def test_io_imports_no_search_module():
     assert not imported & {"ibl", "invariants", "cli"}, imported
 
 
+def test_only_io_builds_documents():
+    # every document the program writes goes through io's writers
+    builders = {"TableBlock", "ChainBlock", "Document"}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                if name in builders:
+                    calls.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not calls, calls
+
+
 def _bench_tracer():
     path = SRC.parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
