@@ -69,10 +69,10 @@ def torsion_grid(ialg, n, m, trunc, bounds):
         ewords = _outer_window(ialg.space, True)(k, bounds)
         return [EWord(ew.clusters, hbar=h)
                 for h in range(trunc + 1) for ew in ewords]
-    return _search([(m + 1, bounds)], _level(window, lambda ew: (
+    ans = _search([(m + 1, bounds)], _level(window, lambda ew: (
         apply_hat_p_ibl(ialg, EElement.monomial(ew), trunc))),
-        lambda key, sol, failed: (True, EElement(sol)),
-        EWord((UNIT_WORD,), hbar=n)) or (False, None)
+        lambda j, b: False, EWord((UNIT_WORD,), hbar=n))
+    return ans.found(), ans.certificate
 
 
 def verify_grid_certificate(ialg, cert, n, m, trunc):

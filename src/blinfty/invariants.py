@@ -1,7 +1,8 @@
 """Hierarchy invariants: bar complexes, torsion, planarity orders, widths,
 multi-point orders, and semi-dilation from a supplied endomorphism.  The
 least solvable level of each, and ibl.torsion_grid's one level, is found by
-one loop, _search."""
+one loop, _search, which alone decides each answer's kind; a search states
+only its reasons for certifying a smaller level unsolvable."""
 
 from __future__ import annotations
 
@@ -126,8 +127,8 @@ def _level(window, image, parity=None):
     (parity-odd, d*d = 0), its columns keyed by basis index."""
     image = _once(image)
 
-    def level(key):
-        basis = window(*key)
+    def level(k, bounds):
+        basis = window(k, bounds)
         if parity is None:
             return basis, _columns(basis, image)
         cx = _closed_complex(basis, image, parity)
@@ -139,26 +140,34 @@ def _level(window, image, parity=None):
 _FUNCTIONAL = object()
 
 
-def _search(levels, level, answer, target=_FUNCTIONAL, functional=None):
-    """The first level, in order, at which some combination of the columns
-    of level(key) is 1 in the target row and 0 in every other; functional,
-    if given, fills the target row.  Returns answer(key, solution, failed),
-    failed being the keys before it, or None.  No levels: ValueError."""
+def _search(levels, level, closed, target=_FUNCTIONAL, functional=None):
+    """The first (k, bounds) of levels, in order, at which some combination
+    of the columns of level(k, bounds) is 1 in the target row and 0 in every
+    other; functional, if given, fills the target row.
+
+    Every answer is decided here.  The first solvable level k gives a
+    TorsionAnswer at level k, its solution as certificate: 'exact' when
+    closed(j, b) certifies every level j < k unsolvable, b being the bounds
+    j was last searched at or None if the levels skipped j, and 'at-most'
+    otherwise.  No level solves: 'not-found' at the last bounds.  No levels:
+    ValueError."""
     if not levels:
         raise ValueError("empty search: no level >= 1 within the bounds")
     if functional is not None:
         functional = _once(functional)
-    failed = []
-    for key in levels:
-        basis, columns = level(key)
+    searched = {}
+    for k, bounds in levels:
+        basis, columns = level(k, bounds)
         if functional is not None:
             columns = [{**col, target: functional(b)}
                        for b, col in zip(basis, columns)]
         sol = _solve(basis, columns, target)
         if sol is not None:
-            return answer(key, sol, failed)
-        failed.append(key)
-    return None
+            exact = all(closed(j, searched.get(j)) for j in range(1, k))
+            return TorsionAnswer("exact" if exact else "at-most", k,
+                                 Element(sol), bounds)
+        searched[k] = bounds
+    return TorsionAnswer("not-found", bounds=levels[-1][1])
 
 
 def _outer_window(sp, units, cap=None):
@@ -208,10 +217,10 @@ def _level_action_closed(alg, bounds):
 def torsion(alg, schedule, images=None):
     """Search p-hat(x) = 1 through a schedule of (cluster bound, Bounds).
 
-    The first solvable level k yields value k-1; the answer is 'exact' when
-    every smaller level is certified unsolvable, either structurally (no
-    constant cells reach it) or by the action-filtration argument, and
-    'at-most' otherwise.  An empty schedule raises ValueError.  The
+    The first solvable level k yields value k-1.  A smaller level is
+    certified unsolvable structurally (no constant cells reach it) or, at
+    the bounds it was searched at, by the action-filtration argument; see
+    _search for the kind.  An empty schedule raises ValueError.  The
     structure check at the last bounds reads p-hat from images (see
     SplitImages), and the search starts from the check's images.
     """
@@ -219,21 +228,15 @@ def torsion(alg, schedule, images=None):
         status = check_structure(alg, schedule[-1][1], images)
         _require(status, "structure")
         images = status.images
-
-    def answer(key, sol, failed):
-        k, bounds = key
-        # a level the schedule skipped is certified only structurally
-        searched = dict(failed)
-        exact = all(_level_structurally_closed(alg.table, j) or (
-            j in searched and _level_action_closed(alg, searched[j]))
-            for j in range(1, k))
-        return TorsionAnswer("exact" if exact else "at-most", k - 1,
-                             EElement(sol), bounds)
-
-    level = _level(_outer_window(alg.space, True), lambda ew: images.image(
-        alg.table, EElement.monomial(ew)))
-    return (_search(schedule, level, answer, UNIT_EWORD)
-            or TorsionAnswer("not-found", bounds=schedule[-1][1]))
+    ans = _search(
+        schedule, _level(_outer_window(alg.space, True), lambda ew: (
+            images.image(alg.table, EElement.monomial(ew)))),
+        lambda j, b: _level_structurally_closed(alg.table, j) or (
+            b is not None and _level_action_closed(alg, b)),
+        UNIT_EWORD)
+    if ans.found():
+        ans.level -= 1
+    return ans
 
 
 def default_schedule(max_level, bounds):
@@ -292,21 +295,12 @@ def _functional_from_constants(lin_pointed, word):
     return elem.terms.get(UNIT_WORD, Fraction(0))
 
 
-def _order(bounds, level, functional, kind):
+def _order(bounds, level, functional, closed):
     """An order: the least level k <= bounds.outer() with a cycle of
-    functional value 1, of kind(k), its solution as certificate."""
-    return (_search(default_schedule(bounds.outer(), bounds), level,
-                    lambda key, sol, failed: TorsionAnswer(
-                        kind(key[0]), key[0], Element(sol), bounds),
-                    functional=functional)
-            or TorsionAnswer("not-found", bounds=bounds))
-
-
-def _order_kind(lin_pointed, found_k):
-    """'exact' when every level below the found one is structurally closed:
-    constant cells with at most that many inputs all vanish."""
-    return "exact" if found_k == 1 or _level_structurally_closed(
-        lin_pointed, found_k - 1) else "at-most"
+    functional value 1, its solution as certificate; a smaller level j is
+    certified unsolvable when closed(j, bounds)."""
+    return _search(default_schedule(bounds.outer(), bounds), level, closed,
+                   functional=functional)
 
 
 def _linearized(alg, eps, bounds, images):
@@ -321,16 +315,12 @@ def order_O(alg, eps, pmap, bounds, images=None):
     SplitImages)."""
     ell = ell_table(_linearized(alg, eps, bounds, images))
     lpt = linearize_pointed(pmap, alg, eps, bounds, images)
-
-    def kind(k):
-        # the length-j complexes are finite, so an unrestricted
-        # enumeration makes the failed smaller levels conclusive
-        if bounds.max_action is None and bounds.max_letters >= k:
-            return "exact"
-        return _order_kind(lpt, k)
-
+    # the length-j complexes are finite, so an unrestricted enumeration
+    # makes a failed level j conclusive
     return _order(bounds, _level(*_bar(ell)),
-                  lambda w: _functional_from_constants(lpt, w), kind)
+                  lambda w: _functional_from_constants(lpt, w),
+                  lambda j, b: (b.max_action is None and b.max_letters >= j)
+                  or _level_structurally_closed(lpt, j))
 
 
 def order_O_tilde(alg, eps, pmap, bounds):
@@ -344,7 +334,7 @@ def order_O_tilde(alg, eps, pmap, bounds):
             assembly.apply_coderivation(sp, lin, EElement.monomial(ew)))),
         lambda ew: assembly.apply_coderivation(
             sp, lpt, EElement.monomial(ew)).unit_coefficient(),
-        lambda k: _order_kind(lpt, k))
+        lambda j, b: _level_structurally_closed(lpt, j))
 
 
 def width(eword):
@@ -412,7 +402,7 @@ def _order_multi(alg, eps, family, m, bounds, cap, images):
         bounds, _level(_outer_window(sp, False, cap), d),
         lambda ew: apply_multi_pointed_linearized(
             sp, lin_family, m, EElement.monomial(ew)).unit_coefficient(),
-        lambda k: "exact" if k == 1 else "at-most")
+        lambda j, b: False)
 
 
 def order_multi(alg, eps, family, m, bounds, images=None):
@@ -526,7 +516,7 @@ def sd_order(ell1, umod, ell_point):
              for i, row in enumerate(D)]) != rank_D:
         raise NotNilpotentError("U^%d is nonzero on homology" % power_bound)
 
-    def level(k):
+    def level(k, _):
         # unknowns: z in span(cycles), then y; rows: U^(k+1) z - D y = 0
         return range(len(cycles) + n), (
             [dict(enumerate(v)) for v in powers[k + 1]]
@@ -534,12 +524,13 @@ def sd_order(ell1, umod, ell_point):
 
     # feasibility only grows with the power (U commutes with D), so the
     # last level decides whether any class has functional value 1
-    k = _search(range(power_bound), level, lambda k, sol, failed: k,
-                functional=lambda j: sum(x * y for x, y in zip(
-                    f, cycles[j])) if j < len(cycles) else 0)
-    if k is None:
+    ans = _search([(k, None) for k in range(power_bound)], level,
+                  lambda j, b: False,
+                  functional=lambda j: sum(x * y for x, y in zip(
+                      f, cycles[j])) if j < len(cycles) else 0)
+    if not ans.found():
         raise PlanarityNotOneError("no class with functional value 1")
-    return k
+    return ans.level
 
 
 def _mat_mul(A, B):

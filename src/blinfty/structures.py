@@ -413,12 +413,12 @@ def _first_failure(items, bounds, defect, witness=lambda item, bad: item):
 
 def _split_words(space, bounds, max_letters=None):
     """The nonempty basis words within bounds, in word order, with at most
-    max_letters letters when it is given."""
+    max_letters letters when it is given: the basis less its first word,
+    the empty one."""
     top = bounds.max_letters
     if max_letters is not None:
         top = min(top, max_letters)
-    return [w for w in enumerate_basis(space, top, bounds.max_action)
-            if len(w) >= 1]
+    return enumerate_basis(space, top, bounds.max_action)[1:]
 
 
 def _check_split_words(alg, bounds, images, defect, max_letters=None,

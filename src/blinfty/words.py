@@ -284,24 +284,30 @@ EElement = Element  # the name used where the terms are outer words
 
 def enumerate_basis(space, max_letters, max_action=None, outer_components=None,
                     allow_units=True, max_cluster_letters=None):
-    """All nonzero Words, or EWords when outer_components is given, sorted
-    by key.
+    """All nonzero Words, or EWords when outer_components is given, in key
+    order.
 
     Words: every multiset of generators with at most max_letters letters and
     total action at most max_action (the empty word included).  EWords: at
-    most outer_components clusters, unit clusters permitted unless
+    most outer_components (>= 1) clusters, unit clusters permitted unless
     allow_units is false, optionally capping each cluster's letter count.
     Zero monomials (repeated odd letters or repeated odd clusters) are
     skipped.  The order is part of the contract: the solve pivots on the
     leftmost independent columns, so certificates depend on it.
 
-    Every word is generated in normal form with sign +1: letters come from
-    combinations_with_replacement in Word.key order, and clusters are taken
-    at non-decreasing positions of the key-sorted non-unit words, after the
-    even unit clusters.  An odd letter or cluster is never taken twice.
+    Every word is generated in normal form with sign +1, in key order:
+    letters come from combinations_with_replacement in Word.key order; the
+    non-unit cluster multisets of c + 1 clusters extend those of c, in
+    order, by a key-sorted non-unit word at a non-decreasing position, an
+    odd letter or cluster never taken twice.  EWord.key puts the cluster
+    count first and the unit cluster least, so c clusters are listed with
+    the most unit clusters first, and the window of k clusters is a prefix
+    of the window of k + 1.
     """
     if max_letters < 0:
         raise ValueError("max_letters must be nonnegative")
+    if outer_components is not None and outer_components < 1:
+        raise ValueError("outer_components must be at least 1")
     if max_action is not None:
         max_action = Fraction(max_action)
         for g in space.generators:
@@ -326,28 +332,25 @@ def enumerate_basis(space, max_letters, max_action=None, outer_components=None,
     nonunit = [(w, space.word_parity(w.letters),
                 space.word_action(w.letters) if max_action is not None else 0)
                for w in words[1:]]
-    multisets = [()]
-
-    def extend(prefix, start, letters_left, action_left):
-        for i in range(start, len(nonunit)):
-            w, odd, act = nonunit[i]
-            if len(w) > letters_left:
-                break  # nonunit comes in ascending length
-            if act > action_left:
-                continue
-            prefix.append(w)
-            multisets.append(tuple(prefix))
-            if len(prefix) < outer_components:
-                extend(prefix, i + odd, letters_left - len(w), action_left - act)
-            prefix.pop()
-
-    extend([], 0, max_letters, max_action or 0)
-    out = []
-    for ms in multisets:
-        max_units = (outer_components - len(ms)) if allow_units else 0
-        for n_units in range(0 if ms else 1, max_units + 1):
-            out.append(EWord((UNIT_WORD,) * n_units + ms))
-    return sorted(out, key=EWord.key)
+    # by_count[c]: (multiset, next position, letters left, action left) for
+    # each non-unit multiset of c clusters, in key order
+    by_count = [[((), 0, max_letters, max_action or 0)]]
+    for _ in range(outer_components):
+        grown = []
+        for ms, start, letters_left, action_left in by_count[-1]:
+            for i in range(start, len(nonunit)):
+                w, odd, act = nonunit[i]
+                if len(w) > letters_left:
+                    break  # nonunit comes in ascending length
+                if act <= action_left:
+                    grown.append((ms + (w,), i + odd, letters_left - len(w),
+                                  action_left - act))
+        by_count.append(grown)
+    units = [(UNIT_WORD,) * n for n in range(outer_components + 1)]
+    return [EWord(units[n] + ms)
+            for c in range(1, outer_components + 1)
+            for n in range(c if allow_units else 0, -1, -1)
+            for ms, _, _, _ in by_count[c - n]]
 
 
 def word_to_singletons(word):

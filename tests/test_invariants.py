@@ -25,13 +25,14 @@ from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 linearize_pointed,
                                 identity_table, zero_table,
                                 word_to_singletons)
-from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
-                           UNIT_WORD, Word, enumerate_basis)
+from blinfty.words import (EElement, EWord, Element, Generator, GradedSpace,
+                           UNIT_EWORD, UNIT_WORD, Word, enumerate_basis)
 
 from util import (algebra, bubble_normalize, dense_kernel_basis, dense_rank,
                   dense_solve_linear, eword, one_letter_structure,
                   oracle_check_pointed, oracle_hat_phi,
-                  oracle_is_augmentation, oracle_sd_order, oracle_torsion,
+                  oracle_is_augmentation, oracle_order_kind, oracle_sd_order,
+                  oracle_torsion,
                   random_space, random_table, space, table, word)
 
 B2 = Bounds(2, word_bound=2)
@@ -163,9 +164,12 @@ def test_torsion_of_a_disjoint_union_is_the_min(i, j):
     assert verify_torsion_certificate(union, ans)
 
 
-def test_torsion_ladder_five_under_one_gib():
-    # the found level is 1 x 21,313 with few nonzero columns; solving over
-    # every column built a dense kernel that ran out of this address space
+@pytest.mark.parametrize("n", [5, 6])
+def test_torsion_ladder_five_under_one_gib(n):
+    # rung 5's found level is 1 x 21,313 with few nonzero columns; solving
+    # over every column built a dense kernel that ran out of this address
+    # space.  Rung 6 (a window of 115,262 words) is one more rung of the
+    # ladder, torsion exactly n - 1
     import os
     import resource
     import subprocess
@@ -181,12 +185,12 @@ def test_torsion_ladder_five_under_one_gib():
          "from blinfty import fixtures\n"
          "from blinfty.invariants import default_schedule, torsion\n"
          "from blinfty.structures import Bounds\n"
-         "ans = torsion(fixtures.torsion_ladder(5),\n"
+         "ans = torsion(fixtures.torsion_ladder(%d),\n"
          "              default_schedule(6, Bounds(6)))\n"
-         "print(ans.kind, ans.level)\n"],
+         "print(ans.kind, ans.level)\n" % n],
         capture_output=True, text=True, env=env, preexec_fn=cap,
         timeout=300)
-    assert proc.stdout.split() == ["exact", "4"], proc.stderr[-500:]
+    assert proc.stdout.split() == ["exact", str(n - 1)], proc.stderr[-500:]
 
 
 def test_torsion_zero_structure_not_found():
@@ -354,6 +358,92 @@ def test_order_multi_le_tilde():
     ot = order_multi_tilde(alg, eps, fam, 2, B3)
     assert o.found() and ot.found()
     assert o.level <= ot.level
+
+
+# ---- order kinds --------------------------------------------------------------
+
+def _random_order_case(rng):
+    """Even and odd generators with actions, a linear differential d(e) =
+    c o from even to odd letters on disjoint pairs (action kept, so every
+    bar window is closed), and three pointed tables of constant cells on
+    even words of 1..3 letters, one on the first letter d moves if any: a
+    cell on a word that is not a cycle leaves its level unsolved but not
+    structurally closed."""
+    n = rng.randint(2, 4)
+    parities = [rng.randrange(2) for _ in range(n)]
+    actions = [rng.randint(1, 3) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    pairs = []
+    while len(order) >= 2:
+        i, j = order.pop(), order.pop()
+        if parities[i] != parities[j] and rng.random() < 0.8:
+            i, j = (i, j) if parities[j] else (j, i)
+            actions[j] = actions[i]
+            pairs.append((i, j))
+    sp = GradedSpace([Generator("g%d" % i, parities[i], action=actions[i])
+                      for i in range(n)])
+    alg = BLAlgebra(sp, OperationTable(sp, 1, [
+        (1, 1, Word((i,)), Element.monomial(Word((j,)), rng.randint(1, 3)))
+        for i, j in pairs]))
+    even = [w for w in enumerate_basis(sp, 3)[1:]
+            if not sp.word_parity(w.letters)]
+    sources = [Word((i,)) for i, _ in pairs]
+    tables = [OperationTable(sp, 0, [
+        (len(w), 0, w, Element.monomial(UNIT_WORD, rng.choice((-2, 1, 3))))
+        for w in dict.fromkeys(
+            sources[:1] + rng.sample(even, min(len(even), rng.randint(1, 2))))
+    ]) for _ in range(3)]
+    family = dict(zip(map(frozenset, ({1}, {2}, {1, 2})), tables))
+    bounds = [Bounds(3), Bounds(3, max_action=rng.randint(2, 6)),
+              Bounds(3, max_action=9)]
+    return alg, [fixtures.zero_aug(alg)], PointedMap(alg, tables[0]), \
+        family, bounds
+
+
+def _order_kind_cases(rng):
+    for _, (alg, augs, pmap) in sorted(fixtures.corpus().items()):
+        if pmap is not None:
+            yield alg, augs, pmap, None, [B2, B3, Bounds(3, word_bound=2),
+                                          Bounds(1, word_bound=3)]
+    for n in range(1, 5):
+        alg, pmap = fixtures.order_ladder(n)
+        yield alg, [fixtures.zero_aug(alg)], pmap, None, [
+            Bounds(n, word_bound=n), Bounds(n + 1)]
+    for _ in range(40):
+        yield _random_order_case(rng)
+
+
+def test_order_kinds_match_answer_semantics_oracle():
+    # the kind of every found order against the rule written out from the
+    # answer semantics: the fixtures, the order ladders and random constant
+    # pointed tables over linear differentials, with and without an action
+    # bound; a multi-point family without its own tables repeats pmap's
+    seen = set()
+    for alg, augs, pmap, family, bounds_list in _order_kind_cases(
+            random.Random(4242)):
+        if family is None:
+            family = {S: pmap.table
+                      for S in map(frozenset, ({1}, {2}, {1, 2}))}
+        for bounds, eps in itertools.product(bounds_list, augs):
+            lpt = linearize_pointed(pmap, alg, eps, bounds)
+            for order in (order_O, order_O_tilde):
+                ans = order(alg, eps, pmap, bounds)
+                if ans.found():
+                    assert ans.kind == oracle_order_kind(
+                        order, lpt, bounds, ans.level), (order, ans, bounds)
+                seen.add((order.__name__, ans.kind, ans.level == 1))
+            for order in (order_multi, order_multi_tilde):
+                ans = order(alg, eps, family, 2, bounds)
+                if ans.found():
+                    assert ans.kind == oracle_order_kind(
+                        order, None, bounds, ans.level), (order, ans, bounds)
+                seen.add((order.__name__, ans.kind, ans.level == 1))
+    for name in ("order_O", "order_O_tilde", "order_multi",
+                 "order_multi_tilde"):
+        assert {(name, "exact", True), (name, "at-most", False),
+                (name, "not-found", False)} <= seen, name
+    assert ("order_O", "exact", False) in seen
+    assert ("order_O_tilde", "exact", False) in seen
 
 
 def test_width_monotonicity_on_fixtures():

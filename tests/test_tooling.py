@@ -63,6 +63,27 @@ def test_only_io_builds_documents():
     assert not calls, calls
 
 
+def test_one_rule_decides_at_most():
+    # every search answer's kind is decided by invariants._search; only it
+    # and TorsionAnswer.found name the kind "at-most"
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(path.stem, tree)]
+        while scopes:
+            name, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    scopes.append(("%s.%s" % (name, child.name), child))
+                elif isinstance(child, ast.Constant) and \
+                        child.value == "at-most":
+                    sites.append(name)
+                else:
+                    scopes.append((name, child))
+    assert sorted(sites) == ["invariants.TorsionAnswer.found",
+                             "invariants._search"], sites
+
+
 def _bench_tracer():
     path = SRC.parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)

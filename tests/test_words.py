@@ -238,6 +238,15 @@ def test_enumerate_action_missing_errors():
         enumerate_basis(sp, 2, max_action=1)
 
 
+@pytest.mark.parametrize("units", [False, True])
+def test_enumerate_refuses_fewer_than_one_cluster(units):
+    # no outer word has fewer than one cluster
+    sp = space(("a", 0), ("b", 1))
+    for oc in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_basis(sp, 2, outer_components=oc, allow_units=units)
+
+
 def test_enumerate_monotone_in_max_letters():
     sp = space(("a", 1), ("b", 0))
     prev = set()
@@ -290,7 +299,8 @@ def test_sort_with_sign_matches_bubble_oracle_seeded():
 
 def test_enumerate_ewords_matches_brute_force_seeded():
     # the outer-word enumeration stops at the first word longer than the
-    # letters left; the output must be every admissible multiset, in order
+    # letters left; the output must be every admissible multiset, in order,
+    # and each smaller cluster bound's window a prefix of it
     rng = random.Random(3131)
     for trial in range(80):
         n = rng.randint(1, 3)
@@ -308,6 +318,13 @@ def test_enumerate_ewords_matches_brute_force_seeded():
                               allow_units=units, max_cluster_letters=mcl)
         assert got == oracle_window(sp, ml, ma, oc, units, mcl), (
             sp.parities, ml, ma, oc, units, mcl)
+        # the window of k clusters is a prefix of the window of oc
+        for k in range(1, oc):
+            smaller = enumerate_basis(sp, ml, ma, outer_components=k,
+                                      allow_units=units,
+                                      max_cluster_letters=mcl)
+            assert got[:len(smaller)] == smaller, (
+                sp.parities, ml, ma, k, oc, units, mcl)
 
 
 def test_enumerate_words_matches_brute_force_seeded():

@@ -848,6 +848,36 @@ def oracle_torsion(alg, schedule):
     return ("not-found", None, None, schedule[-1][1])
 
 
+def oracle_order_kind(order, lin_pointed, bounds, level):
+    """The kind of an order found at level, from the answer semantics.
+
+    A level j below the found one is certified to hold no cycle of
+    functional value 1 when one of these holds:
+    - order_O and order_O_tilde: the linearized pointed table lin_pointed
+      has no constant cell (i, 0) with a nonzero entry and i <= j, so the
+      functional vanishes on every word of at most j letters or clusters;
+    - order_O only: bounds has no action bound and max_letters >= j, so the
+      finite inner bar complex of words of length <= j was searched whole.
+    The multi-point orders certify no level (lin_pointed is not read).  The
+    answer is exact when every j in 1..level-1 is certified, at-most
+    otherwise.
+    """
+    name = order.__name__
+    assert name in ("order_O", "order_O_tilde", "order_multi",
+                    "order_multi_tilde"), name
+
+    def certified(j):
+        if name in ("order_multi", "order_multi_tilde"):
+            return False
+        if not any(i <= j for (i, l), cell in lin_pointed.cells.items()
+                   if l == 0 and any(cell.values())):
+            return True
+        return (name == "order_O" and bounds.max_action is None
+                and bounds.max_letters >= j)
+
+    return "exact" if all(map(certified, range(1, level))) else "at-most"
+
+
 def oracle_sd_order(ell1, umod, ell_point):
     """sd_order with one dense system per power of U, each solved by the
     dense elimination."""
