@@ -10,6 +10,10 @@ hbar.  Without an hbar cap only forests of genus zero survive (the
 BL-infinity gluing); with a cap, terms above it are dropped (the hard
 quotient by hbar^(cap+1)).
 
+Each operator reads its input words in table.space and normalizes its
+outputs in table.target: no entry point takes a space beside its table,
+and the structures over a table refuse one over another space.
+
 Two enumerations feed the step, and they alone decide whether a partial
 table (complete=False, entries up to max_k) determines the operator.
 Coderivation type: one block per listed operation, each taking one of its
@@ -64,41 +68,41 @@ from .words import (EElement, Element, _normalize_indices, _odd_inversion_sign,
                     koszul_pass_sign, normalize_clusters, word_to_singletons)
 
 
-def apply_coderivation(space, table, x, *, single_cluster=False):
+def apply_coderivation(table, x, *, single_cluster=False):
     """Apply the coderivation assembled from a (k,l) operation table: one
     letter from each of k distinct clusters, those clusters merging into
     (output letters) * (leftovers).  With single_cluster, only the arity
     that merges every lettered cluster is glued."""
-    return _glue(space, space, x, _operation_blocks(
+    return _glue(table.space, table.target, x, _operation_blocks(
         [(table, table.parity)], single_cluster=single_cluster))
 
 
-def apply_inner_coderivation(space, table, element):
+def apply_inner_coderivation(table, element):
     """The bar differential of an operation family on inner words: the
     coderivation on split words, each image term flattened into one word."""
-    return _flatten(space, _glue(space, space, _split(element),
-                                 _operation_blocks([(table, table.parity)])))
+    return _flatten(table.target, apply_coderivation(table, _split(element)))
 
 
-def apply_multi_pointed(space, tables, x):
+def apply_multi_pointed(tables, x):
     """Glue one operation from each listed (table, parity) simultaneously
     and acyclically, each taking at most one letter per cluster.  This is
     the middle level of the multiple-point-constraint assembly; the sum
     over set partitions of the constraint set is taken by the caller."""
-    return _glue(space, space, x, _operation_blocks(tables))
+    table = tables[0][0]
+    return _glue(table.space, table.target, x, _operation_blocks(tables))
 
 
-def apply_ibl(space, table, x, hbar_cap):
+def apply_ibl(table, x, hbar_cap):
     """The cycle-permitting hbar-graded coderivation: one operation of
     genus g takes any letters, raising the exponent by g plus the cycles
     it closes.  Terms beyond hbar_cap are discarded."""
-    return _glue(space, space, x,
+    return _glue(table.space, table.target, x,
                  _operation_blocks([(table, table.parity)],
                                    one_per_cluster=False), hbar_cap)
 
 
-def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
-                   target_space=None, *, single_cluster=False):
+def apply_morphism(table, x, bullet_table=None, bullet_parity=0, *,
+                   single_cluster=False):
     """Apply the assembled morphism of a (k,l) table to an outer element.
 
     Every letter is consumed by exactly one block and the glued graph must
@@ -114,13 +118,12 @@ def apply_morphism(space, table, x, bullet_table=None, bullet_parity=0,
     where the sum over all set partitions would.  With single_cluster,
     only the block lists whose glued graph is connected are made.
     """
-    tgt = target_space if target_space is not None else space
     tables = [(table, 0)]
     if bullet_table is not None:
         tables.append((bullet_table, bullet_parity))
-    factors = _factors(space)
-    return _glue(space, tgt, x, lambda owner, letters: _set_partitions(
-        (owner, letters, tables, factors, single_cluster)),
+    factors = _factors(table.space)
+    return _glue(table.space, table.target, x, lambda owner, letters: (
+        _set_partitions((owner, letters, tables, factors, single_cluster))),
         factors=factors)
 
 

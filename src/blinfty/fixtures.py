@@ -274,9 +274,8 @@ def document_corpus():
     from . import io as bio
     docs = {}
     for name, (alg, augs, pmap) in corpus().items():
-        bounds = Bounds(3, word_bound=3,
-                        max_action=(2 if name == "planar-torsion-one" else None),
-                        action_drop=alg.table.action_drop)
+        bounds = Bounds(3, word_bound=3, max_action=(
+            2 if name == "planar-torsion-one" else None))
         docs[name] = bio.serialize(
             bio.document_of_algebra(alg, bounds=bounds))
         for i, eps in enumerate(augs):

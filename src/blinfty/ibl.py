@@ -18,7 +18,7 @@ from .words import EElement, EWord, Element, UNIT_WORD, _normalize_indices
 
 def apply_hat_p_ibl(ialg, x, hbar_cap):
     """The cycle-permitting coderivation, truncated above hbar_cap."""
-    return assembly.apply_ibl(ialg.space, ialg.table, x, hbar_cap)
+    return assembly.apply_ibl(ialg.table, x, hbar_cap)
 
 
 def two_level_ibl(ialg, word, hbar_cap):

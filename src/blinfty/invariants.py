@@ -278,8 +278,8 @@ def _bar(ell):
     length 1..k within bounds under the linearized bar differential."""
     sp = ell.space
     return (lambda k, bounds: _split_words(sp, bounds, k),
-            lambda w: assembly.apply_inner_coderivation(sp, ell,
-                                                        Element.monomial(w)),
+            lambda w: assembly.apply_inner_coderivation(
+                ell, Element.monomial(w)),
             lambda w: sp.word_parity(w.letters))
 
 
@@ -298,8 +298,11 @@ def _functional_from_constants(lin_pointed, word):
 def _order(bounds, level, functional, closed):
     """An order: the least level k <= bounds.outer() with a cycle of
     functional value 1, its solution as certificate; a smaller level j is
-    certified unsolvable when closed(j, bounds)."""
-    return _search(default_schedule(bounds.outer(), bounds), level, closed,
+    certified unsolvable when closed(j, bounds).  No level above
+    max_letters is searched: every cluster takes a letter, so no window
+    grows there."""
+    top = min(bounds.outer(), max(1, bounds.max_letters))
+    return _search(default_schedule(top, bounds), level, closed,
                    functional=functional)
 
 
@@ -328,12 +331,11 @@ def order_O_tilde(alg, eps, pmap, bounds):
     unit-coefficient functional of the linearized pointed operator."""
     lin = _linearized(alg, eps, bounds, None)
     lpt = linearize_pointed(pmap, alg, eps, bounds)
-    sp = alg.space
     return _order(
-        bounds, _level(_outer_window(sp, False), lambda ew: (
-            assembly.apply_coderivation(sp, lin, EElement.monomial(ew)))),
+        bounds, _level(_outer_window(alg.space, False), lambda ew: (
+            assembly.apply_coderivation(lin, EElement.monomial(ew)))),
         lambda ew: assembly.apply_coderivation(
-            sp, lpt, EElement.monomial(ew)).unit_coefficient(),
+            lpt, EElement.monomial(ew)).unit_coefficient(),
         lambda j, b: _level_structurally_closed(lpt, j))
 
 
@@ -355,13 +357,13 @@ def _multi_linearized(family, alg, eps, bounds, images):
             for S, tab in family.items()}
 
 
-def apply_multi_pointed_linearized(space, lin_family, m, x):
+def apply_multi_pointed_linearized(lin_family, m, x):
     """Sum over set partitions of the constraint labels, gluing the
     partition's linearized operators simultaneously."""
     acc = {}
     for keys in _label_partitions(tuple(range(1, m + 1)), lin_family):
         tables = [(lin_family[key], lin_family[key].parity) for key in keys]
-        for ew, c in assembly.apply_multi_pointed(space, tables, x).terms.items():
+        for ew, c in assembly.apply_multi_pointed(tables, x).terms.items():
             acc[ew] = acc.get(ew, 0) + c
     return EElement(acc)
 
@@ -392,16 +394,15 @@ def _order_multi(alg, eps, family, m, bounds, cap, images):
                          "blocks in the family" % m)
     lin = _linearized(alg, eps, bounds, images)
     lin_family = _multi_linearized(family, alg, eps, bounds, images)
-    sp = alg.space
 
     def d(ew):
-        out = assembly.apply_coderivation(sp, lin, EElement.monomial(ew))
+        out = assembly.apply_coderivation(lin, EElement.monomial(ew))
         return out if cap is None else project_width(out, cap)
 
     return _order(
-        bounds, _level(_outer_window(sp, False, cap), d),
+        bounds, _level(_outer_window(alg.space, False, cap), d),
         lambda ew: apply_multi_pointed_linearized(
-            sp, lin_family, m, EElement.monomial(ew)).unit_coefficient(),
+            lin_family, m, EElement.monomial(ew)).unit_coefficient(),
         lambda j, b: False)
 
 
@@ -442,19 +443,18 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
     # phi_eps^{k,l} = pi_{1,l} o F_eps o phi-hat o F_{-eps o phi}
     f_minus_src = f_eps(eps_src, -1)
     f_plus_tgt = f_eps(eps_target, +1)
-    sp_src, sp_tgt = phi.source.space, phi.target.space
     phi_eps = _split_word_table(
-        sp_src, lambda x: assembly.apply_morphism(
-            f_plus_tgt.source.space, f_plus_tgt.table,
+        phi.source.space, lambda x: assembly.apply_morphism(
+            f_plus_tgt.table,
             apply_hat_phi(phi, apply_hat_phi(f_minus_src, x)),
             single_cluster=True),
-        0, bounds, target=sp_tgt, constants=False)
-    transported = _apply_inner_morphism(sp_src, sp_tgt, ell_table(phi_eps),
+        0, bounds, target=phi.target.space, constants=False)
+    transported = _apply_inner_morphism(ell_table(phi_eps),
                                         src_answer.certificate)
     lin_tgt = linearize(phi.target, eps_target, bounds)
     lpt_tgt = linearize_pointed(q_bullet, phi.target, eps_target, bounds)
     ell_tgt = ell_table(lin_tgt)
-    closed = not assembly.apply_inner_coderivation(sp_tgt, ell_tgt, transported)
+    closed = not assembly.apply_inner_coderivation(ell_tgt, transported)
     f_val = sum((_functional_from_constants(lpt_tgt, w) * c
                  for w, c in transported.terms.items()), Fraction(0))
     tgt_level = max((len(w) for w in transported.terms), default=0)
@@ -469,12 +469,12 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
     }
 
 
-def _apply_inner_morphism(src, tgt, table_k1, element):
+def _apply_inner_morphism(table, element):
     """The bar-complex morphism assembled from single-output components:
     the assembled morphism on split words, each image term flattened into
     one normalized word."""
-    return assembly._flatten(tgt, assembly.apply_morphism(
-        src, table_k1, assembly._split(element), target_space=tgt))
+    return assembly._flatten(table.target, assembly.apply_morphism(
+        table, assembly._split(element)))
 
 
 # ---------------------------------------------------------------------------

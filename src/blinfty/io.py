@@ -372,11 +372,19 @@ def document_of_table(space, kind, name, table, bounds=None):
     """A document of one table block of the given kind, declaring max_k
     exactly when the table is partial.  Only an ibl table holds genera, so
     a positive genus in another kind raises ValueError: written here it
-    would read back as another table (document_of_ibl writes it)."""
+    would read back as another table (document_of_ibl writes it).  The
+    bounds line declares action_drop exactly for a structure table that
+    drops action, which without bounds raises ValueError."""
     entries = table.sorted_entries()
     if kind != "ibl" and any(g for _, _, g, _, _ in entries):
         raise ValueError("the table carries genera, which a %s table "
                          "cannot hold; write it with document_of_ibl" % kind)
+    drop = kind == "structure" and table.action_drop
+    if bounds is not None:
+        bounds = Bounds(bounds.max_letters, bounds.max_action,
+                        bounds.word_bound, bounds.hbar_max, drop)
+    elif drop:
+        raise ValueError("a structure table that drops action needs bounds")
     block = TableBlock(kind, name, table.parity, entries,
                        None if table.complete else table.max_k)
     return Document(space, [block], (), bounds)

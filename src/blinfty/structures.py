@@ -226,6 +226,8 @@ class BLAlgebra:
     def __init__(self, space, table):
         if table.parity != 1:
             raise StructureError("structure table must have parity 1")
+        if table.space is not space:
+            raise StructureError("structure table is over another space")
         self.space = space
         self.table = table
 
@@ -241,6 +243,8 @@ class BLMorphism:
     def __init__(self, source, target, table):
         if table.parity != 0:
             raise StructureError("morphism table must have parity 0")
+        if table.space is not source.space:
+            raise StructureError("morphism table is over another space")
         self.source = source
         self.target = target
         self.table = table
@@ -257,6 +261,8 @@ class Augmentation(BLMorphism):
 
 class PointedMap:
     def __init__(self, algebra, table):
+        if table.space is not algebra.space:
+            raise StructureError("pointed table is over another space")
         self.algebra = algebra
         self.table = table
         self.parity = table.parity
@@ -269,6 +275,8 @@ class UModule:
     def __init__(self, space, table):
         if table.parity != 0:
             raise StructureError("U must have parity 0")
+        if table.space is not space:
+            raise StructureError("U table is over another space")
         for (k, l) in table.cells:
             if (k, l) != (1, 1):
                 raise StructureError("U must be a linear endomorphism")
@@ -324,7 +332,7 @@ class SplitImages:
                 key = ew
         out = self.held(table).get(key)
         if out is None:
-            out = assembly.apply_coderivation(self.algebra.space, table, x)
+            out = assembly.apply_coderivation(table, x)
             if new is not None and key is not None:
                 new[key] = out
         return out
@@ -350,13 +358,12 @@ def _images_for(alg, images):
 
 def apply_hat_p(alg, x):
     """Evaluate the assembled coderivation on an outer element."""
-    return assembly.apply_coderivation(alg.space, alg.table, x)
+    return assembly.apply_coderivation(alg.table, x)
 
 
 def apply_hat_phi(mor, x):
     """Evaluate the assembled morphism on an outer element."""
-    return assembly.apply_morphism(mor.source.space, mor.table, x,
-                                   target_space=mor.target.space)
+    return assembly.apply_morphism(mor.table, x)
 
 
 def pi_single_cluster(x):
@@ -382,8 +389,7 @@ def _p_squared(alg, y):
     no term is made only to be projected away.  A partial table raises
     exactly where the full square does: the coderivation's coverage check
     looks at the clusters, not at the arities it enumerates."""
-    return assembly.apply_coderivation(alg.space, alg.table, y,
-                                       single_cluster=True)
+    return assembly.apply_coderivation(alg.table, y, single_cluster=True)
 
 
 def _connected_part(image, word):
@@ -486,11 +492,9 @@ def check_morphism(mor, bounds, images=None):
 
     def defect(image, x):
         return (assembly.apply_morphism(
-                    src.space, mor.table, image(src.table, x),
-                    target_space=tgt.space, single_cluster=True)
+                    mor.table, image(src.table, x), single_cluster=True)
                 - assembly.apply_coderivation(
-                    tgt.space, tgt.table, apply_hat_phi(mor, x),
-                    single_cluster=True))
+                    tgt.table, apply_hat_phi(mor, x), single_cluster=True))
     return _check_split_words(src, bounds, images, defect, bounds.outer())
 
 
@@ -528,16 +532,10 @@ def compose(psi, phi, bounds):
     """
     if phi.target is not psi.source:
         raise StructureError("composition type mismatch")
-    mid = phi.target.space
-
-    def image(x):
-        y = assembly.apply_morphism(phi.source.space, phi.table, x,
-                                    target_space=mid)
-        return assembly.apply_morphism(mid, psi.table, y,
-                                       target_space=psi.target.space,
-                                       single_cluster=True)
-    table = _split_word_table(phi.source.space, image, 0, bounds,
-                              target=psi.target.space)
+    table = _split_word_table(
+        phi.source.space, lambda x: assembly.apply_morphism(
+            psi.table, apply_hat_phi(phi, x), single_cluster=True),
+        0, bounds, target=psi.target.space)
     return BLMorphism(phi.source, psi.target, table)
 
 
@@ -555,8 +553,7 @@ def is_augmentation(eps, alg, bounds, images=None):
         return VerifyStatus(True, bounds, images=_images_for(alg, images))
     return _check_split_words(
         alg, bounds, images, lambda image, x: assembly.apply_morphism(
-            alg.space, eps.table, image(alg.table, x),
-            target_space=TRIVIAL_SPACE, single_cluster=True),
+            eps.table, image(alg.table, x), single_cluster=True),
         bounds.outer())
 
 
@@ -581,8 +578,7 @@ def _linearize_table(images, optable, eps, bounds, parity, constants):
     f_mor = f_eps(eps, +1)
     return _split_word_table(
         images.algebra.space, lambda x: assembly.apply_morphism(
-            f_mor.source.space, f_mor.table, images.image(optable, x),
-            single_cluster=True),
+            f_mor.table, images.image(optable, x), single_cluster=True),
         parity, bounds, constants=constants)
 
 
@@ -609,8 +605,8 @@ def ell_table(lin_table):
     return lin_table.sub_table(lambda k, l: l == 1)
 
 
-def apply_hat_pointed(pmap, alg, x):
-    return assembly.apply_coderivation(alg.space, pmap.table, x)
+def apply_hat_pointed(pmap, x):
+    return assembly.apply_coderivation(pmap.table, x)
 
 
 def check_pointed(pmap, alg, bounds, images=None):
@@ -623,20 +619,16 @@ def check_pointed(pmap, alg, bounds, images=None):
 
     def defect(image, x):
         return (assembly.apply_coderivation(
-                    alg.space, pmap.table, image(alg.table, x),
-                    single_cluster=True)
+                    pmap.table, image(alg.table, x), single_cluster=True)
                 - sgn * assembly.apply_coderivation(
-                    alg.space, alg.table, image(pmap.table, x),
-                    single_cluster=True))
+                    alg.table, image(pmap.table, x), single_cluster=True))
     return _check_split_words(alg, bounds, images, defect, bounds.outer())
 
 
 def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
     """The pointed-morphism assembly: exactly one marked component."""
-    return assembly.apply_morphism(mor.source.space, mor.table, x,
-                                   bullet_table=phi_bullet_table,
-                                   bullet_parity=bullet_parity,
-                                   target_space=mor.target.space)
+    return assembly.apply_morphism(mor.table, x, bullet_table=phi_bullet_table,
+                                   bullet_parity=bullet_parity)
 
 
 def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
@@ -661,18 +653,15 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
 
     def defect(image, x):
         return (assembly.apply_coderivation(
-                    tgt.space, q_bullet.table, apply_hat_phi(phi, x),
-                    single_cluster=True)
+                    q_bullet.table, apply_hat_phi(phi, x), single_cluster=True)
                 - sq * assembly.apply_morphism(
-                    src.space, phi.table, apply_hat_pointed(p_bullet, src, x),
-                    target_space=tgt.space, single_cluster=True)
-                - assembly.apply_coderivation(
-                    tgt.space, tgt.table,
-                    apply_hat_phi_bullet(phi, phi_bullet_table, x, bp),
+                    phi.table, apply_hat_pointed(p_bullet, x),
                     single_cluster=True)
+                - assembly.apply_coderivation(tgt.table, apply_hat_phi_bullet(
+                    phi, phi_bullet_table, x, bp), single_cluster=True)
                 - sq * assembly.apply_morphism(
-                    src.space, phi.table, image(src.table, x),
+                    phi.table, image(src.table, x),
                     bullet_table=phi_bullet_table, bullet_parity=bp,
-                    target_space=tgt.space, single_cluster=True))
+                    single_cluster=True))
     return _check_split_words(src, bounds, status.images, defect,
                               bounds.outer())

@@ -134,8 +134,7 @@ def test_criterion_4_linearized_quadratic_relation():
             if len(w) < 1:
                 continue
             e = Element.monomial(w)
-            dd = apply_inner_coderivation(
-                alg.space, lt, apply_inner_coderivation(alg.space, lt, e))
+            dd = apply_inner_coderivation(lt, apply_inner_coderivation(lt, e))
             assert not dd, (name, w)
         n_pairs += 1
     report("4", "bar differential squares to zero on words of <= 4 letters "
@@ -202,8 +201,8 @@ def _commutator_corrected(alg, ptab, fb):
         if len(w) < 1:
             continue
         x = EElement.monomial(word_to_singletons(w))
-        com = (apply_hat_p(alg, apply_coderivation(sp, fb, x))
-               + apply_coderivation(sp, fb, apply_hat_p(alg, x)))
+        com = (apply_hat_p(alg, apply_coderivation(fb, x))
+               + apply_coderivation(fb, apply_hat_p(alg, x)))
         for l, e in pi_single_cluster(com).items():
             key = (len(w), l, w)
             entries[key] = entries.get(key, Element()) + e
@@ -255,8 +254,7 @@ def test_criterion_6_width_monotonicity():
         lin = linearize(alg, eps, bounds)
         for ew in enumerate_basis(alg.space, 3, outer_components=3,
                                   allow_units=False):
-            out = apply_coderivation(alg.space, lin,
-                                     EElement.monomial(ew))
+            out = apply_coderivation(lin, EElement.monomial(ew))
             for ew2 in out.terms:
                 assert width(ew2) >= width(ew), (name, ew, ew2)
                 checked += 1

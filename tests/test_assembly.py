@@ -257,10 +257,10 @@ def test_pointed_leibniz_on_squares():
     alg = algebra(sp, [])
     pmap = PointedMap(alg, pb)
     x = EElement.monomial(eword(sp, ("g",), ("g",)))
-    got = apply_hat_pointed(pmap, alg, x)
+    got = apply_hat_pointed(pmap, x)
     assert got == EElement.monomial(eword(sp, (), ("g",)), Fraction(2))
     y = EElement.monomial(eword(sp, ("g", "g")))
-    got2 = apply_hat_pointed(pmap, alg, y)
+    got2 = apply_hat_pointed(pmap, y)
     assert got2 == EElement.monomial(eword(sp, ("g",)), Fraction(2))
 
 
@@ -270,7 +270,7 @@ def test_multi_pointed_shares_cluster():
     t1 = table(sp, 0, [(1, 0, ("g",), [(1, ())])])
     t2 = table(sp, 0, [(1, 0, ("g",), [(1, ())])])
     x = EElement.monomial(eword(sp, ("g", "g")))
-    got = assembly.apply_multi_pointed(sp, [(t1, 0), (t2, 0)], x)
+    got = assembly.apply_multi_pointed([(t1, 0), (t2, 0)], x)
     assert got == EElement.monomial(UNIT_EWORD, Fraction(2))
 
 
@@ -282,8 +282,8 @@ def test_multi_pointed_one_op_equals_coderivation():
                            n_entries=rng.randint(1, 4))
         for ew in enumerate_basis(sp, 3, outer_components=2)[:10]:
             x = EElement.monomial(ew)
-            a = assembly.apply_multi_pointed(sp, [(tab, tab.parity)], x)
-            b = assembly.apply_coderivation(sp, tab, x)
+            a = assembly.apply_multi_pointed([(tab, tab.parity)], x)
+            b = assembly.apply_coderivation(tab, x)
             assert a == b
 
 
@@ -391,7 +391,7 @@ def test_multi_pointed_matches_independent_oracle():
         tabs = [(t1, t1.parity), (t2, t2.parity)]
         for ew in enumerate_basis(sp, 4, outer_components=2)[:14]:
             x = EElement.monomial(ew)
-            got = assembly.apply_multi_pointed(sp, tabs, x)
+            got = assembly.apply_multi_pointed(tabs, x)
             want = oracle_multi(sp, tabs, ew)
             assert got == want, (ew, t1.cells, t2.cells)
 
@@ -450,24 +450,23 @@ def test_gluing_step_matches_oracles_seeded_sweep():
         ewords = enumerate_basis(sp, 3, outer_components=2)
         for ew in rng.sample(ewords, 3):
             x = EElement.monomial(ew)
-            agree("coderivation", assembly.apply_coderivation(sp, tab, x),
+            agree("coderivation", assembly.apply_coderivation(tab, x),
                   oracle_hat_p(sp, tab, ew))
-            agree("multi", assembly.apply_multi_pointed(sp, tabs, x),
+            agree("multi", assembly.apply_multi_pointed(tabs, x),
                   oracle_multi(sp, tabs, ew))
-            agree("morphism", assembly.apply_morphism(sp, mor, x),
+            agree("morphism", assembly.apply_morphism(mor, x),
                   oracle_hat_phi(sp, sp, mor, ew))
             agree("bullet", assembly.apply_morphism(
-                sp, mor, x, bullet_table=bullet, bullet_parity=1),
+                mor, x, bullet_table=bullet, bullet_parity=1),
                 oracle_hat_phi(sp, sp, mor, ew, bullet_table=bullet,
                                bullet_parity=1))
             ew_h = EWord(ew.clusters, hbar=rng.randrange(2))
-            agree("ibl", assembly.apply_ibl(sp, itab, EElement.monomial(ew_h),
-                                            2),
+            agree("ibl", assembly.apply_ibl(itab, EElement.monomial(ew_h), 2),
                   oracle_ibl(sp, itab, ew_h, 2))
         words = enumerate_basis(sp, 3)[1:]
         for w in [UNIT_WORD] + rng.sample(words, min(3, len(words))):
             agree("inner", assembly.apply_inner_coderivation(
-                sp, tab, Element.monomial(w)), oracle_inner(sp, tab, w))
+                tab, Element.monomial(w)), oracle_inner(sp, tab, w))
     assert min(nonzero.values()) >= 100, nonzero
 
 
@@ -528,17 +527,17 @@ def test_gluing_step_coefficient_types_match_oracles_seeded_sweep(kind):
                             denominators=dens).sorted_entries()])
         ewords = rng.sample(enumerate_basis(sp, 3, outer_components=2), 3)
         x = EElement({ew: _coefficient(rng, kind) for ew in ewords})
-        agree("coderivation", assembly.apply_coderivation(sp, tab, x),
+        agree("coderivation", assembly.apply_coderivation(tab, x),
               _summed(x, lambda ew: oracle_hat_p(sp, tab, ew)))
-        agree("morphism", assembly.apply_morphism(sp, mor, x),
+        agree("morphism", assembly.apply_morphism(mor, x),
               _summed(x, lambda ew: oracle_hat_phi(sp, sp, mor, ew)))
         agree("bullet", assembly.apply_morphism(
-            sp, mor, x, bullet_table=bullet, bullet_parity=1),
+            mor, x, bullet_table=bullet, bullet_parity=1),
             _summed(x, lambda ew: oracle_hat_phi(
                 sp, sp, mor, ew, bullet_table=bullet, bullet_parity=1)))
         x_h = EElement({EWord(ew.clusters, hbar=rng.randrange(2)): c
                         for ew, c in x.terms.items()})
-        agree("ibl", assembly.apply_ibl(sp, itab, x_h, 2),
+        agree("ibl", assembly.apply_ibl(itab, x_h, 2),
               _summed(x_h, lambda ew: oracle_ibl(sp, itab, ew, 2)))
     assert min(nonzero.values()) >= 15, nonzero
     assert (fractional > 0) == (kind != "integral"), fractional
@@ -683,7 +682,7 @@ def test_morphism_enumeration_matches_unpruned_sweep(monkeypatch):
                     sp, sp, x, unpruned_morphism_blocks(tab, btab, 1)))
                 made.clear()
                 got = _outcome(lambda: assembly.apply_morphism(
-                    sp, tab, x, bullet_table=btab, bullet_parity=1))
+                    tab, x, bullet_table=btab, bullet_parity=1))
                 assert got == want, (name, x, got, want)
                 if got == "incomplete":
                     seen["raised"] += 1
@@ -765,15 +764,15 @@ def test_partial_tables_never_read_a_missing_arity_as_zero():
         w = Element.monomial(normalize_word(sp, [
             rng.randrange(len(sp)) for _ in range(rng.randint(1, 3))])[0])
         check("coderivation",
-              lambda t: assembly.apply_coderivation(sp, t, x), [p])
+              lambda t: assembly.apply_coderivation(t, x), [p])
         check("inner",
-              lambda t: assembly.apply_inner_coderivation(sp, t, w), [p])
+              lambda t: assembly.apply_inner_coderivation(t, w), [p])
         check("multi", lambda t, u: assembly.apply_multi_pointed(
-            sp, [(t, t.parity), (u, u.parity)], x), [p, q])
-        check("ibl", lambda t: assembly.apply_ibl(sp, t, xh, 2), [g])
-        check("morphism", lambda t: assembly.apply_morphism(sp, t, x), [m])
+            [(t, t.parity), (u, u.parity)], x), [p, q])
+        check("ibl", lambda t: assembly.apply_ibl(t, xh, 2), [g])
+        check("morphism", lambda t: assembly.apply_morphism(t, x), [m])
         check("bullet", lambda t, u: assembly.apply_morphism(
-            sp, t, x, bullet_table=u, bullet_parity=1), [m, b])
+            t, x, bullet_table=u, bullet_parity=1), [m, b])
         check("hat_p", lambda t: apply_hat_p(BLAlgebra(sp, t), x), [p])
         check("hat_phi",
               lambda t: apply_hat_phi(BLMorphism(alg, alg, t), x), [m])
@@ -829,18 +828,18 @@ def test_single_cluster_enumeration_matches_projected_full_sweep():
         for ew in ews:
             x = EElement.monomial(ew)
             sc = pi_single_cluster(assembly.apply_coderivation(
-                sp, p, x, single_cluster=True))
+                p, x, single_cluster=True))
             assert sc == pi_single_cluster(
-                assembly.apply_coderivation(sp, p, x)), ew
+                assembly.apply_coderivation(p, x)), ew
             assert sc == pi_single_cluster(oracle_hat_p(sp, p, ew)), ew
             seen["coderivation"] += bool(sc)
             sc = pi_single_cluster(assembly.apply_morphism(
-                sp, m, x, single_cluster=True))
-            assert sc == pi_single_cluster(assembly.apply_morphism(sp, m, x))
+                m, x, single_cluster=True))
+            assert sc == pi_single_cluster(assembly.apply_morphism(m, x))
             assert sc == pi_single_cluster(oracle_hat_phi(sp, sp, m, ew)), ew
             seen["morphism"] += bool(sc)
             sc = pi_single_cluster(assembly.apply_morphism(
-                sp, m, x, bullet_table=bullet, bullet_parity=1,
+                m, x, bullet_table=bullet, bullet_parity=1,
                 single_cluster=True))
             assert sc == pi_single_cluster(oracle_hat_phi(
                 sp, sp, m, ew, bullet_table=bullet, bullet_parity=1)), ew
@@ -848,17 +847,17 @@ def test_single_cluster_enumeration_matches_projected_full_sweep():
 
             for name, evaluate in [
                     ("coderivation", lambda **kw: assembly.apply_coderivation(
-                        sp, p_inc, x, **kw)),
+                        p_inc, x, **kw)),
                     ("morphism", lambda **kw: assembly.apply_morphism(
-                        sp, m_inc, x, **kw))]:
+                        m_inc, x, **kw))]:
                 sc = projected(lambda: evaluate(single_cluster=True))
                 assert sc == projected(evaluate), (name, ew)
                 seen[name + " raised"] += sc == "incomplete"
             sc = projected(lambda: assembly.apply_morphism(
-                sp, m_inc, x, bullet_table=b_inc, bullet_parity=1,
+                m_inc, x, bullet_table=b_inc, bullet_parity=1,
                 single_cluster=True))
             full = projected(lambda: assembly.apply_morphism(
-                sp, m_inc, x, bullet_table=b_inc, bullet_parity=1))
+                m_inc, x, bullet_table=b_inc, bullet_parity=1))
             if sc == "incomplete":
                 assert full == "incomplete", ew
                 seen["bullet raised"] += 1
@@ -880,12 +879,12 @@ def test_single_cluster_bullet_morphism_need_not_raise():
                    complete=False, max_k=3)
     x = EElement.monomial(eword(sp, ("a",), ("b",), ("c",)))
     with pytest.raises(IncompleteTableError):
-        assembly.apply_morphism(sp, main, x, bullet_table=bullet,
+        assembly.apply_morphism(main, x, bullet_table=bullet,
                                 bullet_parity=1)
-    got = assembly.apply_morphism(sp, main, x, bullet_table=bullet,
+    got = assembly.apply_morphism(main, x, bullet_table=bullet,
                                   bullet_parity=1, single_cluster=True)
     assert pi_single_cluster(got) == {}
     full = table(sp, 0, [(1, 1, (g,), [(1, (g,))]) for g in "abc"]
                  + [(2, 1, ("b", "c"), [(1, ("b",))])])
     assert pi_single_cluster(assembly.apply_morphism(
-        sp, full, x, bullet_table=bullet, bullet_parity=1)) == {}
+        full, x, bullet_table=bullet, bullet_parity=1)) == {}

@@ -110,23 +110,54 @@ def _cli_value(argv):
     return value
 
 
-@pytest.mark.parametrize("i, j", [(1, 2), (2, 2), (2, 3), (1, 3), (3, 3)])
+# corpus algebras by name, with their torsion; inf where it is not found
+_CORPUS_TORSION = {"planar-torsion-one": 1, "torsion-zero": 0,
+                   "mixed-no-aug": INF}
+
+
+def _component(key):
+    """(algebra, torsion, max_letters) of a ladder rung, by its number, or
+    of a corpus algebra, by its name."""
+    if isinstance(key, int):
+        return fixtures.torsion_ladder(key), key - 1, key
+    return fixtures.corpus()[key][0], _CORPUS_TORSION[key], 3
+
+
+def _cli_hierarchy(path, torsion):
+    """The CLI's hierarchy of the document at path.  With torsion not
+    found and no augmentation the CLI is inconclusive (exit 3); its
+    torsion then enters a combination as infinity, inf^PT."""
+    if torsion != INF:
+        return _cli_value(["hierarchy", str(path)])
+    buf = pyio.StringIO()
+    assert cli.main(["hierarchy", str(path)], stream=buf) == 3, \
+        buf.getvalue()
+    assert "torsion not found" in buf.getvalue()
+    return repr(HierarchyValue("PT", INF))
+
+
+@pytest.mark.parametrize("i, j", [
+    (1, 2), (2, 2), (2, 3), (1, 3), (3, 3),
+    ("planar-torsion-one", "planar-torsion-one"),
+    ("planar-torsion-one", "torsion-zero"),
+    ("torsion-zero", "torsion-zero"),
+    ("planar-torsion-one", "mixed-no-aug")])
 def test_cli_hierarchy_of_a_disjoint_union_combines_its_components(
         tmp_path, i, j):
     # the hierarchy functor takes a disjoint union to the combination of
     # its components' values (torsion by min): the CLI's hierarchy of the
-    # serialized union of ladder rungs i and j equals combine of theirs
-    bounds = Bounds(max(i, j), action_drop=True)
+    # serialized union of two ladder rungs or corpus algebras equals
+    # combine of theirs
+    (a, ta, la), (b, tb, lb) = _component(i), _component(j)
+    bounds = Bounds(max(la, lb))
     values = []
-    for name, alg in (("a", fixtures.torsion_ladder(i)),
-                      ("b", fixtures.torsion_ladder(j)),
-                      ("union", fixtures.disjoint_union(
-                          fixtures.torsion_ladder(i),
-                          fixtures.torsion_ladder(j)))):
+    for name, alg, t in (("a", a, ta), ("b", b, tb),
+                         ("union", fixtures.disjoint_union(a, b),
+                          min(ta, tb))):
         path = tmp_path / ("%s.blf" % name)
         path.write_text(bio.serialize(bio.document_of_algebra(alg, bounds)),
                         encoding="utf-8")
-        values.append(_cli_value(["hierarchy", str(path)]))
+        values.append(_cli_hierarchy(path, t))
     a, b, union = values
     assert union == _cli_value(["combine", a, b])
-    assert union == repr(HierarchyValue("PT", min(i, j) - 1))
+    assert union == repr(HierarchyValue("PT", min(ta, tb)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from blinfty import assembly, fixtures, invariants
+from blinfty import io as bio
 from blinfty.assembly import apply_coderivation
 from blinfty.errors import (InconclusiveError, NotNilpotentError,
                             PlanarityNotOneError, StructureError)
@@ -289,6 +290,23 @@ def test_order_zero_functional_not_found():
     assert ans.kind == "not-found"
 
 
+def test_order_solves_no_level_above_max_letters(monkeypatch):
+    # no order's window grows above max_letters, so a larger word_bound
+    # adds no level to solve
+    sizes = []
+    solve = invariants._solve
+
+    def recorded(basis, columns, target):
+        sizes.append(len(basis))
+        return solve(basis, columns, target)
+    monkeypatch.setattr(invariants, "_solve", recorded)
+    alg, _ = fixtures.pointed_two()
+    pz = PointedMap(alg, zero_table(alg.space, parity=0))
+    ans = order_O(alg, fixtures.zero_aug(alg), pz, Bounds(2, word_bound=6))
+    assert ans.kind == "not-found"
+    assert sizes == [2, 5]
+
+
 def test_order_tilde_pointed_fixtures():
     for fix, expect in ((fixtures.pointed_one, 1), (fixtures.pointed_two, 2)):
         alg, pmap = fix()
@@ -452,8 +470,7 @@ def test_width_monotonicity_on_fixtures():
             lin = linearize(alg, eps, B3)
             for ew in enumerate_basis(alg.space, 3, outer_components=2,
                                       allow_units=False):
-                out = apply_coderivation(alg.space, lin,
-                                         EElement.monomial(ew))
+                out = apply_coderivation(lin, EElement.monomial(ew))
                 for ew2 in out.terms:
                     assert width(ew2) >= width(ew), (name, ew, ew2)
 
@@ -468,8 +485,8 @@ def test_width_projection_idempotent_rule():
                               allow_units=False):
         x = EElement.monomial(ew)
         lhs = project_width(
-            apply_coderivation(alg.space, lin, project_width(x, m)), m)
-        rhs = project_width(apply_coderivation(alg.space, lin, x), m)
+            apply_coderivation(lin, project_width(x, m)), m)
+        rhs = project_width(apply_coderivation(lin, x), m)
         assert (not project_width(x, m)) or lhs == rhs
 
 
@@ -480,11 +497,11 @@ def test_pointed_eps_respects_unit_splitting():
     lpt = linearize_pointed(pmap, alg, eps, B3)
     sp = alg.space
     units = EElement.monomial(EWord((UNIT_WORD, UNIT_WORD)))
-    assert not apply_coderivation(sp, lpt, units)
+    assert not apply_coderivation(lpt, units)
     a = EElement.monomial(eword(sp, ("g",)))
     a1 = EElement.monomial(eword(sp, ("g",), ()))
-    lhs = apply_coderivation(sp, lpt, a1)
-    rhs = apply_coderivation(sp, lpt, a)
+    lhs = apply_coderivation(lpt, a1)
+    rhs = apply_coderivation(lpt, a)
     # appending a unit cluster to the result matches acting before appending
     appended = EElement({EWord(tuple(sorted(ew.clusters + (UNIT_WORD,),
                                             key=lambda c: c.key())),
@@ -548,11 +565,11 @@ def test_inner_morphism_matches_flattened_oracle():
                 if sign:
                     key = Word(tuple(letters))
                     want[key] = want.get(key, 0) + c * sign
-            got = _apply_inner_morphism(sp, sp, tab, Element.monomial(w))
+            got = _apply_inner_morphism(tab, Element.monomial(w))
             assert got == Element(want), (sp.parities, w)
             total = total + got
         assert _apply_inner_morphism(
-            sp, sp, tab, Element({w: 1 for w in words})) == total
+            tab, Element({w: 1 for w in words})) == total
         tables += 1
 
 
@@ -811,10 +828,9 @@ def test_inner_coderivation_matches_projected_outer():
             for w in enumerate_basis(alg.space, 3):
                 if len(w) < 1:
                     continue
-                inner = apply_inner_coderivation(alg.space, lt,
-                                                 Element.monomial(w))
+                inner = apply_inner_coderivation(lt, Element.monomial(w))
                 outer = project_width(
-                    apply_coderivation(alg.space, lin,
+                    apply_coderivation(lin,
                                        EElement.monomial(
                                            word_to_singletons(w))), 1)
                 flattened = {}
@@ -1067,6 +1083,24 @@ def test_torsion_matches_level_search_oracle():
                for kind in ("exact", "at-most", "not-found")) >= 5
 
 
+def test_action_drop_survives_a_document_round_trip():
+    # the bounds line declares an action-dropping structure table whatever
+    # the caller's Bounds say, so the re-read algebra certifies the levels
+    # below its answer by the action filtration as the original does
+    bounds = Bounds(3, max_action=3)
+    for alg in (_spectator_union(), fixtures.torsion_ladder(3)):
+        back = bio.algebra_from_document(bio.parse(bio.serialize(
+            bio.document_of_algebra(alg, bounds))))
+        assert back.table.action_drop
+        want, got = (torsion(a, default_schedule(3, bounds))
+                     for a in (alg, back))
+        assert (got.kind, got.level, got.certificate, got.bounds) == \
+            (want.kind, want.level, want.certificate, want.bounds)
+        assert want.kind == "exact"
+        with pytest.raises(ValueError):
+            bio.document_of_algebra(alg)
+
+
 def _sd_outcome(order, inputs):
     try:
         return order(*inputs)
@@ -1097,10 +1131,10 @@ def _count_hat_p(monkeypatch, alg):
     seen = []
     glue = assembly.apply_coderivation
 
-    def counted(space, table, x, *, single_cluster=False):
+    def counted(table, x, *, single_cluster=False):
         if table is alg.table and not single_cluster:
             seen.extend(x.terms)
-        return glue(space, table, x, single_cluster=single_cluster)
+        return glue(table, x, single_cluster=single_cluster)
     monkeypatch.setattr(assembly, "apply_coderivation", counted)
     return seen
 

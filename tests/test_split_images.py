@@ -33,10 +33,10 @@ def _record_first_stage(monkeypatch):
     calls = []
     glue = assembly.apply_coderivation
 
-    def recording(space, table, x, *, single_cluster=False):
+    def recording(table, x, *, single_cluster=False):
         if not single_cluster:
             calls.append((table, frozenset(x.terms.items())))
-        return glue(space, table, x, single_cluster=single_cluster)
+        return glue(table, x, single_cluster=single_cluster)
     monkeypatch.setattr(assembly, "apply_coderivation", recording)
     return calls
 

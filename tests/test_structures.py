@@ -8,7 +8,7 @@ from blinfty.errors import (IncompleteTableError, InternalInconsistencyError,
                             StructureError)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, TRIVIAL_ALGEBRA,
-                                TRIVIAL_SPACE,
+                                UModule,
                                 apply_hat_p, apply_hat_phi, apply_hat_pointed,
                                 apply_hat_phi_bullet, check_compatibility,
                                 check_morphism, check_pointed, check_structure,
@@ -78,9 +78,9 @@ def test_table_equality_compares_coverage():
     assert partial == OperationTable(sp, 1, (), complete=False, max_k=1)
     assert OperationTable(sp, 1, (), max_k=3) == zero_table(sp)
     x = EElement.monomial(eword(sp, ("a",), ("b",)))
-    assert not assembly.apply_coderivation(sp, zero_table(sp), x)
+    assert not assembly.apply_coderivation(zero_table(sp), x)
     with pytest.raises(IncompleteTableError):
-        assembly.apply_coderivation(sp, partial, x)
+        assembly.apply_coderivation(partial, x)
 
 
 def test_table_rejects_unnormalized_input():
@@ -97,6 +97,21 @@ def test_table_action_drop_rejects_raising():
 
 
 # ---- morphism checks -------------------------------------------------------
+
+def test_structures_refuse_a_table_over_another_space():
+    # an assembled operator reads its words in its table's space, while
+    # windows are enumerated over the structure's; a table over another
+    # space, even one with the same generators, is refused
+    sp, other = space(("a", 0), ("b", 1)), space(("a", 0), ("b", 1))
+    alg = BLAlgebra(sp, zero_table(sp))
+    for build in (lambda: BLAlgebra(sp, zero_table(other)),
+                  lambda: BLMorphism(alg, alg, zero_table(other, 0)),
+                  lambda: Augmentation(alg, zero_table(other, 0)),
+                  lambda: PointedMap(alg, zero_table(other, 0)),
+                  lambda: UModule(sp, zero_table(other, 0))):
+        with pytest.raises(StructureError):
+            build()
+
 
 def test_identity_morphism_verifies_on_fixture():
     alg = fixtures.planar_torsion_one()
@@ -344,8 +359,7 @@ def quadratic_defect(sp, lt, max_letters):
         if len(w) < 1:
             continue
         e = Element.monomial(w)
-        dd = apply_inner_coderivation(
-            sp, lt, apply_inner_coderivation(sp, lt, e))
+        dd = apply_inner_coderivation(lt, apply_inner_coderivation(lt, e))
         if dd:
             return w, dd
     return None
@@ -373,7 +387,7 @@ def test_pointed_one_fixture():
     assert check_pointed(pmap, alg, B3).ok
     sp = alg.space
     x = EElement.monomial(eword(sp, ("g",), ("g",)))
-    got = apply_hat_pointed(pmap, alg, x)
+    got = apply_hat_pointed(pmap, x)
     assert got == EElement.monomial(eword(sp, (), ("g",)), Fraction(2))
 
 
@@ -527,8 +541,7 @@ def test_outer_cap_keeps_word_bounded_windows():
     assert not oracle_is_augmentation(eps, alg, Bounds(3, word_bound=2))
     uncapped = structures._check_split_words(
         alg, bounds, None, lambda image, x: assembly.apply_morphism(
-            alg.space, eps.table, image(alg.table, x),
-            target_space=TRIVIAL_SPACE, single_cluster=True))
+            eps.table, image(alg.table, x), single_cluster=True))
     assert uncapped.witness == word(alg.space, "q1", "q2")
 
 
@@ -574,9 +587,9 @@ def commutator_pointed(alg, phi_bullet, parity_bullet):
         if len(w) < 1:
             continue
         x = EElement.monomial(word_to_singletons(w))
-        com = (apply_hat_p(alg, assembly.apply_coderivation(sp, phi_bullet, x))
+        com = (apply_hat_p(alg, assembly.apply_coderivation(phi_bullet, x))
                - sgn * assembly.apply_coderivation(
-                   sp, phi_bullet, apply_hat_p(alg, x)))
+                   phi_bullet, apply_hat_p(alg, x)))
         for l, e in pi_single_cluster(com).items():
             entries[(len(w), l, w)] = e
     rows = [(k, l, w, e) for (k, l, w), e in entries.items()]
@@ -693,9 +706,9 @@ def _random_compatibility_case(rng):
         inverse = _diagonal(sp, [1 / c for c in lam])
 
         def solved(x):
-            y = assembly.apply_morphism(sp, inverse, x)
+            y = assembly.apply_morphism(inverse, x)
             return ((-1) ** d * apply_hat_phi(
-                        phi, apply_hat_pointed(p_bullet, src, y))
+                        phi, apply_hat_pointed(p_bullet, y))
                     + apply_hat_p(tgt, apply_hat_phi_bullet(phi, fb, y, bp))
                     - (-1) ** bp * apply_hat_phi_bullet(
                         phi, fb, apply_hat_p(src, y), bp))

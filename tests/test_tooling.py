@@ -84,6 +84,29 @@ def test_one_rule_decides_at_most():
                              "invariants._search"], sites
 
 
+def test_operators_read_their_spaces_from_their_tables():
+    # an assembled operator's spaces are its table's: no call passes a
+    # target_space, and each assembly entry point takes its table (or its
+    # list of tables) first and no space beside it
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and any(
+                    kw.arg == "target_space" for kw in node.keywords):
+                calls.append("%s:%d" % (path.name, node.lineno))
+    assert not calls, calls
+    params = {node.name: [a.arg for a in node.args.args
+                          + node.args.kwonlyargs]
+              for node in ast.parse((SRC / "assembly.py").read_text()).body
+              if isinstance(node, ast.FunctionDef)}
+    entry = {"apply_coderivation": "table", "apply_inner_coderivation": "table",
+             "apply_multi_pointed": "tables", "apply_ibl": "table",
+             "apply_morphism": "table"}
+    assert {name: params[name][0] for name in entry} == entry
+    assert not [name for name in entry
+                if {"space", "target_space"} & set(params[name])]
+
+
 def _bench_tracer():
     path = SRC.parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -134,7 +157,7 @@ def test_bench_tracer_counts_block_lists_reaching_the_gluing_step(
     tracer.install(lib)
     try:
         tracer.begin_op(0)
-        out = lib.assembly.apply_morphism(sp, mor, x)
+        out = lib.assembly.apply_morphism(mor, x)
         tracer.end_op()
     finally:
         tracer.uninstall()

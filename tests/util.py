@@ -22,7 +22,7 @@ from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            normalize_word, normalize_clusters)
 from blinfty.hierarchy import HierarchyValue
 from blinfty.structures import (OperationTable, BLAlgebra, Bounds,
-                                TRIVIAL_SPACE, apply_hat_p, apply_hat_phi,
+                                apply_hat_p, apply_hat_phi,
                                 apply_hat_phi_bullet, apply_hat_pointed)
 from blinfty import assembly
 
@@ -640,8 +640,7 @@ def full_window_failure(space, bounds, defect):
 def oracle_is_augmentation(eps, alg, bounds):
     """eps-hat o p-hat vanishes on every outer word of the window."""
     return full_window_failure(alg.space, bounds, lambda x: (
-        assembly.apply_morphism(alg.space, eps.table, apply_hat_p(alg, x),
-                                target_space=TRIVIAL_SPACE))) is None
+        assembly.apply_morphism(eps.table, apply_hat_p(alg, x)))) is None
 
 
 def oracle_check_pointed(pmap, alg, bounds):
@@ -649,8 +648,8 @@ def oracle_check_pointed(pmap, alg, bounds):
     the structure itself is not checked."""
     sgn = -1 if pmap.parity % 2 else 1
     return full_window_failure(alg.space, bounds, lambda x: (
-        apply_hat_pointed(pmap, alg, apply_hat_p(alg, x))
-        != sgn * apply_hat_p(alg, apply_hat_pointed(pmap, alg, x)))) is None
+        apply_hat_pointed(pmap, apply_hat_p(alg, x))
+        != sgn * apply_hat_p(alg, apply_hat_pointed(pmap, x)))) is None
 
 
 def oracle_check_morphism(mor, bounds):
@@ -676,8 +675,8 @@ def oracle_check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table,
 
     def defect(x):
         phix = apply_hat_phi(phi, x)
-        lhs = (apply_hat_pointed(q_bullet, tgt, phix)
-               - sq * apply_hat_phi(phi, apply_hat_pointed(p_bullet, src, x)))
+        lhs = (apply_hat_pointed(q_bullet, phix)
+               - sq * apply_hat_phi(phi, apply_hat_pointed(p_bullet, x)))
         bx = apply_hat_phi_bullet(phi, phi_bullet_table, x, bp)
         bpx = apply_hat_phi_bullet(phi, phi_bullet_table,
                                    apply_hat_p(src, x), bp)
