@@ -59,8 +59,7 @@ def _bounds_from(args, doc):
         hbar_max = base.hbar_max
     return Bounds(max_letters, max_action=max_action,
                   word_bound=getattr(args, "word_bound", None),
-                  hbar_max=hbar_max,
-                  action_drop=(base.action_drop if base else False))
+                  hbar_max=hbar_max)
 
 
 def _load(path):
@@ -172,11 +171,11 @@ def cmd_verify(args, rep):
     # each check below reads and adds to the split-word images of the last
     for path in args.aug:
         eps = _load_side(path, alg, "augmentation")
-        status = is_augmentation(eps, alg, bounds, status.images)
+        status = is_augmentation(eps, bounds, status.images)
         code |= _report_check(rep, "augmentation", status.ok)
     for path in args.pointed:
         _, pmap = _load_side(path, alg, "pointed-map")
-        status = check_pointed(pmap, alg, bounds, status.images)
+        status = check_pointed(pmap, bounds, status.images)
         code |= _report_check(rep, "pointed", status.ok)
     return code
 
@@ -210,18 +209,18 @@ def cmd_linearize(args, rep):
     if not args.aug:
         return _inconclusive(rep, "linearize", "no augmentation supplied")
     eps = _load_side(args.aug[0], alg, "augmentation")
-    status = is_augmentation(eps, alg, bounds, status.images)
+    status = is_augmentation(eps, bounds, status.images)
     if not status.ok:
         rep.add("linearize", "augmentation-failed")
         return 1
-    lin = linearize(alg, eps, bounds, status.images)
+    lin = linearize(eps, bounds, status.images)
     rep.add("linearize", "ok")
     rep.add("cells", str(len(lin.cells)))
     ell = ell_table(lin)
     rep.add("ell-cells", str(len(ell.cells)))
     if args.certificate:
         _write_certificate(args, rep, bio.document_of_table(
-            alg.space, "structure", "p_eps", lin, bounds))
+            "structure", "p_eps", lin, bounds))
     return 0
 
 
@@ -244,14 +243,14 @@ def _checked_inputs(args, rep):
         raise _InputFailed
     augs = [_load_side(p, alg, "augmentation") for p in args.aug]
     for eps in augs:
-        status = is_augmentation(eps, alg, bounds, status.images)
+        status = is_augmentation(eps, bounds, status.images)
         if not status.ok:
             rep.add("augmentation", "failed")
             raise _InputFailed
     pmaps = []
     for p in args.pointed:
         pdoc, pmap = _load_side(p, alg, "pointed-map")
-        status = check_pointed(pmap, alg, bounds, status.images)
+        status = check_pointed(pmap, bounds, status.images)
         if not status.ok:
             rep.add("pointed", "failed")
             raise _InputFailed
@@ -265,7 +264,7 @@ def cmd_order(args, rep):
         return _inconclusive(rep, "order", "no augmentation supplied")
     if not pmaps:
         return _inconclusive(rep, "order", "no pointed map supplied")
-    ans = order_O(alg, augs[0], pmaps[0][1], bounds, images)
+    ans = order_O(augs[0], pmaps[0][1], bounds, images)
     code = _report_answer(rep, "order", ans)
     if ans.found() and args.certificate:
         chain = EElement({EWord((w,)): c
@@ -287,7 +286,7 @@ def _subset_of_name(name):
 
 
 def cmd_order_multi(args, rep):
-    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
+    bounds, _, augs, pmaps, images = _checked_inputs(args, rep)
     if not augs or not pmaps:
         return _inconclusive(rep, "order-multi",
                              "need an augmentation and pointed maps")
@@ -302,29 +301,28 @@ def cmd_order_multi(args, rep):
     if m is None:
         m = max(max(s) for s in family)
     code = _report_answer(rep, "order-multi",
-                          order_multi(alg, augs[0], family, m, bounds,
-                                      images))
+                          order_multi(augs[0], family, m, bounds, images))
     rep.add("points", str(m))
     return code
 
 
-def _sd_level(args, bounds, alg, augs, pmaps, images):
+def _sd_level(args, bounds, augs, pmaps, images):
     """The semi-dilation order of the first augmentation and pointed map
     under the --umap endomorphism."""
     eps, (_, pmap) = augs[0], pmaps[0]
-    lin = linearize(alg, eps, bounds, images)
-    lpt = linearize_pointed(pmap, alg, eps, bounds, images)
-    umod = _load_side(args.umap, alg, "umodule")
+    lin = linearize(eps, bounds, images)
+    lpt = linearize_pointed(pmap, eps, bounds, images)
+    umod = _load_side(args.umap, eps.source, "umodule")
     return sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
                     lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
 
 
 def cmd_sd(args, rep):
-    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
+    bounds, _, augs, pmaps, images = _checked_inputs(args, rep)
     if not augs or not pmaps or not args.umap:
         return _inconclusive(rep, "sd", "need --aug, --pointed and --umap")
     try:
-        k = _sd_level(args, bounds, alg, augs, pmaps, images)
+        k = _sd_level(args, bounds, augs, pmaps, images)
     except PlanarityNotOneError:
         return _inconclusive(rep, "sd", "no class with functional value 1")
     except NotNilpotentError as e:
@@ -336,11 +334,11 @@ def cmd_sd(args, rep):
 
 
 def cmd_planarity(args, rep):
-    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
+    bounds, _, augs, pmaps, images = _checked_inputs(args, rep)
     if not pmaps:
         return _inconclusive(rep, "planarity", "no pointed map supplied")
     try:
-        ans = planarity(alg, augs, pmaps[0][1], bounds, images=images)
+        ans = planarity(augs, pmaps[0][1], bounds, images=images)
     except InconclusiveError as e:
         return _inconclusive(rep, "planarity", str(e))
     code = _report_answer(rep, "planarity", ans)
@@ -356,7 +354,7 @@ def cmd_hierarchy(args, rep):
     sd_level = None
     if pmaps:
         try:
-            pl = planarity(alg, augs, pmaps[0][1], bounds, t, images)
+            pl = planarity(augs, pmaps[0][1], bounds, t, images)
             if pl.found():
                 rep.add("planarity", "%s %d" % (pl.kind, pl.level))
         except InconclusiveError:
@@ -364,7 +362,7 @@ def cmd_hierarchy(args, rep):
     if pl is not None and pl.found() and pl.level == 1 and args.umap \
             and augs:
         try:
-            sd_level = _sd_level(args, bounds, alg, augs, pmaps, images)
+            sd_level = _sd_level(args, bounds, augs, pmaps, images)
             rep.add("sd", "exact %d" % sd_level)
         except (PlanarityNotOneError, NotNilpotentError):
             sd_level = None

@@ -279,24 +279,23 @@ def document_corpus():
         docs[name] = bio.serialize(
             bio.document_of_algebra(alg, bounds=bounds))
         for i, eps in enumerate(augs):
-            docs["%s.aug%d" % (name, i)] = bio.serialize(
-                bio.document_of_table(alg.space, "augmentation",
-                                      "eps%d" % i, eps.table))
+            docs["%s.aug%d" % (name, i)] = bio.serialize(bio.document_of_table(
+                "augmentation", "eps%d" % i, eps.table))
         if pmap is not None:
             docs["%s.pointed" % name] = bio.serialize(bio.document_of_table(
-                alg.space, "pointed", "S1", pmap.table))
+                "pointed", "S1", pmap.table))
     alg, utab, pmap = sd_example()
     docs["sd-example"] = bio.serialize(bio.document_of_algebra(
         alg, bounds=Bounds(2, word_bound=2)))
     docs["sd-example.aug0"] = bio.serialize(bio.document_of_table(
-        alg.space, "augmentation", "eps0", zero_table(alg.space, 0)))
+        "augmentation", "eps0", zero_table(alg.space, 0)))
     docs["sd-example.umap"] = bio.serialize(bio.document_of_table(
-        alg.space, "umodule", "U", utab))
+        "umodule", "U", utab))
     docs["sd-example.pointed"] = bio.serialize(bio.document_of_table(
-        alg.space, "pointed", "S1", pmap.table))
+        "pointed", "S1", pmap.table))
     p0alg, _ = pointed_one()
     docs["pointed-one.umap"] = bio.serialize(bio.document_of_table(
-        p0alg.space, "umodule", "U", zero_table(p0alg.space, 0)))
+        "umodule", "U", zero_table(p0alg.space, 0)))
     # a flat algebra is its own hbar-graded lift
     docs["ibl-planar"] = bio.serialize(bio.document_of_ibl(
         planar_torsion_one(), bounds=Bounds(3, hbar_max=2)))

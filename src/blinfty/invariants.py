@@ -306,18 +306,18 @@ def _order(bounds, level, functional, closed):
                    functional=functional)
 
 
-def _linearized(alg, eps, bounds, images):
+def _linearized(eps, bounds, images):
     if eps is None:
         raise PlanarityZeroError("order requires an augmentation")
-    return linearize(alg, eps, bounds, images)
+    return linearize(eps, bounds, images)
 
 
-def order_O(alg, eps, pmap, bounds, images=None):
+def order_O(eps, pmap, bounds, images=None):
     """Least word length whose linearized bar homology hits the constant
-    functional value 1.  p-hat and P-hat are read from images, alg's (see
-    SplitImages)."""
-    ell = ell_table(_linearized(alg, eps, bounds, images))
-    lpt = linearize_pointed(pmap, alg, eps, bounds, images)
+    functional value 1.  p-hat and P-hat are read from images, their
+    algebra's (see SplitImages)."""
+    ell = ell_table(_linearized(eps, bounds, images))
+    lpt = linearize_pointed(pmap, eps, bounds, images)
     # the length-j complexes are finite, so an unrestricted enumeration
     # makes a failed level j conclusive
     return _order(bounds, _level(*_bar(ell)),
@@ -326,13 +326,13 @@ def order_O(alg, eps, pmap, bounds, images=None):
                   or _level_structurally_closed(lpt, j))
 
 
-def order_O_tilde(alg, eps, pmap, bounds):
+def order_O_tilde(eps, pmap, bounds):
     """The unreduced variant: outer words of nonempty clusters, with the
     unit-coefficient functional of the linearized pointed operator."""
-    lin = _linearized(alg, eps, bounds, None)
-    lpt = linearize_pointed(pmap, alg, eps, bounds)
+    lin = _linearized(eps, bounds, None)
+    lpt = linearize_pointed(pmap, eps, bounds)
     return _order(
-        bounds, _level(_outer_window(alg.space, False), lambda ew: (
+        bounds, _level(_outer_window(eps.source.space, False), lambda ew: (
             assembly.apply_coderivation(lin, EElement.monomial(ew)))),
         lambda ew: assembly.apply_coderivation(
             lpt, EElement.monomial(ew)).unit_coefficient(),
@@ -350,9 +350,9 @@ def project_width(x, m):
                      if all(len(cl) <= m for cl in ew.clusters)})
 
 
-def _multi_linearized(family, alg, eps, bounds, images):
+def _multi_linearized(family, eps, bounds, images):
     """Linearize each constraint-subset table separately."""
-    return {frozenset(S): linearize_pointed(PointedMap(alg, tab), alg, eps,
+    return {frozenset(S): linearize_pointed(PointedMap(eps.source, tab), eps,
                                             bounds, images)
             for S, tab in family.items()}
 
@@ -384,7 +384,7 @@ def _label_partitions(labels, family):
                     yield [key] + tail
 
 
-def _order_multi(alg, eps, family, m, bounds, cap, images):
+def _order_multi(eps, family, m, bounds, cap, images):
     if m < 1:
         raise ValueError("a multi-point order needs m >= 1 points, got %d"
                          % m)
@@ -392,36 +392,36 @@ def _order_multi(alg, eps, family, m, bounds, cap, images):
                               set(map(frozenset, family))), None) is None:
         raise ValueError("no set partition of the points 1..%d has all its "
                          "blocks in the family" % m)
-    lin = _linearized(alg, eps, bounds, images)
-    lin_family = _multi_linearized(family, alg, eps, bounds, images)
+    lin = _linearized(eps, bounds, images)
+    lin_family = _multi_linearized(family, eps, bounds, images)
 
     def d(ew):
         out = assembly.apply_coderivation(lin, EElement.monomial(ew))
         return out if cap is None else project_width(out, cap)
 
     return _order(
-        bounds, _level(_outer_window(alg.space, False, cap), d),
+        bounds, _level(_outer_window(eps.source.space, False, cap), d),
         lambda ew: apply_multi_pointed_linearized(
             lin_family, m, EElement.monomial(ew)).unit_coefficient(),
         lambda j, b: False)
 
 
-def order_multi(alg, eps, family, m, bounds, images=None):
+def order_multi(eps, family, m, bounds, images=None):
     """Multi-point order on the width-truncated double bar complex.
 
     family maps each nonempty subset of {1..m} to its operation table; the
     complex caps every cluster at m letters, and the functional is the unit
     coefficient of the multi-point operator.  A family with no set
     partition of {1..m} into its subsets raises ValueError, as does m < 1.
-    p-hat and each table's P-hat are read from images, alg's (see
+    p-hat and each table's P-hat are read from images, eps's algebra's (see
     SplitImages).
     """
-    return _order_multi(alg, eps, family, m, bounds, m, images)
+    return _order_multi(eps, family, m, bounds, m, images)
 
 
-def order_multi_tilde(alg, eps, family, m, bounds):
+def order_multi_tilde(eps, family, m, bounds):
     """The untruncated multi-point variant on outer words."""
-    return _order_multi(alg, eps, family, m, bounds, None, None)
+    return _order_multi(eps, family, m, bounds, None, None)
 
 
 def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
@@ -433,11 +433,10 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
     """
     eps_src_mor = compose(eps_target, phi, bounds)
     eps_src = Augmentation(phi.source, eps_src_mor.table)
-    status = is_augmentation(eps_src, phi.source, bounds)
+    status = is_augmentation(eps_src, bounds)
     if not status.ok:
         raise StructureError("pulled-back augmentation fails to verify")
-    src_answer = order_O(phi.source, eps_src, p_bullet, bounds,
-                         status.images)
+    src_answer = order_O(eps_src, p_bullet, bounds, status.images)
     if not src_answer.found():
         return {"source": src_answer, "transported": None, "holds": True}
     # phi_eps^{k,l} = pi_{1,l} o F_eps o phi-hat o F_{-eps o phi}
@@ -451,8 +450,8 @@ def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
         0, bounds, target=phi.target.space, constants=False)
     transported = _apply_inner_morphism(ell_table(phi_eps),
                                         src_answer.certificate)
-    lin_tgt = linearize(phi.target, eps_target, bounds)
-    lpt_tgt = linearize_pointed(q_bullet, phi.target, eps_target, bounds)
+    lin_tgt = linearize(eps_target, bounds)
+    lpt_tgt = linearize_pointed(q_bullet, eps_target, bounds)
     ell_tgt = ell_table(lin_tgt)
     closed = not assembly.apply_inner_coderivation(ell_tgt, transported)
     f_val = sum((_functional_from_constants(lpt_tgt, w) * c
@@ -546,9 +545,10 @@ def _mat_vec(A, v):
 # ---------------------------------------------------------------------------
 # planarity over a supplied augmentation set
 
-def planarity(alg, augmentations, pmap, bounds, torsion_answer=None,
+def planarity(augmentations, pmap, bounds, torsion_answer=None,
               images=None):
-    """Max of the order over the supplied augmentations.
+    """Max of the order over the supplied augmentations of pmap's algebra
+    alg; an augmentation of another algebra raises StructureError.
 
     An empty augmentation set is only conclusive when finite torsion
     certifies that no augmentation exists (the empty maximum is zero), or
@@ -559,8 +559,11 @@ def planarity(alg, augmentations, pmap, bounds, torsion_answer=None,
     augmentation checks and the orders share images, alg's (see
     SplitImages).
     """
+    alg = pmap.algebra
     for eps in augmentations:
-        status = is_augmentation(eps, alg, bounds, images)
+        if eps.source is not alg:
+            raise StructureError("augmentation of another algebra")
+        status = is_augmentation(eps, bounds, images)
         if not status.ok:
             raise StructureError("supplied augmentation fails to verify")
         images = status.images
@@ -571,12 +574,12 @@ def planarity(alg, augmentations, pmap, bounds, torsion_answer=None,
         if t.found():
             return TorsionAnswer("exact", 0, None, bounds)
         if alg.space.all_even():
-            return _planarity_generic_even(alg, pmap, bounds, images)
+            return _planarity_generic_even(pmap, bounds, images)
         raise InconclusiveError(
             "no augmentations supplied and torsion not certified finite")
     best = None
     for eps in augmentations:
-        ans = order_O(alg, eps, pmap, bounds, images)
+        ans = order_O(eps, pmap, bounds, images)
         if not ans.found():
             return TorsionAnswer("not-found", bounds=bounds)
         if best is None or ans.level > best.level:
@@ -595,14 +598,15 @@ def _symbolic_generic_aug(alg, bounds):
     return Augmentation(alg, tab)
 
 
-def _planarity_generic_even(alg, pmap, bounds, images):
+def _planarity_generic_even(pmap, bounds, images):
     """All-even shortcut: every functional family is an augmentation, so
     probe with symbolic values; if no assembled coefficient depends on
     them, the zero-augmentation answer is the answer for all of them."""
+    alg = pmap.algebra
     eps_sym = _symbolic_generic_aug(alg, bounds)
     try:
-        lin = linearize(alg, eps_sym, bounds, images)
-        lpt = linearize_pointed(pmap, alg, eps_sym, bounds, images)
+        lin = linearize(eps_sym, bounds, images)
+        lpt = linearize_pointed(pmap, eps_sym, bounds, images)
     except IncompleteTableError as e:
         raise InconclusiveError(
             "generic-augmentation probe exceeded the symbolic window: %s"
@@ -617,4 +621,4 @@ def _planarity_generic_even(alg, pmap, bounds, images):
                             "(%d,%d) %r" % (k, l, w))
     eps0 = Augmentation(alg, OperationTable(alg.space, 0, (),
                                             target=GradedSpace(())))
-    return order_O(alg, eps0, pmap, bounds, images)
+    return order_O(eps0, pmap, bounds, images)

@@ -50,11 +50,13 @@ class ChainBlock:
 
 
 class Document:
-    def __init__(self, space, tables=(), chains=(), bounds=None):
+    def __init__(self, space, tables=(), chains=(), bounds=None,
+                 action_drop=False):
         self.space = space
         self.tables = list(tables)
         self.chains = list(chains)
         self.bounds = bounds
+        self.action_drop = action_drop  # the bounds line's flag
 
     def table(self, kind=None, name=None):
         for t in self.tables:
@@ -160,7 +162,7 @@ def serialize(doc):
             bits += ["max_action", _format_rational(b.max_action)]
         if b.hbar_max is not None:
             bits += ["hbar_max", str(b.hbar_max)]
-        if b.action_drop:
+        if doc.action_drop:
             bits.append("action_drop")
         lines.append(" ".join(bits))
     return "\n".join(lines) + "\n"
@@ -172,6 +174,7 @@ def parse(text):
     tables = []
     chains_raw = []
     bounds = None
+    action_drop = False
     current = None
     saw_format = False
     space = None
@@ -262,8 +265,8 @@ def parse(text):
                 max_action=(_parse_rational(opts["max_action"], line_no)
                             if "max_action" in opts else None),
                 hbar_max=(_parse_int(opts["hbar_max"], line_no)
-                          if "hbar_max" in opts else None),
-                action_drop="action_drop" in opts)
+                          if "hbar_max" in opts else None))
+            action_drop = "action_drop" in opts
             current = None
         else:
             raise ParseError(line_no, "unknown directive %r" % head)
@@ -272,7 +275,7 @@ def parse(text):
     sp = close_space(1)
     chains = [ChainBlock(name, _parse_chain_body(sp, body, line_no))
               for (name, body, line_no) in chains_raw]
-    return Document(sp, tables, chains, bounds)
+    return Document(sp, tables, chains, bounds, action_drop)
 
 
 def _parse_int(tok, line_no):
@@ -368,26 +371,24 @@ def _parse_chain_body(sp, body, line_no):
 # ---------------------------------------------------------------------------
 # documents <-> typed objects
 
-def document_of_table(space, kind, name, table, bounds=None):
-    """A document of one table block of the given kind, declaring max_k
-    exactly when the table is partial.  Only an ibl table holds genera, so
-    a positive genus in another kind raises ValueError: written here it
-    would read back as another table (document_of_ibl writes it).  The
-    bounds line declares action_drop exactly for a structure table that
-    drops action, which without bounds raises ValueError."""
+def document_of_table(kind, name, table, bounds=None):
+    """A document of one table block of the given kind over the table's
+    space, declaring max_k exactly when the table is partial.  Only an ibl
+    table holds genera, so a positive genus in another kind raises
+    ValueError: written here it would read back as another table
+    (document_of_ibl writes it).  The bounds line declares action_drop
+    exactly for a structure table that drops action, which without bounds
+    raises ValueError."""
     entries = table.sorted_entries()
     if kind != "ibl" and any(g for _, _, g, _, _ in entries):
         raise ValueError("the table carries genera, which a %s table "
                          "cannot hold; write it with document_of_ibl" % kind)
     drop = kind == "structure" and table.action_drop
-    if bounds is not None:
-        bounds = Bounds(bounds.max_letters, bounds.max_action,
-                        bounds.word_bound, bounds.hbar_max, drop)
-    elif drop:
+    if drop and bounds is None:
         raise ValueError("a structure table that drops action needs bounds")
     block = TableBlock(kind, name, table.parity, entries,
                        None if table.complete else table.max_k)
-    return Document(space, [block], (), bounds)
+    return Document(table.space, [block], (), bounds, drop)
 
 
 def document_of_chain(space, name, element):
@@ -397,12 +398,12 @@ def document_of_chain(space, name, element):
 
 def document_of_algebra(alg, bounds=None):
     """The algebra as a structure-table document."""
-    return document_of_table(alg.space, "structure", "p", alg.table, bounds)
+    return document_of_table("structure", "p", alg.table, bounds)
 
 
 def document_of_ibl(alg, bounds=None):
     """The algebra as an ibl-table document, genera included."""
-    return document_of_table(alg.space, "ibl", "p", alg.table, bounds)
+    return document_of_table("ibl", "p", alg.table, bounds)
 
 
 def table_from_block(space, block, action_drop=False, target=None):
@@ -421,9 +422,8 @@ def _block(doc, kind):
 
 def algebra_from_document(doc):
     block = _block(doc, "structure")
-    drop = doc.bounds.action_drop if doc.bounds else False
     return BLAlgebra(doc.space, table_from_block(doc.space, block,
-                                                 action_drop=drop))
+                                                 action_drop=doc.action_drop))
 
 
 def ibl_from_document(doc):

@@ -36,19 +36,18 @@ class Bounds:
     """A finite search window: letter count, action, outer word length."""
 
     def __init__(self, max_letters, max_action=None, word_bound=None,
-                 hbar_max=None, action_drop=False):
+                 hbar_max=None):
         self.max_letters = int(max_letters)
         self.max_action = Fraction(max_action) if max_action is not None else None
         self.word_bound = int(word_bound) if word_bound is not None else None
         self.hbar_max = int(hbar_max) if hbar_max is not None else None
-        self.action_drop = bool(action_drop)
 
     def outer(self):
         return self.word_bound if self.word_bound is not None else self.max_letters
 
     def _key(self):
         return (self.max_letters, self.max_action, self.word_bound,
-                self.hbar_max, self.action_drop)
+                self.hbar_max)
 
     def __eq__(self, other):
         return isinstance(other, Bounds) and self._key() == other._key()
@@ -64,8 +63,6 @@ class Bounds:
             parts.append("word_bound=%d" % self.word_bound)
         if self.hbar_max is not None:
             parts.append("hbar_max=%d" % self.hbar_max)
-        if self.action_drop:
-            parts.append("action_drop")
         return "Bounds(%s)" % ", ".join(parts)
 
 
@@ -473,20 +470,18 @@ def check_structure(alg, bounds, images=None):
         witness=lambda word, bad: (len(word), min(bad), word))
 
 
-def check_morphism(mor, bounds, images=None):
+def check_morphism(mor, bounds):
     """Verify phi-hat o p-hat = p'-hat o phi-hat by its connected part on
     the split words of at most bounds.outer() letters; on failure the
     witness is the first failing split Word.
 
     Source and target must be structures within the same bounds; a failing
-    one raises StructureError.  images are the source's (see SplitImages),
-    and so are the status's.
+    one raises StructureError.  The status's images are the source's (see
+    SplitImages).
     """
     src, tgt = mor.source, mor.target
-    if src is not TRIVIAL_ALGEBRA:
-        status = check_structure(src, bounds, images)
-        _require(status, "source structure")
-        images = status.images
+    status = check_structure(src, bounds)  # empty for the trivial algebra
+    _require(status, "source structure")
     if tgt is not src and tgt is not TRIVIAL_ALGEBRA:
         _require(check_structure(tgt, bounds), "target structure")
 
@@ -495,7 +490,8 @@ def check_morphism(mor, bounds, images=None):
                     mor.table, image(src.table, x), single_cluster=True)
                 - assembly.apply_coderivation(
                     tgt.table, apply_hat_phi(mor, x), single_cluster=True))
-    return _check_split_words(src, bounds, images, defect, bounds.outer())
+    return _check_split_words(src, bounds, status.images, defect,
+                              bounds.outer())
 
 
 def _split_word_table(space, image, parity, bounds, target=None,
@@ -539,16 +535,17 @@ def compose(psi, phi, bounds):
     return BLMorphism(phi.source, psi.target, table)
 
 
-def is_augmentation(eps, alg, bounds, images=None):
+def is_augmentation(eps, bounds, images=None):
     """Check the morphism condition into the trivial algebra, eps-hat o
-    p-hat = 0, by its connected part on the split words of at most
-    bounds.outer() letters; on failure the witness is the first failing
-    split Word.  p-hat is read from images, and the status's images add
-    what was evaluated (see SplitImages).
+    p-hat = 0 on eps's source, by its connected part on the split words of
+    at most bounds.outer() letters; on failure the witness is the first
+    failing split Word.  p-hat is read from images, and the status's images
+    add what was evaluated (see SplitImages).
 
     Parity shortcut: over an all-even space any parity-1 table vanishes,
     so every functional family verifies.
     """
+    alg = eps.source
     if alg.space.all_even():
         return VerifyStatus(True, bounds, images=_images_for(alg, images))
     return _check_split_words(
@@ -558,15 +555,15 @@ def is_augmentation(eps, alg, bounds, images=None):
 
 
 def f_eps(eps, sign=+1):
-    """The linearizing change of coordinates: identity plus +-eps constants."""
+    """The linearizing change of coordinates: identity plus +-eps constants,
+    eps's genus-0 cells (the flat operators glue genus-0 forests only)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
     space = eps.source.space
     entries = [(1, 1, Word((i,)), Element.monomial(Word((i,))))
                for i in range(len(space))]
-    for (k, _, _, w, e) in eps.table.sorted_entries():
-        coeff = sum(e.terms.values())  # supported on the empty word
-        entries.append((k, 0, w, Element.monomial(UNIT_WORD, sign * coeff)))
+    entries += [(k, 0, w, sign * e) for (k, _), cell in eps.table.cells.items()
+                for w, e in cell.items()]
     table = OperationTable(space, 0, entries, complete=eps.table.complete,
                            max_k=max(eps.table.max_k, 1))
     return BLMorphism(eps.source, eps.source, table)
@@ -582,21 +579,24 @@ def _linearize_table(images, optable, eps, bounds, parity, constants):
         parity, bounds, constants=constants)
 
 
-def linearize(alg, eps, bounds, images=None):
-    """The conjugated structure table with all constant terms killed.
+def linearize(eps, bounds, images=None):
+    """The conjugated table of eps's source with all constant terms killed.
 
     Computes pi_{1,l} o F_eps-hat o p-hat on split words, p-hat read from
     images (see SplitImages), and asserts that the l=0 components vanish;
     a nonzero constant term signals a bad augmentation or a bounds leak.
     """
-    return _linearize_table(_images_for(alg, images), alg.table, eps, bounds,
-                            parity=1, constants=False)
+    return _linearize_table(_images_for(eps.source, images), eps.source.table,
+                            eps, bounds, parity=1, constants=False)
 
 
-def linearize_pointed(pmap, alg, eps, bounds, images=None):
-    """Linearize a pointed family; constant terms survive by design.
-    P-hat is read from images, alg's (see SplitImages)."""
-    return _linearize_table(_images_for(alg, images), pmap.table, eps,
+def linearize_pointed(pmap, eps, bounds, images=None):
+    """Linearize a pointed family at an augmentation of its algebra (else
+    StructureError); constant terms survive by design.  P-hat is read from
+    images (see SplitImages)."""
+    if pmap.algebra is not eps.source:
+        raise StructureError("pointed map over another algebra than eps's")
+    return _linearize_table(_images_for(eps.source, images), pmap.table, eps,
                             bounds, parity=pmap.parity, constants=True)
 
 
@@ -609,12 +609,13 @@ def apply_hat_pointed(pmap, x):
     return assembly.apply_coderivation(pmap.table, x)
 
 
-def check_pointed(pmap, alg, bounds, images=None):
-    """Verify the graded commutation of the pointed map with the structure,
+def check_pointed(pmap, bounds, images=None):
+    """Verify the graded commutation of the pointed map with its structure,
     P-hat o p-hat = +-p-hat o P-hat, by its connected part on the split
     words of at most bounds.outer() letters; on failure the witness is the
-    first failing split Word.  p-hat and P-hat are read from images, alg's,
-    and the status's images add the ones evaluated (see SplitImages)."""
+    first failing split Word.  p-hat and P-hat are read from images, and
+    the status's images add the ones evaluated (see SplitImages)."""
+    alg = pmap.algebra
     sgn = -1 if pmap.parity % 2 else 1
 
     def defect(image, x):
@@ -639,11 +640,15 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
 
     phi: morphism between the two algebras; p_bullet / q_bullet pointed
     maps on source / target of equal parity d, s = (-1)^d; phi_bullet has
-    parity d+1, s' = -s.  The defect is made of connected parts only when
-    phi-hat o p-hat = p'-hat o phi-hat, so phi must pass check_morphism
-    within the same bounds; otherwise StructureError.
+    parity d+1, s' = -s; one over another algebra raises StructureError.
+    The defect is made of connected parts only when phi-hat o p-hat =
+    p'-hat o phi-hat, so phi must pass check_morphism within the same
+    bounds; otherwise StructureError.
     """
     d = p_bullet.parity
+    if p_bullet.algebra is not phi.source or \
+            q_bullet.algebra is not phi.target:
+        raise StructureError("pointed map over another algebra than phi's")
     if q_bullet.parity != d:
         raise StructureError("pointed maps must share parity")
     status = check_morphism(phi, bounds)

@@ -79,8 +79,7 @@ def test_criterion_1_two_level_equivalence():
 def test_criterion_2_torsion_fixtures():
     t0 = time.monotonic()
     alg = fixtures.planar_torsion_one()
-    ans = torsion(alg, default_schedule(3, Bounds(2, max_action=2,
-                                                  action_drop=True)))
+    ans = torsion(alg, default_schedule(3, Bounds(2, max_action=2)))
     assert ans.kind == "exact" and ans.level == 1
     t1 = time.monotonic()
     assert t1 - t0 < 1.0
@@ -110,13 +109,13 @@ def test_criterion_3_f_eps_inverse_and_no_constants():
     bounds = Bounds(3, word_bound=3)
     n_pairs = 0
     for name, alg, eps in _corpus_pairs():
-        assert is_augmentation(eps, alg, bounds).ok, name
+        assert is_augmentation(eps, bounds).ok, name
         fp, fm = f_eps(eps, +1), f_eps(eps, -1)
         for ew in enumerate_basis(alg.space, 3, outer_components=3):
             x = EElement.monomial(ew)
             assert apply_hat_phi(fm, apply_hat_phi(fp, x)) == x, name
             assert apply_hat_phi(fp, apply_hat_phi(fm, x)) == x, name
-        lin = linearize(alg, eps, bounds)  # raises if a constant survives
+        lin = linearize(eps, bounds)  # raises if a constant survives
         assert all(l != 0 for (_, l) in lin.cells), name
         n_pairs += 1
     assert n_pairs >= 10
@@ -128,7 +127,7 @@ def test_criterion_4_linearized_quadratic_relation():
     bounds = Bounds(4, word_bound=4)
     n_pairs = 0
     for name, alg, eps in _corpus_pairs():
-        lin = linearize(alg, eps, bounds)
+        lin = linearize(eps, bounds)
         lt = ell_table(lin)
         for w in enumerate_basis(alg.space, 4):
             if len(w) < 1:
@@ -182,7 +181,7 @@ def _compatible_triples():
         alg = BLAlgebra(sp, OperationTable(sp, 1, rows))
         ptab = random_table(rng, sp, parity=0, n_entries=2, max_k=2, max_l=1)
         pmap = PointedMap(alg, ptab)
-        if not check_pointed(pmap, alg, Bounds(3)).ok:
+        if not check_pointed(pmap, Bounds(3)).ok:
             continue
         fb = random_table(rng, sp, parity=1, n_entries=2, max_k=2, max_l=1)
         qtab = _commutator_corrected(alg, ptab, fb)
@@ -217,16 +216,16 @@ def test_criterion_5_order_inequalities_and_functoriality():
     for fix in (fixtures.pointed_one, fixtures.pointed_two):
         alg, pmap = fix()
         eps = fixtures.zero_aug(alg)
-        o = order_O(alg, eps, pmap, bounds)
-        ot = order_O_tilde(alg, eps, pmap, bounds)
+        o = order_O(eps, pmap, bounds)
+        ot = order_O_tilde(eps, pmap, bounds)
         assert o.found() and ot.found() and o.level <= ot.level
         pairs += 1
     alg1, pmap1 = fixtures.pointed_one()
     eps1 = fixtures.zero_aug(alg1)
     fam = {frozenset({1}): pmap1.table, frozenset({2}): pmap1.table,
            frozenset({1, 2}): zero_table(alg1.space, parity=0)}
-    om = order_multi(alg1, eps1, fam, 2, bounds)
-    omt = order_multi_tilde(alg1, eps1, fam, 2, bounds)
+    om = order_multi(eps1, fam, 2, bounds)
+    omt = order_multi_tilde(eps1, fam, 2, bounds)
     assert om.found() and omt.found() and om.level <= omt.level
     pairs += 1
     # certificate transport across >= 10 verified-compatible triples
@@ -251,7 +250,7 @@ def test_criterion_6_width_monotonicity():
     bounds = Bounds(3, word_bound=3)
     checked = 0
     for name, alg, eps in _corpus_pairs():
-        lin = linearize(alg, eps, bounds)
+        lin = linearize(eps, bounds)
         for ew in enumerate_basis(alg.space, 3, outer_components=3,
                                   allow_units=False):
             out = apply_coderivation(lin, EElement.monomial(ew))
@@ -395,7 +394,7 @@ def test_criterion_9_serialization_and_cli(tmp_path):
             assert got == "not-found-within-bounds" and code == 3, name
         checks += 1
         if pmap is not None and augs:
-            lib_o = order_O(alg, augs[0], pmap, bounds)
+            lib_o = order_O(augs[0], pmap, bounds)
             code, out = _run_cli(
                 "order", f, "--aug", str(tmp_path / (name + ".aug0.blf")),
                 "--pointed", str(tmp_path / (name + ".pointed.blf")))

@@ -576,7 +576,7 @@ def test_symbolic_coefficients_pass_through_the_gluing_step():
             total += coeff
         return total
 
-    sym = linearize_pointed(pmap, alg, eps_sym, bounds)
+    sym = linearize_pointed(pmap, eps_sym, bounds)
     coeffs = [c for *_, elem in sym.sorted_entries()
               for c in elem.terms.values()]
     assert any(isinstance(c, SymPoly) and not c.is_constant() for c in coeffs)
@@ -585,7 +585,7 @@ def test_symbolic_coefficients_pass_through_the_gluing_step():
                                   for o, c in elem.terms.items()})
            for k, l, g, w, elem in sym.sorted_entries()}
     want = {(k, l, g, w): elem for k, l, g, w, elem
-            in linearize_pointed(pmap, alg, eps, bounds).sorted_entries()}
+            in linearize_pointed(pmap, eps, bounds).sorted_entries()}
     assert {key: e for key, e in got.items() if e} == want
 
 
@@ -738,14 +738,13 @@ def test_partial_tables_never_read_a_missing_arity_as_zero():
         # the entries, or the constant term that linearize rejects
         alg = BLAlgebra(sp, t)
         try:
-            return linearize(alg, Augmentation(alg, u),
-                             bounds).sorted_entries()
+            return linearize(Augmentation(alg, u), bounds).sorted_entries()
         except InternalInconsistencyError as e:
             return str(e)
 
     def linearized_pointed(t, u, bounds):
         alg = algebra(sp, [])
-        return linearize_pointed(PointedMap(alg, t), alg, Augmentation(alg, u),
+        return linearize_pointed(PointedMap(alg, t), Augmentation(alg, u),
                                  bounds).sorted_entries()
 
     for _ in range(100):

@@ -180,8 +180,10 @@ def test_flat_operators_equal_on_genus0():
                 _outcome(lambda: apply_hat_p(flat, x)), ew
         for b in (Bounds(2), B3, Bounds(3, word_bound=2)):
             for check in (check_structure,
-                          lambda a, b: is_augmentation(eps, a, b),
-                          lambda a, b: check_pointed(pmap, a, b)):
+                          lambda a, b: is_augmentation(
+                              Augmentation(a, eps.table), b),
+                          lambda a, b: check_pointed(
+                              PointedMap(a, pmap.table), b)):
                 assert _outcome(lambda: check(alg, b)) == \
                     _outcome(lambda: check(flat, b))
 

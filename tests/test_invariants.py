@@ -21,7 +21,8 @@ from blinfty.invariants import (TorsionAnswer, bar_B_k,
                                 _apply_inner_morphism, _multi_linearized)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, UModule,
-                                apply_hat_p, check_pointed, check_structure,
+                                apply_hat_p, check_compatibility,
+                                check_pointed, check_structure,
                                 ell_table, is_augmentation, linearize,
                                 linearize_pointed,
                                 identity_table, zero_table,
@@ -105,8 +106,7 @@ def test_BBk_window_leak_reported():
 
 def test_torsion_planar_fixture_exactly_one():
     alg = fixtures.planar_torsion_one()
-    ans = torsion(alg, default_schedule(3, Bounds(2, max_action=2,
-                                                  action_drop=True)))
+    ans = torsion(alg, default_schedule(3, Bounds(2, max_action=2)))
     assert ans.kind == "exact" and ans.level == 1
     assert verify_torsion_certificate(alg, ans)
     assert ans.certificate == EElement.monomial(
@@ -244,7 +244,7 @@ def test_torsion_rechecks_structure_checked_at_other_bounds():
 def test_order_pointed_one():
     alg, pmap = fixtures.pointed_one()
     eps = fixtures.zero_aug(alg)
-    ans = order_O(alg, eps, pmap, B3)
+    ans = order_O(eps, pmap, B3)
     assert ans.kind == "exact" and ans.level == 1
     assert ans.certificate == Element.monomial(word(alg.space, "g"))
 
@@ -252,10 +252,10 @@ def test_order_pointed_one():
 def test_order_pointed_two_is_two():
     alg, pmap = fixtures.pointed_two()
     eps = fixtures.zero_aug(alg)
-    ans = order_O(alg, eps, pmap, B3)
+    ans = order_O(eps, pmap, B3)
     assert ans.kind == "exact" and ans.level == 2
     # brute-force oracle: no chain of <= 1 letters maps to 1, ab does
-    lpt = linearize_pointed(pmap, alg, eps, B3)
+    lpt = linearize_pointed(pmap, eps, B3)
     for w in enumerate_basis(alg.space, 1):
         if len(w) == 1:
             assert not lpt.query(1, w)
@@ -272,11 +272,11 @@ def test_order_ladder_rungs_are_exact():
         alg, pmap = fixtures.order_ladder(n)
         eps = fixtures.zero_aug(alg)
         bounds = Bounds(n, word_bound=n)
-        assert is_augmentation(eps, alg, bounds).ok
+        assert is_augmentation(eps, bounds).ok
         assert oracle_is_augmentation(eps, alg, bounds)
-        assert check_pointed(pmap, alg, bounds).ok
+        assert check_pointed(pmap, bounds).ok
         assert oracle_check_pointed(pmap, alg, bounds)
-        ans = order_O(alg, eps, pmap, bounds)
+        ans = order_O(eps, pmap, bounds)
         assert (ans.kind, ans.level) == ("exact", n)
     with pytest.raises(ValueError):
         fixtures.order_ladder(0)
@@ -286,7 +286,7 @@ def test_order_zero_functional_not_found():
     alg, _ = fixtures.pointed_one()
     pz = PointedMap(alg, zero_table(alg.space, parity=0))
     eps = fixtures.zero_aug(alg)
-    ans = order_O(alg, eps, pz, B3)
+    ans = order_O(eps, pz, B3)
     assert ans.kind == "not-found"
 
 
@@ -302,7 +302,7 @@ def test_order_solves_no_level_above_max_letters(monkeypatch):
     monkeypatch.setattr(invariants, "_solve", recorded)
     alg, _ = fixtures.pointed_two()
     pz = PointedMap(alg, zero_table(alg.space, parity=0))
-    ans = order_O(alg, fixtures.zero_aug(alg), pz, Bounds(2, word_bound=6))
+    ans = order_O(fixtures.zero_aug(alg), pz, Bounds(2, word_bound=6))
     assert ans.kind == "not-found"
     assert sizes == [2, 5]
 
@@ -311,7 +311,7 @@ def test_order_tilde_pointed_fixtures():
     for fix, expect in ((fixtures.pointed_one, 1), (fixtures.pointed_two, 2)):
         alg, pmap = fix()
         eps = fixtures.zero_aug(alg)
-        ans = order_O_tilde(alg, eps, pmap, B3)
+        ans = order_O_tilde(eps, pmap, B3)
         assert ans.found() and ans.level == expect
 
 
@@ -319,8 +319,8 @@ def test_order_le_tilde_on_fixtures():
     for fix in (fixtures.pointed_one, fixtures.pointed_two):
         alg, pmap = fix()
         eps = fixtures.zero_aug(alg)
-        o = order_O(alg, eps, pmap, B3)
-        ot = order_O_tilde(alg, eps, pmap, B3)
+        o = order_O(eps, pmap, B3)
+        ot = order_O_tilde(eps, pmap, B3)
         assert o.found() and ot.found()
         assert o.level <= ot.level
 
@@ -332,13 +332,13 @@ def test_order_depends_on_augmentation():
     alg = BLAlgebra(sp, zero_table(sp))
     pmap = PointedMap(alg, table(sp, 0, [(1, 1, ("a",), [(1, ("b",))])]))
     from blinfty.structures import check_pointed
-    assert check_pointed(pmap, alg, B3).ok
+    assert check_pointed(pmap, B3).ok
     eps0 = fixtures.zero_aug(alg)
-    assert order_O(alg, eps0, pmap, B3).kind == "not-found"
+    assert order_O(eps0, pmap, B3).kind == "not-found"
     eps1 = fixtures.rich_even_aug(alg, [(("b",), 1)])
-    ans = order_O(alg, eps1, pmap, B3)
+    ans = order_O(eps1, pmap, B3)
     assert ans.found() and ans.level == 1
-    lpt = linearize_pointed(pmap, alg, eps1, B3)
+    lpt = linearize_pointed(pmap, eps1, B3)
     assert lpt.query(1, word(sp, "a")).terms.get(UNIT_WORD) == 1
 
 
@@ -348,8 +348,8 @@ def test_order_multi_reduces_to_single():
     alg, pmap = fixtures.pointed_two()
     eps = fixtures.zero_aug(alg)
     fam = {frozenset({1}): pmap.table}
-    a1 = order_multi(alg, eps, fam, 1, B3)
-    a0 = order_O(alg, eps, pmap, B3)
+    a1 = order_multi(eps, fam, 1, B3)
+    a0 = order_O(eps, pmap, B3)
     assert a1.found() and a0.found() and a1.level == a0.level
 
 
@@ -359,7 +359,7 @@ def test_order_multi_two_points_disconnected():
     fam = {frozenset({1}): pmap.table,
            frozenset({2}): pmap.table,
            frozenset({1, 2}): zero_table(alg.space, parity=0)}
-    ans = order_multi(alg, eps, fam, 2, B3)
+    ans = order_multi(eps, fam, 2, B3)
     assert ans.found() and ans.level == 1
     # the certificate lives on the two-letter cluster g*g
     gg = eword(alg.space, ("g", "g"))
@@ -372,8 +372,8 @@ def test_order_multi_le_tilde():
     fam = {frozenset({1}): pmap.table,
            frozenset({2}): pmap.table,
            frozenset({1, 2}): zero_table(alg.space, parity=0)}
-    o = order_multi(alg, eps, fam, 2, B3)
-    ot = order_multi_tilde(alg, eps, fam, 2, B3)
+    o = order_multi(eps, fam, 2, B3)
+    ot = order_multi_tilde(eps, fam, 2, B3)
     assert o.found() and ot.found()
     assert o.level <= ot.level
 
@@ -443,15 +443,15 @@ def test_order_kinds_match_answer_semantics_oracle():
             family = {S: pmap.table
                       for S in map(frozenset, ({1}, {2}, {1, 2}))}
         for bounds, eps in itertools.product(bounds_list, augs):
-            lpt = linearize_pointed(pmap, alg, eps, bounds)
+            lpt = linearize_pointed(pmap, eps, bounds)
             for order in (order_O, order_O_tilde):
-                ans = order(alg, eps, pmap, bounds)
+                ans = order(eps, pmap, bounds)
                 if ans.found():
                     assert ans.kind == oracle_order_kind(
                         order, lpt, bounds, ans.level), (order, ans, bounds)
                 seen.add((order.__name__, ans.kind, ans.level == 1))
             for order in (order_multi, order_multi_tilde):
-                ans = order(alg, eps, family, 2, bounds)
+                ans = order(eps, family, 2, bounds)
                 if ans.found():
                     assert ans.kind == oracle_order_kind(
                         order, None, bounds, ans.level), (order, ans, bounds)
@@ -467,7 +467,7 @@ def test_order_kinds_match_answer_semantics_oracle():
 def test_width_monotonicity_on_fixtures():
     for name, (alg, augs, _) in fixtures.corpus().items():
         for eps in augs:
-            lin = linearize(alg, eps, B3)
+            lin = linearize(eps, B3)
             for ew in enumerate_basis(alg.space, 3, outer_components=2,
                                       allow_units=False):
                 out = apply_coderivation(lin, EElement.monomial(ew))
@@ -479,7 +479,7 @@ def test_width_projection_idempotent_rule():
     # pi_m o p_eps o pi_m = pi_m o p_eps on the width-m window
     alg = fixtures.linearizable()
     eps = fixtures.linearizable_aug(alg, 1)
-    lin = linearize(alg, eps, B3)
+    lin = linearize(eps, B3)
     m = 1
     for ew in enumerate_basis(alg.space, 3, outer_components=2,
                               allow_units=False):
@@ -494,7 +494,7 @@ def test_pointed_eps_respects_unit_splitting():
     # the linearized pointed operator ignores pure units and unit factors
     alg, pmap = fixtures.pointed_one()
     eps = fixtures.zero_aug(alg)
-    lpt = linearize_pointed(pmap, alg, eps, B3)
+    lpt = linearize_pointed(pmap, eps, B3)
     sp = alg.space
     units = EElement.monomial(EWord((UNIT_WORD, UNIT_WORD)))
     assert not apply_coderivation(lpt, units)
@@ -646,8 +646,8 @@ def test_sd_ladder_rungs_are_exact():
     for n in range(1, 5):
         alg, utab, pmap = fixtures.sd_ladder(n)
         eps = fixtures.zero_aug(alg)
-        lin = linearize(alg, eps, B3)
-        lpt = linearize_pointed(pmap, alg, eps, B3)
+        lin = linearize(eps, B3)
+        lpt = linearize_pointed(pmap, eps, B3)
         assert sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)),
                         UModule(alg.space, utab),
                         lpt.sub_table(lambda k, l: (k, l) == (1, 0))) == n - 1
@@ -670,8 +670,7 @@ def test_umodule_grade_check():
 def test_planarity_empty_with_torsion_certificate():
     alg = fixtures.planar_torsion_one()
     pmap = PointedMap(alg, zero_table(alg.space, parity=0))
-    ans = planarity(alg, [], pmap, Bounds(2, max_action=2, action_drop=True,
-                                          word_bound=2))
+    ans = planarity([], pmap, Bounds(2, max_action=2, word_bound=2))
     assert ans.found() and ans.level == 0
 
 
@@ -681,10 +680,10 @@ def test_planarity_rechecks_augmentation_checked_at_other_bounds():
     alg = algebra(sp, [(2, 1, ("q", "x"), [(1, ("y",))])])
     eps = Augmentation(alg, table(sp, 0, [(1, 0, ("y",), [(1, ())])],
                                   target=GradedSpace(())))
-    assert is_augmentation(eps, alg, Bounds(1)).ok
+    assert is_augmentation(eps, Bounds(1)).ok
     pmap = PointedMap(alg, zero_table(sp, parity=0))
     with pytest.raises(StructureError):
-        planarity(alg, [eps], pmap, Bounds(2))
+        planarity([eps], pmap, Bounds(2))
 
 
 def test_planarity_rechecks_augmentation_checked_against_another_algebra():
@@ -694,17 +693,36 @@ def test_planarity_rechecks_augmentation_checked_against_another_algebra():
     eps = Augmentation(alg_bad, table(sp, 0, [(1, 0, ("y",), [(1, ())])],
                                       target=GradedSpace(())))
     alg_ok = BLAlgebra(sp, zero_table(sp))
-    assert is_augmentation(eps, alg_ok, Bounds(2)).ok
+    assert is_augmentation(Augmentation(alg_ok, eps.table), Bounds(2)).ok
     pmap = PointedMap(alg_bad, zero_table(sp, parity=0))
     with pytest.raises(StructureError):
-        planarity(alg_bad, [eps], pmap, Bounds(2))
+        planarity([eps], pmap, Bounds(2))
+
+
+def test_maps_over_another_algebra_are_refused():
+    # two algebras over one space: an augmentation of one and a pointed
+    # map of the other share no algebra, so each step where they meet
+    # refuses them
+    alg, pmap = fixtures.pointed_two()
+    twin = BLAlgebra(alg.space, alg.table)
+    eps = fixtures.zero_aug(twin)
+    bullet = zero_table(alg.space, parity=pmap.parity + 1)
+    calls = [lambda: linearize_pointed(pmap, eps, B3),
+             lambda: order_O(eps, pmap, B3),
+             lambda: order_O_tilde(eps, pmap, B3),
+             lambda: planarity([eps], pmap, B3),
+             lambda: check_compatibility(fixtures.identity_morphism(twin),
+                                         pmap, pmap, bullet, B3)]
+    for call in calls:
+        with pytest.raises(StructureError, match="another algebra"):
+            call()
 
 
 def test_planarity_empty_without_certificate_inconclusive():
     alg = fixtures.zero_structure((1, 0))
     pmap = PointedMap(alg, zero_table(alg.space, parity=0))
     with pytest.raises(InconclusiveError):
-        planarity(alg, [], pmap, B2)
+        planarity([], pmap, B2)
 
 
 def test_planarity_max_over_supplied():
@@ -712,14 +730,14 @@ def test_planarity_max_over_supplied():
     sp = alg.space
     eps1 = fixtures.zero_aug(alg)
     eps2 = fixtures.rich_even_aug(alg, [(("a",), 1)])
-    ans = planarity(alg, [eps1, eps2], pmap, B3)
+    ans = planarity([eps1, eps2], pmap, B3)
     assert ans.found() and ans.level == 2
 
 
 def test_planarity_all_even_generic_probe():
     # structure and pointed data make the order manifestly eps-independent
     alg, pmap = fixtures.pointed_two()
-    ans = planarity(alg, [], pmap, B3)
+    ans = planarity([], pmap, B3)
     assert ans.found() and ans.level == 2
 
 
@@ -731,14 +749,14 @@ def test_planarity_generic_probe_inconclusive_when_dependent():
                          (2, 0, ("a", "b"), [(1, ())])])
     pmap = PointedMap(alg, ptab)
     with pytest.raises(InconclusiveError):
-        planarity(alg, [], pmap, B3)
+        planarity([], pmap, B3)
 
 
 def test_order_requires_augmentation():
     from blinfty.errors import PlanarityZeroError
     alg, pmap = fixtures.pointed_one()
     with pytest.raises(PlanarityZeroError):
-        order_O(alg, None, pmap, B3)
+        order_O(None, pmap, B3)
 
 
 def test_strict_gap_search_reports_only():
@@ -748,8 +766,8 @@ def test_strict_gap_search_reports_only():
     for fix in (fixtures.pointed_one, fixtures.pointed_two):
         alg, pmap = fix()
         eps = fixtures.zero_aug(alg)
-        o = order_O(alg, eps, pmap, B3)
-        ot = order_O_tilde(alg, eps, pmap, B3)
+        o = order_O(eps, pmap, B3)
+        ot = order_O_tilde(eps, pmap, B3)
         if o.found() and ot.found():
             assert o.level <= ot.level
             if o.level < ot.level:
@@ -759,7 +777,7 @@ def test_strict_gap_search_reports_only():
 
 def test_planarity_single_pointed_map_level_one():
     alg, pmap = fixtures.pointed_one()
-    ans = planarity(alg, [fixtures.zero_aug(alg)], pmap, B3)
+    ans = planarity([fixtures.zero_aug(alg)], pmap, B3)
     assert ans.found() and ans.level == 1
 
 
@@ -780,7 +798,7 @@ def test_mixed_no_aug_fixture():
                              Element.monomial(UNIT_WORD, Fraction(t))))
             eps = Augmentation(alg, OperationTable(
                 alg.space, 0, rows, target=GradedSpace(())))
-            assert not is_augmentation(eps, alg, Bounds(4)).ok, (sgn, t)
+            assert not is_augmentation(eps, Bounds(4)).ok, (sgn, t)
         ans = torsion(alg, default_schedule(4, Bounds(4)))
         assert ans.kind == "not-found"
 
@@ -792,11 +810,11 @@ def test_hierarchy_end_to_end_sd_zero():
     alg, pmap = fixtures.pointed_one()
     t = torsion(alg, default_schedule(3, B3))
     assert t.kind == "not-found"
-    pl = planarity(alg, [], pmap, B3)  # generic probe: order 1 for every eps
+    pl = planarity([], pmap, B3)  # generic probe: order 1 for every eps
     assert pl.found() and pl.level == 1
     eps = fixtures.zero_aug(alg)
-    lin = linearize(alg, eps, B3)
-    lpt = linearize_pointed(pmap, alg, eps, B3)
+    lin = linearize(eps, B3)
+    lpt = linearize_pointed(pmap, eps, B3)
     utab = OperationTable(alg.space, 0, (), complete=True)
     umod = UModule(alg.space, utab)
     sd = sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
@@ -810,7 +828,7 @@ def test_hierarchy_end_to_end_planarity_two():
     from blinfty.hierarchy import HierarchyValue, hierarchy_classify
     alg, pmap = fixtures.pointed_two()
     t = torsion(alg, default_schedule(3, B3))
-    pl = planarity(alg, [], pmap, B3)
+    pl = planarity([], pmap, B3)
     value = hierarchy_classify(t, True, pl)
     assert value == HierarchyValue("Pl", 2)
 
@@ -823,7 +841,7 @@ def test_inner_coderivation_matches_projected_outer():
     from blinfty.structures import word_to_singletons
     for name, (alg, augs, _) in fixtures.corpus().items():
         for eps in augs:
-            lin = linearize(alg, eps, B3)
+            lin = linearize(eps, B3)
             lt = ell_table(lin)
             for w in enumerate_basis(alg.space, 3):
                 if len(w) < 1:
@@ -849,8 +867,8 @@ def test_answers_are_deterministic():
     assert a1.level == a2.level and a1.certificate == a2.certificate
     alg2, pmap = fixtures.pointed_two()
     eps = fixtures.zero_aug(alg2)
-    o1 = order_O(alg2, eps, pmap, B3)
-    o2 = order_O(alg2, fixtures.zero_aug(alg2), pmap, B3)
+    o1 = order_O(eps, pmap, B3)
+    o2 = order_O(fixtures.zero_aug(alg2), pmap, B3)
     assert o1.level == o2.level and o1.certificate == o2.certificate
 
 
@@ -876,7 +894,7 @@ def test_generic_probe_detects_dependence_through_letter_raising():
     pmap = PointedMap(alg, ptab)
     with pytest.raises(InconclusiveError,
                        match="depends on the augmentation at cell"):
-        planarity(alg, [], pmap, Bounds(2, word_bound=2))
+        planarity([], pmap, Bounds(2, word_bound=2))
 
 
 # ---- the sparse elimination against the dense oracle ------------------------
@@ -909,7 +927,7 @@ def _engine_cases(rng):
                                             max_k=2, max_l=1))
         for order in (order_O, order_O_tilde):
             cases.append(lambda alg=alg, pmap=pmap, order=order: order(
-                alg, fixtures.zero_aug(alg), pmap, Bounds(3)))
+                fixtures.zero_aug(alg), pmap, Bounds(3)))
     ialgs = [fixtures.planar_torsion_one(), fixtures.ibl_genus_one()]
     for _ in range(4):
         sp = random_space(rng, n=2)
@@ -1172,13 +1190,13 @@ def _memo_cases(rng):
                frozenset({1, 2}): zero_table(alg.space, parity=0)}
         for eps in augs:
             for order in (order_O, order_O_tilde):
-                cases.append(lambda alg=alg, eps=eps, pmap=pmap, order=order:
-                             order(alg, eps, pmap, B3))
+                cases.append(lambda eps=eps, pmap=pmap, order=order:
+                             order(eps, pmap, B3))
             for multi in (order_multi, order_multi_tilde):
-                cases.append(lambda alg=alg, eps=eps, fam=fam, multi=multi:
-                             multi(alg, eps, fam, 2, B3))
-        cases.append(lambda alg=alg, augs=augs, pmap=pmap:
-                     planarity(alg, augs, pmap, B3))
+                cases.append(lambda eps=eps, fam=fam, multi=multi:
+                             multi(eps, fam, 2, B3))
+        cases.append(lambda augs=augs, pmap=pmap:
+                     planarity(augs, pmap, B3))
     return cases
 
 

@@ -45,7 +45,7 @@ def test_parse_planar_document():
     alg = bio.algebra_from_document(doc)
     assert alg.table.query(2, Word((0, 1))) == Element.monomial(UNIT_WORD)
     assert doc.bounds.max_letters == 2
-    assert doc.bounds.action_drop
+    assert doc.action_drop
 
 
 def test_round_trip_byte_identity_on_corpus():

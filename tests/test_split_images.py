@@ -13,10 +13,9 @@ from blinfty.errors import (IncompleteTableError,
                             InternalInconsistencyError, StructureError)
 from blinfty.invariants import (default_schedule, order_O, order_multi,
                                 planarity, torsion)
-from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
-                                OperationTable, PointedMap, check_morphism,
-                                check_pointed, check_structure,
-                                identity_table, is_augmentation, linearize,
+from blinfty.structures import (Augmentation, BLAlgebra, Bounds,
+                                OperationTable, PointedMap, check_pointed,
+                                check_structure, is_augmentation, linearize,
                                 linearize_pointed, zero_table)
 from blinfty.words import Generator, GradedSpace
 
@@ -106,7 +105,7 @@ def test_library_searches_share_their_checks_images(monkeypatch):
     for name, (alg, augs, pmap) in sorted(fixtures.corpus().items()):
         if pmap is not None and augs:
             calls.clear()
-            planarity(alg, augs, pmap, B3)
+            planarity(augs, pmap, B3)
             assert calls and _repeats(calls) == 0, name
 
 
@@ -157,15 +156,13 @@ def _steps(alg, eps, pmap, bounds, images, pointed_images):
     fam = {frozenset({1}): pmap.table}
     return [
         lambda: check_structure(alg, bounds, images),
-        lambda: is_augmentation(eps, alg, bounds, images),
-        lambda: check_pointed(pmap, alg, bounds, images),
-        lambda: check_morphism(BLMorphism(alg, alg, identity_table(
-            alg.space)), bounds, images),
-        lambda: linearize(alg, eps, bounds, images),
-        lambda: linearize_pointed(pmap, alg, eps, bounds, pointed_images),
+        lambda: is_augmentation(eps, bounds, images),
+        lambda: check_pointed(pmap, bounds, images),
+        lambda: linearize(eps, bounds, images),
+        lambda: linearize_pointed(pmap, eps, bounds, pointed_images),
         lambda: torsion(alg, schedule, images),
-        lambda: order_O(alg, eps, pmap, bounds, pointed_images),
-        lambda: order_multi(alg, eps, fam, 1, bounds, pointed_images),
+        lambda: order_O(eps, pmap, bounds, pointed_images),
+        lambda: order_multi(eps, fam, 1, bounds, pointed_images),
     ]
 
 
@@ -181,7 +178,7 @@ def test_handed_down_images_change_no_answer():
         for at in (bounds, Bounds(1, max_action=bounds.max_action)):
             try:
                 images = check_structure(alg, at).images
-                pointed = check_pointed(pmap, alg, at, images).images
+                pointed = check_pointed(pmap, at, images).images
             except IncompleteTableError:
                 continue
             handed = [_outcome(step) for step in
@@ -202,7 +199,7 @@ def test_images_of_another_algebra_raise():
     twin, _ = fixtures.pointed_one()
     images = check_structure(twin, B3).images
     steps = _steps(alg, eps, pmap, B3, images, images) + [
-        lambda: planarity(alg, [eps], pmap, B3, images=images)]
+        lambda: planarity([eps], pmap, B3, images=images)]
     for step in steps:
         with pytest.raises(ValueError, match="split-word images"):
             step()

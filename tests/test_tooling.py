@@ -107,6 +107,23 @@ def test_operators_read_their_spaces_from_their_tables():
                 if {"space", "target_space"} & set(params[name])]
 
 
+def test_maps_name_their_algebra():
+    # an augmentation or a pointed map names its algebra, so no entry point
+    # that takes one takes an algebra beside it
+    entry = {"structures": {"is_augmentation", "check_pointed", "linearize",
+                            "linearize_pointed"},
+             "invariants": {"order_O", "order_O_tilde", "order_multi",
+                            "order_multi_tilde", "planarity"}}
+    params = {}
+    for module, names in entry.items():
+        for node in ast.parse((SRC / ("%s.py" % module)).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                params[node.name] = [a.arg for a in node.args.args
+                                     + node.args.kwonlyargs]
+    assert set(params) == set().union(*entry.values())
+    assert not [name for name, args in params.items() if "alg" in args]
+
+
 def _bench_tracer():
     path = SRC.parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -183,7 +200,7 @@ def _searches(lib):
     for order in (inv.order_O, inv.order_O_tilde):
         for p in (pmap, PointedMap(alg, zero_table(alg.space, parity=0))):
             out.append((lambda order=order, p=p: order(
-                alg, fixtures.zero_aug(alg), p, B3),
+                fixtures.zero_aug(alg), p, B3),
                 lambda ans: ans.level if ans.found() else B3.outer(),
                 lambda ans: ans.found()))
     # the grid solves its one level: (0, 1) is found on the planar lift,
