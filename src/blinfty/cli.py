@@ -119,9 +119,11 @@ def _hbar_cap(bounds):
     return bounds.hbar_max if bounds.hbar_max is not None else 2
 
 
-def _ibl_witness(space, witness):
-    k, l, g, w = witness
-    return "(%d,%d,%d) %s" % (k, l, g, bio._format_word(space, w))
+def _witness(space, witness):
+    """A check's witness: its cell's numbers, then the word."""
+    *cell, w = witness
+    return "(%s) %s" % (",".join(map(str, cell)),
+                        bio._format_word(space, w))
 
 
 def _chain_numbers(name, count):
@@ -143,19 +145,13 @@ def cmd_verify(args, rep):
     if ibl:
         alg = bio.ibl_from_document(doc)
         status = check_ibl(alg, _hbar_cap(bounds), bounds)
-        rep.add("verify", "ok" if status.ok else "failed")
-        if not status.ok:
-            rep.add("witness", _ibl_witness(alg.space, status.witness))
-            return 1
     else:
         alg = bio.algebra_from_document(doc)
         status = check_structure(alg, bounds)
-        rep.add("verify", "ok" if status.ok else "failed")
-        if not status.ok:
-            k, l, w = status.witness
-            rep.add("witness", "(%d,%d) %s" % (
-                k, l, bio._format_word(alg.space, w)))
-            return 1
+    rep.add("verify", "ok" if status.ok else "failed")
+    if not status.ok:
+        rep.add("witness", _witness(alg.space, status.witness))
+        return 1
     code = 0
     for ch in doc.chains:
         if ch.name.startswith("torsion-"):
@@ -390,7 +386,7 @@ def cmd_ibl_check(args, rep):
     rep.add("ibl-check", "ok" if status.ok else "failed")
     rep.add("hbar-max", str(cap))
     if not status.ok:
-        rep.add("witness", _ibl_witness(ialg.space, status.witness))
+        rep.add("witness", _witness(ialg.space, status.witness))
         return 1
     return 0
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from . import assembly
 from .invariants import _level, _outer_window, _search
-from .structures import (BLAlgebra, _first_failure, _require, _split_words,
-                         word_to_singletons)
-from .words import EElement, EWord, Element, UNIT_WORD, _normalize_indices
+from .structures import BLAlgebra, _check_split_words, _require
+from .words import EElement, EWord, UNIT_WORD, _normalize_indices
 
 
 def apply_hat_p_ibl(ialg, x, hbar_cap):
@@ -21,34 +20,19 @@ def apply_hat_p_ibl(ialg, x, hbar_cap):
     return assembly.apply_ibl(ialg.table, x, hbar_cap)
 
 
-def two_level_ibl(ialg, word, hbar_cap):
-    """Single-cluster components of p-hat squared on split words, keyed by
-    (output length, hbar exponent)."""
-    x = EElement.monomial(word_to_singletons(word))
-    z = apply_hat_p_ibl(ialg, apply_hat_p_ibl(ialg, x, hbar_cap), hbar_cap)
-    out = {}
-    for ew, c in z.terms.items():
-        if len(ew.clusters) == 1:
-            out.setdefault((len(ew.clusters[0]), ew.hbar), {})[
-                ew.clusters[0]] = c
-    return {key: Element(terms) for key, terms in out.items()}
-
-
 def check_ibl(ialg, hbar_cap, bounds):
-    """All two-level sums vanish up to the truncation; cross-checked by the
-    caller against p-hat squared on outer words."""
-    return _first_failure(_split_words(ialg.space, bounds), bounds,
-                          lambda w: two_level_ibl(ialg, w, hbar_cap),
-                          lambda w, bad: (len(w), *min(bad), w))
+    """p-hat squared, truncated above hbar_cap, vanishes by its connected
+    part on every split word within bounds; on failure the witness is the
+    first failing cell (k, l, g, word) in word order."""
+    return _check_split_words(
+        ialg, bounds, None, lambda image, x: apply_hat_p_ibl(
+            ialg, apply_hat_p_ibl(ialg, x, hbar_cap), hbar_cap),
+        witness=lambda word, bad: (len(word), *min(bad), word))
 
 
 def genus0(ialg):
     """The genus-zero sub-table as a plain structure."""
     return BLAlgebra(ialg.space, ialg.table.sub_table(lambda k, l: True))
-
-
-def hbar_width(eword):
-    return eword.hbar
 
 
 def torsion_grid(ialg, n, m, trunc, bounds):

@@ -41,6 +41,7 @@ class TableBlock:
         self.parity = parity
         self.ops = ops  # list of (k, l, g, input Word, Element)
         self.max_k = max_k  # None for a complete table
+        self._cells = {op[:4] for op in ops}  # the (k, l, g, input)s in ops
 
 
 class ChainBlock:
@@ -339,15 +340,15 @@ def _parse_op(sp, block, line, line_no):
             raise ParseError(line_no, "output %r has %d letters, expected %d"
                              % (bits[1], len(w_out), l))
         elem = elem + Element.monomial(w_out, coeff)
-    for (k2, l2, g2, w2, _) in block.ops:
-        if (k2, l2, g2, w2) == (k, l, g, w_in):
-            raise ParseError(line_no, "duplicate op cell (%d,%d) %r"
-                             % (k, l, in_text.strip()))
+    if (k, l, g, w_in) in block._cells:
+        raise ParseError(line_no, "duplicate op cell (%d,%d) %r"
+                         % (k, l, in_text.strip()))
     in_par = sp.word_parity(w_in.letters)
     for w_out in elem.terms:
         if sp.word_parity(w_out.letters) != (in_par + block.parity) % 2:
             raise ParseError(line_no, "entry violates the declared parity")
     block.ops.append((k, l, g, w_in, elem))
+    block._cells.add((k, l, g, w_in))
 
 
 def _parse_chain_body(sp, body, line_no):

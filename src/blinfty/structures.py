@@ -1,16 +1,18 @@
 """Operation tables, algebras with a squared-zero coderivation, morphisms,
 augmentations, linearization, pointed maps and U-module endomorphisms.
 
-The structure, augmentation, pointed-map, morphism and compatibility
-checks test their identity by its connected part: pi_1 of the composite on
-split words (one letter per cluster), in word order, the last gluing stage
-made with single_cluster.  The assembled maps are exponentials of their
-connected parts, as in the exponential form of morphisms in
-Cieliebak-Fukaya-Latschev (arXiv:1508.02741), so the identity holds on the
-outer words of at most c clusters exactly when its connected part vanishes
-on the split words of at most c letters.  The augmentation, pointed-map,
-morphism and compatibility checks take c = bounds.outer(); the structure
-check takes every split word within max_letters.
+The structure, hbar-graded structure (ibl.check_ibl), augmentation,
+pointed-map, morphism and compatibility checks test their identity by its
+connected part: pi_1 of the composite on split words (one letter per
+cluster), in word order, keyed by (inner length, hbar exponent).  The
+assembled maps are exponentials of their connected parts, as in the
+exponential form of morphisms in Cieliebak-Fukaya-Latschev
+(arXiv:1508.02741), so the identity holds on the outer words of at most c
+clusters exactly when its connected part vanishes on the split words of at
+most c letters.  The augmentation, pointed-map, morphism and compatibility
+checks take c = bounds.outer(); the two structure checks take every split
+word within max_letters.  Flat gluing never raises the exponent of a split
+word, so the flat checks see only exponent 0.
 
 The first stage of each check, p-hat (or a pointed map's P-hat) on the
 split words, is what the later steps of the same computation evaluate
@@ -181,6 +183,7 @@ class OperationTable:
     def __eq__(self, other):
         return (isinstance(other, OperationTable) and self.parity == other.parity
                 and self._coverage() == other._coverage()
+                and self.action_drop == other.action_drop
                 and self._cells == other._cells)
 
 
@@ -364,12 +367,13 @@ def apply_hat_phi(mor, x):
 
 
 def pi_single_cluster(x):
-    """All single-cluster parts, keyed by inner length."""
+    """All single-cluster parts, keyed by (inner length, hbar exponent)."""
     out = {}
     for ew, c in x.terms.items():
-        if len(ew.clusters) == 1 and ew.hbar == 0:
-            out.setdefault(len(ew.clusters[0]), {})[ew.clusters[0]] = c
-    return {l: Element(terms) for l, terms in out.items()}
+        if len(ew.clusters) == 1:
+            out.setdefault((len(ew.clusters[0]), ew.hbar), {})[
+                ew.clusters[0]] = c
+    return {key: Element(terms) for key, terms in out.items()}
 
 
 def two_level(alg, k, l, word):
@@ -377,7 +381,7 @@ def two_level(alg, k, l, word):
     if len(word) != k:
         raise ValueError("input word has length %d, expected k=%d" % (len(word), k))
     return _connected_part(lambda x: _p_squared(alg, apply_hat_p(alg, x)),
-                           word).get(l, Element())
+                           word).get((l, 0), Element())
 
 
 def _p_squared(alg, y):
@@ -390,9 +394,9 @@ def _p_squared(alg, y):
 
 
 def _connected_part(image, word):
-    """pi_{1,l} of image on the word split one letter per cluster, for
-    every l: the part of image that glues all of the word's letters into
-    one connected graph."""
+    """pi_1 of image on the word split one letter per cluster, keyed by
+    (l, hbar exponent): the part of image that glues all of the word's
+    letters into one connected graph."""
     x = EElement.monomial(word_to_singletons(word))
     return pi_single_cluster(image(x))
 
@@ -402,16 +406,6 @@ def _require(status, what):
     status of a check that must pass is a failure."""
     if not status.ok:
         raise StructureError("%s fails: witness %r" % (what, status.witness))
-
-
-def _first_failure(items, bounds, defect, witness=lambda item, bad: item):
-    """The one loop of every check: failed at the first item, in order,
-    whose defect is nonzero, with witness(item, defect); else verified."""
-    for item in items:
-        bad = defect(item)
-        if bad:
-            return VerifyStatus(False, bounds, witness(item, bad))
-    return VerifyStatus(True, bounds)
 
 
 def _split_words(space, bounds, max_letters=None):
@@ -426,11 +420,12 @@ def _split_words(space, bounds, max_letters=None):
 
 def _check_split_words(alg, bounds, images, defect, max_letters=None,
                        witness=lambda word, bad: word):
-    """The check of a coalgebra-map identity on alg by its connected part:
-    failed at the first split word where the connected part of the defect,
-    defect(image, x), is nonzero, else verified.  Its first stage
-    image(table, x), table's coderivation on x, is read from images (alg's,
-    see SplitImages) where held; the status's images add those evaluated.
+    """The one check loop: an identity on alg checked by its connected
+    part, failed at the first split word where the connected part of the
+    defect, defect(image, x), is nonzero, with witness(word, part), else
+    verified.  A first stage image(table, x), table's coderivation on x, is
+    read from images (alg's, see SplitImages) where held; the status's
+    images add those evaluated.
 
     The defect of each identity checked here is built from its connected
     part (see the module docstring): on an outer word it is a sum of
@@ -447,10 +442,13 @@ def _check_split_words(alg, bounds, images, defect, max_letters=None,
             entry = new[id(table)] = (table, {})
         return images.image(table, x, entry[1])
 
-    status = _first_failure(
-        _split_words(alg.space, bounds, max_letters), bounds,
-        lambda word: _connected_part(lambda x: defect(image, x), word),
-        witness)
+    for word in _split_words(alg.space, bounds, max_letters):
+        bad = _connected_part(lambda x: defect(image, x), word)
+        if bad:
+            status = VerifyStatus(False, bounds, witness(word, bad))
+            break
+    else:
+        status = VerifyStatus(True, bounds)
     for table, evaluated in new.values():
         images = images._with(table, evaluated)
     status.images = images
@@ -467,7 +465,7 @@ def check_structure(alg, bounds, images=None):
     return _check_split_words(
         alg, bounds, images,
         lambda image, x: _p_squared(alg, image(alg.table, x)),
-        witness=lambda word, bad: (len(word), min(bad), word))
+        witness=lambda word, bad: (len(word), min(bad)[0], word))
 
 
 def check_morphism(mor, bounds):
@@ -498,8 +496,8 @@ def _split_word_table(space, image, parity, bounds, target=None,
                       constants=True):
     """The table of pi_{1,l} o image on split words: for each basis word,
     the single-cluster parts of image on its letters taken one per
-    cluster.  With constants=False a nonzero l = 0 part raises
-    InternalInconsistencyError.
+    cluster, at their genus (hbar exponent).  With constants=False a
+    nonzero l = 0 part raises InternalInconsistencyError.
 
     Every caller's image ends in apply_morphism(..., single_cluster=True),
     which makes only the connected block lists of its last stage.  That is
@@ -510,11 +508,11 @@ def _split_word_table(space, image, parity, bounds, target=None,
     beside the others pass through."""
     entries = []
     for word in _split_words(space, bounds):
-        for l, elem in sorted(_connected_part(image, word).items()):
+        for (l, g), elem in sorted(_connected_part(image, word).items()):
             if l == 0 and not constants:
                 raise InternalInconsistencyError(
                     "nonzero constant term at input %r: %r" % (word, elem))
-            entries.append((len(word), l, word, elem))
+            entries.append((len(word), l, g, word, elem))
     return OperationTable(space, parity, entries, complete=False,
                           max_k=bounds.max_letters, target=target)
 

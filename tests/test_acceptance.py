@@ -202,7 +202,7 @@ def _commutator_corrected(alg, ptab, fb):
         x = EElement.monomial(word_to_singletons(w))
         com = (apply_hat_p(alg, apply_coderivation(fb, x))
                + apply_coderivation(fb, apply_hat_p(alg, x)))
-        for l, e in pi_single_cluster(com).items():
+        for (l, _), e in pi_single_cluster(com).items():
             key = (len(w), l, w)
             entries[key] = entries.get(key, Element()) + e
     rows = [(k, l, w, e) for (k, l, w), e in entries.items() if e]

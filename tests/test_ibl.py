@@ -7,8 +7,7 @@ from blinfty import fixtures, invariants
 from blinfty.errors import IncompleteTableError, StructureError
 from blinfty.ibl import (apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion, genus0,
-                         hbar_width, torsion_grid, two_level_ibl,
-                         verify_grid_certificate)
+                         torsion_grid, verify_grid_certificate)
 from blinfty.structures import (Augmentation, BLAlgebra, Bounds,
                                 OperationTable, PointedMap, VerifyStatus,
                                 apply_hat_p, check_pointed, check_structure,
@@ -16,8 +15,8 @@ from blinfty.structures import (Augmentation, BLAlgebra, Bounds,
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            enumerate_basis, normalize_word)
 
-from util import (eword, oracle_ibl, random_space, random_table, space,
-                  word)
+from util import (eword, oracle_check_ibl, oracle_ibl, random_space,
+                  random_table, space, word)
 
 B3 = Bounds(3)
 
@@ -141,6 +140,32 @@ def test_check_ibl_agrees_with_hat_squared():
         assert verdict == direct
 
 
+def test_check_ibl_agrees_with_oracle():
+    # verdict and witness (k, l, g, word) against oracle_ibl squared on
+    # split words, over random tables of genera 0-1 at caps 0-2
+    rng = random.Random(41)
+    seen = {"passed": 0, "passed with genus 1": 0, "failed": 0,
+            "failed at hbar > 0": 0}
+    for _ in range(60):
+        sp = random_space(rng, n=rng.randint(1, 3))
+        base = random_table(rng, sp, n_entries=rng.randint(1, 4), max_k=3,
+                            max_l=rng.choice((0, 1, 2)))
+        entries = [(k, l, rng.randrange(2), w, e)
+                   for (k, l, _, w, e) in base.sorted_entries()]
+        tab = OperationTable(sp, 1, entries)
+        cap, bounds = rng.randrange(3), Bounds(rng.choice((2, 3)))
+        status = check_ibl(BLAlgebra(sp, tab), cap, bounds)
+        assert (status.ok, status.witness) == \
+            oracle_check_ibl(sp, tab, cap, bounds), entries
+        if status.ok:
+            seen["passed"] += 1
+            seen["passed with genus 1"] += any(e[2] for e in entries)
+        else:
+            seen["failed"] += 1
+            seen["failed at hbar > 0"] += status.witness[2] > 0
+    assert min(seen.values()) >= 5, seen
+
+
 def test_genus0_of_lift_recovers_algebra():
     alg = fixtures.planar_torsion_one()
     assert genus0(alg).table == alg.table
@@ -215,7 +240,7 @@ def test_hbar_width_monotone():
             x = EWord(ew.clusters, hbar=h)
             out = apply_hat_p_ibl(ialg, EElement.monomial(x), 4)
             for ew2 in out.terms:
-                assert hbar_width(ew2) >= hbar_width(x)
+                assert ew2.hbar >= x.hbar
 
 
 # ---- the torsion grid --------------------------------------------------------

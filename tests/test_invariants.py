@@ -1119,6 +1119,23 @@ def test_action_drop_survives_a_document_round_trip():
             bio.document_of_algebra(alg)
 
 
+def test_tables_differing_in_action_drop_are_not_equal():
+    # the flag changes answers, so a round trip compared with == must see
+    # it lost: without it, level 2 is not certified by the filtration
+    alg = _spectator_union()
+    tab = alg.table
+    copy = OperationTable(tab.space, tab.parity, tab.sorted_entries(),
+                          complete=tab.complete, max_k=tab.max_k)
+    assert tab == OperationTable(tab.space, tab.parity, tab.sorted_entries(),
+                                 complete=tab.complete, max_k=tab.max_k,
+                                 action_drop=True)
+    assert tab != copy
+    schedule = default_schedule(3, Bounds(3, max_action=3))
+    kinds = [(ans.kind, ans.level) for ans in (
+        torsion(a, schedule) for a in (alg, BLAlgebra(alg.space, copy)))]
+    assert kinds == [("exact", 2), ("at-most", 2)]
+
+
 def _sd_outcome(order, inputs):
     try:
         return order(*inputs)

@@ -80,8 +80,24 @@ def test_duplicate_cell_rejected():
     bad = PLANAR_DOC.replace(
         "op 2 0 : q1·q2 -> 1 1",
         "op 2 0 : q1·q2 -> 1 1\nop 2 0 : q1·q2 -> 2 1")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 7: duplicate op cell "
+                       r"\(2,0\) 'q1·q2'$"):
         bio.parse(bad)
+    # a duplicate forty ops after its first occurrence
+    ops = ["op %d 1 : %s -> 1 b" % (k, "·".join("a" * k))
+           for k in range(1, 41)]
+    text = "format blinfty 1\ngen a parity 0\ngen b parity 1\n" \
+        "table structure p parity 1\n%s\nop 1 1 : a -> 2 b\n" % "\n".join(ops)
+    with pytest.raises(ParseError, match=r"^line 45: duplicate op cell "
+                       r"\(1,1\) 'a'$"):
+        bio.parse(text)
+    assert len(bio.parse(text.rsplit("op", 1)[0]).tables[0].ops) == 40
+    # one (k, l, input) at two genera of an ibl table is two cells
+    ibl = "format blinfty 1\ngen q parity 1\ntable ibl p parity 1 hbar\n" \
+        "op 1 0 : q -> 1 1\nop 1 0 genus 1 : q -> 1 1\n"
+    assert len(bio.parse(ibl).tables[0].ops) == 2
+    with pytest.raises(ParseError, match=r"^line 6: duplicate op cell"):
+        bio.parse(ibl + "op 1 0 genus 1 : q -> 2 1\n")
 
 
 def test_hbar_outside_ibl_table_rejected():

@@ -602,7 +602,7 @@ def commutator_pointed(alg, phi_bullet, parity_bullet):
         com = (apply_hat_p(alg, assembly.apply_coderivation(phi_bullet, x))
                - sgn * assembly.apply_coderivation(
                    phi_bullet, apply_hat_p(alg, x)))
-        for l, e in pi_single_cluster(com).items():
+        for (l, _), e in pi_single_cluster(com).items():
             entries[(len(w), l, w)] = e
     rows = [(k, l, w, e) for (k, l, w), e in entries.items()]
     return OperationTable(sp, (parity_bullet + 1) % 2, rows, complete=False,

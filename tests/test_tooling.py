@@ -84,6 +84,29 @@ def test_one_rule_decides_at_most():
                              "invariants._search"], sites
 
 
+def test_one_loop_fails_every_check():
+    # every check runs through structures._check_split_words, so only it
+    # builds a VerifyStatus that is not verified
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(path.stem, tree)]
+        while scopes:
+            name, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    scopes.append(("%s.%s" % (name, child.name), child))
+                    continue
+                if isinstance(child, ast.Call) and \
+                        getattr(child.func, "id", None) == "VerifyStatus":
+                    ok = child.args[0] if child.args else next(
+                        kw.value for kw in child.keywords if kw.arg == "ok")
+                    if not (isinstance(ok, ast.Constant) and ok.value is True):
+                        sites.append(name)
+                scopes.append((name, child))
+    assert sites == ["structures._check_split_words"], sites
+
+
 def test_operators_read_their_spaces_from_their_tables():
     # an assembled operator's spaces are its table's: no call passes a
     # target_space, and each assembly entry point takes its table (or its

@@ -241,6 +241,28 @@ def oracle_ibl(sp, tab, ew, cap):
     return EElement(acc)
 
 
+def oracle_check_ibl(sp, tab, cap, bounds):
+    """(ok, witness) of the hbar-graded structure check from oracle_ibl:
+    failed at the first nonempty word of the window, in word order, whose
+    letters taken one per cluster have a nonzero single-cluster part of
+    oracle p-hat squared, truncated above cap; the witness is (k, l, g,
+    word) at the least (length, exponent) of that part."""
+    for w in oracle_words(sp, bounds.max_letters, bounds.max_action):
+        if not len(w):
+            continue
+        twice = {}
+        once = oracle_ibl(sp, tab, EWord(tuple(Word((i,)) for i in w.letters)),
+                          cap)
+        for ew1, c1 in once.terms.items():
+            for ew2, c2 in oracle_ibl(sp, tab, ew1, cap).terms.items():
+                twice[ew2] = twice.get(ew2, 0) + c1 * c2
+        cells = [(len(ew.clusters[0]), ew.hbar) for ew, c in twice.items()
+                 if c and len(ew.clusters) == 1]
+        if cells:
+            return False, (len(w), *min(cells), w)
+    return True, None
+
+
 def _all_subsets(it):
     items = list(it)
     for r in range(len(items) + 1):
