@@ -22,7 +22,7 @@ from .invariants import (TorsionAnswer, default_schedule, order_O,
                          order_multi, planarity, sd_order, torsion,
                          verify_torsion_certificate)
 from .structures import (Bounds, check_pointed, check_structure, ell_table,
-                         is_augmentation, linearize, linearize_pointed)
+                         is_augmentation, linearize)
 from .words import EElement, EWord
 
 
@@ -302,31 +302,20 @@ def cmd_order_multi(args, rep):
     return code
 
 
-def _sd_level(args, bounds, augs, pmaps, images):
-    """The semi-dilation order of the first augmentation and pointed map
-    under the --umap endomorphism."""
-    eps, (_, pmap) = augs[0], pmaps[0]
-    lin = linearize(eps, bounds, images)
-    lpt = linearize_pointed(pmap, eps, bounds, images)
-    umod = _load_side(args.umap, eps.source, "umodule")
-    return sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
-                    lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
-
-
 def cmd_sd(args, rep):
-    bounds, _, augs, pmaps, images = _checked_inputs(args, rep)
+    bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
     if not augs or not pmaps or not args.umap:
         return _inconclusive(rep, "sd", "need --aug, --pointed and --umap")
+    umod = _load_side(args.umap, alg, "umodule")
     try:
-        k = _sd_level(args, bounds, augs, pmaps, images)
+        ans = sd_order(augs[0], pmaps[0][1], umod, bounds, images)
     except PlanarityNotOneError:
         return _inconclusive(rep, "sd", "no class with functional value 1")
     except NotNilpotentError as e:
         rep.add("sd", "failed")
         rep.add("reason", str(e))
         return 1
-    rep.add("sd", "exact %d" % k)
-    return 0
+    return _report_answer(rep, "sd", ans)
 
 
 def cmd_planarity(args, rep):
@@ -346,24 +335,23 @@ def cmd_hierarchy(args, rep):
     bounds, alg, augs, pmaps, images = _checked_inputs(args, rep)
     t = torsion(alg, default_schedule(bounds.outer(), bounds), images)
     _report_answer(rep, "torsion", t)
-    pl = None
-    sd_level = None
+    pl = sd = None
     if pmaps:
         try:
             pl = planarity(augs, pmaps[0][1], bounds, t, images)
-            if pl.found():
-                rep.add("planarity", "%s %d" % (pl.kind, pl.level))
         except InconclusiveError:
-            pl = None
-    if pl is not None and pl.found() and pl.level == 1 and args.umap \
-            and augs:
-        try:
-            sd_level = _sd_level(args, bounds, augs, pmaps, images)
-            rep.add("sd", "exact %d" % sd_level)
-        except (PlanarityNotOneError, NotNilpotentError):
-            sd_level = None
+            pass
+    if pl is not None and pl.found():
+        _report_answer(rep, "planarity", pl)
+        if pl.level == 1 and args.umap and augs:
+            umod = _load_side(args.umap, alg, "umodule")
+            try:
+                sd = sd_order(augs[0], pmaps[0][1], umod, bounds, images)
+                _report_answer(rep, "sd", sd)
+            except (PlanarityNotOneError, NotNilpotentError):
+                pass
     try:
-        value = hierarchy_classify(t, bool(augs), pl, sd_level)
+        value = hierarchy_classify(t, bool(augs), pl, sd)
     except (InconclusiveError, InconsistentInputsError) as e:
         return _inconclusive(rep, "hierarchy", str(e))
     rep.add("hierarchy", repr(value))

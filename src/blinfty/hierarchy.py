@@ -78,9 +78,9 @@ class HierarchyValue:
 def hierarchy_classify(pt, has_aug, pl=None, sd=None):
     """Place computed invariants into the ordered set.
 
-    pt: a TorsionAnswer; has_aug: whether a verified augmentation exists;
-    pl: a TorsionAnswer for planarity (required when has_aug); sd: the
-    semi-dilation level (required when planarity is 1).
+    pt, pl and sd: the TorsionAnswers of torsion, planarity (required when
+    has_aug, whether a verified augmentation exists) and semi-dilation
+    (required when planarity is 1); a not-found pl or sd is inconclusive.
     """
     if pt.found():
         if has_aug:
@@ -96,9 +96,9 @@ def hierarchy_classify(pt, has_aug, pl=None, sd=None):
         raise InconsistentInputsError(
             "planarity 0 contradicts the verified augmentation")
     if pl.level == 1:
-        if sd is None:
+        if sd is None or not sd.found():
             raise InconclusiveError("semi-dilation required when planarity is 1")
-        return HierarchyValue("SD", sd)
+        return HierarchyValue("SD", sd.level)
     return HierarchyValue("Pl", pl.level)
 
 

@@ -24,7 +24,7 @@ from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
 
 
 class TorsionAnswer:
-    """The answer of a torsion or order search.
+    """The answer of a search: torsion, an order or semi-dilation.
 
     value kind: 'exact' | 'at-most' | 'not-found'; level when found.
     """
@@ -44,11 +44,13 @@ class TorsionAnswer:
         return "TorsionAnswer(not-found-within %r)" % (self.bounds,)
 
 
-def _matrix(space, table):
-    """The matrix of a linear table: entry [output letter][input letter]."""
-    n = len(space)
+def _matrix(n, table, kl, message):
+    """The n x n matrix of a table of (k, l) = kl cells: entry [output
+    letter][input letter]; another cell raises StructureError(message)."""
     m = [[Fraction(0)] * n for _ in range(n)]
-    for cell in table.cells.values():
+    for key, cell in table.cells.items():
+        if key != kl:
+            raise StructureError(message)
         for w_in, elem in cell.items():
             for w_out, c in elem.terms.items():
                 m[w_out.letters[0]][w_in.letters[0]] = c
@@ -479,27 +481,37 @@ def _apply_inner_morphism(table, element):
 # ---------------------------------------------------------------------------
 # semi-dilation
 
-def sd_order(ell1, umod, ell_point):
-    """Least k with a linearized homology class of functional value 1
-    annihilated by U^(k+1).
+def sd_order(eps, pmap, umod, bounds, images=None):
+    """_sd_search on the (1,1) part of eps's linearized structure and the
+    (1,0) part of pmap linearized at eps, p-hat and P-hat read from images
+    (see SplitImages).  A U over another space than eps's raises
+    StructureError."""
+    lin = _linearized(eps, bounds, images)
+    if umod.space is not eps.source.space:
+        raise StructureError("U over another space than eps's algebra")
+    lpt = linearize_pointed(pmap, eps, bounds, images)
+    return _sd_search(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
+                      lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
+
+
+def _sd_search(ell1, umod, ell_point):
+    """Least k with a homology class of functional value 1 annihilated by
+    U^(k+1), as an answer of _search.
 
     ell1: the (1,1) linear differential table on the generator space;
     ell_point: the (1,0) functional table.  U must commute with the
-    differential exactly and be nilpotent on homology.
+    differential exactly and be nilpotent on homology; no class of
+    functional value 1 raises PlanarityNotOneError.
     """
-    sp = umod.space
-    n = len(sp)
-    if any(kl != (1, 1) for kl in ell1.cells):
-        raise StructureError("ell1 must be a linear differential")
-    D = _matrix(sp, ell1)
-    U = _matrix(sp, umod.table)
+    n = len(umod.space)
+    D = _matrix(n, ell1, (1, 1), "ell1 must be a linear differential")
+    U = _matrix(n, umod.table, (1, 1), "U must be a linear endomorphism")
+    if any(kl != (1, 0) for kl in ell_point.cells):
+        raise StructureError("ell_point must be a linear functional")
     f = [Fraction(0)] * n
-    for (k, l), cell in ell_point.cells.items():
-        if (k, l) != (1, 0):
-            raise StructureError("ell_point must be a linear functional")
-        for w_in, elem in cell.items():
-            f[w_in.letters[0]] = elem.terms.get(UNIT_WORD, Fraction(0))
-    if _mat_mul(U, D) != _mat_mul(D, U):
+    for w_in, elem in ell_point.cells.get((1, 0), {}).items():
+        f[w_in.letters[0]] = elem.terms.get(UNIT_WORD, Fraction(0))
+    if any(_mat_vec(U, d) != _mat_vec(D, u) for d, u in zip(zip(*D), zip(*U))):
         raise StructureError("U does not commute with the differential")
     if any(sum(f[i] * D[i][j] for i in range(n)) for j in range(n)):
         raise StructureError("the functional is not a chain map")
@@ -518,24 +530,19 @@ def sd_order(ell1, umod, ell_point):
     def level(k, _):
         # unknowns: z in span(cycles), then y; rows: U^(k+1) z - D y = 0
         return range(len(cycles) + n), (
-            [dict(enumerate(v)) for v in powers[k + 1]]
-            + [{i: -D[i][j] for i in range(n)} for j in range(n)])
+            [{i: c for i, c in enumerate(v) if c} for v in powers[k + 1]]
+            + [{i: -D[i][j] for i in range(n) if D[i][j]} for j in range(n)])
 
-    # feasibility only grows with the power (U commutes with D), so the
-    # last level decides whether any class has functional value 1
+    # feasibility grows with the power (U commutes with D), so the last
+    # level decides whether a class has functional value 1.  No level has
+    # a window (each spans all of homology), so a failed level is certified
     ans = _search([(k, None) for k in range(power_bound)], level,
-                  lambda j, b: False,
+                  lambda j, b: True,
                   functional=lambda j: sum(x * y for x, y in zip(
                       f, cycles[j])) if j < len(cycles) else 0)
     if not ans.found():
         raise PlanarityNotOneError("no class with functional value 1")
-    return ans.level
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
+    return ans
 
 
 def _mat_vec(A, v):

@@ -115,7 +115,13 @@ class OperationTable:
                 if len(w_out) != l:
                     raise StructureError(
                         "output %r not of declared length l=%d" % (w_out, l))
-                if self.target.word_parity(w_out.letters) != (in_par + self.parity) % 2:
+                try:
+                    odd = self.target.word_parity(w_out.letters)
+                except IndexError:
+                    raise StructureError(
+                        "entry (%d,%d) %r: output %r outside the target"
+                        % (k, l, w_in, w_out)) from None
+                if odd != (in_par + self.parity) % 2:
                     raise StructureError(
                         "entry (%d,%d) %r violates parity" % (k, l, w_in))
                 if self.action_drop:
@@ -254,7 +260,7 @@ class Augmentation(BLMorphism):
     """A morphism to the trivial algebra, stored as (k,0) functionals."""
 
     def __init__(self, algebra, table):
-        if any(l != 0 for (_, l) in table.cells):
+        if any(l != 0 for (_, l, _) in table._cells):
             raise StructureError("augmentation entries must have l = 0")
         super().__init__(algebra, TRIVIAL_ALGEBRA, table)
 
@@ -277,9 +283,8 @@ class UModule:
             raise StructureError("U must have parity 0")
         if table.space is not space:
             raise StructureError("U table is over another space")
-        for (k, l) in table.cells:
-            if (k, l) != (1, 1):
-                raise StructureError("U must be a linear endomorphism")
+        if any(cell != (1, 1, 0) for cell in table._cells):
+            raise StructureError("U must be a linear endomorphism")
         if all(g.zgrade is not None for g in space.generators):
             for (_, _), cell in table.cells.items():
                 for w_in, elem in cell.items():

@@ -92,12 +92,15 @@ def test_classify_consistency_checks():
 
 def test_classify_sd_and_pl():
     nf = TorsionAnswer("not-found")
-    assert hierarchy_classify(nf, True, TorsionAnswer("exact", 1), sd=2) == \
+    sd = TorsionAnswer("exact", 2)
+    assert hierarchy_classify(nf, True, TorsionAnswer("exact", 1), sd) == \
         HierarchyValue("SD", 2)
     assert hierarchy_classify(nf, True, TorsionAnswer("exact", 3)) == \
         HierarchyValue("Pl", 3)
     with pytest.raises(InconclusiveError):
         hierarchy_classify(nf, True, TorsionAnswer("exact", 1))
+    with pytest.raises(InconclusiveError):
+        hierarchy_classify(nf, True, TorsionAnswer("exact", 1), nf)
     with pytest.raises(InconclusiveError):
         hierarchy_classify(nf, True, TorsionAnswer("not-found"))
 

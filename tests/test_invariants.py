@@ -18,7 +18,8 @@ from blinfty.invariants import (TorsionAnswer, bar_B_k,
                                 torsion_monotone_check,
                                 verify_torsion_certificate, width,
                                 apply_multi_pointed_linearized,
-                                _apply_inner_morphism, _multi_linearized)
+                                _apply_inner_morphism, _multi_linearized,
+                                _sd_search)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, UModule,
                                 apply_hat_p, check_compatibility,
@@ -593,25 +594,25 @@ def _sd_setup(u_cols, f_vals, d_cols=(), n=2, parities=None):
 
 def test_sd_zero_u():
     sp, d, u, f = _sd_setup([], [(0, 1)])
-    assert sd_order(d, u, f) == 0
+    assert _sd_search(d, u, f).level == 0
 
 
 def test_sd_one_step():
     # U(x) = y, f(x) = 1: frozen by brute force over k = 0, 1
     sp, d, u, f = _sd_setup([(1, 0, 1)], [(0, 1)])
-    assert sd_order(d, u, f) == 1
+    assert _sd_search(d, u, f).level == 1
 
 
 def test_sd_functional_zero_errors():
     sp, d, u, f = _sd_setup([(1, 0, 1)], [])
     with pytest.raises(PlanarityNotOneError):
-        sd_order(d, u, f)
+        _sd_search(d, u, f)
 
 
 def test_sd_not_nilpotent():
     sp, d, u, f = _sd_setup([(0, 0, 1)], [(0, 1)])
     with pytest.raises(NotNilpotentError):
-        sd_order(d, u, f)
+        _sd_search(d, u, f)
 
 
 def test_sd_u_must_commute():
@@ -619,7 +620,7 @@ def test_sd_u_must_commute():
     sp, d, u, f = _sd_setup([(0, 0, 2), (1, 1, 3)], [(0, 1)],
                             d_cols=[(0, 1, 1)], parities=[0, 1])
     with pytest.raises(StructureError):
-        sd_order(d, u, f)
+        _sd_search(d, u, f)
 
 
 def test_sd_on_homology_with_differential():
@@ -630,7 +631,7 @@ def test_sd_on_homology_with_differential():
         d_cols=[(2, 3, 1)],
         n=4, parities=[0, 0, 0, 1])
     # U: v0 -> v1 -> v2, v2 is a boundary, so U^2 [v0] = 0 on homology
-    assert sd_order(d, u, f) == 1
+    assert _sd_search(d, u, f).level == 1
 
 
 def test_sd_ladder_rungs_are_exact():
@@ -645,14 +646,30 @@ def test_sd_ladder_rungs_are_exact():
     assert fixtures.sd_ladder(2)[2].table == p2.table
     for n in range(1, 5):
         alg, utab, pmap = fixtures.sd_ladder(n)
-        eps = fixtures.zero_aug(alg)
-        lin = linearize(eps, B3)
-        lpt = linearize_pointed(pmap, eps, B3)
-        assert sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)),
-                        UModule(alg.space, utab),
-                        lpt.sub_table(lambda k, l: (k, l) == (1, 0))) == n - 1
+        ans = sd_order(fixtures.zero_aug(alg), pmap, UModule(alg.space, utab),
+                       B3)
+        assert ans.level == n - 1
     with pytest.raises(ValueError):
         fixtures.sd_ladder(0)
+
+
+def test_sd_order_answers_exact_on_the_ladder():
+    # every sd level is a finite system over the whole linearized
+    # homology, so a failed level is certified and the kind is exact
+    for n in range(1, 6):
+        alg, utab, pmap = fixtures.sd_ladder(n)
+        ans = sd_order(fixtures.zero_aug(alg), pmap, UModule(alg.space, utab),
+                       B3)
+        assert (ans.kind, ans.level) == ("exact", n - 1)
+
+
+def test_sd_order_refuses_u_over_another_space():
+    alg, utab, pmap = fixtures.sd_ladder(2)
+    twin = GradedSpace(list(alg.space.generators))
+    with pytest.raises(StructureError, match="U over another space"):
+        sd_order(fixtures.zero_aug(alg), pmap,
+                 UModule(twin, OperationTable(twin, 0, utab.sorted_entries())),
+                 B3)
 
 
 def test_umodule_grade_check():
@@ -806,20 +823,14 @@ def test_mixed_no_aug_fixture():
 def test_hierarchy_end_to_end_sd_zero():
     # the one-point fixture with the zero endomorphism classifies as 0^SD
     from blinfty.hierarchy import HierarchyValue, hierarchy_classify
-    from blinfty.structures import linearize, linearize_pointed
     alg, pmap = fixtures.pointed_one()
     t = torsion(alg, default_schedule(3, B3))
     assert t.kind == "not-found"
     pl = planarity([], pmap, B3)  # generic probe: order 1 for every eps
     assert pl.found() and pl.level == 1
-    eps = fixtures.zero_aug(alg)
-    lin = linearize(eps, B3)
-    lpt = linearize_pointed(pmap, eps, B3)
-    utab = OperationTable(alg.space, 0, (), complete=True)
-    umod = UModule(alg.space, utab)
-    sd = sd_order(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
-                  lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
-    assert sd == 0
+    umod = UModule(alg.space, OperationTable(alg.space, 0, (), complete=True))
+    sd = sd_order(fixtures.zero_aug(alg), pmap, umod, B3)
+    assert (sd.kind, sd.level) == ("exact", 0)
     value = hierarchy_classify(t, True, pl, sd)
     assert value == HierarchyValue("SD", 0)
 
@@ -902,7 +913,8 @@ def test_generic_probe_detects_dependence_through_letter_raising():
 def _engine_cases(rng):
     """Seeded calls of every engine that solves: torsion on the
     benchmark's exhausting family and on random structures, the two orders on random pointed maps, the torsion grid on
-    random hbar tables and sd_order on random commuting (d, U) pairs."""
+    random hbar tables; and apart, so that the coverage floors count only
+    the others, _sd_search on random commuting (d, U) pairs."""
     cases = [lambda sign=sign: torsion(fixtures.mixed_no_aug(sign),
                                        default_schedule(4, Bounds(4)))
              for sign in (1, -1)]
@@ -939,14 +951,12 @@ def _engine_cases(rng):
         for n, m in ((0, 0), (0, 1), (1, 0)):
             cases.append(lambda ialg=ialg, n=n, m=m: torsion_grid(
                 ialg, n, m, 2, Bounds(3)))
-    for _ in range(20):
-        cases.append(_random_sd_case(rng))
-    return cases
+    return cases, [_random_sd_case(rng) for _ in range(20)]
 
 
 def _random_sd_case(rng):
     inputs = _random_sd_inputs(rng)
-    return lambda: sd_order(*inputs)
+    return lambda: _sd_search(*inputs)
 
 
 def _random_sd_inputs(rng):
@@ -1003,18 +1013,22 @@ def _terms(cert):
 
 
 def test_engines_match_dense_oracle(monkeypatch):
-    sparse = [_outcome(case) for case in _engine_cases(random.Random(606))]
+    sparse, sparse_sd = _outcomes(_engine_cases(random.Random(606)))
     monkeypatch.setattr(invariants, "solve_linear", dense_solve_linear)
     monkeypatch.setattr(invariants, "rank", dense_rank)
     monkeypatch.setattr(invariants, "kernel_basis", dense_kernel_basis)
-    dense = [_outcome(case) for case in _engine_cases(random.Random(606))]
-    assert sparse == dense
+    dense, dense_sd = _outcomes(_engine_cases(random.Random(606)))
+    assert (sparse, sparse_sd) == (dense, dense_sd)
     kinds = [out[0] for out in sparse if isinstance(out, tuple)]
     assert kinds.count("exact") + kinds.count("at-most") >= 5
     assert kinds.count("not-found") >= 3
     assert kinds.count(True) >= 3 and kinds.count(False) >= 3
-    sd = [out for out in sparse if isinstance(out, int)]
-    assert len(set(sd)) >= 2
+    sd = {out[1] for out in sparse_sd if out[0] == "exact"}
+    assert len(sd) >= 2
+
+
+def _outcomes(case_lists):
+    return tuple([_outcome(case) for case in cases] for cases in case_lists)
 
 
 # ---- the level search against its definition -------------------------------
@@ -1144,13 +1158,13 @@ def _sd_outcome(order, inputs):
 
 
 def test_sd_order_matches_dense_oracle():
-    # sd_order's levels, solved through the one level loop, against the
+    # _sd_search's levels, solved through the one level loop, against the
     # oracle's dense system per power of U: the same k or the same error
     rng = random.Random(1414)
     outcomes = []
     for _ in range(400):
         inputs = _random_sd_inputs(rng)
-        got = _sd_outcome(sd_order, inputs)
+        got = _sd_outcome(lambda *a: _sd_search(*a).level, inputs)
         assert got == _sd_outcome(oracle_sd_order, inputs)
         outcomes.append(got)
     assert outcomes.count(PlanarityNotOneError) >= 20
@@ -1194,7 +1208,7 @@ def _memo_cases(rng):
     """Every search that memoizes images: the solving engines on seeded
     random tables, the torsion ladder, and torsion, both orders, both
     multi-point orders and planarity on the fixtures."""
-    cases = _engine_cases(rng)
+    cases, sd_cases = _engine_cases(rng)
     for n in range(1, 5):
         cases.append(lambda n=n: torsion(fixtures.torsion_ladder(n),
                                          default_schedule(n + 1,
@@ -1214,14 +1228,13 @@ def _memo_cases(rng):
                              multi(eps, fam, 2, B3))
         cases.append(lambda augs=augs, pmap=pmap:
                      planarity(augs, pmap, B3))
-    return cases
+    return cases, sd_cases
 
 
 def test_image_memo_keeps_answers_and_certificates(monkeypatch):
-    memo = [_outcome(case) for case in _memo_cases(random.Random(909))]
+    memo, memo_sd = _outcomes(_memo_cases(random.Random(909)))
     monkeypatch.setattr(invariants, "_once", lambda image: image)
-    plain = [_outcome(case) for case in _memo_cases(random.Random(909))]
-    assert memo == plain
+    assert (memo, memo_sd) == _outcomes(_memo_cases(random.Random(909)))
     kinds = [out[0] for out in memo if isinstance(out, tuple)]
     assert kinds.count("exact") + kinds.count("at-most") >= 10
     assert kinds.count("not-found") >= 5

@@ -5,7 +5,7 @@ import pytest
 
 from blinfty import fixtures
 from blinfty import io as bio
-from blinfty.cli import main as cli_main
+from blinfty.cli import COMMANDS, main as cli_main
 from blinfty.errors import ParseError, StructureError
 from blinfty.structures import BLAlgebra, Bounds, OperationTable
 from blinfty.words import (Element, EWord, Generator, GradedSpace, UNIT_WORD,
@@ -836,6 +836,59 @@ table augmentation eps parity 0
                         "--aug", str(f))
     assert code == 1
     assert report_value(out, "augmentation") == "failed"
+
+
+# an augmentation maps into the empty space, so no output has a letter
+LETTERED_AUG = """\
+format blinfty 1
+gen a parity 0
+gen b parity 1
+table augmentation A parity 0
+op 1 1 : a -> 1 a
+"""
+
+
+def test_cli_lettered_augmentation_output_exit_one(corpus_dir, tmp_path):
+    aug = tmp_path / "A.blf"
+    aug.write_text(LETTERED_AUG, encoding="utf-8")
+    code, out = run_cli(tmp_path, "verify", str(corpus_dir / "acyclic-pair.blf"),
+                        "--aug", str(aug))
+    assert code == 1
+    assert out.splitlines()[:2] == ["command: verify", "verify: ok"]
+    assert report_value(out, "error").startswith("structure: entry (1,1)")
+    assert report_value(out, "error").endswith("outside the target")
+
+
+def test_cli_sweep_no_exception_escapes_main(corpus_dir):
+    # every command on every corpus structure, its side slots filled from
+    # the corpus and the lettered augmentation (three times in four from
+    # the structure's own documents): each run returns 0-3 and emits a
+    # report
+    (corpus_dir / "lettered-aug.blf").write_text(LETTERED_AUG,
+                                                 encoding="utf-8")
+    docs = sorted(p.stem for p in corpus_dir.glob("*.blf"))
+    rng = random.Random(2525)
+    runs = 0
+    for name in (d for d in docs if "." not in d and d != "lettered-aug"):
+        own = [d for d in docs if d.startswith(name + ".")] + ["lettered-aug"]
+        for command, (_, arguments) in COMMANDS.items():
+            if command == "combine":
+                continue
+            for _ in range(3):
+                argv = [command, str(corpus_dir / (name + ".blf"))]
+                if command == "ibl-torsion":
+                    argv += [str(rng.randint(0, 1)), str(rng.randint(0, 1))]
+                for flag in ("--aug", "--pointed", "--umap"):
+                    if flag in arguments and rng.random() < 0.7:
+                        side = rng.choice(own if rng.random() < 0.75 else docs)
+                        argv += [flag, str(corpus_dir / (side + ".blf"))]
+                code, out = run_cli(corpus_dir, *argv)
+                lines = out.splitlines()
+                assert code in (0, 1, 2, 3), argv
+                assert lines[0] == "command: " + command, argv
+                assert len(lines) >= 2, argv
+                runs += 1
+    assert runs >= 300
 
 
 NON_STRUCTURE_DOC = """\

@@ -96,6 +96,31 @@ def test_table_action_drop_rejects_raising():
         table(sp, 1, [(1, 1, ("a",), [(1, ("b",))])], action_drop=True)
 
 
+def test_table_refuses_an_output_letter_outside_its_target():
+    # an augmentation's table maps into the empty space: a lettered output
+    # has no parity there
+    sp = space(("a", 0),)
+    a = word(sp, "a")
+    with pytest.raises(StructureError, match="outside the target"):
+        OperationTable(sp, 0, [(1, 1, a, Element.monomial(a))],
+                       target=GradedSpace(()))
+
+
+def test_shape_checks_read_every_genus():
+    # the flat operators read genus 0 only, so a cell of another shape at
+    # a positive genus would be dropped without a word
+    sp = space(("a", 0), ("b", 0))
+    alg = BLAlgebra(sp, zero_table(sp))
+    a, b, ab = word(sp, "a"), word(sp, "b"), word(sp, "a", "b")
+    aug = OperationTable(sp, 0, [(1, 1, 1, a, Element.monomial(b))])
+    with pytest.raises(StructureError, match="l = 0"):
+        Augmentation(alg, aug)
+    for k, l, g, w_in, w_out in ((2, 1, 1, ab, a), (1, 1, 1, a, b)):
+        u = OperationTable(sp, 0, [(k, l, g, w_in, Element.monomial(w_out))])
+        with pytest.raises(StructureError, match="linear endomorphism"):
+            UModule(sp, u)
+
+
 # ---- morphism checks -------------------------------------------------------
 
 def test_structures_refuse_a_table_over_another_space():

@@ -136,7 +136,7 @@ def test_maps_name_their_algebra():
     entry = {"structures": {"is_augmentation", "check_pointed", "linearize",
                             "linearize_pointed"},
              "invariants": {"order_O", "order_O_tilde", "order_multi",
-                            "order_multi_tilde", "planarity"}}
+                            "order_multi_tilde", "planarity", "sd_order"}}
     params = {}
     for module, names in entry.items():
         for node in ast.parse((SRC / ("%s.py" % module)).read_text()).body:
