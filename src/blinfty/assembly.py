@@ -64,8 +64,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import IncompleteTableError
-from .words import (EElement, Element, _normalize_indices, _odd_inversion_sign,
-                    koszul_pass_sign, normalize_clusters, word_to_singletons)
+from .words import (EElement, Element, EWord, _inversion_sign,
+                    _normalize_indices, normalize_clusters, word_to_singletons)
 
 
 def apply_coderivation(table, x, *, single_cluster=False):
@@ -138,15 +138,18 @@ def _set_partitions(search):
     test.  Blocks come in ascending order of
     their first letter.  A forest over the lettered clusters is connected
     exactly when it has letters - clusters + 1 blocks, so single_cluster
-    fixes the number of blocks still needed (need; None when free).
+    fixes the number of blocks still needed (need; None when free).  The
+    lists are made in full before the first is returned; making them
+    raises nothing, since the entry test queries covered sizes only.
     """
     owner, letters, tables, factors, single_cluster = search
     sizes = [tab.input_sizes() for tab, _ in tables]
+    found = []
 
     def extend(free, comp, chosen, bullet_left, untested, need):
         if not free:
             if not bullet_left:
-                yield chosen
+                found.append(chosen)
             return
         first, rest = free[0], free[1:]
         # the blocks after this one take at least one letter each, and the
@@ -165,28 +168,31 @@ def _set_partitions(search):
                 continue
             for others in itertools.combinations(rest, k - 1):
                 block = (first,) + others
-                labels = {comp[owner[p]] for p in block}
-                if len(labels) < k:
-                    continue  # two of its letters are joined already
+                if k > 1:
+                    labels = {comp[owner[p]] for p in block}
+                    if len(labels) < k:
+                        continue  # two of its letters are joined already
                 word = tuple([letters[p] for p in block])
                 admitted = [(t, skip) for t, skip in options
                             if skip or factors(tables[t][0], word)]
                 if not admitted:
                     continue
-                merged = [min(labels) if c in labels else c for c in comp]
-                remaining = tuple(p for p in rest if p not in others)
+                if k == 1:  # a one-letter block joins nothing
+                    merged, remaining = comp, rest
+                else:
+                    merged = [min(labels) if c in labels else c for c in comp]
+                    remaining = tuple(p for p in rest if p not in others)
                 for t, skip in admitted:
-                    yield from extend(remaining, merged,
-                                      chosen + [(block, *tables[t])],
-                                      bullet_left and not t, skip,
-                                      None if need is None else need - 1)
+                    extend(remaining, merged, chosen + [(block, *tables[t])],
+                           bullet_left and not t, skip,
+                           None if need is None else need - 1)
 
     need = None
     if single_cluster and owner:
         need = len(owner) - len(set(owner)) + 1
-    yield from extend(tuple(range(len(owner))),
-                      list(range(max(owner, default=0) + 1)), [],
-                      len(tables) == 2, False, need)
+    extend(tuple(range(len(owner))), list(range(max(owner, default=0) + 1)),
+           [], len(tables) == 2, False, need)
+    return iter(found)
 
 
 def _operation_blocks(tables, one_per_cluster=True, single_cluster=False):
@@ -268,6 +274,8 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None, *, factors=None):
     and letters[p] its generator, and a block is (ascending letter
     positions, table, parity).  Outputs are normalized in tgt.  factors
     is a _factors(space) the caller shares, a fresh one when None."""
+    if not x.terms:
+        return EElement()
     if factors is None:
         factors = _factors(space)
     acc = {}
@@ -302,35 +310,38 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None, *, factors=None):
                 terms_of.append(terms)
             if len(terms_of) < m:
                 continue
+            roots = [_root(parent, a) for a in range(n + m)]
             # consumed letters to the front, block by block; each operation
             # passes the blocks before it
             consumed = [p for positions, _, _ in blocks for p in positions]
-            free = [p for p in range(len(letters)) if p not in consumed]
-            order = consumed + free
-            sign = _odd_inversion_sign(order, [pars[p] for p in order])
-            prefix, item_pars = [], []
+            taken = set(consumed)
+            free = [p for p in range(len(letters)) if p not in taken]
+            sign = _inversion_sign([p for p in consumed + free if pars[p]])
+            odd_prefix, item_pars = 0, []
             for positions, table, parity in blocks:
-                sign *= koszul_pass_sign(parity, prefix)
-                prefix.extend(pars[p] for p in positions)
-                item_pars.append(
-                    (sum(pars[p] for p in positions) + table.parity) % 2)
+                odd = sum([pars[p] for p in positions])
+                if parity % 2 and odd_prefix:
+                    sign = -sign
+                odd_prefix ^= odd & 1
+                item_pars.append((odd + table.parity) % 2)
             item_pars += [pars[p] for p in free]
             # items are the block outputs, then the free letters; regroup
             # them per component, untouched clusters last
             comps = {}
             for bi in range(m):
-                comps.setdefault(_root(parent, n + bi), ([], []))[0].append(bi)
+                comps.setdefault(roots[n + bi], ([], []))[0].append(bi)
             untouched = []
             for i, p in enumerate(free, m):
-                comp = comps.get(_root(parent, owner[p]))
+                comp = comps.get(roots[owner[p]])
                 (untouched if comp is None else comp[1]).append(i)
             order = [i for bis, lefts in comps.values()
                      for i in bis + lefts] + untouched
-            sign *= _odd_inversion_sign(order, [item_pars[i] for i in order])
+            sign *= _inversion_sign([i for i in order if item_pars[i]])
             merges = [(bis, [letters[free[i - m]] for i in lefts])
                       for bis, lefts in comps.values()]
             rest = tuple(c for ci, c in enumerate(clusters)
-                         if _root(parent, ci) not in comps)
+                         if roots[ci] not in comps)
+            whole = len(merges) == 1 and not rest
             for combo in itertools.product(*terms_of):
                 hbar = eword.hbar + cycles + sum(g for g, _, _ in combo)
                 if hbar > top:
@@ -345,16 +356,21 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None, *, factors=None):
                     s *= w_sign
                     words.append(w)
                 else:
-                    ew, ew_sign = normalize_clusters(
-                        tgt, tuple(words) + rest, hbar=hbar)
+                    if whole:
+                        ew, ew_sign = EWord(words, hbar), 1
+                    else:
+                        ew, ew_sign = normalize_clusters(
+                            tgt, tuple(words) + rest, hbar=hbar)
                     if ew_sign:
                         val = coeff
                         for _, c, _ in combo:
                             val *= c
                         acc[ew] = acc.get(ew, 0) + (
                             val if s * ew_sign > 0 else -val)
-    return EElement({ew: Fraction(c) if type(c) is int else c
-                     for ew, c in acc.items()})
+    out = EElement()
+    out.terms = {ew: Fraction(c) if type(c) is int else c
+                 for ew, c in acc.items() if c}
+    return out
 
 
 def _split(element):

@@ -157,7 +157,7 @@ def cmd_verify(args, rep):
         if ch.name.startswith("torsion-"):
             level, = _chain_numbers(ch.name, 1)
             ok = verify_torsion_certificate(
-                alg, TorsionAnswer("exact", level, ch.element))
+                alg, TorsionAnswer("exact", level, ch.element), status.images)
         elif ibl and ch.name.startswith("grid-"):
             n, m, trunc = _chain_numbers(ch.name, 3)
             ok = verify_grid_certificate(alg, ch.element, n, m, trunc)
@@ -312,10 +312,15 @@ def cmd_sd(args, rep):
     except PlanarityNotOneError:
         return _inconclusive(rep, "sd", "no class with functional value 1")
     except NotNilpotentError as e:
-        rep.add("sd", "failed")
-        rep.add("reason", str(e))
-        return 1
+        return _sd_failed(rep, e)
     return _report_answer(rep, "sd", ans)
+
+
+def _sd_failed(rep, e):
+    """A U that fails its check (NotNilpotentError): sd failed, exit 1."""
+    rep.add("sd", "failed")
+    rep.add("reason", str(e))
+    return 1
 
 
 def cmd_planarity(args, rep):
@@ -348,8 +353,10 @@ def cmd_hierarchy(args, rep):
             try:
                 sd = sd_order(augs[0], pmaps[0][1], umod, bounds, images)
                 _report_answer(rep, "sd", sd)
-            except (PlanarityNotOneError, NotNilpotentError):
+            except PlanarityNotOneError:
                 pass
+            except NotNilpotentError as e:
+                return _sd_failed(rep, e)
     try:
         value = hierarchy_classify(t, bool(augs), pl, sd)
     except (InconclusiveError, InconsistentInputsError) as e:

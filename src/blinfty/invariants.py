@@ -14,10 +14,11 @@ from .errors import (IncompleteTableError, InconclusiveError,
                      NotNilpotentError, PlanarityNotOneError,
                      PlanarityZeroError, StructureError, WindowLeakError)
 from .linalg import ChainComplex, kernel_basis, rank, solve_linear
-from .structures import (Augmentation, OperationTable, PointedMap, _require,
-                         _split_word_table, _split_words, apply_hat_p,
-                         apply_hat_phi, check_structure, compose, ell_table,
-                         f_eps, is_augmentation, linearize, linearize_pointed)
+from .structures import (Augmentation, OperationTable, PointedMap,
+                         _images_for, _require, _split_word_table,
+                         _split_words, apply_hat_p, apply_hat_phi,
+                         check_structure, compose, ell_table, f_eps,
+                         is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
                     enumerate_basis, eword_parity)
@@ -245,10 +246,13 @@ def default_schedule(max_level, bounds):
     return [(k, bounds) for k in range(1, max_level + 1)]
 
 
-def verify_torsion_certificate(alg, answer):
+def verify_torsion_certificate(alg, answer, images=None):
+    """p-hat of the certificate is the unit, and its words have at most
+    level + 1 clusters.  p-hat is read from images (alg's, see
+    SplitImages) where held."""
     if not answer.found():
         return True
-    out = apply_hat_p(alg, answer.certificate)
+    out = _images_for(alg, images).image(alg.table, answer.certificate)
     if out != EElement.monomial(UNIT_EWORD):
         return False
     return all(len(ew.clusters) <= answer.level + 1

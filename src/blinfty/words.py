@@ -149,29 +149,10 @@ class EWord:
 UNIT_EWORD = EWord((UNIT_WORD,))
 
 
-def sort_with_sign(items, parities, keys=None):
-    """Stable-sort graded items, returning (sorted, koszul sign).
-
-    sign is +1/-1 from odd-odd crossings, or 0 when two equal odd items
-    occur (the monomial vanishes in the graded symmetric algebra).  Only
-    odd items carry a sign, so only inversions among them are counted.
-    """
-    if keys is None:
-        keys = items
-    sign = _odd_inversion_sign(keys, parities)
-    if not sign:
-        return None, 0
-    if keys is items:
-        return sorted(items), sign
-    return [items[t] for t in sorted(range(len(items)),
-                                      key=keys.__getitem__)], sign
-
-
-def _odd_inversion_sign(keys, parities):
-    """(-1) to the number of inversions among the keys of odd parity, or 0
-    when two of those keys are equal: the Koszul sign of sorting graded
-    items by key."""
-    odd = [k for k, p in zip(keys, parities) if p]
+def _inversion_sign(odd):
+    """The Koszul sign of sorting graded items by key, from the keys of
+    the odd items in their order (only odd items carry a sign): (-1) to
+    the number of inversions among them, or 0 when two are equal."""
     sign = 1
     for i in range(len(odd) - 1):
         a = odd[i]
@@ -208,20 +189,18 @@ def _normalize_indices(space, idx):
     the form every letter takes inside the engine."""
     if len(idx) < 2:
         return Word(idx), 1
-    srt, sign = sort_with_sign(idx, [space.parities[i] for i in idx])
-    if sign == 0:
-        return Word(sorted(idx)), 0
-    return Word(srt), sign
+    par = space.parities
+    return Word(sorted(idx)), _inversion_sign([i for i in idx if par[i]])
 
 
 def normalize_clusters(space, clusters, hbar=0):
     """Sort clusters into an EWord, with the Koszul sign (0 if it vanishes)."""
-    pars = [space.word_parity(c.letters) for c in clusters]
+    if len(clusters) == 1:
+        return EWord(clusters, hbar), 1
     keys = [c.key() for c in clusters]
-    srt, sign = sort_with_sign(list(clusters), pars, keys=keys)
-    if sign == 0:
-        return EWord(tuple(sorted(clusters, key=lambda c: c.key())), hbar), 0
-    return EWord(tuple(srt), hbar), sign
+    odd = [k for k, c in zip(keys, clusters) if space.word_parity(c.letters)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return EWord([clusters[t] for t in order], hbar), _inversion_sign(odd)
 
 
 class Element:

@@ -778,6 +778,28 @@ def test_cli_hierarchy_sd_zero(corpus_dir, tmp_path):
     assert report_value(out, "hierarchy") == "0^SD"
 
 
+@pytest.mark.parametrize("command", ["sd", "hierarchy"])
+def test_cli_failed_u_check_exits_one_in_sd_and_hierarchy(tmp_path, command):
+    # U(x) = x on a one-generator zero structure is not nilpotent on
+    # homology: both commands report the failed check, neither an open
+    # question
+    head = "format blinfty 1\ngen x parity 0\n"
+    docs = {"alg": head + "table structure p parity 1\nbounds max_letters 2\n",
+            "aug": head + "table augmentation eps0 parity 0\n",
+            "pointed": head + "table pointed S1 parity 0\nop 1 0 : x -> 1 1\n",
+            "umap": head + "table umodule U parity 0\nop 1 1 : x -> 1 x\n"}
+    for name, text in docs.items():
+        (tmp_path / (name + ".blf")).write_text(text, encoding="utf-8")
+    argv = [command, str(tmp_path / "alg.blf")]
+    for name in ("aug", "pointed", "umap"):
+        argv += ["--" + name, str(tmp_path / (name + ".blf"))]
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 1
+    assert report_value(out, "sd") == "failed"
+    assert report_value(out, "reason") == "U^1 is nonzero on homology"
+    assert report_value(out, "hierarchy") is None
+
+
 def test_cli_hierarchy_planarity_two(corpus_dir, tmp_path):
     code, out = run_cli(tmp_path, "hierarchy",
                         str(corpus_dir / "pointed-two.blf"),

@@ -60,6 +60,17 @@ def corpus(tmp_path):
     (tmp_path / "pointed-two.S12.blf").write_text(
         text.split("table pointed", 1)[0] + "table pointed S12 parity 0\n",
         encoding="utf-8")
+    # torsion certificates appended to their structure documents
+    for name in ("planar-torsion-one", "torsion-zero"):
+        cert = tmp_path / ("%s.cert.blf" % name)
+        assert cli.main(["torsion", str(tmp_path / ("%s.blf" % name)),
+                         "--certificate", str(cert)],
+                        stream=pyio.StringIO()) == 0
+        chains = [line for line in cert.read_text(encoding="utf-8").split("\n")
+                  if line.startswith("chain ")]
+        text = (tmp_path / ("%s.blf" % name)).read_text(encoding="utf-8")
+        (tmp_path / ("%s.merged.blf" % name)).write_text(
+            text + "\n".join(chains) + "\n", encoding="utf-8")
     return tmp_path
 
 
@@ -68,6 +79,8 @@ LINEARIZABLE_AUGS = ("--aug @linearizable.aug0 --aug @linearizable.aug1 "
 
 COMMANDS = [
     "verify @linearizable " + LINEARIZABLE_AUGS,
+    "verify @planar-torsion-one.merged",
+    "verify @torsion-zero.merged",
     "linearize @linearizable " + LINEARIZABLE_AUGS,
     "linearize @linearizable --aug @linearizable.aug1",
     "linearize @linearizable --aug @linearizable.aug2",

@@ -8,7 +8,7 @@ from blinfty.fixtures import torsion_ladder
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            EElement, UNIT_WORD, UNIT_EWORD, normalize_word,
                            normalize_clusters, koszul_pass_sign,
-                           enumerate_basis, sort_with_sign)
+                           enumerate_basis, _normalize_indices)
 
 from util import bubble_normalize, oracle_window, oracle_words, random_space
 
@@ -265,36 +265,46 @@ def test_element_arithmetic_drops_zeros():
     assert (x - x) == EElement()
 
 
-def test_sort_with_sign_matches_bubble_oracle_seeded():
+def test_normalizers_match_bubble_oracle_seeded():
+    # the engine's two sort-and-sign normalizers against literal adjacent
+    # swaps, sign-0 forms included: a vanishing word or outer word still
+    # comes back sorted
     rng = random.Random(4242)
-    signs = []
+    signs, shapes = [], {"unit": 0, "equal even": 0, "one cluster": 0}
     for _ in range(1500):
         sp = random_space(rng, n=rng.randint(1, 4))
         # plain letters, repeats of odd and even generators included
         idx = [rng.randrange(len(sp)) for _ in range(rng.randint(0, 7))]
-        got = sort_with_sign(idx, [sp.parities[i] for i in idx])
+        word, sign = _normalize_indices(sp, list(idx))
         want = bubble_normalize(sp, idx)
-        assert got[1] == want[1]
-        if want[1]:
-            assert got[0] == want[0]
+        assert sign == want[1]
+        assert word == Word(want[0] if want[1] else sorted(idx))
         signs.append(want[1])
-        # cluster keys as normalize_clusters passes them: the oracle sorts
-        # the clusters' ranks in a space of one generator per cluster
+        # the oracle sorts the clusters' ranks in a space of one generator
+        # per cluster, of the cluster's parity
         clusters = [Word(tuple(sorted(rng.randrange(len(sp))
                                       for _ in range(rng.randint(0, 3)))))
                     for _ in range(rng.randint(0, 5))]
+        if not clusters:
+            with pytest.raises(ValueError):
+                normalize_clusters(sp, clusters)
+            continue
         distinct = sorted(set(clusters), key=lambda c: c.key())
         csp = GradedSpace([Generator("c%d" % r, sp.word_parity(c.letters))
                            for r, c in enumerate(distinct)])
         ranks = [distinct.index(c) for c in clusters]
-        got = sort_with_sign(clusters, [csp.parities[r] for r in ranks],
-                             keys=[c.key() for c in clusters])
+        ew, sign = normalize_clusters(sp, tuple(clusters), hbar=len(idx))
         want = bubble_normalize(csp, ranks)
-        assert got[1] == want[1]
-        if want[1]:
-            assert got[0] == [distinct[r] for r in want[0]]
+        assert sign == want[1]
+        assert ew == EWord([distinct[r] for r in want[0]] if want[1] else
+                           sorted(clusters, key=lambda c: c.key()), len(idx))
         signs.append(want[1])
+        shapes["unit"] += UNIT_WORD in clusters
+        shapes["equal even"] += any(
+            ranks.count(r) > 1 and not csp.parities[r] for r in ranks)
+        shapes["one cluster"] += len(clusters) == 1
     assert min(signs.count(s) for s in (-1, 0, 1)) >= 100
+    assert min(shapes.values()) >= 100, shapes
 
 
 def test_enumerate_ewords_matches_brute_force_seeded():
