@@ -3,8 +3,8 @@ associated torsion, planarity-order and semi-dilation invariants."""
 
 from .words import (Generator, GradedSpace, Word, EWord, Element, EElement,
                     UNIT_WORD, UNIT_EWORD, normalize_word, normalize_clusters,
-                    koszul_pass_sign, enumerate_basis)
-from .linalg import solve_linear, ChainComplex
+                    enumerate_basis)
+from .linalg import solve_linear
 from .structures import (Bounds, OperationTable, BLAlgebra, BLMorphism,
                          Augmentation, PointedMap, UModule, TRIVIAL_ALGEBRA,
                          apply_hat_p, apply_hat_phi, two_level,
@@ -12,9 +12,9 @@ from .structures import (Bounds, OperationTable, BLAlgebra, BLMorphism,
                          is_augmentation, f_eps, linearize, linearize_pointed,
                          ell_table, apply_hat_pointed, check_pointed,
                          check_compatibility, identity_table, zero_table)
-from .invariants import (TorsionAnswer, build_EkV,
+from .invariants import (TorsionAnswer,
                          torsion, default_schedule, torsion_monotone_check,
-                         verify_torsion_certificate, bar_B_k, order_O,
+                         verify_torsion_certificate, order_O,
                          order_O_tilde, order_functoriality_check,
                          order_multi, order_multi_tilde, sd_order, planarity,
                          width)

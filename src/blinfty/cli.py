@@ -13,8 +13,7 @@ from fractions import Fraction
 from . import io as bio
 from .errors import (InconclusiveError, IncompleteTableError,
                      InconsistentInputsError, NotNilpotentError, ParseError,
-                     PlanarityNotOneError, PlanarityZeroError, StructureError,
-                     WindowLeakError)
+                     PlanarityNotOneError, PlanarityZeroError, StructureError)
 from .hierarchy import HierarchyValue, hierarchy_classify, hierarchy_combine
 from .ibl import (check_ibl, derive_flat_torsion, torsion_grid,
                   verify_grid_certificate)
@@ -481,7 +480,7 @@ def main(argv=None, stream=None):
     except OSError as e:
         rep.add("error", "io: %s" % e)
         code = 2
-    except (StructureError, WindowLeakError, IncompleteTableError) as e:
+    except (StructureError, IncompleteTableError) as e:
         rep.add("error", "structure: %s" % e)
         code = 1
     except (InconclusiveError, PlanarityZeroError) as e:

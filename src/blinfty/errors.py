@@ -6,7 +6,7 @@ class BlinftyError(Exception):
 
 
 class StructureError(BlinftyError):
-    """An algebraic consistency condition failed (d*d != 0, parity, ...)."""
+    """A structure identity or a consistency condition on the inputs failed."""
 
 
 class IncompleteTableError(BlinftyError):
@@ -17,10 +17,6 @@ class IncompleteTableError(BlinftyError):
         self.word = word
         super().__init__("table incomplete: query at k=%d%s" %
                          (k, "" if word is None else " on %r" % (word,)))
-
-
-class WindowLeakError(BlinftyError):
-    """A differential left the enumerated basis window."""
 
 
 class InternalInconsistencyError(BlinftyError):

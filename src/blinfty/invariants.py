@@ -1,8 +1,9 @@
-"""Hierarchy invariants: bar complexes, torsion, planarity orders, widths,
-multi-point orders, and semi-dilation from a supplied endomorphism.  The
-least solvable level of each, and ibl.torsion_grid's one level, is found by
-one loop, _search, which alone decides each answer's kind; a search states
-only its reasons for certifying a smaller level unsolvable."""
+"""Hierarchy invariants: torsion, planarity orders, widths, multi-point
+orders, and semi-dilation from a supplied endomorphism.  The least solvable
+level of each, and ibl.torsion_grid's one level, is found by one loop,
+_search, fed by one level builder, _level; _search alone decides each
+answer's kind, and a search states only its reasons for certifying a
+smaller level unsolvable."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from fractions import Fraction
 from . import assembly
 from .errors import (IncompleteTableError, InconclusiveError,
                      NotNilpotentError, PlanarityNotOneError,
-                     PlanarityZeroError, StructureError, WindowLeakError)
-from .linalg import ChainComplex, kernel_basis, rank, solve_linear
+                     PlanarityZeroError, StructureError)
+from .linalg import kernel_basis, rank, solve_linear
 from .structures import (Augmentation, OperationTable, PointedMap,
                          _images_for, _require, _split_word_table,
                          _split_words, apply_hat_p, apply_hat_phi,
@@ -21,7 +22,7 @@ from .structures import (Augmentation, OperationTable, PointedMap,
                          is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
-                    enumerate_basis, eword_parity)
+                    enumerate_basis)
 
 
 class TorsionAnswer:
@@ -61,23 +62,6 @@ def _matrix(n, table, kl, message):
 # ---------------------------------------------------------------------------
 # the bounded search: one level builder, one level loop
 
-def _columns(basis, image, window=None):
-    """The sparse column {row: coeff} of image(b) for each basis element b,
-    rows keyed by output term.  Given a closed window (term -> row index),
-    a term outside it raises WindowLeakError."""
-    columns = []
-    for b in basis:
-        terms = image(b).terms
-        if window is not None:
-            for key in terms:
-                if key not in window:
-                    raise WindowLeakError(
-                        "image %r of %r outside the basis window" % (key, b))
-            terms = {window[key]: c for key, c in terms.items()}
-        columns.append(terms)
-    return columns
-
-
 def _once(image):
     """image, evaluated at most once per basis element, with a memo that
     lives as long as one search.  Columns may share the memoized terms
@@ -116,26 +100,17 @@ def _solve(basis, columns, target):
     return {basis[j]: x for j, x in zip(live, sol) if x}
 
 
-def _closed_complex(basis, image, parity):
-    """The ChainComplex of image on a window that must contain it."""
-    columns = _columns(basis, image, {b: i for i, b in enumerate(basis)})
-    return ChainComplex(basis, dict(enumerate(columns)),
-                        [parity(b) for b in basis])
-
-
-def _level(window, image, parity=None):
+def _level(window, image):
     """A search's level function: at (k, bounds), the basis window(k,
-    bounds) and the columns of image, evaluated once per word per search.
-    Given parity, each level is a closed window checked as a ChainComplex
-    (parity-odd, d*d = 0), its columns keyed by basis index."""
+    bounds) and the sparse column {row: coeff} of image(b) for each basis
+    element b, rows keyed by output term, image evaluated once per word
+    per search.  A term outside the window is one more row of the linear
+    system, so a window the image leaves still gives a sound search."""
     image = _once(image)
 
     def level(k, bounds):
         basis = window(k, bounds)
-        if parity is None:
-            return basis, _columns(basis, image)
-        cx = _closed_complex(basis, image, parity)
-        return cx.basis, cx.columns
+        return basis, [image(b).terms for b in basis]
     return level
 
 
@@ -182,18 +157,7 @@ def _outer_window(sp, units, cap=None):
 
 
 # ---------------------------------------------------------------------------
-# bar complexes and the torsion search
-
-def build_EkV(alg, k, bounds):
-    """The outer bar complex with at most k clusters (units allowed).
-
-    Raises WindowLeakError when the differential leaves the enumerated
-    window; enlarge max_letters or supply an action bound with action_drop.
-    """
-    return _closed_complex(_outer_window(alg.space, True)(k, bounds),
-                           lambda ew: apply_hat_p(alg, EElement.monomial(ew)),
-                           lambda ew: eword_parity(alg.space, ew))
-
+# the torsion search
 
 def _level_structurally_closed(table, level):
     """No constant cell with few enough inputs: the unit coefficient of the
@@ -279,23 +243,6 @@ def torsion_monotone_check(phi, src_answer, bounds):
 # ---------------------------------------------------------------------------
 # planarity orders
 
-def _bar(ell):
-    """The inner bar complex as (window, differential, parity): words of
-    length 1..k within bounds under the linearized bar differential."""
-    sp = ell.space
-    return (lambda k, bounds: _split_words(sp, bounds, k),
-            lambda w: assembly.apply_inner_coderivation(
-                ell, Element.monomial(w)),
-            lambda w: sp.word_parity(w.letters))
-
-
-def bar_B_k(ell, k, bounds):
-    """The inner bar complex on words of length 1..k with the linearized
-    bar differential."""
-    window, d, parity = _bar(ell)
-    return _closed_complex(window(k, bounds), d, parity)
-
-
 def _functional_from_constants(lin_pointed, word):
     elem = lin_pointed.query(len(word), word)
     return elem.terms.get(UNIT_WORD, Fraction(0))
@@ -324,12 +271,16 @@ def order_O(eps, pmap, bounds, images=None):
     algebra's (see SplitImages)."""
     ell = ell_table(_linearized(eps, bounds, images))
     lpt = linearize_pointed(pmap, eps, bounds, images)
-    # the length-j complexes are finite, so an unrestricted enumeration
-    # makes a failed level j conclusive
-    return _order(bounds, _level(*_bar(ell)),
-                  lambda w: _functional_from_constants(lpt, w),
-                  lambda j, b: (b.max_action is None and b.max_letters >= j)
-                  or _level_structurally_closed(lpt, j))
+    # the inner bar complex: words of length 1..k within bounds under the
+    # linearized bar differential.  The length-j complexes are finite, so
+    # an unrestricted enumeration makes a failed level j conclusive
+    return _order(
+        bounds, _level(lambda k, b: _split_words(ell.space, b, k),
+                       lambda w: assembly.apply_inner_coderivation(
+                           ell, Element.monomial(w))),
+        lambda w: _functional_from_constants(lpt, w),
+        lambda j, b: (b.max_action is None and b.max_letters >= j)
+        or _level_structurally_closed(lpt, j))
 
 
 def order_O_tilde(eps, pmap, bounds):

@@ -1,11 +1,9 @@
 """Exact rational linear algebra: one sparse elimination behind rank,
-kernels and solving, and the based chain complexes of the bar windows."""
+kernels and solving."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import StructureError
 
 
 def _eliminate(rows):
@@ -95,32 +93,3 @@ def solve_linear(A, b):
         for pc, row in reduced.items():
             solution[pc] = row.get(ncols, Fraction(0))
     return solution, _kernel(reduced, ncols)
-
-
-class ChainComplex:
-    """A finite based complex with a parity-1 exact-rational differential.
-
-    columns maps each basis index to {basis index: coefficient}; d*d = 0 and
-    the parity constraint are checked on construction.
-    """
-
-    def __init__(self, basis, columns, parities):
-        self.basis = list(basis)
-        self.parities = list(parities)
-        n = len(self.basis)
-        self.columns = [dict(columns.get(j, {})) for j in range(n)]
-        for j, col in enumerate(self.columns):
-            for i, c in col.items():
-                if c and self.parities[i] != (self.parities[j] + 1) % 2:
-                    raise StructureError(
-                        "differential is not parity-odd at column %d" % j)
-        for j in range(n):
-            acc = {}
-            for i, c in self.columns[j].items():
-                for i2, c2 in self.columns[i].items():
-                    acc[i2] = acc.get(i2, 0) + c * c2
-            if any(acc.values()):
-                raise StructureError("d*d != 0 at column %d" % j)
-
-    def dim(self):
-        return len(self.basis)

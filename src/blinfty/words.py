@@ -164,13 +164,6 @@ def _inversion_sign(odd):
     return sign
 
 
-def koszul_pass_sign(operator_parity, prefix_parities):
-    """Sign for moving an operator of the given parity past a graded prefix."""
-    if operator_parity % 2 == 0:
-        return 1
-    return -1 if sum(prefix_parities) % 2 else 1
-
-
 def normalize_word(space, letters):
     """Sort a letter sequence into a Word, with the Koszul sign.
 
@@ -336,8 +329,4 @@ def word_to_singletons(word):
     """The inclusion S^kV -> odot^k V: one letter per cluster; the empty
     word goes to the unit."""
     return EWord(tuple(Word((i,)) for i in word.letters) or (UNIT_WORD,))
-
-
-def eword_parity(space, eword):
-    return sum(space.word_parity(c.letters) for c in eword.clusters) % 2
 

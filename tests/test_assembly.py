@@ -13,13 +13,13 @@ from blinfty.structures import (Augmentation, Bounds, apply_hat_p,
                                 OperationTable, PointedMap, identity_table,
                                 word_to_singletons)
 from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
-                           Word, enumerate_basis, eword_parity,
-                           normalize_clusters, normalize_word)
+                           Word, enumerate_basis, normalize_clusters,
+                           normalize_word)
 from blinfty import assembly
 
 from util import (algebra, bubble_normalize, eword, eword_action,
-                  forest_check, oracle_hat_p, oracle_hat_phi, oracle_two_level,
-                  random_space, random_table, space, table,
+                  eword_parity, forest_check, oracle_hat_p, oracle_hat_phi,
+                  oracle_two_level, random_space, random_table, space, table,
                   unpruned_morphism_blocks, word)
 
 

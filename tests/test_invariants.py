@@ -6,12 +6,11 @@ import pytest
 
 from blinfty import assembly, fixtures, invariants
 from blinfty import io as bio
-from blinfty.assembly import apply_coderivation
+from blinfty.assembly import apply_coderivation, apply_inner_coderivation
 from blinfty.errors import (InconclusiveError, NotNilpotentError,
                             PlanarityNotOneError, StructureError)
 from blinfty.ibl import torsion_grid
-from blinfty.invariants import (TorsionAnswer, bar_B_k,
-                                build_EkV, default_schedule, order_O,
+from blinfty.invariants import (TorsionAnswer, default_schedule, order_O,
                                 order_O_tilde, order_functoriality_check,
                                 order_multi, order_multi_tilde, planarity,
                                 project_width, sd_order, torsion,
@@ -27,16 +26,17 @@ from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 ell_table, is_augmentation, linearize,
                                 linearize_pointed,
                                 identity_table, zero_table,
-                                word_to_singletons)
+                                word_to_singletons, _split_words)
 from blinfty.words import (EElement, EWord, Element, Generator, GradedSpace,
                            UNIT_EWORD, UNIT_WORD, Word, enumerate_basis)
 
-from util import (algebra, bubble_normalize, dense_kernel_basis, dense_rank,
-                  dense_solve_linear, eword, one_letter_structure,
-                  oracle_check_pointed, oracle_hat_phi,
-                  oracle_is_augmentation, oracle_order_kind, oracle_sd_order,
-                  oracle_torsion,
-                  random_space, random_table, space, table, word)
+from util import (algebra, bubble_normalize, closed_complex,
+                  dense_kernel_basis, dense_rank, dense_solve_linear, eword,
+                  eword_parity, one_letter_structure, oracle_check_pointed,
+                  oracle_hat_phi, oracle_inner, oracle_is_augmentation,
+                  oracle_order_O, oracle_order_kind, oracle_sd_order,
+                  oracle_torsion, random_space, random_table, space, table,
+                  word)
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -45,35 +45,52 @@ B4 = Bounds(4, word_bound=4)
 
 # ---- bar complexes ----------------------------------------------------------
 
+def _EkV(alg, k, bounds):
+    """The outer bar complex of at most k clusters, units allowed: its
+    window and its closed_complex columns under p-hat."""
+    basis = enumerate_basis(alg.space, bounds.max_letters, bounds.max_action,
+                            outer_components=k, allow_units=True)
+    return basis, closed_complex(
+        basis, lambda ew: apply_hat_p(alg, EElement.monomial(ew)),
+        lambda ew: eword_parity(alg.space, ew))
+
+
+def _BBk(ell, k, bounds):
+    """The inner bar complex of words of length 1..k: its window and its
+    closed_complex columns under the linearized bar differential."""
+    basis = _split_words(ell.space, bounds, k)
+    return basis, closed_complex(
+        basis, lambda w: apply_inner_coderivation(ell, Element.monomial(w)),
+        lambda w: ell.space.word_parity(w.letters))
+
+
 def test_E1V_of_planar_fixture_is_zero_complex():
     alg = fixtures.planar_torsion_one()
-    cx = build_EkV(alg, 1, Bounds(2))
+    basis, columns = _EkV(alg, 1, Bounds(2))
     # frozen: {1, q1, q2, q1*q2, q2*q2}; q1*q1 vanishes (odd letter)
-    assert len(cx.basis) == 5
-    assert all(not col for col in cx.columns)
+    assert len(basis) == 5
+    assert all(not col for col in columns)
 
 
 def test_E2V_of_planar_fixture_hits_unit():
     alg = fixtures.planar_torsion_one()
-    cx = build_EkV(alg, 2, Bounds(2))
-    idx = {ew: i for i, ew in enumerate(cx.basis)}
+    basis, columns = _EkV(alg, 2, Bounds(2))
+    idx = {ew: i for i, ew in enumerate(basis)}
     j = idx[eword(alg.space, ("q1",), ("q2",))]
-    assert cx.columns[j] == {idx[UNIT_EWORD]: Fraction(1)}
+    assert columns[j] == {idx[UNIT_EWORD]: Fraction(1)}
 
 
 def test_EkV_d_squared_zero_on_corpus():
-    from blinfty.errors import WindowLeakError
     built = 0
     for name, (alg, _, _) in fixtures.corpus().items():
         try:
-            cx = build_EkV(alg, 2, Bounds(3))
-        except WindowLeakError:
-            # letter-raising cells may escape any fixed window; the leak is
-            # reported rather than silently truncated
-            assert name == "linearizable"
+            _EkV(alg, 2, Bounds(3))  # asserts parity and d*d = 0
+        except AssertionError as err:
+            # letter-raising cells may escape any fixed window
+            assert "outside the window" in str(err) and \
+                name == "linearizable", (name, err)
             continue
         built += 1
-        assert cx is not None, name  # construction already checks d*d = 0
     assert built >= 7
 
 
@@ -81,26 +98,23 @@ def test_unit_is_closed_in_EkV():
     for name, (alg, _, _) in fixtures.corpus().items():
         if name == "linearizable":
             continue
-        cx = build_EkV(alg, 2, Bounds(3))
-        idx = {ew: i for i, ew in enumerate(cx.basis)}
-        assert not cx.columns[idx[UNIT_EWORD]]
+        basis, columns = _EkV(alg, 2, Bounds(3))
+        assert not columns[basis.index(UNIT_EWORD)]
 
 
 def test_EkV_window_leak_reported():
-    from blinfty.errors import WindowLeakError
     alg = fixtures.linearizable()
-    with pytest.raises(WindowLeakError):
-        build_EkV(alg, 2, Bounds(3))
+    with pytest.raises(AssertionError, match="outside the window"):
+        _EkV(alg, 2, Bounds(3))
 
 
 def test_BBk_window_leak_reported():
-    from blinfty.errors import WindowLeakError
     # d x = q raises action from 1 to 3, past the max_action=2 window
     sp = space(("x", 0, 1), ("q", 1, 3))
     ell = table(sp, 1, [(1, 1, ("x",), [(1, ("q",))])])
-    with pytest.raises(WindowLeakError):
-        bar_B_k(ell, 1, Bounds(2, max_action=2))
-    assert bar_B_k(ell, 1, Bounds(2)).dim() == 2
+    with pytest.raises(AssertionError, match="outside the window"):
+        _BBk(ell, 1, Bounds(2, max_action=2))
+    assert len(_BBk(ell, 1, Bounds(2))[0]) == 2
 
 
 # ---- torsion ----------------------------------------------------------------
@@ -463,6 +477,94 @@ def test_order_kinds_match_answer_semantics_oracle():
                 (name, "not-found", False)} <= seen, name
     assert ("order_O", "exact", False) in seen
     assert ("order_O_tilde", "exact", False) in seen
+
+
+def _leaking_order_case():
+    """d x = q raises action from 1 to 3, past max_action 2, so the level-1
+    window leaks; the zero augmentation and P(x) = 1."""
+    sp = space(("x", 0, 1), ("q", 1, 3))
+    alg = algebra(sp, [(1, 1, ("x",), [(1, ("q",))])])
+    pmap = PointedMap(alg, table(sp, 0, [(1, 0, ("x",), [(1, ())])]))
+    return fixtures.zero_aug(alg), pmap, Bounds(2, max_action=2)
+
+
+def test_order_O_on_a_leaking_window_is_not_found():
+    # a term outside the window is one more equation of the level's
+    # system, so the search answers as torsion does on the same algebra
+    eps, pmap, bounds = _leaking_order_case()
+    ans = order_O(eps, pmap, bounds)
+    assert (ans.kind, ans.level, ans.bounds) == ("not-found", None, bounds)
+    assert torsion(eps.source, default_schedule(2, bounds)).kind == \
+        "not-found"
+
+
+def _random_pointed_case(rng):
+    """A random structure over 1..3 generators, with actions and an action
+    bound in half the cases, its zero augmentation and a random pointed
+    table; None unless all three pass the checks the CLI runs."""
+    with_action = rng.random() < 0.5
+    sp = space(*[("g%d" % i, rng.randrange(2))
+                 + ((rng.randint(1, 3),) if with_action else ())
+                 for i in range(rng.randint(1, 3))])
+    alg = BLAlgebra(sp, random_table(rng, sp, max_k=2, max_l=2,
+                                     n_entries=rng.randint(1, 3)))
+    pmap = PointedMap(alg, random_table(rng, sp, parity=0, max_k=2, max_l=1,
+                                        n_entries=rng.randint(1, 3)))
+    eps = fixtures.zero_aug(alg)
+    bounds = Bounds(rng.randint(1, 3), max_action=(
+        rng.randint(1, 4) if with_action else None))
+    if not (check_structure(alg, bounds).ok
+            and is_augmentation(eps, bounds).ok
+            and check_pointed(pmap, bounds).ok):
+        return None
+    return eps, pmap, bounds
+
+
+def test_order_O_matches_its_definition(monkeypatch):
+    # kind, level, certificate and bounds of order_O against the search
+    # written out from its definition, over seeded pointed tables that pass
+    # the CLI's checks and the leaking case; every level the search builds
+    # without an action bound is also a closed complex
+    searched = []
+    level_of = invariants._level
+
+    def logged_level(window, image):
+        level = level_of(window, image)
+
+        def logged(k, bounds):
+            basis, columns = level(k, bounds)
+            searched.append((bounds, basis))
+            return basis, columns
+        return logged
+
+    monkeypatch.setattr(invariants, "_level", logged_level)
+    rng = random.Random(2727)
+    cases = [_leaking_order_case()]
+    while len(cases) < 80:
+        case = _random_pointed_case(rng)
+        if case is not None:
+            cases.append(case)
+    kinds, leaks = [], 0
+    for eps, pmap, bounds in cases:
+        searched.clear()
+        ans = order_O(eps, pmap, bounds)
+        ell = ell_table(linearize(eps, bounds))
+        lpt = linearize_pointed(pmap, eps, bounds)
+        assert (ans.kind, ans.level, ans.certificate, ans.bounds) == \
+            oracle_order_O(ell, lpt, bounds), (
+                pmap.table.sorted_entries(), bounds)
+        kinds.append(ans.kind)
+        for b, basis in searched:
+            image = lambda w: oracle_inner(ell.space, ell, w)
+            if b.max_action is None:
+                closed_complex(basis, image,
+                               lambda w: ell.space.word_parity(w.letters))
+            else:
+                leaks += any(key not in basis
+                             for w in basis for key in image(w).terms)
+    assert kinds.count("exact") + kinds.count("at-most") >= 5, kinds
+    assert kinds.count("not-found") >= 3, kinds
+    assert leaks >= 1
 
 
 def test_width_monotonicity_on_fixtures():

@@ -591,6 +591,37 @@ def test_cli_planarity(corpus_dir, tmp_path):
     assert report_value(out, "planarity") == "exact 2"
 
 
+LEAK_DOC = """\
+format blinfty 1
+gen x parity 0 action 1
+gen q parity 1 action 3
+table structure p parity 1
+op 1 1 : x -> 1 q
+bounds max_letters 2 max_action 2
+"""
+
+
+def test_cli_leaking_window_answers_from_the_search(tmp_path):
+    # d x = q leaves the action-bounded window; the orders answer from the
+    # search, as torsion does, rather than fail as a structure error
+    head = LEAK_DOC.split("table", 1)[0]
+    for name, text in (("leak", LEAK_DOC),
+                       ("aug", head + "table augmentation eps0 parity 0\n"),
+                       ("pointed", head + "table pointed S1 parity 0\n"
+                        "op 1 0 : x -> 1 1\n")):
+        (tmp_path / (name + ".blf")).write_text(text, encoding="utf-8")
+    doc = str(tmp_path / "leak.blf")
+    side = ("--aug", str(tmp_path / "aug.blf"),
+            "--pointed", str(tmp_path / "pointed.blf"))
+    for command, argv in (("torsion", ()), ("order", side),
+                          ("planarity", side)):
+        code, out = run_cli(tmp_path, command, doc, *argv)
+        assert (code, report_value(out, command)) == (
+            3, "not-found-within-bounds"), (command, out)
+    code, out = run_cli(tmp_path, "hierarchy", doc, *side)
+    assert (code, report_value(out, "hierarchy")) == (3, "inconclusive"), out
+
+
 def test_cli_hierarchy_pt(corpus_dir, tmp_path):
     code, out = run_cli(tmp_path, "hierarchy",
                         str(corpus_dir / "planar-torsion-one.blf"))

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from blinfty.errors import StructureError
-from blinfty.linalg import ChainComplex, kernel_basis, rank, solve_linear
+from blinfty.linalg import kernel_basis, rank, solve_linear
+from blinfty.words import Element, Word
 
-from util import dense_kernel_basis, dense_rank, dense_solve_linear
+from util import (closed_complex, dense_kernel_basis, dense_rank,
+                  dense_solve_linear, space)
 
 
 def frac_matrix(rows):
@@ -107,17 +108,21 @@ def test_solve_dimension_mismatch():
 
 
 def simple_complex(d_cols, parities):
-    basis = list(range(len(parities)))
-    cols = {j: {i: Fraction(c) for i, c in col.items()}
-            for j, col in d_cols.items()}
-    return ChainComplex(basis, cols, parities)
+    """The closed_complex of one letter per parity, d given by its columns
+    {row letter: coeff}."""
+    sp = space(*[("g%d" % i, p) for i, p in enumerate(parities)])
+    basis = [Word((i,)) for i in range(len(parities))]
+    return closed_complex(
+        basis, lambda w: Element({basis[i]: Fraction(c) for i, c in
+                                  d_cols.get(w.letters[0], {}).items()}),
+        lambda w: sp.word_parity(w.letters))
 
 
 def test_dd_nonzero_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(AssertionError, match="d\\*d != 0"):
         simple_complex({0: {1: 1}, 1: {2: 1}}, [0, 1, 0])
 
 
 def test_parity_violation_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(AssertionError, match="not parity-odd"):
         simple_complex({0: {1: 1}}, [0, 0])

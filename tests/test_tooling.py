@@ -84,6 +84,32 @@ def test_one_rule_decides_at_most():
                              "invariants._search"], sites
 
 
+def test_one_level_builder():
+    # every search builds its levels through invariants._level(window,
+    # image); no module brings back a closed-complex builder beside it
+    tree = ast.parse((SRC / "invariants.py").read_text())
+    level = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_level")
+    args = level.args
+    assert [a.arg for a in args.posonlyargs + args.args] == \
+        ["window", "image"]
+    assert not (args.vararg or args.kwarg or args.kwonlyargs or args.defaults)
+    retired = {"ChainComplex", "WindowLeakError", "_closed_complex"}
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for a in node.names for n in (a.name, a.asname)
+                         if n]
+            else:
+                continue
+            sites += ["%s:%d %s" % (path.name, node.lineno, n)
+                      for n in names if n.split(".")[-1] in retired]
+    assert not sites, sites
+
+
 def test_one_loop_fails_every_check():
     # every check runs through structures._check_split_words, so only it
     # builds a VerifyStatus that is not verified

@@ -7,8 +7,8 @@ import pytest
 from blinfty.fixtures import torsion_ladder
 from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            EElement, UNIT_WORD, UNIT_EWORD, normalize_word,
-                           normalize_clusters, koszul_pass_sign,
-                           enumerate_basis, _normalize_indices)
+                           normalize_clusters, enumerate_basis,
+                           _normalize_indices)
 
 from util import bubble_normalize, oracle_window, oracle_words, random_space
 
@@ -130,12 +130,6 @@ def test_sign_coherence_under_permutation():
             assert s_applied == 0
         else:
             assert s_perm * s_applied == s_orig
-
-
-def test_koszul_pass_sign():
-    assert koszul_pass_sign(1, [1]) == -1
-    assert koszul_pass_sign(0, [1, 1, 0]) == 1
-    assert koszul_pass_sign(1, [1, 0, 1]) == 1
 
 
 def test_ewords_normalize_and_vanish():

@@ -8,7 +8,9 @@ check oracles test the identities of augmentations, pointed maps,
 morphisms and compatible pointed maps in full on every basis outer word of
 the window, where the package tests their connected part on split words.
 The hierarchy oracle spells out the componentwise combination rule that
-the package applies as a min/max shortcut on the total order.
+the package applies as a min/max shortcut on the total order.  The
+closed-complex oracle asserts that a window is a complex under its
+differential (closed, parity-odd, d*d = 0), a check no search runs.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from blinfty.words import (Generator, GradedSpace, Word, EWord, Element,
                            EElement, UNIT_EWORD, UNIT_WORD, enumerate_basis,
                            normalize_word, normalize_clusters)
 from blinfty.hierarchy import HierarchyValue
+from blinfty.invariants import order_O
 from blinfty.structures import (OperationTable, BLAlgebra, Bounds,
                                 apply_hat_p, apply_hat_phi,
                                 apply_hat_phi_bullet, apply_hat_pointed)
@@ -781,7 +784,39 @@ def dense_solve_linear(A, b):
 
 
 # ---------------------------------------------------------------------------
-# level searches: the oracles for invariants.torsion and sd_order
+# closed complexes: a window its differential keeps
+
+def eword_parity(space, eword):
+    """The parity of an outer word: the sum of its clusters' parities."""
+    return sum(space.word_parity(c.letters) for c in eword.clusters) % 2
+
+
+def closed_complex(basis, image, parity):
+    """The columns {row index: coeff} of image(b), one per basis element b,
+    asserting that the window is a complex: every image term is a basis
+    element, the differential is parity-odd and d*d = 0.  A failure is an
+    AssertionError naming the term or column."""
+    index = {b: i for i, b in enumerate(basis)}
+    columns = []
+    for b in basis:
+        terms = {key: c for key, c in image(b).terms.items() if c}
+        for key in terms:
+            assert key in index, "image %r of %r outside the window" % (key, b)
+        columns.append({index[key]: c for key, c in terms.items()})
+    for j, col in enumerate(columns):
+        for i in col:
+            assert parity(basis[i]) != parity(basis[j]), \
+                "differential is not parity-odd at column %d" % j
+        acc = {}
+        for i, c in col.items():
+            for i2, c2 in columns[i].items():
+                acc[i2] = acc.get(i2, 0) + c * c2
+        assert not any(acc.values()), "d*d != 0 at column %d" % j
+    return columns
+
+
+# ---------------------------------------------------------------------------
+# level searches: the oracles for invariants.torsion, order_O and sd_order
 
 def oracle_words(sp, max_letters, max_action, max_cluster_letters=None):
     """Every nonzero word of at most max_letters (and max_cluster_letters)
@@ -867,6 +902,36 @@ def oracle_torsion(alg, schedule):
                     EElement({ew: c for ew, c in zip(window, sol) if c}), b)
         searched[k] = b
     return ("not-found", None, None, schedule[-1][1])
+
+
+def oracle_order_O(ell, lin_pointed, bounds):
+    """order_O from its definition, as (kind, level, certificate, bounds).
+
+    Level k solves when some combination x of the nonempty words of at
+    most k letters within bounds is a cycle of the inner bar differential
+    (images by oracle_inner: every term vanishes, whether in the window or
+    not) on which the functional, the unit coefficient of lin_pointed on
+    each word, is 1: dense elimination, free variables zero.  Levels run
+    from 1 to min(bounds.outer(), max_letters), at least 1; the first that
+    solves is the answer, its kind oracle_order_kind's.  None solves:
+    not-found at bounds.
+    """
+    sp = ell.space
+    for k in range(1, min(bounds.outer(), max(1, bounds.max_letters)) + 1):
+        window = [w for w in oracle_words(sp, min(bounds.max_letters, k),
+                                          bounds.max_action) if len(w)]
+        images = [oracle_inner(sp, ell, w) for w in window]
+        rows = sorted({key for im in images for key in im.terms}, key=repr)
+        A = [[lin_pointed.query(len(w), w).terms.get(UNIT_WORD, Fraction(0))
+              for w in window]]
+        A += [[im.terms.get(r, Fraction(0)) for im in images] for r in rows]
+        sol, _ = dense_solve_linear(
+            A, [Fraction(1)] + [Fraction(0)] * len(rows))
+        if sol is not None:
+            return (oracle_order_kind(order_O, lin_pointed, bounds, k), k,
+                    Element({w: c for w, c in zip(window, sol) if c}),
+                    bounds)
+    return ("not-found", None, None, bounds)
 
 
 def oracle_order_kind(order, lin_pointed, bounds, level):
