@@ -34,15 +34,19 @@ A caller that keeps only the single-cluster part (pi_1) passes
 single_cluster=True to apply_coderivation or apply_morphism, and the
 enumerations then make only block lists whose glued graph is connected:
 the one arity that reaches every lettered cluster, or the forests of
-exactly letters - clusters + 1 blocks.  Unit clusters beside the others
-still pass through, so the caller's projection stays.  The block lists
-are a subset of the full ones, so a partial table raises on a subset of
-the inputs where the full evaluation raises.  Without a bullet table the
-two sets are equal: both evaluations raise exactly when the lettered
-clusters outnumber the covered arities (the coverage check on the reach,
-or the connected block that takes one letter of every cluster).  With a
-bullet table, the full evaluation may raise where the single-cluster one
-does not.
+exactly letters - clusters + 1 blocks.  No operation touches a unit
+cluster, so a term with a unit cluster beside lettered ones (units sort
+first) has no single-cluster output.  It gets no block list wherever
+skipping it skips no raise: in the coderivation after the coverage check
+on the reach, in the morphism when every table covers the term's letter
+count.  Elsewhere it still passes through, so the caller's projection
+stays.  The block lists are a subset of the full ones, so a partial table
+raises on a subset of the inputs where the full evaluation raises.
+Without a bullet table the two sets are equal: both evaluations raise
+exactly when the lettered clusters outnumber the covered arities (the
+coverage check on the reach, or the connected block that takes one letter
+of every cluster).  With a bullet table, the full evaluation may raise
+where the single-cluster one does not.
 
 Signs are handled in the step only.  The consumed letters are moved to the
 front block by block (Koszul crossings of odd letters), an operation of
@@ -116,15 +120,23 @@ def apply_morphism(table, x, bullet_table=None, bullet_parity=0, *,
     size its table does not cover is admitted untested, and so is every
     block after it, so the gluing step raises IncompleteTableError exactly
     where the sum over all set partitions would.  With single_cluster,
-    only the block lists whose glued graph is connected are made.
+    only the block lists whose glued graph is connected are made, and
+    none for a term with a unit cluster beside lettered ones when every
+    table covers its letter count.
     """
     tables = [(table, 0)]
     if bullet_table is not None:
         tables.append((bullet_table, bullet_parity))
     factors = _factors(table.space)
-    return _glue(table.space, table.target, x, lambda owner, letters: (
-        _set_partitions((owner, letters, tables, factors, single_cluster))),
-        factors=factors)
+
+    def blocks_of(owner, letters):
+        # a unit cluster (units sort first) stays apart; no block can raise
+        if single_cluster and owner and owner[0] and all(
+                tab.covers(len(owner)) for tab, _ in tables):
+            return ()
+        return _set_partitions((owner, letters, tables, factors,
+                                single_cluster))
+    return _glue(table.space, table.target, x, blocks_of, factors=factors)
 
 
 def _set_partitions(search):
@@ -204,12 +216,15 @@ def _operation_blocks(tables, one_per_cluster=True, single_cluster=False):
     (letters, when not one per cluster); a listed table that does not
     cover that many raises IncompleteTableError, since only its entered
     input sizes are enumerated.  With single_cluster (one table, one per
-    cluster), only the arity equal to that reach is enumerated."""
+    cluster), only the arity equal to that reach is enumerated, and none
+    when a unit cluster is beside the lettered ones."""
     def blocks_of(owner, letters):
         reach = len(set(owner)) if one_per_cluster else len(owner)
         for table, _ in tables:
             if not table.covers(reach):
                 raise IncompleteTableError(reach)
+        if single_cluster and owner and owner[0]:
+            return []  # a unit cluster (units sort first) stays apart
         partial = [([], list(range(len(owner))))]
         for table, parity in tables:
             partial = [(chosen + [(pick, table, parity)],

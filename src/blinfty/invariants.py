@@ -21,8 +21,8 @@ from .structures import (Augmentation, OperationTable, PointedMap,
                          check_structure, compose, ell_table, f_eps,
                          is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
-from .words import (EElement, Element, GradedSpace, UNIT_EWORD, UNIT_WORD,
-                    enumerate_basis)
+from .words import (EElement, Element, EWord, GradedSpace, UNIT_EWORD,
+                    UNIT_WORD, enumerate_basis)
 
 
 class TorsionAnswer:
@@ -64,8 +64,9 @@ def _matrix(n, table, kl, message):
 
 def _once(image):
     """image, evaluated at most once per basis element, with a memo that
-    lives as long as one search.  Columns may share the memoized terms
-    dicts, so no column is mutated: _search and _solve copy them."""
+    lives as long as one search: _level evaluates each image once per
+    lettered part.  Columns may share the memoized terms dicts, so no
+    column is mutated: _search and _solve copy them."""
     memo = {}
 
     def image_once(b):
@@ -103,14 +104,32 @@ def _solve(basis, columns, target):
 def _level(window, image):
     """A search's level function: at (k, bounds), the basis window(k,
     bounds) and the sparse column {row: coeff} of image(b) for each basis
-    element b, rows keyed by output term, image evaluated once per word
-    per search.  A term outside the window is one more row of the linear
-    system, so a window the image leaves still gives a sound search."""
+    element b, rows keyed by output term.  A term outside the window is
+    one more row of the linear system, so a window the image leaves still
+    gives a sound search.
+
+    The image is evaluated once per lettered part per search.  The gluing
+    operators leave unit clusters untouched (every operation takes a
+    letter), so an outer word of n unit clusters beside lettered ones has
+    the image of its lettered part with the n units put in front of each
+    term: units are even and sort first, so no sign, sort or zero test
+    changes.  Columns are equal term by term, and so are the answers."""
     image = _once(image)
+
+    def column(b):
+        if isinstance(b, EWord):  # an inner word has no unit clusters
+            clusters, n = b.clusters, 0
+            while n < len(clusters) and not clusters[n].letters:
+                n += 1
+            if 0 < n < len(clusters):
+                units = clusters[:n]
+                return {EWord(units + ew.clusters, ew.hbar): c for ew, c in
+                        image(EWord(clusters[n:], b.hbar)).terms.items()}
+        return image(b).terms
 
     def level(k, bounds):
         basis = window(k, bounds)
-        return basis, [image(b).terms for b in basis]
+        return basis, [column(b) for b in basis]
     return level
 
 

@@ -509,8 +509,9 @@ def _split_word_table(space, image, parity, bounds, target=None,
     a subset of the full block lists, so a partial table raises
     IncompleteTableError on at most the inputs where the full image
     raises; with no bullet table, as here, on exactly those (see
-    assembly).  The image is still projected here, since unit clusters
-    beside the others pass through."""
+    assembly).  The image is still projected here, since a term with a
+    unit cluster beside the others passes through where a table does not
+    cover its letters."""
     entries = []
     for word in _split_words(space, bounds):
         for (l, g), elem in sorted(_connected_part(image, word).items()):

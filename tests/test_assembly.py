@@ -887,3 +887,147 @@ def test_single_cluster_bullet_morphism_need_not_raise():
                  + [(2, 1, ("b", "c"), [(1, ("b",))])])
     assert pi_single_cluster(assembly.apply_morphism(
         full, x, bullet_table=bullet, bullet_parity=1)) == {}
+
+
+# ---- unit clusters pass through ---------------------------------------------
+
+def _units_and_lettered(ew):
+    """The unit clusters of ew, and its others."""
+    return (tuple(c for c in ew.clusters if not c.letters),
+            tuple(c for c in ew.clusters if c.letters))
+
+
+def _units_put_back(sp, units, x):
+    """x with the unit clusters units put beside every term's clusters."""
+    out = {}
+    for ew, c in x.terms.items():
+        back, sign = normalize_clusters(sp, ew.clusters + units, hbar=ew.hbar)
+        assert sign == 1 and back not in out, ew
+        out[back] = c
+    return EElement(out)
+
+
+def test_unit_clusters_pass_through_every_image_seeded():
+    # no operation takes a letter from a unit cluster, so the image of an
+    # outer word with n units beside lettered clusters is the image of its
+    # lettered part with the n units put back: on complete and partial
+    # tables, and cycle-permitting at a cap of 0-2 per table, each word at
+    # an hbar exponent of up to one above the cap.  A partial table raises
+    # on exactly the same words
+    rng = random.Random(2828)
+    seen = dict.fromkeys(["coderivation", "partial", "ibl", "raised"], 0)
+    words = 0
+    for _ in range(300):
+        sp = random_space(rng, n=rng.randint(1, 3))
+        p = random_table(rng, sp, max_k=3, max_l=2, n_entries=4)
+        p_inc, _ = _partial(rng, sp, 1, rng.choice((1, 2)))
+        g = OperationTable(sp, 1, [(k, l, rng.randrange(2), w, e) for
+                                   (k, l, _, w, e) in p.sorted_entries()])
+        cap = rng.randrange(3)
+        images = [("coderivation", 0,
+                   lambda x: assembly.apply_coderivation(p, x)),
+                  ("partial", 0,
+                   lambda x: assembly.apply_coderivation(p_inc, x)),
+                  ("ibl", cap + 1, lambda x: assembly.apply_ibl(g, x, cap))]
+        lettered_images = {}
+        for ew in enumerate_basis(sp, 4, outer_components=4):
+            units, lettered = _units_and_lettered(ew)
+            if not units or not lettered:
+                continue
+            words += 1
+            for name, top, image in images:
+                h = rng.randint(0, top)
+                got = _outcome(lambda: image(EElement.monomial(
+                    EWord(ew.clusters, h))))
+                key = (name, lettered, h)
+                if key not in lettered_images:
+                    lettered_images[key] = _outcome(lambda: image(
+                        EElement.monomial(EWord(lettered, h))))
+                want = lettered_images[key]
+                if want == "incomplete":
+                    assert got == want, (name, ew)
+                    seen["raised"] += 1
+                    continue
+                assert got == _units_put_back(sp, units, want), (name, ew)
+                seen[name] += bool(got)
+    assert words >= 10000 and min(seen.values()) >= 300, (words, seen)
+
+
+def _unskipped_single_cluster_morphism(tab, x, bullet=None):
+    """apply_morphism(tab, x, bullet, 1, single_cluster=True) with every
+    term glued, unit clusters beside the others included."""
+    tables = [(tab, 0)] + ([(bullet, 1)] if bullet is not None else [])
+    factors = assembly._factors(tab.space)
+    return assembly._glue(
+        tab.space, tab.target, x, lambda owner, letters: (
+            assembly._set_partitions((owner, letters, tables, factors,
+                                      True))), factors=factors)
+
+
+def test_single_cluster_stage_skips_unit_terms_only_where_none_raises():
+    # a term with a unit cluster beside lettered ones has no single-cluster
+    # output; the single-cluster stage glues none of its block lists where
+    # that skips no raise.  Projected to one cluster, outputs and
+    # IncompleteTableError equal those of the unskipped evaluation: the
+    # full coderivation (which raises where the single-cluster one does)
+    # and the single-cluster morphism glued term by term, with and without
+    # a bullet table, on complete and partial tables.  The coderivation's
+    # outputs are one cluster each
+    rng = random.Random(4343)
+    seen = dict.fromkeys(["coderivation", "morphism", "bullet", "skipped",
+                          "coderivation raised", "morphism raised",
+                          "bullet raised"], 0)
+
+    def projected(evaluate):
+        got = _outcome(evaluate)
+        return got if got == "incomplete" else pi_single_cluster(got)
+
+    for _ in range(150):
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(rng.randint(2, 3))])
+        complete = rng.randrange(2)
+        if complete:
+            p = random_table(rng, sp, parity=1, n_entries=4, max_k=3,
+                             max_l=2)
+            m = random_table(rng, sp, parity=0, n_entries=5, max_k=3,
+                             max_l=2)
+            bullet = random_table(rng, sp, parity=1, n_entries=3, max_k=3,
+                                  max_l=1)
+        else:
+            p, _ = _partial(rng, sp, 1, rng.choice((1, 2)))
+            m, _ = _partial(rng, sp, 0, rng.choice((1, 2)))
+            bullet, _ = _partial(rng, sp, 1, rng.choice((1, 2, 3)), max_l=1)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            ew = _random_outer_word(rng, sp)
+            if rng.randrange(2):
+                ew = EWord((UNIT_WORD,) * rng.randint(1, 2) + ew.clusters)
+                ew, _ = normalize_clusters(sp, ew.clusters)
+            terms[ew] = Fraction(rng.choice([-2, -1, 1, 3]))
+        x = EElement(terms)
+        cases = [("coderivation",
+                  lambda **kw: assembly.apply_coderivation(p, x, **kw),
+                  lambda: assembly.apply_coderivation(p, x)),
+                 ("morphism",
+                  lambda **kw: assembly.apply_morphism(m, x, **kw),
+                  lambda: _unskipped_single_cluster_morphism(m, x)),
+                 ("bullet",
+                  lambda **kw: assembly.apply_morphism(
+                      m, x, bullet_table=bullet, bullet_parity=1, **kw),
+                  lambda: _unskipped_single_cluster_morphism(m, x, bullet))]
+        for name, evaluate, unskipped in cases:
+            got = _outcome(lambda: evaluate(single_cluster=True))
+            want = _outcome(unskipped)
+            if want == "incomplete":
+                assert got == want, (name, x)
+                seen[name + " raised"] += 1
+                continue
+            assert got != "incomplete", (name, x)
+            assert pi_single_cluster(got) == pi_single_cluster(want), (
+                name, x)
+            seen[name] += bool(pi_single_cluster(got))
+            if name == "coderivation":  # no term is glued to be dropped
+                assert all(len(ew.clusters) == 1 for ew in got.terms), x
+            else:
+                seen["skipped"] += len(got.terms) < len(want.terms)
+    assert min(seen.values()) >= 10, seen

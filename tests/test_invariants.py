@@ -1295,8 +1295,13 @@ def test_torsion_evaluates_each_image_once(monkeypatch):
     seen = _count_hat_p(monkeypatch, alg)
     ans = torsion(alg, default_schedule(L, Bounds(L)))
     assert ans.kind == "not-found"
-    words = enumerate_basis(alg.space, L, None, outer_components=L,
-                            allow_units=True)
+    window = enumerate_basis(alg.space, L, None, outer_components=L,
+                             allow_units=True)
+    # a word with a unit cluster beside a lettered one is read from its
+    # lettered part, so only the others are evaluated
+    words = [ew for ew in window
+             if len({bool(c.letters) for c in ew.clusters}) == 1]
+    assert len(words) < len(window)
     # the check evaluates the split words, the search starts from them
     assert sorted(seen, key=repr) == sorted(words, key=repr)
     # without the memo the nested levels evaluate the smaller bases again
@@ -1304,6 +1309,38 @@ def test_torsion_evaluates_each_image_once(monkeypatch):
     monkeypatch.setattr(invariants, "_once", lambda image: image)
     torsion(alg, default_schedule(L, Bounds(L)))
     assert len(seen) > len(set(seen)) == len(words)
+
+
+def test_level_columns_equal_the_direct_images():
+    # _level reads a word with unit clusters beside lettered ones from its
+    # lettered part; every column must equal the word's own image term by
+    # term, in order, on the torsion and torsion-grid windows (hbar
+    # exponents 0-2) and on an order window of inner words
+    ialg = fixtures.ibl_genus_one()
+    pmap = fixtures.pointed_two()[1]
+    ell = ell_table(linearize(fixtures.zero_aug(pmap.algebra), Bounds(3)))
+    cases = [(invariants._outer_window(alg.space, True), lambda ew, alg=alg:
+              apply_hat_p(alg, EElement.monomial(ew)), Bounds(4))
+             for alg in (fixtures.mixed_no_aug(), fixtures.torsion_ladder(2),
+                         fixtures.planar_torsion_one())]
+    cases.append((lambda k, b: [
+        EWord(ew.clusters, h) for h in range(3)
+        for ew in invariants._outer_window(ialg.space, True)(k, b)],
+        lambda ew: assembly.apply_ibl(ialg.table, EElement.monomial(ew), 2),
+        Bounds(3)))
+    cases.append((lambda k, b: _split_words(ell.space, b, k),
+                  lambda w: apply_inner_coderivation(ell, Element.monomial(w)),
+                  Bounds(3)))
+    units = 0
+    for window, image, bounds in cases:
+        level = invariants._level(window, image)
+        for k in range(1, bounds.max_letters + 1):
+            basis, columns = level(k, bounds)
+            for b, col in zip(basis, columns):
+                assert list(col.items()) == list(image(b).terms.items()), b
+                if isinstance(b, EWord) and col:
+                    units += len({bool(c.letters) for c in b.clusters}) == 2
+    assert units >= 50, units
 
 
 def _memo_cases(rng):
