@@ -25,34 +25,41 @@ IncompleteTableError.  Morphism type: the set partitions of all letters,
 optionally with one marked (bullet) block, built block by block so that
 only block lists that can contribute are made: each block joins letters of
 distinct components of the blocks before it (no cap, so a cycle kills the
-term) and has a nonzero entry in its table.  A block of a size its table
-does not cover skips that entry test, and so do the blocks after it, so
-the step raises IncompleteTableError wherever the sum over all set
-partitions would.
+term).  Both keep a block only where its table has a nonzero entry on its
+letters (_entry, read from the index each table builds when it is made).
+A block of a size its table does not cover skips that entry test, and so
+do the blocks after it; the step looks these up itself, the one lookup it
+makes, and raises IncompleteTableError there, wherever the sum over all
+set partitions would.
+
+So a block list reaches the step with what its enumeration proved: each
+block's signed entry terms, each cluster's component label and the cycle
+count of the glued graph.  The step adds the signs and builds the outputs.
 
 A caller that keeps only the single-cluster part (pi_1) passes
-single_cluster=True to apply_coderivation or apply_morphism, and the
-enumerations then make only block lists whose glued graph is connected:
-the one arity that reaches every lettered cluster, or the forests of
-exactly letters - clusters + 1 blocks.  No operation touches a unit
-cluster, so a term with a unit cluster beside lettered ones (units sort
-first) has no single-cluster output.  It gets no block list wherever
-skipping it skips no raise: in the coderivation after the coverage check
+single_cluster=True to apply_coderivation, apply_ibl or apply_morphism,
+and the enumerations then make only block lists whose glued graph is
+connected: the one block that touches every lettered cluster, or the
+forests of exactly letters - clusters + 1 blocks.  No operation touches a
+unit cluster, so a term with a unit cluster beside lettered ones (units
+sort first) has no single-cluster output.  It gets no block list wherever
+skipping it skips no raise: in the coderivations after the coverage check
 on the reach, in the morphism when every table covers the term's letter
 count.  Elsewhere it still passes through, so the caller's projection
 stays.  The block lists are a subset of the full ones, so a partial table
 raises on a subset of the inputs where the full evaluation raises.
 Without a bullet table the two sets are equal: both evaluations raise
-exactly when the lettered clusters outnumber the covered arities (the
-coverage check on the reach, or the connected block that takes one letter
-of every cluster).  With a bullet table, the full evaluation may raise
-where the single-cluster one does not.
+exactly when the lettered clusters (letters, with a cap) outnumber the
+covered arities (the coverage check on the reach, or the connected block
+that takes one letter of every cluster).  With a bullet table, the full
+evaluation may raise where the single-cluster one does not.
 
 Signs are handled in the step only.  The consumed letters are moved to the
 front block by block (Koszul crossings of odd letters), an operation of
 odd parity passes the letters of the blocks before it, and the outputs and
 leftover letters are regrouped by component and normalized back into
-canonical order.
+canonical order; a component of one block and no leftover letters is that
+block's output word, which its table stores normalized.
 
 Coefficients are exact rationals throughout.  Inside the step, integral
 ones (table terms and input coefficients) are multiplied as ints, each
@@ -68,7 +75,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import IncompleteTableError
-from .words import (EElement, Element, EWord, _inversion_sign,
+from .words import (EElement, Element, EWord, Word, _inversion_sign,
                     _normalize_indices, normalize_clusters, word_to_singletons)
 
 
@@ -96,13 +103,14 @@ def apply_multi_pointed(tables, x):
     return _glue(table.space, table.target, x, _operation_blocks(tables))
 
 
-def apply_ibl(table, x, hbar_cap):
+def apply_ibl(table, x, hbar_cap, *, single_cluster=False):
     """The cycle-permitting hbar-graded coderivation: one operation of
     genus g takes any letters, raising the exponent by g plus the cycles
-    it closes.  Terms beyond hbar_cap are discarded."""
-    return _glue(table.space, table.target, x,
-                 _operation_blocks([(table, table.parity)],
-                                   one_per_cluster=False), hbar_cap)
+    it closes.  Terms beyond hbar_cap are discarded.  With single_cluster,
+    only the blocks that touch every lettered cluster are glued."""
+    return _glue(table.space, table.target, x, _operation_blocks(
+        [(table, table.parity)], one_per_cluster=False,
+        single_cluster=single_cluster), hbar_cap)
 
 
 def apply_morphism(table, x, bullet_table=None, bullet_parity=0, *,
@@ -127,41 +135,43 @@ def apply_morphism(table, x, bullet_table=None, bullet_parity=0, *,
     tables = [(table, 0)]
     if bullet_table is not None:
         tables.append((bullet_table, bullet_parity))
-    factors = _factors(table.space)
 
-    def blocks_of(owner, letters):
+    def blocks_of(owner, letters, n):
         # a unit cluster (units sort first) stays apart; no block can raise
         if single_cluster and owner and owner[0] and all(
                 tab.covers(len(owner)) for tab, _ in tables):
             return ()
-        return _set_partitions((owner, letters, tables, factors,
-                                single_cluster))
-    return _glue(table.space, table.target, x, blocks_of, factors=factors)
+        return _set_partitions((owner, letters, n, tables, single_cluster))
+    return _glue(table.space, table.target, x, blocks_of)
 
 
 def _set_partitions(search):
-    """The admissible block lists of one outer word for apply_morphism.
+    """The admissible block lists of one outer word for apply_morphism, as
+    the gluing step takes them (see _glue).
 
-    search is (owner, letters, tables, factors, single_cluster):
-    owner[p] and letters[p] are the cluster and generator of letter p;
-    tables lists the (table, parity) a block may use, a second one being
-    the bullet, which exactly one block uses; factors is the call's
-    _factors, whose nonempty list on (table, block letters) is the entry
-    test.  Blocks come in ascending order of
-    their first letter.  A forest over the lettered clusters is connected
-    exactly when it has letters - clusters + 1 blocks, so single_cluster
-    fixes the number of blocks still needed (need; None when free).  The
-    lists are made in full before the first is returned; making them
-    raises nothing, since the entry test queries covered sizes only.
+    search is (owner, letters, n, tables, single_cluster): owner[p] and
+    letters[p] are the cluster and generator of letter p, n the number of
+    clusters; tables lists the (table, parity) a block may use, a second
+    one being the bullet, which exactly one block uses.  The entry test is
+    a nonempty _entry of the block's table on its letters, and the block
+    carries those terms; a block admitted untested carries None.  comp
+    labels each cluster by its component, a joined set taking its least
+    label, and the final comp goes with the list (a forest: no cycle).
+    Blocks come in ascending order of their first letter.  A forest over
+    the lettered clusters is connected exactly when it has letters -
+    clusters + 1 blocks, so single_cluster fixes the number of blocks
+    still needed (need; None when free).  The lists are made in full
+    before the first is returned; making them raises nothing, since the
+    entry test queries covered sizes only.
     """
-    owner, letters, tables, factors, single_cluster = search
+    owner, letters, n, tables, single_cluster = search
     sizes = [tab.input_sizes() for tab, _ in tables]
     found = []
 
     def extend(free, comp, chosen, bullet_left, untested, need):
         if not free:
             if not bullet_left:
-                found.append(chosen)
+                found.append((chosen, comp, 0))
             return
         first, rest = free[0], free[1:]
         # the blocks after this one take at least one letter each, and the
@@ -185,8 +195,11 @@ def _set_partitions(search):
                     if len(labels) < k:
                         continue  # two of its letters are joined already
                 word = tuple([letters[p] for p in block])
-                admitted = [(t, skip) for t, skip in options
-                            if skip or factors(tables[t][0], word)]
+                admitted = []  # (table index, its terms; None untested)
+                for t, skip in options:
+                    terms = None if skip else _entry(tables[t][0], word)
+                    if skip or terms:
+                        admitted.append((t, terms))
                 if not admitted:
                     continue
                 if k == 1:  # a one-letter block joins nothing
@@ -194,32 +207,36 @@ def _set_partitions(search):
                 else:
                     merged = [min(labels) if c in labels else c for c in comp]
                     remaining = tuple(p for p in rest if p not in others)
-                for t, skip in admitted:
-                    extend(remaining, merged, chosen + [(block, *tables[t])],
-                           bullet_left and not t, skip,
+                for t, terms in admitted:
+                    extend(remaining, merged,
+                           chosen + [(block, *tables[t], terms)],
+                           bullet_left and not t, terms is None,
                            None if need is None else need - 1)
 
     need = None
     if single_cluster and owner:
         need = len(owner) - len(set(owner)) + 1
-    extend(tuple(range(len(owner))), list(range(max(owner, default=0) + 1)),
-           [], len(tables) == 2, False, need)
+    extend(tuple(range(len(owner))), list(range(n)), [], len(tables) == 2,
+           False, need)
     return iter(found)
 
 
 def _operation_blocks(tables, one_per_cluster=True, single_cluster=False):
-    """Coderivation-type block lists: one block per (table, parity) in
-    order, each taking one of the table's input sizes from the letters the
-    blocks before it left free.
+    """Coderivation-type block lists, as the gluing step takes them (see
+    _glue): one block per (table, parity) in order, each taking one of the
+    table's input sizes from the letters the blocks before it left free,
+    and each carrying its nonempty entry terms (a pick without an entry
+    makes no block list).
 
     A block can reach as many letters as there are clusters among them
     (letters, when not one per cluster); a listed table that does not
     cover that many raises IncompleteTableError, since only its entered
-    input sizes are enumerated.  With single_cluster (one table, one per
-    cluster), only the arity equal to that reach is enumerated, and none
-    when a unit cluster is beside the lettered ones."""
-    def blocks_of(owner, letters):
-        reach = len(set(owner)) if one_per_cluster else len(owner)
+    input sizes are enumerated.  With single_cluster (one table), only the
+    picks that touch every lettered cluster are made, and none when a unit
+    cluster is beside the lettered ones."""
+    def blocks_of(owner, letters, n):
+        lettered = len(set(owner))
+        reach = lettered if one_per_cluster else len(owner)
         for table, _ in tables:
             if not table.covers(reach):
                 raise IncompleteTableError(reach)
@@ -227,13 +244,24 @@ def _operation_blocks(tables, one_per_cluster=True, single_cluster=False):
             return []  # a unit cluster (units sort first) stays apart
         partial = [([], list(range(len(owner))))]
         for table, parity in tables:
-            partial = [(chosen + [(pick, table, parity)],
-                        [p for p in free if p not in pick])
-                       for chosen, free in partial
-                       for k in table.input_sizes()
-                       if not single_cluster or k == reach
-                       for pick in _picks(free, owner, k, one_per_cluster)]
-        return [chosen for chosen, _ in partial]
+            grown = []
+            for chosen, free in partial:
+                for k in table.input_sizes():
+                    if single_cluster and k < lettered:
+                        continue
+                    for pick in _picks(free, owner, k, one_per_cluster):
+                        if single_cluster and not one_per_cluster and len(
+                                {owner[p] for p in pick}) < lettered:
+                            continue
+                        terms = _entry(table,
+                                       tuple([letters[p] for p in pick]))
+                        if terms:
+                            grown.append((
+                                chosen + [(pick, table, parity, terms)],
+                                [p for p in free if p not in pick]))
+            partial = grown
+        return [(chosen, *_components(chosen, owner, n))
+                for chosen, _ in partial]
     return blocks_of
 
 
@@ -248,6 +276,28 @@ def _picks(free, owner, k, one_per_cluster):
             for pick in itertools.product(*sel))
 
 
+def _components(blocks, owner, n):
+    """The component label of each of the n clusters in the graph the
+    blocks glue, and its cycle count.  One block closes a cycle with each
+    further letter of a cluster it touches; several go through union-find
+    over the clusters (nodes 0..n-1) and blocks (n onwards)."""
+    if len(blocks) == 1:
+        positions = blocks[0][0]
+        touched = {owner[p] for p in positions}
+        return ([n if c in touched else c for c in range(n)],
+                len(positions) - len(touched))
+    parent = list(range(n + len(blocks)))
+    cycles = 0
+    for b, (positions, *_) in enumerate(blocks, n):
+        for p in positions:
+            r, s = _root(parent, owner[p]), _root(parent, b)
+            if r == s:
+                cycles += 1
+            else:
+                parent[r] = s
+    return [_root(parent, c) for c in range(n)], cycles
+
+
 def _root(parent, a):
     while parent[a] != a:
         a = parent[a]
@@ -259,123 +309,117 @@ def _exact(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-def _factors(space):
-    """factors(table, letters): the signed output terms (genus, coefficient,
-    output word) of a table on a block's letters, [] when the normalized
-    block vanishes or has no entry.  Each (table, letters) is normalized
-    and looked up once per call; tables are keyed by id, since an
-    OperationTable is unhashable."""
-    memo = {}
-
-    def factors(table, letters):
-        key = (id(table), letters)
-        terms = memo.get(key)
-        if terms is None:
-            w_in, sign = _normalize_indices(space, list(letters))
-            terms = []
-            if sign:
-                for g, elem in table.query_by_genus(len(letters), w_in):
-                    for w, c in elem.terms.items():
-                        c = _exact(c)
-                        terms.append((g, c if sign > 0 else -c, w))
-            memo[key] = terms
-        return terms
-    return factors
+def _entry(table, letters):
+    """The signed output terms (genus, coefficient, output Word) of a table
+    on a block's letters: the table's index at the sorted letters, negated
+    for an odd Koszul sign; () when the sign is 0 or there is no entry.
+    Past the table's coverage it raises IncompleteTableError as
+    query_by_genus does, on the normalized word."""
+    par = table.space.parities
+    sign = _inversion_sign([l for l in letters if par[l]])
+    if not sign:
+        return ()
+    key = tuple(sorted(letters))
+    if not table.covers(len(key)):
+        raise IncompleteTableError(len(key), Word(key))
+    terms = table._index.get(key, ())
+    return terms if sign > 0 else [(g, -c, w) for g, c, w in terms]
 
 
-def _glue(space, tgt, x, blocks_of, hbar_cap=None, *, factors=None):
+def _glue(space, tgt, x, blocks_of, hbar_cap=None):
     """The gluing step on every term of x and every block list that
-    blocks_of(owner, letters) yields; owner[p] is the cluster of letter p
-    and letters[p] its generator, and a block is (ascending letter
-    positions, table, parity).  Outputs are normalized in tgt.  factors
-    is a _factors(space) the caller shares, a fresh one when None."""
+    blocks_of(owner, letters, n) yields; owner[p] is the cluster of letter
+    p, letters[p] its generator and n the number of clusters.  A block
+    list is (blocks, comp, cycles): each block is (ascending letter
+    positions, table, parity, its signed entry terms from _entry), comp
+    labels each cluster by its component and cycles counts the cycles of
+    the glued graph; a block's component is that of its letters' clusters.
+    A block admitted untested carries None and is looked up here, where a
+    partial table raises IncompleteTableError.  The step adds the signs
+    and builds the outputs, normalized in tgt."""
     if not x.terms:
         return EElement()
-    if factors is None:
-        factors = _factors(space)
     acc = {}
     for eword, coeff in x.terms.items():
         coeff = _exact(coeff)
         clusters = eword.clusters
-        n = len(clusters)
         letters = [l for c in clusters for l in c.letters]
         owner = [ci for ci, c in enumerate(clusters) for _ in c.letters]
         pars = [space.parities[l] for l in letters]
         top = eword.hbar if hbar_cap is None else hbar_cap
-        for blocks in blocks_of(owner, letters):
-            m = len(blocks)
-            # clusters are nodes 0..n-1, blocks n..n+m-1; joining two nodes
-            # that are already connected closes a cycle
-            parent = list(range(n + m))
-            cycles = 0
-            for b, (positions, _, _) in enumerate(blocks, n):
-                for p in positions:
-                    r, s = _root(parent, owner[p]), _root(parent, b)
-                    if r == s:
-                        cycles += 1
-                    else:
-                        parent[r] = s
-            if eword.hbar + cycles > top:
+        for blocks, comp, cycles in blocks_of(owner, letters, len(clusters)):
+            hbar = eword.hbar + cycles
+            if hbar > top:
                 continue
             terms_of = []
-            for positions, table, _ in blocks:
-                terms = factors(table, tuple([letters[p] for p in positions]))
-                if not terms:
-                    break
+            for positions, table, _, terms in blocks:
+                if terms is None:  # admitted untested: may raise
+                    terms = _entry(table,
+                                   tuple([letters[p] for p in positions]))
+                    if not terms:
+                        break
                 terms_of.append(terms)
+            m = len(blocks)
             if len(terms_of) < m:
                 continue
-            roots = [_root(parent, a) for a in range(n + m)]
             # consumed letters to the front, block by block; each operation
             # passes the blocks before it
-            consumed = [p for positions, _, _ in blocks for p in positions]
-            taken = set(consumed)
-            free = [p for p in range(len(letters)) if p not in taken]
+            consumed = [p for positions, _, _, _ in blocks for p in positions]
+            free = []
+            if len(consumed) < len(letters):
+                taken = set(consumed)
+                free = [p for p in range(len(letters)) if p not in taken]
             sign = _inversion_sign([p for p in consumed + free if pars[p]])
-            odd_prefix, item_pars = 0, []
-            for positions, table, parity in blocks:
+            odd_prefix, item_pars, comps = 0, [], {}
+            for bi, (positions, table, parity, _) in enumerate(blocks):
                 odd = sum([pars[p] for p in positions])
                 if parity % 2 and odd_prefix:
                     sign = -sign
                 odd_prefix ^= odd & 1
                 item_pars.append((odd + table.parity) % 2)
-            item_pars += [pars[p] for p in free]
+                label = comp[owner[positions[0]]]
+                comps.setdefault(label, ([], []))[0].append(bi)
             # items are the block outputs, then the free letters; regroup
             # them per component, untouched clusters last
-            comps = {}
-            for bi in range(m):
-                comps.setdefault(roots[n + bi], ([], []))[0].append(bi)
             untouched = []
             for i, p in enumerate(free, m):
-                comp = comps.get(roots[owner[p]])
-                (untouched if comp is None else comp[1]).append(i)
+                item_pars.append(pars[p])
+                group = comps.get(comp[owner[p]])
+                (untouched if group is None else group[1]).append(i)
             order = [i for bis, lefts in comps.values()
                      for i in bis + lefts] + untouched
             sign *= _inversion_sign([i for i in order if item_pars[i]])
             merges = [(bis, [letters[free[i - m]] for i in lefts])
                       for bis, lefts in comps.values()]
-            rest = tuple(c for ci, c in enumerate(clusters)
-                         if roots[ci] not in comps)
+            rest = tuple(c for c, label in zip(clusters, comp)
+                         if label not in comps)
             whole = len(merges) == 1 and not rest
+            # genera come in ascending order: the last term has the largest
+            graded = any(terms[-1][0] for terms in terms_of)
             for combo in itertools.product(*terms_of):
-                hbar = eword.hbar + cycles + sum(g for g, _, _ in combo)
-                if hbar > top:
-                    continue
+                h = hbar
+                if graded:
+                    h += sum(g for g, _, _ in combo)
+                    if h > top:
+                        continue
                 words, s = [], sign
                 for bis, lefts in merges:
-                    w, w_sign = _normalize_indices(
-                        tgt, [l for bi in bis for l in combo[bi][2].letters]
-                        + lefts)
-                    if not w_sign:
-                        break
-                    s *= w_sign
+                    if lefts or len(bis) > 1:
+                        w, w_sign = _normalize_indices(tgt, [
+                            l for bi in bis for l in combo[bi][2].letters]
+                            + lefts)
+                        if not w_sign:
+                            break
+                        s *= w_sign
+                    else:  # one block's output, normalized in its table
+                        w = combo[bis[0]][2]
                     words.append(w)
                 else:
                     if whole:
-                        ew, ew_sign = EWord(words, hbar), 1
+                        ew, ew_sign = EWord(words, h), 1
                     else:
                         ew, ew_sign = normalize_clusters(
-                            tgt, tuple(words) + rest, hbar=hbar)
+                            tgt, tuple(words) + rest, hbar=h)
                     if ew_sign:
                         val = coeff
                         for _, c, _ in combo:

@@ -25,8 +25,9 @@ def check_ibl(ialg, hbar_cap, bounds):
     part on every split word within bounds; on failure the witness is the
     first failing cell (k, l, g, word) in word order."""
     return _check_split_words(
-        ialg, bounds, None, lambda image, x: apply_hat_p_ibl(
-            ialg, apply_hat_p_ibl(ialg, x, hbar_cap), hbar_cap),
+        ialg, bounds, None, lambda image, x: assembly.apply_ibl(
+            ialg.table, apply_hat_p_ibl(ialg, x, hbar_cap), hbar_cap,
+            single_cluster=True),
         witness=lambda word, bad: (len(word), *min(bad), word))
 
 

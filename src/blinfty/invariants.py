@@ -89,11 +89,13 @@ def _solve(basis, columns, target):
     for j in live:
         for key in columns[j]:
             rows.setdefault(key, len(rows))
-    A = [[Fraction(0)] * len(live) for _ in range(len(rows))]
+    # int zeros: the elimination's sparse pass tests each empty cell
+    # without a Python-level Fraction.__bool__
+    A = [[0] * len(live) for _ in range(len(rows))]
     for i, j in enumerate(live):
         for key, c in columns[j].items():
             A[rows[key]][i] = c
-    b = [Fraction(0)] * len(rows)
+    b = [0] * len(rows)
     b[0] = Fraction(1)
     sol, _ = solve_linear(A, b)
     if sol is None:

@@ -31,7 +31,8 @@ from . import assembly
 from .errors import (IncompleteTableError, InternalInconsistencyError,
                      StructureError)
 from .words import (EElement, Element, GradedSpace, UNIT_WORD, Word,
-                    enumerate_basis, normalize_word, word_to_singletons)
+                    _normalize_indices, enumerate_basis, normalize_word,
+                    word_to_singletons)
 
 
 class Bounds:
@@ -78,7 +79,8 @@ class OperationTable:
     cells are zero everywhere; otherwise cells with k <= max_k are zero when
     absent and queries beyond max_k raise IncompleteTableError.  Whether
     such a partial table determines an assembled operator on a given input
-    is decided in assembly's enumerations only.
+    is decided in assembly's enumerations only.  The gluing step reads the
+    entries from an index built here, once (see assembly._entry).
     """
 
     def __init__(self, space, parity, entries=(), complete=True, max_k=None,
@@ -141,6 +143,21 @@ class OperationTable:
         self._by_k = {k: {w: sorted(by_genus.items())
                           for w, by_genus in words.items()}
                       for k, words in by_k.items()}
+        # the gluing step's view: sorted input letters -> the terms (genus,
+        # coefficient, output Word) in genus order, outputs normalized in
+        # the target (the sign in the coefficient) and integral coefficients
+        # as ints; built here only, never by a call
+        self._index = {}
+        for words in self._by_k.values():
+            for w_in, pairs in words.items():
+                terms = self._index[w_in.letters] = []
+                for g, elem in pairs:
+                    for w_out, c in elem.terms.items():
+                        w_out, sign = _normalize_indices(self.target,
+                                                         list(w_out.letters))
+                        if sign:
+                            c = assembly._exact(c)
+                            terms.append((g, c if sign > 0 else -c, w_out))
         self._input_sizes = tuple(sorted(by_k))
         top_k = max(by_k, default=0)
         self.max_k = top_k if max_k is None else max(int(max_k), top_k)

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from blinfty.errors import IncompleteTableError, InternalInconsistencyError
-from blinfty.ibl import apply_hat_p_ibl
+from blinfty.ibl import apply_hat_p_ibl, check_ibl
 from blinfty.structures import (Augmentation, Bounds, apply_hat_p,
                                 apply_hat_phi, apply_hat_pointed,
                                 check_structure, compose, linearize,
                                 linearize_pointed, pi_single_cluster,
+                                _check_split_words,
                                 two_level, BLAlgebra, BLMorphism,
                                 OperationTable, PointedMap, identity_table,
                                 word_to_singletons)
@@ -18,7 +19,8 @@ from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
 from blinfty import assembly
 
 from util import (algebra, bubble_normalize, eword, eword_action,
-                  eword_parity, forest_check, oracle_hat_p, oracle_hat_phi,
+                  eword_parity, components, forest_check, oracle_check_ibl,
+                  oracle_hat_p, oracle_hat_phi,
                   oracle_two_level, random_space, random_table, space, table,
                   unpruned_morphism_blocks, word)
 
@@ -622,41 +624,80 @@ def _nonzero_word(rng, sp, top=3):
 
 def _owner_and_letters(ew):
     return ([ci for ci, c in enumerate(ew.clusters) for _ in c.letters],
-            [l for c in ew.clusters for l in c.letters])
+            [l for c in ew.clusters for l in c.letters], len(ew.clusters))
 
 
-def _can_contribute(sp, ew, blocks):
+def _signed_entry(sp, tab, letters):
+    """The terms (genus, signed coefficient, output Word) a block of these
+    letters glues in, by bubble sort and query_by_genus."""
+    srt, s = bubble_normalize(sp, letters)
+    if not s:
+        return []
+    return [(g, s * c, w) for g, e in tab.query_by_genus(
+        len(letters), Word(tuple(srt))) for w, c in e.terms.items()]
+
+
+def _can_contribute(sp, ew, block_list):
     """Acyclic, and every block before the first one of a size its table
     does not cover has a nonzero entry (the unpruned sum's own filter)."""
-    owner, letters = _owner_and_letters(ew)
-    edges = [(owner[p], bi) for bi, (b, _, _) in enumerate(blocks) for p in b]
-    if not forest_check(len(ew.clusters), len(blocks), edges):
+    owner, letters, n = _owner_and_letters(ew)
+    blocks, _, _ = block_list
+    edges = [(owner[p], bi) for bi, (b, _, _, _) in enumerate(blocks)
+             for p in b]
+    if not forest_check(n, len(blocks), edges):
         return False
-    for positions, tab, _ in blocks:
+    for positions, tab, _, _ in blocks:
         if not tab.covers(len(positions)):
             return True
-        srt, s = bubble_normalize(sp, [letters[p] for p in positions])
-        if not s or not any(e.terms for _, e in tab.query_by_genus(
-                len(positions), Word(tuple(srt)))):
+        if not _signed_entry(sp, tab, [letters[p] for p in positions]):
             return False
     return True
 
 
-def _block_key(blocks):
-    return tuple((tuple(b), id(tab), parity) for b, tab, parity in blocks)
+def _handed_over(sp, search, block_list):
+    """What an admissible block list hands the gluing step: no cycle, each
+    cluster's label that of its component (by DFS), and each block its
+    signed entry terms, or None from the first block of a size its table
+    does not cover on."""
+    owner, letters, n = search[:3]
+    blocks, comp, cycles = block_list
+    edges = [(owner[p], bi) for bi, (b, _, _, _) in enumerate(blocks)
+             for p in b]
+    dfs = components(n, len(blocks), edges)
+    assert cycles == 0
+    assert len(comp) == n
+    assert all((comp[i] == comp[j]) == (dfs[("c", i)] == dfs[("c", j)])
+               for i in range(n) for j in range(n))
+    untested = False
+    for positions, tab, _, terms in blocks:
+        untested = untested or not tab.covers(len(positions))
+        if untested:
+            assert terms is None
+        else:
+            assert list(terms) == _signed_entry(
+                sp, tab, [letters[p] for p in positions])
+
+
+def _block_key(block_list):
+    return tuple((tuple(b), id(tab), parity)
+                 for b, tab, parity, _ in block_list[0])
 
 
 def test_morphism_enumeration_matches_unpruned_sweep(monkeypatch):
     # apply_morphism against the gluing step fed every set partition of the
     # letters: equal outputs, IncompleteTableError in the same cases, and
-    # the step receives exactly the block lists that can contribute
+    # the step receives exactly the block lists that can contribute, each
+    # with its entry terms and component labels as an independent count
+    # finds them
     made = []
     enumerate_blocks = assembly._set_partitions
+    sp = None
 
     def recording(search):
-        for blocks in enumerate_blocks(search):
-            made.append(_block_key(blocks))
-            yield blocks
+        for block_list in enumerate_blocks(search):
+            _handed_over(sp, search, block_list)
+            made.append(_block_key(block_list))
+            yield block_list
     monkeypatch.setattr(assembly, "_set_partitions", recording)
     rng = random.Random(7070)
     seen = dict.fromkeys(["plain", "bullet", "incomplete", "raised"], 0)
@@ -689,13 +730,30 @@ def test_morphism_enumeration_matches_unpruned_sweep(monkeypatch):
                     continue
                 seen[name] += bool(got)
                 admissible = [
-                    _block_key(blocks) for ew in x.terms
-                    for blocks in unpruned_morphism_blocks(tab, btab, 1)(
+                    _block_key(block_list) for ew in x.terms
+                    for block_list in unpruned_morphism_blocks(tab, btab, 1)(
                         *_owner_and_letters(ew))
-                    if _can_contribute(sp, ew, blocks)]
+                    if _can_contribute(sp, ew, block_list)]
                 assert sorted(made) == sorted(admissible), (name, x)
     assert min(seen.values()) >= 40, seen
 
+
+def test_unsorted_entry_outputs_glue_as_their_normal_form():
+    # a table may list an output word out of order; the gluing step reads
+    # it in normal form, its Koszul sign in the coefficient, also where a
+    # component is that one block's output alone
+    sp = space(("q0", 1), ("q1", 1), ("a", 0), ("b", 0))
+    q0, q1, a, b = 0, 1, 2, 3
+    fixed = [(1, 1, Word((q0,)), Element.monomial(Word((q0,)))),
+             (1, 1, Word((b,)), Element.monomial(Word((b,))))]
+    raw = OperationTable(sp, 0, fixed + [
+        (1, 2, Word((a,)), Element({Word((q1, q0)): Fraction(3)}))])
+    normal = OperationTable(sp, 0, fixed + [
+        (1, 2, Word((a,)), Element({Word((q0, q1)): Fraction(-3)}))])
+    for clusters in ([(a,)], [(a,), (q0,)], [(a, b)], [(), (a,)]):
+        x = EElement.monomial(EWord(tuple(Word(c) for c in clusters)))
+        got = assembly.apply_morphism(raw, x)
+        assert got and got == assembly.apply_morphism(normal, x), clusters
 
 
 def _partial(rng, sp, parity, max_k, genus=False, min_l=0, max_l=2):
@@ -957,11 +1015,9 @@ def _unskipped_single_cluster_morphism(tab, x, bullet=None):
     """apply_morphism(tab, x, bullet, 1, single_cluster=True) with every
     term glued, unit clusters beside the others included."""
     tables = [(tab, 0)] + ([(bullet, 1)] if bullet is not None else [])
-    factors = assembly._factors(tab.space)
     return assembly._glue(
-        tab.space, tab.target, x, lambda owner, letters: (
-            assembly._set_partitions((owner, letters, tables, factors,
-                                      True))), factors=factors)
+        tab.space, tab.target, x, lambda owner, letters, n: (
+            assembly._set_partitions((owner, letters, n, tables, True))))
 
 
 def test_single_cluster_stage_skips_unit_terms_only_where_none_raises():
@@ -1031,3 +1087,84 @@ def test_single_cluster_stage_skips_unit_terms_only_where_none_raises():
             else:
                 seen["skipped"] += len(got.terms) < len(want.terms)
     assert min(seen.values()) >= 10, seen
+
+
+def test_ibl_single_cluster_stage_equals_the_projected_full_stage():
+    # apply_ibl with single_cluster glues only the blocks that touch every
+    # lettered cluster, and nothing on a term with a unit cluster beside
+    # lettered ones.  On hbar-graded random tables, complete and partial,
+    # at caps 0-2: projected to one cluster, its output equals the full
+    # stage's, it raises IncompleteTableError exactly where the full stage
+    # does, and every term it makes is one cluster.  check_ibl, whose
+    # second stage it is, equals oracle_check_ibl on complete tables and
+    # the same check with the full second stage on every table
+    rng = random.Random(5151)
+    seen = dict.fromkeys(["complete", "partial", "raised", "dropped",
+                          "dropped apart", "check passed", "check failed",
+                          "check raised"], 0)
+
+    def status(evaluate):
+        got = _outcome(evaluate)
+        return got if got == "incomplete" else (got.ok, got.witness)
+
+    for _ in range(300):
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(rng.randint(1, 3))])
+        complete = rng.randrange(2)
+        if complete:
+            base = random_table(rng, sp, n_entries=rng.randint(2, 6),
+                                max_k=3, max_l=rng.choice((0, 1, 2)))
+            p = OperationTable(sp, 1, [
+                (k, l, rng.randrange(3), w, e)
+                for (k, l, _, w, e) in base.sorted_entries()])
+        else:
+            p, _ = _partial(rng, sp, 1, rng.choice((1, 2)), genus=True)
+        cap = rng.randrange(3)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            ew = _random_outer_word(rng, sp)
+            if rng.randrange(2):
+                ew, _ = normalize_clusters(
+                    sp, (UNIT_WORD,) * rng.randint(1, 2) + ew.clusters)
+            terms[EWord(ew.clusters, rng.randrange(cap + 2))] = Fraction(
+                rng.choice([-2, -1, 1, 3]))
+        inputs = [EElement(terms)]
+        entries = p.sorted_entries()
+        if entries:  # an entry's input beside another cluster: a block on
+            # the first alone leaves the second apart
+            w_in = rng.choice(entries)[3]
+            ew, sign = normalize_clusters(sp, (w_in, _nonzero_word(rng, sp)))
+            if sign:
+                inputs.append(EElement.monomial(EWord(ew.clusters,
+                                                      rng.randrange(2))))
+        split = _outcome(lambda: assembly.apply_ibl(p, EElement.monomial(
+            word_to_singletons(_nonzero_word(rng, sp))), cap))
+        if split != "incomplete":
+            inputs.append(split)  # a first stage, as check_ibl feeds it
+        for x in inputs:
+            got = _outcome(lambda: assembly.apply_ibl(
+                p, x, cap, single_cluster=True))
+            want = _outcome(lambda: assembly.apply_ibl(p, x, cap))
+            if want == "incomplete":
+                assert got == want, x
+                seen["raised"] += 1
+                continue
+            assert got != "incomplete", x
+            assert pi_single_cluster(got) == pi_single_cluster(want), x
+            assert all(len(ew.clusters) == 1 for ew in got.terms), x
+            seen["complete" if complete else "partial"] += bool(got)
+            seen["dropped"] += len(got.terms) < len(want.terms)
+            seen["dropped apart"] += any(
+                len(ew.clusters) > 1 and UNIT_WORD not in ew.clusters
+                for ew in want.terms)
+        ialg, bounds = BLAlgebra(sp, p), Bounds(rng.choice((2, 3)))
+        verdict = status(lambda: check_ibl(ialg, cap, bounds))
+        assert verdict == status(lambda: _check_split_words(
+            ialg, bounds, None, lambda image, x: assembly.apply_ibl(
+                p, assembly.apply_ibl(p, x, cap), cap),
+            witness=lambda word, bad: (len(word), *min(bad), word))), p
+        if complete:
+            assert verdict == oracle_check_ibl(sp, p, cap, bounds), p
+        seen["check raised" if verdict == "incomplete" else
+             "check passed" if verdict[0] else "check failed"] += 1
+    assert min(seen.values()) >= 20, seen

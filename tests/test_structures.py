@@ -825,6 +825,45 @@ def test_composition_coherence_on_outer_words():
                 apply_hat_phi(psi, apply_hat_phi(phi, x)), (ew,)
 
 
+def _oracle_twice(sp, first, second, x):
+    """second-hat after first-hat on x, each by oracle_hat_phi."""
+    out = EElement()
+    for ew, c in x.terms.items():
+        for ew1, c1 in oracle_hat_phi(sp, sp, first, ew).terms.items():
+            out = out + (c * c1) * oracle_hat_phi(sp, sp, second, ew1)
+    return out
+
+
+def test_composition_coherence_against_the_oracle():
+    # compose(psi, phi) applied once and phi then psi, each against
+    # oracle_hat_phi applied twice: a sign error that both sides share
+    # through the gluing step fails here, where the two sides compared
+    # with each other agree.  Spaces with odd generators; outer words of at
+    # most 4 letters in up to 3 clusters, where the blocks of one
+    # component are regrouped past those of another
+    rng = random.Random(2929)
+    seen = {"nonzero": 0, "odd terms": 0}
+    for _ in range(12):
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(rng.randint(2, 3))])
+        alg = BLAlgebra(sp, zero_table(sp))
+        phi, psi = (BLMorphism(alg, alg, random_table(
+            rng, sp, parity=0, n_entries=4, max_k=2, max_l=2))
+            for _ in range(2))
+        comp = compose(psi, phi, B4)
+        words = enumerate_basis(sp, 4, outer_components=3)
+        for ew in rng.sample(words, min(len(words), 40)):
+            x = EElement.monomial(ew)
+            want = _oracle_twice(sp, phi.table, psi.table, x)
+            assert apply_hat_phi(comp, x) == want, ew
+            assert apply_hat_phi(psi, apply_hat_phi(phi, x)) == want, ew
+            seen["nonzero"] += bool(want)
+            seen["odd terms"] += any(sp.word_parity(c.letters)
+                                     for ew2 in want.terms
+                                     for c in ew2.clusters)
+    assert min(seen.values()) >= 40, seen
+
+
 def test_check_morphism_checks_an_endomorphisms_algebra_once(monkeypatch):
     from blinfty import structures
     calls = []

@@ -5,17 +5,20 @@ import importlib
 import importlib.util
 import io
 import pickle
+import random
 import sys
 import types
 from fractions import Fraction
 from pathlib import Path
 
 from blinfty import assembly, cli, fixtures, linalg
+from blinfty.errors import IncompleteTableError
 from blinfty.invariants import default_schedule
-from blinfty.structures import Bounds, PointedMap, zero_table
-from blinfty.words import EElement
+from blinfty.structures import (BLAlgebra, BLMorphism, Bounds, OperationTable,
+                                PointedMap, compose, zero_table)
+from blinfty.words import EElement, enumerate_basis
 
-from util import eword, space, table
+from util import eword, random_table, space, table
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blinfty"
 
@@ -203,12 +206,12 @@ def test_bench_tracer_counts_block_lists_reaching_the_gluing_step(
     received = []
     glue = assembly._glue
 
-    def counting_glue(space_, tgt, x, blocks_of, hbar_cap=None, **kw):
-        def counted(owner, letters):
-            for blocks in blocks_of(owner, letters):
+    def counting_glue(space_, tgt, x, blocks_of, hbar_cap=None):
+        def counted(owner, letters, n):
+            for blocks in blocks_of(owner, letters, n):
                 received.append(blocks)
                 yield blocks
-        return glue(space_, tgt, x, counted, hbar_cap, **kw)
+        return glue(space_, tgt, x, counted, hbar_cap)
     monkeypatch.setattr(assembly, "_glue", counting_glue)
     modules = {module for entries in tracer_mod.LAYERS.values()
                for module, _ in entries} | {"assembly"}
@@ -402,6 +405,54 @@ def _state(obj):
     """Every attribute of obj, pickled: a cache or memo added to it, or
     filled in place, changes the bytes."""
     return pickle.dumps(vars(obj), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def test_library_calls_leave_their_tables_as_read():
+    # the same rule one level down: every gluing entry point and compose
+    # leave each table they read byte-identical, so the index the gluing
+    # step reads is built when a table is made, never filled by a call
+    rng = random.Random(6262)
+    calls = 0
+    for _ in range(30):
+        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
+                     for i in range(rng.randint(2, 3))])
+        p = random_table(rng, sp, parity=1, n_entries=4, max_k=3, max_l=2)
+        m = random_table(rng, sp, parity=0, n_entries=4, max_k=2, max_l=2)
+        bullet = random_table(rng, sp, parity=1, n_entries=3, max_l=1)
+        graded = OperationTable(sp, 1, [(k, l, rng.randrange(2), w, e) for
+                                        (k, l, _, w, e) in p.sorted_entries()])
+        partial = OperationTable(sp, 0, [(k, l, w, e) for (k, l, _, w, e)
+                                         in m.sorted_entries() if k == 1],
+                                 complete=False, max_k=1)
+        alg = BLAlgebra(sp, zero_table(sp))
+        phi, psi = BLMorphism(alg, alg, m), BLMorphism(alg, alg, random_table(
+            rng, sp, parity=0, n_entries=3, max_k=2, max_l=2))
+        x = EElement({ew: 1 for ew in rng.sample(
+            enumerate_basis(sp, 3, outer_components=3), 4)})
+        tables = [p, m, bullet, graded, partial, psi.table]
+        before = [_state(t) for t in tables]
+        assert all(bool(t._index) == bool(t.sorted_entries())
+                   for t in tables)
+        for call in (
+                lambda: assembly.apply_morphism(m, x),
+                lambda: assembly.apply_morphism(m, x, bullet, 1),
+                lambda: assembly.apply_morphism(m, x, single_cluster=True),
+                lambda: assembly.apply_morphism(partial, x, bullet, 1),
+                lambda: assembly.apply_coderivation(p, x),
+                lambda: assembly.apply_coderivation(p, x,
+                                                    single_cluster=True),
+                lambda: assembly.apply_multi_pointed([(p, 1), (bullet, 1)],
+                                                     x),
+                lambda: assembly.apply_ibl(graded, x, 2),
+                lambda: assembly.apply_ibl(graded, x, 1, single_cluster=True),
+                lambda: compose(psi, phi, Bounds(3))):
+            try:
+                call()
+            except IncompleteTableError:
+                pass
+            calls += 1
+        assert [_state(t) for t in tables] == before
+    assert calls == 300
 
 
 def test_cli_commands_leave_their_inputs_as_read(tmp_path, monkeypatch):

@@ -423,16 +423,23 @@ def set_partitions_list(items):
 def unpruned_morphism_blocks(table_, bullet_table=None, bullet_parity=0):
     """The morphism enumeration before pruning, as a block source for
     assembly._glue: every set partition of the letters, blocks sorted, and
-    with a bullet table each block in turn evaluated in it."""
-    def blocks_of(owner, letters):
+    with a bullet table each block in turn evaluated in it.  No block
+    carries entry terms (each is looked up in the step); each list carries
+    its clusters' component labels and cycle count, counted by DFS."""
+    def blocks_of(owner, letters, n):
         for part in set_partitions_list(list(range(len(owner)))):
             blocks = sorted(part)
+            edges = [(owner[p], bi) for bi, b in enumerate(blocks) for p in b]
+            comp = components(n, len(blocks), edges)
+            labels = [comp[("c", ci)] for ci in range(n)]
+            cycles = len(edges) - n - len(blocks) + len(set(comp.values()))
             if bullet_table is None:
-                yield [(b, table_, 0) for b in blocks]
+                yield [(b, table_, 0, None) for b in blocks], labels, cycles
                 continue
             for at in range(len(blocks)):
-                yield [(b, bullet_table, bullet_parity) if i == at
-                       else (b, table_, 0) for i, b in enumerate(blocks)]
+                yield ([(b, bullet_table, bullet_parity, None) if i == at
+                        else (b, table_, 0, None)
+                        for i, b in enumerate(blocks)], labels, cycles)
     return blocks_of
 
 
