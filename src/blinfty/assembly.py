@@ -311,10 +311,11 @@ def _exact(c):
 
 def _entry(table, letters):
     """The signed output terms (genus, coefficient, output Word) of a table
-    on a block's letters: the table's index at the sorted letters, negated
-    for an odd Koszul sign; () when the sign is 0 or there is no entry.
-    Past the table's coverage it raises IncompleteTableError as
-    query_by_genus does, on the normalized word."""
+    on a block's letters: the table's index at the sorted letters (its
+    cells' normal-form terms, see OperationTable), negated for an odd
+    Koszul sign; () when the sign is 0 or there is no entry.  Past the
+    table's coverage it raises IncompleteTableError(k, Word) on the sorted
+    letters, as the table's queries do."""
     par = table.space.parities
     sign = _inversion_sign([l for l in letters if par[l]])
     if not sign:

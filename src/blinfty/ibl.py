@@ -94,11 +94,9 @@ def c_map(space, x, m):
 def derive_flat_torsion(ialg, cert, n, m, trunc):
     """Transport an (n, m) certificate at truncation trunc to (n+m, 0):
     the compensated connecting map of the certificate is applied and the
-    result re-verified by evaluation in the same quotient."""
+    result re-verified as an (n+m, 0) certificate in the same quotient."""
     if n + m > trunc:
         return None, True
     moved = EElement({ew: c for ew, c in c_map(ialg.space, cert, m)
                       .terms.items() if ew.hbar <= trunc})
-    target = EElement.monomial(EWord((UNIT_WORD,), hbar=n + m))
-    out = apply_hat_p_ibl(ialg, moved, trunc)
-    return moved, out == target
+    return moved, verify_grid_certificate(ialg, moved, n + m, 0, trunc)

@@ -460,14 +460,16 @@ def _apply_inner_morphism(table, element):
 def sd_order(eps, pmap, umod, bounds, images=None):
     """_sd_search on the (1,1) part of eps's linearized structure and the
     (1,0) part of pmap linearized at eps, p-hat and P-hat read from images
-    (see SplitImages).  A U over another space than eps's raises
-    StructureError."""
+    (see SplitImages); the answer names the bounds it was linearized at.
+    A U over another space than eps's raises StructureError."""
     lin = _linearized(eps, bounds, images)
     if umod.space is not eps.source.space:
         raise StructureError("U over another space than eps's algebra")
     lpt = linearize_pointed(pmap, eps, bounds, images)
-    return _sd_search(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
-                      lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
+    ans = _sd_search(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
+                     lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
+    ans.bounds = bounds
+    return ans
 
 
 def _sd_search(ell1, umod, ell_point):

@@ -31,8 +31,7 @@ from . import assembly
 from .errors import (IncompleteTableError, InternalInconsistencyError,
                      StructureError)
 from .words import (EElement, Element, GradedSpace, UNIT_WORD, Word,
-                    _normalize_indices, enumerate_basis, normalize_word,
-                    word_to_singletons)
+                    _normalize_indices, enumerate_basis, word_to_singletons)
 
 
 class Bounds:
@@ -74,24 +73,34 @@ class OperationTable:
     with a genus axis.
 
     entries: iterable of (k, l, input Word, output Element supported in
-    length l) at genus 0, or (k, l, genus, input Word, output Element).
-    cells holds the genus-0 cells keyed (k, l).  complete=True means absent
-    cells are zero everywhere; otherwise cells with k <= max_k are zero when
-    absent and queries beyond max_k raise IncompleteTableError.  Whether
-    such a partial table determines an assembled operator on a given input
-    is decided in assembly's enumerations only.  The gluing step reads the
-    entries from an index built here, once (see assembly._entry).
+    length l) at genus 0, or (k, l, genus, input Word, output Element),
+    every letter in its space (else StructureError), inputs normalized.
+    Outputs are kept in normal form in the target: a word listed out of
+    order is sorted, its sign in the coefficient, a vanishing word dropped
+    and equal words merged; an entry left zero is not stored, but its
+    arity counts toward input_sizes() and max_k.  complete=True means
+    absent cells are zero everywhere; otherwise cells with k <= max_k are
+    zero when absent and queries beyond max_k raise IncompleteTableError.
+    Whether such a partial table determines an assembled operator is
+    decided in assembly's enumerations only.
     """
 
     def __init__(self, space, parity, entries=(), complete=True, max_k=None,
                  target=None, action_drop=False):
         self.space = space
-        self.target = target if target is not None else space
+        self.target = tgt = target if target is not None else space
         self.parity = parity % 2
         self.complete = bool(complete)
         self.action_drop = bool(action_drop)
-        self._cells = {}  # (k, l, genus) -> {input Word: Element}
-        by_k = {}  # k -> input Word -> {genus: Element summed over l}
+        # one pass builds both stores, nothing fills them later: the cells
+        # every reader of the entries reads, and the gluing step's index
+        self._cells = {}  # input Word -> {(l, genus): Element}, entry order
+        self.cells = {}  # (k, l) -> {input Word: Element} at genus 0
+        self._index = {}  # input letters -> [(genus, coefficient, Word)]
+        letters_in = frozenset(range(len(space)))
+        letters_out = frozenset(range(len(tgt)))
+        listed = set()  # every (input, l, genus) given, vanished ones too
+        sizes = set()
         for entry in entries:
             k, l, g, w_in, elem = (entry if len(entry) == 5
                                    else (*entry[:2], 0, *entry[2:]))
@@ -103,12 +112,15 @@ class OperationTable:
                 raise StructureError("entry output must be an Element")
             if len(w_in) != k:
                 raise StructureError("input %r has length != k=%d" % (w_in, k))
-            chk, sgn = normalize_word(space, w_in.letters)
-            if sgn != 1 or chk != w_in:
+            if not letters_in.issuperset(w_in.letters):
+                raise StructureError("input %r outside the space" % (w_in,))
+            if _normalize_indices(space, list(w_in.letters)) != (w_in, 1):
                 raise StructureError("input %r is not normalized" % (w_in,))
             if not elem:
                 continue
+            sizes.add(k)
             in_par = space.word_parity(w_in.letters)
+            terms, rebuild = [], False
             for w_out, c in elem.terms.items():
                 if not isinstance(w_out, Word):
                     raise StructureError(
@@ -117,50 +129,39 @@ class OperationTable:
                 if len(w_out) != l:
                     raise StructureError(
                         "output %r not of declared length l=%d" % (w_out, l))
-                try:
-                    odd = self.target.word_parity(w_out.letters)
-                except IndexError:
+                if not letters_out.issuperset(w_out.letters):
                     raise StructureError(
                         "entry (%d,%d) %r: output %r outside the target"
-                        % (k, l, w_in, w_out)) from None
-                if odd != (in_par + self.parity) % 2:
+                        % (k, l, w_in, w_out))
+                if tgt.word_parity(w_out.letters) != (in_par + self.parity) % 2:
                     raise StructureError(
                         "entry (%d,%d) %r violates parity" % (k, l, w_in))
-                if self.action_drop:
-                    if self.target.word_action(w_out.letters) > \
-                            space.word_action(w_in.letters):
-                        raise StructureError(
-                            "entry (%d,%d) %r raises action" % (k, l, w_in))
-            cell = self._cells.setdefault((k, l, g), {})
-            if w_in in cell:
+                if self.action_drop and tgt.word_action(w_out.letters) > \
+                        space.word_action(w_in.letters):
+                    raise StructureError(
+                        "entry (%d,%d) %r raises action" % (k, l, w_in))
+                word, sign = _normalize_indices(tgt, list(w_out.letters))
+                rebuild = rebuild or sign != 1 or word != w_out
+                terms.append((word, sign, c))
+            if (w_in.letters, l, g) in listed:
                 raise StructureError("duplicate entry (%d,%d,%d) %r"
                                      % (k, l, g, w_in))
-            cell[w_in] = elem
-            by_genus = by_k.setdefault(k, {}).setdefault(w_in, {})
-            by_genus[g] = by_genus[g] + elem if g in by_genus else elem
-        self.cells = {(k, l): cell for (k, l, g), cell in self._cells.items()
-                      if g == 0}
-        self._by_k = {k: {w: sorted(by_genus.items())
-                          for w, by_genus in words.items()}
-                      for k, words in by_k.items()}
-        # the gluing step's view: sorted input letters -> the terms (genus,
-        # coefficient, output Word) in genus order, outputs normalized in
-        # the target (the sign in the coefficient) and integral coefficients
-        # as ints; built here only, never by a call
-        self._index = {}
-        for words in self._by_k.values():
-            for w_in, pairs in words.items():
-                terms = self._index[w_in.letters] = []
-                for g, elem in pairs:
-                    for w_out, c in elem.terms.items():
-                        w_out, sign = _normalize_indices(self.target,
-                                                         list(w_out.letters))
-                        if sign:
-                            c = assembly._exact(c)
-                            terms.append((g, c if sign > 0 else -c, w_out))
-        self._input_sizes = tuple(sorted(by_k))
-        top_k = max(by_k, default=0)
-        self.max_k = top_k if max_k is None else max(int(max_k), top_k)
+            listed.add((w_in.letters, l, g))
+            if rebuild:
+                elem = Element((w, s * c) for w, s, c in terms)
+                if not elem:
+                    continue
+            self._cells.setdefault(w_in, {})[l, g] = elem
+            if g == 0:
+                self.cells.setdefault((k, l), {})[w_in] = elem
+            indexed = self._index.setdefault(w_in.letters, [])
+            resort = indexed and g < indexed[-1][0]
+            indexed += [(g, assembly._exact(c), w)
+                        for w, c in elem.terms.items()]
+            if resort:  # stable: entry order within a genus
+                indexed.sort(key=lambda t: t[0])
+        self._input_sizes = tuple(sorted(sizes))
+        self.max_k = max([int(max_k or 0), *sizes])
 
     def input_sizes(self):
         return self._input_sizes
@@ -169,22 +170,21 @@ class OperationTable:
         return self.complete or k <= self.max_k
 
     def query_by_genus(self, k, word):
-        """(genus, Element) pairs for the input word, in genus order."""
+        """(genus, Element summed over l) pairs for the input word of
+        length k, in the index's order: by genus, then entry order."""
         if not self.covers(k):
             raise IncompleteTableError(k, word)
-        return self._by_k.get(k, {}).get(word, ())
+        cells = self._cells.get(word, {})
+        return [(g, sum((e for (_, h), e in cells.items() if h == g),
+                        Element())) for g in sorted({g for _, g in cells})]
 
     def query(self, k, word):
         """The genus-0 output on the input word, summed over l."""
         pairs = self.query_by_genus(k, word)
         return pairs[0][1] if pairs and pairs[0][0] == 0 else Element()
 
-    def is_zero(self):
-        return not self._by_k
-
     def sub_table(self, keep):
-        """A new table from the genus-0 cells (k,l) selected by the
-        predicate."""
+        """A new table of the genus-0 cells (k, l) that keep selects."""
         entries = [(k, l, w, e) for (k, l), cell in self.cells.items()
                    if keep(k, l) for w, e in cell.items()]
         return OperationTable(self.space, self.parity, entries,
@@ -194,9 +194,9 @@ class OperationTable:
     def sorted_entries(self):
         """Every entry as (k, l, genus, input Word, Element), sorted by
         (k, l, genus, input)."""
-        return [(k, l, g, w, self._cells[k, l, g][w])
-                for (k, l, g) in sorted(self._cells)
-                for w in sorted(self._cells[k, l, g], key=lambda w: w.key())]
+        return sorted(((len(w), l, g, w, e) for w, cells in self._cells.items()
+                       for (l, g), e in cells.items()),
+                      key=lambda entry: (entry[:3], entry[3].key()))
 
     def _coverage(self):
         """What the table says about arities it has no entry for: max_k
@@ -277,7 +277,7 @@ class Augmentation(BLMorphism):
     """A morphism to the trivial algebra, stored as (k,0) functionals."""
 
     def __init__(self, algebra, table):
-        if any(l != 0 for (_, l, _) in table._cells):
+        if any(l != 0 for _, l, *_ in table.sorted_entries()):
             raise StructureError("augmentation entries must have l = 0")
         super().__init__(algebra, TRIVIAL_ALGEBRA, table)
 
@@ -300,17 +300,16 @@ class UModule:
             raise StructureError("U must have parity 0")
         if table.space is not space:
             raise StructureError("U table is over another space")
-        if any(cell != (1, 1, 0) for cell in table._cells):
+        if any(entry[:3] != (1, 1, 0) for entry in table.sorted_entries()):
             raise StructureError("U must be a linear endomorphism")
         if all(g.zgrade is not None for g in space.generators):
-            for (_, _), cell in table.cells.items():
-                for w_in, elem in cell.items():
-                    zin = space.generators[w_in.letters[0]].zgrade
-                    for w_out in elem.terms:
-                        zout = space.generators[w_out.letters[0]].zgrade
-                        if zout != zin - 2:
-                            raise StructureError(
-                                "U entry %r does not have degree -2" % (w_in,))
+            for _, _, _, w_in, elem in table.sorted_entries():
+                zin = space.generators[w_in.letters[0]].zgrade
+                for w_out in elem.terms:
+                    zout = space.generators[w_out.letters[0]].zgrade
+                    if zout != zin - 2:
+                        raise StructureError(
+                            "U entry %r does not have degree -2" % (w_in,))
         self.space = space
         self.table = table
 

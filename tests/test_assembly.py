@@ -17,6 +17,7 @@ from blinfty.words import (EElement, EWord, Element, UNIT_EWORD, UNIT_WORD,
                            Word, enumerate_basis, normalize_clusters,
                            normalize_word)
 from blinfty import assembly
+from blinfty import io as bio
 
 from util import (algebra, bubble_normalize, eword, eword_action,
                   eword_parity, components, forest_check, oracle_check_ibl,
@@ -754,6 +755,14 @@ def test_unsorted_entry_outputs_glue_as_their_normal_form():
         x = EElement.monomial(EWord(tuple(Word(c) for c in clusters)))
         got = assembly.apply_morphism(raw, x)
         assert got and got == assembly.apply_morphism(normal, x), clusters
+    # the table keeps the normal form too: the two are one table, and
+    # write one document that parses back to it
+    assert raw == normal
+    assert raw.query(1, Word((a,))) == Element({Word((q0, q1)): -3})
+    text = bio.serialize(bio.document_of_table("morphism", "phi", raw))
+    assert text == bio.serialize(bio.document_of_table("morphism", "phi",
+                                                       normal))
+    assert bio.table_from_block(sp, bio.parse(text).table("morphism")) == raw
 
 
 def _partial(rng, sp, parity, max_k, genus=False, min_l=0, max_l=2):

@@ -757,12 +757,15 @@ def test_sd_ladder_rungs_are_exact():
 
 def test_sd_order_answers_exact_on_the_ladder():
     # every sd level is a finite system over the whole linearized
-    # homology, so a failed level is certified and the kind is exact
+    # homology, so a failed level is certified and the kind is exact; the
+    # answer names the bounds it was linearized at
     for n in range(1, 6):
         alg, utab, pmap = fixtures.sd_ladder(n)
-        ans = sd_order(fixtures.zero_aug(alg), pmap, UModule(alg.space, utab),
-                       B3)
-        assert (ans.kind, ans.level) == ("exact", n - 1)
+        for bounds in (B3, Bounds(n, word_bound=n)):
+            ans = sd_order(fixtures.zero_aug(alg), pmap,
+                           UModule(alg.space, utab), bounds)
+            assert (ans.kind, ans.level, ans.bounds) == \
+                ("exact", n - 1, bounds)
 
 
 def test_sd_order_refuses_u_over_another_space():

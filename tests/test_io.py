@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from blinfty import fixtures
+from blinfty import assembly, fixtures
 from blinfty import io as bio
 from blinfty.cli import COMMANDS, main as cli_main
-from blinfty.errors import ParseError, StructureError
-from blinfty.structures import BLAlgebra, Bounds, OperationTable
-from blinfty.words import (Element, EWord, Generator, GradedSpace, UNIT_WORD,
-                           Word, enumerate_basis, normalize_word)
+from blinfty.errors import IncompleteTableError, ParseError, StructureError
+from blinfty.structures import (BLAlgebra, Bounds, OperationTable, ell_table,
+                                linearize, linearize_pointed)
+from blinfty.words import (EElement, Element, EWord, Generator, GradedSpace,
+                           UNIT_WORD, Word, enumerate_basis, normalize_word)
 
 import io as pyio
 from pathlib import Path
+
+from util import random_table
 
 
 def run_cli(tmp_path, *argv):
@@ -255,6 +258,66 @@ def test_random_documents_round_trip():
         assert again == text
 
 
+def _with_shuffled_outputs(rng, tab, genus):
+    """tab's entries, each output word's letters listed in a random order
+    with its coefficient kept, at a random genus when genus is true."""
+    entries = []
+    for k, l, g, w, elem in tab.sorted_entries():
+        terms = {}
+        for out, c in elem.terms.items():
+            letters = list(out.letters)
+            rng.shuffle(letters)
+            terms[Word(tuple(letters))] = c
+        entries.append((k, l, rng.randrange(3) if genus else g, w,
+                        Element(terms)))
+    return entries
+
+
+def _glued(tab, x, hbar):
+    try:
+        if hbar:
+            return assembly.apply_ibl(tab, x, 2)
+        if tab.parity:
+            return assembly.apply_coderivation(tab, x)
+        return assembly.apply_morphism(tab, x)
+    except IncompleteTableError as e:
+        return ("IncompleteTableError", str(e))
+
+
+def test_tables_listing_unsorted_outputs_round_trip():
+    # a table may list an output word's letters in any order; it keeps the
+    # word in normal form, so its document parses back to an equal table
+    # that glues the same
+    rng = random.Random(3131)
+    moved = 0
+    for _ in range(80):
+        sp = GradedSpace([Generator("g%d" % i, rng.randrange(2))
+                          for i in range(rng.randint(2, 4))])
+        parity = rng.randrange(2)
+        hbar = parity == 1 and rng.random() < 0.5
+        entries = _with_shuffled_outputs(rng, random_table(
+            rng, sp, max_k=3, max_l=3, n_entries=5, parity=parity), hbar)
+        max_k = rng.choice([None, 1, 2])
+        tab = OperationTable(sp, parity, entries, complete=max_k is None,
+                             max_k=max_k)
+        listed = {(w_in, out) for _, _, _, w_in, elem in entries
+                  for out in elem.terms}
+        moved += sum((w_in, out) not in listed
+                     for _, _, _, w_in, elem in tab.sorted_entries()
+                     for out in elem.terms)
+        assert all(normalize_word(sp, out.letters) == (out, 1)
+                   for *_, elem in tab.sorted_entries() for out in elem.terms)
+        kind = "ibl" if hbar else ("structure" if parity else "morphism")
+        text = bio.serialize(bio.document_of_table(kind, "t", tab))
+        back = bio.table_from_block(sp, bio.parse(text).table(kind))
+        assert back == tab
+        assert bio.serialize(bio.document_of_table(kind, "t", back)) == text
+        for ew in rng.sample(enumerate_basis(sp, 4, outer_components=2), 3):
+            x = EElement.monomial(ew)
+            assert _glued(back, x, hbar) == _glued(tab, x, hbar)
+    assert moved >= 20
+
+
 # ---- CLI ---------------------------------------------------------------------
 
 @pytest.fixture()
@@ -356,13 +419,40 @@ def test_cli_torsion_not_found(corpus_dir, tmp_path):
     assert report_value(out, "torsion") == "not-found-within-bounds"
 
 
+def _assert_order_certificate(cert, structure, aug, pointed, level):
+    """The order-<level> chain written to cert re-verifies by evaluation:
+    flattened to inner words c, d_ell(c) = 0 for the linearized structure
+    ell, the linearized pointed map's functional is 1 on c, and no word
+    has more than level letters."""
+    doc = bio.parse(Path(structure).read_text(encoding="utf-8"))
+    alg = bio.algebra_from_document(doc)
+    eps = bio.augmentation_from_document(
+        bio.parse(Path(aug).read_text(encoding="utf-8")), alg)
+    pmap = bio.pointed_from_document(
+        bio.parse(Path(pointed).read_text(encoding="utf-8")), alg)
+    (chain,) = bio.parse(cert.read_text(encoding="utf-8")).chains
+    assert chain.name == "order-%d" % level
+    assert all(len(ew.clusters) == 1 and not ew.hbar
+               for ew in chain.element.terms)
+    c = Element({ew.clusters[0]: x for ew, x in chain.element.terms.items()})
+    assert c and all(len(w) <= level for w in c.terms)
+    ell = ell_table(linearize(eps, doc.bounds))
+    assert assembly.apply_inner_coderivation(ell, c) == Element()
+    lpt = linearize_pointed(pmap, eps, doc.bounds)
+    assert sum(x * lpt.query(len(w), w).terms.get(UNIT_WORD, 0)
+               for w, x in c.terms.items()) == 1
+
+
 def test_cli_order(corpus_dir, tmp_path):
-    code, out = run_cli(tmp_path, "order",
-                        str(corpus_dir / "pointed-two.blf"),
-                        "--aug", str(corpus_dir / "pointed-two.aug0.blf"),
-                        "--pointed", str(corpus_dir / "pointed-two.pointed.blf"))
+    cert = tmp_path / "order.blf"
+    inputs = [str(corpus_dir / ("pointed-two%s.blf" % suffix))
+              for suffix in ("", ".aug0", ".pointed")]
+    code, out = run_cli(tmp_path, "order", inputs[0], "--aug", inputs[1],
+                        "--pointed", inputs[2], "--certificate", str(cert))
     assert code == 0
     assert report_value(out, "order") == "exact 2"
+    assert report_value(out, "certificate") == str(cert)
+    _assert_order_certificate(cert, *inputs, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -378,11 +468,14 @@ def test_cli_order_ladder(tmp_path, n):
     for name, doc in docs.items():
         (tmp_path / (name + ".blf")).write_text(bio.serialize(doc),
                                                 encoding="utf-8")
-    code, out = run_cli(tmp_path, "order", str(tmp_path / "rung.blf"),
-                        "--aug", str(tmp_path / "aug.blf"),
-                        "--pointed", str(tmp_path / "pointed.blf"))
+    cert = tmp_path / "order.blf"
+    inputs = [str(tmp_path / (name + ".blf"))
+              for name in ("rung", "aug", "pointed")]
+    code, out = run_cli(tmp_path, "order", inputs[0], "--aug", inputs[1],
+                        "--pointed", inputs[2], "--certificate", str(cert))
     assert code == 0
     assert report_value(out, "order") == "exact %d" % n
+    _assert_order_certificate(cert, *inputs, n)
 
 
 def test_cli_linearize_certificate_keeps_partial_table(corpus_dir, tmp_path):

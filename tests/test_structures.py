@@ -106,6 +106,18 @@ def test_table_refuses_an_output_letter_outside_its_target():
                        target=GradedSpace(()))
 
 
+@pytest.mark.parametrize("letter", [-1, -2, 2, 5])
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_table_refuses_a_letter_outside_its_space(letter, side):
+    # a negative index would read a generator counted from the end, and
+    # one past the last has no generator at all
+    sp = space(("a", 0), ("b", 0))
+    bad, a = Word((letter,)), word(sp, "a")
+    w_in, out = (bad, a) if side == "input" else (a, bad)
+    with pytest.raises(StructureError, match="outside the"):
+        OperationTable(sp, 0, [(1, 1, w_in, Element.monomial(out))])
+
+
 def test_shape_checks_read_every_genus():
     # the flat operators read genus 0 only, so a cell of another shape at
     # a positive genus would be dropped without a word

@@ -455,6 +455,57 @@ def test_library_calls_leave_their_tables_as_read():
     assert calls == 300
 
 
+TABLE_STORES = {"_cells", "cells", "_index", "_input_sizes"}
+
+
+def _stores(tree):
+    """(class, function, stored expression) for every assignment, augmented
+    assignment or deletion whose target is x.<name> or x.<name>[...] with
+    name in TABLE_STORES."""
+    found = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                visit(child, cls, child.name)
+                continue
+            targets = (child.targets if isinstance(child, (ast.Assign,
+                                                           ast.Delete))
+                       else [child.target] if isinstance(
+                           child, (ast.AugAssign, ast.AnnAssign)) else [])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Subscript):
+                        sub = sub.value
+                    if isinstance(sub, ast.Attribute) and \
+                            sub.attr in TABLE_STORES:
+                        found.append((cls, fn, ast.unparse(sub)))
+            visit(child, cls, fn)
+    visit(tree, None, None)
+    return found
+
+
+def test_only_the_table_constructor_writes_its_stores():
+    # the no-cache rule as part of the type: an OperationTable's cells and
+    # index are written in its __init__ and nowhere else.  Two other
+    # classes own an attribute of one of these names, each set in its own
+    # constructor: GradedSpace._index (generator names) and
+    # TableBlock._cells (the parser's duplicate check)
+    writers = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls, fn, target in _stores(ast.parse(path.read_text(),
+                                                 str(path))):
+            writers.setdefault((path.name, cls, fn), set()).add(target)
+    assert writers == {
+        ("structures.py", "OperationTable", "__init__"): {
+            "self._cells", "self.cells", "self._index", "self._input_sizes"},
+        ("words.py", "GradedSpace", "__init__"): {"self._index"},
+        ("io.py", "TableBlock", "__init__"): {"self._cells"}}
+
+
 def test_cli_commands_leave_their_inputs_as_read(tmp_path, monkeypatch):
     # the north star's rule that no call relies on a cache filled by
     # another call: a command hands its values down, and the algebra, its
