@@ -3,7 +3,9 @@ orders, and semi-dilation from a supplied endomorphism.  The least solvable
 level of each, and ibl.torsion_grid's one level, is found by one loop,
 _search, fed by one level builder, _level; _search alone decides each
 answer's kind, and a search states only its reasons for certifying a
-smaller level unsolvable."""
+smaller level unsolvable.  Every level is one sparse system solved by
+linalg.solve_linear; semi-dilation's unknowns are a pair (z, y) of chains,
+its certificate, and its nilpotence check is two ranks."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from . import assembly
 from .errors import (IncompleteTableError, InconclusiveError,
                      NotNilpotentError, PlanarityNotOneError,
                      PlanarityZeroError, StructureError)
-from .linalg import kernel_basis, rank, solve_linear
+from .linalg import rank, solve_linear
 from .structures import (Augmentation, OperationTable, PointedMap,
                          _images_for, _require, _split_word_table,
                          _split_words, apply_hat_p, apply_hat_phi,
@@ -22,7 +24,7 @@ from .structures import (Augmentation, OperationTable, PointedMap,
                          is_augmentation, linearize, linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, EWord, GradedSpace, UNIT_EWORD,
-                    UNIT_WORD, enumerate_basis)
+                    UNIT_WORD, Word, enumerate_basis)
 
 
 class TorsionAnswer:
@@ -44,19 +46,6 @@ class TorsionAnswer:
         if self.found():
             return "TorsionAnswer(%s %d)" % (self.kind, self.level)
         return "TorsionAnswer(not-found-within %r)" % (self.bounds,)
-
-
-def _matrix(n, table, kl, message):
-    """The n x n matrix of a table of (k, l) = kl cells: entry [output
-    letter][input letter]; another cell raises StructureError(message)."""
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for key, cell in table.cells.items():
-        if key != kl:
-            raise StructureError(message)
-        for w_in, elem in cell.items():
-            for w_out, c in elem.terms.items():
-                m[w_out.letters[0]][w_in.letters[0]] = c
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +124,7 @@ def _level(window, image):
     return level
 
 
-# the row of the functional in an order or sd search's linear system
+# the row of the functional in an order search's linear system
 _FUNCTIONAL = object()
 
 
@@ -458,73 +447,83 @@ def _apply_inner_morphism(table, element):
 # semi-dilation
 
 def sd_order(eps, pmap, umod, bounds, images=None):
-    """_sd_search on the (1,1) part of eps's linearized structure and the
-    (1,0) part of pmap linearized at eps, p-hat and P-hat read from images
-    (see SplitImages); the answer names the bounds it was linearized at.
-    A U over another space than eps's raises StructureError."""
+    """_sd_search on eps's linearized structure and pmap linearized at eps,
+    p-hat and P-hat read from images (see SplitImages); the answer names
+    the bounds it was linearized at.  A U over another space than eps's
+    raises StructureError."""
     lin = _linearized(eps, bounds, images)
     if umod.space is not eps.source.space:
         raise StructureError("U over another space than eps's algebra")
-    lpt = linearize_pointed(pmap, eps, bounds, images)
-    ans = _sd_search(lin.sub_table(lambda k, l: (k, l) == (1, 1)), umod,
-                     lpt.sub_table(lambda k, l: (k, l) == (1, 0)))
+    ans = _sd_search(lin, umod, linearize_pointed(pmap, eps, bounds, images))
     ans.bounds = bounds
     return ans
 
 
-def _sd_search(ell1, umod, ell_point):
+def _linear(cell):
+    """The linear map of a (1, l) cell {one-letter Word: image} on chains,
+    Elements over one-letter Words."""
+    return lambda chain: sum((c * cell.get(w, Element())
+                              for w, c in chain.terms.items()), Element())
+
+
+def _sd_search(lin, umod, lpt):
     """Least k with a homology class of functional value 1 annihilated by
-    U^(k+1), as an answer of _search.
+    U^(k+1), as an answer of _search whose certificate is a pair (z, y) of
+    chains with D z = 0, f(z) = 1 and U^(k+1) z = D y.
 
-    ell1: the (1,1) linear differential table on the generator space;
-    ell_point: the (1,0) functional table.  U must commute with the
-    differential exactly and be nilpotent on homology; no class of
-    functional value 1 raises PlanarityNotOneError.
+    D is the (1,1) cell of lin, the linearized differential, and f the
+    (1,0) cell of lpt, the linearized functional.  U must commute with D
+    and be nilpotent on homology; no class of functional value 1 raises
+    PlanarityNotOneError.
     """
-    n = len(umod.space)
-    D = _matrix(n, ell1, (1, 1), "ell1 must be a linear differential")
-    U = _matrix(n, umod.table, (1, 1), "U must be a linear endomorphism")
-    if any(kl != (1, 0) for kl in ell_point.cells):
-        raise StructureError("ell_point must be a linear functional")
-    f = [Fraction(0)] * n
-    for w_in, elem in ell_point.cells.get((1, 0), {}).items():
-        f[w_in.letters[0]] = elem.terms.get(UNIT_WORD, Fraction(0))
-    if any(_mat_vec(U, d) != _mat_vec(D, u) for d, u in zip(zip(*D), zip(*U))):
+    D, U, f = (_linear(t.cells.get(kl, {})) for t, kl in (
+        (lin, (1, 1)), (umod.table, (1, 1)), (lpt, (1, 0))))
+    gens = [Word((j,)) for j in range(len(umod.space))]
+    e = [Element.monomial(w) for w in gens]
+    if any(U(D(g)) != D(U(g)) for g in e):
         raise StructureError("U does not commute with the differential")
-    if any(sum(f[i] * D[i][j] for i in range(n)) for j in range(n)):
+    if any(f(D(g)) for g in e):
         raise StructureError("the functional is not a chain map")
-    cycles = kernel_basis(D, n)
-    rank_D = n - len(cycles)  # rank-nullity: D is n x n
+
+    def rows(family, chain):  # the chain's entries in one row family
+        return {(family, w): c for w, c in chain.terms.items()}
+
+    # unknowns z_j, then y_j, in generator order; rows D z = 0, U^p z -
+    # D y = 0 and the functional f(z) = 1, in the families d, u and f
+    fixed = [{**rows("d", D(g)), **rows("f", f(g))} for g in e]
+    y_cols = [rows("u", -1 * D(g)) for g in e]
+
+    def columns(power):  # power: U^p e_j for each j
+        return [{**c, **rows("u", u)} for c, u in zip(fixed, power)] + y_cols
+
+    def rank_of(cols):
+        return rank([[c.get((t, w), 0) for t in "du" for w in gens]
+                     for c in cols])
+
+    rank_D = rank_of(y_cols)  # -D on the u rows
     # nilpotence of the induced map within dim H steps
-    power_bound = max(1, len(cycles) - rank_D)
-    powers = [cycles]  # powers[j]: U^j z for each cycle z
+    power_bound = max(1, len(gens) - 2 * rank_D)
+    powers = [e]  # powers[p]: U^p e_j for each j
     for _ in range(power_bound):
-        powers.append([_mat_vec(U, z) for z in powers[-1]])
-    # every U^N z is a boundary: appended to D as columns, none adds rank
-    if rank([row + [v[i] for v in powers[-1]]
-             for i, row in enumerate(D)]) != rank_D:
+        powers.append([U(v) for v in powers[-1]])
+    # the kernel of M = [[D, 0], [U^N, -D]] (these columns, d and u rows)
+    # projects onto the cycles, so every U^N z is a boundary, iff rank M =
+    # 2 rank D; M is block-triangular, so rank M is never less
+    if rank_of(columns(powers[-1])) != 2 * rank_D:
         raise NotNilpotentError("U^%d is nonzero on homology" % power_bound)
-
-    def level(k, _):
-        # unknowns: z in span(cycles), then y; rows: U^(k+1) z - D y = 0
-        return range(len(cycles) + n), (
-            [{i: c for i, c in enumerate(v) if c} for v in powers[k + 1]]
-            + [{i: -D[i][j] for i in range(n) if D[i][j]} for j in range(n)])
-
     # feasibility grows with the power (U commutes with D), so the last
     # level decides whether a class has functional value 1.  No level has
     # a window (each spans all of homology), so a failed level is certified
-    ans = _search([(k, None) for k in range(power_bound)], level,
-                  lambda j, b: True,
-                  functional=lambda j: sum(x * y for x, y in zip(
-                      f, cycles[j])) if j < len(cycles) else 0)
+    basis = [(t, w) for t in "zy" for w in gens]
+    ans = _search([(k, None) for k in range(power_bound)],
+                  lambda k, _: (basis, columns(powers[k + 1])),
+                  lambda j, b: True, ("f", UNIT_WORD))
     if not ans.found():
         raise PlanarityNotOneError("no class with functional value 1")
+    ans.certificate = tuple(
+        Element({w: c for (t, w), c in ans.certificate.terms.items()
+                 if t == part}) for part in "zy")
     return ans
-
-
-def _mat_vec(A, v):
-    return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ from blinfty.words import (EElement, EWord, Element, Generator, GradedSpace,
                            UNIT_EWORD, UNIT_WORD, Word, enumerate_basis)
 
 from util import (algebra, bubble_normalize, closed_complex,
-                  dense_kernel_basis, dense_rank, dense_solve_linear, eword,
+                  dense_rank, dense_sd_matrices, dense_solve_linear, eword,
                   eword_parity, one_letter_structure, oracle_check_pointed,
                   oracle_hat_phi, oracle_inner, oracle_is_augmentation,
-                  oracle_order_O, oracle_order_kind, oracle_sd_order,
-                  oracle_torsion, random_space, random_table, space, table,
-                  word)
+                  oracle_order_O, oracle_order_kind, oracle_sd_certificate,
+                  oracle_sd_order, oracle_torsion, random_space, random_table,
+                  space, table, word)
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -777,6 +777,17 @@ def test_sd_order_refuses_u_over_another_space():
                  B3)
 
 
+def test_sd_order_refuses_a_functional_that_is_no_chain_map():
+    # d(o) = e and an unchecked P(e) = 1: f(d o) = 1, so f is no chain map
+    sp = space(("o", 1), ("e", 0))
+    alg = BLAlgebra(sp, table(sp, 1, [(1, 1, ("o",), [(1, ("e",))])]))
+    pmap = PointedMap(alg, table(sp, 0, [(1, 0, ("e",), [(1, ())])]))
+    with pytest.raises(StructureError,
+                       match="^the functional is not a chain map$"):
+        sd_order(fixtures.zero_aug(alg), pmap,
+                 UModule(sp, zero_table(sp, parity=0)), B3)
+
+
 def test_umodule_grade_check():
     sp = GradedSpace([fixtures.Generator("a", 0, zgrade=2),
                       fixtures.Generator("b", 0, zgrade=2)])
@@ -1064,10 +1075,12 @@ def _random_sd_case(rng):
     return lambda: _sd_search(*inputs)
 
 
-def _random_sd_inputs(rng):
+def _random_sd_inputs(rng, arbitrary=False):
     """Acyclic pairs d(o_i) = e_i, cycles b_j with d = 0, and U acting by
     one strictly triangular matrix on the e's and on the o's, strictly
-    triangularly on the b's with boundary terms in the e's, so dU = Ud."""
+    triangularly on the b's (when arbitrary, arbitrarily with half the
+    entries zero: mostly not nilpotent on homology) with boundary terms in
+    the e's, so dU = Ud."""
     na, nb = rng.randint(0, 2), rng.randint(1, 4)
     e, o = list(range(na)), list(range(na, 2 * na))
     b = list(range(2 * na, 2 * na + nb))
@@ -1082,8 +1095,10 @@ def _random_sd_inputs(rng):
     for i, j in itertools.combinations(range(na), 2):
         c = rng.randint(-2, 2)
         u += [entry(e[j], e[i], c), entry(o[j], o[i], c)]
-    for i, j in itertools.combinations(b, 2):
-        u.append(entry(j, i, rng.randint(-2, 2)))
+    for i, j in (itertools.product(b, repeat=2) if arbitrary
+                 else itertools.combinations(b, 2)):
+        u.append(entry(j, i, rng.choice((-1, 0, 0, 1)) if arbitrary
+                       else rng.randint(-2, 2)))
     u += [entry(j, i, rng.randint(0, 2)) for j in b for i in e]
     cells = {}
     for (_, _, w_in, elem) in u:
@@ -1113,6 +1128,8 @@ def _outcome(case):
 
 
 def _terms(cert):
+    if isinstance(cert, tuple):  # sd's pair (z, y)
+        return [_terms(chain) for chain in cert]
     return None if cert is None else sorted(
         (repr(key), c) for key, c in cert.terms.items())
 
@@ -1121,7 +1138,6 @@ def test_engines_match_dense_oracle(monkeypatch):
     sparse, sparse_sd = _outcomes(_engine_cases(random.Random(606)))
     monkeypatch.setattr(invariants, "solve_linear", dense_solve_linear)
     monkeypatch.setattr(invariants, "rank", dense_rank)
-    monkeypatch.setattr(invariants, "kernel_basis", dense_kernel_basis)
     dense, dense_sd = _outcomes(_engine_cases(random.Random(606)))
     assert (sparse, sparse_sd) == (dense, dense_sd)
     kinds = [out[0] for out in sparse if isinstance(out, tuple)]
@@ -1259,21 +1275,74 @@ def _sd_outcome(order, inputs):
     try:
         return order(*inputs)
     except (StructureError, NotNilpotentError, PlanarityNotOneError) as err:
-        return type(err)
+        return type(err), str(err)
+
+
+def _sd_outcomes(seed, arbitrary):
+    """_sd_search's level or error on 400 seeded inputs, each asserted equal
+    to the oracle's dense system per power of U."""
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(400):
+        inputs = _random_sd_inputs(rng, arbitrary)
+        got = _sd_outcome(lambda *a: _sd_search(*a).level, inputs)
+        assert got == _sd_outcome(oracle_sd_order, inputs)
+        outcomes.append(got if isinstance(got, int) else got[0])
+    return outcomes
 
 
 def test_sd_order_matches_dense_oracle():
     # _sd_search's levels, solved through the one level loop, against the
     # oracle's dense system per power of U: the same k or the same error
-    rng = random.Random(1414)
-    outcomes = []
-    for _ in range(400):
-        inputs = _random_sd_inputs(rng)
-        got = _sd_outcome(lambda *a: _sd_search(*a).level, inputs)
-        assert got == _sd_outcome(oracle_sd_order, inputs)
-        outcomes.append(got)
+    outcomes = _sd_outcomes(1414, False)
     assert outcomes.count(PlanarityNotOneError) >= 20
     assert {0, 1, 2} <= set(outcomes)
+
+
+def test_sd_order_matches_dense_oracle_off_nilpotence():
+    # U arbitrary on the cycles: the nilpotence check against the oracle's
+    # U^N z solved for a boundary, cycle by cycle
+    outcomes = _sd_outcomes(2828, True)
+    assert outcomes.count(NotNilpotentError) >= 100
+    assert {0, 1, 2} <= set(outcomes)
+
+
+def _sd_certificate_checked(ell1, umod, ell_point, ans):
+    """ans's pair (z, y) re-verifies by dense evaluation, and negating a
+    coefficient of z on which f is nonzero breaks f(z) = 1."""
+    assert oracle_sd_certificate(ell1, umod, ell_point, ans.level,
+                                 ans.certificate)
+    z, y = ans.certificate
+    f = dense_sd_matrices(ell1, umod, ell_point)[2]
+    w = next(w for w in z.terms if f[w.letters[0]])
+    flipped = Element({**z.terms, w: -z.terms[w]})
+    assert not oracle_sd_certificate(ell1, umod, ell_point, ans.level,
+                                     (flipped, y))
+
+
+def test_sd_certificates_reverify_by_evaluation():
+    # every found answer carries the pair (z, y): on both seeded draws, the
+    # ladder and the corpus's two sd inputs (pointed_one with U = 0)
+    found = 0
+    for seed, arbitrary in ((1414, False), (2828, True)):
+        rng = random.Random(seed)
+        for _ in range(400):
+            inputs = _random_sd_inputs(rng, arbitrary)
+            try:
+                ans = _sd_search(*inputs)
+            except (NotNilpotentError, PlanarityNotOneError):
+                continue
+            _sd_certificate_checked(*inputs, ans)
+            found += 1
+    assert found >= 300
+    one, p_one = fixtures.pointed_one()
+    for alg, utab, pmap in [fixtures.sd_ladder(n) for n in range(1, 7)] + [
+            fixtures.sd_example(), (one, zero_table(one.space, parity=0),
+                                    p_one)]:
+        eps, umod = fixtures.zero_aug(alg), UModule(alg.space, utab)
+        _sd_certificate_checked(
+            linearize(eps, B3), umod, linearize_pointed(pmap, eps, B3),
+            sd_order(eps, pmap, umod, B3))
 
 
 # ---- one image per basis word per search --------------------------------------

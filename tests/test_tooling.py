@@ -49,6 +49,20 @@ def test_io_imports_no_search_module():
     assert not imported & {"ibl", "invariants", "cli"}, imported
 
 
+def test_invariants_solves_and_ranks_only():
+    # every search level is one sparse system through solve_linear, and
+    # semi-dilation's nilpotence is two ranks: no kernel basis, no dense
+    # matrix of the searches' own
+    imported, names = set(), set()
+    for node in ast.walk(ast.parse((SRC / "invariants.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "linalg":
+                imported |= {a.name for a in node.names}
+            names |= {a.name for a in node.names}
+    assert "linalg" not in names  # no module-wide access to it
+    assert imported == {"rank", "solve_linear"}, imported
+
+
 def test_only_io_builds_documents():
     # every document the program writes goes through io's writers
     builders = {"TableBlock", "ChainBlock", "Document"}

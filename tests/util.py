@@ -971,29 +971,51 @@ def oracle_order_kind(order, lin_pointed, bounds, level):
     return "exact" if all(map(certified, range(1, level))) else "at-most"
 
 
+def dense_sd_matrices(ell1, umod, ell_point):
+    """The dense D and U (entry [output letter][input letter]) and the
+    vector f of an sd search's (1,1) differential, endomorphism and (1,0)
+    functional cells."""
+    n = len(umod.space)
+
+    def matrix(cell):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for w_in, elem in cell.items():
+            for w_out, c in elem.terms.items():
+                m[w_out.letters[0]][w_in.letters[0]] = c
+        return m
+    f = [Fraction(0)] * n
+    for w_in, elem in ell_point.cells.get((1, 0), {}).items():
+        f[w_in.letters[0]] = elem.terms.get(UNIT_WORD, Fraction(0))
+    return (matrix(ell1.cells.get((1, 1), {})),
+            matrix(umod.table.cells.get((1, 1), {})), f)
+
+
+def oracle_sd_certificate(ell1, umod, ell_point, level, certificate):
+    """Whether certificate is a pair (z, y) of chains over the generators
+    with D z = 0, f(z) = 1 and U^(level+1) z = D y, by dense evaluation."""
+    D, U, f = dense_sd_matrices(ell1, umod, ell_point)
+    n = len(f)
+    gens = [Word((j,)) for j in range(n)]
+    z, y = certificate
+    if not set(z.terms) | set(y.terms) <= set(gens):
+        return False
+    z, y = ([chain.terms.get(w, Fraction(0)) for w in gens] for chain in (z, y))
+
+    def mat_vec(A, v):
+        return [sum(A[i][j] * v[j] for j in range(n)) for i in range(n)]
+    return (not any(mat_vec(D, z)) and sum(a * b for a, b in zip(f, z)) == 1
+            and mat_vec(_mat_power(U, level + 1), z) == mat_vec(D, y))
+
+
 def oracle_sd_order(ell1, umod, ell_point):
     """sd_order with one dense system per power of U, each solved by the
     dense elimination."""
-    sp = umod.space
-    n = len(sp)
-    D = [[Fraction(0)] * n for _ in range(n)]
-    for (k, l), cell in ell1.cells.items():
-        if (k, l) != (1, 1):
-            raise StructureError("ell1 must be a linear differential")
-        for w_in, elem in cell.items():
-            for w_out, c in elem.terms.items():
-                D[w_out.letters[0]][w_in.letters[0]] = c
-    U = [[Fraction(0)] * n for _ in range(n)]
-    for cell in umod.table.cells.values():
-        for w_in, elem in cell.items():
-            for w_out, c in elem.terms.items():
-                U[w_out.letters[0]][w_in.letters[0]] = c
-    f = [Fraction(0)] * n
-    for (k, l), cell in ell_point.cells.items():
-        if (k, l) != (1, 0):
-            raise StructureError("ell_point must be a linear functional")
-        for w_in, elem in cell.items():
-            f[w_in.letters[0]] = elem.terms.get(UNIT_WORD, Fraction(0))
+    if any(kl != (1, 1) for kl in ell1.cells):
+        raise StructureError("ell1 must be a linear differential")
+    if any(kl != (1, 0) for kl in ell_point.cells):
+        raise StructureError("ell_point must be a linear functional")
+    D, U, f = dense_sd_matrices(ell1, umod, ell_point)
+    n = len(f)
     if _mat_mul(U, D) != _mat_mul(D, U):
         raise StructureError("U does not commute with the differential")
     if any(sum(f[i] * D[i][j] for i in range(n)) != 0 for j in range(n)):
