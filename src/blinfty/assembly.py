@@ -59,7 +59,12 @@ front block by block (Koszul crossings of odd letters), an operation of
 odd parity passes the letters of the blocks before it, and the outputs and
 leftover letters are regrouped by component and normalized back into
 canonical order; a component of one block and no leftover letters is that
-block's output word, which its table stores normalized.
+block's output word, which its table stores normalized.  Each count runs
+only where it can move a sign: a term without odd letters makes neither
+letter crossing (each block's output then has its table's parity), a list
+of one component and no untouched letter keeps its order, and no
+inversions are counted among fewer than two odd items.  A list of one
+block takes its terms one by one, without a product.
 
 Coefficients are exact rationals throughout.  Inside the step, integral
 ones (table terms and input coefficients) are multiplied as ints, each
@@ -163,9 +168,37 @@ def _set_partitions(search):
     still needed (need; None when free).  The lists are made in full
     before the first is returned; making them raises nothing, since the
     entry test queries covered sizes only.
+
+    Each table's coverage and entered sizes are read once per call, into
+    the options of each block size.  A one-letter block joins nothing, so
+    it takes no combinations and no label set; a longer one's label set
+    starts from its first letter's.  The recursion stays a closure: the
+    reference cycle each call leaves is what sets off the collections that
+    free the benchmark's re-imported library copies, and without it the
+    compose-coherence peak_rss_mb rose about 28% (BENCH_26.json,
+    left_out).
     """
     owner, letters, n, tables, single_cluster = search
-    sizes = [tab.input_sizes() for tab, _ in tables]
+    # each table's coverage and entered sizes, read once per call: per
+    # block size k, the (table index, table, parity, admitted without the
+    # entry test) a block may take, past a table's coverage untested, at a
+    # covered size only where it has entries; once a block is admitted
+    # untested, every block after it is too.  offers[bullet left][untested]
+    most = len(owner)
+    tested = [[] for _ in range(most + 1)]
+    for t, (tab, parity) in enumerate(tables):
+        covered = most if tab.covers(most) else tab.max_k
+        for k in tab.input_sizes():
+            if k <= covered:
+                tested[k].append((t, tab, parity, False))
+        for k in range(covered + 1, most + 1):
+            tested[k].append((t, tab, parity, True))
+    offers = [(tested, [[(0, *tables[0], True)]] * (most + 1))]
+    if len(tables) == 2:
+        offers = [([[o for o in opts if not o[0]] for opts in tested],
+                   offers[0][1]),
+                  (tested, [[(0, *tables[0], True), (1, *tables[1], True)]]
+                   * (most + 1))]
     found = []
 
     def extend(free, comp, chosen, bullet_left, untested, need):
@@ -174,42 +207,43 @@ def _set_partitions(search):
                 found.append((chosen, comp, 0))
             return
         first, rest = free[0], free[1:]
+        offer = offers[bullet_left][untested]
         # the blocks after this one take at least one letter each, and the
         # last one takes every letter left
         top = len(free) if need is None else len(free) - need + 1
         for k in range(top if need == 1 else 1, top + 1):
-            options = []  # (table index, admitted without the entry test)
-            for t, (tab, _) in enumerate(tables):
-                if t and not bullet_left:
-                    continue
-                if untested or not tab.covers(k):
-                    options.append((t, True))
-                elif k in sizes[t]:
-                    options.append((t, False))
+            options = offer[k]
             if not options:
                 continue
-            for others in itertools.combinations(rest, k - 1):
-                block = (first,) + others
-                if k > 1:
-                    labels = {comp[owner[p]] for p in block}
-                    if len(labels) < k:
-                        continue  # two of its letters are joined already
-                word = tuple([letters[p] for p in block])
-                admitted = []  # (table index, its terms; None untested)
-                for t, skip in options:
-                    terms = None if skip else _entry(tables[t][0], word)
-                    if skip or terms:
-                        admitted.append((t, terms))
+            if k == 1:  # a one-letter block joins nothing
+                picks = [((first,), (letters[first],), None)]
+            else:  # (block, its word, the component labels of its letters)
+                picks, label = [], comp[owner[first]]
+                for others in itertools.combinations(rest, k - 1):
+                    labels = {label}
+                    for p in others:
+                        labels.add(comp[owner[p]])
+                    if len(labels) == k:  # else two are joined already
+                        block = (first,) + others
+                        picks.append((
+                            block, tuple([letters[p] for p in block]), labels))
+            for block, word, labels in picks:
+                admitted = []  # (table index, table, parity, its terms)
+                for t, tab, parity, skip in options:
+                    terms = None if skip else _entry(tab, word)
+                    if skip or terms:  # untested: terms None
+                        admitted.append((t, tab, parity, terms))
                 if not admitted:
                     continue
-                if k == 1:  # a one-letter block joins nothing
+                if labels is None:
                     merged, remaining = comp, rest
                 else:
-                    merged = [min(labels) if c in labels else c for c in comp]
-                    remaining = tuple(p for p in rest if p not in others)
-                for t, terms in admitted:
+                    least = min(labels)
+                    merged = [least if c in labels else c for c in comp]
+                    remaining = tuple([p for p in rest if p not in block])
+                for t, tab, parity, terms in admitted:
                     extend(remaining, merged,
-                           chosen + [(block, *tables[t], terms)],
+                           chosen + [(block, tab, parity, terms)],
                            bullet_left and not t, terms is None,
                            None if need is None else need - 1)
 
@@ -313,14 +347,22 @@ def _entry(table, letters):
     """The signed output terms (genus, coefficient, output Word) of a table
     on a block's letters: the table's index at the sorted letters (its
     cells' normal-form terms, see OperationTable), negated for an odd
-    Koszul sign; () when the sign is 0 or there is no entry.  Past the
-    table's coverage it raises IncompleteTableError(k, Word) on the sorted
+    Koszul sign; () when the sign is 0 or there is no entry.  A one-letter
+    block is its own sorted key, with sign +1; a longer one counts
+    inversions only among two or more odd letters.  Past the table's
+    coverage it raises IncompleteTableError(k, Word) on the sorted
     letters, as the table's queries do."""
-    par = table.space.parities
-    sign = _inversion_sign([l for l in letters if par[l]])
-    if not sign:
-        return ()
-    key = tuple(sorted(letters))
+    sign = 1
+    if len(letters) == 1:
+        key = letters
+    else:
+        par = table.space.parities
+        odd = [l for l in letters if par[l]]
+        if len(odd) > 1:
+            sign = _inversion_sign(odd)
+            if not sign:
+                return ()
+        key = tuple(sorted(letters))
     if not table.covers(len(key)):
         raise IncompleteTableError(len(key), Word(key))
     terms = table._index.get(key, ())
@@ -337,7 +379,9 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
     the glued graph; a block's component is that of its letters' clusters.
     A block admitted untested carries None and is looked up here, where a
     partial table raises IncompleteTableError.  The step adds the signs
-    and builds the outputs, normalized in tgt."""
+    and builds the outputs, normalized in tgt; it counts inversions only
+    where they can move a sign (see the module docstring), and a list of
+    one block iterates that block's terms directly."""
     if not x.terms:
         return EElement()
     acc = {}
@@ -347,6 +391,7 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
         letters = [l for c in clusters for l in c.letters]
         owner = [ci for ci, c in enumerate(clusters) for _ in c.letters]
         pars = [space.parities[l] for l in letters]
+        odd_term = 1 in pars
         top = eword.hbar if hbar_cap is None else hbar_cap
         for blocks, comp, cycles in blocks_of(owner, letters, len(clusters)):
             hbar = eword.hbar + cycles
@@ -363,38 +408,73 @@ def _glue(space, tgt, x, blocks_of, hbar_cap=None):
             m = len(blocks)
             if len(terms_of) < m:
                 continue
-            # consumed letters to the front, block by block; each operation
-            # passes the blocks before it
-            consumed = [p for positions, _, _, _ in blocks for p in positions]
+            # one pass over the blocks: the consumed letters, each block's
+            # output parity (its table's when no letter is odd), each odd
+            # operation passing the odd letters of the blocks before it, and
+            # the blocks of each component
+            sign, odd_prefix, consumed, item_pars, comps = 1, 0, [], [], {}
+            for bi, (positions, table, parity, _) in enumerate(blocks):
+                consumed += positions
+                if odd_term:
+                    odd = sum([pars[p] for p in positions])
+                    if parity % 2 and odd_prefix:
+                        sign = -sign
+                    odd_prefix ^= odd & 1
+                    item_pars.append((odd + table.parity) % 2)
+                else:
+                    item_pars.append(table.parity)
+                label = comp[owner[positions[0]]]
+                if label in comps:
+                    comps[label][0].append(bi)
+                else:
+                    comps[label] = ([bi], [])
             free = []
             if len(consumed) < len(letters):
                 taken = set(consumed)
                 free = [p for p in range(len(letters)) if p not in taken]
-            sign = _inversion_sign([p for p in consumed + free if pars[p]])
-            odd_prefix, item_pars, comps = 0, [], {}
-            for bi, (positions, table, parity, _) in enumerate(blocks):
-                odd = sum([pars[p] for p in positions])
-                if parity % 2 and odd_prefix:
-                    sign = -sign
-                odd_prefix ^= odd & 1
-                item_pars.append((odd + table.parity) % 2)
-                label = comp[owner[positions[0]]]
-                comps.setdefault(label, ([], []))[0].append(bi)
+            if odd_term:  # the consumed letters to the front, block by block
+                odd = [p for p in consumed + free if pars[p]]
+                if len(odd) > 1:
+                    sign *= _inversion_sign(odd)
             # items are the block outputs, then the free letters; regroup
-            # them per component, untouched clusters last
+            # them per component, untouched clusters last.  One component
+            # and no untouched letter leave the order as it is
             untouched = []
             for i, p in enumerate(free, m):
                 item_pars.append(pars[p])
                 group = comps.get(comp[owner[p]])
                 (untouched if group is None else group[1]).append(i)
-            order = [i for bis, lefts in comps.values()
-                     for i in bis + lefts] + untouched
-            sign *= _inversion_sign([i for i in order if item_pars[i]])
+            if (len(comps) > 1 or untouched) and 1 in item_pars:
+                order = [i for bis, lefts in comps.values()
+                         for i in bis + lefts] + untouched
+                sign *= _inversion_sign([i for i in order if item_pars[i]])
             merges = [(bis, [letters[free[i - m]] for i in lefts])
                       for bis, lefts in comps.values()]
-            rest = tuple(c for c, label in zip(clusters, comp)
-                         if label not in comps)
+            rest = tuple([c for c, label in zip(clusters, comp)
+                          if label not in comps])
             whole = len(merges) == 1 and not rest
+            if m == 1:  # one block: its terms, each its own combination
+                lefts = merges[0][1]
+                for g, c, w in terms_of[0]:
+                    h, s = hbar + g, sign
+                    if h > top:
+                        continue
+                    if lefts:
+                        w, w_sign = _normalize_indices(
+                            tgt, list(w.letters) + lefts)
+                        if not w_sign:
+                            continue
+                        s *= w_sign
+                    if whole:
+                        ew, ew_sign = EWord((w,), h), 1
+                    else:
+                        ew, ew_sign = normalize_clusters(tgt, (w,) + rest,
+                                                         hbar=h)
+                    if ew_sign:
+                        val = coeff * c
+                        acc[ew] = acc.get(ew, 0) + (
+                            val if s * ew_sign > 0 else -val)
+                continue
             # genera come in ascending order: the last term has the largest
             graded = any(terms[-1][0] for terms in terms_of)
             for combo in itertools.product(*terms_of):

@@ -466,6 +466,39 @@ def _linear(cell):
                               for w, c in chain.terms.items()), Element())
 
 
+def _sd_maps(lin, umod, lpt):
+    """D, U and f of the semi-dilation system as linear maps on chains: the
+    (1,1) cells of lin and of U's table and the (1,0) cell of lpt."""
+    return (_linear(t.cells.get(kl, {})) for t, kl in (
+        (lin, (1, 1)), (umod.table, (1, 1)), (lpt, (1, 0))))
+
+
+def verify_sd_certificate(eps, pmap, umod, answer):
+    """sd_order's pair (z, y), re-verified by evaluation at the bounds the
+    answer names: z and y are chains over one-letter words, D z = 0,
+    f(z) = 1 and U^(level+1) z = D y, with D, U and f read as _sd_search
+    reads them from eps's linearized structure and pmap linearized at
+    eps."""
+    bounds = answer.bounds
+    return _sd_certificate_holds(
+        _linearized(eps, bounds, None), umod,
+        linearize_pointed(pmap, eps, bounds), answer)
+
+
+def _sd_certificate_holds(lin, umod, lpt, answer):
+    """verify_sd_certificate on the linearized tables themselves."""
+    D, U, f = _sd_maps(lin, umod, lpt)
+    gens = {Word((j,)) for j in range(len(umod.space))}
+    z, y = answer.certificate
+    if not set(z.terms) | set(y.terms) <= gens:
+        return False
+    power = z
+    for _ in range(answer.level + 1):
+        power = U(power)
+    return (not D(z) and f(z) == Element.monomial(UNIT_WORD)
+            and power == D(y))
+
+
 def _sd_search(lin, umod, lpt):
     """Least k with a homology class of functional value 1 annihilated by
     U^(k+1), as an answer of _search whose certificate is a pair (z, y) of
@@ -476,8 +509,7 @@ def _sd_search(lin, umod, lpt):
     and be nilpotent on homology; no class of functional value 1 raises
     PlanarityNotOneError.
     """
-    D, U, f = (_linear(t.cells.get(kl, {})) for t, kl in (
-        (lin, (1, 1)), (umod.table, (1, 1)), (lpt, (1, 0))))
+    D, U, f = _sd_maps(lin, umod, lpt)
     gens = [Word((j,)) for j in range(len(umod.space))]
     e = [Element.monomial(w) for w in gens]
     if any(U(D(g)) != D(U(g)) for g in e):

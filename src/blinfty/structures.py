@@ -35,7 +35,9 @@ from .words import (EElement, Element, GradedSpace, UNIT_WORD, Word,
 
 
 class Bounds:
-    """A finite search window: letter count, action, outer word length."""
+    """A finite search window: letter count, action, outer word length.
+    A negative action or hbar cap would drop every word or term, so it
+    raises ValueError; zero is accepted."""
 
     def __init__(self, max_letters, max_action=None, word_bound=None,
                  hbar_max=None):
@@ -43,6 +45,10 @@ class Bounds:
         self.max_action = Fraction(max_action) if max_action is not None else None
         self.word_bound = int(word_bound) if word_bound is not None else None
         self.hbar_max = int(hbar_max) if hbar_max is not None else None
+        for name in ("max_action", "hbar_max"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError("%s must be >= 0, got %s" % (name, value))
 
     def outer(self):
         return self.word_bound if self.word_bound is not None else self.max_letters

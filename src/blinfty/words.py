@@ -187,13 +187,15 @@ def _normalize_indices(space, idx):
 
 
 def normalize_clusters(space, clusters, hbar=0):
-    """Sort clusters into an EWord, with the Koszul sign (0 if it vanishes)."""
+    """Sort clusters into an EWord, with the Koszul sign (0 if it vanishes).
+    A cluster's parity is one sum over space.parities; the inversions are
+    counted only among two or more odd clusters (fewer carry no sign)."""
     if len(clusters) == 1:
         return EWord(clusters, hbar), 1
-    keys = [c.key() for c in clusters]
-    odd = [k for k, c in zip(keys, clusters) if space.word_parity(c.letters)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return EWord([clusters[t] for t in order], hbar), _inversion_sign(odd)
+    par = space.parities
+    odd = [c for c in clusters if sum([par[l] for l in c.letters]) % 2]
+    return EWord(sorted(clusters, key=Word.key), hbar), (
+        _inversion_sign([c.key() for c in odd]) if len(odd) > 1 else 1)
 
 
 class Element:

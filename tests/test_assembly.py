@@ -423,54 +423,84 @@ def test_phi_bullet_matches_oracle():
 
 def test_gluing_step_matches_oracles_seeded_sweep():
     # every assembly against its independent oracle over seeded random
-    # tables on spaces with an odd generator
+    # tables on three kinds of space: an odd first generator beside mixed
+    # ones, all even (no sign moves; no odd table has an entry there, so
+    # every table is even) and all odd; each entry point agrees nonzero a
+    # floor of times on each kind.  Then a draw of three odd tables, where
+    # the output parities of a term without odd letters move a sign
     from blinfty.structures import OperationTable
     from util import oracle_ibl, oracle_inner, oracle_multi
-    rng = random.Random(4040)
-    nonzero = dict.fromkeys(
-        ["coderivation", "multi", "morphism", "bullet", "ibl", "inner"], 0)
+    floors = {"mixed": 100, "even": 50, "odd": 50}
+    for kind, seed, cases in (("mixed", 4040, 150), ("even", 4041, 80),
+                              ("odd", 4042, 80)):
+        rng = random.Random(seed)
+        nonzero = dict.fromkeys(
+            ["coderivation", "multi", "morphism", "bullet", "ibl", "inner"], 0)
 
-    def agree(name, got, want):
-        assert got == want, (name, got, want)
-        nonzero[name] += bool(got)
+        def agree(name, got, want):
+            assert got == want, (kind, name, got, want)
+            nonzero[name] += bool(got)
 
+        def parity(odd=None):  # a table's parity: even on all-even spaces
+            if kind == "even":
+                return 0
+            return rng.randrange(2) if odd is None else odd
+
+        for _ in range(cases):
+            n = rng.randint(1, 3)
+            sp = space(*[("g%d" % i, rng.randrange(2) if kind == "mixed"
+                          and i else int(kind != "even")) for i in range(n)])
+            tab = random_table(rng, sp, parity=parity(), n_entries=3,
+                               max_k=2, max_l=2)
+            tab2 = random_table(rng, sp, parity=parity(), n_entries=2,
+                                max_k=2, max_l=1)
+            mor = random_table(rng, sp, parity=0, n_entries=3, max_k=2,
+                               max_l=2)
+            bullet = random_table(rng, sp, parity=parity(1), n_entries=2,
+                                  max_k=2, max_l=1)
+            itab = OperationTable(sp, parity(1), [
+                (k, l, rng.randrange(3), w, e) for (k, l, _, w, e)
+                in random_table(rng, sp, parity=parity(1), n_entries=3,
+                                max_k=3, max_l=2).sorted_entries()])
+            tabs = [(tab, tab.parity), (tab2, tab2.parity)]
+            ewords = enumerate_basis(sp, 3, outer_components=2)
+            for ew in rng.sample(ewords, 3):
+                x = EElement.monomial(ew)
+                agree("coderivation", assembly.apply_coderivation(tab, x),
+                      oracle_hat_p(sp, tab, ew))
+                agree("multi", assembly.apply_multi_pointed(tabs, x),
+                      oracle_multi(sp, tabs, ew))
+                agree("morphism", assembly.apply_morphism(mor, x),
+                      oracle_hat_phi(sp, sp, mor, ew))
+                agree("bullet", assembly.apply_morphism(
+                    mor, x, bullet_table=bullet, bullet_parity=1),
+                    oracle_hat_phi(sp, sp, mor, ew, bullet_table=bullet,
+                                   bullet_parity=1))
+                ew_h = EWord(ew.clusters, hbar=rng.randrange(2))
+                agree("ibl", assembly.apply_ibl(
+                    itab, EElement.monomial(ew_h), 2),
+                    oracle_ibl(sp, itab, ew_h, 2))
+            words = enumerate_basis(sp, 3)[1:]
+            for w in [UNIT_WORD] + rng.sample(words, min(3, len(words))):
+                agree("inner", assembly.apply_inner_coderivation(
+                    tab, Element.monomial(w)), oracle_inner(sp, tab, w))
+        assert min(nonzero.values()) >= floors[kind], (kind, nonzero)
+    # three odd tables of one-letter inputs over two odd generators and an
+    # even one: block outputs of two components cross in the regrouping,
+    # and move its sign, even where no input letter is odd
+    rng = random.Random(4043)
+    sp = space(("g0", 1), ("g1", 1), ("g2", 0))
+    ewords = [ew for ew in enumerate_basis(sp, 4, outer_components=3)
+              if len(ew.clusters) > 1]
+    nonzero = 0
     for _ in range(150):
-        n = rng.randint(1, 3)
-        sp = space(*[("g%d" % i, 1 if i == 0 else rng.randrange(2))
-                     for i in range(n)])
-        tab = random_table(rng, sp, parity=rng.randrange(2), n_entries=3,
-                           max_k=2, max_l=2)
-        tab2 = random_table(rng, sp, parity=rng.randrange(2), n_entries=2,
-                            max_k=2, max_l=1)
-        mor = random_table(rng, sp, parity=0, n_entries=3, max_k=2, max_l=2)
-        bullet = random_table(rng, sp, parity=1, n_entries=2, max_k=2,
-                              max_l=1)
-        itab = OperationTable(sp, 1, [
-            (k, l, rng.randrange(3), w, e) for (k, l, _, w, e)
-            in random_table(rng, sp, n_entries=3, max_k=3,
-                            max_l=2).sorted_entries()])
-        tabs = [(tab, tab.parity), (tab2, tab2.parity)]
-        ewords = enumerate_basis(sp, 3, outer_components=2)
+        tabs = [(random_table(rng, sp, parity=1, n_entries=3, max_k=1,
+                              max_l=2), 1) for _ in range(3)]
         for ew in rng.sample(ewords, 3):
-            x = EElement.monomial(ew)
-            agree("coderivation", assembly.apply_coderivation(tab, x),
-                  oracle_hat_p(sp, tab, ew))
-            agree("multi", assembly.apply_multi_pointed(tabs, x),
-                  oracle_multi(sp, tabs, ew))
-            agree("morphism", assembly.apply_morphism(mor, x),
-                  oracle_hat_phi(sp, sp, mor, ew))
-            agree("bullet", assembly.apply_morphism(
-                mor, x, bullet_table=bullet, bullet_parity=1),
-                oracle_hat_phi(sp, sp, mor, ew, bullet_table=bullet,
-                               bullet_parity=1))
-            ew_h = EWord(ew.clusters, hbar=rng.randrange(2))
-            agree("ibl", assembly.apply_ibl(itab, EElement.monomial(ew_h), 2),
-                  oracle_ibl(sp, itab, ew_h, 2))
-        words = enumerate_basis(sp, 3)[1:]
-        for w in [UNIT_WORD] + rng.sample(words, min(3, len(words))):
-            agree("inner", assembly.apply_inner_coderivation(
-                tab, Element.monomial(w)), oracle_inner(sp, tab, w))
-    assert min(nonzero.values()) >= 100, nonzero
+            got = assembly.apply_multi_pointed(tabs, EElement.monomial(ew))
+            assert got == oracle_multi(sp, tabs, ew), ("three tables", ew)
+            nonzero += bool(got)
+    assert nonzero >= 150
 
 
 _DENOMINATORS = {"integral": None, "non-integral": (2, 3, 7),

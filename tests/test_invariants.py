@@ -18,7 +18,7 @@ from blinfty.invariants import (TorsionAnswer, default_schedule, order_O,
                                 verify_torsion_certificate, width,
                                 apply_multi_pointed_linearized,
                                 _apply_inner_morphism, _multi_linearized,
-                                _sd_search)
+                                _sd_search, verify_sd_certificate)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, UModule,
                                 apply_hat_p, check_compatibility,
@@ -1307,22 +1307,27 @@ def test_sd_order_matches_dense_oracle_off_nilpotence():
     assert {0, 1, 2} <= set(outcomes)
 
 
-def _sd_certificate_checked(ell1, umod, ell_point, ans):
-    """ans's pair (z, y) re-verifies by dense evaluation, and negating a
-    coefficient of z on which f is nonzero breaks f(z) = 1."""
+def _sd_certificate_checked(ell1, umod, ell_point, ans, verify):
+    """ans's pair (z, y) re-verifies by dense evaluation and by verify, the
+    library's check; negating a coefficient of z on which f is nonzero
+    breaks f(z) = 1 for both."""
     assert oracle_sd_certificate(ell1, umod, ell_point, ans.level,
                                  ans.certificate)
+    assert verify(ans)
     z, y = ans.certificate
     f = dense_sd_matrices(ell1, umod, ell_point)[2]
     w = next(w for w in z.terms if f[w.letters[0]])
-    flipped = Element({**z.terms, w: -z.terms[w]})
+    flipped = (Element({**z.terms, w: -z.terms[w]}), y)
     assert not oracle_sd_certificate(ell1, umod, ell_point, ans.level,
-                                     (flipped, y))
+                                     flipped)
+    assert not verify(TorsionAnswer(ans.kind, ans.level, flipped, ans.bounds))
 
 
 def test_sd_certificates_reverify_by_evaluation():
-    # every found answer carries the pair (z, y): on both seeded draws, the
-    # ladder and the corpus's two sd inputs (pointed_one with U = 0)
+    # every found answer carries the pair (z, y), and verify_sd_certificate
+    # (on the seeded draws, its check on the linearized tables) agrees with
+    # the dense oracle: on both seeded draws, the ladder and the corpus's
+    # two sd inputs (pointed_one with U = 0)
     found = 0
     for seed, arbitrary in ((1414, False), (2828, True)):
         rng = random.Random(seed)
@@ -1332,7 +1337,8 @@ def test_sd_certificates_reverify_by_evaluation():
                 ans = _sd_search(*inputs)
             except (NotNilpotentError, PlanarityNotOneError):
                 continue
-            _sd_certificate_checked(*inputs, ans)
+            _sd_certificate_checked(*inputs, ans, lambda a, inputs=inputs: (
+                invariants._sd_certificate_holds(*inputs, a)))
             found += 1
     assert found >= 300
     one, p_one = fixtures.pointed_one()
@@ -1342,7 +1348,23 @@ def test_sd_certificates_reverify_by_evaluation():
         eps, umod = fixtures.zero_aug(alg), UModule(alg.space, utab)
         _sd_certificate_checked(
             linearize(eps, B3), umod, linearize_pointed(pmap, eps, B3),
-            sd_order(eps, pmap, umod, B3))
+            sd_order(eps, pmap, umod, B3),
+            lambda a: verify_sd_certificate(eps, pmap, umod, a))
+
+
+def test_verify_sd_certificate_refuses_a_pair_off_the_generators():
+    # z and y must be chains over one-letter words: a two-letter word in
+    # either fails the check, though D, U and f read it as zero
+    alg, utab, pmap = fixtures.sd_ladder(2)
+    eps, umod = fixtures.zero_aug(alg), UModule(alg.space, utab)
+    ans = sd_order(eps, pmap, umod, B3)
+    assert verify_sd_certificate(eps, pmap, umod, ans)
+    z, y = ans.certificate
+    two = Word((0, 1))
+    for pair in ((z + Element.monomial(two), y),
+                 (z, y + Element.monomial(two))):
+        assert not verify_sd_certificate(
+            eps, pmap, umod, TorsionAnswer(ans.kind, ans.level, pair, B3))
 
 
 # ---- one image per basis word per search --------------------------------------

@@ -784,6 +784,43 @@ def test_cli_empty_torsion_schedule_exit_two(corpus_dir, tmp_path, argv):
     assert report_value(out, "error").startswith("value: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ibl-torsion", "ibl-planar", "0", "1", "--hbar-max", "-1"),
+    ("verify", "ibl-planar", "--hbar-max", "-1"),
+    ("ibl-check", "ibl-planar", "--hbar-max", "-1"),
+    ("verify", "planar-torsion-one", "--max-action", "-1"),
+])
+def test_cli_negative_cap_flag_exit_two(corpus_dir, tmp_path, argv):
+    # a cap below zero would drop every term and report a vacuous answer
+    code, out = run_cli(tmp_path, argv[0],
+                        str(corpus_dir / (argv[1] + ".blf")), *argv[2:])
+    assert code == 2
+    assert report_value(out, "error").startswith("value: ")
+    assert report_value(out, argv[0]) is None
+
+
+@pytest.mark.parametrize("doc, key, command", [
+    ("ibl-planar", "hbar_max", "verify"),
+    ("ibl-planar", "hbar_max", "ibl-check"),
+    ("planar-torsion-one", "max_action", "verify"),
+])
+def test_cli_negative_cap_in_bounds_line_exit_two(corpus_dir, tmp_path, doc,
+                                                  key, command):
+    text = (corpus_dir / (doc + ".blf")).read_text("utf-8")
+    line = next(l for l in text.splitlines() if l.startswith("bounds "))
+    toks = line.split()
+    if key in toks:
+        toks[toks.index(key) + 1] = "-1"
+    else:
+        toks += [key, "-1"]
+    path = tmp_path / "negative.blf"
+    path.write_text(text.replace(line, " ".join(toks)), encoding="utf-8")
+    code, out = run_cli(tmp_path, command, str(path))
+    assert code == 2
+    assert report_value(out, "error") == "value: %s must be >= 0, got -1" % key
+    assert report_value(out, command) is None
+
+
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_cli_order_multi_needs_a_point_exit_two(corpus_dir, tmp_path,
                                                 points):

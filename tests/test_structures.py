@@ -197,6 +197,19 @@ def test_bounds_compare_by_value():
     assert Bounds(1) != Bounds(3)
 
 
+@pytest.mark.parametrize("kw", [{"hbar_max": -1}, {"max_action": -1},
+                                {"max_action": Fraction(-1, 2)}])
+def test_bounds_refuse_a_negative_cap(kw):
+    # a negative cap drops every term or word, so nothing would be checked
+    with pytest.raises(ValueError, match="must be >= 0"):
+        Bounds(3, **kw)
+
+
+def test_bounds_accept_a_zero_cap():
+    b = Bounds(3, max_action=0, hbar_max=0)
+    assert (b.max_action, b.hbar_max) == (0, 0)
+
+
 def test_check_morphism_reads_structure_status_at_its_bounds():
     # the identity commutes with any table, so only the structure check
     # can reject these morphisms
