@@ -3,9 +3,10 @@ orders, and semi-dilation from a supplied endomorphism.  The least solvable
 level of each, and ibl.torsion_grid's one level, is found by one loop,
 _search, fed by one level builder, _level; _search alone decides each
 answer's kind, and a search states only its reasons for certifying a
-smaller level unsolvable.  Every level is one sparse system solved by
-linalg.solve_linear; semi-dilation's unknowns are a pair (z, y) of chains,
-its certificate, and its nilpotence check is two ranks."""
+smaller level unsolvable.  Every level is one sparse system, of which
+_solve hands only the target row's connected component to
+linalg.solve_linear, once per level; semi-dilation's unknowns are a pair
+(z, y) of chains, its certificate, and its nilpotence check is two ranks."""
 
 from __future__ import annotations
 
@@ -70,20 +71,42 @@ def _solve(basis, columns, target):
     """Solve sum_j x_j columns[j] = target over the basis span.
 
     Returns {basis element: coeff} with free variables zero, or None.  Only
-    the columns with a nonzero entry reach the elimination: a zero column
-    is never a pivot, so its variable is free and zero either way.
+    the target row's connected component reaches the elimination: the
+    columns and rows joined to the target row through nonzero entries,
+    found by a breadth-first search over rows and columns.  Permuted by
+    component, the system is block diagonal, and only the target's block
+    has a nonzero right-hand side.  A column is a pivot (one of the
+    leftmost independent columns) exactly when it is one inside its own
+    block, since blocks share no row; so every other block's pivot
+    variables solve to 0, its free ones are 0 anyway, and the whole system
+    solves exactly when the target's block does.  The component's columns
+    keep their order, so the solution, and so the certificate, is the
+    unrestricted one term for term and in the same order.  A target row
+    that meets no column is a 1 x 0 system, still one solve.
     """
-    live = [j for j, col in enumerate(columns) if any(col.values())]
-    rows = {target: 0}
-    for j in live:
-        for key in columns[j]:
-            rows.setdefault(key, len(rows))
+    by_row = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c:
+                by_row.setdefault(key, []).append(j)
+    rows, live = {target: 0}, set()
+    queue = [target]
+    for key in queue:  # grows as the search reaches new rows
+        for j in by_row.get(key, ()):
+            if j not in live:
+                live.add(j)
+                for other, c in columns[j].items():
+                    if c and other not in rows:
+                        rows[other] = len(rows)
+                        queue.append(other)
+    live = sorted(live)
     # int zeros: the elimination's sparse pass tests each empty cell
     # without a Python-level Fraction.__bool__
     A = [[0] * len(live) for _ in range(len(rows))]
     for i, j in enumerate(live):
         for key, c in columns[j].items():
-            A[rows[key]][i] = c
+            if c:
+                A[rows[key]][i] = c
     b = [0] * len(rows)
     b[0] = Fraction(1)
     sol, _ = solve_linear(A, b)

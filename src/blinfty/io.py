@@ -228,8 +228,6 @@ def parse(text):
                 raise ParseError(line_no, "unknown table kind %r" % kind)
             parity = _parse_int(toks[4], line_no)
             opts = _keyed(toks[5:], line_no, {"max_k"}, flags={"hbar"})
-            if any(toks[5:].count(t) > 1 for t in ("hbar", "max_k")):
-                raise ParseError(line_no, "repeated table option")
             max_k = None
             if "max_k" in opts:
                 max_k = _parse_int(opts["max_k"], line_no)
@@ -287,10 +285,14 @@ def _parse_int(tok, line_no):
 
 
 def _keyed(toks, line_no, keys, flags):
+    """{key: value token, flag: True} of a line's options; a key or flag
+    given twice is refused, not read as its last value."""
     out = {}
     i = 0
     while i < len(toks):
         t = toks[i]
+        if t in out:
+            raise ParseError(line_no, "repeated option %r" % t)
         if t in flags:
             out[t] = True
             i += 1

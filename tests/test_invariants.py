@@ -19,6 +19,7 @@ from blinfty.invariants import (TorsionAnswer, default_schedule, order_O,
                                 apply_multi_pointed_linearized,
                                 _apply_inner_morphism, _multi_linearized,
                                 _sd_search, verify_sd_certificate)
+from blinfty.linalg import solve_linear
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, UModule,
                                 apply_hat_p, check_compatibility,
@@ -36,7 +37,7 @@ from util import (algebra, bubble_normalize, closed_complex,
                   oracle_hat_phi, oracle_inner, oracle_is_augmentation,
                   oracle_order_O, oracle_order_kind, oracle_sd_certificate,
                   oracle_sd_order, oracle_torsion, random_space, random_table,
-                  space, table, word)
+                  space, table, whole_level_solve, word)
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -1135,8 +1136,12 @@ def _terms(cert):
 
 
 def test_engines_match_dense_oracle(monkeypatch):
+    # the dense arm solves each level whole, every live column, as one
+    # dense matrix: independent of the sparse arm's component restriction
     sparse, sparse_sd = _outcomes(_engine_cases(random.Random(606)))
-    monkeypatch.setattr(invariants, "solve_linear", dense_solve_linear)
+    monkeypatch.setattr(invariants, "_solve", lambda basis, columns, target:
+                        whole_level_solve(basis, columns, target,
+                                          dense_solve_linear))
     monkeypatch.setattr(invariants, "rank", dense_rank)
     dense, dense_sd = _outcomes(_engine_cases(random.Random(606)))
     assert (sparse, sparse_sd) == (dense, dense_sd)
@@ -1150,6 +1155,79 @@ def test_engines_match_dense_oracle(monkeypatch):
 
 def _outcomes(case_lists):
     return tuple([_outcome(case) for case in cases] for cases in case_lists)
+
+
+def _exhaust(spectator):
+    """The exhausting family d b = a, 3/7 (a.b) -> 1, with the odd
+    spectator s when asked: no torsion level ever solves."""
+    sp = space(("a", 0), ("b", 1), *([("s", 1)] if spectator else []))
+    return algebra(sp, [(1, 1, ("b",), [(1, ("a",))]),
+                        (2, 0, ("a", "b"), [(Fraction(3, 7), ())])])
+
+
+def _ladder_and_exhaust_cases():
+    """Rungs 1-5 of the three ladders, and exhaust 3-6 with and without
+    the spectator."""
+    cases = []
+    for n in range(1, 6):
+        o_alg, o_pmap = fixtures.order_ladder(n)
+        sd_alg, utab, sd_pmap = fixtures.sd_ladder(n)
+        cases += [
+            lambda n=n: torsion(fixtures.torsion_ladder(n),
+                                default_schedule(n + 1, Bounds(n + 1))),
+            lambda n=n, alg=o_alg, pmap=o_pmap: order_O(
+                fixtures.zero_aug(alg), pmap, Bounds(n, word_bound=n)),
+            lambda alg=sd_alg, utab=utab, pmap=sd_pmap: sd_order(
+                fixtures.zero_aug(alg), pmap, UModule(alg.space, utab), B3)]
+    for spectator in (False, True):
+        for L in range(3, 7):
+            cases.append(lambda s=spectator, L=L: torsion(
+                _exhaust(s), default_schedule(L, Bounds(L))))
+    return cases
+
+
+def test_component_solve_equals_whole_level_solve(monkeypatch):
+    # _solve hands only the target row's component to the elimination; on
+    # every level of every search its certificate is the whole level's,
+    # term for term and in the same order, or None for both
+    solve, pairs = invariants._solve, []
+
+    def both(basis, columns, target):
+        got = solve(basis, columns, target)
+        pairs.append((got, whole_level_solve(basis, columns, target,
+                                             solve_linear)))
+        return got
+    monkeypatch.setattr(invariants, "_solve", both)
+    cases, sd_cases = _engine_cases(random.Random(33))
+    for case in cases + sd_cases + _ladder_and_exhaust_cases():
+        _outcome(case)
+    assert all(got == want and list(got or ()) == list(want or ())
+               for got, want in pairs)
+    solved = [got is not None for got, _ in pairs]
+    assert solved.count(True) >= 20 and solved.count(False) >= 50
+
+
+def test_exhaust_solves_a_small_system_once_per_level(monkeypatch):
+    # exhaust 6's top level hands the elimination fewer than a tenth of its
+    # live columns, and level 1, whose target row meets no column, is still
+    # one solve_linear call (on a 1 x 0 system)
+    solve, solve_level = invariants.solve_linear, invariants._solve
+    sizes, live = [], []
+
+    def sized(A, b):
+        sizes.append((len(A), len(A[0])))
+        return solve(A, b)
+
+    def counted(basis, columns, target):
+        live.append(sum(1 for col in columns if any(col.values())))
+        return solve_level(basis, columns, target)
+    monkeypatch.setattr(invariants, "solve_linear", sized)
+    monkeypatch.setattr(invariants, "_solve", counted)
+    ans = torsion(_exhaust(False), default_schedule(6, Bounds(6)))
+    assert ans.kind == "not-found"
+    assert len(sizes) == len(live) == 6
+    assert sizes[0] == (1, 0) and live[0] > 0
+    assert sizes[-1][1] * 10 < live[-1]
 
 
 # ---- the level search against its definition -------------------------------

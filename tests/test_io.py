@@ -165,6 +165,24 @@ def test_bad_table_max_k_rejected(head):
         bio.parse(bad)
 
 
+@pytest.mark.parametrize("old, new, line_no, key", [
+    ("q2 parity 0 action 1", "q2 parity 0 action 1 action 2", 4, "action"),
+    ("q2 parity 0", "q2 parity 0 zdeg 0 zdeg 2", 4, "zdeg"),
+    ("p parity 1", "p parity 1 max_k 2 max_k 3", 5, "max_k"),
+    ("structure p parity 1", "ibl p parity 1 hbar hbar", 5, "hbar"),
+    ("max_letters 2", "max_letters 2 hbar_max 2 hbar_max -1", 7, "hbar_max"),
+    ("max_letters 2", "max_letters 2 max_letters 3", 7, "max_letters"),
+    ("action_drop", "action_drop action_drop", 7, "action_drop"),
+])
+def test_repeated_option_rejected(old, new, line_no, key):
+    # a key or flag given twice on one line is refused with its line and
+    # name, not read as its last value (a gen line takes keys only)
+    assert PLANAR_DOC.count(old) == 1
+    with pytest.raises(ParseError, match="^line %d: repeated option '%s'$"
+                       % (line_no, key)):
+        bio.parse(PLANAR_DOC.replace(old, new))
+
+
 @pytest.mark.parametrize("kind, read", [
     ("structure", lambda doc, alg: bio.algebra_from_document(doc)),
     ("ibl", lambda doc, alg: bio.ibl_from_document(doc)),

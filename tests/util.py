@@ -790,6 +790,29 @@ def dense_solve_linear(A, b):
     return solution, kern
 
 
+def whole_level_solve(basis, columns, target, solve):
+    """A search level's system over every column with a nonzero entry, not
+    only the target row's component, solved by solve(A, b) as one dense
+    matrix: {basis element: coeff} with free variables zero, or None.  The
+    reference for invariants._solve, whose columns are {row: coeff} and
+    whose target row must read 1 and every other row 0."""
+    live = [j for j, col in enumerate(columns) if any(col.values())]
+    rows = {target: 0}
+    for j in live:
+        for key in columns[j]:
+            rows.setdefault(key, len(rows))
+    A = [[Fraction(0)] * len(live) for _ in rows]
+    for i, j in enumerate(live):
+        for key, c in columns[j].items():
+            A[rows[key]][i] = Fraction(c)
+    b = [Fraction(0)] * len(rows)
+    b[0] = Fraction(1)
+    sol, _ = solve(A, b)
+    if sol is None:
+        return None
+    return {basis[j]: x for j, x in zip(live, sol) if x}
+
+
 # ---------------------------------------------------------------------------
 # closed complexes: a window its differential keeps
 
