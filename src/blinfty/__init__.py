@@ -17,7 +17,8 @@ from .invariants import (TorsionAnswer,
                          verify_torsion_certificate, order_O,
                          order_O_tilde, order_functoriality_check,
                          order_multi, order_multi_tilde, sd_order,
-                         verify_sd_certificate, planarity, width)
+                         verify_order_certificate, verify_sd_certificate,
+                         planarity, width)
 from .hierarchy import (HierarchyValue, hierarchy_classify, hierarchy_compare,
                         hierarchy_combine)
 from .ibl import (apply_hat_p_ibl, check_ibl, genus0,

@@ -36,6 +36,15 @@ So a block list reaches the step with what its enumeration proved: each
 block's signed entry terms, each cluster's component label and the cycle
 count of the glued graph.  The step adds the signs and builds the outputs.
 
+The same index says, before any gluing, where a coderivation-type image is
+known to be zero: vanishes(table, letters) holds when the table covers the
+word's letter count and no input word of an entry fits inside its letters.
+The window builders (structures._split_words, invariants._outer_window)
+drop the words on which every table of a given support vanishes, so no
+check or search evaluates them: a zero first stage makes a zero defect,
+and a zero column is never a pivot, so no witness, answer or certificate
+moves.
+
 A caller that keeps only the single-cluster part (pi_1) passes
 single_cluster=True to apply_coderivation, apply_ibl or apply_morphism,
 and the enumerations then make only block lists whose glued graph is
@@ -148,6 +157,34 @@ def apply_morphism(table, x, bullet_table=None, bullet_parity=0, *,
             return ()
         return _set_partitions((owner, letters, n, tables, single_cluster))
     return _glue(table.space, table.target, x, blocks_of)
+
+
+def vanishes(table, letters):
+    """Whether table's coderivation-type operators are zero, and raise
+    nothing, on every outer word whose letters, over all its clusters, are
+    letters (a tuple; unit clusters carry none): table covers len(letters)
+    and no key of its index is a sub-multiset of letters.
+
+    Every block list of apply_coderivation (with or without
+    single_cluster), of apply_inner_coderivation and of apply_ibl at any
+    cap has a block whose sorted letters, taken from the word's letters,
+    are looked up as an index key (_entry); with no such key, no block
+    list is made and the image is zero.  A block reaches at most
+    len(letters) letters, so neither the coverage check of
+    _operation_blocks nor _entry can raise on such a word.  Every arity is
+    >= 1 (OperationTable refuses k < 1), so a word without letters always
+    vanishes.  The rule does not hold for the morphism type
+    (apply_morphism), where every letter must be consumed and a word
+    without letters keeps its unit, and it is not stated for
+    apply_multi_pointed, which glues several tables at once."""
+    if not table.covers(len(letters)) or \
+            not table._one_letter_keys.isdisjoint(letters):
+        return False
+    for distinct, key in table._longer_keys:
+        if distinct.issubset(letters) and all(
+                letters.count(l) >= key.count(l) for l in distinct):
+            return False
+    return True
 
 
 def _set_partitions(search):

@@ -22,13 +22,15 @@ def apply_hat_p_ibl(ialg, x, hbar_cap):
 
 def check_ibl(ialg, hbar_cap, bounds):
     """p-hat squared, truncated above hbar_cap, vanishes by its connected
-    part on every split word within bounds; on failure the witness is the
-    first failing cell (k, l, g, word) in word order."""
+    part on every split word within bounds where p-hat does not vanish
+    (assembly.vanishes); on failure the witness is the first failing cell
+    (k, l, g, word) in word order."""
     return _check_split_words(
         ialg, bounds, None, lambda image, x: assembly.apply_ibl(
             ialg.table, apply_hat_p_ibl(ialg, x, hbar_cap), hbar_cap,
             single_cluster=True),
-        witness=lambda word, bad: (len(word), *min(bad), word))
+        witness=lambda word, bad: (len(word), *min(bad), word),
+        support=(ialg.table,))
 
 
 def genus0(ialg):
@@ -41,7 +43,9 @@ def torsion_grid(ialg, n, m, trunc, bounds):
     trunc.  For n > trunc the class is already zero in the quotient.
 
     The structure is checked first; a failing one raises StructureError.
-    A negative n or m raises ValueError.
+    A negative n or m raises ValueError.  The window holds the outer words
+    where p-hat does not vanish (assembly.vanishes), each at every
+    exponent up to trunc.
     """
     if n < 0 or m < 0:
         raise ValueError("torsion grid needs n, m >= 0, got (%d, %d)"
@@ -51,7 +55,8 @@ def torsion_grid(ialg, n, m, trunc, bounds):
         return True, None
 
     def window(k, bounds):
-        ewords = _outer_window(ialg.space, True)(k, bounds)
+        ewords = _outer_window(ialg.space, True, support=(ialg.table,))(
+            k, bounds)
         return [EWord(ew.clusters, hbar=h)
                 for h in range(trunc + 1) for ew in ewords]
     ans = _search([(m + 1, bounds)], _level(window, lambda ew: (

@@ -6,7 +6,16 @@ answer's kind, and a search states only its reasons for certifying a
 smaller level unsolvable.  Every level is one sparse system, of which
 _solve hands only the target row's connected component to
 linalg.solve_linear, once per level; semi-dilation's unknowns are a pair
-(z, y) of chains, its certificate, and its nilpotence check is two ranks."""
+(z, y) of chains, its certificate, and its nilpotence check is two ranks.
+
+The windows hold only the support: torsion, the torsion grid and the two
+single-point orders pass their tables to the window builders
+(_outer_window, structures._split_words), which drop every word on which
+each of them vanishes (assembly.vanishes).  Such a word's column and
+functional value are zero, so it is never a pivot and no answer or
+certificate moves.  The multi-point orders keep their whole windows.
+order_O's answers re-verify by evaluation (verify_order_certificate), as
+torsion's and semi-dilation's do."""
 
 from __future__ import annotations
 
@@ -181,12 +190,32 @@ def _search(levels, level, closed, target=_FUNCTIONAL, functional=None):
     return TorsionAnswer("not-found", bounds=levels[-1][1])
 
 
-def _outer_window(sp, units, cap=None):
+def _outer_window(sp, units, cap=None, support=None):
     """(k, bounds) -> the outer words of at most k clusters within bounds,
-    unit clusters only when units, each of at most cap letters."""
-    return lambda k, bounds: enumerate_basis(
-        sp, bounds.max_letters, bounds.max_action, outer_components=k,
-        allow_units=units, max_cluster_letters=cap)
+    unit clusters only when units, each of at most cap letters.
+
+    With a support (a tuple of tables), a word on whose letters every
+    table vanishes (assembly.vanishes; unit clusters carry no letters) is
+    dropped: every column and functional the search reads from those
+    tables' coderivations is zero there, and nothing raises.  A zero
+    column is never a pivot, so the answer and its certificate do not
+    move.  None keeps the whole window.  Dropping words keeps key order,
+    and the window of k clusters stays a prefix of that of k + 1."""
+    def window(k, bounds):
+        words = enumerate_basis(
+            sp, bounds.max_letters, bounds.max_action, outer_components=k,
+            allow_units=units, max_cluster_letters=cap)
+        if support is None:
+            return words
+        kept = []
+        for ew in words:
+            letters = tuple([l for c in ew.clusters for l in c.letters])
+            for table in support:
+                if not assembly.vanishes(table, letters):
+                    kept.append(ew)
+                    break
+        return kept
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +251,17 @@ def torsion(alg, schedule, images=None):
     the bounds it was searched at, by the action-filtration argument; see
     _search for the kind.  An empty schedule raises ValueError.  The
     structure check at the last bounds reads p-hat from images (see
-    SplitImages), and the search starts from the check's images.
+    SplitImages), and the search starts from the check's images.  Both
+    skip the words where p-hat vanishes (assembly.vanishes).
     """
     if schedule:  # an empty one is _search's ValueError
         status = check_structure(alg, schedule[-1][1], images)
         _require(status, "structure")
         images = status.images
     ans = _search(
-        schedule, _level(_outer_window(alg.space, True), lambda ew: (
-            images.image(alg.table, EElement.monomial(ew)))),
+        schedule, _level(_outer_window(alg.space, True, support=(alg.table,)),
+                         lambda ew: images.image(alg.table,
+                                                 EElement.monomial(ew))),
         lambda j, b: _level_structurally_closed(alg.table, j) or (
             b is not None and _level_action_closed(alg, b)),
         UNIT_EWORD)
@@ -301,14 +332,19 @@ def _linearized(eps, bounds, images):
 def order_O(eps, pmap, bounds, images=None):
     """Least word length whose linearized bar homology hits the constant
     functional value 1.  p-hat and P-hat are read from images, their
-    algebra's (see SplitImages)."""
+    algebra's (see SplitImages).  A word where both the linearized
+    differential and the linearized pointed table vanish
+    (assembly.vanishes) is a zero column with functional value 0, and is
+    left out of every level."""
     ell = ell_table(_linearized(eps, bounds, images))
     lpt = linearize_pointed(pmap, eps, bounds, images)
     # the inner bar complex: words of length 1..k within bounds under the
     # linearized bar differential.  The length-j complexes are finite, so
-    # an unrestricted enumeration makes a failed level j conclusive
+    # an unrestricted enumeration makes a failed level j conclusive; the
+    # functional reads lpt's constant cells, so the support is (ell, lpt)
     return _order(
-        bounds, _level(lambda k, b: _split_words(ell.space, b, k),
+        bounds, _level(lambda k, b: _split_words(ell.space, b, k,
+                                                 support=(ell, lpt)),
                        lambda w: assembly.apply_inner_coderivation(
                            ell, Element.monomial(w))),
         lambda w: _functional_from_constants(lpt, w),
@@ -318,15 +354,38 @@ def order_O(eps, pmap, bounds, images=None):
 
 def order_O_tilde(eps, pmap, bounds):
     """The unreduced variant: outer words of nonempty clusters, with the
-    unit-coefficient functional of the linearized pointed operator."""
+    unit-coefficient functional of the linearized pointed operator.  The
+    words where both linearized tables vanish are left out, as in
+    order_O."""
     lin = _linearized(eps, bounds, None)
     lpt = linearize_pointed(pmap, eps, bounds)
     return _order(
-        bounds, _level(_outer_window(eps.source.space, False), lambda ew: (
-            assembly.apply_coderivation(lin, EElement.monomial(ew)))),
+        bounds, _level(_outer_window(eps.source.space, False,
+                                     support=(lin, lpt)),
+                       lambda ew: assembly.apply_coderivation(
+                           lin, EElement.monomial(ew))),
         lambda ew: assembly.apply_coderivation(
             lpt, EElement.monomial(ew)).unit_coefficient(),
         lambda j, b: _level_structurally_closed(lpt, j))
+
+
+def verify_order_certificate(eps, pmap, answer):
+    """order_O's certificate c re-verified by evaluation at the bounds the
+    answer names: c is a chain of inner words of at most level letters,
+    the linearized bar differential d_ell(c) = 0, and the functional of
+    pmap linearized at eps (its constant cells) is 1 on c.  An answer that
+    found nothing has nothing to check."""
+    if not answer.found():
+        return True
+    c = answer.certificate
+    if not all(isinstance(w, Word) and len(w) <= answer.level
+               for w in c.terms):
+        return False
+    ell = ell_table(_linearized(eps, answer.bounds, None))
+    lpt = linearize_pointed(pmap, eps, answer.bounds)
+    return (not assembly.apply_inner_coderivation(ell, c)
+            and sum((x * _functional_from_constants(lpt, w)
+                     for w, x in c.terms.items()), Fraction(0)) == 1)
 
 
 def width(eword):
@@ -404,13 +463,16 @@ def order_multi(eps, family, m, bounds, images=None):
     coefficient of the multi-point operator.  A family with no set
     partition of {1..m} into its subsets raises ValueError, as does m < 1.
     p-hat and each table's P-hat are read from images, eps's algebra's (see
-    SplitImages).
+    SplitImages).  Each level's window is searched whole: the multi-point
+    functional glues several tables at once, which assembly.vanishes does
+    not speak of.
     """
     return _order_multi(eps, family, m, bounds, m, images)
 
 
 def order_multi_tilde(eps, family, m, bounds):
-    """The untruncated multi-point variant on outer words."""
+    """The untruncated multi-point variant on outer words, each window
+    searched whole as in order_multi."""
     return _order_multi(eps, family, m, bounds, None, None)
 
 
@@ -627,6 +689,9 @@ def planarity(augmentations, pmap, bounds, torsion_answer=None,
 
 
 def _symbolic_generic_aug(alg, bounds):
+    """An augmentation with one indeterminate value on each even split word
+    within bounds.  Its entries are the words themselves, not images, so
+    the whole window is kept."""
     even = [w for w in _split_words(alg.space, bounds)
             if alg.space.word_parity(w.letters) == 0]
     entries = [(len(w), 0, w,

@@ -19,7 +19,11 @@ split words, is what the later steps of the same computation evaluate
 again: linearization glues F_eps onto the same images, and the torsion
 search starts from them.  The one check loop, _check_split_words, reads
 and records those images, and the checks return them as a SplitImages
-value, which the caller hands down to the next step.
+value, which the caller hands down to the next step.  Where every first
+stage is a coderivation, the loop and linearization skip the split words
+on which each of them vanishes (assembly.vanishes); the morphism,
+compatibility and composition steps start with a morphism and run the
+whole window.
 """
 
 from __future__ import annotations
@@ -166,6 +170,12 @@ class OperationTable:
                         for w, c in elem.terms.items()]
             if resort:  # stable: entry order within a genus
                 indexed.sort(key=lambda t: t[0])
+        # the index keys as assembly.vanishes reads them: the letters of
+        # the one-letter keys, and each longer key with its set of letters
+        self._one_letter_keys = frozenset(
+            [key[0] for key in self._index if len(key) == 1])
+        self._longer_keys = tuple([(frozenset(key), key)
+                                   for key in self._index if len(key) > 1])
         self._input_sizes = tuple(sorted(sizes))
         self.max_k = max([int(max_k or 0), *sizes])
 
@@ -435,24 +445,45 @@ def _require(status, what):
         raise StructureError("%s fails: witness %r" % (what, status.witness))
 
 
-def _split_words(space, bounds, max_letters=None):
+def _split_words(space, bounds, max_letters=None, support=None):
     """The nonempty basis words within bounds, in word order, with at most
     max_letters letters when it is given: the basis less its first word,
-    the empty one."""
+    the empty one.
+
+    With a support (a tuple of tables), a word on whose letters every
+    table vanishes (assembly.vanishes) is dropped: each coderivation of
+    those tables is zero there and raises nothing, so a caller whose every
+    first stage is one of them evaluates nothing it needs.  None keeps the
+    whole window.  Dropping words keeps word order."""
     top = bounds.max_letters
     if max_letters is not None:
         top = min(top, max_letters)
-    return enumerate_basis(space, top, bounds.max_action)[1:]
+    words = enumerate_basis(space, top, bounds.max_action)[1:]
+    if support is None:
+        return words
+    kept = []
+    for w in words:
+        for table in support:
+            if not assembly.vanishes(table, w.letters):
+                kept.append(w)
+                break
+    return kept
 
 
 def _check_split_words(alg, bounds, images, defect, max_letters=None,
-                       witness=lambda word, bad: word):
+                       witness=lambda word, bad: word, support=None):
     """The one check loop: an identity on alg checked by its connected
     part, failed at the first split word where the connected part of the
     defect, defect(image, x), is nonzero, with witness(word, part), else
     verified.  A first stage image(table, x), table's coderivation on x, is
     read from images (alg's, see SplitImages) where held; the status's
     images add those evaluated.
+
+    support lists the tables of every first stage of the defect, when each
+    is a coderivation and the defect is zero where they all are: the loop
+    then skips the split words _split_words drops for it, where the defect
+    is zero and nothing raises, so the first failing word and its witness
+    are the same.  None runs the whole window.
 
     The defect of each identity checked here is built from its connected
     part (see the module docstring): on an outer word it is a sum of
@@ -469,7 +500,7 @@ def _check_split_words(alg, bounds, images, defect, max_letters=None,
             entry = new[id(table)] = (table, {})
         return images.image(table, x, entry[1])
 
-    for word in _split_words(alg.space, bounds, max_letters):
+    for word in _split_words(alg.space, bounds, max_letters, support):
         bad = _connected_part(lambda x: defect(image, x), word)
         if bad:
             status = VerifyStatus(False, bounds, witness(word, bad))
@@ -486,13 +517,15 @@ def check_structure(alg, bounds, images=None):
     """Verify every two-level cell within bounds vanishes.
 
     On failure returns the first witness cell (k, l, word) in word order.
-    The status's images hold p-hat on every split word it reached (see
-    SplitImages); images, if given, are used as held.
+    The status's images hold p-hat on every split word it reached outside
+    those where p-hat vanishes (see SplitImages, assembly.vanishes);
+    images, if given, are used as held.
     """
     return _check_split_words(
         alg, bounds, images,
         lambda image, x: _p_squared(alg, image(alg.table, x)),
-        witness=lambda word, bad: (len(word), min(bad)[0], word))
+        witness=lambda word, bad: (len(word), min(bad)[0], word),
+        support=(alg.table,))
 
 
 def check_morphism(mor, bounds):
@@ -502,7 +535,8 @@ def check_morphism(mor, bounds):
 
     Source and target must be structures within the same bounds; a failing
     one raises StructureError.  The status's images are the source's (see
-    SplitImages).
+    SplitImages).  The defect's second term starts with phi-hat, a
+    morphism, so the whole window is checked.
     """
     src, tgt = mor.source, mor.target
     status = check_structure(src, bounds)  # empty for the trivial algebra
@@ -520,11 +554,14 @@ def check_morphism(mor, bounds):
 
 
 def _split_word_table(space, image, parity, bounds, target=None,
-                      constants=True):
+                      constants=True, support=None):
     """The table of pi_{1,l} o image on split words: for each basis word,
     the single-cluster parts of image on its letters taken one per
     cluster, at their genus (hbar exponent).  With constants=False a
-    nonzero l = 0 part raises InternalInconsistencyError.
+    nonzero l = 0 part raises InternalInconsistencyError.  With a support,
+    the tables of image's first stage, the words _split_words drops for it
+    are skipped: image is zero there and raises nothing, so they would add
+    no entry.  None runs the whole window.
 
     Every caller's image ends in apply_morphism(..., single_cluster=True),
     which makes only the connected block lists of its last stage.  That is
@@ -535,7 +572,7 @@ def _split_word_table(space, image, parity, bounds, target=None,
     unit cluster beside the others passes through where a table does not
     cover its letters."""
     entries = []
-    for word in _split_words(space, bounds):
+    for word in _split_words(space, bounds, support=support):
         for (l, g), elem in sorted(_connected_part(image, word).items()):
             if l == 0 and not constants:
                 raise InternalInconsistencyError(
@@ -550,7 +587,8 @@ def compose(psi, phi, bounds):
     words, constant parts (l = 0) included.
 
     phi-hat sums over unordered partitions of the letters, which realizes
-    the 1/a! factor without denominators.
+    the 1/a! factor without denominators.  Its first stage is a morphism,
+    so the whole window is evaluated.
     """
     if phi.target is not psi.source:
         raise StructureError("composition type mismatch")
@@ -577,7 +615,7 @@ def is_augmentation(eps, bounds, images=None):
     return _check_split_words(
         alg, bounds, images, lambda image, x: assembly.apply_morphism(
             eps.table, image(alg.table, x), single_cluster=True),
-        bounds.outer())
+        bounds.outer(), support=(alg.table,))
 
 
 def f_eps(eps, sign=+1):
@@ -597,12 +635,13 @@ def f_eps(eps, sign=+1):
 
 def _linearize_table(images, optable, eps, bounds, parity, constants):
     """pi_{1,l} o F_eps-hat o (the coderivation of optable) on split words,
-    the coderivation read from images."""
+    the coderivation read from images; the words where it vanishes add no
+    entry and are skipped."""
     f_mor = f_eps(eps, +1)
     return _split_word_table(
         images.algebra.space, lambda x: assembly.apply_morphism(
             f_mor.table, images.image(optable, x), single_cluster=True),
-        parity, bounds, constants=constants)
+        parity, bounds, constants=constants, support=(optable,))
 
 
 def linearize(eps, bounds, images=None):
@@ -640,7 +679,8 @@ def check_pointed(pmap, bounds, images=None):
     P-hat o p-hat = +-p-hat o P-hat, by its connected part on the split
     words of at most bounds.outer() letters; on failure the witness is the
     first failing split Word.  p-hat and P-hat are read from images, and
-    the status's images add the ones evaluated (see SplitImages)."""
+    the status's images add the ones evaluated (see SplitImages); a word
+    on which both vanish is skipped."""
     alg = pmap.algebra
     sgn = -1 if pmap.parity % 2 else 1
 
@@ -649,7 +689,8 @@ def check_pointed(pmap, bounds, images=None):
                     pmap.table, image(alg.table, x), single_cluster=True)
                 - sgn * assembly.apply_coderivation(
                     alg.table, image(pmap.table, x), single_cluster=True))
-    return _check_split_words(alg, bounds, images, defect, bounds.outer())
+    return _check_split_words(alg, bounds, images, defect, bounds.outer(),
+                              support=(alg.table, pmap.table))
 
 
 def apply_hat_phi_bullet(mor, phi_bullet_table, x, bullet_parity):
@@ -669,7 +710,8 @@ def check_compatibility(phi, p_bullet, q_bullet, phi_bullet_table, bounds):
     parity d+1, s' = -s; one over another algebra raises StructureError.
     The defect is made of connected parts only when phi-hat o p-hat =
     p'-hat o phi-hat, so phi must pass check_morphism within the same
-    bounds; otherwise StructureError.
+    bounds; otherwise StructureError.  Two of its terms start with a
+    morphism, so the whole window is checked.
     """
     d = p_bullet.parity
     if p_bullet.algebra is not phi.source or \

@@ -7,9 +7,10 @@ import pytest
 from blinfty import assembly, fixtures, invariants
 from blinfty import io as bio
 from blinfty.assembly import apply_coderivation, apply_inner_coderivation
-from blinfty.errors import (InconclusiveError, NotNilpotentError,
-                            PlanarityNotOneError, StructureError)
-from blinfty.ibl import torsion_grid
+from blinfty.errors import (BlinftyError, InconclusiveError,
+                            NotNilpotentError, PlanarityNotOneError,
+                            StructureError)
+from blinfty.ibl import check_ibl, torsion_grid
 from blinfty.invariants import (TorsionAnswer, default_schedule, order_O,
                                 order_O_tilde, order_functoriality_check,
                                 order_multi, order_multi_tilde, planarity,
@@ -18,7 +19,8 @@ from blinfty.invariants import (TorsionAnswer, default_schedule, order_O,
                                 verify_torsion_certificate, width,
                                 apply_multi_pointed_linearized,
                                 _apply_inner_morphism, _multi_linearized,
-                                _sd_search, verify_sd_certificate)
+                                _sd_search, verify_order_certificate,
+                                verify_sd_certificate)
 from blinfty.linalg import solve_linear
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, UModule,
@@ -26,7 +28,7 @@ from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 check_pointed, check_structure,
                                 ell_table, is_augmentation, linearize,
                                 linearize_pointed,
-                                identity_table, zero_table,
+                                identity_table, zero_table, VerifyStatus,
                                 word_to_singletons, _split_words)
 from blinfty.words import (EElement, EWord, Element, Generator, GradedSpace,
                            UNIT_EWORD, UNIT_WORD, Word, enumerate_basis)
@@ -37,7 +39,7 @@ from util import (algebra, bubble_normalize, closed_complex,
                   oracle_hat_phi, oracle_inner, oracle_is_augmentation,
                   oracle_order_O, oracle_order_kind, oracle_sd_certificate,
                   oracle_sd_order, oracle_torsion, random_space, random_table,
-                  space, table, whole_level_solve, word)
+                  space, table, whole_level_solve, whole_windows, word)
 
 B2 = Bounds(2, word_bound=2)
 B3 = Bounds(3, word_bound=3)
@@ -320,6 +322,12 @@ def test_order_solves_no_level_above_max_letters(monkeypatch):
     pz = PointedMap(alg, zero_table(alg.space, parity=0))
     ans = order_O(fixtures.zero_aug(alg), pz, Bounds(2, word_bound=6))
     assert ans.kind == "not-found"
+    # both linearized tables vanish on every word, so each window is empty
+    assert sizes == [0, 0]
+    sizes.clear()
+    whole_windows(monkeypatch)
+    ans = order_O(fixtures.zero_aug(alg), pz, Bounds(2, word_bound=6))
+    assert ans.kind == "not-found"
     assert sizes == [2, 5]
 
 
@@ -545,6 +553,14 @@ def test_order_O_matches_its_definition(monkeypatch):
         case = _random_pointed_case(rng)
         if case is not None:
             cases.append(case)
+    # the support-filtered windows answer as the definition does; the
+    # closure holds of the whole windows, which the filter thins
+    for eps, pmap, bounds in cases:
+        ans = order_O(eps, pmap, bounds)
+        assert (ans.kind, ans.level, ans.certificate, ans.bounds) == \
+            oracle_order_O(ell_table(linearize(eps, bounds)),
+                           linearize_pointed(pmap, eps, bounds), bounds)
+    whole_windows(monkeypatch)
     kinds, leaks = [], 0
     for eps, pmap, bounds in cases:
         searched.clear()
@@ -1445,6 +1461,208 @@ def test_verify_sd_certificate_refuses_a_pair_off_the_generators():
             eps, pmap, umod, TorsionAnswer(ans.kind, ans.level, pair, B3))
 
 
+def test_order_certificates_reverify_by_evaluation():
+    # every found order_O answer re-verifies through
+    # verify_order_certificate: the order ladders, the corpus's pointed
+    # inputs at each of their augmentations and seeded pointed tables.
+    # Negating a coefficient the functional reads, or claiming a level
+    # below the certificate's longest word, fails it
+    cases = [(fixtures.zero_aug(alg), pmap, Bounds(n, word_bound=n))
+             for n in range(1, 7) for alg, pmap in [fixtures.order_ladder(n)]]
+    cases += [(eps, pmap, B3) for alg, augs, pmap in fixtures.corpus().values()
+              if pmap is not None for eps in augs]
+    rng = random.Random(3434)
+    while len(cases) < 60:
+        case = _random_pointed_case(rng)
+        if case is not None:
+            cases.append(case)
+    found = 0
+    for eps, pmap, bounds in cases:
+        ans = order_O(eps, pmap, bounds)
+        assert verify_order_certificate(eps, pmap, ans)
+        if not ans.found():
+            continue
+        found += 1
+        c = ans.certificate
+        lpt = linearize_pointed(pmap, eps, bounds)
+        w = next(w for w in c.terms
+                 if invariants._functional_from_constants(lpt, w))
+        flipped = Element({**c.terms, w: -c.terms[w]})
+        assert not verify_order_certificate(eps, pmap, TorsionAnswer(
+            ans.kind, ans.level, flipped, ans.bounds))
+        longest = max(len(w) for w in c.terms)
+        assert not verify_order_certificate(eps, pmap, TorsionAnswer(
+            ans.kind, longest - 1, c, ans.bounds))
+    assert found >= 20, found
+
+
+def test_verify_order_certificate_refuses_a_chain_that_is_not_a_cycle():
+    # the bar differential of the certificate must vanish: beside the
+    # structure d(b) = a, adding the word b to a certificate keeps its
+    # functional value and breaks d(c) = 0
+    sp = space(("a", 0), ("b", 1), ("g", 0))
+    alg = algebra(sp, [(1, 1, ("b",), [(1, ("a",))])])
+    pmap = PointedMap(alg, table(sp, 0, [(1, 0, ("g",), [(1, ())])]))
+    eps = fixtures.zero_aug(alg)
+    ans = order_O(eps, pmap, B3)
+    assert (ans.kind, ans.level) == ("exact", 1)
+    assert verify_order_certificate(eps, pmap, ans)
+    broken = ans.certificate + Element.monomial(word(sp, "b"))
+    assert not verify_order_certificate(eps, pmap, TorsionAnswer(
+        ans.kind, ans.level, broken, ans.bounds))
+
+
+# ---- windows of the support ----------------------------------------------------
+
+def _record(call):
+    """A call's answer in full: a search's (kind, level, bounds,
+    certificate terms in insertion order), a check's (ok, witness), a
+    table's entries, the grid's (found, certificate terms), or the type
+    and message of a package error."""
+    def in_order(cert):
+        if isinstance(cert, tuple):  # sd's pair (z, y)
+            return [in_order(chain) for chain in cert]
+        return None if cert is None else list(cert.terms.items())
+    try:
+        out = call()
+    except BlinftyError as err:
+        return type(err).__name__, str(err)
+    if isinstance(out, TorsionAnswer):
+        return out.kind, out.level, repr(out.bounds), in_order(out.certificate)
+    if isinstance(out, VerifyStatus):
+        return out.ok, repr(out.witness)
+    if isinstance(out, OperationTable):
+        return [(k, l, g, w, list(e.terms.items()))
+                for k, l, g, w, e in out.sorted_entries()]
+    found, cert = out
+    return found, in_order(cert)
+
+
+def _support_cases():
+    """Every check and search whose window the support thins, and the ones
+    that keep theirs: _engine_cases, the three ladders 1-5 (order_O_tilde
+    too), exhaust 3-6 with and without the spectator, the corpus and
+    seeded partial tables."""
+    cases = list(_ladder_and_exhaust_cases())
+    for seed in (1, 2, 3):
+        engine, sd = _engine_cases(random.Random(seed))
+        cases += engine + sd
+    for n in range(1, 6):
+        alg, pmap = fixtures.order_ladder(n)
+        cases.append(lambda alg=alg, pmap=pmap, n=n: order_O_tilde(
+            fixtures.zero_aug(alg), pmap, Bounds(n, word_bound=n)))
+    for alg, augs, pmap in fixtures.corpus().values():
+        cases += [lambda alg=alg: check_structure(alg, B3),
+                  lambda alg=alg: check_ibl(alg, 1, B3),
+                  lambda alg=alg: torsion(alg, default_schedule(3, B3)),
+                  lambda alg=alg: torsion_grid(alg, 0, 1, 1, B3)]
+        for eps in augs:
+            cases += [lambda eps=eps: is_augmentation(eps, B3),
+                      lambda eps=eps: linearize(eps, B3)]
+        if pmap is not None:
+            cases += [lambda pmap=pmap: check_pointed(pmap, B3),
+                      lambda augs=augs, pmap=pmap: planarity(augs, pmap, B3)]
+            for eps in augs:
+                cases += [lambda eps=eps, pmap=pmap: order(eps, pmap, B3)
+                          for order in (order_O, order_O_tilde)]
+                cases.append(lambda eps=eps, pmap=pmap: linearize_pointed(
+                    pmap, eps, B3))
+    rng = random.Random(4545)
+    for _ in range(40):
+        sp = random_space(rng, n=rng.randint(2, 3))
+        max_k = rng.randint(1, 2)
+
+        def partial(parity, genus=False):
+            return OperationTable(sp, parity, [
+                (k, l, rng.randrange(2) if genus else 0, w, e)
+                for k, l, _, w, e in random_table(
+                    rng, sp, parity=parity, max_k=max_k, max_l=2,
+                    n_entries=rng.randint(1, 3)).sorted_entries()],
+                complete=False, max_k=max_k)
+        alg, ialg = BLAlgebra(sp, partial(1)), BLAlgebra(sp, partial(1, True))
+        eps = Augmentation(alg, OperationTable(
+            sp, 0, [(k, 0, w, e) for k, l, _, w, e in partial(
+                0).sorted_entries() if l == 0], complete=False, max_k=max_k,
+            target=GradedSpace(())))
+        pmap = PointedMap(alg, partial(0))
+        bounds = Bounds(3)
+        cases += [lambda alg=alg: check_structure(alg, bounds),
+                  lambda alg=alg: torsion(alg, default_schedule(3, bounds)),
+                  lambda ialg=ialg: check_ibl(ialg, 1, bounds),
+                  lambda ialg=ialg: torsion_grid(ialg, 0, 1, 1, bounds),
+                  lambda eps=eps: is_augmentation(eps, bounds),
+                  lambda eps=eps: linearize(eps, bounds),
+                  lambda pmap=pmap: check_pointed(pmap, bounds),
+                  lambda eps=eps, pmap=pmap: linearize_pointed(
+                      pmap, eps, bounds),
+                  lambda eps=eps, pmap=pmap: order_O(eps, pmap, bounds),
+                  lambda eps=eps, pmap=pmap: order_O_tilde(eps, pmap, bounds)]
+    return cases
+
+
+def test_support_windows_answer_as_the_whole_windows(monkeypatch):
+    # dropping the words where every table of a support vanishes changes
+    # no answer: every check's (ok, witness), every search's kind, level,
+    # bounds and certificate in term order, every linearized table and
+    # every error's type and message equal the whole windows' (support
+    # forced to None), while fewer first-stage images are glued
+    glued = []
+    glue = assembly.apply_coderivation
+
+    def counted(table, x, *, single_cluster=False):
+        glued.append(single_cluster)
+        return glue(table, x, single_cluster=single_cluster)
+    monkeypatch.setattr(assembly, "apply_coderivation", counted)
+    cases = _support_cases()
+    thinned = [_record(case) for case in cases]
+    first_stages = glued.count(False)
+    del glued[:]
+    whole_windows(monkeypatch)
+    assert thinned == [_record(case) for case in cases]
+    assert first_stages * 2 < glued.count(False), (first_stages, glued)
+    kinds = [r[0] for r in thinned if isinstance(r, tuple)]
+    assert kinds.count("exact") >= 60 and kinds.count("not-found") >= 30
+    assert kinds.count(True) >= 40 and kinds.count(False) >= 60
+    assert kinds.count("IncompleteTableError") >= 100, kinds
+
+
+def test_order_tilde_on_the_order_ladder_evaluates_only_the_support(
+        monkeypatch):
+    # rung n of the order ladder answers exact n, and of its outer windows
+    # only the words whose letters are g1..gn each once, split into
+    # clusters in every way (Bell(n) words), are evaluated: each word's
+    # differential and functional once, after the one split word of the
+    # linearized pointed table.  The whole windows evaluate over fifty
+    # times as many at rung 5
+    seen = []
+    glue = assembly.apply_coderivation
+
+    def counted(table, x, *, single_cluster=False):
+        if not single_cluster:
+            seen.extend(x.terms)
+        return glue(table, x, single_cluster=single_cluster)
+    monkeypatch.setattr(assembly, "apply_coderivation", counted)
+    bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
+
+    def ladder(n):
+        alg, pmap = fixtures.order_ladder(n)
+        bounds = Bounds(n, word_bound=n)
+        ans = order_O(fixtures.zero_aug(alg), pmap, bounds)
+        assert (ans.kind, ans.level) == ("exact", n)
+        del seen[:]
+        ans = order_O_tilde(fixtures.zero_aug(alg), pmap, bounds)
+        assert (ans.kind, ans.level) == ("exact", n)
+    for n in range(1, 6):
+        ladder(n)
+        assert all(sorted(l for c in ew.clusters for l in c.letters)
+                   == list(range(n)) for ew in seen)
+        assert len(seen) == 1 + 2 * bell[n] and len(set(seen)) == bell[n]
+    whole = len(seen)
+    whole_windows(monkeypatch)
+    ladder(5)
+    assert len(seen) > 50 * whole
+
+
 # ---- one image per basis word per search --------------------------------------
 
 def _count_hat_p(monkeypatch, alg):
@@ -1470,17 +1688,27 @@ def test_torsion_evaluates_each_image_once(monkeypatch):
     window = enumerate_basis(alg.space, L, None, outer_components=L,
                              allow_units=True)
     # a word with a unit cluster beside a lettered one is read from its
-    # lettered part, so only the others are evaluated
+    # lettered part, so only the others are evaluated, and of those only
+    # the ones where p-hat does not vanish
     words = [ew for ew in window
              if len({bool(c.letters) for c in ew.clusters}) == 1]
-    assert len(words) < len(window)
+    kept = [ew for ew in words if not assembly.vanishes(
+        alg.table, tuple([l for c in ew.clusters for l in c.letters]))]
+    assert len(kept) < len(words) < len(window)
     # the check evaluates the split words, the search starts from them
-    assert sorted(seen, key=repr) == sorted(words, key=repr)
+    assert sorted(seen, key=repr) == sorted(kept, key=repr)
     # without the memo the nested levels evaluate the smaller bases again
     seen.clear()
+    once = invariants._once
     monkeypatch.setattr(invariants, "_once", lambda image: image)
     torsion(alg, default_schedule(L, Bounds(L)))
-    assert len(seen) > len(set(seen)) == len(words)
+    assert len(seen) > len(set(seen)) == len(kept)
+    # the whole windows evaluate every word of that shape, once each
+    seen.clear()
+    monkeypatch.setattr(invariants, "_once", once)
+    whole_windows(monkeypatch)
+    assert torsion(alg, default_schedule(L, Bounds(L))).kind == "not-found"
+    assert sorted(seen, key=repr) == sorted(words, key=repr)
 
 
 def test_level_columns_equal_the_direct_images():

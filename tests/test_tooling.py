@@ -150,6 +150,26 @@ def test_one_loop_fails_every_check():
     assert sites == ["structures._check_split_words"], sites
 
 
+def test_one_rule_decides_the_support():
+    # assembly.vanishes, the rule that a window word's images are zero, is
+    # defined once and read only by the two window builders, so which
+    # words a check or search evaluates is decided in one place
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and \
+                        node.name == "vanishes":
+                    defined.append("%s.%s" % (path.stem, top.name))
+                if "vanishes" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None)):
+                    read.add("%s.%s" % (path.stem,
+                                        getattr(top, "name", "<module>")))
+    assert defined == ["assembly.vanishes"], defined
+    assert read == {"structures._split_words",
+                    "invariants._outer_window"}, read
+
+
 def test_operators_read_their_spaces_from_their_tables():
     # an assembled operator's spaces are its table's: no call passes a
     # target_space, and each assembly entry point takes its table (or its
@@ -469,7 +489,8 @@ def test_library_calls_leave_their_tables_as_read():
     assert calls == 300
 
 
-TABLE_STORES = {"_cells", "cells", "_index", "_input_sizes"}
+TABLE_STORES = {"_cells", "cells", "_index", "_one_letter_keys",
+                "_longer_keys", "_input_sizes"}
 
 
 def _stores(tree):
@@ -503,8 +524,9 @@ def _stores(tree):
 
 
 def test_only_the_table_constructor_writes_its_stores():
-    # the no-cache rule as part of the type: an OperationTable's cells and
-    # index are written in its __init__ and nowhere else.  Two other
+    # the no-cache rule as part of the type: an OperationTable's cells, its
+    # index and the index keys assembly.vanishes reads are written in its
+    # __init__ and nowhere else.  Two other
     # classes own an attribute of one of these names, each set in its own
     # constructor: GradedSpace._index (generator names) and
     # TableBlock._cells (the parser's duplicate check)
@@ -515,7 +537,9 @@ def test_only_the_table_constructor_writes_its_stores():
             writers.setdefault((path.name, cls, fn), set()).add(target)
     assert writers == {
         ("structures.py", "OperationTable", "__init__"): {
-            "self._cells", "self.cells", "self._index", "self._input_sizes"},
+            "self._cells", "self.cells", "self._index",
+            "self._one_letter_keys", "self._longer_keys",
+            "self._input_sizes"},
         ("words.py", "GradedSpace", "__init__"): {"self._index"},
         ("io.py", "TableBlock", "__init__"): {"self._cells"}}
 

@@ -531,6 +531,24 @@ def random_table(rng, sp, max_k=3, max_l=3, n_entries=4, parity=1,
     return OperationTable(sp, parity, entries, complete=True)
 
 
+def whole_windows(monkeypatch):
+    """Force support=None in both window builders, in every module that
+    reads them, so that every check and search runs its whole window: the
+    arm the support-filtered windows are held equal to."""
+    from blinfty import ibl, invariants, structures
+    split, outer = structures._split_words, invariants._outer_window
+
+    def split_whole(space, bounds, max_letters=None, support=None):
+        return split(space, bounds, max_letters)
+
+    def outer_whole(sp, units, cap=None, support=None):
+        return outer(sp, units, cap)
+    for module in (structures, invariants):
+        monkeypatch.setattr(module, "_split_words", split_whole)
+    for module in (invariants, ibl):
+        monkeypatch.setattr(module, "_outer_window", outer_whole)
+
+
 def random_space(rng, n=None):
     n = n if n is not None else rng.randint(1, 4)
     return GradedSpace([Generator("g%d" % i, rng.randrange(2))
