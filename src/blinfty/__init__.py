@@ -7,15 +7,15 @@ from .words import (Generator, GradedSpace, Word, EWord, Element, EElement,
 from .linalg import solve_linear
 from .structures import (Bounds, OperationTable, BLAlgebra, BLMorphism,
                          Augmentation, PointedMap, UModule, TRIVIAL_ALGEBRA,
-                         apply_hat_p, apply_hat_phi, two_level,
+                         apply_hat_p, apply_hat_phi, two_level, pull_back,
                          check_structure, check_morphism, compose,
                          is_augmentation, f_eps, linearize, linearize_pointed,
                          ell_table, apply_hat_pointed, check_pointed,
                          check_compatibility, identity_table, zero_table)
 from .invariants import (TorsionAnswer,
-                         torsion, default_schedule, torsion_monotone_check,
+                         torsion, default_schedule, transport_torsion,
                          verify_torsion_certificate, order_O,
-                         order_O_tilde, order_functoriality_check,
+                         order_O_tilde, transport_order,
                          order_multi, order_multi_tilde, sd_order,
                          verify_order_certificate, verify_sd_certificate,
                          planarity, width)

@@ -19,10 +19,10 @@ from .ibl import (check_ibl, derive_flat_torsion, torsion_grid,
                   verify_grid_certificate)
 from .invariants import (TorsionAnswer, default_schedule, order_O,
                          order_multi, planarity, sd_order, torsion,
-                         verify_torsion_certificate)
+                         verify_order_certificate, verify_torsion_certificate)
 from .structures import (Bounds, check_pointed, check_structure, ell_table,
                          is_augmentation, linearize)
-from .words import EElement, EWord
+from .words import EElement, Element, EWord
 
 
 class Report:
@@ -127,12 +127,12 @@ def _witness(space, witness):
 
 def _chain_numbers(name, count):
     """The count numbers of a certificate chain name; a malformed name is a
-    ValueError that names the chain and the two accepted forms."""
+    ValueError that names the chain and the accepted forms."""
     fields = name.split("-")[1:]
     if len(fields) != count or not all(
             f.isascii() and f.isdigit() for f in fields):
-        raise ValueError("chain %s: a certificate chain is named "
-                         "torsion-<k> or grid-<n>-<m>-<t>" % name)
+        raise ValueError("chain %s: a certificate chain is named torsion-<k>, "
+                         "order-<k> or grid-<n>-<m>-<t>" % name)
     return [int(f) for f in fields]
 
 
@@ -163,15 +163,30 @@ def cmd_verify(args, rep):
         else:
             continue
         code |= _report_check(rep, "certificate-%s" % ch.name, ok)
-    # each check below reads and adds to the split-word images of the last
+    # each check below reads and adds to the split-word images of the last;
+    # the first augmentation and pointed map, both verified, re-check the
+    # order-<k> chains, each term one cluster at hbar 0 as order writes it
+    first = {}
     for path in args.aug:
         eps = _load_side(path, alg, "augmentation")
         status = is_augmentation(eps, bounds, status.images)
         code |= _report_check(rep, "augmentation", status.ok)
+        first.setdefault("eps", status.ok and eps)
     for path in args.pointed:
         _, pmap = _load_side(path, alg, "pointed-map")
         status = check_pointed(pmap, bounds, status.images)
         code |= _report_check(rep, "pointed", status.ok)
+        first.setdefault("pmap", status.ok and pmap)
+    eps, pmap = first.get("eps"), first.get("pmap")
+    for ch in doc.chains:
+        if ch.name.startswith("order-") and eps and pmap:
+            level, = _chain_numbers(ch.name, 1)
+            terms = ch.element.terms
+            ok = all(len(ew.clusters) == 1 and not ew.hbar for ew in terms)
+            ok = ok and verify_order_certificate(eps, pmap, TorsionAnswer(
+                "exact", level, Element({ew.clusters[0]: c
+                                         for ew, c in terms.items()}), bounds))
+            code |= _report_check(rep, "certificate-%s" % ch.name, ok)
     return code
 
 

@@ -15,7 +15,8 @@ each of them vanishes (assembly.vanishes).  Such a word's column and
 functional value are zero, so it is never a pivot and no answer or
 certificate moves.  The multi-point orders keep their whole windows.
 order_O's answers re-verify by evaluation (verify_order_certificate), as
-torsion's and semi-dilation's do."""
+torsion's and semi-dilation's do, and so do the target answers that
+transport_torsion and transport_order push through a morphism."""
 
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ from .errors import (IncompleteTableError, InconclusiveError,
 from .linalg import rank, solve_linear
 from .structures import (Augmentation, OperationTable, PointedMap,
                          _images_for, _require, _split_word_table,
-                         _split_words, apply_hat_p, apply_hat_phi,
-                         check_structure, compose, ell_table, f_eps,
-                         is_augmentation, linearize, linearize_pointed)
+                         _split_words, apply_hat_phi, check_structure,
+                         ell_table, f_eps, is_augmentation, linearize,
+                         linearize_pointed, pull_back)
 from .symbolic import SymPoly
 from .words import (EElement, Element, EWord, GradedSpace, UNIT_EWORD,
                     UNIT_WORD, Word, enumerate_basis)
@@ -287,21 +288,16 @@ def verify_torsion_certificate(alg, answer, images=None):
                for ew in answer.certificate.terms)
 
 
-def torsion_monotone_check(phi, src_answer, bounds):
-    """Push a source torsion certificate through the morphism and confirm
-    it certifies the target at the same or smaller level."""
-    if not src_answer.found():
+def transport_torsion(phi, answer):
+    """A found torsion answer of phi's source pushed through phi-hat: an
+    'at-most' answer of phi's target at the same level and bounds, which
+    verify_torsion_certificate(phi.target, ...) re-checks (phi-hat o p-hat
+    = p'-hat o phi-hat, and phi-hat keeps the unit).  An answer that found
+    nothing raises ValueError."""
+    if not answer.found():
         raise ValueError("no certificate to transport")
-    image = apply_hat_phi(phi, src_answer.certificate)
-    ok = apply_hat_p(phi.target, image) == EElement.monomial(UNIT_EWORD)
-    tgt_level = max(len(ew.clusters) for ew in image.terms) - 1 if image else 0
-    return {
-        "transported": ok,
-        "source_level": src_answer.level,
-        "target_level_bound": tgt_level,
-        "monotone": ok and tgt_level <= src_answer.level,
-        "certificate": image,
-    }
+    return TorsionAnswer("at-most", answer.level,
+                         apply_hat_phi(phi, answer.certificate), answer.bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -476,48 +472,25 @@ def order_multi_tilde(eps, family, m, bounds):
     return _order_multi(eps, family, m, bounds, None, None)
 
 
-def order_functoriality_check(phi, p_bullet, q_bullet, eps_target, bounds):
-    """Transport a source order certificate through the linearized morphism
-    and confirm it certifies the target order at the same level.
-
-    eps_target is an augmentation of phi.target; the source augmentation is
-    its pullback along phi.
-    """
-    eps_src_mor = compose(eps_target, phi, bounds)
-    eps_src = Augmentation(phi.source, eps_src_mor.table)
-    status = is_augmentation(eps_src, bounds)
-    if not status.ok:
-        raise StructureError("pulled-back augmentation fails to verify")
-    src_answer = order_O(eps_src, p_bullet, bounds, status.images)
-    if not src_answer.found():
-        return {"source": src_answer, "transported": None, "holds": True}
-    # phi_eps^{k,l} = pi_{1,l} o F_eps o phi-hat o F_{-eps o phi}
-    f_minus_src = f_eps(eps_src, -1)
-    f_plus_tgt = f_eps(eps_target, +1)
+def transport_order(phi, eps, answer):
+    """A found order_O answer at pull_back(eps, phi, answer.bounds) pushed
+    through the linearized morphism pi_1 o F_eps-hat o phi-hat o
+    F_{-eps o phi}-hat, a chain map of the inner bar complexes, as in
+    transport_torsion.  verify_order_certificate(eps, q, ...) re-checks it
+    for a pointed map q of phi's target compatible with the source's."""
+    if not answer.found():
+        raise ValueError("no certificate to transport")
+    bounds = answer.bounds
+    f_minus_src = f_eps(pull_back(eps, phi, bounds), -1)
+    f_plus_tgt = f_eps(eps, +1)
     phi_eps = _split_word_table(
         phi.source.space, lambda x: assembly.apply_morphism(
             f_plus_tgt.table,
             apply_hat_phi(phi, apply_hat_phi(f_minus_src, x)),
             single_cluster=True),
         0, bounds, target=phi.target.space, constants=False)
-    transported = _apply_inner_morphism(ell_table(phi_eps),
-                                        src_answer.certificate)
-    lin_tgt = linearize(eps_target, bounds)
-    lpt_tgt = linearize_pointed(q_bullet, eps_target, bounds)
-    ell_tgt = ell_table(lin_tgt)
-    closed = not assembly.apply_inner_coderivation(ell_tgt, transported)
-    f_val = sum((_functional_from_constants(lpt_tgt, w) * c
-                 for w, c in transported.terms.items()), Fraction(0))
-    tgt_level = max((len(w) for w in transported.terms), default=0)
-    holds = closed and f_val == 1 and tgt_level <= src_answer.level
-    return {
-        "source": src_answer,
-        "transported": transported,
-        "closed": closed,
-        "functional_value": f_val,
-        "target_level_bound": tgt_level,
-        "holds": holds,
-    }
+    return TorsionAnswer("at-most", answer.level, _apply_inner_morphism(
+        ell_table(phi_eps), answer.certificate), bounds)
 
 
 def _apply_inner_morphism(table, element):

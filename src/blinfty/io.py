@@ -331,7 +331,7 @@ def _parse_op(sp, block, line, line_no):
     if len(w_in) != k:
         raise ParseError(line_no, "input %r has %d letters, expected %d"
                          % (in_text.strip(), len(w_in), k))
-    elem = Element()
+    pairs = []
     for term in out_text.strip().split(" + "):
         bits = term.strip().split()
         if len(bits) != 2:
@@ -341,7 +341,8 @@ def _parse_op(sp, block, line, line_no):
         if len(w_out) != l:
             raise ParseError(line_no, "output %r has %d letters, expected %d"
                              % (bits[1], len(w_out), l))
-        elem = elem + Element.monomial(w_out, coeff)
+        pairs.append((w_out, coeff))
+    elem = Element(pairs)
     if (k, l, g, w_in) in block._cells:
         raise ParseError(line_no, "duplicate op cell (%d,%d) %r"
                          % (k, l, in_text.strip()))
@@ -354,7 +355,7 @@ def _parse_op(sp, block, line, line_no):
 
 
 def _parse_chain_body(sp, body, line_no):
-    elem = EElement()
+    pairs = []
     for term in body.split(" + "):
         bits = term.strip().split()
         if len(bits) == 2:
@@ -367,8 +368,8 @@ def _parse_chain_body(sp, body, line_no):
             raise ParseError(line_no, "bad chain term %r" % term)
         coeff = _parse_rational(coeff_tok, line_no)
         ew = _parse_eword(sp, ew_tok, line_no)
-        elem = elem + EElement.monomial(EWord(ew.clusters, hbar=hbar), coeff)
-    return elem
+        pairs.append((EWord(ew.clusters, hbar=hbar), coeff))
+    return EElement(pairs)
 
 
 # ---------------------------------------------------------------------------

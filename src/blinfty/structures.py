@@ -618,6 +618,15 @@ def is_augmentation(eps, bounds, images=None):
         bounds.outer(), support=(alg.table,))
 
 
+def pull_back(eps, phi, bounds):
+    """The augmentation eps o phi of phi's source, composed at bounds.  An
+    eps of another algebra than phi's target raises StructureError (in
+    compose), and so does a pullback that fails is_augmentation."""
+    pulled = Augmentation(phi.source, compose(eps, phi, bounds).table)
+    _require(is_augmentation(pulled, bounds), "pulled-back augmentation")
+    return pulled
+
+
 def f_eps(eps, sign=+1):
     """The linearizing change of coordinates: identity plus +-eps constants,
     eps's genus-0 cells (the flat operators glue genus-0 forests only)."""

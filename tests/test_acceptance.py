@@ -23,16 +23,17 @@ from blinfty.ibl import (apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion,
                          torsion_grid, verify_grid_certificate)
 from blinfty.invariants import (default_schedule, order_O, order_O_tilde,
-                                order_functoriality_check, order_multi,
-                                order_multi_tilde, torsion, width)
+                                order_multi, order_multi_tilde, torsion,
+                                transport_order, verify_order_certificate,
+                                width)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
                                 apply_hat_phi, check_compatibility,
                                 check_pointed, check_structure, ell_table,
                                 f_eps, identity_table, is_augmentation,
                                 linearize, linearize_pointed,
-                                pi_single_cluster, word_to_singletons,
-                                zero_table)
+                                pi_single_cluster, pull_back,
+                                word_to_singletons, zero_table)
 from blinfty.words import (EElement, EWord, Element, GradedSpace, UNIT_EWORD,
                            UNIT_WORD, Word, enumerate_basis, normalize_word)
 
@@ -233,12 +234,13 @@ def test_criterion_5_order_inequalities_and_functoriality():
     n_transported = 0
     for (phi, p, q, fb, eps) in _compatible_triples():
         assert check_compatibility(phi, p, q, fb, Bounds(2)).ok
-        rep = order_functoriality_check(phi, p, q, eps, bounds)
-        assert rep["holds"]
+        ans = order_O(pull_back(eps, phi, bounds), p, bounds)
         n_triples += 1
-        if rep["transported"] is not None:
+        if ans.found():
+            moved = transport_order(phi, eps, ans)
+            assert moved.level == ans.level
+            assert verify_order_certificate(eps, q, moved)
             n_transported += 1
-            assert rep["functional_value"] == 1
     assert n_triples >= 10
     assert n_transported >= 5
     report("5", "order inequalities on %d fixture pairs; functoriality "

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,10 +13,9 @@ from blinfty.errors import (BlinftyError, InconclusiveError,
                             StructureError)
 from blinfty.ibl import check_ibl, torsion_grid
 from blinfty.invariants import (TorsionAnswer, default_schedule, order_O,
-                                order_O_tilde, order_functoriality_check,
-                                order_multi, order_multi_tilde, planarity,
-                                project_width, sd_order, torsion,
-                                torsion_monotone_check,
+                                order_O_tilde, order_multi, order_multi_tilde,
+                                planarity, project_width, sd_order, torsion,
+                                transport_order, transport_torsion,
                                 verify_torsion_certificate, width,
                                 apply_multi_pointed_linearized,
                                 _apply_inner_morphism, _multi_linearized,
@@ -25,9 +25,10 @@ from blinfty.linalg import solve_linear
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, UModule,
                                 apply_hat_p, check_compatibility,
-                                check_pointed, check_structure,
-                                ell_table, is_augmentation, linearize,
-                                linearize_pointed,
+                                check_morphism, check_pointed,
+                                check_structure, compose, ell_table,
+                                is_augmentation, linearize,
+                                linearize_pointed, pull_back,
                                 identity_table, zero_table, VerifyStatus,
                                 word_to_singletons, _split_words)
 from blinfty.words import (EElement, EWord, Element, Generator, GradedSpace,
@@ -231,9 +232,11 @@ def test_torsion_certificate_transport():
     alg = fixtures.planar_torsion_one()
     ans = torsion(alg, default_schedule(2, Bounds(2)))
     phi = fixtures.identity_morphism(alg)
-    report = torsion_monotone_check(phi, ans, Bounds(2))
-    assert report["transported"] and report["monotone"]
-    assert report["target_level_bound"] == ans.level
+    moved = transport_torsion(phi, ans)
+    assert moved.level == ans.level
+    assert verify_torsion_certificate(phi.target, moved)
+    assert max(len(ew.clusters) for ew in moved.certificate.terms) - 1 == \
+        ans.level
 
 
 def test_torsion_transport_nontrivial_morphism():
@@ -246,8 +249,9 @@ def test_torsion_transport_nontrivial_morphism():
     from blinfty.structures import check_morphism
     assert check_morphism(phi, Bounds(3)).ok
     ans = torsion(alg, default_schedule(2, Bounds(2)))
-    report = torsion_monotone_check(phi, ans, Bounds(2))
-    assert report["transported"] and report["monotone"]
+    moved = transport_torsion(phi, ans)
+    assert moved.level == ans.level
+    assert verify_torsion_certificate(phi.target, moved)
 
 
 def test_torsion_rechecks_structure_checked_at_other_bounds():
@@ -640,9 +644,11 @@ def _compatible_identity_fixture():
 
 def test_order_functoriality_identity():
     alg, phi, pmap, eps = _compatible_identity_fixture()
-    report = order_functoriality_check(phi, pmap, pmap, eps, B3)
-    assert report["holds"]
-    assert report["functional_value"] == 1
+    ans = order_O(pull_back(eps, phi, B3), pmap, B3)
+    assert ans.found()
+    moved = transport_order(phi, eps, ans)
+    assert moved.level == ans.level
+    assert verify_order_certificate(eps, pmap, moved)
 
 
 def test_order_functoriality_rescaled_morphism():
@@ -660,8 +666,108 @@ def test_order_functoriality_rescaled_morphism():
     from blinfty.structures import check_compatibility
     assert check_compatibility(phi, p, q, zero_table(sp, parity=1), B3).ok
     eps = fixtures.zero_aug(alg)
-    report = order_functoriality_check(phi, p, q, eps, B3)
-    assert report["holds"]
+    ans = order_O(pull_back(eps, phi, B3), p, B3)
+    assert ans.found()
+    moved = transport_order(phi, eps, ans)
+    assert moved.level == ans.level
+    assert verify_order_certificate(eps, q, moved)
+
+
+def _rescaled_table(tab, s):
+    """g p g^-1 for the diagonal g that scales letter i by s[i]: each
+    output term of each entry times s(out) / s(in), s of a word the product
+    over its letters."""
+    def of(word):
+        return math.prod(s[i] for i in word.letters)
+    return OperationTable(tab.space, tab.parity, [
+        (k, l, g, w, Element({u: c * of(u) / of(w)
+                              for u, c in e.terms.items()}))
+        for k, l, g, w, e in tab.sorted_entries()],
+        complete=tab.complete, max_k=tab.max_k, target=tab.target,
+        action_drop=tab.action_drop)
+
+
+def _rescaled(alg, maps, rng):
+    """A seeded diagonal g of alg's space, no scale zero: (g . alg, the
+    morphism g from alg to it, each (eps, pmap) of maps carried along as
+    (eps o g^-1, g P g^-1))."""
+    sp = alg.space
+    s = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 5)))
+         for _ in range(len(sp))]
+    image = BLAlgebra(sp, _rescaled_table(alg.table, s))
+    g = OperationTable(sp, 0, [(1, 1, Word((i,)), Element.monomial(
+        Word((i,)), c)) for i, c in enumerate(s)])
+    return image, BLMorphism(alg, image, g), [
+        (Augmentation(image, _rescaled_table(eps.table, s)),
+         PointedMap(image, _rescaled_table(pmap.table, s)))
+        for eps, pmap in maps]
+
+
+def _functor_law_cases(rng):
+    """(structure, [(eps, pmap)], torsion schedule, bounds): the torsion
+    ladders 1-4, the corpus (each augmentation with its pointed map, or
+    with a seeded one where the corpus has none), the order ladders 1-3
+    and _engine_cases's random structures and pointed pairs."""
+    cases = [(fixtures.torsion_ladder(n), [],
+              default_schedule(n + 1, Bounds(n + 1)), Bounds(n + 1))
+             for n in range(1, 5)]
+    for alg, augs, pmap in fixtures.corpus().values():
+        cases.append((alg, [(eps, pmap or PointedMap(alg, random_table(
+            rng, alg.space, parity=0, n_entries=3, max_k=2, max_l=1)))
+            for eps in augs], default_schedule(3, B3), B3))
+    for n in range(1, 4):
+        alg, pmap = fixtures.order_ladder(n)
+        bounds = Bounds(n, word_bound=n)
+        cases.append((alg, [(fixtures.zero_aug(alg), pmap)],
+                      default_schedule(n, bounds), bounds))
+    algs, pointed = _engine_structures(rng)
+    B = Bounds(3)
+    cases += [(alg, [], default_schedule(3, B), B) for alg in algs]
+    cases += [(alg, [(fixtures.zero_aug(alg), pmap)], default_schedule(3, B),
+               B) for alg, pmap in pointed]
+    return cases
+
+
+def test_transports_obey_the_functor_law_on_rescalings():
+    # A -phi-> B -psi-> C, each a seeded diagonal rescaling (odd generators
+    # included) with eps and the pointed map carried along: torsion and
+    # order_O agree in kind and level on A and B, every transported
+    # certificate re-verifies on its target, and transport through
+    # compose(psi, phi) equals transport through phi and then psi
+    rng = random.Random(3535)
+    moved = {"torsion": 0, "order": 0}
+    for alg, maps, schedule, bounds in _functor_law_cases(rng):
+        b_alg, phi, b_maps = _rescaled(alg, maps, rng)
+        c_alg, psi, c_maps = _rescaled(b_alg, b_maps, rng)
+        assert check_morphism(phi, bounds).ok and \
+            check_morphism(psi, bounds).ok
+        both = compose(psi, phi, bounds)
+        ans, b_ans = torsion(alg, schedule), torsion(b_alg, schedule)
+        assert (ans.kind, ans.level) == (b_ans.kind, b_ans.level)
+        if ans.found():
+            to_b = transport_torsion(phi, ans)
+            to_c = transport_torsion(both, ans)
+            assert verify_torsion_certificate(b_alg, to_b)
+            assert verify_torsion_certificate(c_alg, to_c)
+            assert to_c.certificate.terms == \
+                transport_torsion(psi, to_b).certificate.terms
+            moved["torsion"] += 1
+        for (eps, pmap), (b_eps, b_pmap), (c_eps, c_pmap) in zip(
+                maps, b_maps, c_maps):
+            ans = order_O(pull_back(b_eps, phi, bounds), pmap, bounds)
+            assert _record(lambda: ans) == \
+                _record(lambda: order_O(eps, pmap, bounds))
+            b_ans = order_O(b_eps, b_pmap, bounds)
+            assert (ans.kind, ans.level) == (b_ans.kind, b_ans.level)
+            if ans.found():
+                to_b = transport_order(phi, b_eps, ans)
+                to_c = transport_order(both, c_eps, ans)
+                assert verify_order_certificate(b_eps, b_pmap, to_b)
+                assert verify_order_certificate(c_eps, c_pmap, to_c)
+                assert to_c.certificate.terms == \
+                    transport_order(psi, c_eps, to_b).certificate.terms
+                moved["order"] += 1
+    assert moved["torsion"] >= 8 and moved["order"] >= 18, moved
 
 
 def test_inner_morphism_matches_flattened_oracle():
@@ -1051,25 +1157,10 @@ def _engine_cases(rng):
     cases = [lambda sign=sign: torsion(fixtures.mixed_no_aug(sign),
                                        default_schedule(4, Bounds(4)))
              for sign in (1, -1)]
-    while len(cases) < 14:
-        sp = random_space(rng, n=rng.randint(1, 3))
-        tab = random_table(rng, sp, max_k=3, max_l=rng.choice((0, 1, 2)),
-                           n_entries=rng.randint(1, 4))
-        alg = BLAlgebra(sp, tab)
-        if check_structure(alg, Bounds(3)).ok:
-            cases.append(lambda alg=alg: torsion(
-                alg, default_schedule(3, Bounds(3))))
-    for _ in range(6):
-        sp = random_space(rng, n=2)
-        odd = [i for i in range(2) if sp.parities[i]]
-        even = [i for i in range(2) if not sp.parities[i]]
-        rows = []
-        if odd and even:
-            rows.append((1, 1, Word((odd[0],)), Element.monomial(
-                Word((even[0],)), Fraction(rng.randint(1, 3)))))
-        alg = BLAlgebra(sp, OperationTable(sp, 1, rows))
-        pmap = PointedMap(alg, random_table(rng, sp, parity=0, n_entries=3,
-                                            max_k=2, max_l=1))
+    algs, pointed = _engine_structures(rng)
+    cases += [lambda alg=alg: torsion(alg, default_schedule(3, Bounds(3)))
+              for alg in algs]
+    for alg, pmap in pointed:
         for order in (order_O, order_O_tilde):
             cases.append(lambda alg=alg, pmap=pmap, order=order: order(
                 fixtures.zero_aug(alg), pmap, Bounds(3)))
@@ -1085,6 +1176,34 @@ def _engine_cases(rng):
             cases.append(lambda ialg=ialg, n=n, m=m: torsion_grid(
                 ialg, n, m, 2, Bounds(3)))
     return cases, [_random_sd_case(rng) for _ in range(20)]
+
+
+def _engine_structures(rng):
+    """_engine_cases's random inputs, in its draw order: twelve structures
+    that pass check_structure at Bounds(3), then six (structure, pointed
+    map) pairs, a structure of one (1,1) cell from an odd to an even
+    generator, or none."""
+    algs = []
+    while len(algs) < 12:
+        sp = random_space(rng, n=rng.randint(1, 3))
+        tab = random_table(rng, sp, max_k=3, max_l=rng.choice((0, 1, 2)),
+                           n_entries=rng.randint(1, 4))
+        alg = BLAlgebra(sp, tab)
+        if check_structure(alg, Bounds(3)).ok:
+            algs.append(alg)
+    pointed = []
+    for _ in range(6):
+        sp = random_space(rng, n=2)
+        odd = [i for i in range(2) if sp.parities[i]]
+        even = [i for i in range(2) if not sp.parities[i]]
+        rows = []
+        if odd and even:
+            rows.append((1, 1, Word((odd[0],)), Element.monomial(
+                Word((even[0],)), Fraction(rng.randint(1, 3)))))
+        alg = BLAlgebra(sp, OperationTable(sp, 1, rows))
+        pointed.append((alg, PointedMap(alg, random_table(
+            rng, sp, parity=0, n_entries=3, max_k=2, max_l=1))))
+    return algs, pointed
 
 
 def _random_sd_case(rng):

@@ -441,7 +441,10 @@ def _assert_order_certificate(cert, structure, aug, pointed, level):
     """The order-<level> chain written to cert is one chain of one-cluster
     words at exponent 0, and flattened to inner words it re-verifies by
     evaluation through the library's verify_order_certificate at the
-    document's bounds."""
+    document's bounds.  Appended to the structure, verify re-checks it
+    after the pointed line when given the augmentation and the pointed
+    map, skips it without them, and fails it, exit 1, with one
+    coefficient flipped."""
     doc = bio.parse(Path(structure).read_text(encoding="utf-8"))
     alg = bio.algebra_from_document(doc)
     eps = bio.augmentation_from_document(
@@ -455,6 +458,24 @@ def _assert_order_certificate(cert, structure, aug, pointed, level):
     c = Element({ew.clusters[0]: x for ew, x in chain.element.terms.items()})
     assert verify_order_certificate(
         eps, pmap, TorsionAnswer("exact", level, c, doc.bounds))
+    first = next(iter(chain.element.terms))
+    flipped = Element({**chain.element.terms,
+                       first: -chain.element.terms[first]})
+    merged = cert.parent / "with-order.blf"
+    key = "certificate-order-%d" % level
+    for element, code, status in ((chain.element, 0, "ok"),
+                                  (flipped, 1, "failed")):
+        line = bio.serialize(bio.document_of_chain(
+            alg.space, chain.name, element)).splitlines()[-1]
+        merged.write_text(Path(structure).read_text(encoding="utf-8")
+                          + line + "\n", encoding="utf-8")
+        got, out = run_cli(cert.parent, "verify", str(merged))
+        assert (got, report_value(out, key)) == (0, None)
+        got, out = run_cli(cert.parent, "verify", str(merged),
+                           "--aug", aug, "--pointed", pointed)
+        assert got == code
+        assert out.splitlines()[-2:] == ["pointed: ok", "%s: %s"
+                                         % (key, status)]
 
 
 def test_cli_order(corpus_dir, tmp_path):
@@ -490,6 +511,21 @@ def test_cli_order_ladder(tmp_path, n):
     assert code == 0
     assert report_value(out, "order") == "exact %d" % n
     _assert_order_certificate(cert, *inputs, n)
+
+
+def test_cli_verify_fails_an_order_chain_off_one_cluster(corpus_dir, tmp_path):
+    # order --certificate writes one cluster per term at exponent 0; a
+    # term of two clusters, or at exponent 1, is no order certificate
+    inputs = [str(corpus_dir / ("pointed-two%s.blf" % suffix))
+              for suffix in ("", ".aug0", ".pointed")]
+    merged = tmp_path / "merged.blf"
+    for term in ("1 a⊙b", "1 h1 a·b"):
+        merged.write_text(Path(inputs[0]).read_text(encoding="utf-8")
+                          + "chain order-2 : %s\n" % term, encoding="utf-8")
+        code, out = run_cli(tmp_path, "verify", str(merged),
+                            "--aug", inputs[1], "--pointed", inputs[2])
+        assert code == 1
+        assert report_value(out, "certificate-order-2") == "failed"
 
 
 def test_cli_linearize_certificate_keeps_partial_table(corpus_dir, tmp_path):
@@ -685,8 +721,8 @@ def test_cli_verify_names_a_malformed_chain(corpus_dir, tmp_path, name):
     got, out = run_cli(tmp_path, "verify", str(merged))
     assert got == 2
     assert report_value(out, "error") == (
-        "value: chain %s: a certificate chain is named torsion-<k> or "
-        "grid-<n>-<m>-<t>" % name)
+        "value: chain %s: a certificate chain is named torsion-<k>, "
+        "order-<k> or grid-<n>-<m>-<t>" % name)
 
 
 def test_cli_planarity(corpus_dir, tmp_path):

@@ -81,8 +81,10 @@ def test_only_io_builds_documents():
 
 
 def test_one_rule_decides_at_most():
-    # every search answer's kind is decided by invariants._search; only it
-    # and TorsionAnswer.found name the kind "at-most"
+    # every search answer's kind is decided by invariants._search; only it,
+    # TorsionAnswer.found and the two transports, whose answer bounds the
+    # target's level from above and is never a search's, name the kind
+    # "at-most"
     sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -98,7 +100,9 @@ def test_one_rule_decides_at_most():
                 else:
                     scopes.append((name, child))
     assert sorted(sites) == ["invariants.TorsionAnswer.found",
-                             "invariants._search"], sites
+                             "invariants._search",
+                             "invariants.transport_order",
+                             "invariants.transport_torsion"], sites
 
 
 def test_one_level_builder():
@@ -168,6 +172,31 @@ def test_one_rule_decides_the_support():
     assert defined == ["assembly.vanishes"], defined
     assert read == {"structures._split_words",
                     "invariants._outer_window"}, read
+
+
+def test_transports_leave_the_checks_to_the_verifiers():
+    # a transported certificate is an answer of the target that the
+    # verifier of its kind re-checks: the order functional is read only by
+    # order_O and verify_order_certificate, and neither transport applies
+    # a structure or pointed map itself
+    checks = {"apply_inner_coderivation", "apply_hat_p", "apply_coderivation"}
+    readers, applied = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = "%s.%s" % (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                called = getattr(node, "id", None) or \
+                    getattr(node, "attr", None)
+                if called == "_functional_from_constants":
+                    readers.add(name)
+                if name.split(".")[-1].startswith("transport_"):
+                    applied.setdefault(name, set())
+                    if called in checks:
+                        applied[name].add(called)
+    assert readers == {"invariants.order_O",
+                       "invariants.verify_order_certificate"}, readers
+    assert applied == {"invariants.transport_torsion": set(),
+                       "invariants.transport_order": set()}, applied
 
 
 def test_operators_read_their_spaces_from_their_tables():
