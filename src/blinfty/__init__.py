@@ -12,12 +12,11 @@ from .structures import (Bounds, OperationTable, BLAlgebra, BLMorphism,
                          is_augmentation, f_eps, linearize, linearize_pointed,
                          ell_table, apply_hat_pointed, check_pointed,
                          check_compatibility, identity_table, zero_table)
-from .invariants import (TorsionAnswer,
+from .invariants import (TorsionAnswer, verify,
                          torsion, default_schedule, transport_torsion,
                          verify_torsion_certificate, order_O,
                          order_O_tilde, transport_order,
                          order_multi, order_multi_tilde, sd_order,
-                         verify_order_certificate, verify_sd_certificate,
                          planarity, width)
 from .hierarchy import (HierarchyValue, hierarchy_classify, hierarchy_compare,
                         hierarchy_combine)

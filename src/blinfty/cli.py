@@ -15,11 +15,10 @@ from .errors import (InconclusiveError, IncompleteTableError,
                      InconsistentInputsError, NotNilpotentError, ParseError,
                      PlanarityNotOneError, PlanarityZeroError, StructureError)
 from .hierarchy import HierarchyValue, hierarchy_classify, hierarchy_combine
-from .ibl import (check_ibl, derive_flat_torsion, torsion_grid,
-                  verify_grid_certificate)
-from .invariants import (TorsionAnswer, default_schedule, order_O,
-                         order_multi, planarity, sd_order, torsion,
-                         verify_order_certificate, verify_torsion_certificate)
+from .ibl import _verify_grid, check_ibl, derive_flat_torsion, torsion_grid
+from .invariants import (TorsionAnswer, _verify_order, default_schedule,
+                         order_O, order_multi, planarity, sd_order, torsion,
+                         verify, verify_torsion_certificate)
 from .structures import (Bounds, check_pointed, check_structure, ell_table,
                          is_augmentation, linearize)
 from .words import EElement, Element, EWord
@@ -155,13 +154,14 @@ def cmd_verify(args, rep):
     for ch in doc.chains:
         if ch.name.startswith("torsion-"):
             level, = _chain_numbers(ch.name, 1)
-            ok = verify_torsion_certificate(
-                alg, TorsionAnswer("exact", level, ch.element), status.images)
+            problem = (verify_torsion_certificate, alg)
         elif ibl and ch.name.startswith("grid-"):
-            n, m, trunc = _chain_numbers(ch.name, 3)
-            ok = verify_grid_certificate(alg, ch.element, n, m, trunc)
+            n, level, trunc = _chain_numbers(ch.name, 3)
+            problem = (_verify_grid, alg, n, level, trunc)
         else:
             continue
+        ok = verify(TorsionAnswer("exact", level, ch.element, bounds, problem),
+                    status.images)
         code |= _report_check(rep, "certificate-%s" % ch.name, ok)
     # each check below reads and adds to the split-word images of the last;
     # the first augmentation and pointed map, both verified, re-check the
@@ -183,9 +183,10 @@ def cmd_verify(args, rep):
             level, = _chain_numbers(ch.name, 1)
             terms = ch.element.terms
             ok = all(len(ew.clusters) == 1 and not ew.hbar for ew in terms)
-            ok = ok and verify_order_certificate(eps, pmap, TorsionAnswer(
+            ok = ok and verify(TorsionAnswer(
                 "exact", level, Element({ew.clusters[0]: c
-                                         for ew, c in terms.items()}), bounds))
+                                         for ew, c in terms.items()}), bounds,
+                (_verify_order, eps, pmap)), status.images)
             code |= _report_check(rep, "certificate-%s" % ch.name, ok)
     return code
 
@@ -406,21 +407,22 @@ def cmd_ibl_torsion(args, rep):
     ialg = bio.ibl_from_document(doc)
     cap = bounds.hbar_max if bounds.hbar_max is not None else max(2, args.n)
     try:
-        found, cert = torsion_grid(ialg, args.n, args.m, cap, bounds)
+        ans = torsion_grid(ialg, args.n, args.m, cap, bounds)
     except StructureError:
         rep.add("ibl-torsion", "structure-failed")
         return 1
-    if not found:
+    if not ans.found():
         rep.add("ibl-torsion", "not-found-within-bounds")
         return 3
     rep.add("ibl-torsion", "exact (%d,%d)_%d" % (args.n, args.m, cap))
-    if cert is None:
+    if ans.certificate is None:
         return 0
-    _, ok = derive_flat_torsion(ialg, cert, args.n, args.m, cap)
+    ok = verify(derive_flat_torsion(ans))
     rep.add("flat-transport", "ok" if ok else "failed")
     if args.certificate:
         _write_certificate(args, rep, bio.document_of_chain(
-            ialg.space, "grid-%d-%d-%d" % (args.n, args.m, cap), cert))
+            ialg.space, "grid-%d-%d-%d" % (args.n, args.m, cap),
+            ans.certificate))
     return 0 if ok else 1
 
 

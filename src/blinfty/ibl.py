@@ -10,7 +10,7 @@ algebra is its own hbar-graded lift."""
 from __future__ import annotations
 
 from . import assembly
-from .invariants import _level, _outer_window, _search
+from .invariants import TorsionAnswer, _level, _outer_window, _search
 from .structures import BLAlgebra, _check_split_words, _require
 from .words import EElement, EWord, UNIT_WORD, _normalize_indices
 
@@ -40,7 +40,7 @@ def genus0(ialg):
 
 def torsion_grid(ialg, n, m, trunc, bounds):
     """Solve p-hat(x) = hbar^n with at most m+1 clusters, exponents <=
-    trunc.  For n > trunc the class is already zero in the quotient.
+    trunc: level m.  For n > trunc the class is zero already: exact 0.
 
     The structure is checked first; a failing one raises StructureError.
     A negative n or m raises ValueError.  The window holds the outer words
@@ -51,18 +51,19 @@ def torsion_grid(ialg, n, m, trunc, bounds):
         raise ValueError("torsion grid needs n, m >= 0, got (%d, %d)"
                          % (n, m))
     _require(check_ibl(ialg, trunc, bounds), "structure")
+    problem = (_verify_grid, ialg, n, m, trunc)
     if n > trunc:
-        return True, None
+        return TorsionAnswer("exact", 0, None, bounds, problem)
 
     def window(k, bounds):
         ewords = _outer_window(ialg.space, True, support=(ialg.table,))(
             k, bounds)
         return [EWord(ew.clusters, hbar=h)
                 for h in range(trunc + 1) for ew in ewords]
-    ans = _search([(m + 1, bounds)], _level(window, lambda ew: (
+    return _search([(m + 1, bounds)], _level(window, lambda ew: (
         apply_hat_p_ibl(ialg, EElement.monomial(ew), trunc))),
-        lambda j, b: False, EWord((UNIT_WORD,), hbar=n))
-    return ans.found(), ans.certificate
+        lambda j, b: False, EWord((UNIT_WORD,), hbar=n), problem=problem,
+        shift=1)
 
 
 def verify_grid_certificate(ialg, cert, n, m, trunc):
@@ -72,6 +73,11 @@ def verify_grid_certificate(ialg, cert, n, m, trunc):
         return False
     out = apply_hat_p_ibl(ialg, cert, trunc)
     return out == EElement.monomial(EWord((UNIT_WORD,), hbar=n))
+
+
+def _verify_grid(ialg, n, m, trunc, answer, images):
+    """verify's torsion grid case; no images are read."""
+    return verify_grid_certificate(ialg, answer.certificate, n, m, trunc)
 
 
 def c_map(space, x, m):
@@ -96,12 +102,13 @@ def c_map(space, x, m):
     return EElement(acc)
 
 
-def derive_flat_torsion(ialg, cert, n, m, trunc):
-    """Transport an (n, m) certificate at truncation trunc to (n+m, 0):
-    the compensated connecting map of the certificate is applied and the
-    result re-verified as an (n+m, 0) certificate in the same quotient."""
-    if n + m > trunc:
-        return None, True
-    moved = EElement({ew: c for ew, c in c_map(ialg.space, cert, m)
-                      .terms.items() if ew.hbar <= trunc})
-    return moved, verify_grid_certificate(ialg, moved, n + m, 0, trunc)
+def derive_flat_torsion(answer):
+    """A found (n, m) grid answer at truncation trunc transported to (n+m,
+    0) by the compensated connecting map: exact 0 in the same quotient, no
+    certificate when n + m > trunc."""
+    _, ialg, n, m, trunc = answer.problem
+    moved = None if n + m > trunc else EElement({
+        ew: c for ew, c in c_map(ialg.space, answer.certificate, m)
+        .terms.items() if ew.hbar <= trunc})
+    return TorsionAnswer("exact", 0, moved, answer.bounds,
+                         (_verify_grid, ialg, n + m, 0, trunc))

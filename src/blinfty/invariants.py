@@ -14,9 +14,9 @@ single-point orders pass their tables to the window builders
 each of them vanishes (assembly.vanishes).  Such a word's column and
 functional value are zero, so it is never a pivot and no answer or
 certificate moves.  The multi-point orders keep their whole windows.
-order_O's answers re-verify by evaluation (verify_order_certificate), as
-torsion's and semi-dilation's do, and so do the target answers that
-transport_torsion and transport_order push through a morphism."""
+Every answer is built once and names its problem, what its search read
+after the case of verify(answer) that re-checks it by evaluation: those of
+torsion, order_O, sd_order, the torsion grid and the transports do."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .structures import (Augmentation, OperationTable, PointedMap,
                          _images_for, _require, _split_word_table,
                          _split_words, apply_hat_phi, check_structure,
                          ell_table, f_eps, is_augmentation, linearize,
-                         linearize_pointed, pull_back)
+                         linearize_pointed)
 from .symbolic import SymPoly
 from .words import (EElement, Element, EWord, GradedSpace, UNIT_EWORD,
                     UNIT_WORD, Word, enumerate_basis)
@@ -41,14 +41,16 @@ from .words import (EElement, Element, EWord, GradedSpace, UNIT_EWORD,
 class TorsionAnswer:
     """The answer of a search: torsion, an order or semi-dilation.
 
-    value kind: 'exact' | 'at-most' | 'not-found'; level when found.
-    """
+    value kind: 'exact' | 'at-most' | 'not-found'; level when found;
+    problem: (verify's case, *what the search read), or None."""
 
-    def __init__(self, kind, level=None, certificate=None, bounds=None):
+    def __init__(self, kind, level=None, certificate=None, bounds=None,
+                 problem=None):
         self.kind = kind
         self.level = level
         self.certificate = certificate
         self.bounds = bounds
+        self.problem = problem
 
     def found(self):
         return self.kind in ("exact", "at-most")
@@ -161,17 +163,18 @@ def _level(window, image):
 _FUNCTIONAL = object()
 
 
-def _search(levels, level, closed, target=_FUNCTIONAL, functional=None):
+def _search(levels, level, closed, target=_FUNCTIONAL, functional=None,
+            problem=None, shift=0, certificate=Element):
     """The first (k, bounds) of levels, in order, at which some combination
     of the columns of level(k, bounds) is 1 in the target row and 0 in every
     other; functional, if given, fills the target row.
 
-    Every answer is decided here.  The first solvable level k gives a
-    TorsionAnswer at level k, its solution as certificate: 'exact' when
-    closed(j, b) certifies every level j < k unsolvable, b being the bounds
-    j was last searched at or None if the levels skipped j, and 'at-most'
-    otherwise.  No level solves: 'not-found' at the last bounds.  No levels:
-    ValueError."""
+    Every answer is decided and built here, naming problem.  The first
+    solvable level k gives one at level k - shift, certificate(solution) as
+    certificate: 'exact' when closed(j, b) certifies every level j < k
+    unsolvable, b being the bounds j was last searched at or None if the
+    levels skipped j, and 'at-most' otherwise.  No level solves:
+    'not-found' at the last bounds.  No levels: ValueError."""
     if not levels:
         raise ValueError("empty search: no level >= 1 within the bounds")
     if functional is not None:
@@ -185,10 +188,10 @@ def _search(levels, level, closed, target=_FUNCTIONAL, functional=None):
         sol = _solve(basis, columns, target)
         if sol is not None:
             exact = all(closed(j, searched.get(j)) for j in range(1, k))
-            return TorsionAnswer("exact" if exact else "at-most", k,
-                                 Element(sol), bounds)
+            return TorsionAnswer("exact" if exact else "at-most", k - shift,
+                                 certificate(sol), bounds, problem)
         searched[k] = bounds
-    return TorsionAnswer("not-found", bounds=levels[-1][1])
+    return TorsionAnswer("not-found", bounds=levels[-1][1], problem=problem)
 
 
 def _outer_window(sp, units, cap=None, support=None):
@@ -259,28 +262,32 @@ def torsion(alg, schedule, images=None):
         status = check_structure(alg, schedule[-1][1], images)
         _require(status, "structure")
         images = status.images
-    ans = _search(
+    return _search(
         schedule, _level(_outer_window(alg.space, True, support=(alg.table,)),
                          lambda ew: images.image(alg.table,
                                                  EElement.monomial(ew))),
         lambda j, b: _level_structurally_closed(alg.table, j) or (
             b is not None and _level_action_closed(alg, b)),
-        UNIT_EWORD)
-    if ans.found():
-        ans.level -= 1
-    return ans
+        UNIT_EWORD, problem=(verify_torsion_certificate, alg), shift=1)
 
 
 def default_schedule(max_level, bounds):
     return [(k, bounds) for k in range(1, max_level + 1)]
 
 
-def verify_torsion_certificate(alg, answer, images=None):
-    """p-hat of the certificate is the unit, and its words have at most
-    level + 1 clusters.  p-hat is read from images (alg's, see
-    SplitImages) where held."""
+def verify(answer, images=None):
+    """Re-check a found answer by evaluation at answer.bounds through its
+    problem's case, reading images where held; ValueError if it names none."""
     if not answer.found():
         return True
+    if answer.problem is None:
+        raise ValueError("%r names no problem to verify" % (answer,))
+    return answer.problem[0](*answer.problem[1:], answer, images)
+
+
+def verify_torsion_certificate(alg, answer, images=None):
+    """verify's torsion case: p-hat of the certificate (read from images
+    where held) is the unit, and no word has more than level + 1 clusters."""
     out = _images_for(alg, images).image(alg.table, answer.certificate)
     if out != EElement.monomial(UNIT_EWORD):
         return False
@@ -291,13 +298,13 @@ def verify_torsion_certificate(alg, answer, images=None):
 def transport_torsion(phi, answer):
     """A found torsion answer of phi's source pushed through phi-hat: an
     'at-most' answer of phi's target at the same level and bounds, which
-    verify_torsion_certificate(phi.target, ...) re-checks (phi-hat o p-hat
-    = p'-hat o phi-hat, and phi-hat keeps the unit).  An answer that found
-    nothing raises ValueError."""
+    verify re-checks (phi-hat o p-hat = p'-hat o phi-hat, and phi-hat keeps
+    the unit).  An answer that found nothing raises ValueError."""
     if not answer.found():
         raise ValueError("no certificate to transport")
     return TorsionAnswer("at-most", answer.level,
-                         apply_hat_phi(phi, answer.certificate), answer.bounds)
+                         apply_hat_phi(phi, answer.certificate), answer.bounds,
+                         (verify_torsion_certificate, phi.target))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +315,7 @@ def _functional_from_constants(lin_pointed, word):
     return elem.terms.get(UNIT_WORD, Fraction(0))
 
 
-def _order(bounds, level, functional, closed):
+def _order(bounds, level, functional, closed, problem=None):
     """An order: the least level k <= bounds.outer() with a cycle of
     functional value 1, its solution as certificate; a smaller level j is
     certified unsolvable when closed(j, bounds).  No level above
@@ -316,7 +323,7 @@ def _order(bounds, level, functional, closed):
     grows there."""
     top = min(bounds.outer(), max(1, bounds.max_letters))
     return _search(default_schedule(top, bounds), level, closed,
-                   functional=functional)
+                   functional=functional, problem=problem)
 
 
 def _linearized(eps, bounds, images):
@@ -345,7 +352,7 @@ def order_O(eps, pmap, bounds, images=None):
                            ell, Element.monomial(w))),
         lambda w: _functional_from_constants(lpt, w),
         lambda j, b: (b.max_action is None and b.max_letters >= j)
-        or _level_structurally_closed(lpt, j))
+        or _level_structurally_closed(lpt, j), (_verify_order, eps, pmap))
 
 
 def order_O_tilde(eps, pmap, bounds):
@@ -365,20 +372,17 @@ def order_O_tilde(eps, pmap, bounds):
         lambda j, b: _level_structurally_closed(lpt, j))
 
 
-def verify_order_certificate(eps, pmap, answer):
-    """order_O's certificate c re-verified by evaluation at the bounds the
-    answer names: c is a chain of inner words of at most level letters,
-    the linearized bar differential d_ell(c) = 0, and the functional of
-    pmap linearized at eps (its constant cells) is 1 on c.  An answer that
-    found nothing has nothing to check."""
-    if not answer.found():
-        return True
+def _verify_order(eps, pmap, answer, images):
+    """verify's order_O case, at the bounds the answer names: its
+    certificate c is a chain of inner words of at most level letters, the
+    linearized bar differential d_ell(c) = 0, and the functional of pmap
+    linearized at eps (its constant cells) is 1 on c."""
     c = answer.certificate
     if not all(isinstance(w, Word) and len(w) <= answer.level
                for w in c.terms):
         return False
-    ell = ell_table(_linearized(eps, answer.bounds, None))
-    lpt = linearize_pointed(pmap, eps, answer.bounds)
+    ell = ell_table(_linearized(eps, answer.bounds, images))
+    lpt = linearize_pointed(pmap, eps, answer.bounds, images)
     return (not assembly.apply_inner_coderivation(ell, c)
             and sum((x * _functional_from_constants(lpt, w)
                      for w, x in c.terms.items()), Fraction(0)) == 1)
@@ -472,16 +476,17 @@ def order_multi_tilde(eps, family, m, bounds):
     return _order_multi(eps, family, m, bounds, None, None)
 
 
-def transport_order(phi, eps, answer):
-    """A found order_O answer at pull_back(eps, phi, answer.bounds) pushed
-    through the linearized morphism pi_1 o F_eps-hat o phi-hat o
-    F_{-eps o phi}-hat, a chain map of the inner bar complexes, as in
-    transport_torsion.  verify_order_certificate(eps, q, ...) re-checks it
-    for a pointed map q of phi's target compatible with the source's."""
+def transport_order(phi, eps, pmap, answer):
+    """A found order_O answer at eps' = eps o phi (the augmentation it
+    names) pushed through the linearized morphism pi_1 o F_eps-hat o
+    phi-hat o F_{-eps'}-hat, a chain map of the inner bar complexes, as in
+    transport_torsion: an order_O answer at eps and pmap, a pointed map of
+    phi's target compatible with the source's."""
     if not answer.found():
         raise ValueError("no certificate to transport")
+    _, source_eps, _ = answer.problem
     bounds = answer.bounds
-    f_minus_src = f_eps(pull_back(eps, phi, bounds), -1)
+    f_minus_src = f_eps(source_eps, -1)
     f_plus_tgt = f_eps(eps, +1)
     phi_eps = _split_word_table(
         phi.source.space, lambda x: assembly.apply_morphism(
@@ -490,7 +495,8 @@ def transport_order(phi, eps, answer):
             single_cluster=True),
         0, bounds, target=phi.target.space, constants=False)
     return TorsionAnswer("at-most", answer.level, _apply_inner_morphism(
-        ell_table(phi_eps), answer.certificate), bounds)
+        ell_table(phi_eps), answer.certificate), bounds,
+        (_verify_order, eps, pmap))
 
 
 def _apply_inner_morphism(table, element):
@@ -512,9 +518,8 @@ def sd_order(eps, pmap, umod, bounds, images=None):
     lin = _linearized(eps, bounds, images)
     if umod.space is not eps.source.space:
         raise StructureError("U over another space than eps's algebra")
-    ans = _sd_search(lin, umod, linearize_pointed(pmap, eps, bounds, images))
-    ans.bounds = bounds
-    return ans
+    return _sd_search(lin, umod, linearize_pointed(pmap, eps, bounds, images),
+                      bounds, (_verify_sd, eps, pmap, umod))
 
 
 def _linear(cell):
@@ -531,21 +536,14 @@ def _sd_maps(lin, umod, lpt):
         (lin, (1, 1)), (umod.table, (1, 1)), (lpt, (1, 0))))
 
 
-def verify_sd_certificate(eps, pmap, umod, answer):
-    """sd_order's pair (z, y), re-verified by evaluation at the bounds the
-    answer names: z and y are chains over one-letter words, D z = 0,
-    f(z) = 1 and U^(level+1) z = D y, with D, U and f read as _sd_search
-    reads them from eps's linearized structure and pmap linearized at
-    eps."""
+def _verify_sd(eps, pmap, umod, answer, images):
+    """verify's sd_order case, at the bounds the answer names: its pair
+    (z, y) are chains over one-letter words, D z = 0, f(z) = 1 and
+    U^(level+1) z = D y, with D, U and f read as _sd_search reads them from
+    eps's linearized structure and pmap linearized at eps."""
     bounds = answer.bounds
-    return _sd_certificate_holds(
-        _linearized(eps, bounds, None), umod,
-        linearize_pointed(pmap, eps, bounds), answer)
-
-
-def _sd_certificate_holds(lin, umod, lpt, answer):
-    """verify_sd_certificate on the linearized tables themselves."""
-    D, U, f = _sd_maps(lin, umod, lpt)
+    D, U, f = _sd_maps(_linearized(eps, bounds, images), umod,
+                       linearize_pointed(pmap, eps, bounds, images))
     gens = {Word((j,)) for j in range(len(umod.space))}
     z, y = answer.certificate
     if not set(z.terms) | set(y.terms) <= gens:
@@ -557,10 +555,10 @@ def _sd_certificate_holds(lin, umod, lpt, answer):
             and power == D(y))
 
 
-def _sd_search(lin, umod, lpt):
+def _sd_search(lin, umod, lpt, bounds=None, problem=None):
     """Least k with a homology class of functional value 1 annihilated by
-    U^(k+1), as an answer of _search whose certificate is a pair (z, y) of
-    chains with D z = 0, f(z) = 1 and U^(k+1) z = D y.
+    U^(k+1), as _search's answer at bounds naming problem; its certificate
+    is a pair (z, y) of chains with D z = 0, f(z) = 1 and U^(k+1) z = D y.
 
     D is the (1,1) cell of lin, the linearized differential, and f the
     (1,0) cell of lpt, the linearized functional.  U must commute with D
@@ -605,14 +603,14 @@ def _sd_search(lin, umod, lpt):
     # level decides whether a class has functional value 1.  No level has
     # a window (each spans all of homology), so a failed level is certified
     basis = [(t, w) for t in "zy" for w in gens]
-    ans = _search([(k, None) for k in range(power_bound)],
+    ans = _search([(k, bounds) for k in range(power_bound)],
                   lambda k, _: (basis, columns(powers[k + 1])),
-                  lambda j, b: True, ("f", UNIT_WORD))
+                  lambda j, b: True, ("f", UNIT_WORD), problem=problem,
+                  certificate=lambda sol: tuple(
+                      Element({w: c for (t, w), c in sol.items() if t == part})
+                      for part in "zy"))
     if not ans.found():
         raise PlanarityNotOneError("no class with functional value 1")
-    ans.certificate = tuple(
-        Element({w: c for (t, w), c in ans.certificate.terms.items()
-                 if t == part}) for part in "zy")
     return ans
 
 

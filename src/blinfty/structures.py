@@ -40,8 +40,8 @@ from .words import (EElement, Element, GradedSpace, UNIT_WORD, Word,
 
 class Bounds:
     """A finite search window: letter count, action, outer word length.
-    A negative action or hbar cap would drop every word or term, so it
-    raises ValueError; zero is accepted."""
+    A negative bound or cap would drop every word or term, so it raises
+    ValueError naming the field; zero is accepted."""
 
     def __init__(self, max_letters, max_action=None, word_bound=None,
                  hbar_max=None):
@@ -49,7 +49,7 @@ class Bounds:
         self.max_action = Fraction(max_action) if max_action is not None else None
         self.word_bound = int(word_bound) if word_bound is not None else None
         self.hbar_max = int(hbar_max) if hbar_max is not None else None
-        for name in ("max_action", "hbar_max"):
+        for name in ("max_letters", "max_action", "word_bound", "hbar_max"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError("%s must be >= 0, got %s" % (name, value))

@@ -24,8 +24,7 @@ from blinfty.ibl import (apply_hat_p_ibl, c_map,
                          torsion_grid, verify_grid_certificate)
 from blinfty.invariants import (default_schedule, order_O, order_O_tilde,
                                 order_multi, order_multi_tilde, torsion,
-                                transport_order, verify_order_certificate,
-                                width)
+                                transport_order, verify, width)
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, apply_hat_p,
                                 apply_hat_phi, check_compatibility,
@@ -237,9 +236,9 @@ def test_criterion_5_order_inequalities_and_functoriality():
         ans = order_O(pull_back(eps, phi, bounds), p, bounds)
         n_triples += 1
         if ans.found():
-            moved = transport_order(phi, eps, ans)
+            moved = transport_order(phi, eps, q, ans)
             assert moved.level == ans.level
-            assert verify_order_certificate(eps, q, moved)
+            assert moved.problem[1:] == (eps, q) and verify(moved)
             n_transported += 1
     assert n_triples >= 10
     assert n_transported >= 5
@@ -291,13 +290,14 @@ def test_criterion_7_grid_transport_and_chain_map():
     n_transported = 0
     for (ialg, n, m, trunc) in grid_cases:
         assert check_ibl(ialg, trunc, Bounds(3)).ok
-        found, cert = torsion_grid(ialg, n, m, trunc, Bounds(3))
-        assert found
-        assert verify_grid_certificate(ialg, cert, n, m, trunc)
-        moved, ok = derive_flat_torsion(ialg, cert, n, m, trunc)
-        assert ok, (n, m, trunc)
-        if moved is not None:
-            assert verify_grid_certificate(ialg, moved, n + m, 0, trunc)
+        ans = torsion_grid(ialg, n, m, trunc, Bounds(3))
+        assert ans.found()
+        assert verify_grid_certificate(ialg, ans.certificate, n, m, trunc)
+        moved = derive_flat_torsion(ans)
+        assert verify(moved), (n, m, trunc)
+        if moved.certificate is not None:
+            assert verify_grid_certificate(ialg, moved.certificate, n + m, 0,
+                                           trunc)
         n_transported += 1
     # the connecting map commutes with the structure on basis rows
     rng = random.Random(77)

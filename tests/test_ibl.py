@@ -4,6 +4,7 @@ import random
 import pytest
 
 from blinfty import fixtures, invariants
+from blinfty.invariants import verify
 from blinfty.errors import IncompleteTableError, StructureError
 from blinfty.ibl import (apply_hat_p_ibl, c_map,
                          check_ibl, derive_flat_torsion, genus0,
@@ -248,10 +249,12 @@ def test_hbar_width_monotone():
 def test_grid_fixture_a_01():
     ialg = ibl_fixture_a()
     for trunc in (0, 1, 2):
-        found, cert = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
-        assert found
-        assert verify_grid_certificate(ialg, cert, 0, 1, trunc)
-        assert cert == EElement.monomial(eword(ialg.space, ("q1",), ("q2",)))
+        ans = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
+        assert ans.found() and ans.level == 1
+        assert verify_grid_certificate(ialg, ans.certificate, 0, 1, trunc)
+        assert verify(ans)
+        assert ans.certificate == EElement.monomial(
+            eword(ialg.space, ("q1",), ("q2",)))
 
 
 def test_grid_enumerates_its_window_once(monkeypatch):
@@ -264,23 +267,22 @@ def test_grid_enumerates_its_window_once(monkeypatch):
         calls.append(args)
         return enumerate_basis_(*args, **kwargs)
     monkeypatch.setattr(invariants, "enumerate_basis", counted)
-    found, cert = torsion_grid(ibl_fixture_a(), 0, 1, 2, Bounds(2))
-    assert found and len(calls) == 1
-    assert {ew.hbar for ew in cert.terms} == {0}
+    ans = torsion_grid(ibl_fixture_a(), 0, 1, 2, Bounds(2))
+    assert ans.found() and len(calls) == 1
+    assert {ew.hbar for ew in ans.certificate.terms} == {0}
 
 
 def test_grid_trivial_above_truncation():
     ialg = ibl_fixture_a()
-    found, cert = torsion_grid(ialg, 3, 0, 2, Bounds(2))
-    assert found and cert is None
+    ans = torsion_grid(ialg, 3, 0, 2, Bounds(2))
+    assert ans.found() and ans.certificate is None and verify(ans)
 
 
 def test_grid_zero_structure_not_found():
     sp = space(("q", 1),)
     ialg = BLAlgebra(sp, OperationTable(sp, 1, []))
     for trunc in (0, 1):
-        found, _ = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
-        assert not found
+        assert not torsion_grid(ialg, 0, 1, trunc, Bounds(2)).found()
 
 
 def test_grid_rejects_a_non_structure():
@@ -298,9 +300,9 @@ def test_grid_rejects_a_non_structure():
 
 def test_grid_genus_one_flat_torsion():
     ialg = genus_one_loop()
-    found, cert = torsion_grid(ialg, 1, 0, 2, Bounds(2))
-    assert found
-    assert verify_grid_certificate(ialg, cert, 1, 0, 2)
+    ans = torsion_grid(ialg, 1, 0, 2, Bounds(2))
+    assert ans.found()
+    assert verify_grid_certificate(ialg, ans.certificate, 1, 0, 2)
 
 
 def test_c_map_formula():
@@ -321,19 +323,21 @@ def test_c_map_single_cluster_is_inclusion():
 def test_derive_flat_torsion_fixture_a():
     ialg = ibl_fixture_a()
     for trunc in (1, 2, 3):
-        found, cert = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
-        assert found
-        moved, ok = derive_flat_torsion(ialg, cert, 0, 1, trunc)
-        assert ok
+        ans = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
+        assert ans.found()
+        moved = derive_flat_torsion(ans)
+        assert (moved.kind, moved.level) == ("exact", 0) and verify(moved)
         # the connected q1*q2 term feeds the one-cycle gluing
-        assert moved == EElement.monomial(eword(ialg.space, ("q1", "q2")))
+        assert moved.certificate == EElement.monomial(
+            eword(ialg.space, ("q1", "q2")))
 
 
 def test_grid_monotonicity_transports():
     ialg = ibl_fixture_a()
     trunc = 2
-    found, cert = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
-    assert found
+    ans = torsion_grid(ialg, 0, 1, trunc, Bounds(2))
+    assert ans.found()
+    cert = ans.certificate
     # truncation: drop exponents above trunc - 1
     low = EElement({ew: c for ew, c in cert.terms.items()
                     if ew.hbar <= trunc - 1})

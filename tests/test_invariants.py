@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,22 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from blinfty import assembly, fixtures, invariants
+from blinfty import assembly, fixtures, ibl, invariants, structures
 from blinfty import io as bio
 from blinfty.assembly import apply_coderivation, apply_inner_coderivation
 from blinfty.errors import (BlinftyError, InconclusiveError,
                             NotNilpotentError, PlanarityNotOneError,
                             StructureError)
-from blinfty.ibl import check_ibl, torsion_grid
+from blinfty.ibl import check_ibl, derive_flat_torsion, torsion_grid
 from blinfty.invariants import (TorsionAnswer, default_schedule, order_O,
                                 order_O_tilde, order_multi, order_multi_tilde,
                                 planarity, project_width, sd_order, torsion,
-                                transport_order, transport_torsion,
+                                transport_order, transport_torsion, verify,
                                 verify_torsion_certificate, width,
                                 apply_multi_pointed_linearized,
                                 _apply_inner_morphism, _multi_linearized,
-                                _sd_search, verify_order_certificate,
-                                verify_sd_certificate)
+                                _sd_search)
 from blinfty.linalg import solve_linear
 from blinfty.structures import (Augmentation, BLAlgebra, BLMorphism, Bounds,
                                 OperationTable, PointedMap, UModule,
@@ -646,9 +646,9 @@ def test_order_functoriality_identity():
     alg, phi, pmap, eps = _compatible_identity_fixture()
     ans = order_O(pull_back(eps, phi, B3), pmap, B3)
     assert ans.found()
-    moved = transport_order(phi, eps, ans)
+    moved = transport_order(phi, eps, pmap, ans)
     assert moved.level == ans.level
-    assert verify_order_certificate(eps, pmap, moved)
+    assert moved.problem[1:] == (eps, pmap) and verify(moved)
 
 
 def test_order_functoriality_rescaled_morphism():
@@ -668,9 +668,9 @@ def test_order_functoriality_rescaled_morphism():
     eps = fixtures.zero_aug(alg)
     ans = order_O(pull_back(eps, phi, B3), p, B3)
     assert ans.found()
-    moved = transport_order(phi, eps, ans)
+    moved = transport_order(phi, eps, q, ans)
     assert moved.level == ans.level
-    assert verify_order_certificate(eps, q, moved)
+    assert moved.problem[1:] == (eps, q) and verify(moved)
 
 
 def _rescaled_table(tab, s):
@@ -760,12 +760,12 @@ def test_transports_obey_the_functor_law_on_rescalings():
             b_ans = order_O(b_eps, b_pmap, bounds)
             assert (ans.kind, ans.level) == (b_ans.kind, b_ans.level)
             if ans.found():
-                to_b = transport_order(phi, b_eps, ans)
-                to_c = transport_order(both, c_eps, ans)
-                assert verify_order_certificate(b_eps, b_pmap, to_b)
-                assert verify_order_certificate(c_eps, c_pmap, to_c)
-                assert to_c.certificate.terms == \
-                    transport_order(psi, c_eps, to_b).certificate.terms
+                to_b = transport_order(phi, b_eps, b_pmap, ans)
+                to_c = transport_order(both, c_eps, c_pmap, ans)
+                assert to_b.problem[1:] == (b_eps, b_pmap) and verify(to_b)
+                assert to_c.problem[1:] == (c_eps, c_pmap) and verify(to_c)
+                assert to_c.certificate.terms == transport_order(
+                    psi, c_eps, c_pmap, to_b).certificate.terms
                 moved["order"] += 1
     assert moved["torsion"] >= 8 and moved["order"] >= 18, moved
 
@@ -1207,8 +1207,8 @@ def _engine_structures(rng):
 
 
 def _random_sd_case(rng):
-    inputs = _random_sd_inputs(rng)
-    return lambda: _sd_search(*inputs)
+    """_sd_search on a seeded draw, the draw kept as the call's args."""
+    return functools.partial(_sd_search, *_random_sd_inputs(rng))
 
 
 def _random_sd_inputs(rng, arbitrary=False):
@@ -1249,7 +1249,8 @@ def _random_sd_inputs(rng, arbitrary=False):
 
 
 def _outcome(case):
-    """An engine call's answer with its certificate terms, or its error."""
+    """An engine call's answer with its certificate terms and the name of
+    its problem's case, or its error."""
     try:
         out = case()
     except (StructureError, NotNilpotentError, PlanarityNotOneError,
@@ -1257,9 +1258,8 @@ def _outcome(case):
         return type(err).__name__, str(err)
     if isinstance(out, TorsionAnswer):
         return (out.kind, out.level, repr(out.bounds), type(out.certificate),
-                _terms(out.certificate))
-    if isinstance(out, tuple):
-        return out[0], _terms(out[1])
+                _terms(out.certificate),
+                out.problem and out.problem[0].__name__)
     return out
 
 
@@ -1280,10 +1280,12 @@ def test_engines_match_dense_oracle(monkeypatch):
     monkeypatch.setattr(invariants, "rank", dense_rank)
     dense, dense_sd = _outcomes(_engine_cases(random.Random(606)))
     assert (sparse, sparse_sd) == (dense, dense_sd)
-    kinds = [out[0] for out in sparse if isinstance(out, tuple)]
+    kinds = [out[0] for out in sparse if out[-1] != "_verify_grid"]
+    grid = [out[0] for out in sparse if out[-1] == "_verify_grid"]
     assert kinds.count("exact") + kinds.count("at-most") >= 5
     assert kinds.count("not-found") >= 3
-    assert kinds.count(True) >= 3 and kinds.count(False) >= 3
+    assert len(grid) - grid.count("not-found") >= 3
+    assert grid.count("not-found") >= 3
     sd = {out[1] for out in sparse_sd if out[0] == "exact"}
     assert len(sd) >= 2
 
@@ -1520,7 +1522,7 @@ def test_sd_order_matches_dense_oracle_off_nilpotence():
     assert {0, 1, 2} <= set(outcomes)
 
 
-def _sd_certificate_checked(ell1, umod, ell_point, ans, verify):
+def _sd_certificate_checked(ell1, umod, ell_point, ans):
     """ans's pair (z, y) re-verifies by dense evaluation and by verify, the
     library's check; negating a coefficient of z on which f is nonzero
     breaks f(z) = 1 for both."""
@@ -1533,14 +1535,24 @@ def _sd_certificate_checked(ell1, umod, ell_point, ans, verify):
     flipped = (Element({**z.terms, w: -z.terms[w]}), y)
     assert not oracle_sd_certificate(ell1, umod, ell_point, ans.level,
                                      flipped)
-    assert not verify(TorsionAnswer(ans.kind, ans.level, flipped, ans.bounds))
+    assert not verify(TorsionAnswer(ans.kind, ans.level, flipped, ans.bounds,
+                                    ans.problem))
+
+
+def _sd_maps_of(dtab, umod, ftab):
+    """An augmentation and a pointed map that linearize to the seeded
+    draw's differential and functional: the zero augmentation of the
+    structure dtab, and ftab as a pointed table."""
+    alg = BLAlgebra(umod.space, dtab)
+    return fixtures.zero_aug(alg), PointedMap(alg, OperationTable(
+        umod.space, 0, ftab.sorted_entries()))
 
 
 def test_sd_certificates_reverify_by_evaluation():
-    # every found answer carries the pair (z, y), and verify_sd_certificate
-    # (on the seeded draws, its check on the linearized tables) agrees with
-    # the dense oracle: on both seeded draws, the ladder and the corpus's
-    # two sd inputs (pointed_one with U = 0)
+    # every found answer carries the pair (z, y), and verify agrees with
+    # the dense oracle: on both seeded draws (sd_order on _sd_maps_of each
+    # draw, whose answer is _sd_search's on the draw), the ladder and the
+    # corpus's two sd inputs (pointed_one with U = 0)
     found = 0
     for seed, arbitrary in ((1414, False), (2828, True)):
         rng = random.Random(seed)
@@ -1550,8 +1562,10 @@ def test_sd_certificates_reverify_by_evaluation():
                 ans = _sd_search(*inputs)
             except (NotNilpotentError, PlanarityNotOneError):
                 continue
-            _sd_certificate_checked(*inputs, ans, lambda a, inputs=inputs: (
-                invariants._sd_certificate_holds(*inputs, a)))
+            eps, pmap = _sd_maps_of(*inputs)
+            got = sd_order(eps, pmap, inputs[1], Bounds(1))
+            assert (got.level, got.certificate) == (ans.level, ans.certificate)
+            _sd_certificate_checked(*inputs, got)
             found += 1
     assert found >= 300
     one, p_one = fixtures.pointed_one()
@@ -1561,8 +1575,7 @@ def test_sd_certificates_reverify_by_evaluation():
         eps, umod = fixtures.zero_aug(alg), UModule(alg.space, utab)
         _sd_certificate_checked(
             linearize(eps, B3), umod, linearize_pointed(pmap, eps, B3),
-            sd_order(eps, pmap, umod, B3),
-            lambda a: verify_sd_certificate(eps, pmap, umod, a))
+            sd_order(eps, pmap, umod, B3))
 
 
 def test_verify_sd_certificate_refuses_a_pair_off_the_generators():
@@ -1571,18 +1584,18 @@ def test_verify_sd_certificate_refuses_a_pair_off_the_generators():
     alg, utab, pmap = fixtures.sd_ladder(2)
     eps, umod = fixtures.zero_aug(alg), UModule(alg.space, utab)
     ans = sd_order(eps, pmap, umod, B3)
-    assert verify_sd_certificate(eps, pmap, umod, ans)
+    assert verify(ans)
     z, y = ans.certificate
     two = Word((0, 1))
     for pair in ((z + Element.monomial(two), y),
                  (z, y + Element.monomial(two))):
-        assert not verify_sd_certificate(
-            eps, pmap, umod, TorsionAnswer(ans.kind, ans.level, pair, B3))
+        assert not verify(TorsionAnswer(ans.kind, ans.level, pair, B3,
+                                        ans.problem))
 
 
 def test_order_certificates_reverify_by_evaluation():
-    # every found order_O answer re-verifies through
-    # verify_order_certificate: the order ladders, the corpus's pointed
+    # every found order_O answer re-verifies through verify, in its case
+    # for order_O: the order ladders, the corpus's pointed
     # inputs at each of their augmentations and seeded pointed tables.
     # Negating a coefficient the functional reads, or claiming a level
     # below the certificate's longest word, fails it
@@ -1598,7 +1611,7 @@ def test_order_certificates_reverify_by_evaluation():
     found = 0
     for eps, pmap, bounds in cases:
         ans = order_O(eps, pmap, bounds)
-        assert verify_order_certificate(eps, pmap, ans)
+        assert ans.problem[1:] == (eps, pmap) and verify(ans)
         if not ans.found():
             continue
         found += 1
@@ -1607,11 +1620,11 @@ def test_order_certificates_reverify_by_evaluation():
         w = next(w for w in c.terms
                  if invariants._functional_from_constants(lpt, w))
         flipped = Element({**c.terms, w: -c.terms[w]})
-        assert not verify_order_certificate(eps, pmap, TorsionAnswer(
-            ans.kind, ans.level, flipped, ans.bounds))
+        assert not verify(TorsionAnswer(
+            ans.kind, ans.level, flipped, ans.bounds, ans.problem))
         longest = max(len(w) for w in c.terms)
-        assert not verify_order_certificate(eps, pmap, TorsionAnswer(
-            ans.kind, longest - 1, c, ans.bounds))
+        assert not verify(TorsionAnswer(
+            ans.kind, longest - 1, c, ans.bounds, ans.problem))
     assert found >= 20, found
 
 
@@ -1625,19 +1638,19 @@ def test_verify_order_certificate_refuses_a_chain_that_is_not_a_cycle():
     eps = fixtures.zero_aug(alg)
     ans = order_O(eps, pmap, B3)
     assert (ans.kind, ans.level) == ("exact", 1)
-    assert verify_order_certificate(eps, pmap, ans)
+    assert verify(ans)
     broken = ans.certificate + Element.monomial(word(sp, "b"))
-    assert not verify_order_certificate(eps, pmap, TorsionAnswer(
-        ans.kind, ans.level, broken, ans.bounds))
+    assert not verify(TorsionAnswer(
+        ans.kind, ans.level, broken, ans.bounds, ans.problem))
 
 
 # ---- windows of the support ----------------------------------------------------
 
 def _record(call):
     """A call's answer in full: a search's (kind, level, bounds,
-    certificate terms in insertion order), a check's (ok, witness), a
-    table's entries, the grid's (found, certificate terms), or the type
-    and message of a package error."""
+    certificate terms in insertion order, the name of its problem's case),
+    a check's (ok, witness), a table's entries, or the type and message of
+    a package error."""
     def in_order(cert):
         if isinstance(cert, tuple):  # sd's pair (z, y)
             return [in_order(chain) for chain in cert]
@@ -1647,14 +1660,13 @@ def _record(call):
     except BlinftyError as err:
         return type(err).__name__, str(err)
     if isinstance(out, TorsionAnswer):
-        return out.kind, out.level, repr(out.bounds), in_order(out.certificate)
+        return (out.kind, out.level, repr(out.bounds),
+                in_order(out.certificate),
+                out.problem and out.problem[0].__name__)
     if isinstance(out, VerifyStatus):
         return out.ok, repr(out.witness)
-    if isinstance(out, OperationTable):
-        return [(k, l, g, w, list(e.terms.items()))
-                for k, l, g, w, e in out.sorted_entries()]
-    found, cert = out
-    return found, in_order(cert)
+    return [(k, l, g, w, list(e.terms.items()))
+            for k, l, g, w, e in out.sorted_entries()]
 
 
 def _support_cases():
@@ -1739,7 +1751,10 @@ def test_support_windows_answer_as_the_whole_windows(monkeypatch):
     whole_windows(monkeypatch)
     assert thinned == [_record(case) for case in cases]
     assert first_stages * 2 < glued.count(False), (first_stages, glued)
-    kinds = [r[0] for r in thinned if isinstance(r, tuple)]
+    # a grid answer counts as found or not, as its (found, certificate)
+    # pair did
+    kinds = [r[0] != "not-found" if r[-1] == "_verify_grid" else r[0]
+             for r in thinned if isinstance(r, tuple)]
     assert kinds.count("exact") >= 60 and kinds.count("not-found") >= 30
     assert kinds.count(True) >= 40 and kinds.count(False) >= 60
     assert kinds.count("IncompleteTableError") >= 100, kinds
@@ -1893,6 +1908,151 @@ def test_image_memo_keeps_answers_and_certificates(monkeypatch):
     memo, memo_sd = _outcomes(_memo_cases(random.Random(909)))
     monkeypatch.setattr(invariants, "_once", lambda image: image)
     assert (memo, memo_sd) == _outcomes(_memo_cases(random.Random(909)))
-    kinds = [out[0] for out in memo if isinstance(out, tuple)]
+    kinds = [out[0] for out in memo if out[-1] != "_verify_grid"]
     assert kinds.count("exact") + kinds.count("at-most") >= 10
     assert kinds.count("not-found") >= 5
+
+
+# ---- one verify for every answer --------------------------------------------
+
+def _searched_answers():
+    """Every answer of torsion, order_O, sd_order, the torsion grid and
+    derive_flat_torsion, and of both transports: on the corpus, the three
+    ladders 1-5 (and exhaust 3-6), _engine_cases on seeds 1-3 (each sd draw
+    through sd_order on _sd_maps_of it), the compatible triples and the
+    functor-law rescalings."""
+    from test_acceptance import _compatible_triples
+    calls = list(_ladder_and_exhaust_cases())
+    for seed in (1, 2, 3):
+        engine, sd = _engine_cases(random.Random(seed))
+        calls += [case for case in engine
+                  if order_O_tilde not in (case.__defaults__ or ())]
+        calls += [lambda args=case.args: sd_order(
+            *_sd_maps_of(*args), args[1], Bounds(1)) for case in sd]
+    for alg, augs, pmap in fixtures.corpus().values():
+        calls += [lambda alg=alg: torsion(alg, default_schedule(3, B3)),
+                  lambda alg=alg: torsion_grid(alg, 0, 1, 1, B3)]
+        calls += [lambda eps=eps, pmap=pmap: order_O(eps, pmap, B3)
+                  for eps in (augs if pmap is not None else ())]
+    one, p_one = fixtures.pointed_one()
+    for alg, utab, pmap in (fixtures.sd_example(), (one, zero_table(
+            one.space, parity=0), p_one)):
+        calls.append(lambda alg=alg, utab=utab, pmap=pmap: sd_order(
+            fixtures.zero_aug(alg), pmap, UModule(alg.space, utab), B3))
+    answers = []
+    for call in calls:
+        try:
+            ans = call()
+        except (StructureError, NotNilpotentError, PlanarityNotOneError):
+            continue
+        answers.append(ans)
+        if ans.found() and ans.problem[0] is ibl._verify_grid:
+            answers.append(derive_flat_torsion(ans))
+    for phi, p, q, _, eps in _compatible_triples():
+        ans = order_O(pull_back(eps, phi, B3), p, B3)
+        answers.append(ans)
+        if ans.found():
+            answers.append(transport_order(phi, eps, q, ans))
+    rng = random.Random(3535)
+    for alg, maps, schedule, bounds in _functor_law_cases(rng):
+        b_alg, phi, b_maps = _rescaled(alg, maps, rng)
+        c_alg, psi, c_maps = _rescaled(b_alg, b_maps, rng)
+        both = compose(psi, phi, bounds)
+        ans = torsion(alg, schedule)
+        answers.append(ans)
+        if ans.found():
+            to_b = transport_torsion(phi, ans)
+            answers += [to_b, transport_torsion(both, ans),
+                        transport_torsion(psi, to_b)]
+        for (eps, pmap), (b_eps, b_pmap), (c_eps, c_pmap) in zip(
+                maps, b_maps, c_maps):
+            ans = order_O(pull_back(b_eps, phi, bounds), pmap, bounds)
+            answers.append(ans)
+            if ans.found():
+                to_b = transport_order(phi, b_eps, b_pmap, ans)
+                answers += [to_b, transport_order(both, c_eps, c_pmap, ans),
+                            transport_order(psi, c_eps, c_pmap, to_b)]
+    return answers
+
+
+def _flipped(cert):
+    """cert with the sign of its first coefficient flipped (of z in sd's
+    pair (z, y))."""
+    if isinstance(cert, tuple):
+        return (_flipped(cert[0]),) + cert[1:]
+    (w, c), = itertools.islice(cert.terms.items(), 1)
+    return type(cert)({**cert.terms, w: -c})
+
+
+def _elsewhere(problem):
+    """problem on another algebra, the zero structure on the same space:
+    torsion and the grid read its p-hat, the orders and semi-dilation its
+    zero augmentation and a zero pointed map.  No certificate solves it."""
+    case, first, *rest = problem
+    sp = (first if isinstance(first, BLAlgebra) else first.source).space
+    zero = BLAlgebra(sp, zero_table(sp))
+    if isinstance(first, BLAlgebra):
+        return (case, zero, *rest)
+    return (case, fixtures.zero_aug(zero),
+            PointedMap(zero, zero_table(sp, parity=0)), *rest[1:])
+
+
+def test_every_found_answer_reverifies_through_verify():
+    # each found answer names its problem and verify re-checks it by
+    # evaluation; flipping one certificate coefficient, or naming another
+    # algebra in the problem, fails it.  A found answer with no
+    # certificate is the grid's above its truncation, which verify accepts
+    # for its n > trunc alone
+    found = {}
+    for ans in _searched_answers():
+        assert ans.problem is not None
+        if not ans.found():
+            assert verify(ans)
+            continue
+        name = ans.problem[0].__name__
+        found[name] = found.get(name, 0) + 1
+        assert verify(ans), (name, ans)
+        if ans.certificate is None:
+            _, _, n, _, trunc = ans.problem
+            assert name == "_verify_grid" and n > trunc
+            continue
+        for mutant in (
+                TorsionAnswer(ans.kind, ans.level, _flipped(ans.certificate),
+                              ans.bounds, ans.problem),
+                TorsionAnswer(ans.kind, ans.level, ans.certificate,
+                              ans.bounds, _elsewhere(ans.problem))):
+            assert not verify(mutant), (name, ans)
+    assert found["verify_torsion_certificate"] >= 55, found
+    assert found["_verify_order"] >= 100, found
+    assert found["_verify_sd"] >= 50, found
+    assert found["_verify_grid"] >= 30, found
+
+
+def test_verify_refuses_a_found_answer_with_no_problem():
+    # order_O_tilde's answers name no problem: nothing re-checks them
+    alg, pmap = fixtures.order_ladder(2)
+    ans = order_O_tilde(fixtures.zero_aug(alg), pmap, Bounds(2, word_bound=2))
+    assert ans.found() and ans.problem is None
+    with pytest.raises(ValueError, match="names no problem"):
+        verify(ans)
+    assert verify(TorsionAnswer("not-found", bounds=B3))
+
+
+def test_transport_order_pulls_nothing_back(monkeypatch):
+    # the answer names the augmentation it was found at, so a transport
+    # runs no pull_back (a compose and an is_augmentation check)
+    from test_acceptance import _compatible_triples
+    pull, calls = structures.pull_back, []
+
+    def counted(*args):
+        calls.append(args)
+        return pull(*args)
+    monkeypatch.setattr(structures, "pull_back", counted)
+    monkeypatch.setattr(invariants, "pull_back", counted, raising=False)
+    moved = 0
+    for phi, p, q, _, eps in _compatible_triples():
+        ans = order_O(pull(eps, phi, B3), p, B3)
+        if ans.found():
+            assert verify(transport_order(phi, eps, q, ans))
+            moved += 1
+    assert calls == [] and moved >= 5, (calls, moved)

@@ -7,7 +7,7 @@ from blinfty import assembly, fixtures
 from blinfty import io as bio
 from blinfty.cli import COMMANDS, main as cli_main
 from blinfty.errors import IncompleteTableError, ParseError, StructureError
-from blinfty.invariants import TorsionAnswer, verify_order_certificate
+from blinfty.invariants import TorsionAnswer, order_O, verify
 from blinfty.structures import BLAlgebra, Bounds, OperationTable
 from blinfty.words import (EElement, Element, EWord, Generator, GradedSpace,
                            UNIT_WORD, Word, enumerate_basis, normalize_word)
@@ -440,11 +440,11 @@ def test_cli_torsion_not_found(corpus_dir, tmp_path):
 def _assert_order_certificate(cert, structure, aug, pointed, level):
     """The order-<level> chain written to cert is one chain of one-cluster
     words at exponent 0, and flattened to inner words it re-verifies by
-    evaluation through the library's verify_order_certificate at the
-    document's bounds.  Appended to the structure, verify re-checks it
-    after the pointed line when given the augmentation and the pointed
-    map, skips it without them, and fails it, exit 1, with one
-    coefficient flipped."""
+    evaluation through the library's verify at the document's bounds, as
+    an answer of order_O's problem on the augmentation and pointed map.
+    Appended to the structure, verify re-checks it after the pointed line
+    when given the augmentation and the pointed map, skips it without
+    them, and fails it, exit 1, with one coefficient flipped."""
     doc = bio.parse(Path(structure).read_text(encoding="utf-8"))
     alg = bio.algebra_from_document(doc)
     eps = bio.augmentation_from_document(
@@ -456,8 +456,8 @@ def _assert_order_certificate(cert, structure, aug, pointed, level):
     assert all(len(ew.clusters) == 1 and not ew.hbar
                for ew in chain.element.terms)
     c = Element({ew.clusters[0]: x for ew, x in chain.element.terms.items()})
-    assert verify_order_certificate(
-        eps, pmap, TorsionAnswer("exact", level, c, doc.bounds))
+    problem = order_O(eps, pmap, doc.bounds).problem
+    assert verify(TorsionAnswer("exact", level, c, doc.bounds, problem))
     first = next(iter(chain.element.terms))
     flipped = Element({**chain.element.terms,
                        first: -chain.element.terms[first]})
@@ -846,6 +846,25 @@ def test_cli_negative_cap_flag_exit_two(corpus_dir, tmp_path, argv):
                         str(corpus_dir / (argv[1] + ".blf")), *argv[2:])
     assert code == 2
     assert report_value(out, "error").startswith("value: ")
+    assert report_value(out, argv[0]) is None
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("torsion", "planar-torsion-one", "--max-letters", "-1"), "max_letters"),
+    (("order", "pointed-one", "--word-bound", "-1")
+     + _with_pointed("pointed-one"), "word_bound"),
+])
+def test_cli_negative_bound_flag_names_the_field(corpus_dir, tmp_path, argv,
+                                                 field):
+    # a negative letter count or word bound is refused for its value, not
+    # reported as an empty search
+    args = [str(corpus_dir / (a[1:] + ".blf")) if a.startswith("@") else a
+            for a in argv[2:]]
+    code, out = run_cli(tmp_path, argv[0],
+                        str(corpus_dir / (argv[1] + ".blf")), *args)
+    assert code == 2
+    assert report_value(out, "error") == \
+        "value: %s must be >= 0, got -1" % field
     assert report_value(out, argv[0]) is None
 
 

@@ -205,6 +205,15 @@ def test_bounds_refuse_a_negative_cap(kw):
         Bounds(3, **kw)
 
 
+@pytest.mark.parametrize("field", ["max_letters", "word_bound"])
+def test_bounds_refuse_a_negative_bound_naming_it(field):
+    # no word has fewer than zero letters or clusters: a negative bound is
+    # refused for its value, and zero stays accepted
+    with pytest.raises(ValueError, match="^%s must be >= 0, got -1$" % field):
+        Bounds(**{"max_letters": 3, field: -1})
+    assert getattr(Bounds(**{"max_letters": 3, field: 0}), field) == 0
+
+
 def test_bounds_accept_a_zero_cap():
     b = Bounds(3, max_action=0, hbar_max=0)
     assert (b.max_action, b.hbar_max) == (0, 0)

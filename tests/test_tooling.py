@@ -175,10 +175,10 @@ def test_one_rule_decides_the_support():
 
 
 def test_transports_leave_the_checks_to_the_verifiers():
-    # a transported certificate is an answer of the target that the
-    # verifier of its kind re-checks: the order functional is read only by
-    # order_O and verify_order_certificate, and neither transport applies
-    # a structure or pointed map itself
+    # a transported certificate is an answer of the target that verify
+    # re-checks: the order functional is read only by order_O and verify's
+    # case for it, and neither transport applies a structure or pointed map
+    # itself
     checks = {"apply_inner_coderivation", "apply_hat_p", "apply_coderivation"}
     readers, applied = set(), {}
     for path in sorted(SRC.glob("*.py")):
@@ -194,9 +194,53 @@ def test_transports_leave_the_checks_to_the_verifiers():
                     if called in checks:
                         applied[name].add(called)
     assert readers == {"invariants.order_O",
-                       "invariants.verify_order_certificate"}, readers
+                       "invariants._verify_order"}, readers
     assert applied == {"invariants.transport_torsion": set(),
                        "invariants.transport_order": set()}, applied
+
+
+def test_one_verify_for_every_answer():
+    # a found answer is re-checked through invariants.verify, whose cases
+    # its problem names; the public verifier names are verify and the two
+    # cases that callers outside the package read by name
+    public = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name.startswith("verify"):
+                public.add("%s.%s" % (path.stem, node.name))
+    assert public == {"invariants.verify",
+                      "invariants.verify_torsion_certificate",
+                      "ibl.verify_grid_certificate"}, public
+
+
+def test_no_answer_is_patched_after_it_is_built():
+    # every answer is built once, with its problem: no attribute an answer
+    # carries is assigned anywhere but in TorsionAnswer.__init__ (or on
+    # self in another class's __init__, whose attribute it is)
+    fields = {"kind", "level", "certificate", "bounds", "problem"}
+    sites, init = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(path.stem, tree)]
+        while scopes:
+            name, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    scopes.append(("%s.%s" % (name, child.name), child))
+                    continue
+                scopes.append((name, child))
+                if not (isinstance(child, ast.Attribute) and
+                        isinstance(child.ctx, ast.Store) and
+                        child.attr in fields):
+                    continue
+                if name == "invariants.TorsionAnswer.__init__":
+                    init.add(child.attr)
+                elif not (name.endswith(".__init__") and
+                          getattr(child.value, "id", None) == "self"):
+                    sites.append("%s %s" % (name, child.attr))
+    assert not sites, sites
+    assert init == fields
 
 
 def test_operators_read_their_spaces_from_their_tables():
@@ -323,7 +367,7 @@ def _searches(lib):
     for n, m in ((0, 1), (0, 0)):
         out.append((lambda n=n, m=m: lib.ibl.torsion_grid(
             fixtures.planar_torsion_one(), n, m, 2, Bounds(2)),
-            lambda ans: 1, lambda ans: ans[0]))
+            lambda ans: 1, lambda ans: ans.found()))
     return out
 
 
